@@ -64,9 +64,9 @@ from .oracle import (
 )
 from .potential import (
     EdgeFunction,
-    TauFunctionPair,
     c_mu,
     r_D_on_edge,
+    resistance_function_pair,
     resistance_point,
     resistance_to_divisor,
     tau_constant,

@@ -7,9 +7,11 @@ head, so the stored ``(tail, head)`` order fixes the parametrization.  A
 point of the graph is an ``(edge, offset)`` pair; endpoints of different
 edges may denote the same metric point.
 
-Most of the heavier derived data (bridge sets, distance tables, the
-connectivity matrix) is cached per graph value, which is safe because the
-graph type is immutable and hashable.
+Bridges, bridge sides, shortest distances and the decimal-coded
+connectivity matrix are reported here for display only: the closed forms in
+``potential`` and ``green`` hold on bridges unchanged and never read them.
+They are cached per graph value, which is safe because the graph type is
+immutable and hashable.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
+    BadDegree,
     GraphDisconnected,
     MetgraphError,
     NonpositiveLength,
@@ -77,22 +80,8 @@ class MetrizedGraph:
             raise MetgraphError("a metrized graph needs at least one edge")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(norm))
-        if len(self._component_of(0)) != n:
+        if len(_reachable(self, 0)) != n:
             raise GraphDisconnected("the edge set does not connect all vertices")
-
-    def _component_of(self, start: int) -> set[int]:
-        adj: dict[int, list[int]] = {}
-        for e in self.edges:
-            adj.setdefault(e.tail, []).append(e.head)
-            adj.setdefault(e.head, []).append(e.tail)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj.get(stack.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     @property
     def n_vertices(self) -> int:
@@ -186,6 +175,14 @@ def check_divisor(g: MetrizedGraph, d: Divisor) -> Divisor:
             f"divisor has {len(d)} coefficients but the graph has {g.n_vertices} vertices"
         )
     return d
+
+
+def admissible_degree(g: MetrizedGraph, d: Divisor) -> int:
+    """Degree of a divisor on ``g``, rejecting -2, which has no admissible measure."""
+    deg = check_divisor(g, d).degree
+    if deg == -2:
+        raise BadDegree("divisor degree -2 admits no admissible measure")
+    return deg
 
 
 def canonical_divisor(
@@ -380,7 +377,8 @@ def make_adequate(g: MetrizedGraph) -> tuple[MetrizedGraph, PointRelabeling]:
             cuts[i] = [g.edges[i].length / 2]
     refined, relabeling = _split_edges(g, cuts)
     # one pass suffices: thirds and midpoints meet fresh valence-2 vertices
-    assert validate_adequate(refined), "edge splitting left loops or parallels"
+    if not validate_adequate(refined):
+        raise NotAdequate("edge splitting left loops or parallels")
     return refined, relabeling
 
 
@@ -388,27 +386,29 @@ def make_adequate(g: MetrizedGraph) -> tuple[MetrizedGraph, PointRelabeling]:
 # bridges and distances
 
 
+def _reachable(g: MetrizedGraph, start: int, skip: int | None = None) -> frozenset[int]:
+    """Vertices joined to ``start`` by edges other than edge ``skip``."""
+    adj: dict[int, list[int]] = {}
+    for i, e in enumerate(g.edges):
+        if i != skip:
+            adj.setdefault(e.tail, []).append(e.head)
+            adj.setdefault(e.head, []).append(e.tail)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
 @cache
 def bridges(g: MetrizedGraph) -> frozenset[int]:
     """Indices of all edges whose interior disconnects the graph."""
-    out = set()
-    for skip in range(g.n_edges):
-        adj: dict[int, list[int]] = {}
-        for i, e in enumerate(g.edges):
-            if i == skip:
-                continue
-            adj.setdefault(e.tail, []).append(e.head)
-            adj.setdefault(e.head, []).append(e.tail)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj.get(stack.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != g.n_vertices:
-            out.add(skip)
-    return frozenset(out)
+    return frozenset(
+        i for i in range(g.n_edges) if len(_reachable(g, 0, skip=i)) != g.n_vertices
+    )
 
 
 def is_bridge(g: MetrizedGraph, i: int) -> bool:
@@ -426,21 +426,7 @@ class Side(Enum):
 
 @cache
 def _tail_side_vertices(g: MetrizedGraph, bridge: int) -> frozenset[int]:
-    adj: dict[int, list[int]] = {}
-    for i, e in enumerate(g.edges):
-        if i == bridge:
-            continue
-        adj.setdefault(e.tail, []).append(e.head)
-        adj.setdefault(e.head, []).append(e.tail)
-    start = g.edges[bridge].tail
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return _reachable(g, g.edges[bridge].tail, skip=bridge)
 
 
 def bridge_side(
@@ -484,7 +470,8 @@ def _distances_from(g: MetrizedGraph, source: int) -> tuple[Fraction, ...]:
             for a, b in ((e.tail, e.head), (e.head, e.tail)):
                 if a == v and dist[b] is None:
                     heappush(heap, (d + e.length, b))
-    assert all(d is not None for d in dist)
+    if None in dist:
+        raise GraphDisconnected(f"some vertex is unreachable from vertex {source}")
     return tuple(dist)  # type: ignore[arg-type]
 
 
@@ -499,7 +486,7 @@ def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
     """The endpoint pair of two distinct bridges at minimal distance.
 
     The minimum is strict because crossing either bridge costs its full
-    positive length, hence the assertion can only fire on corrupted data.
+    positive length, hence the error can only fire on corrupted data.
     """
     if i == j:
         raise MetgraphError("closest neighbours need two distinct edges")
@@ -515,7 +502,8 @@ def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
     ]
     dists = [shortest_distance(g, a, b) for a, b in pairs]
     best = min(dists)
-    assert dists.count(best) == 1, "ambiguous closest-neighbour pair"
+    if dists.count(best) != 1:
+        raise MetgraphError("ambiguous closest-neighbour pair")
     return pairs[dists.index(best)]
 
 

@@ -13,72 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .graph import (
-    ConnectivityEntry,
-    ConnectivityMatrix,
-    Divisor,
-    EntryKind,
-    GraphPoint,
-    MetrizedGraph,
-    NeighbourPair,
-    Side,
-    check_divisor,
-    connectivity_matrix,
-    validate_point,
-)
-from .potential import (
-    tau_function_pair,
-    vertex_resistance,
-    vertex_voltage,
-)
+from .errors import MetgraphError
+from .graph import Divisor, GraphPoint, MetrizedGraph, validate_point
+from .potential import EdgePairFunction, resistance_function_pair, tau_function_pair
 
 __all__ = [
-    "ConnectivityEntry",
-    "ConnectivityMatrix",
     "EdgePairFunction",
     "ValueMatrix",
-    "connectivity_matrix",
     "evaluate_green",
     "value_matrix",
     "value_matrix_entry",
 ]
-
-_ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class EdgePairFunction:
-    """Closed form of g(x, y) for x on edge i and y on edge j.
-
-    Coefficients over the basis {1, x, y, x^2, y^2, x*y, |x - y|}; the
-    absolute-value coefficient can be nonzero only when i == j.
-    """
-
-    i: int
-    j: int
-    c0: Fraction = _ZERO
-    cx: Fraction = _ZERO
-    cy: Fraction = _ZERO
-    cxx: Fraction = _ZERO
-    cyy: Fraction = _ZERO
-    cxy: Fraction = _ZERO
-    cabs: Fraction = _ZERO
-
-    def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        value = (
-            self.c0
-            + self.cx * x
-            + self.cy * y
-            + self.cxx * x * x
-            + self.cyy * y * y
-            + self.cxy * x * y
-        )
-        if self.cabs:
-            value += self.cabs * abs(x - y)
-        return value
-
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return (self.c0, self.cx, self.cy, self.cxx, self.cyy, self.cxy, self.cabs)
 
 
 @dataclass(frozen=True)
@@ -100,88 +45,19 @@ class ValueMatrix:
 
 
 def value_matrix_entry(g: MetrizedGraph, divisor: Divisor, i: int, j: int) -> EdgePairFunction:
-    """Assemble the closed form for one ordered edge pair.
-
-    Starts from the tau function on the pair and subtracts half the point
-    resistance, whose shape depends on which of the two edges are bridges.
-    """
-    g._check_edge(i)
-    g._check_edge(j)
-    base = tau_function_pair(g, check_divisor(g, divisor), i, j)
-    c0, cx, cy = base.c0, base.cx, base.cy
-    cxx, cyy = base.cxx, base.cyy
-    cxy = cabs = _ZERO
-    conn = connectivity_matrix(g)
-    ei, ej = g.edges[i], g.edges[j]
-    li, lj = ei.length, ej.length
-    r = lambda a, b: vertex_resistance(g, a, b)
-    i_bridge = conn.entry(i, i).kind is EntryKind.SELF_BRIDGE
-    j_bridge = conn.entry(j, j).kind is EntryKind.SELF_BRIDGE
-
-    if i == j:
-        cabs -= Fraction(1, 2)
-        if not i_bridge:
-            w = (li - r(ei.tail, ei.head)) / (2 * li**2)
-            cxx += w
-            cyy += w
-            cxy -= 2 * w
-    elif not i_bridge and not j_bridge:
-        ri = r(ei.tail, ei.head)
-        rj = r(ej.tail, ej.head)
-        v = lambda s, a, b: vertex_voltage(g, s, a, b)
-        cxx += (li - ri) / (2 * li**2)
-        cyy += (lj - rj) / (2 * lj**2)
-        cxy -= (v(ej.tail, ei.tail, ej.head) - v(ej.tail, ei.head, ej.head)) / (li * lj)
-        cx -= (li - 2 * v(ei.tail, ei.head, ej.tail)) / (2 * li)
-        cy -= (lj - 2 * v(ej.tail, ei.tail, ej.head)) / (2 * lj)
-        c0 -= r(ei.tail, ej.tail) / 2
-    elif i_bridge and not j_bridge:
-        rj = r(ej.tail, ej.head)
-        cyy += (lj - rj) / (2 * lj**2)
-        if conn.entry(i, j).side is Side.P:
-            cy -= (lj - rj + r(ei.tail, ej.head) - r(ei.tail, ej.tail)) / (2 * lj)
-            cx -= Fraction(1, 2)
-            c0 -= r(ei.tail, ej.tail) / 2
-        else:
-            cy -= (lj - rj + r(ei.head, ej.head) - r(ei.head, ej.tail)) / (2 * lj)
-            cx += Fraction(1, 2)
-            c0 -= (li + r(ei.head, ej.tail)) / 2
-    elif j_bridge and not i_bridge:
-        ri = r(ei.tail, ei.head)
-        cxx += (li - ri) / (2 * li**2)
-        if conn.entry(i, j).side is Side.P:
-            cx -= (li - ri + r(ej.tail, ei.head) - r(ej.tail, ei.tail)) / (2 * li)
-            cy -= Fraction(1, 2)
-            c0 -= r(ej.tail, ei.tail) / 2
-        else:
-            cx -= (li - ri + r(ej.head, ei.head) - r(ej.head, ei.tail)) / (2 * li)
-            cy += Fraction(1, 2)
-            c0 -= (lj + r(ej.head, ei.tail)) / 2
-    else:
-        pair = conn.entry(i, j).neighbours
-        if pair is NeighbourPair.PP:
-            cx -= Fraction(1, 2)
-            cy -= Fraction(1, 2)
-            c0 -= r(ei.tail, ej.tail) / 2
-        elif pair is NeighbourPair.PQ:
-            cx -= Fraction(1, 2)
-            cy += Fraction(1, 2)
-            c0 -= (lj + r(ei.tail, ej.head)) / 2
-        elif pair is NeighbourPair.QP:
-            cx += Fraction(1, 2)
-            cy -= Fraction(1, 2)
-            c0 -= (li + r(ei.head, ej.tail)) / 2
-        else:
-            cx += Fraction(1, 2)
-            cy += Fraction(1, 2)
-            c0 -= (li + lj + r(ei.head, ej.head)) / 2
-
-    return EdgePairFunction(i, j, c0, cx, cy, cxx, cyy, cxy, cabs)
+    """Assemble the closed form for one ordered edge pair: the tau function
+    on the pair minus half the point resistance.  Neither part depends on
+    whether an edge is a bridge; the connectivity matrix is only reported."""
+    tau = tau_function_pair(g, divisor, i, j)
+    r = resistance_function_pair(g, i, j)
+    return EdgePairFunction(
+        i, j, *(t - c / 2 for t, c in zip(tau.coefficients(), r.coefficients()))
+    )
 
 
 @cache
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
-    """All edge-pair entries, with the symmetry g(x, y) = g(y, x) asserted
+    """All edge-pair entries, with the symmetry g(x, y) = g(y, x) checked
     coefficientwise before the matrix is handed out."""
     m = g.n_edges
     entries = tuple(
@@ -191,7 +67,8 @@ def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
         for j in range(i, m):
             zij, zji = entries[i][j], entries[j][i]
             mirrored = (zji.c0, zji.cy, zji.cx, zji.cyy, zji.cxx, zji.cxy, zji.cabs)
-            assert zij.coefficients() == mirrored, f"asymmetric entry pair ({i}, {j})"
+            if zij.coefficients() != mirrored:
+                raise MetgraphError(f"asymmetric entry pair ({i}, {j})")
     return ValueMatrix(divisor, entries)
 
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadDegree
 from .graph import (
     Divisor,
     GraphPoint,
     MetrizedGraph,
+    admissible_degree,
     check_divisor,
     point_of_vertex,
     representations,
@@ -33,10 +33,7 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
     The result does not depend on the base vertex; by default the tail of
     edge 0 is used.
     """
-    check_divisor(g, divisor)
-    deg = divisor.degree
-    if deg == -2:
-        raise BadDegree("divisor degree -2 admits no admissible measure")
+    deg = admissible_degree(g, divisor)
     if base is None:
         base = g.edges[0].tail
     g._check_vertex(base)
@@ -54,10 +51,7 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
 
 def epsilon_via_resistance(g: MetrizedGraph, divisor: Divisor) -> Fraction:
     """Epsilon from the closed form in tau and pairwise resistances."""
-    check_divisor(g, divisor)
-    deg = divisor.degree
-    if deg == -2:
-        raise BadDegree("divisor degree -2 admits no admissible measure")
+    deg = admissible_degree(g, divisor)
     support = divisor.support()
     quad = Fraction(0)
     for k in support:
@@ -127,10 +121,7 @@ def check_vertex_formula(
     The direct value is (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg + 2)
     minus the normalization constant, computed without any edge functions.
     """
-    check_divisor(g, divisor)
-    deg = divisor.degree
-    if deg == -2:
-        raise BadDegree("divisor degree -2 admits no admissible measure")
+    deg = admissible_degree(g, divisor)
     if matrix is None:
         matrix = value_matrix(g, divisor)
     lp = pinv(g)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BadDegree, PointOutOfRange
+from .errors import NotAdequate, PointOutOfRange
 from .graph import (
     Divisor,
     GraphPoint,
     MetrizedGraph,
     PointRelabeling,
+    admissible_degree,
     check_divisor,
     make_adequate,
     validate_adequate,
@@ -71,7 +72,8 @@ def subdivide_at_points(
             cuts.setdefault(pt.edge, set()).add(pt.offset)
     refined, relabeling = _split_edges(g, cuts)
     if not validate_adequate(refined):
-        assert not validate_adequate(g), "splitting an adequate graph broke adequacy"
+        if validate_adequate(g):
+            raise NotAdequate("splitting an adequate graph broke adequacy")
         refined, repair = make_adequate(refined)
         relabeling = relabeling.then(repair)
     return SubdividedGraph(g, refined, relabeling)
@@ -98,9 +100,7 @@ def oracle_green(
     constant and normalization constant are recomputed there, which is
     legitimate because both are invariant under subdivision.
     """
-    deg = check_divisor(g, divisor).degree
-    if deg == -2:
-        raise BadDegree("divisor degree -2 admits no admissible measure")
+    deg = admissible_degree(g, divisor)
     sub = subdivide_at_points(g, [x, y])
     refined = sub.graph
     lifted = sub.lift_divisor(divisor)

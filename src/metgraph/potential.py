@@ -2,8 +2,9 @@
 
 The resistance between arbitrary points reduces to vertex-level data: the
 pseudoinverse supplies resistances and voltages at vertices, and on each
-edge the function extends as an explicit quadratic.  Bridges need their own
-branches because current through a bridge cannot return the other way.
+edge pair the function extends as one closed form.  The same forms hold
+whether or not an edge is a bridge, so no bridge bookkeeping enters the
+computation; the connectivity matrix in ``graph`` is only reported.
 """
 
 from __future__ import annotations
@@ -12,17 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import BadDegree
 from .graph import (
     Divisor,
-    EntryKind,
     GraphPoint,
     MetrizedGraph,
-    Side,
+    admissible_degree,
     check_divisor,
-    connectivity_matrix,
     validate_point,
-    vertex_at,
 )
 from .linalg import laplacian, pinv, resistance_at_vertices, voltage_at_vertices
 
@@ -58,66 +55,81 @@ def tau_constant(g: MetrizedGraph) -> Fraction:
     return -edge_sum / 12 + vertex_sum / 4 + lp.trace() / n
 
 
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class EdgePairFunction:
+    """A closed form in x on edge i and y on edge j.
+
+    Coefficients over the basis {1, x, y, x^2, y^2, x*y, |x - y|}; the
+    absolute-value coefficient can be nonzero only when i == j.
+    """
+
+    i: int
+    j: int
+    c0: Fraction = _ZERO
+    cx: Fraction = _ZERO
+    cy: Fraction = _ZERO
+    cxx: Fraction = _ZERO
+    cyy: Fraction = _ZERO
+    cxy: Fraction = _ZERO
+    cabs: Fraction = _ZERO
+
+    def __call__(self, x: Fraction, y: Fraction) -> Fraction:
+        value = (
+            self.c0
+            + self.cx * x
+            + self.cy * y
+            + self.cxx * x * x
+            + self.cyy * y * y
+            + self.cxy * x * y
+        )
+        if self.cabs:
+            value += self.cabs * abs(x - y)
+        return value
+
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return (self.c0, self.cx, self.cy, self.cxx, self.cyy, self.cxy, self.cabs)
+
+
+def resistance_function_pair(g: MetrizedGraph, i: int, j: int) -> EdgePairFunction:
+    """Closed form of the point resistance r(x, y), x on edge i, y on edge j.
+
+    On one edge r is |x - y| minus a parabola in x - y; on two edges it is
+    quadratic in both offsets, with coefficients read off the vertex
+    resistances and voltages.  Neither form depends on whether an edge is
+    a bridge: there r(tail, head) equals the length, so the quadratic terms
+    vanish and the voltages supply the piecewise-linear slopes.
+    """
+    g._check_edge(i)
+    g._check_edge(j)
+    lp = pinv(g)
+    r = lambda a, b: resistance_at_vertices(lp, a, b)
+    v = lambda s, a, b: voltage_at_vertices(lp, s, a, b)
+    ei, ej = g.edges[i], g.edges[j]
+    li, lj = ei.length, ej.length
+    wi = (li - r(ei.tail, ei.head)) / li**2
+    if i == j:
+        return EdgePairFunction(i, j, cxx=-wi, cyy=-wi, cxy=2 * wi, cabs=Fraction(1))
+    cross = v(ej.tail, ei.tail, ej.head) - v(ej.tail, ei.head, ej.head)
+    return EdgePairFunction(
+        i,
+        j,
+        c0=r(ei.tail, ej.tail),
+        cx=(li - 2 * v(ei.tail, ei.head, ej.tail)) / li,
+        cy=(lj - 2 * v(ej.tail, ei.tail, ej.head)) / lj,
+        cxx=-wi,
+        cyy=-(lj - r(ej.tail, ej.head)) / lj**2,
+        cxy=2 * cross / (li * lj),
+    )
+
+
 def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
     """Effective resistance between two arbitrary points of the graph."""
     x = validate_point(g, x)
     y = validate_point(g, y)
-    vx, vy = vertex_at(g, x), vertex_at(g, y)
-    if vx is not None and vy is not None:
-        return vertex_resistance(g, vx, vy)
-    conn = connectivity_matrix(g)
-    if x.edge == y.edge:
-        e = g.edges[x.edge]
-        gap = abs(x.offset - y.offset)
-        if conn.entry(x.edge, x.edge).kind is EntryKind.SELF_BRIDGE:
-            return gap
-        r_pq = vertex_resistance(g, e.tail, e.head)
-        return gap - gap**2 * (e.length - r_pq) / e.length**2
-    return _resistance_two_edges(g, conn, x, y)
-
-
-def _resistance_two_edges(g, conn, x: GraphPoint, y: GraphPoint) -> Fraction:
-    i, j = x.edge, y.edge
-    ei, ej = g.edges[i], g.edges[j]
-    li, lj = ei.length, ej.length
-    entry = conn.entry(i, j)
-    r = lambda a, b: vertex_resistance(g, a, b)
-
-    if entry.kind is EntryKind.BRIDGE_PAIR:
-        # both bridges: the path is forced through both, four endpoint cases
-        table = {
-            "PP": x.offset + y.offset + r(ei.tail, ej.tail),
-            "PQ": x.offset - y.offset + lj + r(ei.tail, ej.head),
-            "QP": -x.offset + y.offset + li + r(ei.head, ej.tail),
-            "QQ": -x.offset - y.offset + li + lj + r(ei.head, ej.head),
-        }
-        return table[entry.neighbours.name]
-
-    if entry.kind is EntryKind.SIDE:
-        if conn.entry(i, i).kind is not EntryKind.SELF_BRIDGE:
-            # only the second edge is a bridge; resistance is symmetric
-            return _resistance_two_edges(g, conn, y, x)
-        rj = r(ej.tail, ej.head)
-        parabola = -(y.offset**2) * (lj - rj) / lj**2
-        if entry.side is Side.P:
-            slope = (lj - rj + r(ei.tail, ej.head) - r(ei.tail, ej.tail)) / lj
-            return parabola + y.offset * slope + x.offset + r(ei.tail, ej.tail)
-        slope = (lj - rj + r(ei.head, ej.head) - r(ei.head, ej.tail)) / lj
-        return parabola + y.offset * slope - x.offset + li + r(ei.head, ej.tail)
-
-    # neither edge is a bridge
-    ri = r(ei.tail, ei.head)
-    rj = r(ej.tail, ej.head)
-    v = lambda s, a, b: vertex_voltage(g, s, a, b)
-    cross = v(ej.tail, ei.tail, ej.head) - v(ej.tail, ei.head, ej.head)
-    return (
-        -(x.offset**2) * (li - ri) / li**2
-        - y.offset**2 * (lj - rj) / lj**2
-        + 2 * x.offset * y.offset * cross / (li * lj)
-        + x.offset * (li - 2 * v(ei.tail, ei.head, ej.tail)) / li
-        + y.offset * (lj - 2 * v(ej.tail, ei.tail, ej.head)) / lj
-        + r(ei.tail, ej.tail)
-    )
+    return resistance_function_pair(g, x.edge, y.edge)(x.offset, y.offset)
 
 
 @dataclass(frozen=True)
@@ -137,47 +149,22 @@ class EdgeFunction:
 def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
     """The divisor-weighted resistance sum_k a_k r(p_k, .) restricted to edge i.
 
-    On a non-bridge edge each vertex contributes one explicit parabola.  On
-    a bridge the function is piecewise linear; which slope a vertex gets is
-    settled by the side of the bridge it hangs on, read off the connectivity
-    entry of any edge incident to it.
+    Each vertex contributes one explicit parabola; on a bridge its quadratic
+    term vanishes and the slope comes out as +1 or -1.
     """
     check_divisor(g, divisor)
     g._check_edge(i)
-    conn = connectivity_matrix(g)
+    lp = pinv(g)
+    r = lambda a, b: resistance_at_vertices(lp, a, b)
     e = g.edges[i]
-    r = lambda a, b: vertex_resistance(g, a, b)
+    r_pq = r(e.tail, e.head)
     a2 = a1 = a0 = Fraction(0)
-    if conn.entry(i, i).kind is not EntryKind.SELF_BRIDGE:
-        r_pq = r(e.tail, e.head)
-        for k, ak in enumerate(divisor.coefficients):
-            if ak == 0:
-                continue
-            a2 += ak * (-(e.length - r_pq) / e.length**2)
-            a1 += ak * (e.length - r_pq + r(k, e.head) - r(k, e.tail)) / e.length
-            a0 += ak * r(k, e.tail)
-        return EdgeFunction(i, a2, a1, a0)
     for k, ak in enumerate(divisor.coefficients):
         if ak == 0:
             continue
-        if k == e.tail:
-            a1 += ak
-        elif k == e.head:
-            a1 -= ak
-            a0 += ak * e.length
-        else:
-            side = None
-            for j, other in enumerate(g.edges):
-                if j != i and k in (other.tail, other.head):
-                    side = conn.entry(i, j).side
-                    break
-            assert side is not None, "vertex with no incident edge"
-            if side is Side.P:
-                a1 += ak
-                a0 += ak * r(k, e.tail)
-            else:
-                a1 -= ak
-                a0 += ak * (e.length + r(k, e.head))
+        a2 += ak * (-(e.length - r_pq) / e.length**2)
+        a1 += ak * (e.length - r_pq + r(k, e.head) - r(k, e.tail)) / e.length
+        a0 += ak * r(k, e.tail)
     return EdgeFunction(i, a2, a1, a0)
 
 
@@ -190,10 +177,7 @@ def resistance_to_divisor(g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tu
 @cache
 def c_mu(g: MetrizedGraph, divisor: Divisor) -> Fraction:
     """Normalization constant of the admissible measure attached to a divisor."""
-    check_divisor(g, divisor)
-    deg = divisor.degree
-    if deg == -2:
-        raise BadDegree("divisor degree -2 admits no admissible measure")
+    deg = admissible_degree(g, divisor)
     support = divisor.support()
     pairs = Fraction(0)
     for s in support:
@@ -202,41 +186,21 @@ def c_mu(g: MetrizedGraph, divisor: Divisor) -> Fraction:
     return (8 * tau_constant(g) * (deg + 1) + pairs) / (2 * (deg + 2) ** 2)
 
 
-@dataclass(frozen=True)
-class TauFunctionPair:
-    """The tau part of the Green function on a fixed ordered edge pair.
+def tau_function_pair(g: MetrizedGraph, divisor: Divisor, i: int, j: int) -> EdgePairFunction:
+    """Tau function restricted to x on edge i, y on edge j.
 
-    Quadratic in x and in y separately, with no mixed term:
-    c0 + cx*x + cxx*x^2 + cy*y + cyy*y^2.
+    Quadratic in x and in y separately, with no mixed or |x - y| term.
     """
-
-    i: int
-    j: int
-    c0: Fraction
-    cx: Fraction
-    cxx: Fraction
-    cy: Fraction
-    cyy: Fraction
-
-    def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.c0 + self.cx * x + self.cxx * x * x + self.cy * y + self.cyy * y * y
-
-
-def tau_function_pair(g: MetrizedGraph, divisor: Divisor, i: int, j: int) -> TauFunctionPair:
-    """Tau function restricted to x on edge i, y on edge j."""
-    deg = check_divisor(g, divisor).degree
-    if deg == -2:
-        raise BadDegree("divisor degree -2 admits no admissible measure")
+    deg = admissible_degree(g, divisor)
     fi = r_D_on_edge(g, divisor, i)
     fj = r_D_on_edge(g, divisor, j)
     scale = deg + 2
-    c0 = (4 * tau_constant(g) + (fi.a0 + fj.a0) / 2) / scale - c_mu(g, divisor)
-    return TauFunctionPair(
+    return EdgePairFunction(
         i,
         j,
-        c0,
-        fi.a1 / (2 * scale),
-        fi.a2 / (2 * scale),
-        fj.a1 / (2 * scale),
-        fj.a2 / (2 * scale),
+        c0=(4 * tau_constant(g) + (fi.a0 + fj.a0) / 2) / scale - c_mu(g, divisor),
+        cx=fi.a1 / (2 * scale),
+        cy=fj.a1 / (2 * scale),
+        cxx=fi.a2 / (2 * scale),
+        cyy=fj.a2 / (2 * scale),
     )

@@ -180,6 +180,20 @@ class TestErrors:
         with pytest.raises(mg.NotAdequate):
             mg.value_matrix(g, mg.Divisor.zero(2))
 
+    def test_asymmetric_entries_raise(self, circle, monkeypatch):
+        # the symmetry check must survive python -O, so it cannot be an assert
+        build = mg.green.value_matrix_entry
+
+        def skewed(g, divisor, i, j):
+            z = build(g, divisor, i, j)
+            if (i, j) == (0, 1):
+                return mg.EdgePairFunction(i, j, *z.coefficients()[:-1], cabs=F(1))
+            return z
+
+        monkeypatch.setattr(mg.green, "value_matrix_entry", skewed)
+        with pytest.raises(mg.MetgraphError, match=r"asymmetric entry pair \(0, 1\)"):
+            mg.green.value_matrix.__wrapped__(circle, mg.Divisor.zero(3))
+
 
 def test_offsets_helper_spans_edge():
     offs = sample_offsets(F(2), 3)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import metgraph as mg
-from conftest import build_circle, build_segment, sample_points
+from conftest import build_circle, build_segment, build_two_bridges, sample_points
 
 F = Fraction
 
@@ -92,6 +92,41 @@ class TestOracleAgreement:
             assert mg.evaluate_green(g, divisor, x, y) == mg.oracle_green(
                 g, divisor, x, y
             )
+
+    @pytest.mark.parametrize(
+        "reversed_edges", [(), (0,), (5,), (0, 5)], ids=["none", "0", "5", "both"]
+    )
+    def test_two_bridges_every_orientation(self, reversed_edges):
+        # edges 0 and 5 are the bridges; the frozen pairs pin one orientation
+        g = build_two_bridges()
+        divisor = mg.Divisor((1, 0, 0, 0, 0, 2))
+        for i in reversed_edges:
+            g = g.with_edge_reversed(i)
+
+        def mirror(pt):
+            if pt.edge in reversed_edges:
+                return mg.GraphPoint(pt.edge, g.edges[pt.edge].length - pt.offset)
+            return pt
+
+        # the frozen pairs never put both points on bridges, so add pairs that do
+        across = [
+            (mg.GraphPoint(0, F(1, 3)), mg.GraphPoint(5, F(3, 4))),
+            (mg.GraphPoint(5, F(2, 7)), mg.GraphPoint(0, F(5, 6))),
+            (mg.GraphPoint(0, F(1, 5)), mg.GraphPoint(0, F(4, 5))),
+            (mg.GraphPoint(5, F(1, 9)), mg.GraphPoint(5, F(1, 2))),
+        ]
+        for x, y in load_pairs("two_bridges") + across:
+            x, y = mirror(x), mirror(y)
+            assert mg.resistance_point(g, x, y) == mg.oracle_resistance(g, x, y)
+            assert mg.evaluate_green(g, divisor, x, y) == mg.oracle_green(
+                g, divisor, x, y
+            )
+            r_d = sum(
+                a * mg.oracle_resistance(g, mg.point_of_vertex(g, k), x)
+                for k, a in enumerate(divisor.coefficients)
+                if a
+            )
+            assert mg.resistance_to_divisor(g, divisor, x) == r_d
 
     def test_same_point_gives_zero_resistance(self, circle):
         x = mg.GraphPoint(1, F(2, 7))
