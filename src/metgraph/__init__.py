@@ -4,7 +4,8 @@ Admissible Green functions, tau constants, effective resistances and
 epsilon invariants over rational edge lengths, all in exact arithmetic.
 """
 
-from . import cli, graph, green, invariants, linalg, oracle, potential
+from . import analysis, cli, graph, green, invariants, linalg, oracle, potential
+from .analysis import Network, network
 from .errors import (
     BadDegree,
     GraphDisconnected,
@@ -79,17 +80,5 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every per-graph cache; mainly useful for timing fresh runs."""
-    for fn in (
-        graph.bridges,
-        graph._tail_side_vertices,
-        graph._distances_from,
-        graph.connectivity_matrix,
-        linalg.laplacian,
-        linalg.pinv,
-        potential.tau_constant,
-        potential.r_D_on_edge,
-        potential.c_mu,
-        green.value_matrix,
-    ):
-        fn.cache_clear()
+    """Drop every cached analysis; mainly useful for timing fresh runs."""
+    network.cache_clear()

@@ -1,0 +1,157 @@
+"""One analysis object per graph: everything derived from it, computed once.
+
+``network(g)`` is the package's only cache.  It is keyed by the graph's
+value, so equal graphs share one ``Network``, and ``clear_caches`` empties
+it together with every derived quantity.  A ``Network`` computes each piece
+on first use: the Laplacian and its pseudoinverse, the tau constant, the
+per-edge data the resistance form reads, and the bridge bookkeeping that is
+only reported.  Divisor-dependent data (``r_D`` on every edge, ``c_mu``, the
+value matrix) hangs off one ``DivisorAnalysis`` per divisor.
+
+The formulas stay in the modules that own them; this module only decides
+what is kept and for how long.  Those modules reach ``network`` at import
+time, so the formulas are imported here on first use.
+"""
+
+from __future__ import annotations
+
+import weakref
+from fractions import Fraction
+from functools import cache, cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .graph import ConnectivityMatrix, Divisor, MetrizedGraph
+    from .green import ValueMatrix
+    from .linalg import RationalMatrix
+    from .potential import EdgeData, EdgeFunction
+
+
+@cache
+def network(g: MetrizedGraph) -> Network:
+    """The analysis of ``g``, shared by every graph equal to it."""
+    return Network(g)
+
+
+class Network:
+    """Lazily computed, never changing data of one graph."""
+
+    def __init__(self, g: MetrizedGraph):
+        self.graph = g
+        self._divisors: dict[Divisor, DivisorAnalysis] = {}
+        self._distances: dict[int, tuple[Fraction, ...]] = {}
+
+    @cached_property
+    def laplacian(self) -> RationalMatrix:
+        from .linalg import laplacian_matrix
+
+        return laplacian_matrix(self.graph)
+
+    @cached_property
+    def pinv(self) -> RationalMatrix:
+        from .linalg import pseudo_inverse
+
+        return pseudo_inverse(self.laplacian)
+
+    @cached_property
+    def lplus(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The pseudoinverse as row tuples."""
+        return self.pinv.rows()
+
+    @cached_property
+    def tau(self) -> Fraction:
+        from .potential import tau_of
+
+        return tau_of(self)
+
+    @cached_property
+    def edges(self) -> tuple[EdgeData, ...]:
+        from .potential import edge_data
+
+        return edge_data(self)
+
+    def divisor(self, d: Divisor) -> DivisorAnalysis:
+        """The analysis of ``d`` on this graph, checked and built once."""
+        child = self._divisors.get(d)
+        if child is None:
+            from .graph import check_divisor
+
+            check_divisor(self.graph, d)
+            child = self._divisors[d] = DivisorAnalysis(self, d)
+        return child
+
+    # -- display-only bridge bookkeeping ------------------------------------
+
+    @cached_property
+    def bridges(self) -> frozenset[int]:
+        from .graph import find_bridges
+
+        return find_bridges(self.graph)
+
+    @cached_property
+    def bridge_sides(self) -> dict[int, frozenset[int]]:
+        """Per bridge, the vertices on the side of its tail."""
+        from .graph import tail_sides
+
+        return tail_sides(self.graph, self.bridges)
+
+    def distances_from(self, source: int) -> tuple[Fraction, ...]:
+        """Shortest distances from one vertex, computed once per source."""
+        dist = self._distances.get(source)
+        if dist is None:
+            from .graph import dijkstra
+
+            dist = self._distances[source] = dijkstra(self.graph, source)
+        return dist
+
+    @cached_property
+    def connectivity(self) -> ConnectivityMatrix:
+        from .graph import connectivity_of
+
+        return connectivity_of(self)
+
+
+class DivisorAnalysis:
+    """What one divisor adds to a network, each piece computed once.
+
+    It computes from its network, so reach it through ``network(g)`` rather
+    than keep it beyond the network's life.
+    """
+
+    def __init__(self, net: Network, divisor: Divisor):
+        self.divisor = divisor
+        # The network keeps its children in a dict; a strong reference back
+        # would form a cycle that outlives ``network.cache_clear`` until the
+        # garbage collector runs.
+        self.network = weakref.proxy(net)
+
+    @cached_property
+    def r_D_at_vertices(self) -> tuple[Fraction, ...]:
+        from .potential import r_D_at_vertices
+
+        return r_D_at_vertices(self)
+
+    @cached_property
+    def r_D(self) -> tuple[EdgeFunction, ...]:
+        """``r_D`` restricted to every edge, in edge order."""
+        from .potential import r_D_on_edges
+
+        return r_D_on_edges(self)
+
+    @cached_property
+    def c_mu(self) -> Fraction:
+        from .potential import c_mu_of
+
+        return c_mu_of(self)
+
+    @cached_property
+    def tau_parts(self) -> tuple[Fraction, tuple[EdgeFunction, ...]]:
+        from .potential import tau_parts
+
+        return tau_parts(self)
+
+    @cached_property
+    def value_matrix(self) -> ValueMatrix:
+        from .green import build_value_matrix
+
+        return build_value_matrix(self.network, self)

@@ -10,8 +10,9 @@ edges may denote the same metric point.
 Bridges, bridge sides, shortest distances and the decimal-coded
 connectivity matrix are reported here for display only: the closed forms in
 ``potential`` and ``green`` hold on bridges unchanged and never read them.
-They are cached per graph value, which is safe because the graph type is
-immutable and hashable.
+They are kept in the graph's ``analysis.network`` entry, cached per graph
+value, which is safe because the graph type is immutable and hashable; the
+graph computes its hash once, at construction.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .analysis import Network, network
 from .errors import (
     BadDegree,
     GraphDisconnected,
@@ -54,7 +55,8 @@ class MetrizedGraph:
     Vertices are addressed by position in ``vertices``; the labels are only
     used for display and serialization.  Construction normalizes lengths to
     ``Fraction`` and rejects empty graphs, dangling endpoints, nonpositive
-    lengths and disconnected edge sets.
+    lengths and disconnected edge sets.  Every cache lookup hashes the
+    graph, so the hash is computed once, here.
     """
 
     vertices: tuple[str, ...]
@@ -82,6 +84,15 @@ class MetrizedGraph:
         object.__setattr__(self, "edges", tuple(norm))
         if len(_reachable(self, 0)) != n:
             raise GraphDisconnected("the edge set does not connect all vertices")
+        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process: rebuild from the fields so a
+        # copy or an unpickled graph hashes under its own process's salt.
+        return (MetrizedGraph, (self.vertices, self.edges))
 
     @property
     def n_vertices(self) -> int:
@@ -214,7 +225,7 @@ def canonical_divisor(
 def validate_point(g: MetrizedGraph, pt: GraphPoint | tuple) -> GraphPoint:
     """Normalize a point and check 0 <= offset <= edge length."""
     edge, offset = pt
-    if not isinstance(edge, int) or not 0 <= edge < g.n_edges:
+    if isinstance(edge, bool) or not isinstance(edge, int) or not 0 <= edge < g.n_edges:
         raise PointOutOfRange(f"edge index {edge!r} outside 0..{g.n_edges - 1}")
     offset = Fraction(offset)
     if not 0 <= offset <= g.edges[edge].length:
@@ -403,12 +414,15 @@ def _reachable(g: MetrizedGraph, start: int, skip: int | None = None) -> frozens
     return frozenset(seen)
 
 
-@cache
-def bridges(g: MetrizedGraph) -> frozenset[int]:
-    """Indices of all edges whose interior disconnects the graph."""
+def find_bridges(g: MetrizedGraph) -> frozenset[int]:
     return frozenset(
         i for i in range(g.n_edges) if len(_reachable(g, 0, skip=i)) != g.n_vertices
     )
+
+
+def bridges(g: MetrizedGraph) -> frozenset[int]:
+    """Indices of all edges whose interior disconnects the graph."""
+    return network(g).bridges
 
 
 def is_bridge(g: MetrizedGraph, i: int) -> bool:
@@ -424,9 +438,13 @@ class Side(Enum):
     Q = 1
 
 
-@cache
-def _tail_side_vertices(g: MetrizedGraph, bridge: int) -> frozenset[int]:
-    return _reachable(g, g.edges[bridge].tail, skip=bridge)
+def tail_sides(g: MetrizedGraph, cut: Iterable[int]) -> dict[int, frozenset[int]]:
+    """Per bridge in ``cut``, the vertices joined to its tail once it is cut."""
+    return {b: _reachable(g, g.edges[b].tail, skip=b) for b in cut}
+
+
+def _side(net: Network, bridge: int, target: int) -> Side:
+    return Side.P if target in net.bridge_sides[bridge] else Side.Q
 
 
 def bridge_side(
@@ -442,7 +460,9 @@ def bridge_side(
     bridge lies entirely in one component, so classifying its tail settles
     the whole edge.
     """
-    if not is_bridge(g, bridge):
+    g._check_edge(bridge)
+    net = network(g)
+    if bridge not in net.bridges:
         raise NotABridge(f"edge {bridge} is not a bridge")
     if (vertex is None) == (edge is None):
         raise MetgraphError("pass exactly one of vertex= or edge=")
@@ -454,11 +474,11 @@ def bridge_side(
     else:
         g._check_vertex(vertex)
         target = vertex
-    return Side.P if target in _tail_side_vertices(g, bridge) else Side.Q
+    return _side(net, bridge, target)
 
 
-@cache
-def _distances_from(g: MetrizedGraph, source: int) -> tuple[Fraction, ...]:
+def dijkstra(g: MetrizedGraph, source: int) -> tuple[Fraction, ...]:
+    """Shortest distances from ``source`` to every vertex."""
     dist: list[Fraction | None] = [None] * g.n_vertices
     heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
     while heap:
@@ -479,7 +499,7 @@ def shortest_distance(g: MetrizedGraph, u: int, v: int) -> Fraction:
     """Length of a shortest path between two vertices."""
     g._check_vertex(u)
     g._check_vertex(v)
-    return _distances_from(g, u)[v]
+    return network(g).distances_from(u)[v]
 
 
 def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
@@ -490,9 +510,16 @@ def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
     """
     if i == j:
         raise MetgraphError("closest neighbours need two distinct edges")
+    net = network(g)
     for k in (i, j):
-        if not is_bridge(g, k):
+        g._check_edge(k)
+        if k not in net.bridges:
             raise NotABridge(f"edge {k} is not a bridge")
+    return _closest(net, i, j)
+
+
+def _closest(net: Network, i: int, j: int) -> tuple[int, int]:
+    g = net.graph
     ei, ej = g.edges[i], g.edges[j]
     pairs = [
         (ei.tail, ej.tail),
@@ -500,7 +527,7 @@ def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
         (ei.head, ej.tail),
         (ei.head, ej.head),
     ]
-    dists = [shortest_distance(g, a, b) for a, b in pairs]
+    dists = [net.distances_from(a)[b] for a, b in pairs]
     best = min(dists)
     if dists.count(best) != 1:
         raise MetgraphError("ambiguous closest-neighbour pair")
@@ -589,14 +616,14 @@ class ConnectivityMatrix:
         return [[entry.code for entry in row] for row in self.entries]
 
 
-def _facing_endpoints(g: MetrizedGraph, i: int, j: int) -> NeighbourPair:
-    xi, xj = closest_neighbours(g, i, j)
+def _facing_endpoints(net: Network, i: int, j: int) -> NeighbourPair:
+    g = net.graph
+    xi, xj = _closest(net, i, j)
     first = "P" if xi == g.edges[i].tail else "Q"
     second = "P" if xj == g.edges[j].tail else "Q"
     return NeighbourPair[first + second]
 
 
-@cache
 def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
     """Bridge bookkeeping for every edge pair.
 
@@ -605,9 +632,14 @@ def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
     orders).  Two distinct bridges: side plus facing endpoints, stored for
     each order separately.
     """
+    return network(g).connectivity
+
+
+def connectivity_of(net: Network) -> ConnectivityMatrix:
+    g = net.graph
     require_adequate(g)
     m = g.n_edges
-    br = bridges(g)
+    br = net.bridges
     blank = ConnectivityEntry(EntryKind.NOT_APPLICABLE)
     rows = [[blank for _ in range(m)] for _ in range(m)]
     for i in range(m):
@@ -619,18 +651,18 @@ def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
             if i_br and j_br:
                 rows[i][j] = ConnectivityEntry(
                     EntryKind.BRIDGE_PAIR,
-                    bridge_side(g, i, edge=j),
-                    _facing_endpoints(g, i, j),
+                    _side(net, i, g.edges[j].tail),
+                    _facing_endpoints(net, i, j),
                 )
                 rows[j][i] = ConnectivityEntry(
                     EntryKind.BRIDGE_PAIR,
-                    bridge_side(g, j, edge=i),
-                    _facing_endpoints(g, j, i),
+                    _side(net, j, g.edges[i].tail),
+                    _facing_endpoints(net, j, i),
                 )
             elif i_br or j_br:
                 bridge, other = (i, j) if i_br else (j, i)
                 shared = ConnectivityEntry(
-                    EntryKind.SIDE, bridge_side(g, bridge, edge=other)
+                    EntryKind.SIDE, _side(net, bridge, g.edges[other].tail)
                 )
                 rows[i][j] = rows[j][i] = shared
     return ConnectivityMatrix(tuple(tuple(row) for row in rows))

@@ -7,9 +7,9 @@ point anywhere, so equalities between computed matrices are meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Sequence
 
+from .analysis import network
 from .errors import SingularShift
 from .graph import MetrizedGraph, require_adequate
 
@@ -147,9 +147,12 @@ class RationalMatrix:
             raise ValueError("matrix shapes differ")
 
 
-@cache
 def laplacian(g: MetrizedGraph) -> RationalMatrix:
     """Discrete Laplacian: off-diagonal -1/length per edge, rows sum to zero."""
+    return network(g).laplacian
+
+
+def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
     require_adequate(g)
     n = g.n_vertices
     a = [[Fraction(0)] * n for _ in range(n)]
@@ -179,10 +182,9 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     return inv + shift
 
 
-@cache
 def pinv(g: MetrizedGraph) -> RationalMatrix:
-    """Cached pseudoinverse of the graph's Laplacian."""
-    return pseudo_inverse(laplacian(g))
+    """Pseudoinverse of the graph's Laplacian, computed once per graph."""
+    return network(g).pinv
 
 
 def resistance_at_vertices(lplus: RationalMatrix, p: int, q: int) -> Fraction:

@@ -5,46 +5,59 @@ pseudoinverse supplies resistances and voltages at vertices, and on each
 edge pair the function extends as one closed form.  The same forms hold
 whether or not an edge is a bridge, so no bridge bookkeeping enters the
 computation; the connectivity matrix in ``graph`` is only reported.
+
+The forms read data that ``analysis.Network`` computes once per graph: the
+pseudoinverse L+ and, per edge, its ends, length, the vertex resistance r
+between its ends, w = (L - r) / L^2 and the vector
+a[s] = L+[s, tail] - L+[s, head].  Each voltage the pair form needs is then
+one difference of two entries of an ``a`` vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from typing import TYPE_CHECKING, NamedTuple
 
+from .analysis import network
 from .graph import (
     Divisor,
     GraphPoint,
     MetrizedGraph,
     admissible_degree,
-    check_divisor,
     validate_point,
 )
-from .linalg import laplacian, pinv, resistance_at_vertices, voltage_at_vertices
+from .linalg import resistance_at_vertices, voltage_at_vertices
+
+if TYPE_CHECKING:
+    from .analysis import DivisorAnalysis, Network
 
 
 def vertex_resistance(g: MetrizedGraph, p: int, q: int) -> Fraction:
-    return resistance_at_vertices(pinv(g), p, q)
+    return resistance_at_vertices(network(g).pinv, p, q)
 
 
 def vertex_voltage(g: MetrizedGraph, s: int, p: int, q: int) -> Fraction:
-    return voltage_at_vertices(pinv(g), s, p, q)
+    return voltage_at_vertices(network(g).pinv, s, p, q)
 
 
-@cache
 def tau_constant(g: MetrizedGraph) -> Fraction:
+    """The tau constant of the graph, computed once per graph."""
+    return network(g).tau
+
+
+def tau_of(net: Network) -> Fraction:
     """The tau constant, assembled from the Laplacian and its pseudoinverse.
 
     Three pieces: a per-edge sum weighted by the off-diagonal Laplacian
     entries, a double vertex sum over diagonal pseudoinverse entries (the
     diagonal q = s terms included), and the normalized trace.
     """
-    lap = laplacian(g)
-    lp = pinv(g)
-    n = g.n_vertices
+    lap = net.laplacian
+    lp = net.pinv
+    n = net.graph.n_vertices
     edge_sum = Fraction(0)
-    for e in g.edges:
+    for e in net.graph.edges:
         l_pq = lap[e.tail, e.head]
         r_pq = resistance_at_vertices(lp, e.tail, e.head)
         edge_sum += l_pq * (1 / l_pq + r_pq) ** 2
@@ -56,6 +69,29 @@ def tau_constant(g: MetrizedGraph) -> Fraction:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class EdgeData(NamedTuple):
+    """One edge as the resistance forms read it."""
+
+    tail: int
+    head: int
+    length: Fraction
+    r: Fraction
+    w: Fraction
+    a: tuple[Fraction, ...]
+
+
+def edge_data(net: Network) -> tuple[EdgeData, ...]:
+    lp = net.lplus
+    out = []
+    for e in net.graph.edges:
+        # L+ is symmetric, so the column difference is a row difference
+        a = tuple(x - y for x, y in zip(lp[e.tail], lp[e.head]))
+        r = a[e.tail] - a[e.head]
+        out.append(EdgeData(e.tail, e.head, e.length, r, (e.length - r) / e.length**2, a))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -93,43 +129,48 @@ class EdgePairFunction:
         return (self.c0, self.cx, self.cy, self.cxx, self.cyy, self.cxy, self.cabs)
 
 
-def resistance_function_pair(g: MetrizedGraph, i: int, j: int) -> EdgePairFunction:
+def resistance_form(net: Network, i: int, j: int) -> EdgePairFunction:
     """Closed form of the point resistance r(x, y), x on edge i, y on edge j.
 
     On one edge r is |x - y| minus a parabola in x - y; on two edges it is
     quadratic in both offsets, with coefficients read off the vertex
     resistances and voltages.  Neither form depends on whether an edge is
     a bridge: there r(tail, head) equals the length, so the quadratic terms
-    vanish and the voltages supply the piecewise-linear slopes.
+    vanish and the voltages supply the piecewise-linear slopes.  With the
+    voltage j_s(p, q) written v(s, p, q), the voltages are
+    v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j], v(t_j, t_i, h_j) =
+    a_j[t_j] - a_j[t_i], and the cross term
+    v(t_j, t_i, h_j) - v(t_j, h_i, h_j) = a_i[h_j] - a_i[t_j].
     """
-    g._check_edge(i)
-    g._check_edge(j)
-    lp = pinv(g)
-    r = lambda a, b: resistance_at_vertices(lp, a, b)
-    v = lambda s, a, b: voltage_at_vertices(lp, s, a, b)
-    ei, ej = g.edges[i], g.edges[j]
-    li, lj = ei.length, ej.length
-    wi = (li - r(ei.tail, ei.head)) / li**2
+    edges, lp = net.edges, net.lplus
+    ti, hi, li, _, wi, ai = edges[i]
     if i == j:
-        return EdgePairFunction(i, j, cxx=-wi, cyy=-wi, cxy=2 * wi, cabs=Fraction(1))
-    cross = v(ej.tail, ei.tail, ej.head) - v(ej.tail, ei.head, ej.head)
+        return EdgePairFunction(i, j, cxx=-wi, cyy=-wi, cxy=2 * wi, cabs=_ONE)
+    tj, hj, lj, _, wj, aj = edges[j]
     return EdgePairFunction(
         i,
         j,
-        c0=r(ei.tail, ej.tail),
-        cx=(li - 2 * v(ei.tail, ei.head, ej.tail)) / li,
-        cy=(lj - 2 * v(ej.tail, ei.tail, ej.head)) / lj,
+        c0=lp[ti][ti] - 2 * lp[ti][tj] + lp[tj][tj],
+        cx=(li - 2 * (ai[ti] - ai[tj])) / li,
+        cy=(lj - 2 * (aj[tj] - aj[ti])) / lj,
         cxx=-wi,
-        cyy=-(lj - r(ej.tail, ej.head)) / lj**2,
-        cxy=2 * cross / (li * lj),
+        cyy=-wj,
+        cxy=2 * (ai[hj] - ai[tj]) / (li * lj),
     )
+
+
+def resistance_function_pair(g: MetrizedGraph, i: int, j: int) -> EdgePairFunction:
+    """The point resistance r(x, y) on edges i and j; see ``resistance_form``."""
+    g._check_edge(i)
+    g._check_edge(j)
+    return resistance_form(network(g), i, j)
 
 
 def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
     """Effective resistance between two arbitrary points of the graph."""
     x = validate_point(g, x)
     y = validate_point(g, y)
-    return resistance_function_pair(g, x.edge, y.edge)(x.offset, y.offset)
+    return resistance_form(network(g), x.edge, y.edge)(x.offset, y.offset)
 
 
 @dataclass(frozen=True)
@@ -145,62 +186,90 @@ class EdgeFunction:
         return self.a2 * x * x + self.a1 * x + self.a0
 
 
-@cache
-def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
-    """The divisor-weighted resistance sum_k a_k r(p_k, .) restricted to edge i.
+def r_D_at_vertices(div: DivisorAnalysis) -> tuple[Fraction, ...]:
+    """sum_k a_k r(p_k, v) at every vertex v."""
+    lp = div.network.pinv
+    support = [(k, a) for k, a in enumerate(div.divisor.coefficients) if a]
+    return tuple(
+        sum((a * resistance_at_vertices(lp, k, v) for k, a in support), _ZERO)
+        for v in range(lp.n_rows)
+    )
 
-    Each vertex contributes one explicit parabola; on a bridge its quadratic
-    term vanishes and the slope comes out as +1 or -1.
+
+def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
+    """The divisor-weighted resistance sum_k a_k r(p_k, .) on every edge.
+
+    Each vertex contributes one parabola: r(p_k, .) on edge i has quadratic
+    term -w_i and runs from r(p_k, tail) to r(p_k, head), so the sum is
+    fixed by its values at the two ends.  On a bridge w_i is zero and each
+    slope comes out as +1 or -1.
     """
-    check_divisor(g, divisor)
+    deg = div.divisor.degree
+    at = div.r_D_at_vertices
+    return tuple(
+        EdgeFunction(
+            i,
+            -deg * e.w,
+            (deg * (e.length - e.r) + at[e.head] - at[e.tail]) / e.length,
+            at[e.tail],
+        )
+        for i, e in enumerate(div.network.edges)
+    )
+
+
+def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
+    """The divisor-weighted resistance sum_k a_k r(p_k, .) restricted to edge i."""
+    div = network(g).divisor(divisor)
     g._check_edge(i)
-    lp = pinv(g)
-    r = lambda a, b: resistance_at_vertices(lp, a, b)
-    e = g.edges[i]
-    r_pq = r(e.tail, e.head)
-    a2 = a1 = a0 = Fraction(0)
-    for k, ak in enumerate(divisor.coefficients):
-        if ak == 0:
-            continue
-        a2 += ak * (-(e.length - r_pq) / e.length**2)
-        a1 += ak * (e.length - r_pq + r(k, e.head) - r(k, e.tail)) / e.length
-        a0 += ak * r(k, e.tail)
-    return EdgeFunction(i, a2, a1, a0)
+    return div.r_D[i]
 
 
 def resistance_to_divisor(g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple) -> Fraction:
     """sum_k a_k r(p_k, x) evaluated at one point."""
     x = validate_point(g, x)
-    return r_D_on_edge(g, check_divisor(g, divisor), x.edge)(x.offset)
+    return network(g).divisor(divisor).r_D[x.edge](x.offset)
 
 
-@cache
 def c_mu(g: MetrizedGraph, divisor: Divisor) -> Fraction:
     """Normalization constant of the admissible measure attached to a divisor."""
-    deg = admissible_degree(g, divisor)
-    support = divisor.support()
-    pairs = Fraction(0)
-    for s in support:
-        for t in support:
-            pairs += divisor[s] * divisor[t] * vertex_resistance(g, s, t)
-    return (8 * tau_constant(g) * (deg + 1) + pairs) / (2 * (deg + 2) ** 2)
+    return network(g).divisor(divisor).c_mu
 
 
-def tau_function_pair(g: MetrizedGraph, divisor: Divisor, i: int, j: int) -> EdgePairFunction:
+def c_mu_of(div: DivisorAnalysis) -> Fraction:
+    d = div.divisor
+    deg = admissible_degree(div.network.graph, d)
+    at = div.r_D_at_vertices
+    pairs = sum((a * at[k] for k, a in enumerate(d.coefficients) if a), _ZERO)
+    return (8 * div.network.tau * (deg + 1) + pairs) / (2 * (deg + 2) ** 2)
+
+
+def tau_parts(div: DivisorAnalysis) -> tuple[Fraction, tuple[EdgeFunction, ...]]:
+    """The pieces of the tau function: the constant 4 tau / (deg + 2) - c_mu
+    and, per edge, r_D divided by 2 (deg + 2)."""
+    scale = admissible_degree(div.network.graph, div.divisor) + 2
+    shift = 4 * div.network.tau / scale - div.c_mu
+    halves = tuple(
+        EdgeFunction(f.edge, f.a2 / (2 * scale), f.a1 / (2 * scale), f.a0 / (2 * scale))
+        for f in div.r_D
+    )
+    return shift, halves
+
+
+def tau_form(div: DivisorAnalysis, i: int, j: int) -> EdgePairFunction:
     """Tau function restricted to x on edge i, y on edge j.
 
     Quadratic in x and in y separately, with no mixed or |x - y| term.
     """
-    deg = admissible_degree(g, divisor)
-    fi = r_D_on_edge(g, divisor, i)
-    fj = r_D_on_edge(g, divisor, j)
-    scale = deg + 2
+    shift, halves = div.tau_parts
+    fi, fj = halves[i], halves[j]
     return EdgePairFunction(
-        i,
-        j,
-        c0=(4 * tau_constant(g) + (fi.a0 + fj.a0) / 2) / scale - c_mu(g, divisor),
-        cx=fi.a1 / (2 * scale),
-        cy=fj.a1 / (2 * scale),
-        cxx=fi.a2 / (2 * scale),
-        cyy=fj.a2 / (2 * scale),
+        i, j, c0=shift + fi.a0 + fj.a0, cx=fi.a1, cy=fj.a1, cxx=fi.a2, cyy=fj.a2
     )
+
+
+def tau_function_pair(g: MetrizedGraph, divisor: Divisor, i: int, j: int) -> EdgePairFunction:
+    """The tau function on edges i and j; see ``tau_form``."""
+    div = network(g).divisor(divisor)
+    g._check_edge(i)
+    g._check_edge(j)
+    return tau_form(div, i, j)

@@ -342,6 +342,13 @@ class TestPoints:
         with pytest.raises(mg.PointOutOfRange):
             mg.validate_point(g, (0, Fraction(-1, 5)))
 
+    def test_bool_edge_index_rejected(self):
+        g = build_circle()
+        with pytest.raises(mg.PointOutOfRange):
+            mg.validate_point(g, (True, Fraction(1, 2)))
+        with pytest.raises(mg.PointOutOfRange):
+            mg.resistance_point(g, (True, Fraction(1, 2)), (False, 0))
+
     def test_vertex_at(self):
         g = build_circle()
         assert mg.vertex_at(g, mg.GraphPoint(0, Fraction(0))) == 1

@@ -1,0 +1,126 @@
+"""The per-graph analysis cache and the exact results it hands out.
+
+Every derived quantity of a graph lives in one ``network(g)`` entry, keyed by
+the graph's value.  These tests pin the contract of that cache (shared by
+equal graphs, emptied completely by ``clear_caches``, stable hashes across
+processes) and freeze the exact coefficients of the closed forms.
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+import weakref
+from fractions import Fraction
+from pathlib import Path
+
+import metgraph as mg
+from conftest import standing_graphs
+
+F = Fraction
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+SRC = Path(mg.__file__).resolve().parent.parent
+
+
+def seeded_grid(k: int, seed: int) -> tuple[mg.MetrizedGraph, mg.Divisor]:
+    """A k x k grid whose lengths and divisor placement a seed shuffles."""
+    rng = random.Random(seed)
+    pairs = []
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                pairs.append((v, v + 1))
+            if r + 1 < k:
+                pairs.append((v, v + k))
+    palette = ("1", "2", "3", "1/2", "3/2", "2/3")
+    lengths = [F(palette[i % len(palette)]) for i in range(len(pairs))]
+    rng.shuffle(lengths)
+    coeffs = [0] * (k * k)
+    for v, a in zip(rng.sample(range(k * k), 3), (1, 2, 3)):
+        coeffs[v] = a
+    edges = tuple(mg.Edge(a, b, length) for (a, b), length in zip(pairs, lengths))
+    g = mg.MetrizedGraph(tuple(f"v{v}" for v in range(k * k)), edges)
+    return g, mg.Divisor(tuple(coeffs))
+
+
+class TestCacheContract:
+    def test_equal_graphs_share_one_analysis(self):
+        g1 = mg.cli.parse_graph((GRAPHS / "banana.json").read_text())[0]
+        g2 = mg.cli.parse_graph((GRAPHS / "banana.json").read_text())[0]
+        assert g1 is not g2 and g1 == g2
+        assert mg.pinv(g1) is mg.pinv(g2)
+        assert mg.network(g1) is mg.network(g2)
+
+    def test_clear_caches_frees_every_derived_value(self):
+        g, d = seeded_grid(3, 1)
+        held = [
+            weakref.ref(mg.value_matrix(g, d)),
+            weakref.ref(mg.r_D_on_edge(g, d, 0)),
+            weakref.ref(mg.connectivity_matrix(g)),
+        ]
+        assert all(ref() is not None for ref in held)
+        mg.clear_caches()
+        assert all(ref() is None for ref in held)
+
+    def test_pickled_graph_hashes_like_a_fresh_parse(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        text = (GRAPHS / "two_bridges.json").read_text()
+        dump = (
+            "import pickle, sys, metgraph as mg\n"
+            "g = mg.cli.parse_graph(sys.stdin.read())[0]\n"
+            "hash(g)\n"
+            "sys.stdout.write(pickle.dumps(g).hex())\n"
+        )
+        pickled = subprocess.run(
+            [sys.executable, "-c", dump],
+            input=text,
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(env, PYTHONHASHSEED="1"),
+        ).stdout
+        load = (
+            "import pickle, sys, metgraph as mg\n"
+            "blob, text = sys.stdin.read().split('\\n', 1)\n"
+            "g = pickle.loads(bytes.fromhex(blob))\n"
+            "h = mg.cli.parse_graph(text)[0]\n"
+            "print(g == h, hash(g) == hash(h), len({g, h}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", load],
+            input=pickled + "\n" + text,
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(env, PYTHONHASHSEED="2"),
+        ).stdout
+        assert out.split() == ["True", "True", "1"]
+
+
+def exact_lines(g: mg.MetrizedGraph, d: mg.Divisor) -> list[str]:
+    lines = []
+    for row in mg.value_matrix(g, d).entries:
+        for z in row:
+            lines.append(" ".join(map(str, z.coefficients())))
+    for i in range(g.n_edges):
+        f = mg.r_D_on_edge(g, d, i)
+        lines.append(f"{f.a2} {f.a1} {f.a0}")
+    return lines
+
+
+# sha256 of every value-matrix and r_D coefficient, frozen from the
+# implementation that looked each quantity up in its own cache.
+FROZEN_DIGEST = "4862345a14cb817680cd25619d5e150d5f2453f8c89192ac906c77e96929d496"
+
+
+def test_value_matrix_and_r_D_coefficients_are_frozen():
+    cases = [("grid 4", *seeded_grid(4, 0))] + standing_graphs()
+    digest = hashlib.sha256()
+    for name, g, d in cases:
+        digest.update(name.encode())
+        for line in exact_lines(g, d):
+            digest.update(b"\n" + line.encode())
+    assert digest.hexdigest() == FROZEN_DIGEST

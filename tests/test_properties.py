@@ -1,7 +1,9 @@
 """Randomized invariant checks over small generated graphs.
 
-Every graph drawn here is connected with an adequate vertex set (no loops,
+Most graphs drawn here are connected with an adequate vertex set (no loops,
 no parallel edges), so the whole pipeline applies without repair steps.
+``multigraphs`` draws loops and parallel edges, which ``make_adequate``
+must repair first.
 """
 
 from fractions import Fraction
@@ -38,6 +40,29 @@ def adequate_graphs(draw) -> mg.MetrizedGraph:
         edges.append(mg.Edge(tail, head, draw(st.sampled_from(LENGTHS))))
     g = mg.MetrizedGraph(tuple(f"p{k}" for k in range(n)), tuple(edges))
     assert mg.validate_adequate(g)
+    return g
+
+
+@st.composite
+def multigraphs(draw) -> mg.MetrizedGraph:
+    """A spanning tree plus one to three loops or parallel edges."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    pairs = [
+        (draw(st.integers(min_value=0, max_value=k - 1)), k) for k in range(1, n)
+    ]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if pairs and draw(st.booleans()):
+            pairs.append(draw(st.sampled_from(pairs)))
+        else:
+            v = draw(st.integers(min_value=0, max_value=n - 1))
+            pairs.append((v, v))
+    edges = []
+    for tail, head in pairs:
+        if draw(st.booleans()):
+            tail, head = head, tail
+        edges.append(mg.Edge(tail, head, draw(st.sampled_from(LENGTHS))))
+    g = mg.MetrizedGraph(tuple(f"p{k}" for k in range(n)), tuple(edges))
+    assert not mg.validate_adequate(g)
     return g
 
 
@@ -154,3 +179,25 @@ def test_invariants_survive_subdivision(gd):
     assert mg.epsilon_via_resistance(sub.graph, sub.lift_divisor(divisor)) == (
         mg.epsilon_via_resistance(g, divisor)
     )
+
+
+@common
+@given(multigraphs(), st.data())
+def test_repaired_closed_forms_match_oracle(g, data):
+    coeffs = data.draw(
+        st.lists(
+            st.integers(min_value=-2, max_value=3),
+            min_size=g.n_vertices,
+            max_size=g.n_vertices,
+        )
+    )
+    assume(sum(coeffs) != -2)
+    divisor = mg.Divisor(tuple(coeffs))
+    refined, relabeling = mg.make_adequate(g)
+    assert mg.validate_adequate(refined)
+    lifted = mg.Divisor(divisor.coefficients + (0,) * (refined.n_vertices - g.n_vertices))
+    x = mg.GraphPoint(0, g.edges[0].length / 3)
+    y = mg.GraphPoint(g.n_edges - 1, g.edges[-1].length * 5 / 7)
+    rx, ry = relabeling.point(x), relabeling.point(y)
+    assert mg.resistance_point(refined, rx, ry) == mg.oracle_resistance(g, x, y)
+    assert mg.evaluate_green(refined, lifted, rx, ry) == mg.oracle_green(g, divisor, x, y)
