@@ -67,13 +67,11 @@ from .potential import (
     EdgeFunction,
     c_mu,
     r_D_on_edge,
-    resistance_function_pair,
     resistance_point,
     resistance_to_divisor,
     tau_constant,
     tau_function_pair,
     vertex_resistance,
-    vertex_voltage,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ class Network:
     def __init__(self, g: MetrizedGraph):
         self.graph = g
         self._divisors: dict[Divisor, DivisorAnalysis] = {}
-        self._distances: dict[int, tuple[Fraction, ...]] = {}
 
     @cached_property
     def laplacian(self) -> RationalMatrix:
@@ -83,26 +82,15 @@ class Network:
     # -- display-only bridge bookkeeping ------------------------------------
 
     @cached_property
-    def bridges(self) -> frozenset[int]:
-        from .graph import find_bridges
-
-        return find_bridges(self.graph)
-
-    @cached_property
     def bridge_sides(self) -> dict[int, frozenset[int]]:
         """Per bridge, the vertices on the side of its tail."""
-        from .graph import tail_sides
+        from .graph import find_bridge_sides
 
-        return tail_sides(self.graph, self.bridges)
+        return find_bridge_sides(self.graph)
 
-    def distances_from(self, source: int) -> tuple[Fraction, ...]:
-        """Shortest distances from one vertex, computed once per source."""
-        dist = self._distances.get(source)
-        if dist is None:
-            from .graph import dijkstra
-
-            dist = self._distances[source] = dijkstra(self.graph, source)
-        return dist
+    @cached_property
+    def bridges(self) -> frozenset[int]:
+        return frozenset(self.bridge_sides)
 
     @cached_property
     def connectivity(self) -> ConnectivityMatrix:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -44,13 +45,24 @@ from .potential import resistance_point, tau_constant
 # parsing
 
 
+# Integers and p/q only: an exponent such as "1e200000" would let a short file
+# ask for a huge number, while Python's digit limit bounds these forms.
+_RATIONAL = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
+
+
+def _rational_token(text: str) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(text)
+    return Fraction(text)
+
+
 def _parse_rational(value, field: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise GraphFormatError(
             f"{field}: expected an integer or a 'p/q' string, got {value!r}"
         )
     try:
-        return Fraction(value)
+        return Fraction(value) if isinstance(value, int) else _rational_token(value)
     except (ValueError, ZeroDivisionError):
         raise GraphFormatError(f"{field}: malformed rational {value!r}") from None
 
@@ -71,7 +83,7 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top level: expected an object")
@@ -139,7 +151,7 @@ def _parse_point_token(token: str, field: str) -> GraphPoint:
     except ValueError:
         raise GraphFormatError(f"{field}: bad edge index {edge_part!r}") from None
     try:
-        offset = Fraction(offset_part)
+        offset = _rational_token(offset_part)
     except (ValueError, ZeroDivisionError):
         raise GraphFormatError(f"{field}: malformed offset {offset_part!r}") from None
     return GraphPoint(edge, offset)

@@ -26,7 +26,8 @@ class BadDegree(MetgraphError):
 
 
 class SingularShift(MetgraphError):
-    """The shifted Laplacian is singular (the graph behind it is disconnected)."""
+    """The reduced Laplacian, grounded at vertex 0, is singular (the graph
+    behind it is disconnected)."""
 
 
 class PointOutOfRange(MetgraphError):

@@ -10,9 +10,9 @@ edges may denote the same metric point.
 Bridges, bridge sides, shortest distances and the decimal-coded
 connectivity matrix are reported here for display only: the closed forms in
 ``potential`` and ``green`` hold on bridges unchanged and never read them.
-They are kept in the graph's ``analysis.network`` entry, cached per graph
-value, which is safe because the graph type is immutable and hashable; the
-graph computes its hash once, at construction.
+The bridge data is kept in the graph's ``analysis.network`` entry, cached
+per graph value, which is safe because the graph type is immutable and
+hashable; the graph computes its hash once, at construction.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ class MetrizedGraph:
         """Number of edge ends at vertex ``v``; a loop contributes two."""
         self._check_vertex(v)
         return sum((e.tail == v) + (e.head == v) for e in self.edges)
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(i for i, e in enumerate(self.edges) if v in (e.tail, e.head))
 
     def scaled(self, factor: Fraction | int | str) -> "MetrizedGraph":
         """The same graph with every edge length multiplied by ``factor``."""
@@ -414,10 +410,15 @@ def _reachable(g: MetrizedGraph, start: int, skip: int | None = None) -> frozens
     return frozenset(seen)
 
 
-def find_bridges(g: MetrizedGraph) -> frozenset[int]:
-    return frozenset(
-        i for i in range(g.n_edges) if len(_reachable(g, 0, skip=i)) != g.n_vertices
-    )
+def find_bridge_sides(g: MetrizedGraph) -> dict[int, frozenset[int]]:
+    """Per bridge, the vertices joined to its tail once it is cut: edge i is
+    a bridge exactly when its head is not among the vertices so joined."""
+    sides = {}
+    for i, e in enumerate(g.edges):
+        side = _reachable(g, e.tail, skip=i)
+        if e.head not in side:
+            sides[i] = side
+    return sides
 
 
 def bridges(g: MetrizedGraph) -> frozenset[int]:
@@ -438,13 +439,14 @@ class Side(Enum):
     Q = 1
 
 
-def tail_sides(g: MetrizedGraph, cut: Iterable[int]) -> dict[int, frozenset[int]]:
-    """Per bridge in ``cut``, the vertices joined to its tail once it is cut."""
-    return {b: _reachable(g, g.edges[b].tail, skip=b) for b in cut}
-
-
 def _side(net: Network, bridge: int, target: int) -> Side:
     return Side.P if target in net.bridge_sides[bridge] else Side.Q
+
+
+def _facing_end(net: Network, bridge: int, other: int) -> int:
+    """The endpoint of ``bridge`` on the side where edge ``other`` lies."""
+    e = net.graph.edges[bridge]
+    return e.tail if _side(net, bridge, net.graph.edges[other].tail) is Side.P else e.head
 
 
 def bridge_side(
@@ -499,14 +501,14 @@ def shortest_distance(g: MetrizedGraph, u: int, v: int) -> Fraction:
     """Length of a shortest path between two vertices."""
     g._check_vertex(u)
     g._check_vertex(v)
-    return network(g).distances_from(u)[v]
+    return dijkstra(g, u)[v]
 
 
 def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
     """The endpoint pair of two distinct bridges at minimal distance.
 
-    The minimum is strict because crossing either bridge costs its full
-    positive length, hence the error can only fire on corrupted data.
+    That is each bridge's endpoint on the other's side: a path from the far
+    endpoint crosses the bridge, whose length is positive.
     """
     if i == j:
         raise MetgraphError("closest neighbours need two distinct edges")
@@ -515,23 +517,7 @@ def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
         g._check_edge(k)
         if k not in net.bridges:
             raise NotABridge(f"edge {k} is not a bridge")
-    return _closest(net, i, j)
-
-
-def _closest(net: Network, i: int, j: int) -> tuple[int, int]:
-    g = net.graph
-    ei, ej = g.edges[i], g.edges[j]
-    pairs = [
-        (ei.tail, ej.tail),
-        (ei.tail, ej.head),
-        (ei.head, ej.tail),
-        (ei.head, ej.head),
-    ]
-    dists = [net.distances_from(a)[b] for a, b in pairs]
-    best = min(dists)
-    if dists.count(best) != 1:
-        raise MetgraphError("ambiguous closest-neighbour pair")
-    return pairs[dists.index(best)]
+    return _facing_end(net, i, j), _facing_end(net, j, i)
 
 
 # ---------------------------------------------------------------------------
@@ -616,14 +602,6 @@ class ConnectivityMatrix:
         return [[entry.code for entry in row] for row in self.entries]
 
 
-def _facing_endpoints(net: Network, i: int, j: int) -> NeighbourPair:
-    g = net.graph
-    xi, xj = _closest(net, i, j)
-    first = "P" if xi == g.edges[i].tail else "Q"
-    second = "P" if xj == g.edges[j].tail else "Q"
-    return NeighbourPair[first + second]
-
-
 def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
     """Bridge bookkeeping for every edge pair.
 
@@ -649,15 +627,13 @@ def connectivity_of(net: Network) -> ConnectivityMatrix:
         for j in range(i + 1, m):
             i_br, j_br = i in br, j in br
             if i_br and j_br:
+                s_ij = _side(net, i, g.edges[j].tail)
+                s_ji = _side(net, j, g.edges[i].tail)
                 rows[i][j] = ConnectivityEntry(
-                    EntryKind.BRIDGE_PAIR,
-                    _side(net, i, g.edges[j].tail),
-                    _facing_endpoints(net, i, j),
+                    EntryKind.BRIDGE_PAIR, s_ij, NeighbourPair[s_ij.name + s_ji.name]
                 )
                 rows[j][i] = ConnectivityEntry(
-                    EntryKind.BRIDGE_PAIR,
-                    _side(net, j, g.edges[i].tail),
-                    _facing_endpoints(net, j, i),
+                    EntryKind.BRIDGE_PAIR, s_ji, NeighbourPair[s_ji.name + s_ij.name]
                 )
             elif i_br or j_br:
                 bridge, other = (i, j) if i_br else (j, i)

@@ -28,7 +28,6 @@ __all__ = [
     "ValueMatrix",
     "evaluate_green",
     "value_matrix",
-    "value_matrix_entry",
 ]
 
 
@@ -59,15 +58,6 @@ def _entry(net: Network, div: DivisorAnalysis, i: int, j: int) -> EdgePairFuncti
     return EdgePairFunction(
         i, j, *(t - c / 2 for t, c in zip(tau.coefficients(), r.coefficients()))
     )
-
-
-def value_matrix_entry(g: MetrizedGraph, divisor: Divisor, i: int, j: int) -> EdgePairFunction:
-    """The value-matrix entry for one ordered edge pair; see ``_entry``."""
-    net = network(g)
-    div = net.divisor(divisor)
-    g._check_edge(i)
-    g._check_edge(j)
-    return _entry(net, div, i, j)
 
 
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:

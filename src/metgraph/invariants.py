@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .graph import (
     Divisor,
-    GraphPoint,
     MetrizedGraph,
     admissible_degree,
     check_divisor,
@@ -22,8 +21,8 @@ from .graph import (
     representations,
 )
 from .green import ValueMatrix, value_matrix
-from .linalg import pinv, resistance_at_vertices, voltage_at_vertices
-from .potential import c_mu, tau_constant, vertex_resistance
+from .linalg import pinv
+from .potential import c_mu, green_at_vertices, tau_constant, vertex_resistance
 
 
 def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = None) -> Fraction:
@@ -119,9 +118,9 @@ def check_vertex_formula(
     """Closed forms must reproduce the direct pseudoinverse formula at vertices.
 
     The direct value is (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg + 2)
-    minus the normalization constant, computed without any edge functions.
+    minus the normalization constant, computed without any edge functions
+    by ``potential.green_at_vertices``.
     """
-    deg = admissible_degree(g, divisor)
     if matrix is None:
         matrix = value_matrix(g, divisor)
     lp = pinv(g)
@@ -133,13 +132,7 @@ def check_vertex_formula(
         rp = point_of_vertex(g, p)
         for q in range(g.n_vertices):
             comparisons += 1
-            weighted = Fraction(0)
-            for s, a_s in enumerate(divisor.coefficients):
-                if a_s:
-                    weighted += a_s * voltage_at_vertices(lp, s, p, q)
-            direct = (
-                weighted + 4 * tau - resistance_at_vertices(lp, p, q)
-            ) / (deg + 2) - shift
+            direct = green_at_vertices(lp, divisor, tau, shift, p, q)
             got = matrix.evaluate(rp, point_of_vertex(g, q))
             if got != direct:
                 mismatches.append(CheckMismatch(f"g(v{p}, v{q})", direct, got))

@@ -7,7 +7,7 @@ point anywhere, so equalities between computed matrices are meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .analysis import network
 from .errors import SingularShift
@@ -118,15 +118,17 @@ class RationalMatrix:
         return tuple(sum(row, Fraction(0)) for row in self._rows)
 
     def inverse(self) -> "RationalMatrix":
-        """Gauss-Jordan inverse with partial pivoting by absolute value."""
+        """Gauss-Jordan inverse, pivoting on the first nonzero entry at or below
+        the diagonal: in exact arithmetic a pivot's size does not matter, and
+        a positive definite matrix never needs a row swap."""
         n = self.n_rows
         if n != self.n_cols:
             raise ValueError("inverse needs a square matrix")
         work = [list(row) for row in self._rows]
         inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         for col in range(n):
-            pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
-            if work[pivot_row][col] == 0:
+            pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+            if pivot_row is None:
                 raise ValueError("matrix is singular")
             if pivot_row != col:
                 work[col], work[pivot_row] = work[pivot_row], work[col]
@@ -168,18 +170,29 @@ def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
 def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a Laplacian of a connected graph.
 
-    Computed as (L - J/n)^{-1} + J/n with J the all-ones matrix; the shift
-    is invertible exactly when the underlying graph is connected.
+    Grounds vertex 0: L without the row and column of vertex 0 is positive
+    definite exactly when the graph is connected.  Its inverse, padded with
+    a zero row and column, is a generalized inverse G of L, and centring it
+    gives L+[i][j] = G[i][j] - m_i - m_j + mu, with m the row means of G and
+    mu their mean.
     """
     n = matrix.n_rows
-    shift = RationalMatrix.constant(n, Fraction(1, n))
+    if n == 1:
+        return RationalMatrix([[0]])
+    reduced = RationalMatrix(row[1:] for row in matrix.rows()[1:])
     try:
-        inv = (matrix - shift).inverse()
+        inv = reduced.inverse().rows()
     except ValueError:
         raise SingularShift(
-            "shifted Laplacian is singular; the graph behind it is disconnected"
+            "reduced Laplacian is singular; the graph behind it is disconnected"
         ) from None
-    return inv + shift
+    zero = Fraction(0)
+    grounded = [(zero,) * n] + [(zero,) + row for row in inv]
+    means = [sum(row, zero) / n for row in grounded]
+    mu = sum(means, zero) / n
+    return RationalMatrix(
+        [x - mi - mj + mu for x, mj in zip(row, means)] for row, mi in zip(grounded, means)
+    )
 
 
 def pinv(g: MetrizedGraph) -> RationalMatrix:

@@ -26,8 +26,8 @@ from .graph import (
     vertex_at,
 )
 from .graph import _split_edges
-from .linalg import pinv, resistance_at_vertices, voltage_at_vertices
-from .potential import c_mu, tau_constant
+from .linalg import pinv, resistance_at_vertices
+from .potential import c_mu, green_at_vertices, tau_constant
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,10 @@ def oracle_green(
     constant and normalization constant are recomputed there, which is
     legitimate because both are invariant under subdivision.
     """
-    deg = admissible_degree(g, divisor)
+    admissible_degree(g, divisor)  # fail before any subdivision
     sub = subdivide_at_points(g, [x, y])
     refined = sub.graph
     lifted = sub.lift_divisor(divisor)
-    lp = pinv(refined)
+    lp, tau = pinv(refined), tau_constant(refined)
     u, v = sub.vertex_index(x), sub.vertex_index(y)
-    weighted = Fraction(0)
-    for s, a_s in enumerate(lifted.coefficients):
-        if a_s:
-            weighted += a_s * voltage_at_vertices(lp, s, u, v)
-    return (
-        weighted + 4 * tau_constant(refined) - resistance_at_vertices(lp, u, v)
-    ) / (deg + 2) - c_mu(refined, lifted)
+    return green_at_vertices(lp, lifted, tau, c_mu(refined, lifted), u, v)

@@ -27,7 +27,7 @@ from .graph import (
     admissible_degree,
     validate_point,
 )
-from .linalg import resistance_at_vertices, voltage_at_vertices
+from .linalg import RationalMatrix, resistance_at_vertices, voltage_at_vertices
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -37,39 +37,33 @@ def vertex_resistance(g: MetrizedGraph, p: int, q: int) -> Fraction:
     return resistance_at_vertices(network(g).pinv, p, q)
 
 
-def vertex_voltage(g: MetrizedGraph, s: int, p: int, q: int) -> Fraction:
-    return voltage_at_vertices(network(g).pinv, s, p, q)
-
-
 def tau_constant(g: MetrizedGraph) -> Fraction:
     """The tau constant of the graph, computed once per graph."""
     return network(g).tau
 
 
-def tau_of(net: Network) -> Fraction:
-    """The tau constant, assembled from the Laplacian and its pseudoinverse.
-
-    Three pieces: a per-edge sum weighted by the off-diagonal Laplacian
-    entries, a double vertex sum over diagonal pseudoinverse entries (the
-    diagonal q = s terms included), and the normalized trace.
-    """
-    lap = net.laplacian
-    lp = net.pinv
-    n = net.graph.n_vertices
-    edge_sum = Fraction(0)
-    for e in net.graph.edges:
-        l_pq = lap[e.tail, e.head]
-        r_pq = resistance_at_vertices(lp, e.tail, e.head)
-        edge_sum += l_pq * (1 / l_pq + r_pq) ** 2
-    vertex_sum = Fraction(0)
-    for q in range(n):
-        for s in range(n):
-            vertex_sum += lap[q, s] * lp[q, q] * lp[s, s]
-    return -edge_sum / 12 + vertex_sum / 4 + lp.trace() / n
-
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def tau_of(net: Network) -> Fraction:
+    """The tau constant, as one sum over the edges plus the normalized trace.
+
+    With d the diagonal of L+ and, per edge e, its length L_e and the vertex
+    resistance r_e between its ends (Cinkir 2011),
+    tau = sum_e [(L_e - r_e)^2 + 3 (d_tail - d_head)^2] / (12 L_e) + tr(L+) / n.
+
+    This is the Laplacian form -sum_e l_e (1/l_e + r_e)^2 / 12
+    + sum_q sum_s l_qs d_q d_s / 4 + tr(L+) / n, with l the Laplacian and
+    l_e = -1/L_e its entry for edge e: the double sum is the quadratic form
+    d^T L d, which equals sum_e (d_tail - d_head)^2 / L_e.
+    """
+    lp = net.lplus
+    total = _ZERO
+    for e in net.edges:
+        step = lp[e.tail][e.tail] - lp[e.head][e.head]
+        total += ((e.length - e.r) ** 2 + 3 * step**2) / (12 * e.length)
+    return total + net.pinv.trace() / len(lp)
 
 
 class EdgeData(NamedTuple):
@@ -159,18 +153,24 @@ def resistance_form(net: Network, i: int, j: int) -> EdgePairFunction:
     )
 
 
-def resistance_function_pair(g: MetrizedGraph, i: int, j: int) -> EdgePairFunction:
-    """The point resistance r(x, y) on edges i and j; see ``resistance_form``."""
-    g._check_edge(i)
-    g._check_edge(j)
-    return resistance_form(network(g), i, j)
-
-
 def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
     """Effective resistance between two arbitrary points of the graph."""
     x = validate_point(g, x)
     y = validate_point(g, y)
     return resistance_form(network(g), x.edge, y.edge)(x.offset, y.offset)
+
+
+def green_at_vertices(
+    lplus: RationalMatrix, divisor: Divisor, tau: Fraction, c: Fraction, p: int, q: int
+) -> Fraction:
+    """The Green function between vertices p and q, from its defining formula.
+
+    (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg D + 2) - c_mu, read off
+    the pseudoinverse with no edge closed form, so it can check them.
+    """
+    coeffs = enumerate(divisor.coefficients)
+    weighted = sum((a * voltage_at_vertices(lplus, s, p, q) for s, a in coeffs if a), _ZERO)
+    return (weighted + 4 * tau - resistance_at_vertices(lplus, p, q)) / (divisor.degree + 2) - c
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,33 @@ class TestErrors:
         )
         self.check_error(["tau", str(path)], capsys, "edges[0].length")
 
+    @pytest.mark.parametrize("length", ["0.5", "1e3"])
+    def test_decimal_and_exponent_length_strings_rejected(self, length, tmp_path, capsys):
+        path = tmp_path / "decimal.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": ["a", "b"],
+                    "edges": [{"from": 0, "to": 1, "length": length}],
+                }
+            )
+        )
+        self.check_error(["tau", str(path)], capsys, "edges[0].length")
+
+    def test_exponent_offset_rejected(self, capsys):
+        self.check_error(
+            ["resistance", CIRCLE, "--x", "0:1e-2", "--y", "0:0"], capsys, "--x"
+        )
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"vertices": ["a", "b"], "edges": [{"from": 0, "to": 1, "length": 1'
+            + "0" * 4999
+            + "}]}"
+        )
+        self.check_error(["tau", str(path)], capsys, "invalid JSON")
+
     def test_vertex_index_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "range.json"
         path.write_text(

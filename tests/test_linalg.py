@@ -56,6 +56,10 @@ class TestRationalMatrix:
         b = mg.RationalMatrix([["1/3", 5, 0], [7, "2/9", 1], [0, 4, "8/3"]])
         assert b.inverse() @ b == mg.RationalMatrix.identity(3)
 
+    def test_inverse_swaps_rows_for_a_zero_pivot(self):
+        swap = mg.RationalMatrix([[0, 1], [1, 0]])
+        assert swap.inverse() == swap
+
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
             mg.RationalMatrix([[1, 2], [2, 4]]).inverse()
@@ -149,6 +153,9 @@ class TestPseudoInverse:
         lp = mg.pinv(g)
         assert lp.is_symmetric()
         assert set(lp.row_sums()) == {F(0)}
+
+    def test_single_vertex_pseudoinverse_is_zero(self):
+        assert mg.pseudo_inverse(mg.RationalMatrix([[0]])) == mg.RationalMatrix([[0]])
 
     def test_disconnected_shift_is_singular(self):
         block = mg.RationalMatrix(

@@ -7,6 +7,7 @@ processes) and freeze the exact coefficients of the closed forms.
 """
 
 import hashlib
+import importlib
 import os
 import random
 import subprocess
@@ -20,7 +21,8 @@ from conftest import standing_graphs
 
 F = Fraction
 
-GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+ROOT = Path(__file__).resolve().parent.parent
+GRAPHS = ROOT / "graphs"
 SRC = Path(mg.__file__).resolve().parent.parent
 
 
@@ -124,3 +126,30 @@ def test_value_matrix_and_r_D_coefficients_are_frozen():
         for line in exact_lines(g, d):
             digest.update(b"\n" + line.encode())
     assert digest.hexdigest() == FROZEN_DIGEST
+
+
+# sha256 of every pseudoinverse entry and the tau constant, frozen from the
+# implementation that inverted the shifted Laplacian L - J/n.
+FROZEN_LPLUS_TAU_DIGEST = "19fcd0f7192571a2e0823b114bd961e6fe1242919a06120e29a80c7cbc8a70a2"
+
+
+def test_pseudoinverse_and_tau_are_frozen():
+    cases = [(f"grid {k}", *seeded_grid(k, 0)) for k in (3, 4, 5)] + standing_graphs()
+    digest = hashlib.sha256()
+    for name, g, _ in cases:
+        digest.update(name.encode())
+        for row in mg.pinv(g).rows():
+            digest.update(b"\n" + " ".join(map(str, row)).encode())
+        digest.update(b"\ntau " + str(mg.tau_constant(g)).encode())
+    assert digest.hexdigest() == FROZEN_LPLUS_TAU_DIGEST
+
+
+def test_traced_layer_functions_exist(monkeypatch):
+    # the benchmark tracer skips a missing name silently, which would
+    # quietly zero its per-layer metric
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"metgraph.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"metgraph.{layer}.{name}"
