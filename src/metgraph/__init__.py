@@ -18,14 +18,11 @@ from .errors import (
     SingularShift,
 )
 from .graph import (
-    ConnectivityEntry,
     ConnectivityMatrix,
     Divisor,
     Edge,
-    EntryKind,
     GraphPoint,
     MetrizedGraph,
-    NeighbourPair,
     Side,
     bridge_side,
     bridges,

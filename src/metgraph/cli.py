@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .graph import (
     Edge,
     GraphPoint,
     MetrizedGraph,
+    as_fraction,
     bridges,
     validate_adequate,
 )
@@ -45,26 +45,15 @@ from .potential import resistance_point, tau_constant
 # parsing
 
 
-# Integers and p/q only: an exponent such as "1e200000" would let a short file
-# ask for a huge number, while Python's digit limit bounds these forms.
-_RATIONAL = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
-
-
-def _rational_token(text: str) -> Fraction:
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(text)
-    return Fraction(text)
-
-
 def _parse_rational(value, field: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise GraphFormatError(
             f"{field}: expected an integer or a 'p/q' string, got {value!r}"
         )
     try:
-        return Fraction(value) if isinstance(value, int) else _rational_token(value)
-    except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(f"{field}: malformed rational {value!r}") from None
+        return as_fraction(value, field)
+    except MetgraphError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def _parse_index(value, field: str, n: int) -> int:
@@ -151,8 +140,8 @@ def _parse_point_token(token: str, field: str) -> GraphPoint:
     except ValueError:
         raise GraphFormatError(f"{field}: bad edge index {edge_part!r}") from None
     try:
-        offset = _rational_token(offset_part)
-    except (ValueError, ZeroDivisionError):
+        offset = as_fraction(offset_part, field)
+    except MetgraphError:
         raise GraphFormatError(f"{field}: malformed offset {offset_part!r}") from None
     return GraphPoint(edge, offset)
 
@@ -238,13 +227,14 @@ def _emit(doc: dict, machine: bool, lines) -> None:
 
 def _cmd_info(g, divisor, args) -> int:
     adequate = validate_adequate(g)
+    bridge_list = sorted(bridges(g))
     doc = {
         "command": "info",
         "vertices": list(g.vertices),
         "edges": [[e.tail, e.head, str(e.length)] for e in g.edges],
         "total_length": str(g.total_length),
         "adequate": adequate,
-        "bridges": sorted(bridges(g)),
+        "bridges": bridge_list,
         "divisor": list(divisor.coefficients),
         "degree": divisor.degree,
     }
@@ -253,7 +243,7 @@ def _cmd_info(g, divisor, args) -> int:
         f"edges: {g.n_edges}",
         f"total length: {g.total_length}",
         f"adequate: {'yes' if adequate else 'no'}",
-        f"bridges: {' '.join(str(i) for i in sorted(bridges(g))) or '-'}",
+        f"bridges: {' '.join(map(str, bridge_list)) or '-'}",
         f"divisor: {','.join(str(a) for a in divisor.coefficients)} (degree {divisor.degree})",
     ]
     _emit(doc, args.machine, lines)
@@ -384,7 +374,7 @@ def _cmd_check(g, divisor, args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _read_point_pairs(path: str, g: MetrizedGraph) -> list[tuple[GraphPoint, GraphPoint]]:
+def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
     pairs = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.strip()
@@ -407,7 +397,7 @@ def _read_point_pairs(path: str, g: MetrizedGraph) -> list[tuple[GraphPoint, Gra
 
 
 def _cmd_oracle(g, divisor, args) -> int:
-    pairs = _read_point_pairs(args.points, g)
+    pairs = _read_point_pairs(args.points)
     rows = []
     lines = []
     status = 0
@@ -531,10 +521,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 )
             divisor = Divisor(args.divisor)
         return _COMMANDS[args.command](g, divisor, args)
-    except (GraphFormatError, MetgraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MetgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

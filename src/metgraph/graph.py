@@ -5,10 +5,14 @@ positive rational lengths.  Edge ``i`` is identified with the segment
 ``[0, L_i]``: offset ``0`` sits at the tail vertex, offset ``L_i`` at the
 head, so the stored ``(tail, head)`` order fixes the parametrization.  A
 point of the graph is an ``(edge, offset)`` pair; endpoints of different
-edges may denote the same metric point.
+edges may denote the same metric point.  A length, offset or scale factor
+given as a string must be an integer or ``p/q``.
 
-Bridges, bridge sides, shortest distances and the decimal-coded
-connectivity matrix are reported here for display only: the closed forms in
+Every refinement is one split of the edges, at the cuts that make the graph
+adequate plus any requested points (``adequate_refinement``).
+
+Bridges, bridge sides, shortest distances and the connectivity matrix (its
+decimal codes) are reported here for display only: the closed forms in
 ``potential`` and ``green`` hold on bridges unchanged and never read them.
 The bridge data is kept in the graph's ``analysis.network`` entry, cached
 per graph value, which is safe because the graph type is immutable and
@@ -17,6 +21,7 @@ hashable; the graph computes its hash once, at construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,6 +38,21 @@ from .errors import (
     NotAdequate,
     PointOutOfRange,
 )
+
+
+# Integers and p/q only: an exponent such as "1e200000" would let a short
+# string ask for a huge number, while Python's digit limit bounds these forms.
+_RATIONAL = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
+
+
+def as_fraction(value: Fraction | int | str, what: str) -> Fraction:
+    """``value`` as a Fraction; a string must be an integer or ``p/q``."""
+    try:
+        if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+            raise ValueError(value)
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise MetgraphError(f"{what}: malformed rational {value!r}") from None
 
 
 class Edge(NamedTuple):
@@ -74,7 +94,7 @@ class MetrizedGraph:
             tail, head, length = raw
             if not (0 <= int(tail) < n and 0 <= int(head) < n):
                 raise MetgraphError(f"edge {k} references a vertex outside 0..{n - 1}")
-            length = Fraction(length)
+            length = as_fraction(length, f"edge {k} length")
             if length <= 0:
                 raise NonpositiveLength(f"edge {k} has nonpositive length {length}")
             norm.append(Edge(int(tail), int(head), length))
@@ -113,7 +133,7 @@ class MetrizedGraph:
 
     def scaled(self, factor: Fraction | int | str) -> "MetrizedGraph":
         """The same graph with every edge length multiplied by ``factor``."""
-        factor = Fraction(factor)
+        factor = as_fraction(factor, "scale factor")
         if factor <= 0:
             raise NonpositiveLength(f"scale factor must be positive, got {factor}")
         return MetrizedGraph(
@@ -223,7 +243,7 @@ def validate_point(g: MetrizedGraph, pt: GraphPoint | tuple) -> GraphPoint:
     edge, offset = pt
     if isinstance(edge, bool) or not isinstance(edge, int) or not 0 <= edge < g.n_edges:
         raise PointOutOfRange(f"edge index {edge!r} outside 0..{g.n_edges - 1}")
-    offset = Fraction(offset)
+    offset = as_fraction(offset, f"offset on edge {edge}")
     if not 0 <= offset <= g.edges[edge].length:
         raise PointOutOfRange(
             f"offset {offset} outside [0, {g.edges[edge].length}] on edge {edge}"
@@ -308,21 +328,6 @@ class PointRelabeling:
     def vertex(self, v: int) -> int:
         return v
 
-    def then(self, after: "PointRelabeling") -> "PointRelabeling":
-        return _ChainedRelabeling(self, after)
-
-
-class _ChainedRelabeling(PointRelabeling):
-    def __init__(self, first: PointRelabeling, second: PointRelabeling):
-        self._first = first
-        self._second = second
-
-    def point(self, pt: GraphPoint) -> GraphPoint:
-        return self._second.point(self._first.point(pt))
-
-    def vertex(self, v: int) -> int:
-        return self._second.vertex(self._first.vertex(v))
-
 
 def _fresh_labels(used: set[str]) -> Iterable[str]:
     k = 0
@@ -365,25 +370,36 @@ def _split_edges(
 
 
 def make_adequate(g: MetrizedGraph) -> tuple[MetrizedGraph, PointRelabeling]:
-    """Refine the vertex set until no loops or parallel edges remain.
+    """Refine the vertex set, in one split, so no loops or parallel edges remain.
 
     Loops are split at one and two thirds of their length; in each parallel
     class the lowest-index edge is kept whole and the others are split at
     their midpoint.  Already-adequate graphs come back unchanged with an
     identity relabeling.
     """
-    cuts: dict[int, list[Fraction]] = {}
+    return adequate_refinement(g, {})
+
+
+def adequate_refinement(
+    g: MetrizedGraph, cuts: Mapping[int, Iterable[Fraction]]
+) -> tuple[MetrizedGraph, PointRelabeling]:
+    """Split ``g`` once, at the interior ``cuts`` plus the cuts of
+    ``make_adequate``, so every cut becomes a vertex of an adequate graph.
+
+    One pass suffices: each piece of a split edge meets a fresh vertex, and
+    a loop is cut at least twice.
+    """
+    merged = {i: set(offsets) for i, offsets in cuts.items()}
     classes: dict[frozenset[int], list[int]] = {}
     for i, e in enumerate(g.edges):
         if e.tail == e.head:
-            cuts[i] = [e.length / 3, 2 * e.length / 3]
+            merged.setdefault(i, set()).update((e.length / 3, 2 * e.length / 3))
         else:
             classes.setdefault(frozenset((e.tail, e.head)), []).append(i)
     for members in classes.values():
-        for i in sorted(members)[1:]:
-            cuts[i] = [g.edges[i].length / 2]
-    refined, relabeling = _split_edges(g, cuts)
-    # one pass suffices: thirds and midpoints meet fresh valence-2 vertices
+        for i in members[1:]:
+            merged.setdefault(i, set()).add(g.edges[i].length / 2)
+    refined, relabeling = _split_edges(g, merged)
     if not validate_adequate(refined):
         raise NotAdequate("edge splitting left loops or parallels")
     return refined, relabeling
@@ -524,121 +540,60 @@ def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
 # connectivity matrix
 
 
-class NeighbourPair(Enum):
-    """Which endpoints of two bridges face each other, as a two-digit code
-    whose digits mean tail (0) or head (1)."""
-
-    PP = 0
-    PQ = 1
-    QP = 10
-    QQ = 11
-
-
-class EntryKind(Enum):
-    NOT_APPLICABLE = "not applicable"
-    SELF_BRIDGE = "self bridge"
-    SIDE = "side"
-    BRIDGE_PAIR = "bridge pair"
-
-
-@dataclass(frozen=True)
-class ConnectivityEntry:
-    """One cell of the connectivity matrix.
-
-    ``side`` carries which component of the (first) bridge the other edge
-    falls in; ``neighbours`` carries the facing endpoints when both edges
-    are bridges.  ``code`` packs the entry into the decimal scheme
-    {0, 1, 10, 11, 100, 101, 110, 111} used for display.
-    """
-
-    kind: EntryKind
-    side: Side | None = None
-    neighbours: NeighbourPair | None = None
-
-    def __post_init__(self) -> None:
-        wants_side = self.kind in (EntryKind.SIDE, EntryKind.BRIDGE_PAIR)
-        if wants_side != (self.side is not None):
-            raise MetgraphError(f"kind {self.kind} and side {self.side} disagree")
-        wants_pair = self.kind is EntryKind.BRIDGE_PAIR
-        if wants_pair != (self.neighbours is not None):
-            raise MetgraphError(f"kind {self.kind} and neighbours {self.neighbours} disagree")
-
-    @property
-    def code(self) -> int:
-        if self.kind is EntryKind.NOT_APPLICABLE:
-            return 0
-        if self.kind is EntryKind.SELF_BRIDGE:
-            return 1
-        if self.kind is EntryKind.SIDE:
-            return self.side.value
-        return 100 * self.side.value + self.neighbours.value
-
-    @classmethod
-    def bridge_pair_from_code(cls, code: int) -> "ConnectivityEntry":
-        side, pair = divmod(code, 100)
-        if side not in (0, 1):
-            raise MetgraphError(f"code {code} is not a bridge-pair code")
-        try:
-            neighbours = NeighbourPair(pair)
-        except ValueError:
-            raise MetgraphError(f"code {code} is not a bridge-pair code") from None
-        return cls(EntryKind.BRIDGE_PAIR, Side(side), neighbours)
-
-
 @dataclass(frozen=True)
 class ConnectivityMatrix:
-    entries: tuple[tuple[ConnectivityEntry, ...], ...]
+    """Bridge bookkeeping for every edge pair, as the paper's decimal codes.
+
+    With s the side digit of ``Side`` (0 for the tail side of a bridge, 1 for
+    its head side):
+
+    - the diagonal entry is 1 for a bridge and 0 otherwise;
+    - a bridge and a non-bridge, in either order, get the side of the bridge
+      on which the other edge lies;
+    - two distinct bridges i and j get 110 s_ij + s_ji, where s_ij is the
+      side of bridge i on which bridge j lies.  Its digits are that side,
+      the endpoint of i facing j (0 tail, 1 head), which repeats it, and
+      the endpoint of j facing i, so only 0, 1, 110 and 111 occur;
+    - every other entry is 0.
+    """
+
+    entries: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> ConnectivityEntry:
+    def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise MetgraphError(f"entry ({i}, {j}) outside a {self.size}-edge matrix")
         return self.entries[i][j]
 
     def codes(self) -> list[list[int]]:
-        return [[entry.code for entry in row] for row in self.entries]
+        return [list(row) for row in self.entries]
 
 
 def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
-    """Bridge bookkeeping for every edge pair.
-
-    Diagonal: is the edge a bridge.  Off-diagonal with exactly one bridge:
-    which side of the bridge the other edge lies on (entry shared by both
-    orders).  Two distinct bridges: side plus facing endpoints, stored for
-    each order separately.
-    """
+    """The decimal-coded bridge bookkeeping of an adequate graph; the codes
+    are described on ``ConnectivityMatrix``."""
     return network(g).connectivity
 
 
 def connectivity_of(net: Network) -> ConnectivityMatrix:
     g = net.graph
     require_adequate(g)
-    m = g.n_edges
     br = net.bridges
-    blank = ConnectivityEntry(EntryKind.NOT_APPLICABLE)
-    rows = [[blank for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        if i in br:
-            rows[i][i] = ConnectivityEntry(EntryKind.SELF_BRIDGE)
-    for i in range(m):
-        for j in range(i + 1, m):
-            i_br, j_br = i in br, j in br
-            if i_br and j_br:
-                s_ij = _side(net, i, g.edges[j].tail)
-                s_ji = _side(net, j, g.edges[i].tail)
-                rows[i][j] = ConnectivityEntry(
-                    EntryKind.BRIDGE_PAIR, s_ij, NeighbourPair[s_ij.name + s_ji.name]
-                )
-                rows[j][i] = ConnectivityEntry(
-                    EntryKind.BRIDGE_PAIR, s_ji, NeighbourPair[s_ji.name + s_ij.name]
-                )
-            elif i_br or j_br:
-                bridge, other = (i, j) if i_br else (j, i)
-                shared = ConnectivityEntry(
-                    EntryKind.SIDE, _side(net, bridge, g.edges[other].tail)
-                )
-                rows[i][j] = rows[j][i] = shared
-    return ConnectivityMatrix(tuple(tuple(row) for row in rows))
+
+    def code(i: int, j: int) -> int:
+        if i == j:
+            return int(i in br)
+        if i in br and j in br:
+            s_ij = _side(net, i, g.edges[j].tail).value
+            s_ji = _side(net, j, g.edges[i].tail).value
+            return 110 * s_ij + s_ji
+        if i in br or j in br:
+            bridge, other = (i, j) if i in br else (j, i)
+            return _side(net, bridge, g.edges[other].tail).value
+        return 0
+
+    m = g.n_edges
+    return ConnectivityMatrix(tuple(tuple(code(i, j) for j in range(m)) for i in range(m)))

@@ -88,14 +88,13 @@ def check_representation_independence(
     """
     if matrix is None:
         matrix = value_matrix(g, check_divisor(g, divisor))
+    reps = [representations(g, v) for v in range(g.n_vertices)]
     comparisons = 0
     mismatches = []
-    for p in range(g.n_vertices):
-        reps_p = representations(g, p)
+    for p, reps_p in enumerate(reps):
         if len(reps_p) < 2:
             continue
-        for q in range(g.n_vertices):
-            reps_q = representations(g, q)
+        for q, reps_q in enumerate(reps):
             expected = matrix.evaluate(reps_p[0], reps_q[0])
             for rp in reps_p:
                 for rq in reps_q:
@@ -126,14 +125,14 @@ def check_vertex_formula(
     lp = pinv(g)
     tau = tau_constant(g)
     shift = c_mu(g, divisor)
+    points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
     comparisons = 0
     mismatches = []
-    for p in range(g.n_vertices):
-        rp = point_of_vertex(g, p)
-        for q in range(g.n_vertices):
+    for p, rp in enumerate(points):
+        for q, rq in enumerate(points):
             comparisons += 1
             direct = green_at_vertices(lp, divisor, tau, shift, p, q)
-            got = matrix.evaluate(rp, point_of_vertex(g, q))
+            got = matrix.evaluate(rp, rq)
             if got != direct:
                 mismatches.append(CheckMismatch(f"g(v{p}, v{q})", direct, got))
     return CheckReport("vertex formula", comparisons, tuple(mismatches))

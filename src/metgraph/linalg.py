@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .analysis import network
-from .errors import SingularShift
+from .errors import MetgraphError, SingularShift
 from .graph import MetrizedGraph, require_adequate
 
 
@@ -174,12 +174,18 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     definite exactly when the graph is connected.  Its inverse, padded with
     a zero row and column, is a generalized inverse G of L, and centring it
     gives L+[i][j] = G[i][j] - m_i - m_j + mu, with m the row means of G and
-    mu their mean.
+    mu their mean.  Any other matrix raises ``MetgraphError``: a Laplacian is
+    symmetric and its rows sum to zero.
     """
+    rows = matrix.rows()
+    if rows != tuple(zip(*rows)) or any(sum(row) for row in rows):
+        raise MetgraphError(
+            "not a Laplacian: expected a symmetric matrix with zero row sums"
+        )
     n = matrix.n_rows
     if n == 1:
         return RationalMatrix([[0]])
-    reduced = RationalMatrix(row[1:] for row in matrix.rows()[1:])
+    reduced = RationalMatrix(row[1:] for row in rows[1:])
     try:
         inv = reduced.inverse().rows()
     except ValueError:

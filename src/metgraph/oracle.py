@@ -12,20 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NotAdequate, PointOutOfRange
+from .errors import PointOutOfRange
 from .graph import (
     Divisor,
     GraphPoint,
     MetrizedGraph,
     PointRelabeling,
+    adequate_refinement,
     admissible_degree,
     check_divisor,
-    make_adequate,
-    validate_adequate,
     validate_point,
     vertex_at,
 )
-from .graph import _split_edges
 from .linalg import pinv, resistance_at_vertices
 from .potential import c_mu, green_at_vertices, tau_constant
 
@@ -61,22 +59,16 @@ def subdivide_at_points(
 ) -> SubdividedGraph:
     """Refine the graph so every listed point is a vertex.
 
-    Points already at vertices cause no cut.  Splitting an adequate graph
-    stays adequate; when the input was not adequate the refinement is
-    repaired afterwards, which only adds further vertices.
+    Points already at vertices cause no cut.  The point cuts and the cuts
+    of ``make_adequate`` are made in one split, so an adequate graph gains
+    only the listed points and any other graph comes out adequate too.
     """
     cuts: dict[int, set[Fraction]] = {}
     for pt in points:
         pt = validate_point(g, pt)
         if vertex_at(g, pt) is None:
             cuts.setdefault(pt.edge, set()).add(pt.offset)
-    refined, relabeling = _split_edges(g, cuts)
-    if not validate_adequate(refined):
-        if validate_adequate(g):
-            raise NotAdequate("splitting an adequate graph broke adequacy")
-        refined, repair = make_adequate(refined)
-        relabeling = relabeling.then(repair)
-    return SubdividedGraph(g, refined, relabeling)
+    return SubdividedGraph(g, *adequate_refinement(g, cuts))
 
 
 def oracle_resistance(

@@ -1,5 +1,7 @@
-"""Graph construction, adequacy, bridges, distances and connectivity entries."""
+"""Graph construction, adequacy, bridges, distances and connectivity codes."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,11 @@ class TestConstruction:
     def test_zero_length_rejected(self):
         with pytest.raises(mg.NonpositiveLength):
             mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, 0),))
+
+    @pytest.mark.parametrize("length", ["1e200000", "0.5", "1/0", " 3/7"])
+    def test_length_string_must_be_an_integer_or_a_ratio(self, length):
+        with pytest.raises(mg.MetgraphError, match="edge 1 length"):
+            mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, 1), mg.Edge(1, 0, length)))
 
     def test_negative_length_rejected(self):
         with pytest.raises(mg.NonpositiveLength):
@@ -342,6 +349,11 @@ class TestPoints:
         with pytest.raises(mg.PointOutOfRange):
             mg.validate_point(g, (0, Fraction(-1, 5)))
 
+    @pytest.mark.parametrize("offset", ["1e-1", "0.25", "1/0"])
+    def test_offset_string_must_be_an_integer_or_a_ratio(self, offset):
+        with pytest.raises(mg.MetgraphError, match="offset on edge 1"):
+            mg.validate_point(build_circle(), (1, offset))
+
     def test_bool_edge_index_rejected(self):
         g = build_circle()
         with pytest.raises(mg.PointOutOfRange):
@@ -372,47 +384,17 @@ class TestTransforms:
         with pytest.raises(mg.NonpositiveLength):
             build_circle().scaled(0)
 
+    @pytest.mark.parametrize("factor", ["1e3", "2.5", "1/0"])
+    def test_factor_string_must_be_an_integer_or_a_ratio(self, factor):
+        with pytest.raises(mg.MetgraphError, match="scale factor"):
+            build_circle().scaled(factor)
+
     def test_with_edge_reversed(self):
         g = build_circle()
         flipped = g.with_edge_reversed(1)
         assert flipped.edges[1] == mg.Edge(2, 1, Fraction(1))
         assert flipped.edges[0] == g.edges[0]
         assert flipped.with_edge_reversed(1) == g
-
-
-class TestConnectivityEntry:
-    ALL_CODES = (0, 1, 10, 11, 100, 101, 110, 111)
-
-    def test_bridge_pair_codes_round_trip(self):
-        for code in self.ALL_CODES:
-            entry = mg.ConnectivityEntry.bridge_pair_from_code(code)
-            assert entry.code == code
-            assert entry.kind is mg.EntryKind.BRIDGE_PAIR
-
-    def test_bridge_pair_codes_are_distinct(self):
-        entries = {
-            mg.ConnectivityEntry.bridge_pair_from_code(c) for c in self.ALL_CODES
-        }
-        assert len(entries) == len(self.ALL_CODES)
-
-    def test_invalid_codes_rejected(self):
-        for code in (2, 12, 99, 112, 211, -1):
-            with pytest.raises(mg.MetgraphError):
-                mg.ConnectivityEntry.bridge_pair_from_code(code)
-
-    def test_field_validation(self):
-        with pytest.raises(mg.MetgraphError):
-            mg.ConnectivityEntry(mg.EntryKind.SIDE)
-        with pytest.raises(mg.MetgraphError):
-            mg.ConnectivityEntry(mg.EntryKind.NOT_APPLICABLE, side=mg.Side.P)
-        with pytest.raises(mg.MetgraphError):
-            mg.ConnectivityEntry(mg.EntryKind.BRIDGE_PAIR, side=mg.Side.P)
-
-    def test_simple_codes(self):
-        assert mg.ConnectivityEntry(mg.EntryKind.NOT_APPLICABLE).code == 0
-        assert mg.ConnectivityEntry(mg.EntryKind.SELF_BRIDGE).code == 1
-        assert mg.ConnectivityEntry(mg.EntryKind.SIDE, mg.Side.P).code == 0
-        assert mg.ConnectivityEntry(mg.EntryKind.SIDE, mg.Side.Q).code == 1
 
 
 class TestConnectivityMatrix:
@@ -448,3 +430,37 @@ class TestConnectivityMatrix:
     def test_entry_bounds(self, circle):
         with pytest.raises(mg.MetgraphError):
             mg.connectivity_matrix(circle).entry(0, 3)
+
+    def test_codes_are_frozen(self):
+        cases = [
+            (f"tree {seed}", tree_plus_chords(seed)) for seed in range(40)
+        ] + [(name, g) for name, g, _ in standing_graphs()]
+        digest = hashlib.sha256()
+        seen = set()
+        for name, g in cases:
+            digest.update(name.encode())
+            for row in mg.connectivity_matrix(g).codes():
+                seen.update(row)
+                digest.update(b"\n" + " ".join(map(str, row)).encode())
+        assert seen <= {0, 1, 110, 111}
+        assert digest.hexdigest() == FROZEN_CONNECTIVITY_DIGEST
+
+
+# sha256 of every connectivity code, frozen from the implementation that
+# built each entry as an object with a kind, a side and a neighbour pair.
+FROZEN_CONNECTIVITY_DIGEST = "37553302a75a6018cb50d29bf588ae240a1d089fd02209a75a2fa6735ae6a802"
+
+
+def tree_plus_chords(seed: int) -> mg.MetrizedGraph:
+    """A seeded random tree with a few chords, its edges oriented at random."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    missing = [(u, v) for v in range(n) for u in range(v) if (u, v) not in pairs]
+    pairs += rng.sample(missing, min(len(missing), rng.randint(0, 3)))
+    palette = ("1", "2", "1/2", "3/2")
+    edges = []
+    for u, v in pairs:
+        tail, head = (u, v) if rng.random() < 0.5 else (v, u)
+        edges.append(mg.Edge(tail, head, Fraction(rng.choice(palette))))
+    return mg.MetrizedGraph(tuple(f"v{k}" for k in range(n)), tuple(edges))

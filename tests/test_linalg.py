@@ -157,6 +157,12 @@ class TestPseudoInverse:
     def test_single_vertex_pseudoinverse_is_zero(self):
         assert mg.pseudo_inverse(mg.RationalMatrix([[0]])) == mg.RationalMatrix([[0]])
 
+    def test_non_laplacian_rejected(self):
+        cases = ([[2, 0], [0, 3]], [[1, -1], [0, 0]], [[1, -1, 0], [-1, 1, 0]], [[5]])
+        for rows in cases:
+            with pytest.raises(mg.MetgraphError, match="not a Laplacian"):
+                mg.pseudo_inverse(mg.RationalMatrix(rows))
+
     def test_disconnected_shift_is_singular(self):
         block = mg.RationalMatrix(
             [

@@ -6,6 +6,7 @@ equal graphs, emptied completely by ``clear_caches``, stable hashes across
 processes) and freeze the exact coefficients of the closed forms.
 """
 
+import ast
 import hashlib
 import importlib
 import os
@@ -153,3 +154,15 @@ def test_traced_layer_functions_exist(monkeypatch):
         module = importlib.import_module(f"metgraph.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"metgraph.{layer}.{name}"
+
+
+def test_package_has_no_assert_statements():
+    # invariants are typed errors, so they hold under ``python -O`` too
+    package = Path(mg.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

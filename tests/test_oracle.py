@@ -77,6 +77,29 @@ class TestSubdivide:
         v = sub.vertex_index((0, F(1, 2)))
         assert sub.graph.valence(v) == 2
 
+    def test_points_on_the_adequacy_cuts(self):
+        # a loop at p0 and a parallel pair p0-p1: the points sit exactly where
+        # make_adequate cuts, a loop third and the later parallel's midpoint
+        g = mg.MetrizedGraph(
+            ("p0", "p1"),
+            (mg.Edge(0, 0, F(3)), mg.Edge(0, 1, F(1)), mg.Edge(1, 0, F(2))),
+        )
+        divisor = mg.Divisor((1, 2))
+        refined, relabel = mg.make_adequate(g)
+        lifted = mg.Divisor(
+            divisor.coefficients + (0,) * (refined.n_vertices - g.n_vertices)
+        )
+        third, midpoint, inner = (0, F(1)), (2, F(1)), (1, F(1, 3))
+        sub = mg.subdivide_at_points(g, [third, midpoint])
+        assert sub.graph == refined
+        pairs = [(third, midpoint), (midpoint, third), (third, inner), (inner, midpoint)]
+        for x, y in pairs:
+            rx, ry = relabel.point(x), relabel.point(y)
+            assert mg.oracle_resistance(g, x, y) == mg.resistance_point(refined, rx, ry)
+            assert mg.oracle_green(g, divisor, x, y) == mg.evaluate_green(
+                refined, lifted, rx, ry
+            )
+
     def test_lift_divisor(self):
         g = build_circle()
         sub = mg.subdivide_at_points(g, [(1, F(1, 2))])
