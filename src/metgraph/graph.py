@@ -46,7 +46,16 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
 
 
 def as_fraction(value: Fraction | int | str, what: str) -> Fraction:
-    """``value`` as a Fraction; a string must be an integer or ``p/q``."""
+    """``value`` as a Fraction; a string must be an integer or ``p/q``.
+
+    Anything but an int, a Fraction or such a string raises: a float or a
+    Decimal would bring its binary or decimal expansion in as the number.
+    A Fraction is returned as it is, since it is immutable.
+    """
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, (int, Fraction, str)):
+        raise MetgraphError(f"{what}: expected an integer, a Fraction or 'p/q', got {value!r}")
     try:
         if isinstance(value, str) and not _RATIONAL.fullmatch(value):
             raise ValueError(value)

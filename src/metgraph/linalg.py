@@ -1,46 +1,38 @@
 """Dense exact-rational matrices, the discrete Laplacian and its pseudoinverse.
 
-Everything here runs over ``fractions.Fraction``; there is no floating
-point anywhere, so equalities between computed matrices are meaningful.
+Matrices hold ``fractions.Fraction`` entries and the pseudoinverse is
+eliminated in Python ints; there is no floating point anywhere, so
+equalities between computed matrices are meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .analysis import network
 from .errors import MetgraphError, SingularShift
-from .graph import MetrizedGraph, require_adequate
+from .graph import MetrizedGraph, as_fraction, require_adequate
 
 
 class RationalMatrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable dense matrix with Fraction entries.
+
+    Entries are read by ``graph.as_fraction``: ints, Fractions, or strings
+    holding an integer or ``p/q``.
+    """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(as_fraction(x, "matrix entry") for x in row) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("matrix rows have unequal lengths")
         self._rows = data
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @classmethod
-    def constant(cls, n: int, value: Fraction) -> "RationalMatrix":
-        value = Fraction(value)
-        return cls(tuple((value,) * n for _ in range(n)))
 
     @property
     def n_rows(self) -> int:
@@ -74,24 +66,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
         return f"RationalMatrix({body})"
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_shape(other)
-        return RationalMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_shape(other)
-        return RationalMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
-
-    def __mul__(self, scalar: Fraction | int) -> "RationalMatrix":
-        scalar = Fraction(scalar)
-        return RationalMatrix(tuple(tuple(a * scalar for a in row) for row in self._rows))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("matrix shapes do not compose")
@@ -117,37 +91,6 @@ class RationalMatrix:
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self._rows)
 
-    def inverse(self) -> "RationalMatrix":
-        """Gauss-Jordan inverse, pivoting on the first nonzero entry at or below
-        the diagonal: in exact arithmetic a pivot's size does not matter, and
-        a positive definite matrix never needs a row swap."""
-        n = self.n_rows
-        if n != self.n_cols:
-            raise ValueError("inverse needs a square matrix")
-        work = [list(row) for row in self._rows]
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            pivot = work[col][col]
-            work[col] = [x / pivot for x in work[col]]
-            inv[col] = [x / pivot for x in inv[col]]
-            for r in range(n):
-                if r == col or work[r][col] == 0:
-                    continue
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-        return RationalMatrix(inv)
-
-    def _check_shape(self, other: "RationalMatrix") -> None:
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("matrix shapes differ")
-
 
 def laplacian(g: MetrizedGraph) -> RationalMatrix:
     """Discrete Laplacian: off-diagonal -1/length per edge, rows sum to zero."""
@@ -171,33 +114,76 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a Laplacian of a connected graph.
 
     Grounds vertex 0: L without the row and column of vertex 0 is positive
-    definite exactly when the graph is connected.  Its inverse, padded with
-    a zero row and column, is a generalized inverse G of L, and centring it
-    gives L+[i][j] = G[i][j] - m_i - m_j + mu, with m the row means of G and
-    mu their mean.  Any other matrix raises ``MetgraphError``: a Laplacian is
-    symmetric and its rows sum to zero.
+    definite exactly when the graph is connected.  Scaled by the lcm s of
+    its denominators it is an integer matrix A, and fraction-free
+    Gauss-Jordan elimination on [A | I] (Bareiss 1968) gives det A and the
+    adjugate B in integers, every division exact.  The grounded inverse
+    s B / det A, padded with a zero row and column, is a generalized inverse
+    G of L; centring it gives L+[i][j] = G[i][j] - m_i - m_j + mu, with m the
+    row means of G and mu their mean.  Over the one denominator n^2 det A
+    each entry is s (n^2 B[i][j] - n b_i - n b_j + b) / (n^2 det A), with b_i
+    the row sums of B and b their sum, and one Fraction is built per entry.
+
+    Any other matrix raises ``MetgraphError``: a Laplacian is symmetric, its
+    off-diagonal entries are at most zero and its rows sum to zero.
     """
     rows = matrix.rows()
-    if rows != tuple(zip(*rows)) or any(sum(row) for row in rows):
+    if (
+        rows != tuple(zip(*rows))
+        or any(sum(row) for row in rows)
+        or any(x > 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
+    ):
         raise MetgraphError(
-            "not a Laplacian: expected a symmetric matrix with zero row sums"
+            "not a Laplacian: expected a symmetric matrix with nonpositive "
+            "off-diagonal entries and zero row sums"
         )
-    n = matrix.n_rows
+    n = len(rows)
     if n == 1:
         return RationalMatrix([[0]])
-    reduced = RationalMatrix(row[1:] for row in rows[1:])
-    try:
-        inv = reduced.inverse().rows()
-    except ValueError:
-        raise SingularShift(
-            "reduced Laplacian is singular; the graph behind it is disconnected"
-        ) from None
-    zero = Fraction(0)
-    grounded = [(zero,) * n] + [(zero,) + row for row in inv]
-    means = [sum(row, zero) / n for row in grounded]
-    mu = sum(means, zero) / n
+    m = n - 1
+    scale = lcm(*(x.denominator for row in rows[1:] for x in row[1:]))
+    work = [
+        [x.numerator * (scale // x.denominator) for x in row[1:]] + [0] * m
+        for row in rows[1:]
+    ]
+    # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
+    # A is positive semidefinite, and definite exactly when the graph is
+    # connected.  Pivot k is the leading principal minor of order k + 1.  A
+    # definite A has none zero; a zero one has a null vector x, and x padded
+    # with zeros has x^T A x = 0, so A is singular.  No pivot search is needed.
+    prev = 1
+    for k in range(m):
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise SingularShift(
+                "reduced Laplacian is singular; the graph behind it is disconnected"
+            )
+        # Left of column k only diagonal entries remain, never read again,
+        # and a right-block column past m + k holds only its diagonal entry,
+        # which is the previous pivot when its step comes.  So only columns
+        # k..m+k are updated, and row k's right-block entry is set on entry.
+        pivot_row[m + k] = prev
+        window = pivot_row[k : m + k + 1]
+        for i, row in enumerate(work):
+            if i != k:
+                factor = row[k]
+                row[k : m + k + 1] = [
+                    (pivot * a - factor * b) // prev
+                    for a, b in zip(row[k : m + k + 1], window)
+                ]
+        prev = pivot
+    det = prev
+    adjugate = [[0] * n] + [[0] + row[m:] for row in work]
+    sums = [sum(row) for row in adjugate]
+    total = sum(sums)
+    den = n * n * det
     return RationalMatrix(
-        [x - mi - mj + mu for x, mj in zip(row, means)] for row, mi in zip(grounded, means)
+        [
+            Fraction(scale * (n * n * x - n * (si + sj) + total), den)
+            for x, sj in zip(row, sums)
+        ]
+        for row, si in zip(adjugate, sums)
     )
 
 

@@ -187,12 +187,21 @@ class EdgeFunction:
 
 
 def r_D_at_vertices(div: DivisorAnalysis) -> tuple[Fraction, ...]:
-    """sum_k a_k r(p_k, v) at every vertex v."""
-    lp = div.network.pinv
+    """sum_k a_k r(p_k, v) at every vertex v.
+
+    With r(k, v) = L+[k][k] - 2 L+[k][v] + L+[v][v] this is
+    sum_k a_k L+[k][k] + deg D L+[v][v] - 2 sum_k a_k L+[k][v], so the
+    divisor enters through one weighted sum of L+ rows.
+    """
+    lp = div.network.lplus
     support = [(k, a) for k, a in enumerate(div.divisor.coefficients) if a]
+    deg = div.divisor.degree
+    base = sum((a * lp[k][k] for k, a in support), _ZERO)
+    weighted = [_ZERO] * len(lp)
+    for k, a in support:
+        weighted = [w + a * x for w, x in zip(weighted, lp[k])]
     return tuple(
-        sum((a * resistance_at_vertices(lp, k, v) for k, a in support), _ZERO)
-        for v in range(lp.n_rows)
+        base + deg * lp[v][v] - 2 * w for v, w in enumerate(weighted)
     )
 
 

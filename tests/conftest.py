@@ -10,8 +10,16 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 import metgraph as mg
+
+# Property tests run 25 examples each; CI also runs them with
+# ``--hypothesis-profile=slow``.  Exact arithmetic has no fixed cost per
+# example, so neither profile has a deadline.
+settings.register_profile("common", max_examples=25, deadline=None)
+settings.register_profile("slow", max_examples=500, deadline=None)
+settings.load_profile("common")
 
 
 def build_circle() -> mg.MetrizedGraph:

@@ -314,6 +314,26 @@ class TestErrors:
             ["oracle", CIRCLE, "--points", str(path)], capsys, "no point pairs"
         )
 
+    def test_graph_over_the_size_bound(self, tmp_path, capsys):
+        def write(n, pairs):
+            path = tmp_path / f"{n}-{len(pairs)}.json"
+            edges = [{"from": a, "to": b, "length": 1} for a, b in pairs]
+            path.write_text(json.dumps({"vertices": [f"v{k}" for k in range(n)], "edges": edges}))
+            return str(path)
+
+        max_vertices, max_edges = mg.cli.MAX_VERTICES, mg.cli.MAX_EDGES
+        path_graph = [(k, k + 1) for k in range(max_vertices - 1)]
+        parallels = [(0, 1)] * (max_edges - len(path_graph))
+        assert run(["info", write(max_vertices, path_graph + parallels)]) == 0
+        capsys.readouterr()
+        too_many_vertices = path_graph + [(max_vertices - 1, max_vertices)]
+        self.check_error(
+            ["info", write(max_vertices + 1, too_many_vertices)], capsys, "at most"
+        )
+        self.check_error(
+            ["info", write(2, [(0, 1)] * (max_edges + 1))], capsys, "at most"
+        )
+
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             run(["frobnicate", CIRCLE])

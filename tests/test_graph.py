@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,12 @@ class TestConstruction:
     def test_length_string_must_be_an_integer_or_a_ratio(self, length):
         with pytest.raises(mg.MetgraphError, match="edge 1 length"):
             mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, 1), mg.Edge(1, 0, length)))
+
+    @pytest.mark.parametrize("length", [0.1, 0.5, Decimal("0.1")])
+    def test_float_and_decimal_lengths_rejected(self, length):
+        # 0.1 would otherwise become 3602879701896397/36028797018963968
+        with pytest.raises(mg.MetgraphError, match="edge 0 length"):
+            mg.MetrizedGraph(("a", "b"), ((0, 1, length),))
 
     def test_negative_length_rejected(self):
         with pytest.raises(mg.NonpositiveLength):
@@ -354,6 +361,12 @@ class TestPoints:
         with pytest.raises(mg.MetgraphError, match="offset on edge 1"):
             mg.validate_point(build_circle(), (1, offset))
 
+    def test_float_offset_rejected(self):
+        with pytest.raises(mg.MetgraphError, match="offset on edge 1"):
+            mg.validate_point(build_circle(), (1, 0.25))
+        with pytest.raises(mg.MetgraphError, match="offset on edge 0"):
+            mg.resistance_point(build_circle(), (0, 0.05), (0, 0))
+
     def test_bool_edge_index_rejected(self):
         g = build_circle()
         with pytest.raises(mg.PointOutOfRange):
@@ -388,6 +401,10 @@ class TestTransforms:
     def test_factor_string_must_be_an_integer_or_a_ratio(self, factor):
         with pytest.raises(mg.MetgraphError, match="scale factor"):
             build_circle().scaled(factor)
+
+    def test_float_factor_rejected(self):
+        with pytest.raises(mg.MetgraphError, match="scale factor"):
+            build_circle().scaled(0.5)
 
     def test_with_edge_reversed(self):
         g = build_circle()

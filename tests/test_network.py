@@ -145,6 +145,29 @@ def test_pseudoinverse_and_tau_are_frozen():
     assert digest.hexdigest() == FROZEN_LPLUS_TAU_DIGEST
 
 
+# sha256 of every pseudoinverse entry of the distinct refinements the oracle
+# builds for the tesseract's frozen point pairs, frozen from the
+# implementation that ran Fraction Gauss-Jordan elimination.
+FROZEN_REFINEMENT_LPLUS_DIGEST = "53b13b2694ea3512be3d22fd373e048d7f1bc2bac89ead5902d5504abbfb3876"
+
+
+def test_oracle_refinement_pseudoinverses_are_frozen():
+    g = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())[0]
+    points = ROOT / "tests" / "data" / "oracle_points" / "tesseract.txt"
+    refinements = {}
+    for line in points.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            pair = [(int(e), F(o)) for e, o in (tok.split(":") for tok in line.split())]
+            refinements.setdefault(mg.subdivide_at_points(g, pair).graph, None)
+    digest = hashlib.sha256()
+    for sub in refinements:
+        digest.update(f"refinement {sub.n_vertices} {sub.n_edges}".encode())
+        for row in mg.pinv(sub).rows():
+            digest.update(b"\n" + " ".join(map(str, row)).encode())
+    assert len(refinements) == 31
+    assert digest.hexdigest() == FROZEN_REFINEMENT_LPLUS_DIGEST
+
+
 def test_traced_layer_functions_exist(monkeypatch):
     # the benchmark tracer skips a missing name silently, which would
     # quietly zero its per-layer metric

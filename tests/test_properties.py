@@ -80,7 +80,8 @@ def graph_and_divisor(draw) -> tuple[mg.MetrizedGraph, mg.Divisor]:
     return g, mg.Divisor(tuple(coeffs))
 
 
-common = settings(max_examples=25, deadline=None)
+# the example count and deadline come from the loaded profile (conftest.py)
+common = settings()
 
 
 @common
