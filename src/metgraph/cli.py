@@ -37,7 +37,7 @@ from .invariants import (
     epsilon_via_resistance,
 )
 from .linalg import laplacian, pinv
-from .oracle import oracle_green, oracle_resistance
+from .oracle import subdivide_at_points
 from .potential import resistance_point, tau_constant
 
 
@@ -411,9 +411,10 @@ def _cmd_oracle(g, divisor, args) -> int:
     status = 0
     for x, y in pairs:
         closed_r = resistance_point(g, x, y)
-        oracle_r = oracle_resistance(g, x, y)
+        sub = subdivide_at_points(g, [x, y])
+        oracle_r = sub.resistance(x, y)
         closed_g = evaluate_green(g, divisor, x, y)
-        oracle_g = oracle_green(g, divisor, x, y)
+        oracle_g = sub.green(divisor, x, y)
         where = f"[{x.edge}:{x.offset} {y.edge}:{y.offset}]"
         for name, closed, via_oracle in (("r", closed_r, oracle_r), ("g", closed_g, oracle_g)):
             diff = closed - via_oracle

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .analysis import network
 from .graph import (
     Divisor,
     MetrizedGraph,
@@ -21,8 +22,7 @@ from .graph import (
     representations,
 )
 from .green import ValueMatrix, value_matrix
-from .linalg import pinv
-from .potential import c_mu, green_at_vertices, tau_constant, vertex_resistance
+from .potential import green_at_vertices, tau_constant, vertex_resistance
 
 
 def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = None) -> Fraction:
@@ -122,16 +122,14 @@ def check_vertex_formula(
     """
     if matrix is None:
         matrix = value_matrix(g, divisor)
-    lp = pinv(g)
-    tau = tau_constant(g)
-    shift = c_mu(g, divisor)
+    div = network(g).divisor(divisor)
     points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
     comparisons = 0
     mismatches = []
     for p, rp in enumerate(points):
         for q, rq in enumerate(points):
             comparisons += 1
-            direct = green_at_vertices(lp, divisor, tau, shift, p, q)
+            direct = green_at_vertices(div, p, q)
             got = matrix.evaluate(rp, rq)
             if got != direct:
                 mismatches.append(CheckMismatch(f"g(v{p}, v{q})", direct, got))

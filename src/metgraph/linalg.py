@@ -113,9 +113,9 @@ def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
 def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a Laplacian of a connected graph.
 
-    Grounds vertex 0: L without the row and column of vertex 0 is positive
-    definite exactly when the graph is connected.  Scaled by the lcm s of
-    its denominators it is an integer matrix A, and fraction-free
+    Scaled by the lcm s of its denominators, L is an integer matrix, and the
+    Laplacian checks run on it.  Grounding vertex 0 leaves A, which is
+    positive definite exactly when the graph is connected, and fraction-free
     Gauss-Jordan elimination on [A | I] (Bareiss 1968) gives det A and the
     adjugate B in integers, every division exact.  The grounded inverse
     s B / det A, padded with a zero row and column, is a generalized inverse
@@ -128,10 +128,12 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     off-diagonal entries are at most zero and its rows sum to zero.
     """
     rows = matrix.rows()
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     if (
-        rows != tuple(zip(*rows))
-        or any(sum(row) for row in rows)
-        or any(x > 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
+        ints != [list(col) for col in zip(*ints)]
+        or any(map(sum, ints))
+        or any(x > 0 for i, row in enumerate(ints) for j, x in enumerate(row) if i != j)
     ):
         raise MetgraphError(
             "not a Laplacian: expected a symmetric matrix with nonpositive "
@@ -141,11 +143,7 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     if n == 1:
         return RationalMatrix([[0]])
     m = n - 1
-    scale = lcm(*(x.denominator for row in rows[1:] for x in row[1:]))
-    work = [
-        [x.numerator * (scale // x.denominator) for x in row[1:]] + [0] * m
-        for row in rows[1:]
-    ]
+    work = [row[1:] + [0] * m for row in ints[1:]]
     # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
     # A is positive semidefinite, and definite exactly when the graph is
     # connected.  Pivot k is the leading principal minor of order k + 1.  A

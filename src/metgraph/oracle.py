@@ -3,15 +3,18 @@
 Turning the points of interest into vertices of a refined graph makes every
 quantity a plain pseudoinverse computation there.  No edge-restricted
 closed forms are involved, so agreement with the closed-form path checks
-the latter against an independent derivation.
+the latter against an independent derivation.  Each refinement carries its
+own ``Network``, never entered in the ``analysis.network`` cache, so its
+pseudoinverse, tau and c_mu are recomputed there and freed with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from .analysis import Network
 from .errors import PointOutOfRange
 from .graph import (
     Divisor,
@@ -19,30 +22,30 @@ from .graph import (
     MetrizedGraph,
     PointRelabeling,
     adequate_refinement,
-    admissible_degree,
     check_divisor,
     validate_point,
     vertex_at,
 )
-from .linalg import pinv, resistance_at_vertices
-from .potential import c_mu, green_at_vertices, tau_constant
+from .linalg import resistance_at_vertices
+from .potential import green_at_vertices
 
 
 @dataclass(frozen=True)
 class SubdividedGraph:
-    """A refinement of a graph whose requested points became vertices."""
+    """A refinement of a graph whose requested points became vertices,
+    with the refinement's own analysis."""
 
     original: MetrizedGraph
     graph: MetrizedGraph
     relabeling: PointRelabeling
+    network: Network = field(init=False, repr=False, compare=False)
 
-    def locate(self, pt: GraphPoint | tuple) -> GraphPoint:
-        """Coordinates of an original point inside the refinement."""
-        return self.relabeling.point(validate_point(self.original, pt))
+    def __post_init__(self):
+        object.__setattr__(self, "network", Network(self.graph))
 
     def vertex_index(self, pt: GraphPoint | tuple) -> int:
         """The refinement vertex an original point became."""
-        v = vertex_at(self.graph, self.locate(pt))
+        v = vertex_at(self.graph, self.relabeling.point(validate_point(self.original, pt)))
         if v is None:
             raise PointOutOfRange(f"point {pt} is not a vertex of the refinement")
         return v
@@ -52,6 +55,16 @@ class SubdividedGraph:
         check_divisor(self.original, divisor)
         pad = self.graph.n_vertices - self.original.n_vertices
         return Divisor(divisor.coefficients + (0,) * pad)
+
+    def resistance(self, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
+        """Resistance between two original points, read off the refinement's L+."""
+        u, v = self.vertex_index(x), self.vertex_index(y)
+        return resistance_at_vertices(self.network.pinv, u, v)
+
+    def green(self, divisor: Divisor, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
+        """Green function value between two original points, by the vertex formula."""
+        div = self.network.divisor(self.lift_divisor(divisor))
+        return green_at_vertices(div, self.vertex_index(x), self.vertex_index(y))
 
 
 def subdivide_at_points(
@@ -71,31 +84,15 @@ def subdivide_at_points(
     return SubdividedGraph(g, *adequate_refinement(g, cuts))
 
 
-def oracle_resistance(
-    g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple
-) -> Fraction:
+def oracle_resistance(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
     """Resistance between two points, via subdivision and the pseudoinverse."""
-    sub = subdivide_at_points(g, [x, y])
-    lp = pinv(sub.graph)
-    return resistance_at_vertices(lp, sub.vertex_index(x), sub.vertex_index(y))
+    return subdivide_at_points(g, [x, y]).resistance(x, y)
 
 
 def oracle_green(
-    g: MetrizedGraph,
-    divisor: Divisor,
-    x: GraphPoint | tuple,
-    y: GraphPoint | tuple,
+    g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple, y: GraphPoint | tuple
 ) -> Fraction:
-    """Green function value between two points, via subdivision.
-
-    Evaluates the defining vertex formula on the refined graph; the tau
-    constant and normalization constant are recomputed there, which is
-    legitimate because both are invariant under subdivision.
-    """
-    admissible_degree(g, divisor)  # fail before any subdivision
-    sub = subdivide_at_points(g, [x, y])
-    refined = sub.graph
-    lifted = sub.lift_divisor(divisor)
-    lp, tau = pinv(refined), tau_constant(refined)
-    u, v = sub.vertex_index(x), sub.vertex_index(y)
-    return green_at_vertices(lp, lifted, tau, c_mu(refined, lifted), u, v)
+    """Green function value between two points, via subdivision; tau and c_mu
+    are recomputed on the refinement's own analysis, which is legitimate
+    because both are invariant under subdivision."""
+    return subdivide_at_points(g, [x, y]).green(divisor, x, y)

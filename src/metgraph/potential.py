@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -27,7 +28,7 @@ from .graph import (
     admissible_degree,
     validate_point,
 )
-from .linalg import RationalMatrix, resistance_at_vertices, voltage_at_vertices
+from .linalg import resistance_at_vertices, voltage_at_vertices
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -56,13 +57,15 @@ def tau_of(net: Network) -> Fraction:
     This is the Laplacian form -sum_e l_e (1/l_e + r_e)^2 / 12
     + sum_q sum_s l_qs d_q d_s / 4 + tr(L+) / n, with l the Laplacian and
     l_e = -1/L_e its entry for edge e: the double sum is the quadratic form
-    d^T L d, which equals sum_e (d_tail - d_head)^2 / L_e.
+    d^T L d, which equals sum_e (d_tail - d_head)^2 / L_e.  It reads only
+    L+, so it needs none of the per-edge ``a`` vectors.
     """
     lp = net.lplus
     total = _ZERO
-    for e in net.edges:
-        step = lp[e.tail][e.tail] - lp[e.head][e.head]
-        total += ((e.length - e.r) ** 2 + 3 * step**2) / (12 * e.length)
+    for e in net.graph.edges:
+        dt, dh = lp[e.tail][e.tail], lp[e.head][e.head]
+        r = dt - 2 * lp[e.tail][e.head] + dh
+        total += ((e.length - r) ** 2 + 3 * (dt - dh) ** 2) / (12 * e.length)
     return total + net.pinv.trace() / len(lp)
 
 
@@ -160,14 +163,14 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     return resistance_form(network(g), x.edge, y.edge)(x.offset, y.offset)
 
 
-def green_at_vertices(
-    lplus: RationalMatrix, divisor: Divisor, tau: Fraction, c: Fraction, p: int, q: int
-) -> Fraction:
+def green_at_vertices(div: DivisorAnalysis, p: int, q: int) -> Fraction:
     """The Green function between vertices p and q, from its defining formula.
 
     (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg D + 2) - c_mu, read off
     the pseudoinverse with no edge closed form, so it can check them.
     """
+    c = div.c_mu  # rejects degree -2 before L+ is built
+    lplus, tau, divisor = div.network.pinv, div.network.tau, div.divisor
     coeffs = enumerate(divisor.coefficients)
     weighted = sum((a * voltage_at_vertices(lplus, s, p, q) for s, a in coeffs if a), _ZERO)
     return (weighted + 4 * tau - resistance_at_vertices(lplus, p, q)) / (divisor.degree + 2) - c
@@ -191,17 +194,20 @@ def r_D_at_vertices(div: DivisorAnalysis) -> tuple[Fraction, ...]:
 
     With r(k, v) = L+[k][k] - 2 L+[k][v] + L+[v][v] this is
     sum_k a_k L+[k][k] + deg D L+[v][v] - 2 sum_k a_k L+[k][v], so the
-    divisor enters through one weighted sum of L+ rows.
+    divisor enters through one weighted sum of L+ rows, summed in integers
+    over the common denominator of L+.
     """
     lp = div.network.lplus
+    den = lcm(*(x.denominator for row in lp for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in lp]
     support = [(k, a) for k, a in enumerate(div.divisor.coefficients) if a]
     deg = div.divisor.degree
-    base = sum((a * lp[k][k] for k, a in support), _ZERO)
-    weighted = [_ZERO] * len(lp)
+    base = sum(a * num[k][k] for k, a in support)
+    weighted = [0] * len(num)
     for k, a in support:
-        weighted = [w + a * x for w, x in zip(weighted, lp[k])]
+        weighted = [w + a * x for w, x in zip(weighted, num[k])]
     return tuple(
-        base + deg * lp[v][v] - 2 * w for v, w in enumerate(weighted)
+        Fraction(base + deg * num[v][v] - 2 * w, den) for v, w in enumerate(weighted)
     )
 
 

@@ -2,11 +2,13 @@
 
 Every derived quantity of a graph lives in one ``network(g)`` entry, keyed by
 the graph's value.  These tests pin the contract of that cache (shared by
-equal graphs, emptied completely by ``clear_caches``, stable hashes across
-processes) and freeze the exact coefficients of the closed forms.
+equal graphs, emptied completely by ``clear_caches``, never holding the
+oracle's refinements, stable hashes across processes) and freeze the exact
+coefficients of the closed forms.
 """
 
 import ast
+import gc
 import hashlib
 import importlib
 import os
@@ -67,6 +69,31 @@ class TestCacheContract:
         assert all(ref() is not None for ref in held)
         mg.clear_caches()
         assert all(ref() is None for ref in held)
+
+    def test_oracle_command_caches_only_the_input_graph(self, capsys):
+        points = ROOT / "tests" / "data" / "oracle_points" / "tesseract.txt"
+        mg.clear_caches()
+        status = mg.cli.run(["oracle", str(GRAPHS / "tesseract.json"), "--points", str(points)])
+        capsys.readouterr()
+        assert status == 0
+        assert mg.network.cache_info().currsize == 1
+
+    def test_oracle_calls_leave_the_cache_empty(self):
+        g, d = seeded_grid(3, 2)
+        x, y = (0, F(1, 3)), (5, F(2, 5))
+        mg.clear_caches()
+        mg.oracle_resistance(g, x, y)
+        mg.oracle_green(g, d, x, y)
+        assert mg.network.cache_info().currsize == 0
+
+    def test_refinement_analysis_dies_with_its_refinement(self):
+        g, d = seeded_grid(3, 2)
+        sub = mg.subdivide_at_points(g, [(0, F(1, 3)), (5, F(2, 5))])
+        sub.green(d, (0, F(1, 3)), (5, F(2, 5)))
+        held = weakref.ref(sub.network)
+        del sub
+        gc.collect()
+        assert held() is None
 
     def test_pickled_graph_hashes_like_a_fresh_parse(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

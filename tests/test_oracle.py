@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 import metgraph as mg
-from conftest import build_circle, build_segment, build_two_bridges, sample_points
+from conftest import (
+    build_circle,
+    build_segment,
+    build_tesseract,
+    build_two_bridges,
+    sample_points,
+)
 
 F = Fraction
 
@@ -171,3 +177,30 @@ class TestOracleAgreement:
     def test_oracle_green_rejects_bad_degree(self, circle):
         with pytest.raises(mg.BadDegree):
             mg.oracle_green(circle, mg.Divisor((-2, 0, 0)), (0, F(1, 4)), (1, F(1, 3)))
+
+
+CLOSED_FORMS = ("resistance_form", "tau_form", "_entry", "build_value_matrix")
+
+
+def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
+    # the oracle and the vertex formula check the closed forms, so they must
+    # give the same answers with every closed form replaced by a stub that
+    # raises; the value matrix the vertex check compares against comes first
+    g, d = build_tesseract(), mg.Divisor(tuple(range(16)))
+    x, y = load_pairs("tesseract")[0]
+    expected_r, expected_g = mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)
+    assert (expected_r, expected_g) == (F(23, 36), F(94327, 803736))
+    mg.clear_caches()
+    matrix = mg.value_matrix(g, d)
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("a closed form was called")
+
+    for module in (mg.potential, mg.green):
+        for name in CLOSED_FORMS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, closed_form)
+    assert mg.oracle_resistance(g, x, y) == expected_r
+    assert mg.oracle_green(g, d, x, y) == expected_g
+    assert mg.check_vertex_formula(g, d, matrix).passed
+    assert mg.epsilon_via_resistance(g, d) == F(7875, 122)
