@@ -5,7 +5,10 @@ value, so equal graphs share one ``Network``, and ``clear_caches`` empties
 it together with every derived quantity.  A ``Network`` computes each piece
 on first use: the Laplacian and its pseudoinverse, the tau constant, the
 per-edge data the resistance form reads, and the bridge bookkeeping that is
-only reported.  Divisor-dependent data (``r_D`` on every edge, ``c_mu``, the
+only reported.  L+ is kept twice: as Fractions, and as one integer matrix
+over its common denominator D, which the per-edge data and every closed
+form read so that each output coefficient is built as one Fraction.
+Divisor-dependent data (``r_D`` on every edge, ``c_mu``, the tau parts, the
 value matrix) hangs off one ``DivisorAnalysis`` per divisor.
 
 The formulas stay in the modules that own them; this module only decides
@@ -24,7 +27,7 @@ if TYPE_CHECKING:
     from .graph import ConnectivityMatrix, Divisor, MetrizedGraph
     from .green import ValueMatrix
     from .linalg import RationalMatrix
-    from .potential import EdgeData, EdgeFunction
+    from .potential import EdgeData, EdgeFunction, TauParts
 
 
 @cache
@@ -53,9 +56,12 @@ class Network:
         return pseudo_inverse(self.laplacian)
 
     @cached_property
-    def lplus(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The pseudoinverse as row tuples."""
-        return self.pinv.rows()
+    def lplus_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """L+ as (D, N) with L+ = N / D: D its one common denominator and N
+        an integer matrix."""
+        from .linalg import integer_form
+
+        return integer_form(self.pinv)
 
     @cached_property
     def tau(self) -> Fraction:
@@ -114,7 +120,7 @@ class DivisorAnalysis:
         self.network = weakref.proxy(net)
 
     @cached_property
-    def r_D_at_vertices(self) -> tuple[Fraction, ...]:
+    def r_D_at_vertices(self) -> tuple[int, ...]:
         from .potential import r_D_at_vertices
 
         return r_D_at_vertices(self)
@@ -133,7 +139,7 @@ class DivisorAnalysis:
         return c_mu_of(self)
 
     @cached_property
-    def tau_parts(self) -> tuple[Fraction, tuple[EdgeFunction, ...]]:
+    def tau_parts(self) -> TauParts:
         from .potential import tau_parts
 
         return tau_parts(self)

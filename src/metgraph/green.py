@@ -7,6 +7,14 @@ closed forms; evaluating g anywhere afterwards costs a handful of rational
 operations and no linear algebra.  The matrix is built once per graph and
 divisor, from the per-edge data of ``analysis.Network``, so the loop over
 edge pairs does no cache lookups.
+
+Each entry is the tau function minus half the point resistance, combined in
+integers: the divisor's tau parts are numerators over one denominator T,
+and r's coefficients are the numerators of
+``potential.resistance_numerators`` over the common denominator D of L+, of
+which T is a multiple.  So every coefficient but the quadratic ones is one
+Fraction; the x^2 and y^2 coefficients are one shared Fraction per edge and
+divisor, and the |x - y| coefficient of a diagonal entry is -1/2.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import TYPE_CHECKING
 from .analysis import network
 from .errors import MetgraphError
 from .graph import Divisor, GraphPoint, MetrizedGraph, validate_point
-from .potential import EdgePairFunction, resistance_form, tau_form
+from .potential import EdgePairFunction, resistance_numerators
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -43,20 +51,42 @@ class ValueMatrix:
         return len(self.entries)
 
     def entry(self, i: int, j: int) -> EdgePairFunction:
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise MetgraphError(f"entry ({i}, {j}) outside a {self.size}-edge matrix")
         return self.entries[i][j]
 
     def evaluate(self, x: GraphPoint, y: GraphPoint) -> Fraction:
         return self.entries[x.edge][y.edge](x.offset, y.offset)
 
 
+_MINUS_HALF = Fraction(-1, 2)
+
+
 def _entry(net: Network, div: DivisorAnalysis, i: int, j: int) -> EdgePairFunction:
     """The closed form for one ordered edge pair: the tau function on the
     pair minus half the point resistance.  Neither part depends on whether
-    an edge is a bridge; the connectivity matrix is only reported."""
-    tau = tau_form(div, i, j)
-    r = resistance_form(net, i, j)
+    an edge is a bridge; the connectivity matrix is only reported.
+
+    On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
+    so there g's x y and |x - y| coefficients are -w and -1/2."""
+    t = div.tau_parts
+    ei = net.edges[i]
+    if i == j:
+        cx = Fraction(t.a1[i], t.den * ei.p)
+        c0 = Fraction(t.shift + 2 * t.a0[i], t.den)
+        return EdgePairFunction(i, j, c0, cx, cx, t.gxx[i], t.gxx[i], ei.neg_w, _MINUS_HALF)
+    ej = net.edges[j]
+    c0, cx, cy, cxy = resistance_numerators(net, i, j)
+    half = t.r_half
     return EdgePairFunction(
-        i, j, *(t - c / 2 for t, c in zip(tau.coefficients(), r.coefficients()))
+        i,
+        j,
+        Fraction(t.shift + t.a0[i] + t.a0[j] - half * c0, t.den),
+        Fraction(t.a1[i] - half * cx, t.den * ei.p),
+        Fraction(t.a1[j] - half * cy, t.den * ej.p),
+        t.gxx[i],
+        t.gxx[j],
+        Fraction(-cxy, 2 * net.lplus_ints[0] * ei.p * ej.p),
     )
 
 

@@ -110,6 +110,14 @@ def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
     return RationalMatrix(a)
 
 
+def integer_form(matrix: RationalMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, N) with matrix = N / d: d the lcm of the entries' denominators and
+    N the integer matrix of their numerators scaled to it."""
+    rows = matrix.rows()
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+
+
 def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a Laplacian of a connected graph.
 
@@ -127,11 +135,9 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     Any other matrix raises ``MetgraphError``: a Laplacian is symmetric, its
     off-diagonal entries are at most zero and its rows sum to zero.
     """
-    rows = matrix.rows()
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    scale, ints = integer_form(matrix)
     if (
-        ints != [list(col) for col in zip(*ints)]
+        ints != tuple(zip(*ints))
         or any(map(sum, ints))
         or any(x > 0 for i, row in enumerate(ints) for j, x in enumerate(row) if i != j)
     ):
@@ -139,11 +145,11 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
             "not a Laplacian: expected a symmetric matrix with nonpositive "
             "off-diagonal entries and zero row sums"
         )
-    n = len(rows)
+    n = len(ints)
     if n == 1:
         return RationalMatrix([[0]])
     m = n - 1
-    work = [row[1:] + [0] * m for row in ints[1:]]
+    work = [[*row[1:]] + [0] * m for row in ints[1:]]
     # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
     # A is positive semidefinite, and definite exactly when the graph is
     # connected.  Pivot k is the leading principal minor of order k + 1.  A

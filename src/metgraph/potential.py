@@ -6,11 +6,16 @@ edge pair the function extends as one closed form.  The same forms hold
 whether or not an edge is a bridge, so no bridge bookkeeping enters the
 computation; the connectivity matrix in ``graph`` is only reported.
 
-The forms read data that ``analysis.Network`` computes once per graph: the
-pseudoinverse L+ and, per edge, its ends, length, the vertex resistance r
-between its ends, w = (L - r) / L^2 and the vector
-a[s] = L+[s, tail] - L+[s, head].  Each voltage the pair form needs is then
-one difference of two entries of an ``a`` vector.
+The forms read data that ``analysis.Network`` computes once per graph, in
+integers over the one common denominator D of the pseudoinverse,
+L+ = N / D: per edge its ends, its length p / q, the vertex resistance
+r / D between its ends, the vector a[s] = N[s, tail] - N[s, head], and
+w = (L - r) / L^2 and -w as Fractions.  Each voltage the pair form needs
+is one difference of two entries of an ``a`` vector.  Its x^2 and y^2
+coefficients are the edges' -w, and each other coefficient is one
+Fraction: an integer over D times length numerators, written once in
+``resistance_numerators``.  The value matrix in ``green`` reads the same
+integers, and the divisor's tau parts, kept over one denominator.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ if TYPE_CHECKING:
 
 
 def vertex_resistance(g: MetrizedGraph, p: int, q: int) -> Fraction:
+    g._check_vertex(p)
+    g._check_vertex(q)
     return resistance_at_vertices(network(g).pinv, p, q)
 
 
@@ -60,7 +67,7 @@ def tau_of(net: Network) -> Fraction:
     d^T L d, which equals sum_e (d_tail - d_head)^2 / L_e.  It reads only
     L+, so it needs none of the per-edge ``a`` vectors.
     """
-    lp = net.lplus
+    lp = net.pinv.rows()
     total = _ZERO
     for e in net.graph.edges:
         dt, dh = lp[e.tail][e.tail], lp[e.head][e.head]
@@ -70,24 +77,31 @@ def tau_of(net: Network) -> Fraction:
 
 
 class EdgeData(NamedTuple):
-    """One edge as the resistance forms read it."""
+    """One edge as the resistance forms read it, with L+ = N / D: length
+    p / q, vertex resistance r / D between its ends, the integer vector
+    a[s] = N[s, tail] - N[s, head], and w = (L - r) / L^2 and -w."""
 
     tail: int
     head: int
-    length: Fraction
-    r: Fraction
+    p: int
+    q: int
+    r: int
+    a: tuple[int, ...]
     w: Fraction
-    a: tuple[Fraction, ...]
+    neg_w: Fraction
 
 
 def edge_data(net: Network) -> tuple[EdgeData, ...]:
-    lp = net.lplus
+    den, lp = net.lplus_ints
     out = []
     for e in net.graph.edges:
         # L+ is symmetric, so the column difference is a row difference
         a = tuple(x - y for x, y in zip(lp[e.tail], lp[e.head]))
         r = a[e.tail] - a[e.head]
-        out.append(EdgeData(e.tail, e.head, e.length, r, (e.length - r) / e.length**2, a))
+        p, q = e.length.numerator, e.length.denominator
+        # (p/q - r/D) / (p/q)^2
+        w = Fraction((p * den - q * r) * q, den * p * p)
+        out.append(EdgeData(e.tail, e.head, p, q, r, a, w, -w))
     return tuple(out)
 
 
@@ -110,14 +124,13 @@ class EdgePairFunction:
     cabs: Fraction = _ZERO
 
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        value = (
-            self.c0
-            + self.cx * x
-            + self.cy * y
-            + self.cxx * x * x
-            + self.cyy * y * y
-            + self.cxy * x * y
-        )
+        # Horner form; a vertex sits at offset 0 or at the length, so a zero
+        # offset is common and its terms are skipped
+        value = self.c0
+        if y:
+            value += (self.cy + self.cyy * y) * y
+        if x:
+            value += (self.cx + self.cxx * x + self.cxy * y) * x
         if self.cabs:
             value += self.cabs * abs(x - y)
         return value
@@ -126,33 +139,56 @@ class EdgePairFunction:
         return (self.c0, self.cx, self.cy, self.cxx, self.cyy, self.cxy, self.cabs)
 
 
+def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, int]:
+    """The point resistance r(x, y), x on edge i and y on another edge j, as
+    integers: the numerators of its coefficients c0, cx, cy and cxy over
+    D, D p_i, D p_j and D p_i p_j.  Its x^2 and y^2 coefficients are -w_i
+    and -w_j.
+
+    r is quadratic in both offsets, with coefficients read off the vertex
+    resistances and voltages: with the voltage j_s(p, q) written v(s, p, q),
+    c0 = r(t_i, t_j), cx = 1 - 2 v(t_i, h_i, t_j) / L_i,
+    cy = 1 - 2 v(t_j, t_i, h_j) / L_j and
+    cxy = 2 (v(t_j, t_i, h_j) - v(t_j, h_i, h_j)) / (L_i L_j), where
+    v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j], v(t_j, t_i, h_j) =
+    a_j[t_j] - a_j[t_i], and the cross term is a_i[h_j] - a_i[t_j], each
+    over D.
+    """
+    den, lp = net.lplus_ints
+    ti, _, pi, qi, _, ai, _, _ = net.edges[i]
+    tj, hj, pj, qj, _, aj, _, _ = net.edges[j]
+    return (
+        lp[ti][ti] - 2 * lp[ti][tj] + lp[tj][tj],
+        den * pi - 2 * qi * (ai[ti] - ai[tj]),
+        den * pj - 2 * qj * (aj[tj] - aj[ti]),
+        2 * qi * qj * (ai[hj] - ai[tj]),
+    )
+
+
 def resistance_form(net: Network, i: int, j: int) -> EdgePairFunction:
     """Closed form of the point resistance r(x, y), x on edge i, y on edge j.
 
     On one edge r is |x - y| minus a parabola in x - y; on two edges it is
-    quadratic in both offsets, with coefficients read off the vertex
-    resistances and voltages.  Neither form depends on whether an edge is
-    a bridge: there r(tail, head) equals the length, so the quadratic terms
-    vanish and the voltages supply the piecewise-linear slopes.  With the
-    voltage j_s(p, q) written v(s, p, q), the voltages are
-    v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j], v(t_j, t_i, h_j) =
-    a_j[t_j] - a_j[t_i], and the cross term
-    v(t_j, t_i, h_j) - v(t_j, h_i, h_j) = a_i[h_j] - a_i[t_j].
+    the quadratic of ``resistance_numerators``.  Neither form depends on
+    whether an edge is a bridge: there r(tail, head) equals the length, so
+    the quadratic terms vanish and the voltages supply the piecewise-linear
+    slopes.
     """
-    edges, lp = net.edges, net.lplus
-    ti, hi, li, _, wi, ai = edges[i]
+    ei = net.edges[i]
     if i == j:
-        return EdgePairFunction(i, j, cxx=-wi, cyy=-wi, cxy=2 * wi, cabs=_ONE)
-    tj, hj, lj, _, wj, aj = edges[j]
+        return EdgePairFunction(i, j, cxx=ei.neg_w, cyy=ei.neg_w, cxy=2 * ei.w, cabs=_ONE)
+    ej = net.edges[j]
+    den = net.lplus_ints[0]
+    c0, cx, cy, cxy = resistance_numerators(net, i, j)
     return EdgePairFunction(
         i,
         j,
-        c0=lp[ti][ti] - 2 * lp[ti][tj] + lp[tj][tj],
-        cx=(li - 2 * (ai[ti] - ai[tj])) / li,
-        cy=(lj - 2 * (aj[tj] - aj[ti])) / lj,
-        cxx=-wi,
-        cyy=-wj,
-        cxy=2 * (ai[hj] - ai[tj]) / (li * lj),
+        Fraction(c0, den),
+        Fraction(cx, den * ei.p),
+        Fraction(cy, den * ej.p),
+        ei.neg_w,
+        ej.neg_w,
+        Fraction(cxy, den * ei.p * ej.p),
     )
 
 
@@ -189,26 +225,23 @@ class EdgeFunction:
         return self.a2 * x * x + self.a1 * x + self.a0
 
 
-def r_D_at_vertices(div: DivisorAnalysis) -> tuple[Fraction, ...]:
-    """sum_k a_k r(p_k, v) at every vertex v.
+def r_D_at_vertices(div: DivisorAnalysis) -> tuple[int, ...]:
+    """sum_k a_k r(p_k, v) at every vertex v, as numerators over the common
+    denominator D of L+.
 
     With r(k, v) = L+[k][k] - 2 L+[k][v] + L+[v][v] this is
     sum_k a_k L+[k][k] + deg D L+[v][v] - 2 sum_k a_k L+[k][v], so the
-    divisor enters through one weighted sum of L+ rows, summed in integers
-    over the common denominator of L+.
+    divisor enters through one weighted sum of rows of the integer matrix
+    N = D L+.
     """
-    lp = div.network.lplus
-    den = lcm(*(x.denominator for row in lp for x in row))
-    num = [[x.numerator * (den // x.denominator) for x in row] for row in lp]
+    num = div.network.lplus_ints[1]
     support = [(k, a) for k, a in enumerate(div.divisor.coefficients) if a]
     deg = div.divisor.degree
     base = sum(a * num[k][k] for k, a in support)
     weighted = [0] * len(num)
     for k, a in support:
         weighted = [w + a * x for w, x in zip(weighted, num[k])]
-    return tuple(
-        Fraction(base + deg * num[v][v] - 2 * w, den) for v, w in enumerate(weighted)
-    )
+    return tuple(base + deg * num[v][v] - 2 * w for v, w in enumerate(weighted))
 
 
 def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
@@ -220,15 +253,26 @@ def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     slope comes out as +1 or -1.
     """
     deg = div.divisor.degree
+    den = div.network.lplus_ints[0]
     at = div.r_D_at_vertices
     return tuple(
-        EdgeFunction(
-            i,
-            -deg * e.w,
-            (deg * (e.length - e.r) + at[e.head] - at[e.tail]) / e.length,
-            at[e.tail],
-        )
-        for i, e in enumerate(div.network.edges)
+        EdgeFunction(i, deg * e.neg_w, Fraction(k, den * e.p), Fraction(at[e.tail], den))
+        for i, (e, k) in enumerate(zip(div.network.edges, r_D_slopes(div)))
+    )
+
+
+def r_D_slopes(div: DivisorAnalysis) -> tuple[int, ...]:
+    """Per edge, the numerator of the slope of r_D over D p.
+
+    The slope is (deg D (L - r) + r_D(head) - r_D(tail)) / L, with
+    L - r = (p D - q r) / (q D) in the integers of ``EdgeData``.
+    """
+    deg = div.divisor.degree
+    den = div.network.lplus_ints[0]
+    at = div.r_D_at_vertices
+    return tuple(
+        deg * (e.p * den - e.q * e.r) + e.q * (at[e.head] - at[e.tail])
+        for e in div.network.edges
     )
 
 
@@ -254,20 +298,48 @@ def c_mu_of(div: DivisorAnalysis) -> Fraction:
     d = div.divisor
     deg = admissible_degree(div.network.graph, d)
     at = div.r_D_at_vertices
-    pairs = sum((a * at[k] for k, a in enumerate(d.coefficients) if a), _ZERO)
+    weighted = sum(a * at[k] for k, a in enumerate(d.coefficients) if a)
+    pairs = Fraction(weighted, div.network.lplus_ints[0])
     return (8 * div.network.tau * (deg + 1) + pairs) / (2 * (deg + 2) ** 2)
 
 
-def tau_parts(div: DivisorAnalysis) -> tuple[Fraction, tuple[EdgeFunction, ...]]:
-    """The pieces of the tau function: the constant 4 tau / (deg + 2) - c_mu
-    and, per edge, r_D divided by 2 (deg + 2)."""
-    scale = admissible_degree(div.network.graph, div.divisor) + 2
-    shift = 4 * div.network.tau / scale - div.c_mu
-    halves = tuple(
-        EdgeFunction(f.edge, f.a2 / (2 * scale), f.a1 / (2 * scale), f.a0 / (2 * scale))
-        for f in div.r_D
+class TauParts(NamedTuple):
+    """The tau function's pieces as numerators over one denominator T.
+
+    ``shift`` is the constant 4 tau / (deg + 2) - c_mu over T; per edge,
+    ``a0`` and ``a1`` are the constant and linear terms of
+    r_D / (2 (deg + 2)) over T and T p.  ``r_half`` takes an integer over D
+    to its half over T.  ``gxx`` holds per edge the x^2 coefficient the
+    Green function has there, tau's -deg w / (2 (deg + 2)) less half of
+    r's -w, which is w / (deg + 2).
+    """
+
+    den: int
+    shift: int
+    r_half: int
+    a0: tuple[int, ...]
+    a1: tuple[int, ...]
+    gxx: tuple[Fraction, ...]
+
+
+def tau_parts(div: DivisorAnalysis) -> TauParts:
+    """The tau parts of ``div``, over the least T that holds them all."""
+    net = div.network
+    scale = admissible_degree(net.graph, div.divisor) + 2
+    shift = 4 * net.tau / scale - div.c_mu
+    den = net.lplus_ints[0]
+    # the halves of r_D are over 2 (deg + 2) D and 2 (deg + 2) D p
+    t = lcm(shift.denominator, 2 * scale * den)
+    k = t // (2 * scale * den)
+    at = div.r_D_at_vertices
+    return TauParts(
+        t,
+        shift.numerator * (t // shift.denominator),
+        t // (2 * den),
+        tuple(k * at[e.tail] for e in net.edges),
+        tuple(k * s for s in r_D_slopes(div)),
+        tuple(e.w / scale for e in net.edges),
     )
-    return shift, halves
 
 
 def tau_form(div: DivisorAnalysis, i: int, j: int) -> EdgePairFunction:
@@ -275,10 +347,17 @@ def tau_form(div: DivisorAnalysis, i: int, j: int) -> EdgePairFunction:
 
     Quadratic in x and in y separately, with no mixed or |x - y| term.
     """
-    shift, halves = div.tau_parts
-    fi, fj = halves[i], halves[j]
+    t, r_D = div.tau_parts, div.r_D
+    halving = 2 * (div.divisor.degree + 2)
+    pi, pj = div.network.edges[i].p, div.network.edges[j].p
     return EdgePairFunction(
-        i, j, c0=shift + fi.a0 + fj.a0, cx=fi.a1, cy=fj.a1, cxx=fi.a2, cyy=fj.a2
+        i,
+        j,
+        c0=Fraction(t.shift + t.a0[i] + t.a0[j], t.den),
+        cx=Fraction(t.a1[i], t.den * pi),
+        cy=Fraction(t.a1[j], t.den * pj),
+        cxx=r_D[i].a2 / halving,
+        cyy=r_D[j].a2 / halving,
     )
 
 

@@ -180,6 +180,17 @@ class TestErrors:
         with pytest.raises(mg.NotAdequate):
             mg.value_matrix(g, mg.Divisor.zero(2))
 
+    def test_negative_entry_index_raises(self, circle):
+        # a negative index would otherwise wrap round to the last row
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        with pytest.raises(mg.MetgraphError, match=r"entry \(-1, 0\) outside a 3-edge matrix"):
+            matrix.entry(-1, 0)
+
+    def test_entry_index_past_the_end_raises(self, circle):
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        with pytest.raises(mg.MetgraphError, match=r"entry \(3, 0\) outside a 3-edge matrix"):
+            matrix.entry(3, 0)
+
     def test_asymmetric_entries_raise(self, circle, monkeypatch):
         # the symmetry check must survive python -O, so it cannot be an assert
         build = mg.green._entry

@@ -179,7 +179,15 @@ class TestOracleAgreement:
             mg.oracle_green(circle, mg.Divisor((-2, 0, 0)), (0, F(1, 4)), (1, F(1, 3)))
 
 
-CLOSED_FORMS = ("resistance_form", "tau_form", "_entry", "build_value_matrix")
+CLOSED_FORMS = (
+    "resistance_numerators",
+    "resistance_form",
+    "r_D_slopes",
+    "tau_parts",
+    "tau_form",
+    "_entry",
+    "build_value_matrix",
+)
 
 
 def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):

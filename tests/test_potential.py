@@ -55,6 +55,10 @@ class TestResistancePoint:
                     lp, p, q
                 )
 
+    def test_vertex_index_out_of_range(self, circle):
+        with pytest.raises(mg.MetgraphError, match="vertex index 3 outside 0..2"):
+            mg.vertex_resistance(circle, 3, 0)
+
     def test_same_metric_point_gives_zero(self, circle):
         # head of edge 0 and tail of edge 2 are both the vertex p1
         assert mg.resistance_point(

@@ -202,3 +202,125 @@ def test_repaired_closed_forms_match_oracle(g, data):
     rx, ry = relabeling.point(x), relabeling.point(y)
     assert mg.resistance_point(refined, rx, ry) == mg.oracle_resistance(g, x, y)
     assert mg.evaluate_green(refined, lifted, rx, ry) == mg.oracle_green(g, divisor, x, y)
+
+
+# -- reference for the integer kernel ------------------------------------------
+# The value matrix and the resistance forms are built in integers over the
+# common denominator of L+.  These are the Fraction formulas they replaced,
+# read off L+ and tau alone, so the kernel is checked against an independent
+# derivation of every coefficient.
+
+
+def reference_edge(lp, e):
+    a = tuple(x - y for x, y in zip(lp[e.tail], lp[e.head]))
+    r = a[e.tail] - a[e.head]
+    return e.tail, e.head, e.length, r, (e.length - r) / e.length**2, a
+
+
+def reference_resistance_form(g, i, j):
+    lp = mg.pinv(g).rows()
+    ti, hi, li, _, wi, ai = reference_edge(lp, g.edges[i])
+    if i == j:
+        return (F(0), F(0), F(0), -wi, -wi, 2 * wi, F(1))
+    tj, hj, lj, _, wj, aj = reference_edge(lp, g.edges[j])
+    return (
+        lp[ti][ti] - 2 * lp[ti][tj] + lp[tj][tj],
+        (li - 2 * (ai[ti] - ai[tj])) / li,
+        (lj - 2 * (aj[tj] - aj[ti])) / lj,
+        -wi,
+        -wj,
+        2 * (ai[hj] - ai[tj]) / (li * lj),
+        F(0),
+    )
+
+
+def reference_tau_halves(g, divisor):
+    """tau's constant 4 tau / (deg + 2) - c_mu, and per edge r_D / 2 (deg + 2)
+    as (a2, a1, a0)."""
+    lp = mg.pinv(g).rows()
+    deg, scale = divisor.degree, divisor.degree + 2
+    at = [
+        sum(
+            (a * (lp[k][k] - 2 * lp[k][v] + lp[v][v]) for k, a in enumerate(divisor.coefficients)),
+            F(0),
+        )
+        for v in range(g.n_vertices)
+    ]
+    pairs = sum((a * at[k] for k, a in enumerate(divisor.coefficients)), F(0))
+    tau = mg.tau_constant(g)
+    c = (8 * tau * (deg + 1) + pairs) / (2 * scale**2)
+    halves = []
+    for e in g.edges:
+        t, h, length, r, w, _ = reference_edge(lp, e)
+        a1 = (deg * (length - r) + at[h] - at[t]) / length
+        halves.append((-deg * w / (2 * scale), a1 / (2 * scale), at[t] / (2 * scale)))
+    return 4 * tau / scale - c, halves
+
+
+def reference_entry(g, divisor, shift, halves, i, j):
+    (ai2, ai1, ai0), (aj2, aj1, aj0) = halves[i], halves[j]
+    tau = (shift + ai0 + aj0, ai1, aj1, ai2, aj2, F(0), F(0))
+    r = reference_resistance_form(g, i, j)
+    return tuple(t - c / 2 for t, c in zip(tau, r))
+
+
+def exact(coefficients):
+    return [(type(c), c.numerator, c.denominator) for c in coefficients]
+
+
+@st.composite
+def repaired_graph_and_divisor(draw) -> tuple[mg.MetrizedGraph, mg.Divisor]:
+    g, _ = mg.make_adequate(draw(st.one_of(adequate_graphs(), multigraphs())))
+    coeffs = draw(
+        st.lists(
+            st.integers(min_value=-3, max_value=3),
+            min_size=g.n_vertices,
+            max_size=g.n_vertices,
+        )
+    )
+    assume(sum(coeffs) != -2)
+    return g, mg.Divisor(tuple(coeffs))
+
+
+@common
+@given(repaired_graph_and_divisor())
+def test_integer_kernel_matches_fraction_reference(gd):
+    g, divisor = gd
+    net = mg.network(g)
+    matrix = mg.value_matrix(g, divisor)
+    shift, halves = reference_tau_halves(g, divisor)
+    for i in range(g.n_edges):
+        for j in range(g.n_edges):
+            form = mg.potential.resistance_form(net, i, j)
+            assert exact(form.coefficients()) == exact(reference_resistance_form(g, i, j))
+            expected = reference_entry(g, divisor, shift, halves, i, j)
+            assert exact(matrix.entry(i, j).coefficients()) == exact(expected)
+
+
+def expanded(z, x, y):
+    return (
+        z.c0
+        + z.cx * x
+        + z.cy * y
+        + z.cxx * x * x
+        + z.cyy * y * y
+        + z.cxy * x * y
+        + z.cabs * abs(x - y)
+    )
+
+
+@common
+@given(repaired_graph_and_divisor())
+def test_horner_evaluation_matches_expanded_polynomial(gd):
+    g, divisor = gd
+    net = mg.network(g)
+    matrix = mg.value_matrix(g, divisor)
+    for i in range(g.n_edges):
+        for j in range(g.n_edges):
+            li, lj = g.edges[i].length, g.edges[j].length
+            xs = (F(0), li / 3, li * 4 / 5, li)
+            ys = (F(0), lj / 2, lj * 2 / 7, lj)
+            for z in (matrix.entry(i, j), mg.potential.resistance_form(net, i, j)):
+                for x in xs:
+                    for y in ys:
+                        assert z(x, y) == expanded(z, x, y)
