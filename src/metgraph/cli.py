@@ -42,7 +42,7 @@ from .potential import resistance_point, tau_constant
 
 
 # The largest graph a command accepts.  At the bound, a seeded graph of 100
-# vertices and 200 edges takes about 8 s for ``check`` and 2 s for
+# vertices and 200 edges takes about 3.5 s for ``check`` and 2 s for
 # ``epsilon`` (2-core Intel Xeon, Python 3.11), and the cost of the value
 # matrix grows with the square of the edge count.
 MAX_VERTICES = 100

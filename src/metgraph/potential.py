@@ -33,7 +33,7 @@ from .graph import (
     admissible_degree,
     validate_point,
 )
-from .linalg import resistance_at_vertices, voltage_at_vertices
+from .linalg import resistance_at_vertices
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -64,16 +64,25 @@ def tau_of(net: Network) -> Fraction:
     This is the Laplacian form -sum_e l_e (1/l_e + r_e)^2 / 12
     + sum_q sum_s l_qs d_q d_s / 4 + tr(L+) / n, with l the Laplacian and
     l_e = -1/L_e its entry for edge e: the double sum is the quadratic form
-    d^T L d, which equals sum_e (d_tail - d_head)^2 / L_e.  It reads only
-    L+, so it needs none of the per-edge ``a`` vectors.
+    d^T L d, which equals sum_e (d_tail - d_head)^2 / L_e.
+
+    It reads only L+ = N / D, so it needs none of the per-edge ``a``
+    vectors, and runs in integers: with L_e = p / q and r_e = r / D, edge e
+    adds (p D - q r)^2 + 3 q^2 (N_tt - N_hh)^2 over 12 p q D^2.  The edge
+    terms are summed over the lcm of the p q, and the trace tr(N) / (n D)
+    is the second of two Fractions.
     """
-    lp = net.pinv.rows()
-    total = _ZERO
+    den, num = net.lplus_ints
+    terms = []
     for e in net.graph.edges:
-        dt, dh = lp[e.tail][e.tail], lp[e.head][e.head]
-        r = dt - 2 * lp[e.tail][e.head] + dh
-        total += ((e.length - r) ** 2 + 3 * (dt - dh) ** 2) / (12 * e.length)
-    return total + net.pinv.trace() / len(lp)
+        dt, dh = num[e.tail][e.tail], num[e.head][e.head]
+        r = dt - 2 * num[e.tail][e.head] + dh
+        p, q = e.length.numerator, e.length.denominator
+        terms.append(((p * den - q * r) ** 2 + 3 * (q * (dt - dh)) ** 2, p * q))
+    common = lcm(*(pq for _, pq in terms))
+    total = sum(t * (common // pq) for t, pq in terms)
+    trace = sum(num[v][v] for v in range(len(num)))
+    return Fraction(total, 12 * common * den * den) + Fraction(trace, len(num) * den)
 
 
 class EdgeData(NamedTuple):
@@ -203,13 +212,29 @@ def green_at_vertices(div: DivisorAnalysis, p: int, q: int) -> Fraction:
     """The Green function between vertices p and q, from its defining formula.
 
     (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg D + 2) - c_mu, read off
-    the pseudoinverse with no edge closed form, so it can check them.
+    the pseudoinverse with no edge closed form, so it can check them.  With
+    L+ = N / D the voltage j_s(p, q) is (N_ss - N_sp - N_sq + N_pq) / D and
+    r(p, q) is (N_pp - 2 N_pq + N_qq) / D, so the pair's part is one
+    integer over D (deg D + 2).  With the constant 4 tau / (deg D + 2) - c_mu
+    brought over the same denominator, the value is one Fraction.
     """
     c = div.c_mu  # rejects degree -2 before L+ is built
-    lplus, tau, divisor = div.network.pinv, div.network.tau, div.divisor
-    coeffs = enumerate(divisor.coefficients)
-    weighted = sum((a * voltage_at_vertices(lplus, s, p, q) for s, a in coeffs if a), _ZERO)
-    return (weighted + 4 * tau - resistance_at_vertices(lplus, p, q)) / (divisor.degree + 2) - c
+    tau = div.network.tau
+    den, num = div.network.lplus_ints
+    divisor = div.divisor
+    row_p, row_q = num[p], num[q]
+    npq = row_p[q]
+    weighted = sum(
+        a * (num[s][s] - row_p[s] - row_q[s] + npq)
+        for s, a in enumerate(divisor.coefficients)
+        if a
+    )
+    scale = divisor.degree + 2
+    pair = weighted - row_p[p] + 2 * npq - row_q[q]
+    # pair / (D scale) + (4 tau - scale c) / scale, over D scale tau_den c_den
+    td, cd = tau.denominator, c.denominator
+    shift = 4 * tau.numerator * cd - scale * c.numerator * td
+    return Fraction(pair * td * cd + den * shift, den * scale * td * cd)
 
 
 @dataclass(frozen=True)

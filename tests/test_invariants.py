@@ -116,3 +116,25 @@ class TestConsistencyChecks:
         assert rep.name == "vertex formula"
         assert isinstance(rep.comparisons, int)
         assert rep.mismatches == ()
+
+    def test_representation_check_validates_the_divisor_given_a_matrix(self, circle):
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        with pytest.raises(mg.MetgraphError, match="coefficients"):
+            mg.check_representation_independence(circle, mg.Divisor((1, 0)), matrix)
+
+    @pytest.mark.parametrize(
+        "check", [mg.check_representation_independence, mg.check_vertex_formula]
+    )
+    def test_checks_reject_a_matrix_of_another_divisor(self, circle, check):
+        matrix = mg.value_matrix(circle, mg.Divisor((0, 2, 0)))
+        with pytest.raises(mg.MetgraphError, match="another divisor"):
+            check(circle, mg.Divisor.zero(3), matrix)
+
+    @pytest.mark.parametrize(
+        "check", [mg.check_representation_independence, mg.check_vertex_formula]
+    )
+    def test_checks_reject_a_matrix_of_another_graph(self, circle, check):
+        tesseract, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        with pytest.raises(mg.MetgraphError, match="3 edges but the graph has 32"):
+            check(tesseract, divisor, matrix)

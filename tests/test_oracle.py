@@ -191,13 +191,14 @@ CLOSED_FORMS = (
 
 
 def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
-    # the oracle and the vertex formula check the closed forms, so they must
-    # give the same answers with every closed form replaced by a stub that
-    # raises; the value matrix the vertex check compares against comes first
+    # the oracle and both consistency checks check the closed forms, so they
+    # must give the same answers with every closed form replaced by a stub
+    # that raises; the value matrix the checks compare against comes first
     g, d = build_tesseract(), mg.Divisor(tuple(range(16)))
     x, y = load_pairs("tesseract")[0]
     expected_r, expected_g = mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)
     assert (expected_r, expected_g) == (F(23, 36), F(94327, 803736))
+    expected_tau = mg.tau_constant(g)
     mg.clear_caches()
     matrix = mg.value_matrix(g, d)
 
@@ -211,4 +212,9 @@ def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
     assert mg.oracle_resistance(g, x, y) == expected_r
     assert mg.oracle_green(g, d, x, y) == expected_g
     assert mg.check_vertex_formula(g, d, matrix).passed
+    assert mg.check_representation_independence(g, d, matrix).passed
     assert mg.epsilon_via_resistance(g, d) == F(7875, 122)
+    # tau reads only L+, so a fresh network builds no per-edge data for it
+    fresh = mg.Network(g)
+    assert fresh.tau == expected_tau
+    assert "edges" not in fresh.__dict__

@@ -6,12 +6,14 @@ no parallel edges), so the whole pipeline applies without repair steps.
 must repair first.
 """
 
+import dataclasses
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import metgraph as mg
-from conftest import sample_points
+from conftest import build_banana, sample_points
 
 F = Fraction
 
@@ -324,3 +326,98 @@ def test_horner_evaluation_matches_expanded_polynomial(gd):
                 for x in xs:
                     for y in ys:
                         assert z(x, y) == expanded(z, x, y)
+
+
+# -- reference for the integer consistency checks ------------------------------
+# The representation check reads each entry at its corners in integers, and
+# the vertex formula and tau read L+ over its common denominator.  These are
+# the pairwise loop and the Fraction formulas they replaced.
+
+
+def reference_representation_check(g, matrix):
+    reps = [mg.representations(g, v) for v in range(g.n_vertices)]
+    comparisons = 0
+    mismatches = []
+    for p, reps_p in enumerate(reps):
+        if len(reps_p) < 2:
+            continue
+        for q, reps_q in enumerate(reps):
+            expected = matrix.evaluate(reps_p[0], reps_q[0])
+            for rp in reps_p:
+                for rq in reps_q:
+                    comparisons += 1
+                    got = matrix.evaluate(rp, rq)
+                    if got != expected:
+                        location = f"g(v{p}, v{q}) via z[{rp.edge}][{rq.edge}]"
+                        mismatches.append((location, expected, got))
+    return comparisons, mismatches
+
+
+def reference_tau(g):
+    lp = mg.pinv(g)
+    rows = lp.rows()
+    total = F(0)
+    for e in g.edges:
+        dt, dh = rows[e.tail][e.tail], rows[e.head][e.head]
+        r = dt - 2 * rows[e.tail][e.head] + dh
+        total += ((e.length - r) ** 2 + 3 * (dt - dh) ** 2) / (12 * e.length)
+    return total + lp.trace() / len(rows)
+
+
+def reference_green_at_vertices(g, divisor, p, q):
+    lp = mg.pinv(g)
+    weighted = sum(
+        (a * mg.voltage_at_vertices(lp, s, p, q) for s, a in enumerate(divisor.coefficients)),
+        F(0),
+    )
+    r = mg.resistance_at_vertices(lp, p, q)
+    return (weighted + 4 * reference_tau(g) - r) / (divisor.degree + 2) - mg.c_mu(g, divisor)
+
+
+COEFFICIENT_NAMES = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
+
+
+def perturbed(matrix, i, j, name, delta):
+    rows = [list(row) for row in matrix.entries]
+    entry = rows[i][j]
+    rows[i][j] = dataclasses.replace(entry, **{name: getattr(entry, name) + delta})
+    return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
+
+
+def assert_representation_check_matches_reference(g, divisor, matrix):
+    report = mg.check_representation_independence(g, divisor, matrix)
+    comparisons, mismatches = reference_representation_check(g, matrix)
+    assert report.comparisons == comparisons
+    assert [tuple(m) for m in report.mismatches] == mismatches
+    assert all(exact(m[1:]) == exact(r[1:]) for m, r in zip(report.mismatches, mismatches))
+    return report
+
+
+@common
+@given(repaired_graph_and_divisor(), st.data())
+def test_integer_checks_match_fraction_reference(gd, data):
+    g, divisor = gd
+    assert exact([mg.tau_constant(g)]) == exact([reference_tau(g)])
+    div = mg.network(g).divisor(divisor)
+    for p in range(g.n_vertices):
+        for q in range(g.n_vertices):
+            value = mg.potential.green_at_vertices(div, p, q)
+            assert exact([value]) == exact([reference_green_at_vertices(g, divisor, p, q)])
+    matrix = mg.value_matrix(g, divisor)
+    assert assert_representation_check_matches_reference(g, divisor, matrix).passed
+    edge = st.integers(min_value=0, max_value=g.n_edges - 1)
+    i, j = data.draw(edge), data.draw(edge)
+    name = data.draw(st.sampled_from(COEFFICIENT_NAMES))
+    delta = data.draw(st.sampled_from([F(1, 7), F(-2), F(5, 3)]))
+    assert_representation_check_matches_reference(
+        g, divisor, perturbed(matrix, i, j, name, delta)
+    )
+
+
+@pytest.mark.parametrize("name", ["cabs", "cxy"])
+@pytest.mark.parametrize("i,j", [(2, 2), (1, 3)], ids=["diagonal", "off-diagonal"])
+def test_perturbed_entry_gives_the_reference_mismatches(name, i, j):
+    g, divisor = build_banana(), mg.Divisor((1, 1, 0, 0))
+    matrix = perturbed(mg.value_matrix(g, divisor), i, j, name, F(1, 7))
+    report = assert_representation_check_matches_reference(g, divisor, matrix)
+    assert not report.passed
