@@ -5,9 +5,8 @@ value, so equal graphs share one ``Network``, and ``clear_caches`` empties
 it together with every derived quantity.  A ``Network`` computes each piece
 on first use: the Laplacian and its pseudoinverse, the tau constant, the
 per-edge data the resistance form reads, and the bridge bookkeeping that is
-only reported.  L+ is kept twice: as Fractions, and as one integer matrix
-over its common denominator D, which the per-edge data and every closed
-form read so that each output coefficient is built as one Fraction.
+only reported.  L+ is kept once, as integers over its least common
+denominator (``linalg.RationalMatrix``), which every formula reads.
 Divisor-dependent data (``r_D`` on every edge, ``c_mu``, the tau parts, the
 value matrix) hangs off one ``DivisorAnalysis`` per divisor.
 
@@ -54,14 +53,6 @@ class Network:
         from .linalg import pseudo_inverse
 
         return pseudo_inverse(self.laplacian)
-
-    @cached_property
-    def lplus_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """L+ as (D, N) with L+ = N / D: D its one common denominator and N
-        an integer matrix."""
-        from .linalg import integer_form
-
-        return integer_form(self.pinv)
 
     @cached_property
     def tau(self) -> Fraction:

@@ -101,7 +101,9 @@ class MetrizedGraph:
         norm = []
         for k, raw in enumerate(self.edges):
             tail, head, length = raw
-            if not (0 <= int(tail) < n and 0 <= int(head) < n):
+            if any(isinstance(end, bool) or not isinstance(end, int) for end in (tail, head)):
+                raise MetgraphError(f"edge {k}: a vertex index is an int, got {tail!r}, {head!r}")
+            if not (0 <= tail < n and 0 <= head < n):
                 raise MetgraphError(f"edge {k} references a vertex outside 0..{n - 1}")
             length = as_fraction(length, f"edge {k} length")
             if length <= 0:
@@ -178,7 +180,7 @@ class Divisor:
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
         for a in coeffs:
-            if a != int(a):
+            if isinstance(a, bool) or not isinstance(a, int):
                 raise MetgraphError(f"divisor coefficients must be integers, got {a!r}")
         object.__setattr__(self, "coefficients", tuple(int(a) for a in coeffs))
 

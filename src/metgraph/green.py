@@ -86,7 +86,7 @@ def _entry(net: Network, div: DivisorAnalysis, i: int, j: int) -> EdgePairFuncti
         Fraction(t.a1[j] - half * cy, t.den * ej.p),
         t.gxx[i],
         t.gxx[j],
-        Fraction(-cxy, 2 * net.lplus_ints[0] * ei.p * ej.p),
+        Fraction(-cxy, 2 * net.pinv.denominator * ei.p * ej.p),
     )
 
 

@@ -1,6 +1,6 @@
 """Dense exact-rational matrices, the discrete Laplacian and its pseudoinverse.
 
-Matrices hold ``fractions.Fraction`` entries and the pseudoinverse is
+Matrices are held as integers over one denominator and the pseudoinverse is
 eliminated in Python ints; there is no floating point anywhere, so
 equalities between computed matrices are meaningful.
 """
@@ -8,7 +8,7 @@ equalities between computed matrices are meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .analysis import network
@@ -17,13 +17,17 @@ from .graph import MetrizedGraph, as_fraction, require_adequate
 
 
 class RationalMatrix:
-    """Immutable dense matrix with Fraction entries.
-
-    Entries are read by ``graph.as_fraction``: ints, Fractions, or strings
-    holding an integer or ``p/q``.
+    """Immutable dense matrix of rationals: entry (i, j) is
+    ``numerators[i][j] / denominator``, a ``Fraction`` built only when read,
+    and ``denominator`` is the entries' least common denominator, so equal
+    matrices hold equal integers.  Entries are read by ``graph.as_fraction``:
+    ints, Fractions, or strings holding an integer or ``p/q``.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_denominator", "_numerators")
+
+    denominator = property(lambda self: self._denominator)
+    numerators = property(lambda self: self._numerators)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]):
         data = tuple(tuple(as_fraction(x, "matrix entry") for x in row) for row in rows)
@@ -32,64 +36,75 @@ class RationalMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("matrix rows have unequal lengths")
-        self._rows = data
+        den = self._denominator = lcm(*(x.denominator for row in data for x in row))
+        self._numerators = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in data
+        )
+
+    @classmethod
+    def _over(cls, den: int, numerators: Iterable[Iterable[int]]) -> "RationalMatrix":
+        """numerators / den, for den > 0, brought to lowest terms by one gcd."""
+        rows = tuple(map(tuple, numerators))
+        common = gcd(den, *(x for row in rows for x in row))
+        matrix = cls.__new__(cls)
+        matrix._denominator = den // common
+        matrix._numerators = tuple(tuple(x // common for x in row) for row in rows)
+        return matrix
 
     @property
     def n_rows(self) -> int:
-        return len(self._rows)
+        return len(self.numerators)
 
     @property
     def n_cols(self) -> int:
-        return len(self._rows[0])
+        return len(self.numerators[0])
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} matrix")
-        return self._rows[i][j]
+        return Fraction(self.numerators[i][j], self.denominator)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        return tuple(Fraction(x, self.denominator) for x in self.numerators[i])
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return tuple(self.row(i) for i in range(self.n_rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return (self.denominator, self.numerators) == (other.denominator, other.numerators)
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self.denominator, self.numerators))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows())
         return f"RationalMatrix({body})"
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("matrix shapes do not compose")
-        cols = tuple(zip(*other._rows))
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self._rows
-            )
+        cols = tuple(zip(*other.numerators))
+        return RationalMatrix._over(
+            self.denominator * other.denominator,
+            ([sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.numerators),
         )
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self._rows)))
+        return RationalMatrix._over(self.denominator, zip(*self.numerators))
 
     def trace(self) -> Fraction:
         if self.n_rows != self.n_cols:
             raise ValueError("trace needs a square matrix")
-        return sum((self._rows[i][i] for i in range(self.n_rows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self.numerators)), self.denominator)
 
     def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and self._rows == self.transpose()._rows
+        return self.n_rows == self.n_cols and self.numerators == tuple(zip(*self.numerators))
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self._rows)
+        return tuple(Fraction(sum(row), self.denominator) for row in self.numerators)
 
 
 def laplacian(g: MetrizedGraph) -> RationalMatrix:
@@ -110,32 +125,24 @@ def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
     return RationalMatrix(a)
 
 
-def integer_form(matrix: RationalMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, N) with matrix = N / d: d the lcm of the entries' denominators and
-    N the integer matrix of their numerators scaled to it."""
-    rows = matrix.rows()
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
-
-
 def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a Laplacian of a connected graph.
 
-    Scaled by the lcm s of its denominators, L is an integer matrix, and the
-    Laplacian checks run on it.  Grounding vertex 0 leaves A, which is
-    positive definite exactly when the graph is connected, and fraction-free
-    Gauss-Jordan elimination on [A | I] (Bareiss 1968) gives det A and the
-    adjugate B in integers, every division exact.  The grounded inverse
-    s B / det A, padded with a zero row and column, is a generalized inverse
-    G of L; centring it gives L+[i][j] = G[i][j] - m_i - m_j + mu, with m the
+    L is held as integers over its denominator s, and the Laplacian checks
+    run on them.  Grounding vertex 0 leaves A, which is positive definite
+    exactly when the graph is connected, and fraction-free Gauss-Jordan
+    elimination on [A | I] (Bareiss 1968) gives det A and the adjugate B in
+    integers, every division exact.  The grounded inverse s B / det A,
+    padded with a zero row and column, is a generalized inverse G of L;
+    centring it gives L+[i][j] = G[i][j] - m_i - m_j + mu, with m the
     row means of G and mu their mean.  Over the one denominator n^2 det A
     each entry is s (n^2 B[i][j] - n b_i - n b_j + b) / (n^2 det A), with b_i
-    the row sums of B and b their sum, and one Fraction is built per entry.
+    the row sums of B and b their sum; one gcd brings that to lowest terms.
 
     Any other matrix raises ``MetgraphError``: a Laplacian is symmetric, its
     off-diagonal entries are at most zero and its rows sum to zero.
     """
-    scale, ints = integer_form(matrix)
+    scale, ints = matrix.denominator, matrix.numerators
     if (
         ints != tuple(zip(*ints))
         or any(map(sum, ints))
@@ -146,8 +153,6 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
             "off-diagonal entries and zero row sums"
         )
     n = len(ints)
-    if n == 1:
-        return RationalMatrix([[0]])
     m = n - 1
     work = [[*row[1:]] + [0] * m for row in ints[1:]]
     # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
@@ -181,13 +186,10 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     adjugate = [[0] * n] + [[0] + row[m:] for row in work]
     sums = [sum(row) for row in adjugate]
     total = sum(sums)
-    den = n * n * det
-    return RationalMatrix(
-        [
-            Fraction(scale * (n * n * x - n * (si + sj) + total), den)
-            for x, sj in zip(row, sums)
-        ]
-        for row, si in zip(adjugate, sums)
+    return RationalMatrix._over(
+        n * n * det,
+        ([scale * (n * n * x - n * (si + sj) + total) for x, sj in zip(row, sums)]
+         for row, si in zip(adjugate, sums)),
     )
 
 
@@ -196,12 +198,20 @@ def pinv(g: MetrizedGraph) -> RationalMatrix:
     return network(g).pinv
 
 
+def _vertex_numerators(lplus: RationalMatrix, *vertices: int) -> tuple[tuple[int, ...], ...]:
+    if not all(0 <= v < lplus.n_rows for v in vertices):
+        raise IndexError(f"vertices {vertices} outside a {lplus.n_rows}-vertex matrix")
+    return lplus.numerators
+
+
 def resistance_at_vertices(lplus: RationalMatrix, p: int, q: int) -> Fraction:
     """Effective resistance between two vertices from the pseudoinverse."""
-    return lplus[p, p] - 2 * lplus[p, q] + lplus[q, q]
+    num = _vertex_numerators(lplus, p, q)
+    return Fraction(num[p][p] - 2 * num[p][q] + num[q][q], lplus.denominator)
 
 
 def voltage_at_vertices(lplus: RationalMatrix, s: int, p: int, q: int) -> Fraction:
     """Voltage j_s(p, q): potential at s when one unit of current enters at
     p and exits at q, grounded so the value vanishes at p and q themselves."""
-    return lplus[s, s] - lplus[s, p] - lplus[s, q] + lplus[p, q]
+    num = _vertex_numerators(lplus, s, p, q)
+    return Fraction(num[s][s] - num[s][p] - num[s][q] + num[p][q], lplus.denominator)

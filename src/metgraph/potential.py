@@ -6,16 +6,14 @@ edge pair the function extends as one closed form.  The same forms hold
 whether or not an edge is a bridge, so no bridge bookkeeping enters the
 computation; the connectivity matrix in ``graph`` is only reported.
 
-The forms read data that ``analysis.Network`` computes once per graph, in
-integers over the one common denominator D of the pseudoinverse,
-L+ = N / D: per edge its ends, its length p / q, the vertex resistance
-r / D between its ends, the vector a[s] = N[s, tail] - N[s, head], and
-w = (L - r) / L^2 and -w as Fractions.  Each voltage the pair form needs
-is one difference of two entries of an ``a`` vector.  Its x^2 and y^2
-coefficients are the edges' -w, and each other coefficient is one
-Fraction: an integer over D times length numerators, written once in
-``resistance_numerators``.  The value matrix in ``green`` reads the same
-integers, and the divisor's tau parts, kept over one denominator.
+The forms read L+ as it is held, N / D with D its least common denominator
+(``pinv.numerators`` over ``pinv.denominator``), and the per-edge data
+``analysis.Network`` computes once from it: per edge its ends, its length
+p / q, the vertex resistance r / D between its ends, the vector
+a[s] = N[s, tail] - N[s, head], and w = (L - r) / L^2 and -w as Fractions.
+Each voltage the pair form needs is one difference of two entries of an
+``a`` vector, and each coefficient but the quadratic ones is one Fraction,
+written once as integers in ``resistance_numerators``.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ def tau_of(net: Network) -> Fraction:
     terms are summed over the lcm of the p q, and the trace tr(N) / (n D)
     is the second of two Fractions.
     """
-    den, num = net.lplus_ints
+    den, num = net.pinv.denominator, net.pinv.numerators
     terms = []
     for e in net.graph.edges:
         dt, dh = num[e.tail][e.tail], num[e.head][e.head]
@@ -101,7 +99,7 @@ class EdgeData(NamedTuple):
 
 
 def edge_data(net: Network) -> tuple[EdgeData, ...]:
-    den, lp = net.lplus_ints
+    den, lp = net.pinv.denominator, net.pinv.numerators
     out = []
     for e in net.graph.edges:
         # L+ is symmetric, so the column difference is a row difference
@@ -163,7 +161,7 @@ def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, 
     a_j[t_j] - a_j[t_i], and the cross term is a_i[h_j] - a_i[t_j], each
     over D.
     """
-    den, lp = net.lplus_ints
+    den, lp = net.pinv.denominator, net.pinv.numerators
     ti, _, pi, qi, _, ai, _, _ = net.edges[i]
     tj, hj, pj, qj, _, aj, _, _ = net.edges[j]
     return (
@@ -187,7 +185,7 @@ def resistance_form(net: Network, i: int, j: int) -> EdgePairFunction:
     if i == j:
         return EdgePairFunction(i, j, cxx=ei.neg_w, cyy=ei.neg_w, cxy=2 * ei.w, cabs=_ONE)
     ej = net.edges[j]
-    den = net.lplus_ints[0]
+    den = net.pinv.denominator
     c0, cx, cy, cxy = resistance_numerators(net, i, j)
     return EdgePairFunction(
         i,
@@ -220,7 +218,7 @@ def green_at_vertices(div: DivisorAnalysis, p: int, q: int) -> Fraction:
     """
     c = div.c_mu  # rejects degree -2 before L+ is built
     tau = div.network.tau
-    den, num = div.network.lplus_ints
+    den, num = div.network.pinv.denominator, div.network.pinv.numerators
     divisor = div.divisor
     row_p, row_q = num[p], num[q]
     npq = row_p[q]
@@ -259,7 +257,7 @@ def r_D_at_vertices(div: DivisorAnalysis) -> tuple[int, ...]:
     divisor enters through one weighted sum of rows of the integer matrix
     N = D L+.
     """
-    num = div.network.lplus_ints[1]
+    num = div.network.pinv.numerators
     support = [(k, a) for k, a in enumerate(div.divisor.coefficients) if a]
     deg = div.divisor.degree
     base = sum(a * num[k][k] for k, a in support)
@@ -278,7 +276,7 @@ def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     slope comes out as +1 or -1.
     """
     deg = div.divisor.degree
-    den = div.network.lplus_ints[0]
+    den = div.network.pinv.denominator
     at = div.r_D_at_vertices
     return tuple(
         EdgeFunction(i, deg * e.neg_w, Fraction(k, den * e.p), Fraction(at[e.tail], den))
@@ -293,7 +291,7 @@ def r_D_slopes(div: DivisorAnalysis) -> tuple[int, ...]:
     L - r = (p D - q r) / (q D) in the integers of ``EdgeData``.
     """
     deg = div.divisor.degree
-    den = div.network.lplus_ints[0]
+    den = div.network.pinv.denominator
     at = div.r_D_at_vertices
     return tuple(
         deg * (e.p * den - e.q * e.r) + e.q * (at[e.head] - at[e.tail])
@@ -324,7 +322,7 @@ def c_mu_of(div: DivisorAnalysis) -> Fraction:
     deg = admissible_degree(div.network.graph, d)
     at = div.r_D_at_vertices
     weighted = sum(a * at[k] for k, a in enumerate(d.coefficients) if a)
-    pairs = Fraction(weighted, div.network.lplus_ints[0])
+    pairs = Fraction(weighted, div.network.pinv.denominator)
     return (8 * div.network.tau * (deg + 1) + pairs) / (2 * (deg + 2) ** 2)
 
 
@@ -352,7 +350,7 @@ def tau_parts(div: DivisorAnalysis) -> TauParts:
     net = div.network
     scale = admissible_degree(net.graph, div.divisor) + 2
     shift = 4 * net.tau / scale - div.c_mu
-    den = net.lplus_ints[0]
+    den = net.pinv.denominator
     # the halves of r_D are over 2 (deg + 2) D and 2 (deg + 2) D p
     t = lcm(shift.denominator, 2 * scale * den)
     k = t // (2 * scale * den)

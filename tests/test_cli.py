@@ -1,6 +1,9 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,8 @@ F = Fraction
 
 GRAPHS = Path(__file__).parent.parent / "graphs"
 POINTS = Path(__file__).parent / "data" / "oracle_points"
+
+SRC = Path(mg.__file__).resolve().parent.parent
 
 CIRCLE = str(GRAPHS / "circle.json")
 BANANA = str(GRAPHS / "banana.json")
@@ -389,3 +394,27 @@ class TestRendering:
     def test_format_entry_signs(self):
         entry = mg.EdgePairFunction(0, 0, c0=F(-1, 2), cx=F(1, 3), cabs=F(-2))
         assert format_entry(entry) == "-1/2 + 1/3*x - 2*|x-y|"
+
+
+class TestModuleEntryPoints:
+    # without the installed ``metgraph`` script the CLI is reached through
+    # ``python -m``; a wrong invocation must not look like a silent success
+    @pytest.mark.parametrize("module", ["metgraph", "metgraph.cli"])
+    def test_python_dash_m_runs_the_cli(self, module, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+
+        def run_module(*args):
+            return subprocess.run(
+                [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
+            )
+
+        ok = run_module("check", CIRCLE)
+        assert ok.returncode == 0
+        assert ok.stdout.splitlines() == [
+            "representation independence: PASS (36 comparisons)",
+            "vertex formula: PASS (9 comparisons)",
+        ]
+        missing = run_module("check", str(tmp_path / "missing.json"))
+        assert missing.returncode == 2
+        assert missing.stdout == ""
+        assert "error:" in missing.stderr

@@ -69,6 +69,14 @@ class TestConstruction:
         with pytest.raises(mg.MetgraphError):
             mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 2, 1),))
 
+    @pytest.mark.parametrize(
+        "edge", [(0.9, 1, 1), (0, True, 1), ("1", 0, 1)], ids=["float", "bool", "string"]
+    )
+    def test_endpoint_must_be_an_int(self, edge):
+        # int() would truncate 0.9 to vertex 0 and read True and "1" as vertex 1
+        with pytest.raises(mg.MetgraphError, match="vertex index"):
+            mg.MetrizedGraph(("a", "b"), (edge,))
+
     def test_empty_rejected(self):
         with pytest.raises(mg.MetgraphError):
             mg.MetrizedGraph((), ())
@@ -339,6 +347,15 @@ class TestDivisor:
     def test_non_integer_rejected(self):
         with pytest.raises(mg.MetgraphError):
             mg.Divisor((Fraction(1, 2),))
+
+    @pytest.mark.parametrize(
+        "coefficient",
+        ["x", None, 1.0, True, Fraction(2)],
+        ids=["string", "none", "float", "bool", "fraction"],
+    )
+    def test_coefficient_must_be_an_int(self, coefficient):
+        with pytest.raises(mg.MetgraphError, match="must be integers"):
+            mg.Divisor((1, coefficient))
 
 
 class TestPoints:

@@ -11,6 +11,7 @@ import ast
 import gc
 import hashlib
 import importlib
+import math
 import os
 import random
 import subprocess
@@ -193,6 +194,50 @@ def test_oracle_refinement_pseudoinverses_are_frozen():
             digest.update(b"\n" + " ".join(map(str, row)).encode())
     assert len(refinements) == 31
     assert digest.hexdigest() == FROZEN_REFINEMENT_LPLUS_DIGEST
+
+
+def test_pseudoinverse_is_held_in_lowest_terms():
+    # L+ is one integer matrix over the least common denominator of its
+    # entries, the one form every formula reads
+    cases = [(f"grid {k}", *seeded_grid(k, 0)) for k in (3, 4, 5, 6)] + standing_graphs()
+    for name, g, _ in cases:
+        lp = mg.pinv(g)
+        assert math.gcd(lp.denominator, *(x for row in lp.numerators for x in row)) == 1, name
+        assert lp.denominator == math.lcm(*(x.denominator for row in lp.rows() for x in row)), name
+        rebuilt = mg.RationalMatrix(lp.rows())
+        assert rebuilt == lp and hash(rebuilt) == hash(lp), name
+
+
+def test_no_formula_reads_a_fraction_entry_of_lplus(monkeypatch):
+    # every result on L+ reads its integers; with the Fraction accessors
+    # raising, a fresh analysis must give the same answers
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    x, y = mg.GraphPoint(0, F(1, 3)), mg.GraphPoint(1, F(7, 9))
+
+    def results():
+        mg.clear_caches()
+        matrix = mg.value_matrix(g, d)
+        return (
+            mg.tau_constant(g),
+            [mg.r_D_on_edge(g, d, i) for i in range(g.n_edges)],
+            matrix,
+            mg.check_representation_independence(g, d, matrix),
+            mg.check_vertex_formula(g, d, matrix),
+            mg.epsilon_via_green(g, d),
+            mg.epsilon_via_resistance(g, d),
+            mg.oracle_resistance(g, x, y),
+            mg.oracle_green(g, d, x, y),
+        )
+
+    expected = results()
+
+    def fraction_entry(*args, **kwargs):
+        raise AssertionError("a Fraction entry of a matrix was read")
+
+    for name in ("__getitem__", "row", "rows"):
+        monkeypatch.setattr(mg.RationalMatrix, name, fraction_entry)
+    assert results() == expected
+    assert expected[3].passed and expected[4].passed
 
 
 def test_traced_layer_functions_exist(monkeypatch):
