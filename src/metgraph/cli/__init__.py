@@ -7,6 +7,10 @@ command to a single JSON document on stdout.
 
 Exit codes: 0 on success, 1 when a consistency or oracle comparison fails,
 2 on any input error, a graph over the size bound included.
+
+``cli`` is a package so that ``python -m metgraph.cli`` runs its
+``__main__`` module: the ``metgraph`` package imports ``cli``, and runpy
+warns when a plain module it is asked to run is imported already.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .errors import GraphFormatError, MetgraphError
-from .graph import (
+from ..errors import GraphFormatError, MetgraphError
+from ..graph import (
     Divisor,
     Edge,
     GraphPoint,
@@ -29,21 +33,18 @@ from .graph import (
     bridges,
     validate_adequate,
 )
-from .green import EdgePairFunction, evaluate_green, value_matrix
-from .invariants import (
-    check_representation_independence,
-    check_vertex_formula,
-    epsilon_via_green,
-    epsilon_via_resistance,
-)
-from .linalg import laplacian, pinv
-from .oracle import subdivide_at_points
-from .potential import resistance_point, tau_constant
+from ..green import EdgePairFunction, evaluate_green, value_matrix
+from ..invariants import _check_reports, epsilon_via_green, epsilon_via_resistance
+from ..linalg import laplacian, pinv
+from ..oracle import subdivide_at_points
+from ..potential import resistance_point, tau_constant
 
 
 # The largest graph a command accepts.  At the bound, a seeded graph of 100
-# vertices and 200 edges takes about 3.5 s for ``check`` and 2 s for
-# ``epsilon`` (2-core Intel Xeon, Python 3.11), and the cost of the value
+# vertices and 200 edges takes about 1.4 s of CPU time for ``check`` and
+# 1.0 s for ``epsilon``, and a seeded 10x10 grid 1.0 s for ``check``
+# (2.5 s before value-matrix entries were held as integers over one
+# denominator; 2-core Intel Xeon, Python 3.11).  The cost of the value
 # matrix grows with the square of the edge count.
 MAX_VERTICES = 100
 MAX_EDGES = 200
@@ -353,10 +354,7 @@ def _cmd_epsilon(g, divisor, args) -> int:
 
 
 def _cmd_check(g, divisor, args) -> int:
-    reports = [
-        check_representation_independence(g, divisor),
-        check_vertex_formula(g, divisor),
-    ]
+    reports = _check_reports(g, divisor)
     doc = {
         "command": "check",
         "reports": [
@@ -542,7 +540,3 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

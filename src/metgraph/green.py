@@ -12,9 +12,10 @@ Each entry is the tau function minus half the point resistance, combined in
 integers: the divisor's tau parts are numerators over one denominator T,
 and r's coefficients are the numerators of
 ``potential.resistance_numerators`` over the common denominator D of L+, of
-which T is a multiple.  So every coefficient but the quadratic ones is one
-Fraction; the x^2 and y^2 coefficients are one shared Fraction per edge and
-divisor, and the |x - y| coefficient of a diagonal entry is -1/2.
+which T is a multiple.  An entry holds its seven coefficients as integers
+over T p_i^2 p_j^2 (over T p_i^2 on the diagonal), so the matrix is built
+and checked without a Fraction; one is made only when a coefficient or a
+value is read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING
 from .analysis import network
 from .errors import MetgraphError
 from .graph import Divisor, GraphPoint, MetrizedGraph, validate_point
-from .potential import EdgePairFunction, resistance_numerators
+from .potential import EdgePairFunction, resistance_numerators, same_values
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -59,34 +60,51 @@ class ValueMatrix:
         return self.entries[x.edge][y.edge](x.offset, y.offset)
 
 
-_MINUS_HALF = Fraction(-1, 2)
-
-
 def _entry(net: Network, div: DivisorAnalysis, i: int, j: int) -> EdgePairFunction:
     """The closed form for one ordered edge pair: the tau function on the
     pair minus half the point resistance.  Neither part depends on whether
     an edge is a bridge; the connectivity matrix is only reported.
 
     On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
-    so there g's x y and |x - y| coefficients are -w and -1/2."""
+    so there g's x y and |x - y| coefficients are -w and -1/2.  With
+    w = W / (D p^2) both quadratic terms are W w_scale over T p^2."""
     t = div.tau_parts
     ei = net.edges[i]
-    if i == j:
-        cx = Fraction(t.a1[i], t.den * ei.p)
-        c0 = Fraction(t.shift + 2 * t.a0[i], t.den)
-        return EdgePairFunction(i, j, c0, cx, cx, t.gxx[i], t.gxx[i], ei.neg_w, _MINUS_HALF)
-    ej = net.edges[j]
-    c0, cx, cy, cxy = resistance_numerators(net, i, j)
+    pi = ei.p
     half = t.r_half
-    return EdgePairFunction(
+    if i == j:
+        pp = pi * pi
+        cx, cxx = t.a1[i] * pi, ei.w * t.w_scale
+        return EdgePairFunction._over(
+            i,
+            j,
+            t.den * pp,
+            (
+                (t.shift + 2 * t.a0[i]) * pp,
+                cx,
+                cx,
+                cxx,
+                cxx,
+                -2 * half * ei.w,
+                -half * net.pinv.denominator * pp,
+            ),
+        )
+    ej = net.edges[j]
+    pj = ej.p
+    c0, cx, cy, cxy = resistance_numerators(net, i, j)
+    return EdgePairFunction._over(
         i,
         j,
-        Fraction(t.shift + t.a0[i] + t.a0[j] - half * c0, t.den),
-        Fraction(t.a1[i] - half * cx, t.den * ei.p),
-        Fraction(t.a1[j] - half * cy, t.den * ej.p),
-        t.gxx[i],
-        t.gxx[j],
-        Fraction(-cxy, 2 * net.pinv.denominator * ei.p * ej.p),
+        t.den * pi * pi * pj * pj,
+        (
+            (t.shift + t.a0[i] + t.a0[j] - half * c0) * pi * pi * pj * pj,
+            (t.a1[i] - half * cx) * pi * pj * pj,
+            (t.a1[j] - half * cy) * pi * pi * pj,
+            ei.w * t.w_scale * pj * pj,
+            ej.w * t.w_scale * pi * pi,
+            -half * cxy * pi * pj,
+            0,
+        ),
     )
 
 
@@ -104,8 +122,9 @@ def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
     for i in range(m):
         for j in range(i, m):
             zij, zji = entries[i][j], entries[j][i]
-            mirrored = (zji.c0, zji.cy, zji.cx, zji.cyy, zji.cxx, zji.cxy, zji.cabs)
-            if zij.coefficients() != mirrored:
+            c0, cx, cy, cxx, cyy, cxy, cabs = zji.numerators
+            mirrored = (c0, cy, cx, cyy, cxx, cxy, cabs)
+            if not same_values(zij.denominator, zij.numerators, zji.denominator, mirrored):
                 raise MetgraphError(f"asymmetric entry pair ({i}, {j})")
     return ValueMatrix(div.divisor, entries)
 

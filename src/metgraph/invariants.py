@@ -6,12 +6,14 @@ constant and pairwise resistances.  Agreement of the two is itself a strong
 correctness check, so neither route is ever expressed through the other.
 
 The two consistency checks test a value matrix and read nothing of how it
-was built.  The representation check reads only the entries' coefficients:
-it evaluates each entry at its four corners in integers and compares every
-corner with the value at the canonical descriptions of its two vertices,
-which ``EdgePairFunction.__call__`` gives.  The vertex-formula check
-compares that call at every vertex pair with ``green_at_vertices``, which
-reads L+, tau and c_mu and no per-edge data or closed form.
+was built: only the integers each entry holds, the edge lengths and
+``green_ratio_at_vertices``, which reads L+, tau and c_mu and no per-edge
+data or closed form.  Both evaluate the entries themselves, in integers,
+and build a Fraction only for a mismatch.  Both compare against the value
+at the canonical descriptions of each vertex pair, so they share one table
+of those values.  The representation check evaluates each entry at its
+four corners and compares every corner with that table; the
+vertex-formula check compares the table with the direct formula.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
 from .errors import MetgraphError
@@ -33,7 +34,15 @@ from .graph import (
     representations,
 )
 from .green import ValueMatrix, value_matrix
-from .potential import EdgePairFunction, green_at_vertices, tau_constant, vertex_resistance
+from .potential import (
+    EdgePairFunction,
+    green_ratio_at_vertices,
+    tau_constant,
+    vertex_resistance,
+)
+
+if TYPE_CHECKING:
+    from .analysis import DivisorAnalysis
 
 
 def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = None) -> Fraction:
@@ -89,32 +98,45 @@ class CheckReport:
         return not self.mismatches
 
 
-def _corner_numerators(
-    entry: EdgePairFunction, li: Fraction, lj: Fraction
-) -> tuple[int, tuple[int, int, int, int]]:
-    """An entry's values at its corners (0, 0), (L_i, 0), (0, L_j) and
-    (L_i, L_j), as integer numerators over one denominator.
+def _numerators(
+    entry: EdgePairFunction, u: int, xs: tuple[int, ...], v: int, ys: tuple[int, ...]
+) -> tuple[int, list[int]]:
+    """An entry's values at x = X / u and y = Y / v, for every X in ``xs``
+    and Y in ``ys``, as integer numerators over one denominator.
 
-    It reads the entry's coefficients, not how they were built: over their
-    lcm M they are integers C, and with x = X / u, y = Y / v each value is
-    C0 u^2 v^2 + Cx X u v^2 + Cy Y u^2 v + Cxx X^2 v^2 + Cyy Y^2 u^2
-    + Cxy X Y u v + Cabs |X v - Y u| u v over M u^2 v^2.
+    It reads the integers the entry holds, not how they were built: with
+    C its numerators over E, each value is C0 u^2 v^2 + Cx X u v^2
+    + Cy Y u^2 v + Cxx X^2 v^2 + Cyy Y^2 u^2 + Cxy X Y u v
+    + Cabs |X v - Y u| u v over E u^2 v^2.
     """
-    coeffs = entry.coefficients()
-    m = lcm(*[c.denominator for c in coeffs])
-    c0, cx, cy, cxx, cyy, cxy, cabs = [c.numerator * (m // c.denominator) for c in coeffs]
-    u, v = li.denominator, lj.denominator
+    c0, cx, cy, cxx, cyy, cxy, cabs = entry.numerators
     uu, vv, uv = u * u, v * v, u * v
-    values = []
-    for x in (0, li.numerator):
-        for y in (0, lj.numerator):
-            values.append(
-                c0 * uu * vv
-                + (cx * u + cxx * x) * x * vv
-                + (cy * v + cyy * y) * y * uu
-                + (cxy * x * y + cabs * abs(x * v - y * u)) * uv
-            )
-    return m * uu * vv, tuple(values)
+    base = c0 * uu * vv
+    values = [
+        base
+        + (cx * u + cxx * x) * x * vv
+        + (cy * v + cyy * y) * y * uu
+        + (cxy * x * y + cabs * abs(x * v - y * u)) * uv
+        for x in xs
+        for y in ys
+    ]
+    return entry.denominator * uu * vv, values
+
+
+def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int, int]]]:
+    """The matrix's value at the canonical descriptions of every vertex
+    pair, as (numerator, denominator)."""
+    points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
+    table = []
+    for x in points:
+        row = matrix.entries[x.edge]
+        u, xs = x.offset.denominator, (x.offset.numerator,)
+        values = []
+        for y in points:
+            den, (num,) = _numerators(row[y.edge], u, xs, y.offset.denominator, (y.offset.numerator,))
+            values.append((num, den))
+        table.append(values)
+    return table
 
 
 def _check_matrix(g: MetrizedGraph, divisor: Divisor, matrix: ValueMatrix | None) -> ValueMatrix:
@@ -144,32 +166,7 @@ def check_representation_independence(
     only for a mismatch, and mismatches are reported in vertex-pair order.
     """
     matrix = _check_matrix(g, divisor, matrix)
-    reps = [representations(g, v) for v in range(g.n_vertices)]
-    expected = [
-        [matrix.evaluate(reps_p[0], reps_q[0]).as_integer_ratio() for reps_q in reps]
-        if len(reps_p) > 1
-        else None
-        for reps_p in reps
-    ]
-    comparisons = 0
-    mismatches = []
-    for i, ei in enumerate(g.edges):
-        for j, ej in enumerate(g.edges):
-            den, values = _corner_numerators(matrix.entries[i][j], ei.length, ej.length)
-            ends = product(((0, ei.tail), (1, ei.head)), ((0, ej.tail), (1, ej.head)))
-            for ((a, p), (b, q)), num in zip(ends, values):
-                row = expected[p]
-                if row is None:
-                    continue
-                comparisons += 1
-                want, over = row[q]
-                if num * over != want * den:
-                    location = f"g(v{p}, v{q}) via z[{i}][{j}]"
-                    found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
-                    mismatches.append(((p, q, i, a, j, b), found))
-    # the keys are unique: order by vertex pair, then by the two descriptions
-    ordered = tuple(m for _, m in sorted(mismatches))
-    return CheckReport("representation independence", comparisons, ordered)
+    return _representation_report(g, matrix, _vertex_table(g, matrix))
 
 
 def check_vertex_formula(
@@ -179,18 +176,64 @@ def check_vertex_formula(
 
     The direct value is (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg + 2)
     minus the normalization constant, computed without any edge functions
-    by ``potential.green_at_vertices``.
+    by ``potential.green_ratio_at_vertices``.  Values are compared by
+    cross-multiplication.
     """
     matrix = _check_matrix(g, divisor, matrix)
-    div = network(g).divisor(divisor)
-    points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
+    return _vertex_formula_report(network(g).divisor(divisor), _vertex_table(g, matrix))
+
+
+def _check_reports(g: MetrizedGraph, divisor: Divisor) -> tuple[CheckReport, CheckReport]:
+    """Both checks of the value matrix of ``g`` and ``divisor``, on one
+    table of canonical vertex-pair values."""
+    matrix = _check_matrix(g, divisor, None)
+    table = _vertex_table(g, matrix)
+    return (
+        _representation_report(g, matrix, table),
+        _vertex_formula_report(network(g).divisor(divisor), table),
+    )
+
+
+def _representation_report(
+    g: MetrizedGraph, matrix: ValueMatrix, table: list[list[tuple[int, int]]]
+) -> CheckReport:
+    valence = [len(representations(g, v)) for v in range(g.n_vertices)]
     comparisons = 0
     mismatches = []
-    for p, rp in enumerate(points):
-        for q, rq in enumerate(points):
-            comparisons += 1
-            direct = green_at_vertices(div, p, q)
-            got = matrix.evaluate(rp, rq)
-            if got != direct:
-                mismatches.append(CheckMismatch(f"g(v{p}, v{q})", direct, got))
-    return CheckReport("vertex formula", comparisons, tuple(mismatches))
+    for i, ei in enumerate(g.edges):
+        li = ei.length
+        for j, ej in enumerate(g.edges):
+            lj = ej.length
+            den, values = _numerators(
+                matrix.entries[i][j],
+                li.denominator,
+                (0, li.numerator),
+                lj.denominator,
+                (0, lj.numerator),
+            )
+            ends = product(((0, ei.tail), (1, ei.head)), ((0, ej.tail), (1, ej.head)))
+            for ((a, p), (b, q)), num in zip(ends, values):
+                if valence[p] < 2:
+                    continue
+                comparisons += 1
+                want, over = table[p][q]
+                if num * over != want * den:
+                    location = f"g(v{p}, v{q}) via z[{i}][{j}]"
+                    found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
+                    mismatches.append(((p, q, i, a, j, b), found))
+    # the keys are unique: order by vertex pair, then by the two descriptions
+    ordered = tuple(m for _, m in sorted(mismatches))
+    return CheckReport("representation independence", comparisons, ordered)
+
+
+def _vertex_formula_report(
+    div: DivisorAnalysis, table: list[list[tuple[int, int]]]
+) -> CheckReport:
+    mismatches = []
+    for p, row in enumerate(table):
+        for q, (num, den) in enumerate(row):
+            want, over = green_ratio_at_vertices(div, p, q)
+            if num * over != want * den:
+                found = CheckMismatch(f"g(v{p}, v{q})", Fraction(want, over), Fraction(num, den))
+                mismatches.append(found)
+    return CheckReport("vertex formula", len(table) ** 2, tuple(mismatches))

@@ -10,17 +10,19 @@ The forms read L+ as it is held, N / D with D its least common denominator
 (``pinv.numerators`` over ``pinv.denominator``), and the per-edge data
 ``analysis.Network`` computes once from it: per edge its ends, its length
 p / q, the vertex resistance r / D between its ends, the vector
-a[s] = N[s, tail] - N[s, head], and w = (L - r) / L^2 and -w as Fractions.
-Each voltage the pair form needs is one difference of two entries of an
-``a`` vector, and each coefficient but the quadratic ones is one Fraction,
-written once as integers in ``resistance_numerators``.
+a[s] = N[s, tail] - N[s, head], and W = (p D - q r) q, which is
+w = (L - r) / L^2 over D p^2.  Each voltage the pair form needs is one
+difference of two entries of an ``a`` vector.  An ``EdgePairFunction``
+holds its coefficients as integers over one denominator, so the pair form
+is built, and evaluated, in integers: its coefficients are the numerators
+of ``resistance_numerators`` and the W of its two edges, over D p_i^2 p_j^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -29,6 +31,7 @@ from .graph import (
     GraphPoint,
     MetrizedGraph,
     admissible_degree,
+    as_fraction,
     validate_point,
 )
 from .linalg import resistance_at_vertices
@@ -46,10 +49,6 @@ def vertex_resistance(g: MetrizedGraph, p: int, q: int) -> Fraction:
 def tau_constant(g: MetrizedGraph) -> Fraction:
     """The tau constant of the graph, computed once per graph."""
     return network(g).tau
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def tau_of(net: Network) -> Fraction:
@@ -86,7 +85,8 @@ def tau_of(net: Network) -> Fraction:
 class EdgeData(NamedTuple):
     """One edge as the resistance forms read it, with L+ = N / D: length
     p / q, vertex resistance r / D between its ends, the integer vector
-    a[s] = N[s, tail] - N[s, head], and w = (L - r) / L^2 and -w."""
+    a[s] = N[s, tail] - N[s, head], and W = (p D - q r) q, which is
+    w = (L - r) / L^2 over D p^2."""
 
     tail: int
     head: int
@@ -94,8 +94,7 @@ class EdgeData(NamedTuple):
     q: int
     r: int
     a: tuple[int, ...]
-    w: Fraction
-    neg_w: Fraction
+    w: int
 
 
 def edge_data(net: Network) -> tuple[EdgeData, ...]:
@@ -106,44 +105,95 @@ def edge_data(net: Network) -> tuple[EdgeData, ...]:
         a = tuple(x - y for x, y in zip(lp[e.tail], lp[e.head]))
         r = a[e.tail] - a[e.head]
         p, q = e.length.numerator, e.length.denominator
-        # (p/q - r/D) / (p/q)^2
-        w = Fraction((p * den - q * r) * q, den * p * p)
-        out.append(EdgeData(e.tail, e.head, p, q, r, a, w, -w))
+        out.append(EdgeData(e.tail, e.head, p, q, r, a, (p * den - q * r) * q))
     return tuple(out)
 
 
-@dataclass(frozen=True)
+_TERMS = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
+
+
 class EdgePairFunction:
     """A closed form in x on edge i and y on edge j.
 
     Coefficients over the basis {1, x, y, x^2, y^2, x*y, |x - y|}; the
-    absolute-value coefficient can be nonzero only when i == j.
+    absolute-value coefficient can be nonzero only when i == j.  They are
+    held, read-only, as the integers ``numerators`` over one positive
+    ``denominator``, which need not be the least; a coefficient is a reduced
+    Fraction built only when read, through ``coefficients()`` or its name
+    ``c0`` ... ``cabs``.  The constructor takes ints, Fractions and ``p/q``
+    strings; equality and hash go by value.
     """
 
-    i: int
-    j: int
-    c0: Fraction = _ZERO
-    cx: Fraction = _ZERO
-    cy: Fraction = _ZERO
-    cxx: Fraction = _ZERO
-    cyy: Fraction = _ZERO
-    cxy: Fraction = _ZERO
-    cabs: Fraction = _ZERO
+    __slots__ = ("_i", "_j", "_denominator", "_numerators")
+
+    i = property(lambda self: self._i)
+    j = property(lambda self: self._j)
+    denominator = property(lambda self: self._denominator)
+    numerators = property(lambda self: self._numerators)
+    # one property per coefficient, each a Fraction made when read
+    c0, cx, cy, cxx, cyy, cxy, cabs = (
+        property(lambda self, k=k: Fraction(self._numerators[k], self._denominator))
+        for k in range(len(_TERMS))
+    )
+
+    def __init__(self, i: int, j: int, c0=0, cx=0, cy=0, cxx=0, cyy=0, cxy=0, cabs=0):
+        coeffs = [as_fraction(c, "coefficient") for c in (c0, cx, cy, cxx, cyy, cxy, cabs)]
+        den = lcm(*(c.denominator for c in coeffs))
+        self._i, self._j, self._denominator = i, j, den
+        self._numerators = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+    @classmethod
+    def _over(cls, i: int, j: int, den: int, numerators: tuple[int, ...]) -> EdgePairFunction:
+        """The seven ``numerators`` over den > 0, taken as they are."""
+        entry = cls.__new__(cls)
+        entry._i, entry._j, entry._denominator, entry._numerators = i, j, den, numerators
+        return entry
 
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        # Horner form; a vertex sits at offset 0 or at the length, so a zero
+        # with x = X / u and y = Y / v the value is an integer over
+        # D u^2 v^2; a vertex sits at offset 0 or at the length, so a zero
         # offset is common and its terms are skipped
-        value = self.c0
-        if y:
-            value += (self.cy + self.cyy * y) * y
-        if x:
-            value += (self.cx + self.cxx * x + self.cxy * y) * x
-        if self.cabs:
-            value += self.cabs * abs(x - y)
-        return value
+        c0, cx, cy, cxx, cyy, cxy, cabs = self._numerators
+        X, u = x.numerator, x.denominator
+        Y, v = y.numerator, y.denominator
+        uu, vv = u * u, v * v
+        value = c0 * uu * vv
+        if Y:
+            value += (cy * v + cyy * Y) * Y * uu
+        if X:
+            value += ((cx * u + cxx * X) * vv + cxy * Y * u * v) * X
+        if cabs:
+            value += cabs * abs(X * v - Y * u) * u * v
+        return Fraction(value, self._denominator * uu * vv)
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return (self.c0, self.cx, self.cy, self.cxx, self.cyy, self.cxy, self.cabs)
+        den = self._denominator
+        return tuple(Fraction(c, den) for c in self._numerators)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgePairFunction):
+            return NotImplemented
+        return (self._i, self._j) == (other._i, other._j) and same_values(
+            self._denominator, self._numerators, other._denominator, other._numerators
+        )
+
+    def __hash__(self) -> int:
+        # over the least common denominator, equal values hold equal integers
+        common = gcd(self._denominator, *self._numerators)
+        lowest = tuple(c // common for c in self._numerators)
+        return hash((self._i, self._j, self._denominator // common, lowest))
+
+    def __repr__(self) -> str:
+        terms = ", ".join(f"{name}={c!r}" for name, c in zip(_TERMS, self.coefficients()))
+        return f"EdgePairFunction(i={self._i!r}, j={self._j!r}, {terms})"
+
+
+def same_values(den_a: int, a: tuple[int, ...], den_b: int, b: tuple[int, ...]) -> bool:
+    """Whether the numerators a over den_a and b over den_b hold the same
+    rationals, term by term."""
+    if den_a == den_b:
+        return a == b
+    return all(x * den_b == y * den_a for x, y in zip(a, b))
 
 
 def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, int]:
@@ -162,8 +212,8 @@ def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, 
     over D.
     """
     den, lp = net.pinv.denominator, net.pinv.numerators
-    ti, _, pi, qi, _, ai, _, _ = net.edges[i]
-    tj, hj, pj, qj, _, aj, _, _ = net.edges[j]
+    ti, _, pi, qi, _, ai, _ = net.edges[i]
+    tj, hj, pj, qj, _, aj, _ = net.edges[j]
     return (
         lp[ti][ti] - 2 * lp[ti][tj] + lp[tj][tj],
         den * pi - 2 * qi * (ai[ti] - ai[tj]),
@@ -179,23 +229,30 @@ def resistance_form(net: Network, i: int, j: int) -> EdgePairFunction:
     the quadratic of ``resistance_numerators``.  Neither form depends on
     whether an edge is a bridge: there r(tail, head) equals the length, so
     the quadratic terms vanish and the voltages supply the piecewise-linear
-    slopes.
+    slopes.  With w = W / (D p^2) the coefficients are integers over D p^2
+    on one edge and over D p_i^2 p_j^2 on two.
     """
     ei = net.edges[i]
-    if i == j:
-        return EdgePairFunction(i, j, cxx=ei.neg_w, cyy=ei.neg_w, cxy=2 * ei.w, cabs=_ONE)
-    ej = net.edges[j]
     den = net.pinv.denominator
+    if i == j:
+        pp = ei.p * ei.p
+        return EdgePairFunction._over(i, j, den * pp, (0, 0, 0, -ei.w, -ei.w, 2 * ei.w, den * pp))
+    ej = net.edges[j]
+    pi, pj = ei.p, ej.p
     c0, cx, cy, cxy = resistance_numerators(net, i, j)
-    return EdgePairFunction(
+    return EdgePairFunction._over(
         i,
         j,
-        Fraction(c0, den),
-        Fraction(cx, den * ei.p),
-        Fraction(cy, den * ej.p),
-        ei.neg_w,
-        ej.neg_w,
-        Fraction(cxy, den * ei.p * ej.p),
+        den * pi * pi * pj * pj,
+        (
+            c0 * pi * pi * pj * pj,
+            cx * pi * pj * pj,
+            cy * pi * pi * pj,
+            -ei.w * pj * pj,
+            -ej.w * pi * pi,
+            cxy * pi * pj,
+            0,
+        ),
     )
 
 
@@ -207,14 +264,21 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
 
 
 def green_at_vertices(div: DivisorAnalysis, p: int, q: int) -> Fraction:
-    """The Green function between vertices p and q, from its defining formula.
+    """The Green function between vertices p and q, from its defining formula;
+    see ``green_ratio_at_vertices``."""
+    return Fraction(*green_ratio_at_vertices(div, p, q))
+
+
+def green_ratio_at_vertices(div: DivisorAnalysis, p: int, q: int) -> tuple[int, int]:
+    """The Green function between vertices p and q as (numerator,
+    denominator), from its defining formula.
 
     (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg D + 2) - c_mu, read off
     the pseudoinverse with no edge closed form, so it can check them.  With
     L+ = N / D the voltage j_s(p, q) is (N_ss - N_sp - N_sq + N_pq) / D and
     r(p, q) is (N_pp - 2 N_pq + N_qq) / D, so the pair's part is one
-    integer over D (deg D + 2).  With the constant 4 tau / (deg D + 2) - c_mu
-    brought over the same denominator, the value is one Fraction.
+    integer over D (deg D + 2).  The constant 4 tau / (deg D + 2) - c_mu is
+    brought over the same denominator, which need not be the least.
     """
     c = div.c_mu  # rejects degree -2 before L+ is built
     tau = div.network.tau
@@ -232,7 +296,7 @@ def green_at_vertices(div: DivisorAnalysis, p: int, q: int) -> Fraction:
     # pair / (D scale) + (4 tau - scale c) / scale, over D scale tau_den c_den
     td, cd = tau.denominator, c.denominator
     shift = 4 * tau.numerator * cd - scale * c.numerator * td
-    return Fraction(pair * td * cd + den * shift, den * scale * td * cd)
+    return pair * td * cd + den * shift, den * scale * td * cd
 
 
 @dataclass(frozen=True)
@@ -279,7 +343,12 @@ def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     den = div.network.pinv.denominator
     at = div.r_D_at_vertices
     return tuple(
-        EdgeFunction(i, deg * e.neg_w, Fraction(k, den * e.p), Fraction(at[e.tail], den))
+        EdgeFunction(
+            i,
+            Fraction(-deg * e.w, den * e.p * e.p),
+            Fraction(k, den * e.p),
+            Fraction(at[e.tail], den),
+        )
         for i, (e, k) in enumerate(zip(div.network.edges, r_D_slopes(div)))
     )
 
@@ -327,22 +396,23 @@ def c_mu_of(div: DivisorAnalysis) -> Fraction:
 
 
 class TauParts(NamedTuple):
-    """The tau function's pieces as numerators over one denominator T.
+    """The tau function's pieces as numerators over one denominator T, a
+    multiple of 2 (deg + 2) D.
 
     ``shift`` is the constant 4 tau / (deg + 2) - c_mu over T; per edge,
     ``a0`` and ``a1`` are the constant and linear terms of
     r_D / (2 (deg + 2)) over T and T p.  ``r_half`` takes an integer over D
-    to its half over T.  ``gxx`` holds per edge the x^2 coefficient the
-    Green function has there, tau's -deg w / (2 (deg + 2)) less half of
-    r's -w, which is w / (deg + 2).
+    to its half over T, and ``w_scale`` takes an edge's W over D p^2 to
+    w / (deg + 2) over T p^2, the x^2 coefficient the Green function has
+    there: tau's -deg w / (2 (deg + 2)) less half of r's -w.
     """
 
     den: int
     shift: int
     r_half: int
+    w_scale: int
     a0: tuple[int, ...]
     a1: tuple[int, ...]
-    gxx: tuple[Fraction, ...]
 
 
 def tau_parts(div: DivisorAnalysis) -> TauParts:
@@ -359,9 +429,9 @@ def tau_parts(div: DivisorAnalysis) -> TauParts:
         t,
         shift.numerator * (t // shift.denominator),
         t // (2 * den),
+        2 * k,
         tuple(k * at[e.tail] for e in net.edges),
         tuple(k * s for s in r_D_slopes(div)),
-        tuple(e.w / scale for e in net.edges),
     )
 
 

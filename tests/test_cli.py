@@ -418,3 +418,32 @@ class TestModuleEntryPoints:
         assert missing.returncode == 2
         assert missing.stdout == ""
         assert "error:" in missing.stderr
+
+    @pytest.mark.parametrize("module", ["metgraph", "metgraph.cli"])
+    def test_python_dash_m_runs_clean_under_warnings_as_errors(self, module):
+        # runpy warns when the module it runs is imported already; under
+        # -W error that warning alone would make the command exit 1
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "check", CIRCLE],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.splitlines()) == 2
+
+
+def test_check_command_evaluates_the_vertex_pairs_once(monkeypatch, capsys):
+    # both reports compare against the same canonical vertex-pair values
+    tables = []
+    build = mg.invariants._vertex_table
+
+    def counted(g, matrix):
+        tables.append(g)
+        return build(g, matrix)
+
+    monkeypatch.setattr(mg.invariants, "_vertex_table", counted)
+    assert run(["check", TWO_BRIDGES]) == 0
+    assert len(tables) == 1
+    assert len(lines_of(capsys)) == 2

@@ -1,6 +1,5 @@
 """Epsilon invariants and the two built-in consistency checks."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -100,7 +99,9 @@ class TestConsistencyChecks:
     def test_detect_corrupted_entry(self, circle):
         divisor = mg.Divisor((0, 2, 0))
         matrix = mg.value_matrix(circle, divisor)
-        broken = dataclasses.replace(matrix.entry(0, 0), c0=matrix.entry(0, 0).c0 + F(1, 7))
+        z = matrix.entry(0, 0)
+        c0, *rest = z.coefficients()
+        broken = mg.EdgePairFunction(z.i, z.j, c0 + F(1, 7), *rest)
         rows = [list(row) for row in matrix.entries]
         rows[0][0] = broken
         corrupted = mg.ValueMatrix(divisor, tuple(tuple(row) for row in rows))

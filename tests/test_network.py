@@ -240,6 +240,37 @@ def test_no_formula_reads_a_fraction_entry_of_lplus(monkeypatch):
     assert expected[3].passed and expected[4].passed
 
 
+def test_value_matrix_and_checks_build_no_fraction_per_entry():
+    # entries hold integers over one denominator: with the divisor analysis
+    # warmed, building the matrix makes no Fraction, and the checks make a
+    # few per vertex (the zero offsets of its descriptions), none per entry
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    mg.clear_caches()
+    net = mg.network(g)
+    net.edges, net.divisor(d).tau_parts
+    made = []
+    saved = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return saved.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        matrix = mg.value_matrix(g, d)
+        built = len(made)
+        reports = (
+            *mg.invariants._check_reports(g, d),
+            mg.check_representation_independence(g, d, matrix),
+            mg.check_vertex_formula(g, d, matrix),
+        )
+    finally:
+        Fraction.__new__ = saved
+    assert built == 0
+    assert all(report.passed for report in reports)
+    assert len(made) < g.n_vertices**2 < g.n_edges**2
+
+
 def test_traced_layer_functions_exist(monkeypatch):
     # the benchmark tracer skips a missing name silently, which would
     # quietly zero its per-layer metric
@@ -255,8 +286,8 @@ def test_package_has_no_assert_statements():
     # invariants are typed errors, so they hold under ``python -O`` too
     package = Path(mg.__file__).resolve().parent
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]

@@ -213,6 +213,7 @@ def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
     assert mg.oracle_green(g, d, x, y) == expected_g
     assert mg.check_vertex_formula(g, d, matrix).passed
     assert mg.check_representation_independence(g, d, matrix).passed
+    assert all(report.passed for report in mg.invariants._check_reports(g, d))
     assert mg.epsilon_via_resistance(g, d) == F(7875, 122)
     # tau reads only L+, so a fresh network builds no per-edge data for it
     fresh = mg.Network(g)

@@ -6,7 +6,6 @@ no parallel edges), so the whole pipeline applies without repair steps.
 must repair first.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -328,6 +327,102 @@ def test_horner_evaluation_matches_expanded_polynomial(gd):
                         assert z(x, y) == expanded(z, x, y)
 
 
+# -- the Fraction kernel the integer entries replaced ------------------------
+# Entries and resistance forms hold integers over one denominator.  These
+# build the same coefficients the way they were built before, one Fraction
+# per coefficient, and evaluate them by Fraction Horner.
+
+
+def fraction_w(net, e):
+    den = net.pinv.denominator
+    return F((e.p * den - e.q * e.r) * e.q, den * e.p * e.p)
+
+
+def fraction_resistance_form(net, i, j):
+    ei = net.edges[i]
+    if i == j:
+        w = fraction_w(net, ei)
+        return (F(0), F(0), F(0), -w, -w, 2 * w, F(1))
+    ej = net.edges[j]
+    den = net.pinv.denominator
+    c0, cx, cy, cxy = mg.potential.resistance_numerators(net, i, j)
+    return (
+        F(c0, den),
+        F(cx, den * ei.p),
+        F(cy, den * ej.p),
+        -fraction_w(net, ei),
+        -fraction_w(net, ej),
+        F(cxy, den * ei.p * ej.p),
+        F(0),
+    )
+
+
+def fraction_entry(net, div, i, j):
+    t = div.tau_parts
+    scale = div.divisor.degree + 2
+    ei = net.edges[i]
+    gxx_i = fraction_w(net, ei) / scale
+    if i == j:
+        cx = F(t.a1[i], t.den * ei.p)
+        c0 = F(t.shift + 2 * t.a0[i], t.den)
+        return (c0, cx, cx, gxx_i, gxx_i, -fraction_w(net, ei), F(-1, 2))
+    ej = net.edges[j]
+    c0, cx, cy, cxy = mg.potential.resistance_numerators(net, i, j)
+    half = t.r_half
+    return (
+        F(t.shift + t.a0[i] + t.a0[j] - half * c0, t.den),
+        F(t.a1[i] - half * cx, t.den * ei.p),
+        F(t.a1[j] - half * cy, t.den * ej.p),
+        gxx_i,
+        fraction_w(net, ej) / scale,
+        F(-cxy, 2 * net.pinv.denominator * ei.p * ej.p),
+        F(0),
+    )
+
+
+def fraction_value(coefficients, x, y):
+    c0, cx, cy, cxx, cyy, cxy, cabs = coefficients
+    value = c0
+    if y:
+        value += (cy + cyy * y) * y
+    if x:
+        value += (cx + cxx * x + cxy * y) * x
+    if cabs:
+        value += cabs * abs(x - y)
+    return value
+
+
+@common
+@given(
+    repaired_graph_and_divisor(),
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_integer_entries_match_the_fraction_kernel(gd, fractions_of_lengths):
+    g, divisor = gd
+    net = mg.network(g)
+    div = net.divisor(divisor)
+    matrix = mg.value_matrix(g, divisor)
+    for i in range(g.n_edges):
+        for j in range(g.n_edges):
+            li, lj = g.edges[i].length, g.edges[j].length
+            pairs = (
+                (matrix.entry(i, j), fraction_entry(net, div, i, j)),
+                (mg.potential.resistance_form(net, i, j), fraction_resistance_form(net, i, j)),
+            )
+            for z, want in pairs:
+                assert exact(z.coefficients()) == exact(want)
+                for fx, fy in fractions_of_lengths:
+                    x, y = li * fx, lj * fy
+                    assert exact([z(x, y)]) == exact([fraction_value(want, x, y)])
+
+
 # -- reference for the integer consistency checks ------------------------------
 # The representation check reads each entry at its corners in integers, and
 # the vertex formula and tau read L+ over its common denominator.  These are
@@ -380,7 +475,9 @@ COEFFICIENT_NAMES = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
 def perturbed(matrix, i, j, name, delta):
     rows = [list(row) for row in matrix.entries]
     entry = rows[i][j]
-    rows[i][j] = dataclasses.replace(entry, **{name: getattr(entry, name) + delta})
+    coefficients = dict(zip(COEFFICIENT_NAMES, entry.coefficients()))
+    coefficients[name] += delta
+    rows[i][j] = mg.EdgePairFunction(i, j, **coefficients)
     return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
 
 
