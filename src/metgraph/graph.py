@@ -42,7 +42,7 @@ from .errors import (
 
 # Integers and p/q only: an exponent such as "1e200000" would let a short
 # string ask for a huge number, while Python's digit limit bounds these forms.
-_RATIONAL = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(value: Fraction | int | str, what: str) -> Fraction:

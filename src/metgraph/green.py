@@ -15,7 +15,9 @@ and r's coefficients are the numerators of
 which T is a multiple.  An entry holds its seven coefficients as integers
 over T p_i^2 p_j^2 (over T p_i^2 on the diagonal), so the matrix is built
 and checked without a Fraction; one is made only when a coefficient or a
-value is read.
+value is read.  The build runs row by row and makes each product once: what
+one edge supplies once per edge, what edge i adds once per row, and only
+the terms that read both edges once per entry.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING
 from .analysis import network
 from .errors import MetgraphError
 from .graph import Divisor, GraphPoint, MetrizedGraph, validate_point
-from .potential import EdgePairFunction, resistance_numerators, same_values
+from .potential import EdgePairFunction, same_values
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -60,52 +62,56 @@ class ValueMatrix:
         return self.entries[x.edge][y.edge](x.offset, y.offset)
 
 
-def _entry(net: Network, div: DivisorAnalysis, i: int, j: int) -> EdgePairFunction:
-    """The closed form for one ordered edge pair: the tau function on the
-    pair minus half the point resistance.  Neither part depends on whether
-    an edge is a bridge; the connectivity matrix is only reported.
+def _entries(net: Network, div: DivisorAnalysis) -> tuple[tuple[EdgePairFunction, ...], ...]:
+    """Every entry, row by row: on each ordered edge pair the tau function
+    minus half the point resistance.  Neither part depends on whether an
+    edge is a bridge; the connectivity matrix is only reported.
 
+    On two edges r's coefficients are those of ``resistance_numerators``,
+    multiplied out so that a product is made once per edge, row or entry.
+    With h = r_half, N = D L+ and, per edge, z = a0 - h N[t, t] and
+    X = (a1 - h (D p - 2 q a[t])) p, the numerators over T p_i^2 p_j^2 are
+      c0   (shift + z_i + z_j + 2 h N[t_i, t_j]) p_i^2 p_j^2,
+      cx   (X_i - 2 h q_i p_i a_i[t_j]) p_j^2,
+      cy   (X_j - 2 h q_j p_j a_j[t_i]) p_i^2,
+      cxx  W_i w_scale p_j^2,   cyy  W_j w_scale p_i^2,
+      cxy  -2 h q_i p_i q_j p_j (a_i[h_j] - a_i[t_j]).
     On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
     so there g's x y and |x - y| coefficients are -w and -1/2.  With
     w = W / (D p^2) both quadratic terms are W w_scale over T p^2."""
     t = div.tau_parts
-    ei = net.edges[i]
-    pi = ei.p
-    half = t.r_half
-    if i == j:
-        pp = pi * pi
-        cx, cxx = t.a1[i] * pi, ei.w * t.w_scale
-        return EdgePairFunction._over(
-            i,
-            j,
-            t.den * pp,
-            (
-                (t.shift + 2 * t.a0[i]) * pp,
-                cx,
-                cx,
-                cxx,
-                cxx,
-                -2 * half * ei.w,
-                -half * net.pinv.denominator * pp,
-            ),
-        )
-    ej = net.edges[j]
-    pj = ej.p
-    c0, cx, cy, cxy = resistance_numerators(net, i, j)
-    return EdgePairFunction._over(
-        i,
-        j,
-        t.den * pi * pi * pj * pj,
-        (
-            (t.shift + t.a0[i] + t.a0[j] - half * c0) * pi * pi * pj * pj,
-            (t.a1[i] - half * cx) * pi * pj * pj,
-            (t.a1[j] - half * cy) * pi * pi * pj,
-            ei.w * t.w_scale * pj * pj,
-            ej.w * t.w_scale * pi * pi,
-            -half * cxy * pi * pj,
-            0,
-        ),
-    )
+    den, lp = net.pinv.denominator, net.pinv.numerators
+    half, twice_half = t.r_half, 2 * t.r_half
+    # per edge: tail, head, p^2, p q, z, W w_scale, X, 2 h q p and the a vector
+    columns = [
+        (e.tail, e.head, e.p * e.p, e.p * e.q, a0 - half * lp[e.tail][e.tail], e.w * t.w_scale,
+         (a1 - half * (den * e.p - 2 * e.q * e.a[e.tail])) * e.p, twice_half * e.q * e.p, e.a)
+        for e, a0, a1 in zip(net.edges, t.a0, t.a1)
+    ]
+    rows = []
+    for i, (ti, _, ppi, _, zi, wi, xi, ki, ai) in enumerate(columns):
+        lpt, base = lp[ti], t.shift + zi
+        row = []
+        for j, (tj, hj, ppj, pqj, zj, wj, xj, kj, aj) in enumerate(columns):
+            if j == i:
+                c0, cx = (t.shift + 2 * t.a0[i]) * ppi, t.a1[i] * net.edges[i].p
+                cxy, cabs = -twice_half * net.edges[i].w, -half * den * ppi
+                numerators = (c0, cx, cx, wi, wi, cxy, cabs)
+                row.append(EdgePairFunction._over(i, i, t.den * ppi, numerators))
+                continue
+            pp = ppi * ppj
+            numerators = (
+                (base + zj + twice_half * lpt[tj]) * pp,
+                (xi - ki * ai[tj]) * ppj,
+                (xj - kj * aj[ti]) * ppi,
+                wi * ppj,
+                wj * ppi,
+                -ki * pqj * (ai[hj] - ai[tj]),
+                0,
+            )
+            row.append(EdgePairFunction._over(i, j, t.den * pp, numerators))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
@@ -118,7 +124,7 @@ def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
     """All edge-pair entries, with the symmetry g(x, y) = g(y, x) checked
     coefficientwise before the matrix is handed out."""
     m = net.graph.n_edges
-    entries = tuple(tuple(_entry(net, div, i, j) for j in range(m)) for i in range(m))
+    entries = _entries(net, div)
     for i in range(m):
         for j in range(i, m):
             zij, zji = entries[i][j], entries[j][i]

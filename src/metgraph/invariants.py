@@ -7,20 +7,21 @@ correctness check, so neither route is ever expressed through the other.
 
 The two consistency checks test a value matrix and read nothing of how it
 was built: only the integers each entry holds, the edge lengths and
-``green_ratio_at_vertices``, which reads L+, tau and c_mu and no per-edge
+``green_row_at_vertices``, which reads L+, tau and c_mu and no per-edge
 data or closed form.  Both evaluate the entries themselves, in integers,
-and build a Fraction only for a mismatch.  Both compare against the value
-at the canonical descriptions of each vertex pair, so they share one table
-of those values.  The representation check evaluates each entry at its
-four corners and compares every corner with that table; the
-vertex-formula check compares the table with the direct formula.
+and build a Fraction only for a mismatch.  A vertex sits at an edge's end,
+so every value either reads is a corner of an entry, given by one
+evaluator, ``_corners``.  Both compare against the value at the canonical
+descriptions of each vertex pair, so they share one table of those values.
+The representation check compares every corner of every entry with that
+table; the vertex-formula check compares it, row by row, with the direct
+formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -36,7 +37,7 @@ from .graph import (
 from .green import ValueMatrix, value_matrix
 from .potential import (
     EdgePairFunction,
-    green_ratio_at_vertices,
+    green_row_at_vertices,
     tau_constant,
     vertex_resistance,
 )
@@ -98,43 +99,47 @@ class CheckReport:
         return not self.mismatches
 
 
-def _numerators(
-    entry: EdgePairFunction, u: int, xs: tuple[int, ...], v: int, ys: tuple[int, ...]
-) -> tuple[int, list[int]]:
-    """An entry's values at x = X / u and y = Y / v, for every X in ``xs``
-    and Y in ``ys``, as integer numerators over one denominator.
+def _corners(
+    entry: EdgePairFunction, pi: int, qi: int, pj: int, qj: int
+) -> tuple[int, tuple[int, int, int, int]]:
+    """An entry's values at x in {0, p_i / q_i} and y in {0, p_j / q_j}, in
+    the order (0, 0), (0, p_j / q_j), (p_i / q_i, 0), (p_i / q_i, p_j / q_j),
+    as integer numerators over one denominator.
 
     It reads the integers the entry holds, not how they were built: with
-    C its numerators over E, each value is C0 u^2 v^2 + Cx X u v^2
-    + Cy Y u^2 v + Cxx X^2 v^2 + Cyy Y^2 u^2 + Cxy X Y u v
-    + Cabs |X v - Y u| u v over E u^2 v^2.
+    C its numerators over E, the value at x = X / q_i and y = Y / q_j is
+    C0 q_i^2 q_j^2 + Cx X q_i q_j^2 + Cy Y q_i^2 q_j + Cxx X^2 q_j^2
+    + Cyy Y^2 q_i^2 + Cxy X Y q_i q_j + Cabs |X q_j - Y q_i| q_i q_j over
+    E q_i^2 q_j^2, and the four corners share its partial sums.
     """
     c0, cx, cy, cxx, cyy, cxy, cabs = entry.numerators
-    uu, vv, uv = u * u, v * v, u * v
-    base = c0 * uu * vv
-    values = [
-        base
-        + (cx * u + cxx * x) * x * vv
-        + (cy * v + cyy * y) * y * uu
-        + (cxy * x * y + cabs * abs(x * v - y * u)) * uv
-        for x in xs
-        for y in ys
-    ]
-    return entry.denominator * uu * vv, values
+    # the small factors are multiplied first, so each coefficient meets one
+    qqi, qqj, qq = qi * qi, qj * qj, qi * qj
+    base = c0 * (qqi * qqj)
+    x = (cx * qi + cxx * pi) * (pi * qqj)
+    y = (cy * qj + cyy * pj) * (pj * qqi)
+    xy = cxy * (pi * pj * qq)
+    if cabs:
+        # |x - y| at the three corners off the origin
+        x += cabs * (pi * qj * qq)
+        y += cabs * (pj * qi * qq)
+        xy += cabs * ((abs(pi * qj - pj * qi) - pi * qj - pj * qi) * qq)
+    return entry.denominator * (qqi * qqj), (base, base + y, base + x, base + x + y + xy)
 
 
 def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int, int]]]:
     """The matrix's value at the canonical descriptions of every vertex
-    pair, as (numerator, denominator)."""
+    pair, as (numerator, denominator); each is one corner of one entry."""
+    lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
+    # per vertex: its edge, the end it sits at (0 the tail, 1 the head), the length
     points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
+    ends = [(x.edge, int(x.offset != 0), *lengths[x.edge]) for x in points]
     table = []
-    for x in points:
-        row = matrix.entries[x.edge]
-        u, xs = x.offset.denominator, (x.offset.numerator,)
-        values = []
-        for y in points:
-            den, (num,) = _numerators(row[y.edge], u, xs, y.offset.denominator, (y.offset.numerator,))
-            values.append((num, den))
+    for i, a, pi, qi in ends:
+        row, values = matrix.entries[i], []
+        for j, b, pj, qj in ends:
+            den, corners = _corners(row[j], pi, qi, pj, qj)
+            values.append((corners[2 * a + b], den))
         table.append(values)
     return table
 
@@ -176,8 +181,8 @@ def check_vertex_formula(
 
     The direct value is (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg + 2)
     minus the normalization constant, computed without any edge functions
-    by ``potential.green_ratio_at_vertices``.  Values are compared by
-    cross-multiplication.
+    by ``potential.green_row_at_vertices`` one vertex row at a time.
+    Values are compared by cross-multiplication.
     """
     matrix = _check_matrix(g, divisor, matrix)
     return _vertex_formula_report(network(g).divisor(divisor), _vertex_table(g, matrix))
@@ -198,29 +203,28 @@ def _representation_report(
     g: MetrizedGraph, matrix: ValueMatrix, table: list[list[tuple[int, int]]]
 ) -> CheckReport:
     valence = [len(representations(g, v)) for v in range(g.n_vertices)]
+    lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
+    ends = [(e.tail, e.head) for e in g.edges]
     comparisons = 0
     mismatches = []
-    for i, ei in enumerate(g.edges):
-        li = ei.length
-        for j, ej in enumerate(g.edges):
-            lj = ej.length
-            den, values = _numerators(
-                matrix.entries[i][j],
-                li.denominator,
-                (0, li.numerator),
-                lj.denominator,
-                (0, lj.numerator),
-            )
-            ends = product(((0, ei.tail), (1, ei.head)), ((0, ej.tail), (1, ej.head)))
-            for ((a, p), (b, q)), num in zip(ends, values):
-                if valence[p] < 2:
+    for i, row in enumerate(matrix.entries):
+        # the ends of edge i compared, as the offset 2 a of their corners
+        # (a is 0 at the tail, 1 at the head) and their row of the table
+        firsts = [(2 * a, p, table[p]) for a, p in enumerate(ends[i]) if valence[p] >= 2]
+        comparisons += 2 * len(firsts) * len(row)
+        for j, entry in enumerate(row):
+            den, values = _corners(entry, *lengths[i], *lengths[j])
+            tj, hj = ends[j]
+            for a, p, wants in firsts:
+                (wt, ot), (wh, oh) = wants[tj], wants[hj]
+                if values[a] * ot == wt * den and values[a + 1] * oh == wh * den:
                     continue
-                comparisons += 1
-                want, over = table[p][q]
-                if num * over != want * den:
-                    location = f"g(v{p}, v{q}) via z[{i}][{j}]"
-                    found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
-                    mismatches.append(((p, q, i, a, j, b), found))
+                for b, q in enumerate(ends[j]):
+                    num, (want, over) = values[a + b], wants[q]
+                    if num * over != want * den:
+                        location = f"g(v{p}, v{q}) via z[{i}][{j}]"
+                        found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
+                        mismatches.append(((p, q, i, a // 2, j, b), found))
     # the keys are unique: order by vertex pair, then by the two descriptions
     ordered = tuple(m for _, m in sorted(mismatches))
     return CheckReport("representation independence", comparisons, ordered)
@@ -231,8 +235,8 @@ def _vertex_formula_report(
 ) -> CheckReport:
     mismatches = []
     for p, row in enumerate(table):
-        for q, (num, den) in enumerate(row):
-            want, over = green_ratio_at_vertices(div, p, q)
+        wants, over = green_row_at_vertices(div, p)
+        for q, ((num, den), want) in enumerate(zip(row, wants)):
             if num * over != want * den:
                 found = CheckMismatch(f"g(v{p}, v{q})", Fraction(want, over), Fraction(num, den))
                 mismatches.append(found)

@@ -113,16 +113,19 @@ def laplacian(g: MetrizedGraph) -> RationalMatrix:
 
 
 def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
+    """The Laplacian in integers over s, the lcm of the length numerators:
+    an edge of length p / q adds q (s / p) over s."""
     require_adequate(g)
     n = g.n_vertices
-    a = [[Fraction(0)] * n for _ in range(n)]
+    s = lcm(*(e.length.numerator for e in g.edges))
+    a = [[0] * n for _ in range(n)]
     for e in g.edges:
-        w = 1 / e.length
+        w = e.length.denominator * (s // e.length.numerator)
         a[e.tail][e.head] -= w
         a[e.head][e.tail] -= w
         a[e.tail][e.tail] += w
         a[e.head][e.head] += w
-    return RationalMatrix(a)
+    return RationalMatrix._over(s, a)
 
 
 def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:

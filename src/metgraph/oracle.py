@@ -27,7 +27,7 @@ from .graph import (
     vertex_at,
 )
 from .linalg import resistance_at_vertices
-from .potential import green_at_vertices
+from .potential import green_row_at_vertices
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class SubdividedGraph:
     def green(self, divisor: Divisor, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
         """Green function value between two original points, by the vertex formula."""
         div = self.network.divisor(self.lift_divisor(divisor))
-        return green_at_vertices(div, self.vertex_index(x), self.vertex_index(y))
+        numerators, den = green_row_at_vertices(div, self.vertex_index(x))
+        return Fraction(numerators[self.vertex_index(y)], den)
 
 
 def subdivide_at_points(

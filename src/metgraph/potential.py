@@ -16,6 +16,8 @@ difference of two entries of an ``a`` vector.  An ``EdgePairFunction``
 holds its coefficients as integers over one denominator, so the pair form
 is built, and evaluated, in integers: its coefficients are the numerators
 of ``resistance_numerators`` and the W of its two edges, over D p_i^2 p_j^2.
+The Green function at vertices has a direct formula in L+, tau and c_mu
+alone, which ``green_row_at_vertices`` gives one vertex row at a time.
 """
 
 from __future__ import annotations
@@ -263,40 +265,36 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     return resistance_form(network(g), x.edge, y.edge)(x.offset, y.offset)
 
 
-def green_at_vertices(div: DivisorAnalysis, p: int, q: int) -> Fraction:
-    """The Green function between vertices p and q, from its defining formula;
-    see ``green_ratio_at_vertices``."""
-    return Fraction(*green_ratio_at_vertices(div, p, q))
-
-
-def green_ratio_at_vertices(div: DivisorAnalysis, p: int, q: int) -> tuple[int, int]:
-    """The Green function between vertices p and q as (numerator,
-    denominator), from its defining formula.
+def green_row_at_vertices(div: DivisorAnalysis, p: int) -> tuple[tuple[int, ...], int]:
+    """The Green function between vertex p and every vertex q, from its
+    defining formula, as numerators over one denominator.
 
     (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg D + 2) - c_mu, read off
     the pseudoinverse with no edge closed form, so it can check them.  With
     L+ = N / D the voltage j_s(p, q) is (N_ss - N_sp - N_sq + N_pq) / D and
-    r(p, q) is (N_pp - 2 N_pq + N_qq) / D, so the pair's part is one
-    integer over D (deg D + 2).  The constant 4 tau / (deg D + 2) - c_mu is
-    brought over the same denominator, which need not be the least.
+    r(p, q) is (N_pp - 2 N_pq + N_qq) / D.  So with b = sum_s a_s N_ss and
+    the row W = sum_s a_s N[s], both made once, the pair's part is
+    b - W_p - W_q + (deg D + 2) N_pq - N_pp - N_qq over D (deg D + 2).  The
+    constant 4 tau / (deg D + 2) - c_mu is brought over the same
+    denominator, which need not be the least.
     """
     c = div.c_mu  # rejects degree -2 before L+ is built
-    tau = div.network.tau
+    tau, divisor = div.network.tau, div.divisor
     den, num = div.network.pinv.denominator, div.network.pinv.numerators
-    divisor = div.divisor
-    row_p, row_q = num[p], num[q]
-    npq = row_p[q]
-    weighted = sum(
-        a * (num[s][s] - row_p[s] - row_q[s] + npq)
-        for s, a in enumerate(divisor.coefficients)
-        if a
-    )
-    scale = divisor.degree + 2
-    pair = weighted - row_p[p] + 2 * npq - row_q[q]
+    support = [(s, a) for s, a in enumerate(divisor.coefficients) if a]
+    weighted = [0] * len(num)
+    for s, a in support:
+        weighted = [w + a * x for w, x in zip(weighted, num[s])]
+    scale, row_p = divisor.degree + 2, num[p]
+    const = sum(a * num[s][s] for s, a in support) - weighted[p] - row_p[p]
     # pair / (D scale) + (4 tau - scale c) / scale, over D scale tau_den c_den
     td, cd = tau.denominator, c.denominator
-    shift = 4 * tau.numerator * cd - scale * c.numerator * td
-    return pair * td * cd + den * shift, den * scale * td * cd
+    shift = den * (4 * tau.numerator * cd - scale * c.numerator * td)
+    numerators = tuple(
+        (const - w - num[q][q] + scale * x) * (td * cd) + shift
+        for q, (w, x) in enumerate(zip(weighted, row_p))
+    )
+    return numerators, den * scale * td * cd
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ adequate vertex set, and a path-with-diamond carrying two bridges.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -110,6 +111,37 @@ STANDING = (
     ("two_bridges", build_two_bridges, (1, 0, 0, 0, 0, 2)),
     ("tesseract", build_tesseract, tuple(range(16))),
 )
+
+
+POINTS_DIR = Path(__file__).parent / "data" / "oracle_points"
+
+
+def load_pairs(name):
+    """The frozen oracle point pairs of a standing graph."""
+    pairs = []
+    for line in (POINTS_DIR / f"{name}.txt").read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        xs, ys = line.split()
+        ex, ox = xs.split(":")
+        ey, oy = ys.split(":")
+        pairs.append((mg.GraphPoint(int(ex), Fraction(ox)), mg.GraphPoint(int(ey), Fraction(oy))))
+    return pairs
+
+
+def fraction_laplacian(g: mg.MetrizedGraph) -> mg.RationalMatrix:
+    """The Laplacian summed entry by entry in Fractions, the reference for
+    the integer build."""
+    n = g.n_vertices
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for e in g.edges:
+        w = 1 / e.length
+        a[e.tail][e.head] -= w
+        a[e.head][e.tail] -= w
+        a[e.tail][e.tail] += w
+        a[e.head][e.head] += w
+    return mg.RationalMatrix(a)
 
 
 def standing_graphs() -> list[tuple[str, mg.MetrizedGraph, mg.Divisor]]:

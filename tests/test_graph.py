@@ -58,6 +58,21 @@ class TestConstruction:
         with pytest.raises(mg.NonpositiveLength):
             mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, Fraction(-1, 2)),))
 
+    def test_negative_ratio_string_is_a_nonpositive_length(self):
+        # a signed ratio is read as a number, then rejected as a length
+        with pytest.raises(mg.NonpositiveLength):
+            mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, "-1/2"),))
+
+    def test_signed_ratio_strings_build(self):
+        assert mg.RationalMatrix([["-1/2"]])[0, 0] == Fraction(-1, 2)
+        assert mg.RationalMatrix([["+3/4"]])[0, 0] == Fraction(3, 4)
+        assert mg.EdgePairFunction(0, 0, "-1/4").c0 == Fraction(-1, 4)
+
+    @pytest.mark.parametrize("entry", ["1/-2", "--1", "-/2", "1/+2"])
+    def test_sign_only_leads_a_ratio(self, entry):
+        with pytest.raises(mg.MetgraphError, match="malformed rational"):
+            mg.RationalMatrix([[entry]])
+
     def test_disconnected_rejected(self):
         with pytest.raises(mg.GraphDisconnected):
             mg.MetrizedGraph(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import metgraph as mg
-from conftest import build_segment, standing_graphs
+from conftest import build_segment, fraction_laplacian, load_pairs, standing_graphs
 
 F = Fraction
 
@@ -79,6 +79,15 @@ class TestLaplacian:
     def test_row_sums_vanish(self, standing):
         _, g, _ = standing
         assert set(mg.laplacian(g).row_sums()) == {F(0)}
+
+    def test_integer_build_matches_fraction_build(self, standing):
+        # the same least denominator and numerators on the graph and on each
+        # refinement its frozen oracle pairs make
+        name, g, _ = standing
+        graphs = [g] + [mg.subdivide_at_points(g, pair).graph for pair in load_pairs(name)]
+        assert len(graphs) == 53
+        for h in graphs:
+            assert mg.linalg.laplacian_matrix(h) == fraction_laplacian(h)
 
 
 class TestPseudoInverse:

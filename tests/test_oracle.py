@@ -1,7 +1,6 @@
 """Subdivision machinery and oracle agreement with the closed forms."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -11,25 +10,11 @@ from conftest import (
     build_segment,
     build_tesseract,
     build_two_bridges,
+    load_pairs,
     sample_points,
 )
 
 F = Fraction
-
-POINTS_DIR = Path(__file__).parent / "data" / "oracle_points"
-
-
-def load_pairs(name):
-    pairs = []
-    for line in (POINTS_DIR / f"{name}.txt").read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        xs, ys = line.split()
-        ex, ox = xs.split(":")
-        ey, oy = ys.split(":")
-        pairs.append((mg.GraphPoint(int(ex), F(ox)), mg.GraphPoint(int(ey), F(oy))))
-    return pairs
 
 
 class TestSubdivide:
@@ -185,7 +170,7 @@ CLOSED_FORMS = (
     "r_D_slopes",
     "tau_parts",
     "tau_form",
-    "_entry",
+    "_entries",
     "build_value_matrix",
 )
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import metgraph as mg
-from conftest import build_banana, sample_points
+from conftest import build_banana, fraction_laplacian, sample_points
 
 F = Fraction
 
@@ -203,6 +203,13 @@ def test_repaired_closed_forms_match_oracle(g, data):
     rx, ry = relabeling.point(x), relabeling.point(y)
     assert mg.resistance_point(refined, rx, ry) == mg.oracle_resistance(g, x, y)
     assert mg.evaluate_green(refined, lifted, rx, ry) == mg.oracle_green(g, divisor, x, y)
+
+
+@common
+@given(multigraphs())
+def test_integer_laplacian_matches_fraction_build(g):
+    refined, _ = mg.make_adequate(g)
+    assert mg.linalg.laplacian_matrix(refined) == fraction_laplacian(refined)
 
 
 # -- reference for the integer kernel ------------------------------------------
@@ -490,6 +497,27 @@ def assert_representation_check_matches_reference(g, divisor, matrix):
     return report
 
 
+def reference_vertex_formula_check(g, divisor, matrix):
+    points = [mg.point_of_vertex(g, v) for v in range(g.n_vertices)]
+    mismatches = []
+    for p, x in enumerate(points):
+        for q, y in enumerate(points):
+            expected = reference_green_at_vertices(g, divisor, p, q)
+            got = matrix.evaluate(x, y)
+            if got != expected:
+                mismatches.append((f"g(v{p}, v{q})", expected, got))
+    return len(points) ** 2, mismatches
+
+
+def assert_vertex_formula_check_matches_reference(g, divisor, matrix):
+    report = mg.check_vertex_formula(g, divisor, matrix)
+    comparisons, mismatches = reference_vertex_formula_check(g, divisor, matrix)
+    assert report.comparisons == comparisons
+    assert [tuple(m) for m in report.mismatches] == mismatches
+    assert all(exact(m[1:]) == exact(r[1:]) for m, r in zip(report.mismatches, mismatches))
+    return report
+
+
 @common
 @given(repaired_graph_and_divisor(), st.data())
 def test_integer_checks_match_fraction_reference(gd, data):
@@ -497,8 +525,9 @@ def test_integer_checks_match_fraction_reference(gd, data):
     assert exact([mg.tau_constant(g)]) == exact([reference_tau(g)])
     div = mg.network(g).divisor(divisor)
     for p in range(g.n_vertices):
+        numerators, den = mg.potential.green_row_at_vertices(div, p)
         for q in range(g.n_vertices):
-            value = mg.potential.green_at_vertices(div, p, q)
+            value = F(numerators[q], den)
             assert exact([value]) == exact([reference_green_at_vertices(g, divisor, p, q)])
     matrix = mg.value_matrix(g, divisor)
     assert assert_representation_check_matches_reference(g, divisor, matrix).passed
@@ -506,15 +535,22 @@ def test_integer_checks_match_fraction_reference(gd, data):
     i, j = data.draw(edge), data.draw(edge)
     name = data.draw(st.sampled_from(COEFFICIENT_NAMES))
     delta = data.draw(st.sampled_from([F(1, 7), F(-2), F(5, 3)]))
-    assert_representation_check_matches_reference(
-        g, divisor, perturbed(matrix, i, j, name, delta)
-    )
+    matrix = perturbed(matrix, i, j, name, delta)
+    assert_representation_check_matches_reference(g, divisor, matrix)
+    assert_vertex_formula_check_matches_reference(g, divisor, matrix)
 
 
-@pytest.mark.parametrize("name", ["cabs", "cxy"])
+@pytest.mark.parametrize("name", COEFFICIENT_NAMES)
 @pytest.mark.parametrize("i,j", [(2, 2), (1, 3)], ids=["diagonal", "off-diagonal"])
 def test_perturbed_entry_gives_the_reference_mismatches(name, i, j):
     g, divisor = build_banana(), mg.Divisor((1, 1, 0, 0))
     matrix = perturbed(mg.value_matrix(g, divisor), i, j, name, F(1, 7))
     report = assert_representation_check_matches_reference(g, divisor, matrix)
     assert not report.passed
+    # the vertex formula sees a change only in an entry that holds the
+    # canonical descriptions of a vertex pair: (1, 3) does, (2, 2) does not
+    points = [mg.point_of_vertex(g, v) for v in range(g.n_vertices)]
+    canonical = {(x.edge, y.edge) for x in points for y in points}
+    assert ((1, 3) in canonical, (2, 2) in canonical) == (True, False)
+    report = assert_vertex_formula_check_matches_reference(g, divisor, matrix)
+    assert report.passed == (i == j)
