@@ -41,11 +41,11 @@ from ..potential import resistance_point, tau_constant
 
 
 # The largest graph a command accepts.  At the bound, a seeded graph of 100
-# vertices and 200 edges takes about 1.4 s of CPU time for ``check`` and
-# 1.0 s for ``epsilon``, and a seeded 10x10 grid 1.0 s for ``check``
-# (2.5 s before value-matrix entries were held as integers over one
-# denominator; 2-core Intel Xeon, Python 3.11).  The cost of the value
-# matrix grows with the square of the edge count.
+# vertices and 200 edges takes about 0.6 s of CPU time for ``check`` and
+# 0.35 s for ``epsilon``, and a seeded 10x10 grid 0.5 s for ``check``, each
+# a whole process (1.2, 1.0 and 1.1 s, measured alongside, with L+ from
+# dense Gauss-Jordan elimination; 2-core Intel Xeon, Python 3.11).  The
+# cost of the value matrix grows with the square of the edge count.
 MAX_VERTICES = 100
 MAX_EDGES = 200
 

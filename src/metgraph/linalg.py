@@ -1,14 +1,19 @@
 """Dense exact-rational matrices, the discrete Laplacian and its pseudoinverse.
 
-Matrices are held as integers over one denominator and the pseudoinverse is
-eliminated in Python ints; there is no floating point anywhere, so
-equalities between computed matrices are meaningful.
+Matrices are held as integers over one denominator, and the pseudoinverse
+is computed in Python ints: the vertices are put in reverse Cuthill-McKee
+order, the grounded Laplacian is eliminated fraction-free inside its
+envelope, and one triangle of its symmetric adjugate is back-substituted
+fraction-free.  There is no floating point anywhere, so equalities between
+computed matrices are meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from .analysis import network
@@ -128,19 +133,84 @@ def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
     return RationalMatrix._over(s, a)
 
 
+def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
+    """Every vertex in reverse Cuthill-McKee order (Cuthill and McKee 1969,
+    reversed by George 1971): each component breadth-first, a vertex's
+    unvisited neighbours by ascending degree, then the whole order reversed.
+    A component starts from a pseudo-peripheral vertex (George and Liu
+    1979): the search moves to a least-degree vertex of the last level
+    while that lies deeper.
+    """
+    degree = [len(near) for near in neighbours]
+
+    def breadth_first(root: int) -> tuple[list[int], dict[int, int]]:
+        seen, depth = [root], {root: 0}
+        for v in seen:  # runs on over the vertices appended meanwhile
+            for w in sorted(neighbours[v], key=degree.__getitem__):
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    seen.append(w)
+        return seen, depth
+
+    order: list[int] = []
+    placed: set[int] = set()
+    for root in range(len(neighbours)):
+        if root in placed:
+            continue
+        component, depth = breadth_first(root)
+        while True:
+            last = depth[component[-1]]
+            start = min((v for v in component if depth[v] == last), key=degree.__getitem__)
+            tried, deeper = breadth_first(start)
+            if deeper[tried[-1]] <= last:
+                break
+            component, depth = tried, deeper
+        placed.update(component)
+        order += component
+    order.reverse()
+    return order
+
+
 def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a Laplacian of a connected graph.
 
     L is held as integers over its denominator s, and the Laplacian checks
-    run on them.  Grounding vertex 0 leaves A, which is positive definite
-    exactly when the graph is connected, and fraction-free Gauss-Jordan
-    elimination on [A | I] (Bareiss 1968) gives det A and the adjugate B in
-    integers, every division exact.  The grounded inverse s B / det A,
-    padded with a zero row and column, is a generalized inverse G of L;
-    centring it gives L+[i][j] = G[i][j] - m_i - m_j + mu, with m the
-    row means of G and mu their mean.  Over the one denominator n^2 det A
-    each entry is s (n^2 B[i][j] - n b_i - n b_j + b) / (n^2 det A), with b_i
-    the row sums of B and b their sum; one gcd brings that to lowest terms.
+    run on them.  The vertices are put in reverse Cuthill-McKee order and
+    the last one is grounded, leaving A, positive definite exactly when the
+    graph is connected.  Row i of A starts at its first nonzero column f_i,
+    and by symmetry column k ends at row hi_k, the last row j with
+    f_j <= k.  Elimination without pivoting fills in nothing outside this
+    envelope, so row i only ever spans the columns f_i to hi_i.
+
+    Forward pass: fraction-free elimination (Bareiss 1968) turns A into U,
+    whose row k holds minors of A, with pivot p_k = U[k][k] the leading
+    minor of order k + 1 (p_{-1} = 1).  Step k updates only the rows in
+    (k, hi_k] whose column-k entry is nonzero.  Bareiss's update of a row
+    with a zero factor only rescales it by p_k / p_{k-1}, and these
+    telescope, so the row keeps its values from the stage s it was last
+    updated to: its next update divides by p_{s-1} instead of p_{k-1}, and
+    as pivot row k it is first multiplied by p_{k-1} / p_{s-1}.  Every
+    result is a minor, so every division is exact.
+
+    Back-substitution: the same steps on [A | I] would leave [U | R] with
+    R A = U, R lower triangular and R[i][i] = p_{i-1}, so the adjugate
+    X = det A * A^-1 solves U X = det A * R.  X is symmetric, so only its
+    upper triangle is solved for, and there det A * R is known without
+    building R: det A * p_{i-1} on the diagonal, 0 above it.  Column c
+    from the last, row i from c up, X[i][c] = (det A * p_{i-1} [i = c] -
+    sum over j in (i, hi_i] of U[i][j] X[j][c]) / p_i, reading X[j][c]
+    below the diagonal as X[c][j]; the division is exact because X is an
+    integer matrix (Nakos, Turner and Williams 1997).
+
+    Centring: s X / det A, padded with a zero row and column for the
+    grounded vertex and put back in the input's vertex order, is a
+    generalized inverse G of L, and L+[i][j] = G[i][j] - m_i - m_j + mu,
+    with m the row means of G and mu their mean.  Over the one denominator
+    n^2 det A each entry is s (n^2 B[i][j] - n b_i - n b_j + b) / (n^2 det A),
+    with B the padded X, b_i its row sums and b their sum; one gcd brings
+    that to lowest terms.  The order changes nothing: det A is the same
+    whichever vertex is grounded (the matrix-tree theorem), L+ is unique,
+    and so are its integers in lowest terms.
 
     Any other matrix raises ``MetgraphError``: a Laplacian is symmetric, its
     off-diagonal entries are at most zero and its rows sum to zero.
@@ -156,43 +226,63 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
             "off-diagonal entries and zero row sums"
         )
     n = len(ints)
+    order = _reverse_cuthill_mckee(
+        [[v for v, x in enumerate(row) if x and v != u] for u, row in enumerate(ints)]
+    )
     m = n - 1
-    work = [[*row[1:]] + [0] * m for row in ints[1:]]
+    rows = [[ints[u][v] for v in order[:m]] for u in order[:m]]
+    first = [next(j for j, x in enumerate(row) if x or j == i) for i, row in enumerate(rows)]
+    reach = list(range(m))
+    for i, f in enumerate(first):
+        reach[f] = max(reach[f], i)
+    hi = list(accumulate(reach, max))
     # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
-    # A is positive semidefinite, and definite exactly when the graph is
-    # connected.  Pivot k is the leading principal minor of order k + 1.  A
-    # definite A has none zero; a zero one has a null vector x, and x padded
-    # with zeros has x^T A x = 0, so A is singular.  No pivot search is needed.
-    prev = 1
-    for k in range(m):
-        pivot_row = work[k]
-        pivot = pivot_row[k]
+    # A, in any vertex order, is positive semidefinite, and definite exactly
+    # when the graph is connected.  Pivot k is the leading principal minor of
+    # order k + 1.  A definite A has none zero; a zero one has a null vector
+    # x, and x padded with zeros has x^T A x = 0, so A is singular.  No pivot
+    # search is needed.
+    pivots = [1]  # pivots[s] = p_{s-1}, the divisor of a row last updated at stage s
+    stage = [0] * m
+    for k, row in enumerate(rows):
+        end = hi[k] + 1
+        if stage[k] != k:
+            up, down = pivots[k], pivots[stage[k]]
+            row[k:end] = [x * up // down for x in row[k:end]]
+        pivot = row[k]
         if not pivot:
             raise SingularShift(
                 "reduced Laplacian is singular; the graph behind it is disconnected"
             )
-        # Left of column k only diagonal entries remain, never read again,
-        # and a right-block column past m + k holds only its diagonal entry,
-        # which is the previous pivot when its step comes.  So only columns
-        # k..m+k are updated, and row k's right-block entry is set on entry.
-        pivot_row[m + k] = prev
-        window = pivot_row[k : m + k + 1]
-        for i, row in enumerate(work):
-            if i != k:
-                factor = row[k]
-                row[k : m + k + 1] = [
-                    (pivot * a - factor * b) // prev
-                    for a, b in zip(row[k : m + k + 1], window)
+        for i in range(k + 1, end):
+            target = rows[i]
+            factor = target[k]
+            if factor:
+                stop, down = hi[i] + 1, pivots[stage[i]]
+                target[k + 1 : stop] = [
+                    (pivot * a - factor * b) // down
+                    for a, b in zip(target[k + 1 : stop], row[k + 1 : stop])
                 ]
-        prev = pivot
-    det = prev
-    adjugate = [[0] * n] + [[0] + row[m:] for row in work]
-    sums = [sum(row) for row in adjugate]
+                stage[i] = k + 1
+        pivots.append(pivot)
+    det = pivots[-1]
+    # column c is replaced once solved; the grounded vertex's stays zero
+    adjugate = [[0] * n] * n
+    for c in reversed(range(m)):
+        column = [0] * (c + 1) + [adjugate[j][c] for j in range(c + 1, n)]
+        for i in reversed(range(c + 1)):
+            row, end = rows[i], hi[i] + 1
+            below = sum(map(mul, row[i + 1 : end], column[i + 1 : end]))
+            column[i] = ((det * pivots[i] if i == c else 0) - below) // row[i]
+        adjugate[c] = column
+    place = sorted(range(n), key=order.__getitem__)  # place[u]: u's position in order
+    full = [[adjugate[p][q] for q in place] for p in place]
+    sums = [sum(row) for row in full]
     total = sum(sums)
     return RationalMatrix._over(
         n * n * det,
         ([scale * (n * n * x - n * (si + sj) + total) for x, sj in zip(row, sums)]
-         for row, si in zip(adjugate, sums)),
+         for row, si in zip(full, sums)),
     )
 
 

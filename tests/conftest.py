@@ -6,6 +6,7 @@ point, a hypercube over four bits, a three-edge banana refined to an
 adequate vertex set, and a path-with-diamond carrying two bridges.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -142,6 +143,87 @@ def fraction_laplacian(g: mg.MetrizedGraph) -> mg.RationalMatrix:
         a[e.tail][e.tail] += w
         a[e.head][e.head] += w
     return mg.RationalMatrix(a)
+
+
+def gauss_jordan_pinv(lap: mg.RationalMatrix) -> mg.RationalMatrix:
+    """L+ by fraction-free Gauss-Jordan elimination (Bareiss 1968) on
+    [A | I], A the Laplacian grounded at vertex 0, dense and in the input's
+    vertex order, centred as ``pseudo_inverse`` centres: the reference for
+    the banded elimination.  Expects the Laplacian of a connected graph."""
+    scale, ints = lap.denominator, lap.numerators
+    n = len(ints)
+    m = n - 1
+    work = [[*row[1:]] + [0] * m for row in ints[1:]]
+    prev = 1
+    for k in range(m):
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise mg.SingularShift("zero pivot")
+        # a right-block column past m + k holds only its diagonal entry,
+        # which is the previous pivot when its step comes
+        pivot_row[m + k] = prev
+        window = pivot_row[k : m + k + 1]
+        for i, row in enumerate(work):
+            if i != k:
+                factor = row[k]
+                row[k : m + k + 1] = [
+                    (pivot * a - factor * b) // prev
+                    for a, b in zip(row[k : m + k + 1], window)
+                ]
+        prev = pivot
+    det = prev
+    adjugate = [[0] * n] + [[0] + row[m:] for row in work]
+    sums = [sum(row) for row in adjugate]
+    total = sum(sums)
+    return mg.RationalMatrix._over(
+        n * n * det,
+        ([scale * (n * n * x - n * (si + sj) + total) for x, sj in zip(row, sums)]
+         for row, si in zip(adjugate, sums)),
+    )
+
+
+def defines_pseudo_inverse(lap: mg.RationalMatrix, lplus: mg.RationalMatrix) -> bool:
+    """Whether lplus is L+ of a connected graph's Laplacian lap by its
+    definition, read without any elimination.  With L = Lint / s and
+    L+ = N / D: n Lint N = s D (n I - J), N 1 = 0 and N = N^T, which make
+    N / D symmetric with L (N / D) the projection I - J / n, and so L+.
+    Lint is sparse, so each check costs O(n m) for n vertices and m edges."""
+    s, lint = lap.denominator, lap.numerators
+    d, nums = lplus.denominator, lplus.numerators
+    n = len(lint)
+    if nums != tuple(zip(*nums)) or any(map(sum, nums)):
+        return False
+    for i, row in enumerate(lint):
+        product = [0] * n
+        for j, a in enumerate(row):
+            if a:
+                product = [p + a * x for p, x in zip(product, nums[j])]
+        if [n * p for p in product] != [s * d * (n * (c == i) - 1) for c in range(n)]:
+            return False
+    return True
+
+
+def seeded_grid(k: int, seed: int) -> tuple[mg.MetrizedGraph, mg.Divisor]:
+    """A k x k grid whose lengths and divisor placement a seed shuffles."""
+    rng = random.Random(seed)
+    pairs = []
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                pairs.append((v, v + 1))
+            if r + 1 < k:
+                pairs.append((v, v + k))
+    palette = ("1", "2", "3", "1/2", "3/2", "2/3")
+    lengths = [Fraction(palette[i % len(palette)]) for i in range(len(pairs))]
+    rng.shuffle(lengths)
+    coeffs = [0] * (k * k)
+    for v, a in zip(rng.sample(range(k * k), 3), (1, 2, 3)):
+        coeffs[v] = a
+    edges = tuple(mg.Edge(a, b, length) for (a, b), length in zip(pairs, lengths))
+    g = mg.MetrizedGraph(tuple(f"v{v}" for v in range(k * k)), edges)
+    return g, mg.Divisor(tuple(coeffs))
 
 
 def standing_graphs() -> list[tuple[str, mg.MetrizedGraph, mg.Divisor]]:

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 import metgraph as mg
-from conftest import build_segment, fraction_laplacian, load_pairs, standing_graphs
+from conftest import (
+    build_segment,
+    defines_pseudo_inverse,
+    fraction_laplacian,
+    gauss_jordan_pinv,
+    load_pairs,
+    seeded_grid,
+    standing_graphs,
+)
 
 F = Fraction
 
@@ -148,22 +156,27 @@ class TestPseudoInverse:
     def test_single_vertex_pseudoinverse_is_zero(self):
         assert mg.pseudo_inverse(mg.RationalMatrix([[0]])) == mg.RationalMatrix([[0]])
 
-    def test_non_laplacian_rejected(self):
+    def test_non_laplacian_rejected(self, monkeypatch):
+        # rejected before the vertices are even ordered for the elimination
+        monkeypatch.setattr(mg.linalg, "_reverse_cuthill_mckee", None)
         cases = ([[2, 0], [0, 3]], [[1, -1], [0, 0]], [[1, -1, 0], [-1, 1, 0]], [[5]])
         for rows in cases:
             with pytest.raises(mg.MetgraphError, match="not a Laplacian"):
                 mg.pseudo_inverse(mg.RationalMatrix(rows))
 
-    def test_positive_off_diagonal_rejected(self):
-        # symmetric with zero row sums, but no graph Laplacian: its reduced
-        # matrix [[0, 1], [1, 0]] is invertible with a zero leading minor
+    def test_positive_off_diagonal_rejected(self, monkeypatch):
+        # symmetric with zero row sums, but no graph Laplacian: a reduced
+        # matrix such as [[0, 1], [1, 0]] is invertible with a zero leading
+        # minor
+        monkeypatch.setattr(mg.linalg, "_reverse_cuthill_mckee", None)
         signed = mg.RationalMatrix([[2, -1, -1], [-1, 0, 1], [-1, 1, 0]])
         with pytest.raises(mg.MetgraphError, match="not a Laplacian"):
             mg.pseudo_inverse(signed)
 
     def test_zero_pivot_mid_elimination_is_singular(self):
-        # components {0, 1}, {2, 3}, {4, 5}: grounding vertex 0 leaves the
-        # leading minors 1, 1, 0, so the third pivot is the first zero
+        # components {0, 1}, {2, 3}, {4, 5}: whichever vertex is grounded,
+        # two whole components remain, and the leading minor that ends the
+        # first of them in the elimination order is zero
         pair = [[1, -1], [-1, 1]]
         rows = [[0] * 6 for _ in range(6)]
         for base in (0, 2, 4):
@@ -202,6 +215,63 @@ class TestPseudoInverse:
         )
         with pytest.raises(mg.SingularShift):
             mg.pseudo_inverse(block)
+
+    @pytest.mark.parametrize(
+        "edges, n",
+        [
+            (((1, 2), (2, 3), (3, 1)), 4),  # vertex 0 isolated
+            (((0, 1), (1, 2), (2, 0)), 4),  # the last vertex isolated
+            (((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)), 6),  # two equal triangles
+        ],
+        ids=["first-isolated", "last-isolated", "two-triangles"],
+    )
+    def test_disconnected_laplacian_is_singular(self, edges, n):
+        # a whole component ends in the elimination order before the grounded
+        # vertex's, however late: its last leading minor is the zero pivot
+        rows = [[0] * n for _ in range(n)]
+        for a, b in edges:
+            rows[a][b] = rows[b][a] = -1
+            rows[a][a] += 1
+            rows[b][b] += 1
+        with pytest.raises(mg.SingularShift):
+            mg.pseudo_inverse(mg.RationalMatrix(rows))
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_seeded_grid_matches_reference_and_definition(self, k):
+        # the banded elimination against dense Gauss-Jordan, and both
+        # against the definition of L+, up to the CLI's 100-vertex bound
+        g, _ = seeded_grid(k, k)
+        lap = mg.linalg.laplacian_matrix(g)
+        lplus = mg.pseudo_inverse(lap)
+        assert lplus == gauss_jordan_pinv(lap)
+        assert defines_pseudo_inverse(lap, lplus)
+
+    def test_refinements_match_reference_and_definition(self, standing):
+        # the graph and each refinement its frozen oracle pairs make
+        name, g, _ = standing
+        graphs = [g] + [mg.subdivide_at_points(g, pair).graph for pair in load_pairs(name)]
+        assert len(graphs) == 53
+        for h in graphs:
+            lap = mg.linalg.laplacian_matrix(h)
+            lplus = mg.pseudo_inverse(lap)
+            assert lplus == gauss_jordan_pinv(lap)
+            assert defines_pseudo_inverse(lap, lplus)
+
+    def test_definition_check_rejects_other_matrices(self, tesseract):
+        lap = mg.linalg.laplacian_matrix(tesseract)
+        lplus = mg.pseudo_inverse(lap)
+
+        def moved(*changes):
+            rows = [list(row) for row in lplus.numerators]
+            for i, j, step in changes:
+                rows[i][j] += step
+            return mg.RationalMatrix([[F(x, lplus.denominator) for x in row] for row in rows])
+
+        assert defines_pseudo_inverse(lap, moved())
+        # symmetric with zero row sums, but L times it is no projection
+        assert not defines_pseudo_inverse(lap, moved((3, 3, 1), (5, 5, 1), (3, 5, -1), (5, 3, -1)))
+        assert not defines_pseudo_inverse(lap, moved((3, 5, 1), (3, 6, -1)))  # asymmetric
+        assert not defines_pseudo_inverse(lap, moved((3, 5, 1), (5, 3, 1)))  # nonzero row sums
 
 
 class TestVertexValues:

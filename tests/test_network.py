@@ -13,7 +13,6 @@ import hashlib
 import importlib
 import math
 import os
-import random
 import subprocess
 import sys
 import weakref
@@ -21,35 +20,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import metgraph as mg
-from conftest import standing_graphs
+from conftest import seeded_grid, standing_graphs
 
 F = Fraction
 
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ROOT / "graphs"
 SRC = Path(mg.__file__).resolve().parent.parent
-
-
-def seeded_grid(k: int, seed: int) -> tuple[mg.MetrizedGraph, mg.Divisor]:
-    """A k x k grid whose lengths and divisor placement a seed shuffles."""
-    rng = random.Random(seed)
-    pairs = []
-    for r in range(k):
-        for c in range(k):
-            v = r * k + c
-            if c + 1 < k:
-                pairs.append((v, v + 1))
-            if r + 1 < k:
-                pairs.append((v, v + k))
-    palette = ("1", "2", "3", "1/2", "3/2", "2/3")
-    lengths = [F(palette[i % len(palette)]) for i in range(len(pairs))]
-    rng.shuffle(lengths)
-    coeffs = [0] * (k * k)
-    for v, a in zip(rng.sample(range(k * k), 3), (1, 2, 3)):
-        coeffs[v] = a
-    edges = tuple(mg.Edge(a, b, length) for (a, b), length in zip(pairs, lengths))
-    g = mg.MetrizedGraph(tuple(f"v{v}" for v in range(k * k)), edges)
-    return g, mg.Divisor(tuple(coeffs))
 
 
 class TestCacheContract:

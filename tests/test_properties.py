@@ -12,7 +12,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import metgraph as mg
-from conftest import build_banana, fraction_laplacian, sample_points
+from conftest import (
+    build_banana,
+    defines_pseudo_inverse,
+    fraction_laplacian,
+    gauss_jordan_pinv,
+    sample_points,
+)
 
 F = Fraction
 
@@ -210,6 +216,49 @@ def test_repaired_closed_forms_match_oracle(g, data):
 def test_integer_laplacian_matches_fraction_build(g):
     refined, _ = mg.make_adequate(g)
     assert mg.linalg.laplacian_matrix(refined) == fraction_laplacian(refined)
+
+
+def relabelled(lap: mg.RationalMatrix, perm: list[int]) -> mg.RationalMatrix:
+    """P M P^T for the permutation matrix P taking vertex perm[v] to v."""
+    return mg.RationalMatrix([[lap[p, q] for q in perm] for p in perm])
+
+
+@common
+@given(st.one_of(adequate_graphs(), multigraphs()))
+def test_pseudo_inverse_matches_gauss_jordan_and_definition(g):
+    refined, _ = mg.make_adequate(g)
+    lap = mg.linalg.laplacian_matrix(refined)
+    lplus = mg.pseudo_inverse(lap)
+    assert lplus == gauss_jordan_pinv(lap)
+    assert defines_pseudo_inverse(lap, lplus)
+
+
+@common
+@given(st.one_of(adequate_graphs(), multigraphs()), st.data())
+def test_relabelled_laplacian_gives_the_relabelled_pseudo_inverse(g, data):
+    # a relabelling changes the elimination order and the grounded vertex,
+    # never the result
+    refined, _ = mg.make_adequate(g)
+    lap = mg.linalg.laplacian_matrix(refined)
+    perm = data.draw(st.permutations(range(refined.n_vertices)))
+    assert mg.pseudo_inverse(relabelled(lap, perm)) == relabelled(mg.pseudo_inverse(lap), perm)
+
+
+@common
+@given(adequate_graphs(), multigraphs(), st.data())
+def test_disjoint_union_is_singular(g, h, data):
+    # the two components interleaved in any vertex order
+    g, _ = mg.make_adequate(g)
+    h, _ = mg.make_adequate(h)
+    a, b = mg.linalg.laplacian_matrix(g), mg.linalg.laplacian_matrix(h)
+    n = g.n_vertices + h.n_vertices
+    union = mg.RationalMatrix(
+        [[*a.row(i), *[F(0)] * h.n_vertices] for i in range(g.n_vertices)]
+        + [[*[F(0)] * g.n_vertices, *b.row(i)] for i in range(h.n_vertices)]
+    )
+    perm = data.draw(st.permutations(range(n)))
+    with pytest.raises(mg.SingularShift):
+        mg.pseudo_inverse(relabelled(union, perm))
 
 
 # -- reference for the integer kernel ------------------------------------------
