@@ -49,12 +49,13 @@ def as_fraction(value: Fraction | int | str, what: str) -> Fraction:
     """``value`` as a Fraction; a string must be an integer or ``p/q``.
 
     Anything but an int, a Fraction or such a string raises: a float or a
-    Decimal would bring its binary or decimal expansion in as the number.
-    A Fraction is returned as it is, since it is immutable.
+    Decimal would bring its binary or decimal expansion in as the number,
+    and a bool is an int only by inheritance, never meant as 0 or 1.  A
+    Fraction is returned as it is, since it is immutable.
     """
     if type(value) is Fraction:
         return value
-    if not isinstance(value, (int, Fraction, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
         raise MetgraphError(f"{what}: expected an integer, a Fraction or 'p/q', got {value!r}")
     try:
         if isinstance(value, str) and not _RATIONAL.fullmatch(value):
@@ -250,15 +251,21 @@ def canonical_divisor(
 
 
 def validate_point(g: MetrizedGraph, pt: GraphPoint | tuple) -> GraphPoint:
-    """Normalize a point and check 0 <= offset <= edge length."""
+    """Normalize a point and check 0 <= offset <= edge length.
+
+    With the offset X / u and the length p / q, both in lowest terms with
+    positive denominators, the bound is X >= 0 and X q <= p u, compared in
+    integers.
+    """
     edge, offset = pt
     if isinstance(edge, bool) or not isinstance(edge, int) or not 0 <= edge < g.n_edges:
         raise PointOutOfRange(f"edge index {edge!r} outside 0..{g.n_edges - 1}")
-    offset = as_fraction(offset, f"offset on edge {edge}")
-    if not 0 <= offset <= g.edges[edge].length:
-        raise PointOutOfRange(
-            f"offset {offset} outside [0, {g.edges[edge].length}] on edge {edge}"
-        )
+    if type(offset) is not Fraction:
+        offset = as_fraction(offset, f"offset on edge {edge}")
+    length = g.edges[edge].length
+    x = offset.numerator
+    if x < 0 or x * length.denominator > length.numerator * offset.denominator:
+        raise PointOutOfRange(f"offset {offset} outside [0, {length}] on edge {edge}")
     return GraphPoint(edge, offset)
 
 
@@ -291,7 +298,15 @@ def representations(g: MetrizedGraph, v: int) -> tuple[GraphPoint, ...]:
 
 
 def point_of_vertex(g: MetrizedGraph, v: int) -> GraphPoint:
-    return representations(g, v)[0]
+    """The canonical description of vertex ``v``, the first of
+    ``representations(g, v)``: its first incident end in edge order.  A
+    connected graph with an edge has one at every vertex."""
+    g._check_vertex(v)
+    return next(
+        GraphPoint(i, Fraction(0)) if e.tail == v else GraphPoint(i, e.length)
+        for i, e in enumerate(g.edges)
+        if v in (e.tail, e.head)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .graph import (
     admissible_degree,
     check_divisor,
     point_of_vertex,
-    representations,
 )
 from .green import ValueMatrix, value_matrix
 from .potential import (
@@ -202,7 +201,11 @@ def _check_reports(g: MetrizedGraph, divisor: Divisor) -> tuple[CheckReport, Che
 def _representation_report(
     g: MetrizedGraph, matrix: ValueMatrix, table: list[list[tuple[int, int]]]
 ) -> CheckReport:
-    valence = [len(representations(g, v)) for v in range(g.n_vertices)]
+    # edge ends per vertex, one pass over the edges; a loop counts twice
+    valence = [0] * g.n_vertices
+    for e in g.edges:
+        valence[e.tail] += 1
+        valence[e.head] += 1
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     ends = [(e.tail, e.head) for e in g.edges]
     comparisons = 0

@@ -16,13 +16,15 @@ difference of two entries of an ``a`` vector.  An ``EdgePairFunction``
 holds its coefficients as integers over one denominator, so the pair form
 is built, and evaluated, in integers: its coefficients are the numerators
 of ``resistance_numerators`` and the W of its two edges, over D p_i^2 p_j^2.
+The divisor's r_D = sum_k a_k r(p_k, .) is held the same way, one
+``EdgeFunction`` per edge with its three coefficients as integers over
+D p^2, so a point query builds one Fraction, its answer.
 The Green function at vertices has a direct formula in L+, tau and c_mu
 alone, which ``green_row_at_vertices`` gives one vertex row at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
@@ -139,10 +141,10 @@ class EdgePairFunction:
     )
 
     def __init__(self, i: int, j: int, c0=0, cx=0, cy=0, cxx=0, cyy=0, cxy=0, cabs=0):
-        coeffs = [as_fraction(c, "coefficient") for c in (c0, cx, cy, cxx, cyy, cxy, cabs)]
-        den = lcm(*(c.denominator for c in coeffs))
-        self._i, self._j, self._denominator = i, j, den
-        self._numerators = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._i, self._j = i, j
+        self._denominator, self._numerators = _over_one_denominator(
+            (c0, cx, cy, cxx, cyy, cxy, cabs)
+        )
 
     @classmethod
     def _over(cls, i: int, j: int, den: int, numerators: tuple[int, ...]) -> EdgePairFunction:
@@ -180,14 +182,26 @@ class EdgePairFunction:
         )
 
     def __hash__(self) -> int:
-        # over the least common denominator, equal values hold equal integers
-        common = gcd(self._denominator, *self._numerators)
-        lowest = tuple(c // common for c in self._numerators)
-        return hash((self._i, self._j, self._denominator // common, lowest))
+        return hash((self._i, self._j, _lowest_terms(self._denominator, self._numerators)))
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{name}={c!r}" for name, c in zip(_TERMS, self.coefficients()))
         return f"EdgePairFunction(i={self._i!r}, j={self._j!r}, {terms})"
+
+
+def _over_one_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """``values``, each an int, a Fraction or a ``p/q`` string, as integer
+    numerators over their least common denominator."""
+    coeffs = [as_fraction(c, "coefficient") for c in values]
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+
+def _lowest_terms(den: int, numerators: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The numerators over den > 0 brought over their least common
+    denominator, where equal values hold equal integers."""
+    common = gcd(den, *numerators)
+    return den // common, tuple(c // common for c in numerators)
 
 
 def same_values(den_a: int, a: tuple[int, ...], den_b: int, b: tuple[int, ...]) -> bool:
@@ -297,17 +311,55 @@ def green_row_at_vertices(div: DivisorAnalysis, p: int) -> tuple[tuple[int, ...]
     return numerators, den * scale * td * cd
 
 
-@dataclass(frozen=True)
 class EdgeFunction:
-    """A quadratic a2*x^2 + a1*x + a0 on a single edge."""
+    """A quadratic a2*x^2 + a1*x + a0 on a single edge.
 
-    edge: int
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
+    Like ``EdgePairFunction`` it holds its coefficients, read-only, as
+    integer numerators over one positive denominator, which need not be the
+    least: ``r_D_on_edges`` builds r_D's over D p^2.  A coefficient reads as
+    a reduced Fraction made when read, and a value is one Fraction.  The
+    constructor takes ints, Fractions and ``p/q`` strings; equality and hash
+    go by value.
+    """
+
+    # weakly referable, so a caller can see a cached form freed with its network
+    __slots__ = ("_edge", "_denominator", "_numerators", "__weakref__")
+
+    edge = property(lambda self: self._edge)
+    a2, a1, a0 = (
+        property(lambda self, k=k: Fraction(self._numerators[k], self._denominator))
+        for k in range(3)
+    )
+
+    def __init__(self, edge: int, a2, a1, a0):
+        self._edge = edge
+        self._denominator, self._numerators = _over_one_denominator((a2, a1, a0))
+
+    @classmethod
+    def _over(cls, edge: int, den: int, numerators: tuple[int, int, int]) -> EdgeFunction:
+        """The numerators of a2, a1 and a0 over den > 0, taken as they are."""
+        form = cls.__new__(cls)
+        form._edge, form._denominator, form._numerators = edge, den, numerators
+        return form
 
     def __call__(self, x: Fraction) -> Fraction:
-        return self.a2 * x * x + self.a1 * x + self.a0
+        # with x = X / u the value is an integer over den u^2
+        a2, a1, a0 = self._numerators
+        X, u = x.numerator, x.denominator
+        return Fraction((a2 * X + a1 * u) * X + a0 * u * u, self._denominator * u * u)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeFunction):
+            return NotImplemented
+        return self._edge == other._edge and same_values(
+            self._denominator, self._numerators, other._denominator, other._numerators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._edge, _lowest_terms(self._denominator, self._numerators)))
+
+    def __repr__(self) -> str:
+        return f"EdgeFunction(edge={self._edge!r}, a2={self.a2!r}, a1={self.a1!r}, a0={self.a0!r})"
 
 
 def r_D_at_vertices(div: DivisorAnalysis) -> tuple[int, ...]:
@@ -336,19 +388,18 @@ def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     term -w_i and runs from r(p_k, tail) to r(p_k, head), so the sum is
     fixed by its values at the two ends.  On a bridge w_i is zero and each
     slope comes out as +1 or -1.
+
+    Each form is held in integers over D p^2: the numerators are -deg W,
+    k p and r_D(tail) p^2, with k the slope numerator of ``r_D_slopes``.
     """
     deg = div.divisor.degree
     den = div.network.pinv.denominator
     at = div.r_D_at_vertices
-    return tuple(
-        EdgeFunction(
-            i,
-            Fraction(-deg * e.w, den * e.p * e.p),
-            Fraction(k, den * e.p),
-            Fraction(at[e.tail], den),
-        )
-        for i, (e, k) in enumerate(zip(div.network.edges, r_D_slopes(div)))
-    )
+    forms = []
+    for i, (e, k) in enumerate(zip(div.network.edges, r_D_slopes(div))):
+        pp = e.p * e.p
+        forms.append(EdgeFunction._over(i, den * pp, (-deg * e.w, k * e.p, at[e.tail] * pp)))
+    return tuple(forms)
 
 
 def r_D_slopes(div: DivisorAnalysis) -> tuple[int, ...]:

@@ -58,6 +58,18 @@ class TestConstruction:
         with pytest.raises(mg.NonpositiveLength):
             mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, Fraction(-1, 2)),))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_as_fraction_rejects_bools(self, flag):
+        # a bool is an int by inheritance, but never meant as the number 1 or 0
+        with pytest.raises(mg.MetgraphError, match="x: expected an integer"):
+            mg.graph.as_fraction(flag, "x")
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_length_rejected(self, flag):
+        with pytest.raises(mg.MetgraphError, match="edge 0 length: expected") as caught:
+            mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, flag),))
+        assert not isinstance(caught.value, mg.NonpositiveLength)
+
     def test_negative_ratio_string_is_a_nonpositive_length(self):
         # a signed ratio is read as a number, then rejected as a length
         with pytest.raises(mg.NonpositiveLength):
@@ -378,6 +390,10 @@ class TestPoints:
         g = build_circle()
         pt = mg.validate_point(g, (1, "1/3"))
         assert pt == mg.GraphPoint(1, Fraction(1, 3))
+        # both ends and the points next to them are on edge 1, of length 1
+        big = 10**30
+        for offset in (0, 1, "1", Fraction(1, big), Fraction(big - 1, big)):
+            assert mg.validate_point(g, (1, offset)).offset == Fraction(offset)
 
     def test_out_of_range(self):
         g = build_circle()
@@ -387,6 +403,10 @@ class TestPoints:
             mg.validate_point(g, (7, 0))
         with pytest.raises(mg.PointOutOfRange):
             mg.validate_point(g, (0, Fraction(-1, 5)))
+        big = 10**30
+        for offset in (Fraction(big + 1, big), Fraction(-1, big), -1, "-1/3", 2):
+            with pytest.raises(mg.PointOutOfRange, match=r"offset \S+ outside \[0, 1\] on edge 1"):
+                mg.validate_point(g, (1, offset))
 
     @pytest.mark.parametrize("offset", ["1e-1", "0.25", "1/0"])
     def test_offset_string_must_be_an_integer_or_a_ratio(self, offset):
@@ -398,6 +418,14 @@ class TestPoints:
             mg.validate_point(build_circle(), (1, 0.25))
         with pytest.raises(mg.MetgraphError, match="offset on edge 0"):
             mg.resistance_point(build_circle(), (0, 0.05), (0, 0))
+
+    def test_bool_offset_rejected(self):
+        g = build_circle()
+        for flag in (True, False):
+            with pytest.raises(mg.MetgraphError, match="offset on edge 1: expected"):
+                mg.validate_point(g, (1, flag))
+            with pytest.raises(mg.MetgraphError, match="offset on edge 0: expected"):
+                mg.resistance_point(g, (0, flag), (0, 0))
 
     def test_bool_edge_index_rejected(self):
         g = build_circle()
@@ -421,6 +449,14 @@ class TestPoints:
         )
         assert mg.point_of_vertex(g, 0) == reps[0]
 
+    def test_point_of_vertex_is_the_first_representation(self):
+        graphs = [g for _, g, _ in standing_graphs()] + [build_raw_banana(), build_loop()]
+        for g in graphs:
+            for v in range(g.n_vertices):
+                assert mg.point_of_vertex(g, v) == mg.representations(g, v)[0]
+        with pytest.raises(mg.MetgraphError, match="vertex index 3"):
+            mg.point_of_vertex(build_circle(), 3)
+
 
 class TestTransforms:
     def test_scaled(self):
@@ -437,6 +473,11 @@ class TestTransforms:
     def test_float_factor_rejected(self):
         with pytest.raises(mg.MetgraphError, match="scale factor"):
             build_circle().scaled(0.5)
+
+    def test_bool_factor_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(mg.MetgraphError, match="scale factor: expected"):
+                build_circle().scaled(flag)
 
     def test_with_edge_reversed(self):
         g = build_circle()

@@ -116,6 +116,11 @@ class TestEntryRepresentation:
         with pytest.raises(mg.MetgraphError, match="coefficient"):
             mg.EdgePairFunction(0, 0, 0.5)
 
+    def test_bool_coefficients_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(mg.MetgraphError, match="coefficient: expected"):
+                mg.EdgePairFunction(0, 0, cxy=flag)
+
     def test_entries_are_read_only(self, circle):
         z = mg.value_matrix(circle, mg.Divisor.zero(3)).entry(0, 0)
         for name in ("i", "denominator", "numerators", "c0", "cabs"):

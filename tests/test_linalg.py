@@ -54,6 +54,11 @@ class TestRationalMatrix:
         with pytest.raises(mg.MetgraphError, match="matrix entry"):
             mg.RationalMatrix([[entry]])
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_bool_entries_rejected(self, entry):
+        with pytest.raises(mg.MetgraphError, match="matrix entry: expected"):
+            mg.RationalMatrix([[1, entry]])
+
     def test_equality_and_hash(self):
         a = mg.RationalMatrix([[1, 2]])
         b = mg.RationalMatrix([["1", "2"]])

@@ -589,6 +589,32 @@ def test_integer_checks_match_fraction_reference(gd, data):
     assert_vertex_formula_check_matches_reference(g, divisor, matrix)
 
 
+@common
+@given(
+    repaired_graph_and_divisor(),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+    st.integers(min_value=1, max_value=10**15),
+)
+def test_integer_point_queries_match_fraction_reference(gd, fraction_of_length, k):
+    """r_D at offsets 0, L and a drawn point equals a2 x^2 + a1 x + a0 in
+    Fractions, and the offset bound accepts exactly 0 <= x <= L, probed
+    just inside and just outside both ends."""
+    g, divisor = gd
+    for i, e in enumerate(g.edges):
+        f = mg.r_D_on_edge(g, divisor, i)
+        for x in (F(0), e.length, e.length * fraction_of_length):
+            got = mg.resistance_to_divisor(g, divisor, (i, x))
+            assert exact([got]) == exact([f.a2 * x * x + f.a1 * x + f.a0])
+        probes = (F(0), e.length, F(1, k), -F(1, k), e.length - F(1, k), e.length + F(1, k))
+        for x in probes:
+            for given_as in (x, str(x)):
+                try:
+                    accepted = mg.validate_point(g, (i, given_as)).offset == x
+                except mg.PointOutOfRange:
+                    accepted = False
+                assert accepted == (0 <= x <= e.length)
+
+
 @pytest.mark.parametrize("name", COEFFICIENT_NAMES)
 @pytest.mark.parametrize("i,j", [(2, 2), (1, 3)], ids=["diagonal", "off-diagonal"])
 def test_perturbed_entry_gives_the_reference_mismatches(name, i, j):
