@@ -435,13 +435,12 @@ def adequate_refinement(
 # bridges and distances
 
 
-def _reachable(g: MetrizedGraph, start: int, skip: int | None = None) -> frozenset[int]:
-    """Vertices joined to ``start`` by edges other than edge ``skip``."""
+def _reachable(g: MetrizedGraph, start: int) -> frozenset[int]:
+    """Vertices joined to ``start`` by edges."""
     adj: dict[int, list[int]] = {}
-    for i, e in enumerate(g.edges):
-        if i != skip:
-            adj.setdefault(e.tail, []).append(e.head)
-            adj.setdefault(e.head, []).append(e.tail)
+    for e in g.edges:
+        adj.setdefault(e.tail, []).append(e.head)
+        adj.setdefault(e.head, []).append(e.tail)
     seen = {start}
     stack = [start]
     while stack:
@@ -453,14 +452,48 @@ def _reachable(g: MetrizedGraph, start: int, skip: int | None = None) -> frozens
 
 
 def find_bridge_sides(g: MetrizedGraph) -> dict[int, frozenset[int]]:
-    """Per bridge, the vertices joined to its tail once it is cut: edge i is
-    a bridge exactly when its head is not among the vertices so joined."""
-    sides = {}
+    """Per bridge, in edge order, the vertices joined to its tail once it is
+    cut.
+
+    One iterative depth-first search with low links (Tarjan 1974) finds
+    them all.  It skips only the edge it came in by, not the parent vertex,
+    so a parallel edge or a loop is a way back like any other.  A tree edge
+    into w is a bridge exactly when nothing below w reaches above it, and
+    its side is then the subtree of w: the vertices discovered from w on,
+    read when w is finished.  The tail's side is that subtree or the rest.
+    """
+    n = g.n_vertices
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, e in enumerate(g.edges):
-        side = _reachable(g, e.tail, skip=i)
-        if e.head not in side:
-            sides[i] = side
-    return sides
+        adjacent[e.tail].append((e.head, i))
+        adjacent[e.head].append((e.tail, i))
+    found = [0] * n  # discovery index, counted from 1; 0 for undiscovered
+    low = [0] * n
+    order = [0]
+    found[0] = low[0] = 1
+    stack = [(0, -1, iter(adjacent[0]))]
+    sides = {}
+    while stack:
+        v, via, rest = stack[-1]
+        for w, i in rest:
+            if i == via:
+                continue
+            if not found[w]:
+                order.append(w)
+                found[w] = low[w] = len(order)
+                stack.append((w, i, iter(adjacent[w])))
+                break
+            low[v] = min(low[v], found[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] > found[u]:
+                below = frozenset(order[found[v] - 1 :])
+                sides[via] = below if g.edges[via].tail == v else frozenset(range(n)) - below
+    return dict(sorted(sides.items()))
 
 
 def bridges(g: MetrizedGraph) -> frozenset[int]:
@@ -605,21 +638,23 @@ def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
 
 
 def connectivity_of(net: Network) -> ConnectivityMatrix:
+    """The codes of ``ConnectivityMatrix``: every entry outside a bridge's
+    row and column is 0, so only those are filled."""
     g = net.graph
     require_adequate(g)
-    br = net.bridges
-
-    def code(i: int, j: int) -> int:
-        if i == j:
-            return int(i in br)
-        if i in br and j in br:
-            s_ij = _side(net, i, g.edges[j].tail).value
-            s_ji = _side(net, j, g.edges[i].tail).value
-            return 110 * s_ij + s_ji
-        if i in br or j in br:
-            bridge, other = (i, j) if i in br else (j, i)
-            return _side(net, bridge, g.edges[other].tail).value
-        return 0
-
     m = g.n_edges
-    return ConnectivityMatrix(tuple(tuple(code(i, j) for j in range(m)) for i in range(m)))
+    # per bridge, the side digit of every edge's tail: 0 on its tail side
+    digits = {
+        b: [int(e.tail not in side) for e in g.edges] for b, side in net.bridge_sides.items()
+    }
+    rows = [[0] * m for _ in range(m)]
+    for i, s_i in digits.items():
+        row = rows[i]
+        for j, s_ij in enumerate(s_i):
+            if j == i:
+                row[i] = 1
+            elif j in digits:
+                row[j] = 110 * s_ij + digits[j][i]
+            else:
+                row[j] = rows[j][i] = s_ij
+    return ConnectivityMatrix(tuple(map(tuple, rows)))

@@ -16,12 +16,23 @@ descriptions of each vertex pair, so they share one table of those values.
 The representation check compares every corner of every entry with that
 table; the vertex-formula check compares it, row by row, with the direct
 formula.
+
+g(x, y) = g(y, x), so both read an edge pair {i, j} once when z_ji holds
+exactly z_ij's integers with x and y swapped (``_mirrors``): z_ji's corners
+are then z_ij's, transposed.  The table then holds one cell for (p, q) and
+(q, p), and the representation check walks the pairs, comparing each
+corner of a mirrored pair once against that shared value.  A pair that
+does not mirror, or meets a failing comparison, goes back through the
+per-entry comparison, and that alone builds every mismatch, so counts,
+mismatches and their order are those of the entry-by-entry walk.  The
+mirror test reads the integers themselves, not the build's symmetry check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -126,20 +137,41 @@ def _corners(
     return entry.denominator * (qqi * qqj), (base, base + y, base + x, base + x + y + xy)
 
 
+# (c0, cx, cy, cxx, cyy, cxy, cabs) with x and y swapped
+_SWAP_XY = itemgetter(0, 2, 1, 4, 3, 5, 6)
+
+
+def _mirrors(zij: EdgePairFunction, zji: EdgePairFunction) -> bool:
+    """Whether z_ji holds exactly z_ij's integers with x and y swapped: an
+    equal denominator and the numerators (c0, cy, cx, cyy, cxx, cxy, cabs).
+    Then z_ji's corners are z_ij's transposed, as the same integers."""
+    return zij.denominator == zji.denominator and _SWAP_XY(zij.numerators) == zji.numerators
+
+
 def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int, int]]]:
     """The matrix's value at the canonical descriptions of every vertex
-    pair, as (numerator, denominator); each is one corner of one entry."""
+    pair, as (numerator, denominator); each is one corner of one entry.
+    Cell (q, p) is cell (p, q), the same object, when the two entries
+    holding them mirror, and is read off its own entry otherwise."""
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     # per vertex: its edge, the end it sits at (0 the tail, 1 the head), the length
     points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
     ends = [(x.edge, int(x.offset != 0), *lengths[x.edge]) for x in points]
-    table = []
-    for i, a, pi, qi in ends:
-        row, values = matrix.entries[i], []
-        for j, b, pj, qj in ends:
+    entries = matrix.entries
+    table: list[list[tuple[int, int]]] = [[] for _ in ends]
+    for p, (i, a, pi, qi) in enumerate(ends):
+        row = entries[i]
+        for q in range(p, len(ends)):
+            j, b, pj, qj = ends[q]
             den, corners = _corners(row[j], pi, qi, pj, qj)
-            values.append((corners[2 * a + b], den))
-        table.append(values)
+            table[p].append((corners[2 * a + b], den))
+            if q == p:
+                continue
+            if _mirrors(row[j], entries[j][i]):
+                table[q].append(table[p][-1])
+            else:
+                den, corners = _corners(entries[j][i], pj, qj, pi, qi)
+                table[q].append((corners[2 * b + a], den))
     return table
 
 
@@ -166,8 +198,9 @@ def check_representation_independence(
     For every vertex pair whose first member has valence at least two, all
     combinations of edge descriptions are compared with the canonical one.
     Each combination is one corner of one entry, so the entries are walked
-    once, each read at its four corners in integers; a Fraction is built
-    only for a mismatch, and mismatches are reported in vertex-pair order.
+    once, a mirrored pair of them read once, at its four corners in
+    integers; a Fraction is built only for a mismatch, and mismatches are
+    reported in vertex-pair order.
     """
     matrix = _check_matrix(g, divisor, matrix)
     return _representation_report(g, matrix, _vertex_table(g, matrix))
@@ -201,6 +234,20 @@ def _check_reports(g: MetrizedGraph, divisor: Divisor) -> tuple[CheckReport, Che
 def _representation_report(
     g: MetrizedGraph, matrix: ValueMatrix, table: list[list[tuple[int, int]]]
 ) -> CheckReport:
+    """Every corner of every entry against the table, one edge pair {i, j},
+    i <= j, at a time.
+
+    A pair whose entries mirror (``_mirrors``) is read once: corner (a, b)
+    of z_ij is g(p, q), and as corner (b, a) of z_ji it is g(q, p), the
+    same integers over the same denominator.  When the table's g(p, q) and
+    g(q, p) agree, one comparison against that value stands for both
+    entries, and a pair whose four corners all agree is settled.  Ends of
+    valence one are compared there too, which can only send a pair back.
+    The diagonal entries, a pair that does not mirror, and a mirrored pair with
+    any failing comparison go through ``compare``, entry by entry, and that
+    alone builds every mismatch.  The count is the entry-by-entry walk's:
+    per edge i, two comparisons per compared end of i and per edge j.
+    """
     # edge ends per vertex, one pass over the edges; a loop counts twice
     valence = [0] * g.n_vertices
     for e in g.edges:
@@ -208,28 +255,57 @@ def _representation_report(
         valence[e.head] += 1
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     ends = [(e.tail, e.head) for e in g.edges]
-    comparisons = 0
+    # per edge, its ends compared, as the offset 2 a of their corners (a is
+    # 0 at the tail, 1 at the head) and their row of the table
+    firsts = [
+        [(2 * a, p, table[p]) for a, p in enumerate(pair) if valence[p] >= 2] for pair in ends
+    ]
+    entries = matrix.entries
+    m = len(entries)
+    comparisons = 2 * m * sum(map(len, firsts))
     mismatches = []
-    for i, row in enumerate(matrix.entries):
-        # the ends of edge i compared, as the offset 2 a of their corners
-        # (a is 0 at the tail, 1 at the head) and their row of the table
-        firsts = [(2 * a, p, table[p]) for a, p in enumerate(ends[i]) if valence[p] >= 2]
-        comparisons += 2 * len(firsts) * len(row)
-        for j, entry in enumerate(row):
-            den, values = _corners(entry, *lengths[i], *lengths[j])
-            tj, hj = ends[j]
-            for a, p, wants in firsts:
-                (wt, ot), (wh, oh) = wants[tj], wants[hj]
-                if values[a] * ot == wt * den and values[a + 1] * oh == wh * den:
+
+    def compare(i: int, j: int) -> None:
+        den, values = _corners(entries[i][j], *lengths[i], *lengths[j])
+        tj, hj = ends[j]
+        for a, p, wants in firsts[i]:
+            (wt, ot), (wh, oh) = wants[tj], wants[hj]
+            if values[a] * ot == wt * den and values[a + 1] * oh == wh * den:
+                continue
+            for b, q in enumerate(ends[j]):
+                num, (want, over) = values[a + b], wants[q]
+                if num * over != want * den:
+                    location = f"g(v{p}, v{q}) via z[{i}][{j}]"
+                    found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
+                    mismatches.append(((p, q, i, a // 2, j, b), found))
+
+    # per vertex pair (p, q), the one value a corner g(p, q) of a mirrored
+    # pair must equal, when g(p, q) and g(q, p) agree in the table; else a
+    # cell no value equals, since num * 0 != 1 * den
+    shared = [
+        [cell if cell == table[q][p] else (1, 0) for q, cell in enumerate(row)]
+        for p, row in enumerate(table)
+    ]
+    for i, row in enumerate(entries):
+        compare(i, i)
+        ti, hi = ends[i]
+        at, ah = shared[ti], shared[hi]
+        for j in range(i + 1, m):
+            if _mirrors(row[j], entries[j][i]):
+                den, (v0, v1, v2, v3) = _corners(row[j], *lengths[i], *lengths[j])
+                tj, hj = ends[j]
+                (w0, o0), (w1, o1), (w2, o2), (w3, o3) = at[tj], at[hj], ah[tj], ah[hj]
+                if (
+                    v0 * o0 == w0 * den
+                    and v1 * o1 == w1 * den
+                    and v2 * o2 == w2 * den
+                    and v3 * o3 == w3 * den
+                ):
                     continue
-                for b, q in enumerate(ends[j]):
-                    num, (want, over) = values[a + b], wants[q]
-                    if num * over != want * den:
-                        location = f"g(v{p}, v{q}) via z[{i}][{j}]"
-                        found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
-                        mismatches.append(((p, q, i, a // 2, j, b), found))
+            compare(i, j)
+            compare(j, i)
     # the keys are unique: order by vertex pair, then by the two descriptions
-    ordered = tuple(m for _, m in sorted(mismatches))
+    ordered = tuple(found for _, found in sorted(mismatches))
     return CheckReport("representation independence", comparisons, ordered)
 
 

@@ -51,9 +51,14 @@ class RationalMatrix:
         """numerators / den, for den > 0, brought to lowest terms by one gcd."""
         rows = tuple(map(tuple, numerators))
         common = gcd(den, *(x for row in rows for x in row))
+        return cls._reduced(den // common, ((x // common for x in row) for row in rows))
+
+    @classmethod
+    def _reduced(cls, den: int, numerators: Iterable[Iterable[int]]) -> "RationalMatrix":
+        """numerators / den, taken as they are: den > 0 and in lowest terms."""
         matrix = cls.__new__(cls)
-        matrix._denominator = den // common
-        matrix._numerators = tuple(tuple(x // common for x in row) for row in rows)
+        matrix._denominator = den
+        matrix._numerators = tuple(map(tuple, numerators))
         return matrix
 
     @property
@@ -208,9 +213,10 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     with m the row means of G and mu their mean.  Over the one denominator
     n^2 det A each entry is s (n^2 B[i][j] - n b_i - n b_j + b) / (n^2 det A),
     with B the padded X, b_i its row sums and b their sum; one gcd brings
-    that to lowest terms.  The order changes nothing: det A is the same
-    whichever vertex is grounded (the matrix-tree theorem), L+ is unique,
-    and so are its integers in lowest terms.
+    that to lowest terms.  L+ is symmetric, so this runs on the upper
+    triangle, which is then mirrored.  The order changes nothing: det A is
+    the same whichever vertex is grounded (the matrix-tree theorem), L+ is
+    unique, and so are its integers in lowest terms.
 
     Any other matrix raises ``MetgraphError``: a Laplacian is symmetric, its
     off-diagonal entries are at most zero and its rows sum to zero.
@@ -276,13 +282,18 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
             column[i] = ((det * pivots[i] if i == c else 0) - below) // row[i]
         adjugate[c] = column
     place = sorted(range(n), key=order.__getitem__)  # place[u]: u's position in order
-    full = [[adjugate[p][q] for q in place] for p in place]
-    sums = [sum(row) for row in full]
-    total = sum(sums)
-    return RationalMatrix._over(
-        n * n * det,
-        ([scale * (n * n * x - n * (si + sj) + total) for x, sj in zip(row, sums)]
-         for row, si in zip(full, sums)),
+    sums = [sum(adjugate[p]) for p in place]
+    total, nn = sum(sums), n * n
+    upper = [
+        [scale * (nn * row[q] - n * (si + sj) + total) for q, sj in zip(place[u:], sums[u:])]
+        for u, (row, si) in enumerate(zip(map(adjugate.__getitem__, place), sums))
+    ]
+    den = nn * det
+    common = gcd(den, *(x for row in upper for x in row))
+    reduced = [[x // common for x in row] for row in upper]
+    return RationalMatrix._reduced(
+        den // common,
+        ([reduced[v][u - v] for v in range(u)] + row for u, row in enumerate(reduced)),
     )
 
 

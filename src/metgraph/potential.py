@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -130,10 +131,10 @@ class EdgePairFunction:
 
     __slots__ = ("_i", "_j", "_denominator", "_numerators")
 
-    i = property(lambda self: self._i)
-    j = property(lambda self: self._j)
-    denominator = property(lambda self: self._denominator)
-    numerators = property(lambda self: self._numerators)
+    i = property(attrgetter("_i"))
+    j = property(attrgetter("_j"))
+    denominator = property(attrgetter("_denominator"))
+    numerators = property(attrgetter("_numerators"))
     # one property per coefficient, each a Fraction made when read
     c0, cx, cy, cxx, cyy, cxy, cabs = (
         property(lambda self, k=k: Fraction(self._numerators[k], self._denominator))

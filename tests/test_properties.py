@@ -629,3 +629,183 @@ def test_perturbed_entry_gives_the_reference_mismatches(name, i, j):
     assert ((1, 3) in canonical, (2, 2) in canonical) == (True, False)
     report = assert_vertex_formula_check_matches_reference(g, divisor, matrix)
     assert report.passed == (i == j)
+
+
+# -- mirrored edge pairs in the representation check ----------------------------
+# The check reads a pair {i, j} once when z_ji holds z_ij's integers with x
+# and y swapped.  A pair perturbed by mirrored amounts still mirrors but
+# fails, so it must come out with every mismatch of both entries; a pair
+# whose numerators mirror over another denominator does not mirror at all.
+
+MIRROR = dict(zip(COEFFICIENT_NAMES, ("c0", "cy", "cx", "cyy", "cxx", "cxy", "cabs")))
+
+
+def mirrors(zij, zji):
+    swapped = tuple(zij.numerators[COEFFICIENT_NAMES.index(MIRROR[n])] for n in COEFFICIENT_NAMES)
+    return zij.denominator == zji.denominator and zji.numerators == swapped
+
+
+def replaced(matrix, changes):
+    rows = [list(row) for row in matrix.entries]
+    for (i, j), entry in changes.items():
+        rows[i][j] = entry
+    return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
+
+
+def moved(entry, name, delta):
+    coefficients = dict(zip(COEFFICIENT_NAMES, entry.coefficients()))
+    coefficients[name] += delta
+    return mg.EdgePairFunction(entry.i, entry.j, **coefficients)
+
+
+def mirrored_perturbed(matrix, i, j, name, delta):
+    """z_ij's ``name`` and z_ji's mirrored coefficient both moved by delta."""
+    return replaced(
+        matrix,
+        {(i, j): moved(matrix.entries[i][j], name, delta),
+         (j, i): moved(matrix.entries[j][i], MIRROR[name], delta)},
+    )
+
+
+def rescaled(matrix, i, j):
+    """z_ji holding z_ij's numerators swapped, over twice z_ij's denominator."""
+    zij = matrix.entries[i][j]
+    swapped = tuple(zij.numerators[COEFFICIENT_NAMES.index(MIRROR[n])] for n in COEFFICIENT_NAMES)
+    return replaced(matrix, {(j, i): mg.EdgePairFunction._over(j, i, 2 * zij.denominator, swapped)})
+
+
+def assert_both_entries_fail(g, divisor, matrix, i, j):
+    report = assert_representation_check_matches_reference(g, divisor, matrix)
+    assert not report.passed
+    via = {m.location.rsplit(" via ", 1)[1] for m in report.mismatches}
+    assert {f"z[{i}][{j}]", f"z[{j}][{i}]"} <= via
+
+
+def standing_pairs(g):
+    """Two off-diagonal edge pairs: the first and last edge, and the edges
+    holding the canonical descriptions of the first and last vertex."""
+    first, last = mg.point_of_vertex(g, 0).edge, mg.point_of_vertex(g, g.n_vertices - 1).edge
+    return sorted({(0, g.n_edges - 1), (min(first, last), max(first, last))} - {(0, 0)})
+
+
+@pytest.mark.parametrize("name,delta", [("c0", F(1, 7)), ("cx", F(-2))], ids=["c0", "cx-cy"])
+def test_mirrored_perturbation_gives_the_reference_mismatches(standing, name, delta):
+    _, g, divisor = standing
+    matrix = mg.value_matrix(g, divisor)
+    pairs = [(i, j) for i, j in standing_pairs(g) if i != j]
+    assert pairs
+    for i, j in pairs:
+        changed = mirrored_perturbed(matrix, i, j, name, delta)
+        assert mirrors(changed.entries[i][j], changed.entries[j][i])
+        assert_both_entries_fail(g, divisor, changed, i, j)
+
+
+def test_mirrored_numerators_over_another_denominator_fail(standing):
+    _, g, divisor = standing
+    matrix = mg.value_matrix(g, divisor)
+    for i, j in standing_pairs(g):
+        if i == j:
+            continue
+        changed = rescaled(matrix, i, j)
+        assert not mirrors(changed.entries[i][j], changed.entries[j][i])
+        report = assert_representation_check_matches_reference(g, divisor, changed)
+        assert not report.passed
+
+
+def test_diagonal_entry_with_unequal_slopes(standing):
+    """A diagonal entry with cx != cy does not mirror itself; the edge moved
+    has both ends at valence two or more, so both ends are compared."""
+    _, g, divisor = standing
+    matrix = mg.value_matrix(g, divisor)
+    i = next(k for k, e in enumerate(g.edges) if min(g.valence(e.tail), g.valence(e.head)) >= 2)
+    changed = replaced(matrix, {(i, i): moved(matrix.entries[i][i], "cx", F(1, 5))})
+    z = changed.entries[i][i]
+    assert z.cx != z.cy and not mirrors(z, z)
+    report = assert_representation_check_matches_reference(g, divisor, changed)
+    assert not report.passed
+
+
+@common
+@given(repaired_graph_and_divisor(), st.data())
+def test_mirrored_pairs_match_the_reference_check(gd, data):
+    g, divisor = gd
+    assume(g.n_edges >= 2)
+    matrix = mg.value_matrix(g, divisor)
+    edge = st.integers(min_value=0, max_value=g.n_edges - 1)
+    i = data.draw(edge)
+    j = data.draw(edge.filter(lambda j: j != i))
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(COEFFICIENT_NAMES))
+        delta = data.draw(st.sampled_from([F(1, 7), F(-2), F(5, 3)]))
+        changed = mirrored_perturbed(matrix, i, j, name, delta)
+        assert mirrors(changed.entries[i][j], changed.entries[j][i])
+    else:
+        changed = rescaled(matrix, i, j)
+    assert_representation_check_matches_reference(g, divisor, changed)
+    assert_vertex_formula_check_matches_reference(g, divisor, changed)
+
+
+# -- bridges by their definition ------------------------------------------------
+
+
+def cut_and_reach_sides(g):
+    """Per bridge, in edge order, the vertices reached from its tail when it
+    is cut: edge i is a bridge exactly when its head is not among them."""
+    sides = {}
+    for i, cut in enumerate(g.edges):
+        reached, frontier = {cut.tail}, [cut.tail]
+        while frontier:
+            v = frontier.pop()
+            for k, e in enumerate(g.edges):
+                if k != i and v in (e.tail, e.head):
+                    w = e.head if v == e.tail else e.tail
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
+        if cut.head not in reached:
+            sides[i] = frozenset(reached)
+    return sides
+
+
+@common
+@given(st.one_of(adequate_graphs(), multigraphs()))
+def test_bridge_sides_match_cut_and_reach(g):
+    sides = mg.graph.find_bridge_sides(g)
+    expected = cut_and_reach_sides(g)
+    assert sides == expected and list(sides) == list(expected)
+
+
+def test_bridge_sides_of_a_long_path():
+    """200 bridges, deeper than any recursion would comfortably go, each
+    parametrized either way."""
+    edges = tuple(mg.Edge(k + k % 2, k + 1 - k % 2, F(1)) for k in range(200))
+    g = mg.MetrizedGraph(tuple(f"v{k}" for k in range(201)), edges)
+    sides = mg.graph.find_bridge_sides(g)
+    assert sides == cut_and_reach_sides(g)
+    assert list(sides) == list(range(200))
+    assert sides[0] == {0} and sides[1] == set(range(2, 201))
+
+
+def reference_connectivity(g):
+    sides = cut_and_reach_sides(g)
+    m = g.n_edges
+
+    def digit(bridge, other):
+        return int(g.edges[other].tail not in sides[bridge])
+
+    def code(i, j):
+        if i == j:
+            return int(i in sides)
+        if i in sides and j in sides:
+            return 110 * digit(i, j) + digit(j, i)
+        if i in sides or j in sides:
+            return digit(i, j) if i in sides else digit(j, i)
+        return 0
+
+    return [[code(i, j) for j in range(m)] for i in range(m)]
+
+
+@common
+@given(adequate_graphs())
+def test_connectivity_codes_match_their_definition(g):
+    assert mg.connectivity_matrix(g).codes() == reference_connectivity(g)
