@@ -23,17 +23,12 @@ from .graph import (
     Edge,
     GraphPoint,
     MetrizedGraph,
-    Side,
-    bridge_side,
     bridges,
     canonical_divisor,
-    closest_neighbours,
     connectivity_matrix,
-    is_bridge,
     make_adequate,
     point_of_vertex,
     representations,
-    shortest_distance,
     validate_adequate,
     validate_point,
     vertex_at,
@@ -52,7 +47,6 @@ from .linalg import (
     pinv,
     pseudo_inverse,
     resistance_at_vertices,
-    voltage_at_vertices,
 )
 from .oracle import (
     SubdividedGraph,
@@ -67,7 +61,6 @@ from .potential import (
     resistance_point,
     resistance_to_divisor,
     tau_constant,
-    tau_function_pair,
     vertex_resistance,
 )
 

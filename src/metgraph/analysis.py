@@ -8,7 +8,8 @@ per-edge data the resistance form reads, and the bridge bookkeeping that is
 only reported.  L+ is kept once, as integers over its least common
 denominator (``linalg.RationalMatrix``), which every formula reads.
 Divisor-dependent data (``r_D`` on every edge, ``c_mu``, the tau parts, the
-value matrix) hangs off one ``DivisorAnalysis`` per divisor.
+value matrix, the row-independent parts of the vertex formula) hangs off one
+``DivisorAnalysis`` per divisor.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  Those modules reach ``network`` at import
@@ -26,7 +27,7 @@ if TYPE_CHECKING:
     from .graph import ConnectivityMatrix, Divisor, MetrizedGraph
     from .green import ValueMatrix
     from .linalg import RationalMatrix
-    from .potential import EdgeData, EdgeFunction, TauParts
+    from .potential import EdgeData, EdgeFunction, TauParts, VertexFormula
 
 
 @cache
@@ -134,6 +135,12 @@ class DivisorAnalysis:
         from .potential import tau_parts
 
         return tau_parts(self)
+
+    @cached_property
+    def vertex_formula(self) -> VertexFormula:
+        from .potential import vertex_formula
+
+        return vertex_formula(self)
 
     @cached_property
     def value_matrix(self) -> ValueMatrix:

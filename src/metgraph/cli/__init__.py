@@ -40,12 +40,13 @@ from ..oracle import subdivide_at_points
 from ..potential import resistance_point, tau_constant
 
 
-# The largest graph a command accepts.  At the bound, a seeded graph of 100
-# vertices and 200 edges takes about 0.6 s of CPU time for ``check`` and
-# 0.35 s for ``epsilon``, and a seeded 10x10 grid 0.5 s for ``check``, each
-# a whole process (1.2, 1.0 and 1.1 s, measured alongside, with L+ from
-# dense Gauss-Jordan elimination; 2-core Intel Xeon, Python 3.11).  The
-# cost of the value matrix grows with the square of the edge count.
+# The largest graph a command accepts.  At the bound, the seeded 10x10 grid
+# plus 20 seeded chords (100 vertices, 200 edges) takes about 0.5 s of CPU
+# time for ``check`` and 0.35 s for ``epsilon``, and the 10x10 grid alone
+# about 0.45 to 0.55 s for ``check``, each a whole process with start-up
+# (medians of 5 runs, which spread by about 10%; 2-core Intel Xeon,
+# Python 3.11).  The value matrix and the checks grow with the square of
+# the edge count.
 MAX_VERTICES = 100
 MAX_EDGES = 200
 
@@ -73,6 +74,15 @@ def _parse_index(value, field: str, n: int) -> int:
     return value
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` as UTF-8 text; bytes that are not UTF-8 raise
+    ``GraphFormatError``, and an unreadable file ``OSError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
     """Parse the JSON graph format into a graph plus its divisor.
 
@@ -83,6 +93,8 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise GraphFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top level: expected an object")
     vertices = doc.get("vertices")
@@ -382,7 +394,7 @@ def _cmd_check(g, divisor, args) -> int:
 
 def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
@@ -515,12 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.graph).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        g, divisor = parse_graph(text)
+        g, divisor = parse_graph(_read_text(args.graph))
         if g.n_vertices > MAX_VERTICES or g.n_edges > MAX_EDGES:
             raise GraphFormatError(
                 f"graph has {g.n_vertices} vertices and {g.n_edges} edges; at most "

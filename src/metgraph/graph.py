@@ -1,4 +1,4 @@
-"""Metrized graphs: parametrized edges, bridges, distances and divisors.
+"""Metrized graphs: parametrized edges, bridges and divisors.
 
 A metrized graph is a finite connected multigraph whose edges carry strictly
 positive rational lengths.  Edge ``i`` is identified with the segment
@@ -11,33 +11,35 @@ given as a string must be an integer or ``p/q``.
 Every refinement is one split of the edges, at the cuts that make the graph
 adequate plus any requested points (``adequate_refinement``).
 
-Bridges, bridge sides, shortest distances and the connectivity matrix (its
-decimal codes) are reported here for display only: the closed forms in
-``potential`` and ``green`` hold on bridges unchanged and never read them.
-The bridge data is kept in the graph's ``analysis.network`` entry, cached
-per graph value, which is safe because the graph type is immutable and
-hashable; the graph computes its hash once, at construction.
+Bridges and the connectivity matrix (its decimal codes) are reported here
+for display only: the closed forms in ``potential`` and ``green`` hold on
+bridges unchanged and never read them.  The bridge data is kept in the
+graph's ``analysis.network`` entry, cached per graph value, which is safe
+because the graph type is immutable and hashable; the graph computes its
+hash once, at construction.
+
+The value classes here and in ``green``, ``invariants`` and ``oracle`` are
+``Record``s: slotted, immutable, compared and hashed by value.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from heapq import heappop, heappush
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .analysis import Network, network
+from .analysis import network
 from .errors import (
     BadDegree,
     GraphDisconnected,
     MetgraphError,
     NonpositiveLength,
-    NotABridge,
     NotAdequate,
     PointOutOfRange,
 )
+
+if TYPE_CHECKING:
+    from .analysis import Network
 
 
 # Integers and p/q only: an exponent such as "1e200000" would let a short
@@ -65,6 +67,52 @@ def as_fraction(value: Fraction | int | str, what: str) -> Fraction:
         raise MetgraphError(f"{what}: malformed rational {value!r}") from None
 
 
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``_fields``, each a slot its
+    ``__init__`` sets once, through ``_assign``; any assignment afterwards
+    raises ``AttributeError``.  Equality and hash go by the fields' values,
+    the repr reads ``Name(field=value, ...)``, and a copy or an unpickled
+    record is rebuilt through the constructor from them.  A record is
+    weakly referable, so a caller can see a cached one freed.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        """Set the fields, in the order of ``_fields``."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # String hashes are salted per process, so a hash kept from
+        # construction is recomputed under the new process's salt.
+        return (type(self), self._values())
+
+
 class Edge(NamedTuple):
     tail: int
     head: int
@@ -78,8 +126,7 @@ class GraphPoint(NamedTuple):
     offset: Fraction
 
 
-@dataclass(frozen=True)
-class MetrizedGraph:
+class MetrizedGraph(Record):
     """Immutable metrized graph over an indexed vertex list.
 
     Vertices are addressed by position in ``vertices``; the labels are only
@@ -89,18 +136,21 @@ class MetrizedGraph:
     graph, so the hash is computed once, here.
     """
 
+    __slots__ = ("vertices", "edges", "_hash")
+    _fields = ("vertices", "edges")
+
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        verts = tuple(str(v) for v in self.vertices)
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
+        verts = tuple(str(v) for v in vertices)
         if not verts:
             raise MetgraphError("a metrized graph needs at least one vertex")
         if len(set(verts)) != len(verts):
             raise MetgraphError("vertex labels must be distinct")
         n = len(verts)
         norm = []
-        for k, raw in enumerate(self.edges):
+        for k, raw in enumerate(edges):
             tail, head, length = raw
             if any(isinstance(end, bool) or not isinstance(end, int) for end in (tail, head)):
                 raise MetgraphError(f"edge {k}: a vertex index is an int, got {tail!r}, {head!r}")
@@ -112,19 +162,13 @@ class MetrizedGraph:
             norm.append(Edge(int(tail), int(head), length))
         if not norm:
             raise MetgraphError("a metrized graph needs at least one edge")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(norm))
+        self._assign(verts, tuple(norm))
         if len(_reachable(self, 0)) != n:
             raise GraphDisconnected("the edge set does not connect all vertices")
-        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+        object.__setattr__(self, "_hash", hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # String hashes are salted per process: rebuild from the fields so a
-        # copy or an unpickled graph hashes under its own process's salt.
-        return (MetrizedGraph, (self.vertices, self.edges))
 
     @property
     def n_vertices(self) -> int:
@@ -172,18 +216,25 @@ class MetrizedGraph:
             raise MetgraphError(f"edge index {i} outside 0..{len(self.edges) - 1}")
 
 
-@dataclass(frozen=True)
-class Divisor:
-    """An integer coefficient per vertex."""
+class Divisor(Record):
+    """An integer coefficient per vertex.  Every divisor cache lookup
+    hashes it, so the hash is computed once, at construction."""
+
+    __slots__ = ("coefficients", "_hash")
+    _fields = ("coefficients",)
 
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients: Iterable[int]):
+        coeffs = tuple(coefficients)
         for a in coeffs:
             if isinstance(a, bool) or not isinstance(a, int):
                 raise MetgraphError(f"divisor coefficients must be integers, got {a!r}")
-        object.__setattr__(self, "coefficients", tuple(int(a) for a in coeffs))
+        self._assign(tuple(int(a) for a in coeffs))
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def zero(cls, n: int) -> "Divisor":
@@ -201,11 +252,6 @@ class Divisor:
 
     def __getitem__(self, k: int) -> int:
         return self.coefficients[k]
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        if len(other) != len(self):
-            raise MetgraphError("divisor length mismatch")
-        return Divisor(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
 
 
 def check_divisor(g: MetrizedGraph, d: Divisor) -> Divisor:
@@ -351,9 +397,6 @@ class PointRelabeling:
                 return GraphPoint(new_edge, offset - start)
         raise PointOutOfRange(f"offset {offset} outside edge {edge}")
 
-    def vertex(self, v: int) -> int:
-        return v
-
 
 def _fresh_labels(used: set[str]) -> Iterable[str]:
     k = 0
@@ -432,7 +475,7 @@ def adequate_refinement(
 
 
 # ---------------------------------------------------------------------------
-# bridges and distances
+# bridges
 
 
 def _reachable(g: MetrizedGraph, start: int) -> frozenset[int]:
@@ -501,110 +544,15 @@ def bridges(g: MetrizedGraph) -> frozenset[int]:
     return network(g).bridges
 
 
-def is_bridge(g: MetrizedGraph, i: int) -> bool:
-    g._check_edge(i)
-    return i in bridges(g)
-
-
-class Side(Enum):
-    """Which component of the cut graph a target falls in: the bridge's tail
-    side (P) or head side (Q)."""
-
-    P = 0
-    Q = 1
-
-
-def _side(net: Network, bridge: int, target: int) -> Side:
-    return Side.P if target in net.bridge_sides[bridge] else Side.Q
-
-
-def _facing_end(net: Network, bridge: int, other: int) -> int:
-    """The endpoint of ``bridge`` on the side where edge ``other`` lies."""
-    e = net.graph.edges[bridge]
-    return e.tail if _side(net, bridge, net.graph.edges[other].tail) is Side.P else e.head
-
-
-def bridge_side(
-    g: MetrizedGraph,
-    bridge: int,
-    *,
-    vertex: int | None = None,
-    edge: int | None = None,
-) -> Side:
-    """Classify a vertex or a whole edge relative to a bridge.
-
-    A bridge endpoint belongs to its own side.  An edge other than the
-    bridge lies entirely in one component, so classifying its tail settles
-    the whole edge.
-    """
-    g._check_edge(bridge)
-    net = network(g)
-    if bridge not in net.bridges:
-        raise NotABridge(f"edge {bridge} is not a bridge")
-    if (vertex is None) == (edge is None):
-        raise MetgraphError("pass exactly one of vertex= or edge=")
-    if edge is not None:
-        g._check_edge(edge)
-        if edge == bridge:
-            raise MetgraphError("cannot classify a bridge relative to itself")
-        target = g.edges[edge].tail
-    else:
-        g._check_vertex(vertex)
-        target = vertex
-    return _side(net, bridge, target)
-
-
-def dijkstra(g: MetrizedGraph, source: int) -> tuple[Fraction, ...]:
-    """Shortest distances from ``source`` to every vertex."""
-    dist: list[Fraction | None] = [None] * g.n_vertices
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-    while heap:
-        d, v = heappop(heap)
-        if dist[v] is not None:
-            continue
-        dist[v] = d
-        for e in g.edges:
-            for a, b in ((e.tail, e.head), (e.head, e.tail)):
-                if a == v and dist[b] is None:
-                    heappush(heap, (d + e.length, b))
-    if None in dist:
-        raise GraphDisconnected(f"some vertex is unreachable from vertex {source}")
-    return tuple(dist)  # type: ignore[arg-type]
-
-
-def shortest_distance(g: MetrizedGraph, u: int, v: int) -> Fraction:
-    """Length of a shortest path between two vertices."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return dijkstra(g, u)[v]
-
-
-def closest_neighbours(g: MetrizedGraph, i: int, j: int) -> tuple[int, int]:
-    """The endpoint pair of two distinct bridges at minimal distance.
-
-    That is each bridge's endpoint on the other's side: a path from the far
-    endpoint crosses the bridge, whose length is positive.
-    """
-    if i == j:
-        raise MetgraphError("closest neighbours need two distinct edges")
-    net = network(g)
-    for k in (i, j):
-        g._check_edge(k)
-        if k not in net.bridges:
-            raise NotABridge(f"edge {k} is not a bridge")
-    return _facing_end(net, i, j), _facing_end(net, j, i)
-
-
 # ---------------------------------------------------------------------------
 # connectivity matrix
 
 
-@dataclass(frozen=True)
-class ConnectivityMatrix:
+class ConnectivityMatrix(Record):
     """Bridge bookkeeping for every edge pair, as the paper's decimal codes.
 
-    With s the side digit of ``Side`` (0 for the tail side of a bridge, 1 for
-    its head side):
+    With s a side digit (0 for the tail side of a bridge, 1 for its head
+    side):
 
     - the diagonal entry is 1 for a bridge and 0 otherwise;
     - a bridge and a non-bridge, in either order, get the side of the bridge
@@ -616,7 +564,13 @@ class ConnectivityMatrix:
     - every other entry is 0.
     """
 
+    __slots__ = ("entries",)
+    _fields = ("entries",)
+
     entries: tuple[tuple[int, ...], ...]
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        self._assign(entries)
 
     @property
     def size(self) -> int:

@@ -22,13 +22,12 @@ the terms that read both edges once per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .analysis import network
 from .errors import MetgraphError
-from .graph import Divisor, GraphPoint, MetrizedGraph, validate_point
+from .graph import Divisor, GraphPoint, MetrizedGraph, Record, validate_point
 from .potential import EdgePairFunction, same_values
 
 if TYPE_CHECKING:
@@ -42,12 +41,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValueMatrix:
+class ValueMatrix(Record):
     """All edge-pair closed forms of one Green function."""
+
+    __slots__ = ("divisor", "entries")
+    _fields = ("divisor", "entries")
 
     divisor: Divisor
     entries: tuple[tuple[EdgePairFunction, ...], ...]
+
+    def __init__(self, divisor: Divisor, entries: tuple[tuple[EdgePairFunction, ...], ...]):
+        self._assign(divisor, entries)
 
     @property
     def size(self) -> int:

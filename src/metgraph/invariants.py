@@ -30,7 +30,6 @@ mirror test reads the integers themselves, not the build's symmetry check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -40,6 +39,7 @@ from .errors import MetgraphError
 from .graph import (
     Divisor,
     MetrizedGraph,
+    Record,
     admissible_degree,
     check_divisor,
     point_of_vertex,
@@ -96,13 +96,18 @@ class CheckMismatch(NamedTuple):
     got: Fraction
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one consistency check: comparison count plus every failure."""
+
+    __slots__ = ("name", "comparisons", "mismatches")
+    _fields = ("name", "comparisons", "mismatches")
 
     name: str
     comparisons: int
     mismatches: tuple[CheckMismatch, ...]
+
+    def __init__(self, name: str, comparisons: int, mismatches: tuple[CheckMismatch, ...]):
+        self._assign(name, comparisons, mismatches)
 
     @property
     def passed(self) -> bool:

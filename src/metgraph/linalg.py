@@ -93,29 +93,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows())
         return f"RationalMatrix({body})"
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.n_cols != other.n_rows:
-            raise ValueError("matrix shapes do not compose")
-        cols = tuple(zip(*other.numerators))
-        return RationalMatrix._over(
-            self.denominator * other.denominator,
-            ([sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.numerators),
-        )
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._over(self.denominator, zip(*self.numerators))
-
-    def trace(self) -> Fraction:
-        if self.n_rows != self.n_cols:
-            raise ValueError("trace needs a square matrix")
-        return Fraction(sum(row[i] for i, row in enumerate(self.numerators)), self.denominator)
-
-    def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and self.numerators == tuple(zip(*self.numerators))
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(sum(row), self.denominator) for row in self.numerators)
-
 
 def laplacian(g: MetrizedGraph) -> RationalMatrix:
     """Discrete Laplacian: off-diagonal -1/length per edge, rows sum to zero."""
@@ -302,20 +279,9 @@ def pinv(g: MetrizedGraph) -> RationalMatrix:
     return network(g).pinv
 
 
-def _vertex_numerators(lplus: RationalMatrix, *vertices: int) -> tuple[tuple[int, ...], ...]:
-    if not all(0 <= v < lplus.n_rows for v in vertices):
-        raise IndexError(f"vertices {vertices} outside a {lplus.n_rows}-vertex matrix")
-    return lplus.numerators
-
-
 def resistance_at_vertices(lplus: RationalMatrix, p: int, q: int) -> Fraction:
     """Effective resistance between two vertices from the pseudoinverse."""
-    num = _vertex_numerators(lplus, p, q)
+    if not (0 <= p < lplus.n_rows and 0 <= q < lplus.n_rows):
+        raise IndexError(f"vertices {(p, q)} outside a {lplus.n_rows}-vertex matrix")
+    num = lplus.numerators
     return Fraction(num[p][p] - 2 * num[p][q] + num[q][q], lplus.denominator)
-
-
-def voltage_at_vertices(lplus: RationalMatrix, s: int, p: int, q: int) -> Fraction:
-    """Voltage j_s(p, q): potential at s when one unit of current enters at
-    p and exits at q, grounded so the value vanishes at p and q themselves."""
-    num = _vertex_numerators(lplus, s, p, q)
-    return Fraction(num[s][s] - num[s][p] - num[s][q] + num[p][q], lplus.denominator)

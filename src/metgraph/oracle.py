@@ -10,7 +10,6 @@ pseudoinverse, tau and c_mu are recomputed there and freed with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -21,6 +20,7 @@ from .graph import (
     GraphPoint,
     MetrizedGraph,
     PointRelabeling,
+    Record,
     adequate_refinement,
     check_divisor,
     validate_point,
@@ -30,18 +30,22 @@ from .linalg import resistance_at_vertices
 from .potential import green_row_at_vertices
 
 
-@dataclass(frozen=True)
-class SubdividedGraph:
+class SubdividedGraph(Record):
     """A refinement of a graph whose requested points became vertices,
-    with the refinement's own analysis."""
+    with the refinement's own analysis, ``network``, which is no field:
+    equality, hash and repr ignore it."""
+
+    __slots__ = ("original", "graph", "relabeling", "network")
+    _fields = ("original", "graph", "relabeling")
 
     original: MetrizedGraph
     graph: MetrizedGraph
     relabeling: PointRelabeling
-    network: Network = field(init=False, repr=False, compare=False)
+    network: Network
 
-    def __post_init__(self):
-        object.__setattr__(self, "network", Network(self.graph))
+    def __init__(self, original: MetrizedGraph, graph: MetrizedGraph, relabeling: PointRelabeling):
+        self._assign(original, graph, relabeling)
+        object.__setattr__(self, "network", Network(graph))
 
     def vertex_index(self, pt: GraphPoint | tuple) -> int:
         """The refinement vertex an original point became."""

@@ -280,6 +280,38 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     return resistance_form(network(g), x.edge, y.edge)(x.offset, y.offset)
 
 
+class VertexFormula(NamedTuple):
+    """What every vertex row of ``green_row_at_vertices`` shares, made
+    once per divisor: with W = sum_s a_s N[s], ``diagonal`` holds
+    W_q + N_qq per vertex q, ``base`` is b = sum_s a_s N_ss brought over
+    the row's denominator ``den`` with the constant added, and ``scale``
+    and ``unit`` are deg D + 2 and the product of the denominators of tau
+    and c_mu."""
+
+    diagonal: tuple[int, ...]
+    base: int
+    scale: int
+    unit: int
+    den: int
+
+
+def vertex_formula(div: DivisorAnalysis) -> VertexFormula:
+    """The parts of ``green_row_at_vertices`` that do not depend on the row."""
+    c = div.c_mu  # rejects degree -2 before L+ is built
+    tau, divisor = div.network.tau, div.divisor
+    den, num = div.network.pinv.denominator, div.network.pinv.numerators
+    support = [(s, a) for s, a in enumerate(divisor.coefficients) if a]
+    weighted = [0] * len(num)
+    for s, a in support:
+        weighted = [w + a * x for w, x in zip(weighted, num[s])]
+    scale, b = divisor.degree + 2, sum(a * num[s][s] for s, a in support)
+    # pair / (D scale) + (4 tau - scale c) / scale, over D scale tau_den c_den
+    td, cd = tau.denominator, c.denominator
+    shift = den * (4 * tau.numerator * cd - scale * c.numerator * td)
+    diagonal = tuple(w + num[q][q] for q, w in enumerate(weighted))
+    return VertexFormula(diagonal, b * td * cd + shift, scale, td * cd, den * scale * td * cd)
+
+
 def green_row_at_vertices(div: DivisorAnalysis, p: int) -> tuple[tuple[int, ...], int]:
     """The Green function between vertex p and every vertex q, from its
     defining formula, as numerators over one denominator.
@@ -288,28 +320,17 @@ def green_row_at_vertices(div: DivisorAnalysis, p: int) -> tuple[tuple[int, ...]
     the pseudoinverse with no edge closed form, so it can check them.  With
     L+ = N / D the voltage j_s(p, q) is (N_ss - N_sp - N_sq + N_pq) / D and
     r(p, q) is (N_pp - 2 N_pq + N_qq) / D.  So with b = sum_s a_s N_ss and
-    the row W = sum_s a_s N[s], both made once, the pair's part is
-    b - W_p - W_q + (deg D + 2) N_pq - N_pp - N_qq over D (deg D + 2).  The
-    constant 4 tau / (deg D + 2) - c_mu is brought over the same
-    denominator, which need not be the least.
+    the row W = sum_s a_s N[s], the pair's part is
+    b - (W_p + N_pp) - (W_q + N_qq) + (deg D + 2) N_pq over D (deg D + 2).
+    The constant 4 tau / (deg D + 2) - c_mu is brought over the same
+    denominator, which need not be the least.  All but row p of N is made
+    once per divisor (``vertex_formula``).
     """
-    c = div.c_mu  # rejects degree -2 before L+ is built
-    tau, divisor = div.network.tau, div.divisor
-    den, num = div.network.pinv.denominator, div.network.pinv.numerators
-    support = [(s, a) for s, a in enumerate(divisor.coefficients) if a]
-    weighted = [0] * len(num)
-    for s, a in support:
-        weighted = [w + a * x for w, x in zip(weighted, num[s])]
-    scale, row_p = divisor.degree + 2, num[p]
-    const = sum(a * num[s][s] for s, a in support) - weighted[p] - row_p[p]
-    # pair / (D scale) + (4 tau - scale c) / scale, over D scale tau_den c_den
-    td, cd = tau.denominator, c.denominator
-    shift = den * (4 * tau.numerator * cd - scale * c.numerator * td)
-    numerators = tuple(
-        (const - w - num[q][q] + scale * x) * (td * cd) + shift
-        for q, (w, x) in enumerate(zip(weighted, row_p))
-    )
-    return numerators, den * scale * td * cd
+    diagonal, base, scale, unit, den = div.vertex_formula
+    base -= diagonal[p] * unit
+    row_p = div.network.pinv.numerators[p]
+    numerators = tuple((scale * x - d) * unit + base for x, d in zip(row_p, diagonal))
+    return numerators, den
 
 
 class EdgeFunction:
@@ -483,30 +504,3 @@ def tau_parts(div: DivisorAnalysis) -> TauParts:
         tuple(k * at[e.tail] for e in net.edges),
         tuple(k * s for s in r_D_slopes(div)),
     )
-
-
-def tau_form(div: DivisorAnalysis, i: int, j: int) -> EdgePairFunction:
-    """Tau function restricted to x on edge i, y on edge j.
-
-    Quadratic in x and in y separately, with no mixed or |x - y| term.
-    """
-    t, r_D = div.tau_parts, div.r_D
-    halving = 2 * (div.divisor.degree + 2)
-    pi, pj = div.network.edges[i].p, div.network.edges[j].p
-    return EdgePairFunction(
-        i,
-        j,
-        c0=Fraction(t.shift + t.a0[i] + t.a0[j], t.den),
-        cx=Fraction(t.a1[i], t.den * pi),
-        cy=Fraction(t.a1[j], t.den * pj),
-        cxx=r_D[i].a2 / halving,
-        cyy=r_D[j].a2 / halving,
-    )
-
-
-def tau_function_pair(g: MetrizedGraph, divisor: Divisor, i: int, j: int) -> EdgePairFunction:
-    """The tau function on edges i and j; see ``tau_form``."""
-    div = network(g).divisor(divisor)
-    g._check_edge(i)
-    g._check_edge(j)
-    return tau_form(div, i, j)

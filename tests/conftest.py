@@ -6,6 +6,7 @@ point, a hypercube over four bits, a three-edge banana refined to an
 adequate vertex set, and a path-with-diamond carrying two bridges.
 """
 
+import heapq
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -202,6 +203,70 @@ def defines_pseudo_inverse(lap: mg.RationalMatrix, lplus: mg.RationalMatrix) -> 
         if [n * p for p in product] != [s * d * (n * (c == i) - 1) for c in range(n)]:
             return False
     return True
+
+
+# Matrix, voltage and distance references; the library computes none of them.
+
+
+def matmul(a: mg.RationalMatrix, b: mg.RationalMatrix) -> mg.RationalMatrix:
+    """The exact product a b."""
+    if a.n_cols != b.n_rows:
+        raise ValueError("matrix shapes do not compose")
+    cols = tuple(zip(*b.numerators))
+    return mg.RationalMatrix._over(
+        a.denominator * b.denominator,
+        ([sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.numerators),
+    )
+
+
+def transpose(m: mg.RationalMatrix) -> mg.RationalMatrix:
+    return mg.RationalMatrix._over(m.denominator, zip(*m.numerators))
+
+
+def trace(m: mg.RationalMatrix) -> Fraction:
+    return Fraction(sum(row[i] for i, row in enumerate(m.numerators)), m.denominator)
+
+
+def is_symmetric(m: mg.RationalMatrix) -> bool:
+    return m.n_rows == m.n_cols and m.numerators == tuple(zip(*m.numerators))
+
+
+def row_sums(m: mg.RationalMatrix) -> tuple[Fraction, ...]:
+    return tuple(Fraction(sum(row), m.denominator) for row in m.numerators)
+
+
+def penrose_identities(lap: mg.RationalMatrix, lplus: mg.RationalMatrix) -> bool:
+    """L L+ L = L, L+ L L+ = L+, and L L+ and L+ L symmetric."""
+    left, right = matmul(lap, lplus), matmul(lplus, lap)
+    return (
+        matmul(left, lap) == lap
+        and matmul(right, lplus) == lplus
+        and is_symmetric(left)
+        and is_symmetric(right)
+    )
+
+
+def voltage(lplus: mg.RationalMatrix, s: int, p: int, q: int) -> Fraction:
+    """Voltage j_s(p, q): the potential at s when one unit of current enters
+    at p and exits at q, grounded so the value vanishes at p and q."""
+    num = lplus.numerators
+    return Fraction(num[s][s] - num[s][p] - num[s][q] + num[p][q], lplus.denominator)
+
+
+def shortest_distance(g: mg.MetrizedGraph, u: int, v: int) -> Fraction:
+    """Length of a shortest path between two vertices (Dijkstra)."""
+    dist: list[Fraction | None] = [None] * g.n_vertices
+    heap = [(Fraction(0), u)]
+    while heap:
+        d, w = heapq.heappop(heap)
+        if dist[w] is not None:
+            continue
+        dist[w] = d
+        for e in g.edges:
+            for a, b in ((e.tail, e.head), (e.head, e.tail)):
+                if a == w and dist[b] is None:
+                    heapq.heappush(heap, (d + e.length, b))
+    return dist[v]
 
 
 def seeded_grid(k: int, seed: int) -> tuple[mg.MetrizedGraph, mg.Divisor]:

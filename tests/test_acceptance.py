@@ -15,6 +15,8 @@ from conftest import (
     build_circle,
     build_joint_circles,
     build_two_bridges,
+    matmul,
+    penrose_identities,
     sample_offsets,
     sample_points,
     standing_graphs,
@@ -149,7 +151,7 @@ def test_tesseract_epsilon_and_runtime(criterion):
         g, divisor = parse_graph((GRAPHS / "tesseract.json").read_text())
         lap = mg.laplacian(g)
         lp = mg.pinv(g)
-        assert lap @ lp @ lap == lap
+        assert matmul(matmul(lap, lp), lap) == lap
         assert mg.tau_constant(g) > 0
         assert mg.connectivity_matrix(g).size == 32
         assert mg.value_matrix(g, divisor).size == 32
@@ -220,9 +222,7 @@ def test_property_suite(criterion):
     ):
         for name, g, divisor in standing_graphs():
             lap, lp = mg.laplacian(g), mg.pinv(g)
-            assert lap @ lp @ lap == lap, name
-            assert lp @ lap @ lp == lp, name
-            assert (lap @ lp).is_symmetric() and (lp @ lap).is_symmetric(), name
+            assert penrose_identities(lap, lp), name
 
             matrix = mg.value_matrix(g, divisor)
             grids = [sample_offsets(e.length, 3) for e in g.edges]

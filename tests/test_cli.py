@@ -319,6 +319,21 @@ class TestErrors:
             ["oracle", CIRCLE, "--points", str(path)], capsys, "no point pairs"
         )
 
+    def test_graph_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"vertices": ["p\xe9", "q"], "edges": []}')
+        self.check_error(["tau", str(path)], capsys, "not UTF-8")
+
+    def test_oracle_points_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        path.write_bytes(b"0:1/3 1:1/4\n\xff\xfe\n")
+        self.check_error(["oracle", CIRCLE, "--points", str(path)], capsys, "not UTF-8")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        self.check_error(["tau", str(path)], capsys, "nested too deeply")
+
     def test_graph_over_the_size_bound(self, tmp_path, capsys):
         def write(n, pairs):
             path = tmp_path / f"{n}-{len(pairs)}.json"
@@ -432,6 +447,36 @@ class TestModuleEntryPoints:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(proc.stdout.splitlines()) == 2
+
+
+    def test_malformed_files_exit_2_without_a_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        latin1, deep = tmp_path / "latin1.json", tmp_path / "deep.json"
+        latin1.write_bytes(b'{"vertices": ["p\xe9"]}')
+        deep.write_text("[" * 200000 + "]" * 200000)
+        for path in (latin1, deep):
+            proc = subprocess.run(
+                [sys.executable, "-m", "metgraph", "info", str(path)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_import_loads_only_what_results_need(self):
+        # a cold command pays for every module it imports: no dataclasses
+        # (which brings inspect, ast and dis) and no heapq
+        code = (
+            "import sys, metgraph.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'heapq'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 def test_check_command_evaluates_the_vertex_pairs_once(monkeypatch, capsys):

@@ -139,3 +139,30 @@ class TestConsistencyChecks:
         matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
         with pytest.raises(mg.MetgraphError, match="3 edges but the graph has 32"):
             check(tesseract, divisor, matrix)
+
+
+def test_vertex_formula_row_parts_are_built_once_per_divisor(monkeypatch):
+    # W = sum_s a_s N[s], tau and c_mu enter every vertex row the same way
+    calls = []
+    build = mg.potential.vertex_formula
+
+    def counted(div):
+        calls.append(div.divisor)
+        return build(div)
+
+    monkeypatch.setattr(mg.potential, "vertex_formula", counted)
+    g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+    mg.clear_caches()
+    assert all(report.passed for report in mg.invariants._check_reports(g, divisor))
+    assert mg.check_vertex_formula(g, divisor).comparisons == 16 * 16
+    assert calls == [divisor]
+    # the zero row, from vertex 0, read off L+ alone
+    numerators, den = mg.potential.green_row_at_vertices(mg.network(g).divisor(divisor), 0)
+    lp = mg.pinv(g)
+    row = [
+        (sum(a * (lp[s, s] - lp[s, 0] - lp[s, q] + lp[0, q]) for s, a in enumerate(range(16)))
+         + 4 * mg.tau_constant(g) - mg.resistance_at_vertices(lp, 0, q)) / (divisor.degree + 2)
+        - mg.c_mu(g, divisor)
+        for q in range(16)
+    ]
+    assert [F(x, den) for x in numerators] == row

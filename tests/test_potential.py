@@ -128,7 +128,8 @@ class TestDivisorResistance:
         for i in range(joint_circles.n_edges):
             f1 = mg.r_D_on_edge(joint_circles, d1, i)
             f2 = mg.r_D_on_edge(joint_circles, d2, i)
-            fs = mg.r_D_on_edge(joint_circles, d1 + d2, i)
+            total = mg.Divisor(tuple(a + b for a, b in zip(d1.coefficients, d2.coefficients)))
+            fs = mg.r_D_on_edge(joint_circles, total, i)
             assert (fs.a2, fs.a1, fs.a0) == (
                 f1.a2 + f2.a2,
                 f1.a1 + f2.a1,
@@ -209,9 +210,20 @@ class TestNormalizationConstant:
         assert mg.c_mu(circle, mg.Divisor.zero(3)) == mg.tau_constant(circle)
 
 
+def tau_function_pair(g, divisor, i, j):
+    """The tau function on edges i and j, g + r / 2: the value matrix entry
+    plus half the point resistance's closed form."""
+    entry = mg.value_matrix(g, divisor).entry(i, j)
+    r = mg.potential.resistance_form(mg.network(g), i, j)
+    halves = (a + b / 2 for a, b in zip(entry.coefficients(), r.coefficients()))
+    return mg.EdgePairFunction(i, j, *halves)
+
+
 class TestTauFunctionPair:
     def test_circle_golden(self, circle):
-        pair = mg.tau_function_pair(circle, mg.Divisor((0, 2, 0)), 0, 0)
+        pair = tau_function_pair(circle, mg.Divisor((0, 2, 0)), 0, 0)
+        # quadratic in x and in y apart, with no x y or |x - y| term
+        assert (pair.cxy, pair.cabs) == (0, 0)
         assert (pair.c0, pair.cx, pair.cxx, pair.cy, pair.cyy) == (
             F(1, 24),
             F(1, 4),
@@ -222,7 +234,7 @@ class TestTauFunctionPair:
 
     def test_segment_with_both_endpoints(self):
         g = build_segment()
-        pair = mg.tau_function_pair(g, mg.Divisor((1, 1)), 0, 0)
+        pair = tau_function_pair(g, mg.Divisor((1, 1)), 0, 0)
         assert (pair.c0, pair.cx, pair.cxx, pair.cy, pair.cyy) == (
             F(1, 4),
             F(0),
@@ -232,7 +244,8 @@ class TestTauFunctionPair:
         )
 
     def test_evaluation(self, circle):
-        pair = mg.tau_function_pair(circle, mg.Divisor((0, 2, 0)), 0, 2)
+        pair = tau_function_pair(circle, mg.Divisor((0, 2, 0)), 0, 2)
+        assert (pair.cxy, pair.cabs) == (0, 0)
         x, y = F(1, 3), F(1, 5)
         expected = (
             pair.c0
@@ -245,7 +258,7 @@ class TestTauFunctionPair:
 
     def test_degree_minus_two_rejected(self, circle):
         with pytest.raises(mg.BadDegree):
-            mg.tau_function_pair(circle, mg.Divisor((-2, 0, 0)), 0, 1)
+            tau_function_pair(circle, mg.Divisor((-2, 0, 0)), 0, 1)
 
 
 class TestHomogeneity:
