@@ -12,7 +12,6 @@ from .errors import (
     GraphFormatError,
     MetgraphError,
     NonpositiveLength,
-    NotABridge,
     NotAdequate,
     PointOutOfRange,
     SingularShift,

@@ -5,8 +5,19 @@ results.  All output stays in integers and p/q tokens unless a decimal
 approximation is explicitly requested, and ``--machine`` switches every
 command to a single JSON document on stdout.
 
+Each command is one handler in ``_COMMANDS``, beside its help text.  A
+handler takes the graph, its divisor and the parsed arguments, prints
+nothing, and returns ``(status, doc, lines)``: the exit status, the JSON
+document, and the text lines, which may be a lazy iterable rendered only
+when printed.  ``run`` alone prints, ``doc`` under ``--machine`` and
+``lines`` otherwise, inside the same error handling as the work, so a
+write that fails, as on a closed stdout, ends the command like any other
+input or output error.
+Handlers look library functions up by their global names when called, so
+a tracer that patches those names in this module sees every call.
+
 Exit codes: 0 on success, 1 when a consistency or oracle comparison fails,
-2 on any input error, a graph over the size bound included.
+2 on any input or output error, a graph over the size bound included.
 
 ``cli`` is a package so that ``python -m metgraph.cli`` runs its
 ``__main__`` module: the ``metgraph`` package imports ``cli``, and runpy
@@ -136,22 +147,6 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
     return graph, divisor
 
 
-def serialize_graph(g: MetrizedGraph, divisor: Divisor | None = None) -> str:
-    def length_of(value: Fraction):
-        return value.numerator if value.denominator == 1 else str(value)
-
-    doc = {
-        "vertices": list(g.vertices),
-        "edges": [
-            {"from": e.tail, "to": e.head, "length": length_of(e.length)}
-            for e in g.edges
-        ],
-    }
-    if divisor is not None:
-        doc["divisor"] = list(divisor.coefficients)
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _parse_point_token(token: str, field: str) -> GraphPoint:
     edge_part, sep, offset_part = token.partition(":")
     if not sep:
@@ -206,22 +201,12 @@ def _render_value(value: Fraction, args) -> str:
     return f"{value} {decimal_approx(value, args.decimal)}"
 
 
-def _value_payload(value: Fraction, args) -> dict:
-    payload: dict = {"value": str(value)}
-    if args.decimal is not None:
-        payload["decimal"] = decimal_approx(value, args.decimal)
-    return payload
-
-
+_TERM_NAMES = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
 _TERM_UNITS = (None, "x", "y", "x^2", "y^2", "x*y", "|x-y|")
 
 
-def format_entry(entry: EdgePairFunction) -> str:
-    pieces = [
-        (coef, unit)
-        for coef, unit in zip(entry.coefficients(), _TERM_UNITS)
-        if coef != 0
-    ]
+def _format_terms(coefficients: Sequence[Fraction]) -> str:
+    pieces = [(coef, unit) for coef, unit in zip(coefficients, _TERM_UNITS) if coef != 0]
     if not pieces:
         return "0"
     out = []
@@ -234,19 +219,15 @@ def format_entry(entry: EdgePairFunction) -> str:
     return "".join(out)
 
 
-def _emit(doc: dict, machine: bool, lines) -> None:
-    if machine:
-        print(json.dumps(doc))
-    else:
-        for line in lines:
-            print(line)
+def format_entry(entry: EdgePairFunction) -> str:
+    return _format_terms(entry.coefficients())
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_info(g, divisor, args) -> int:
+def _cmd_info(g, divisor, args):
     adequate = validate_adequate(g)
     bridge_list = sorted(bridges(g))
     doc = {
@@ -267,105 +248,69 @@ def _cmd_info(g, divisor, args) -> int:
         f"bridges: {' '.join(map(str, bridge_list)) or '-'}",
         f"divisor: {','.join(str(a) for a in divisor.coefficients)} (degree {divisor.degree})",
     ]
-    _emit(doc, args.machine, lines)
-    return 0
+    return 0, doc, lines
 
 
-def _matrix_rows(matrix) -> list[list[str]]:
-    return [[str(x) for x in matrix.row(i)] for i in range(matrix.n_rows)]
+def _cmd_matrix(g, divisor, args):
+    """``laplacian`` and ``pinv``: one row per line."""
+    matrix = laplacian(g) if args.command == "laplacian" else pinv(g)
+    rows = [[str(x) for x in matrix.row(i)] for i in range(matrix.n_rows)]
+    return 0, {"command": args.command, "rows": rows}, (" ".join(row) for row in rows)
 
 
-def _cmd_laplacian(g, divisor, args) -> int:
-    rows = _matrix_rows(laplacian(g))
-    _emit({"command": "laplacian", "rows": rows}, args.machine, (" ".join(r) for r in rows))
-    return 0
+def _cmd_value(g, divisor, args):
+    """``tau``, ``resistance`` and ``green``: one exact value."""
+    if args.command == "tau":
+        value = tau_constant(g)
+    else:
+        x = _parse_point_token(args.x, "--x")
+        y = _parse_point_token(args.y, "--y")
+        if args.command == "resistance":
+            value = resistance_point(g, x, y)
+        else:
+            value = evaluate_green(g, divisor, x, y)
+    doc = {"command": args.command, "value": str(value)}
+    if args.decimal is not None:
+        doc["decimal"] = decimal_approx(value, args.decimal)
+    return 0, doc, [_render_value(value, args)]
 
 
-def _cmd_pinv(g, divisor, args) -> int:
-    rows = _matrix_rows(pinv(g))
-    _emit({"command": "pinv", "rows": rows}, args.machine, (" ".join(r) for r in rows))
-    return 0
-
-
-def _cmd_tau(g, divisor, args) -> int:
-    value = tau_constant(g)
-    doc = {"command": "tau", **_value_payload(value, args)}
-    _emit(doc, args.machine, [_render_value(value, args)])
-    return 0
-
-
-def _cmd_resistance(g, divisor, args) -> int:
-    x = _parse_point_token(args.x, "--x")
-    y = _parse_point_token(args.y, "--y")
-    value = resistance_point(g, x, y)
-    doc = {"command": "resistance", **_value_payload(value, args)}
-    _emit(doc, args.machine, [_render_value(value, args)])
-    return 0
-
-
-def _cmd_green(g, divisor, args) -> int:
-    x = _parse_point_token(args.x, "--x")
-    y = _parse_point_token(args.y, "--y")
-    value = evaluate_green(g, divisor, x, y)
-    doc = {"command": "green", **_value_payload(value, args)}
-    _emit(doc, args.machine, [_render_value(value, args)])
-    return 0
-
-
-def _cmd_value_matrix(g, divisor, args) -> int:
-    matrix = value_matrix(g, divisor)
-    names = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
-    entries = [
-        [
-            {name: str(c) for name, c in zip(names, matrix.entry(i, j).coefficients())}
-            for j in range(matrix.size)
-        ]
-        for i in range(matrix.size)
-    ]
+def _cmd_value_matrix(g, divisor, args):
+    # each entry's seven reduced Fractions are made once, for either output
+    coefficients = [[z.coefficients() for z in row] for row in value_matrix(g, divisor).entries]
     doc = {
         "command": "value-matrix",
         "divisor": list(divisor.coefficients),
-        "entries": entries,
+        "entries": [[dict(zip(_TERM_NAMES, map(str, c))) for c in row] for row in coefficients],
     }
-    lines = [
-        f"z[{i}][{j}] = {format_entry(matrix.entry(i, j))}"
-        for i in range(matrix.size)
-        for j in range(matrix.size)
-    ]
-    _emit(doc, args.machine, lines)
-    return 0
+    lines = (
+        f"z[{i}][{j}] = {_format_terms(c)}"
+        for i, row in enumerate(coefficients)
+        for j, c in enumerate(row)
+    )
+    return 0, doc, lines
 
 
-def _cmd_epsilon(g, divisor, args) -> int:
+def _cmd_epsilon(g, divisor, args):
     doc: dict = {"command": "epsilon", "method": args.method}
-    lines = []
-    status = 0
-    if args.method in ("green", "both"):
-        via_green = epsilon_via_green(g, divisor)
-        doc["green"] = str(via_green)
-        lines.append(
-            _render_value(via_green, args)
-            if args.method == "green"
-            else f"green      {_render_value(via_green, args)}"
-        )
-    if args.method in ("resistance", "both"):
-        via_resistance = epsilon_via_resistance(g, divisor)
-        doc["resistance"] = str(via_resistance)
-        lines.append(
-            _render_value(via_resistance, args)
-            if args.method == "resistance"
-            else f"resistance {_render_value(via_resistance, args)}"
-        )
-    if args.method == "both":
-        match = via_green == via_resistance
-        doc["match"] = match
-        lines.append("MATCH" if match else "MISMATCH")
-        status = 0 if match else 1
-    _emit(doc, args.machine, lines)
-    return status
+    lines, values = [], []
+    routes = {"green": epsilon_via_green, "resistance": epsilon_via_resistance}
+    for route, epsilon in routes.items():
+        if args.method in (route, "both"):
+            value = epsilon(g, divisor)
+            doc[route] = str(value)
+            text = _render_value(value, args)
+            lines.append(text if args.method == route else f"{route:<10} {text}")
+            values.append(value)
+    if args.method != "both":
+        return 0, doc, lines
+    match = values[0] == values[1]
+    doc["match"] = match
+    lines.append("MATCH" if match else "MISMATCH")
+    return (0 if match else 1), doc, lines
 
 
-def _cmd_check(g, divisor, args) -> int:
+def _cmd_check(g, divisor, args):
     reports = _check_reports(g, divisor)
     doc = {
         "command": "check",
@@ -388,8 +333,7 @@ def _cmd_check(g, divisor, args) -> int:
         lines.append(f"{rep.name}: {verdict} ({rep.comparisons} comparisons)")
         for m in rep.mismatches:
             lines.append(f"  {m.location}: expected {m.expected}, got {m.got}")
-    _emit(doc, args.machine, lines)
-    return 0 if all(rep.passed for rep in reports) else 1
+    return (0 if all(rep.passed for rep in reports) else 1), doc, lines
 
 
 def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
@@ -414,25 +358,15 @@ def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
     return pairs
 
 
-def _cmd_oracle(g, divisor, args) -> int:
-    pairs = _read_point_pairs(args.points)
+def _cmd_oracle(g, divisor, args):
     rows = []
-    lines = []
-    status = 0
-    for x, y in pairs:
+    for x, y in _read_point_pairs(args.points):
         closed_r = resistance_point(g, x, y)
         sub = subdivide_at_points(g, [x, y])
         oracle_r = sub.resistance(x, y)
         closed_g = evaluate_green(g, divisor, x, y)
         oracle_g = sub.green(divisor, x, y)
-        where = f"[{x.edge}:{x.offset} {y.edge}:{y.offset}]"
         for name, closed, via_oracle in (("r", closed_r, oracle_r), ("g", closed_g, oracle_g)):
-            diff = closed - via_oracle
-            if diff != 0:
-                status = 1
-            lines.append(
-                f"{name}{where} closed={closed} oracle={via_oracle} diff={diff}"
-            )
             rows.append(
                 {
                     "quantity": name,
@@ -440,24 +374,30 @@ def _cmd_oracle(g, divisor, args) -> int:
                     "y": f"{y.edge}:{y.offset}",
                     "closed": str(closed),
                     "oracle": str(via_oracle),
-                    "diff": str(diff),
+                    "diff": str(closed - via_oracle),
                 }
             )
-    _emit({"command": "oracle", "rows": rows, "match": status == 0}, args.machine, lines)
-    return status
+    match = all(row["diff"] == "0" for row in rows)
+    lines = (
+        f"{row['quantity']}[{row['x']} {row['y']}] closed={row['closed']} "
+        f"oracle={row['oracle']} diff={row['diff']}"
+        for row in rows
+    )
+    return (0 if match else 1), {"command": "oracle", "rows": rows, "match": match}, lines
 
 
+# name -> (handler, help text)
 _COMMANDS = {
-    "info": _cmd_info,
-    "laplacian": _cmd_laplacian,
-    "pinv": _cmd_pinv,
-    "tau": _cmd_tau,
-    "resistance": _cmd_resistance,
-    "green": _cmd_green,
-    "value-matrix": _cmd_value_matrix,
-    "epsilon": _cmd_epsilon,
-    "check": _cmd_check,
-    "oracle": _cmd_oracle,
+    "info": (_cmd_info, "summarize the graph and its divisor"),
+    "laplacian": (_cmd_matrix, "print the discrete Laplacian, one row per line"),
+    "pinv": (_cmd_matrix, "print the Laplacian pseudoinverse, one row per line"),
+    "tau": (_cmd_value, "print the tau constant"),
+    "resistance": (_cmd_value, "resistance between two points"),
+    "green": (_cmd_value, "Green function value at two points"),
+    "value-matrix": (_cmd_value_matrix, "closed form of the Green function per edge pair"),
+    "epsilon": (_cmd_epsilon, "epsilon invariant of the divisor"),
+    "check": (_cmd_check, "run the built-in consistency checks"),
+    "oracle": (_cmd_oracle, "compare closed forms against the subdivision oracle"),
 }
 
 
@@ -467,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact potential theory on metrized graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    parsers = {}
+    for name, (_, help_text) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="path to a JSON graph file")
         p.add_argument(
             "--divisor",
@@ -489,24 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="emit one JSON document instead of text",
         )
-
-    descriptions = {
-        "info": "summarize the graph and its divisor",
-        "laplacian": "print the discrete Laplacian, one row per line",
-        "pinv": "print the Laplacian pseudoinverse, one row per line",
-        "tau": "print the tau constant",
-        "resistance": "resistance between two points",
-        "green": "Green function value at two points",
-        "value-matrix": "closed form of the Green function per edge pair",
-        "epsilon": "epsilon invariant of the divisor",
-        "check": "run the built-in consistency checks",
-        "oracle": "compare closed forms against the subdivision oracle",
-    }
-    parsers = {}
-    for name, handler in _COMMANDS.items():
-        p = sub.add_parser(name, help=descriptions[name])
-        common(p)
-        parsers[name] = p
     for name in ("resistance", "green"):
         parsers[name].add_argument("--x", required=True, metavar="EDGE:OFFSET")
         parsers[name].add_argument("--y", required=True, metavar="EDGE:OFFSET")
@@ -539,7 +462,15 @@ def run(argv: Sequence[str] | None = None) -> int:
                     f"--divisor: expected {g.n_vertices} coefficients, got {len(args.divisor)}"
                 )
             divisor = Divisor(args.divisor)
-        return _COMMANDS[args.command](g, divisor, args)
+        handler, _ = _COMMANDS[args.command]
+        status, doc, lines = handler(g, divisor, args)
+        # printing stays inside the try: a closed stdout is an OSError too
+        if args.machine:
+            print(json.dumps(doc))
+        else:
+            for line in lines:
+                print(line)
+        return status
     except (MetgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

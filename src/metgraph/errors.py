@@ -17,10 +17,6 @@ class NotAdequate(MetgraphError):
     """Operation requires a vertex set with no loops and no parallel edges."""
 
 
-class NotABridge(MetgraphError):
-    """Edge-side queries only make sense for bridges."""
-
-
 class BadDegree(MetgraphError):
     """The divisor has degree -2, for which no admissible measure exists."""
 

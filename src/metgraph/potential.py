@@ -114,38 +114,78 @@ def edge_data(net: Network) -> tuple[EdgeData, ...]:
     return tuple(out)
 
 
-_TERMS = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
+def _coefficient(k: int) -> property:
+    """A read-only property: coefficient k as a reduced Fraction, made when read."""
+    return property(lambda self: Fraction(self._numerators[k], self._denominator))
 
 
-class EdgePairFunction:
-    """A closed form in x on edge i and y on edge j.
-
-    Coefficients over the basis {1, x, y, x^2, y^2, x*y, |x - y|}; the
-    absolute-value coefficient can be nonzero only when i == j.  They are
-    held, read-only, as the integers ``numerators`` over one positive
-    ``denominator``, which need not be the least; a coefficient is a reduced
-    Fraction built only when read, through ``coefficients()`` or its name
-    ``c0`` ... ``cabs``.  The constructor takes ints, Fractions and ``p/q``
-    strings; equality and hash go by value.
+class _Form:
+    """Coefficients held, read-only, as the integers ``numerators`` over one
+    positive ``denominator``, which need not be the least.  A coefficient is
+    a reduced Fraction built only when read, through ``coefficients()`` or
+    its name.  The constructor takes ints, Fractions and ``p/q`` strings;
+    equality and hash go by the edge indices and the values, and only
+    between forms of one class.  A subclass names its edge indices in
+    ``_indices`` and its coefficients in ``_terms``.
     """
 
-    __slots__ = ("_i", "_j", "_denominator", "_numerators")
+    __slots__ = ("_denominator", "_numerators")
+    _indices: tuple[str, ...]
+    _terms: tuple[str, ...]
+
+    denominator = property(attrgetter("_denominator"))
+    numerators = property(attrgetter("_numerators"))
+
+    def __init__(self, values) -> None:
+        coeffs = [as_fraction(c, "coefficient") for c in values]
+        den = lcm(*(c.denominator for c in coeffs))
+        self._denominator = den
+        self._numerators = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+    def _at(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self._indices)
+
+    def coefficients(self) -> tuple[Fraction, ...]:
+        den = self._denominator
+        return tuple(Fraction(c, den) for c in self._numerators)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._at() == other._at() and same_values(
+            self._denominator, self._numerators, other._denominator, other._numerators
+        )
+
+    def __hash__(self) -> int:
+        # over the least common denominator equal values hold equal integers
+        common = gcd(self._denominator, *self._numerators)
+        lowest = tuple(c // common for c in self._numerators)
+        return hash((self._at(), self._denominator // common, lowest))
+
+    def __repr__(self) -> str:
+        fields = [*zip(self._indices, self._at()), *zip(self._terms, self.coefficients())]
+        return f"{type(self).__name__}({', '.join(f'{name}={v!r}' for name, v in fields)})"
+
+
+class EdgePairFunction(_Form):
+    """A closed form in x on edge i and y on edge j.
+
+    Coefficients over the basis {1, x, y, x^2, y^2, x*y, |x - y|}, read as
+    ``c0`` ... ``cabs``; the absolute-value coefficient can be nonzero only
+    when i == j.
+    """
+
+    __slots__ = ("_i", "_j")
+    _indices = ("i", "j")
+    _terms = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
 
     i = property(attrgetter("_i"))
     j = property(attrgetter("_j"))
-    denominator = property(attrgetter("_denominator"))
-    numerators = property(attrgetter("_numerators"))
-    # one property per coefficient, each a Fraction made when read
-    c0, cx, cy, cxx, cyy, cxy, cabs = (
-        property(lambda self, k=k: Fraction(self._numerators[k], self._denominator))
-        for k in range(len(_TERMS))
-    )
+    c0, cx, cy, cxx, cyy, cxy, cabs = map(_coefficient, range(7))
 
     def __init__(self, i: int, j: int, c0=0, cx=0, cy=0, cxx=0, cyy=0, cxy=0, cabs=0):
         self._i, self._j = i, j
-        self._denominator, self._numerators = _over_one_denominator(
-            (c0, cx, cy, cxx, cyy, cxy, cabs)
-        )
+        super().__init__((c0, cx, cy, cxx, cyy, cxy, cabs))
 
     @classmethod
     def _over(cls, i: int, j: int, den: int, numerators: tuple[int, ...]) -> EdgePairFunction:
@@ -170,39 +210,6 @@ class EdgePairFunction:
         if cabs:
             value += cabs * abs(X * v - Y * u) * u * v
         return Fraction(value, self._denominator * uu * vv)
-
-    def coefficients(self) -> tuple[Fraction, ...]:
-        den = self._denominator
-        return tuple(Fraction(c, den) for c in self._numerators)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgePairFunction):
-            return NotImplemented
-        return (self._i, self._j) == (other._i, other._j) and same_values(
-            self._denominator, self._numerators, other._denominator, other._numerators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._i, self._j, _lowest_terms(self._denominator, self._numerators)))
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{name}={c!r}" for name, c in zip(_TERMS, self.coefficients()))
-        return f"EdgePairFunction(i={self._i!r}, j={self._j!r}, {terms})"
-
-
-def _over_one_denominator(values) -> tuple[int, tuple[int, ...]]:
-    """``values``, each an int, a Fraction or a ``p/q`` string, as integer
-    numerators over their least common denominator."""
-    coeffs = [as_fraction(c, "coefficient") for c in values]
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
-
-
-def _lowest_terms(den: int, numerators: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The numerators over den > 0 brought over their least common
-    denominator, where equal values hold equal integers."""
-    common = gcd(den, *numerators)
-    return den // common, tuple(c // common for c in numerators)
 
 
 def same_values(den_a: int, a: tuple[int, ...], den_b: int, b: tuple[int, ...]) -> bool:
@@ -333,29 +340,23 @@ def green_row_at_vertices(div: DivisorAnalysis, p: int) -> tuple[tuple[int, ...]
     return numerators, den
 
 
-class EdgeFunction:
-    """A quadratic a2*x^2 + a1*x + a0 on a single edge.
-
-    Like ``EdgePairFunction`` it holds its coefficients, read-only, as
-    integer numerators over one positive denominator, which need not be the
-    least: ``r_D_on_edges`` builds r_D's over D p^2.  A coefficient reads as
-    a reduced Fraction made when read, and a value is one Fraction.  The
-    constructor takes ints, Fractions and ``p/q`` strings; equality and hash
-    go by value.
+class EdgeFunction(_Form):
+    """A quadratic a2*x^2 + a1*x + a0 on a single edge, held like an
+    ``EdgePairFunction``: ``r_D_on_edges`` builds r_D's over D p^2, and a
+    value is one Fraction.
     """
 
     # weakly referable, so a caller can see a cached form freed with its network
-    __slots__ = ("_edge", "_denominator", "_numerators", "__weakref__")
+    __slots__ = ("_edge", "__weakref__")
+    _indices = ("edge",)
+    _terms = ("a2", "a1", "a0")
 
-    edge = property(lambda self: self._edge)
-    a2, a1, a0 = (
-        property(lambda self, k=k: Fraction(self._numerators[k], self._denominator))
-        for k in range(3)
-    )
+    edge = property(attrgetter("_edge"))
+    a2, a1, a0 = map(_coefficient, range(3))
 
     def __init__(self, edge: int, a2, a1, a0):
         self._edge = edge
-        self._denominator, self._numerators = _over_one_denominator((a2, a1, a0))
+        super().__init__((a2, a1, a0))
 
     @classmethod
     def _over(cls, edge: int, den: int, numerators: tuple[int, int, int]) -> EdgeFunction:
@@ -369,19 +370,6 @@ class EdgeFunction:
         a2, a1, a0 = self._numerators
         X, u = x.numerator, x.denominator
         return Fraction((a2 * X + a1 * u) * X + a0 * u * u, self._denominator * u * u)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeFunction):
-            return NotImplemented
-        return self._edge == other._edge and same_values(
-            self._denominator, self._numerators, other._denominator, other._numerators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._edge, _lowest_terms(self._denominator, self._numerators)))
-
-    def __repr__(self) -> str:
-        return f"EdgeFunction(edge={self._edge!r}, a2={self.a2!r}, a1={self.a1!r}, a0={self.a0!r})"
 
 
 def r_D_at_vertices(div: DivisorAnalysis) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ adequate vertex set, and a path-with-diamond carrying two bridges.
 """
 
 import heapq
+import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -329,6 +330,92 @@ def two_bridges():
 @pytest.fixture
 def segment():
     return build_segment()
+
+
+def serialize_graph(g: mg.MetrizedGraph, divisor: mg.Divisor | None = None) -> str:
+    """The graph, and the divisor if given, in the CLI's JSON graph format."""
+
+    def length_of(value: Fraction):
+        return value.numerator if value.denominator == 1 else str(value)
+
+    doc = {
+        "vertices": list(g.vertices),
+        "edges": [
+            {"from": e.tail, "to": e.head, "length": length_of(e.length)}
+            for e in g.edges
+        ],
+    }
+    if divisor is not None:
+        doc["divisor"] = list(divisor.coefficients)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class FormContract:
+    """What ``EdgeFunction`` and ``EdgePairFunction`` share, written once.
+
+    A test class for one of them inherits these tests and sets ``cls``,
+    ``indices`` (its edge index properties), ``at`` and ``other_at`` (two
+    index tuples), ``terms`` (its coefficient names), ``sample_repr`` (the
+    repr of ``_over(*at, 12, (6, -4, 3, 0, ...))``) and ``call`` (arguments
+    and value of that form at one point), and gives a ``form`` fixture with
+    one form the library builds.
+    """
+
+    def sample(self):
+        numerators = (6, -4, 3) + (0,) * (len(self.terms) - 3)
+        return self.cls._over(*self.at, 12, numerators)
+
+    def test_equal_values_over_different_denominators(self, form):
+        at = tuple(getattr(form, name) for name in self.indices)
+        rebuilt = self.cls(*at, *form.coefficients())
+        scaled = self.cls._over(*at, 3 * form.denominator, tuple(3 * c for c in form.numerators))
+        assert len({form.denominator, rebuilt.denominator, scaled.denominator}) == 3
+        assert form == rebuilt == scaled
+        assert hash(form) == hash(rebuilt) == hash(scaled)
+        assert {rebuilt: "found"}[scaled] == "found"
+        assert scaled.coefficients() == form.coefficients()
+
+    def test_coefficients_read_reduced(self):
+        form = self.sample()
+        zeros = (len(self.terms) - 3) * [(Fraction, 0, 1)]
+        assert [(type(c), c.numerator, c.denominator) for c in form.coefficients()] == [
+            (Fraction, 1, 2),
+            (Fraction, -1, 3),
+            (Fraction, 1, 4),
+            *zeros,
+        ]
+        assert tuple(getattr(form, name) for name in self.terms) == form.coefficients()
+        assert tuple(getattr(form, name) for name in self.indices) == self.at
+        assert form == self.cls(*self.at, Fraction(1, 2), "-1/3", Fraction(1, 4))
+        args, value = self.call
+        assert form(*args) == value
+        assert repr(form) == self.sample_repr
+
+    def test_unequal_forms(self):
+        form = self.cls(*self.at, Fraction(-1), 2, 0)
+        assert form != self.cls(*self.other_at, Fraction(-1), 2, 0)
+        changed = [0] * (len(self.terms) - 3) + [Fraction(1, 5)]
+        assert form != self.cls(*self.at, Fraction(-1), 2, *changed)
+        assert form != (*self.at, Fraction(-1), 2, 0)
+
+    def test_constructor_reads_ints_fractions_and_ratios(self):
+        form = self.cls(*self.at, 1, "1/4", Fraction(-2, 6))
+        assert form.denominator == 12
+        assert form.numerators == (12, 3, -4) + (0,) * (len(self.terms) - 3)
+        assert form.coefficients()[:3] == (Fraction(1), Fraction(1, 4), Fraction(-1, 3))
+        for bad in (0.5, "1e3"):
+            with pytest.raises(mg.MetgraphError, match="coefficient"):
+                self.cls(*self.at, 1, 0, bad)
+
+    def test_bool_coefficients_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(mg.MetgraphError, match="coefficient: expected"):
+                self.cls(*self.at, 0, 0, flag)
+
+    def test_read_only(self, form):
+        for name in (*self.indices, "denominator", "numerators", *self.terms, "other"):
+            with pytest.raises(AttributeError):
+                setattr(form, name, 1)
 
 
 def sample_offsets(length: Fraction, count: int) -> list[Fraction]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import metgraph as mg
-from metgraph.cli import decimal_approx, format_entry, parse_graph, run, serialize_graph
+from conftest import serialize_graph
+from metgraph.cli import decimal_approx, format_entry, parse_graph, run
 
 F = Fraction
 
@@ -168,6 +170,91 @@ class TestCheckAndOracle:
         assert doc["match"] is True
         assert len(doc["rows"]) == 104
         assert all(row["diff"] == "0" for row in doc["rows"])
+
+
+class TestComparisonFailures:
+    """A failed comparison exits 1, in text and under --machine; each
+    failure is forced by replacing one function in the CLI's namespace."""
+
+    def test_epsilon_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(mg.cli, "epsilon_via_resistance", lambda g, divisor: F(1, 7))
+        assert run(["epsilon", BANANA]) == 1
+        assert lines_of(capsys) == ["green      12/11", "resistance 1/7", "MISMATCH"]
+        assert run(["epsilon", BANANA, "--machine"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "epsilon",
+            "method": "both",
+            "green": "12/11",
+            "resistance": "1/7",
+            "match": False,
+        }
+
+    def test_check_failure(self, monkeypatch, capsys):
+        check_reports = mg.cli._check_reports
+
+        def failing(g, divisor):
+            first, second = check_reports(g, divisor)
+            wrong = mg.invariants.CheckMismatch("vertices (0, 1)", F(1, 3), F(1, 2))
+            return first, mg.CheckReport(second.name, second.comparisons, (wrong,))
+
+        monkeypatch.setattr(mg.cli, "_check_reports", failing)
+        assert run(["check", CIRCLE]) == 1
+        assert lines_of(capsys) == [
+            "representation independence: PASS (36 comparisons)",
+            "vertex formula: FAIL (9 comparisons)",
+            "  vertices (0, 1): expected 1/3, got 1/2",
+        ]
+        assert run(["check", CIRCLE, "--machine"]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [rep["passed"] for rep in reports] == [True, False]
+        assert reports[1]["mismatches"] == [
+            {"location": "vertices (0, 1)", "expected": "1/3", "got": "1/2"}
+        ]
+
+    def test_oracle_nonzero_diff(self, monkeypatch, capsys):
+        resistance_point = mg.cli.resistance_point
+        monkeypatch.setattr(
+            mg.cli, "resistance_point", lambda g, x, y: resistance_point(g, x, y) + 1
+        )
+        argv = ["oracle", CIRCLE, "--points", str(POINTS / "circle.txt")]
+        assert run(argv) == 1
+        out = lines_of(capsys)
+        assert len(out) == 104
+        assert all(line.startswith("r[") and line.endswith(" diff=1") for line in out[::2])
+        assert all(line.startswith("g[") and line.endswith(" diff=0") for line in out[1::2])
+        assert run([*argv, "--machine"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["match"] is False
+        assert [row["diff"] for row in doc["rows"]] == ["1", "0"] * 52
+
+
+# the text form's unit for each coefficient of the --machine form
+UNITS = {"c0": "", "cx": "x", "cy": "y", "cxx": "x^2", "cyy": "y^2", "cxy": "x*y", "cabs": "|x-y|"}
+
+
+def text_terms(text: str) -> dict:
+    """The nonzero coefficients of one entry's text form, by unit."""
+    tokens = re.split(r" ([+-]) ", text)
+    terms = {}
+    for sign, term in zip(["+", *tokens[1::2]], tokens[::2]):
+        coef, _, unit = term.partition("*")
+        terms[unit] = F(coef) if sign == "+" else -F(coef)
+    return {unit: c for unit, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("name", ["circle", "joint_circles", "banana", "tesseract", "two_bridges"])
+def test_value_matrix_text_and_machine_agree(name, capsys):
+    path = str(GRAPHS / f"{name}.json")
+    assert run(["value-matrix", path]) == 0
+    text = lines_of(capsys)
+    assert run(["value-matrix", path, "--machine"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    cells = [(i, j, entry) for i, row in enumerate(entries) for j, entry in enumerate(row)]
+    assert len(text) == len(cells)
+    for line, (i, j, entry) in zip(text, cells):
+        head, _, rhs = line.partition(" = ")
+        assert head == f"z[{i}][{j}]"
+        assert text_terms(rhs) == {UNITS[k]: F(c) for k, c in entry.items() if F(c)}
 
 
 class TestExactOutput:
@@ -464,6 +551,24 @@ class TestModuleEntryPoints:
             assert proc.returncode == 2
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_closed_stdout_exits_2_with_one_error_line(self):
+        # the tesseract's 1024 text entries are more than a pipe holds, so
+        # the command is still writing when the reader closes after one line
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "metgraph", "value-matrix", str(GRAPHS / "tesseract.json")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert first.startswith(b"z[0][0] = ")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_import_loads_only_what_results_need(self):
         # a cold command pays for every module it imports: no dataclasses

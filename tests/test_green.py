@@ -6,6 +6,7 @@ import pytest
 
 import metgraph as mg
 from conftest import (
+    FormContract,
     build_circle_with_tail,
     build_segment,
     sample_offsets,
@@ -87,45 +88,22 @@ class TestValueMatrixStructure:
                         assert matrix.evaluate(x, y) == matrix.evaluate(y, x)
 
 
-class TestEntryRepresentation:
+class TestEntryRepresentation(FormContract):
     """Entries hold integers over one denominator and compare by value."""
 
-    def test_equal_values_over_different_denominators(self, circle):
-        z = mg.value_matrix(circle, mg.Divisor((0, 2, 0))).entry(0, 1)
-        rebuilt = mg.EdgePairFunction(z.i, z.j, *z.coefficients())
-        scaled = mg.EdgePairFunction._over(
-            z.i, z.j, 3 * z.denominator, tuple(3 * c for c in z.numerators)
-        )
-        assert len({z.denominator, rebuilt.denominator, scaled.denominator}) == 3
-        assert z == rebuilt == scaled
-        assert hash(z) == hash(rebuilt) == hash(scaled)
-        assert {rebuilt: "found"}[scaled] == "found"
-        assert scaled.coefficients() == z.coefficients()
+    cls = mg.EdgePairFunction
+    indices = ("i", "j")
+    terms = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
+    at, other_at = (2, 3), (3, 2)
+    call = ((F(2, 3), F(3)), F(1, 2) - F(1, 3) * F(2, 3) + F(1, 4) * 3)
+    sample_repr = (
+        "EdgePairFunction(i=2, j=3, c0=Fraction(1, 2), cx=Fraction(-1, 3), cy=Fraction(1, 4), "
+        "cxx=Fraction(0, 1), cyy=Fraction(0, 1), cxy=Fraction(0, 1), cabs=Fraction(0, 1))"
+    )
 
-    def test_unequal_entries(self):
-        z = mg.EdgePairFunction(0, 1, F(1, 2), cy=F(-1, 3))
-        assert z != mg.EdgePairFunction(1, 0, F(1, 2), cy=F(-1, 3))
-        assert z != mg.EdgePairFunction(0, 1, F(1, 2), cy=F(-1, 3), cabs=F(1, 6))
-        assert z != (0, 1, F(1, 2))
-
-    def test_constructor_reads_ints_fractions_and_ratios(self):
-        z = mg.EdgePairFunction(2, 3, 1, "1/4", cxy=F(-2, 6))
-        assert (z.i, z.j, z.denominator, z.numerators) == (2, 3, 12, (12, 3, 0, 0, 0, -4, 0))
-        assert (z.c0, z.cx, z.cxy) == (F(1), F(1, 4), F(-1, 3))
-        assert z(F(1, 2), F(3)) == 1 + F(1, 8) - F(1, 2)
-        with pytest.raises(mg.MetgraphError, match="coefficient"):
-            mg.EdgePairFunction(0, 0, 0.5)
-
-    def test_bool_coefficients_rejected(self):
-        for flag in (True, False):
-            with pytest.raises(mg.MetgraphError, match="coefficient: expected"):
-                mg.EdgePairFunction(0, 0, cxy=flag)
-
-    def test_entries_are_read_only(self, circle):
-        z = mg.value_matrix(circle, mg.Divisor.zero(3)).entry(0, 0)
-        for name in ("i", "denominator", "numerators", "c0", "cabs"):
-            with pytest.raises(AttributeError):
-                setattr(z, name, 1)
+    @pytest.fixture
+    def form(self, circle):
+        return mg.value_matrix(circle, mg.Divisor((0, 2, 0))).entry(0, 1)
 
 
 class TestGreenProperties:

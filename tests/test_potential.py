@@ -6,6 +6,7 @@ import pytest
 
 import metgraph as mg
 from conftest import (
+    FormContract,
     build_circle,
     build_circle_with_tail,
     build_segment,
@@ -145,52 +146,28 @@ class TestDivisorResistance:
             mg.r_D_on_edge(circle, mg.Divisor((1, 0)), 0)
 
 
-class TestEdgeFunctionValues:
+class TestEdgeFunctionValues(FormContract):
     """r_D forms hold integers over one denominator and compare by value."""
 
-    def test_equal_values_over_different_denominators(self, joint_circles):
-        f = mg.r_D_on_edge(joint_circles, mg.Divisor((0, 1, 0, -1, 3)), 2)
-        rebuilt = mg.EdgeFunction(f.edge, f.a2, f.a1, f.a0)
-        scaled = mg.EdgeFunction._over(f.edge, 3 * f._denominator, tuple(3 * c for c in f._numerators))
-        assert len({f._denominator, rebuilt._denominator, scaled._denominator}) == 3
-        assert f == rebuilt == scaled
-        assert hash(f) == hash(rebuilt) == hash(scaled)
-        assert {rebuilt: "found"}[scaled] == "found"
-        assert (scaled.a2, scaled.a1, scaled.a0) == (f.a2, f.a1, f.a0)
+    cls = mg.EdgeFunction
+    indices = ("edge",)
+    terms = ("a2", "a1", "a0")
+    at, other_at = (4,), (5,)
+    call = ((F(2, 3),), F(1, 2) * F(4, 9) - F(1, 3) * F(2, 3) + F(1, 4))
+    sample_repr = "EdgeFunction(edge=4, a2=Fraction(1, 2), a1=Fraction(-1, 3), a0=Fraction(1, 4))"
 
-    def test_coefficients_read_reduced(self):
-        f = mg.EdgeFunction._over(4, 12, (6, -4, 3))
-        assert [(type(c), c.numerator, c.denominator) for c in (f.a2, f.a1, f.a0)] == [
-            (F, 1, 2),
-            (F, -1, 3),
-            (F, 1, 4),
-        ]
-        assert f.edge == 4
-        assert f == mg.EdgeFunction(4, F(1, 2), "-1/3", F(1, 4))
-        assert f(F(2, 3)) == F(1, 2) * F(4, 9) - F(1, 3) * F(2, 3) + F(1, 4)
-        assert repr(f) == (
-            "EdgeFunction(edge=4, a2=Fraction(1, 2), a1=Fraction(-1, 3), a0=Fraction(1, 4))"
-        )
+    @pytest.fixture
+    def form(self, joint_circles):
+        return mg.r_D_on_edge(joint_circles, mg.Divisor((0, 1, 0, -1, 3)), 2)
 
-    def test_unequal_forms(self):
-        f = mg.EdgeFunction(0, F(-1), 2, 0)
-        assert f != mg.EdgeFunction(1, F(-1), 2, 0)
-        assert f != mg.EdgeFunction(0, F(-1), 2, F(1, 5))
-        assert f != (0, F(-1), 2, 0)
 
-    def test_constructor_reads_ints_fractions_and_ratios(self):
-        f = mg.EdgeFunction(1, 3, "1/4", F(-2, 6))
-        assert (f.a2, f.a1, f.a0) == (F(3), F(1, 4), F(-1, 3))
-        for bad in (0.5, True, "1e3"):
-            with pytest.raises(mg.MetgraphError, match="coefficient"):
-                mg.EdgeFunction(1, 0, bad, 0)
-
-    def test_read_only(self, circle):
-        f = mg.r_D_on_edge(circle, mg.Divisor((0, 2, 0)), 0)
-        for name in ("edge", "a2", "a1", "a0", "other"):
-            with pytest.raises(AttributeError):
-                setattr(f, name, 1)
-        assert f == mg.EdgeFunction(0, F(-1), F(2), F(0))
+def test_edge_function_never_equals_edge_pair_function():
+    # equal indices and coefficients, and still two kinds of form
+    f, z = mg.EdgeFunction(0, 0, 0, 0), mg.EdgePairFunction(0, 0)
+    assert f.numerators == z.numerators[:3] and f.denominator == z.denominator
+    assert f != z and z != f
+    assert not f == z
+    assert len({f, z}) == 2
 
 
 class TestNormalizationConstant:
