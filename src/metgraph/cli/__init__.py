@@ -10,9 +10,9 @@ handler takes the graph, its divisor and the parsed arguments, prints
 nothing, and returns ``(status, doc, lines)``: the exit status, the JSON
 document, and the text lines, which may be a lazy iterable rendered only
 when printed.  ``run`` alone prints, ``doc`` under ``--machine`` and
-``lines`` otherwise, inside the same error handling as the work, so a
-write that fails, as on a closed stdout, ends the command like any other
-input or output error.
+``lines`` otherwise, and flushes, inside the same error handling as the
+work, so a write that fails, as on a closed stdout, ends the command like
+any other input or output error.
 Handlers look library functions up by their global names when called, so
 a tracer that patches those names in this module sees every call.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -201,7 +202,6 @@ def _render_value(value: Fraction, args) -> str:
     return f"{value} {decimal_approx(value, args.decimal)}"
 
 
-_TERM_NAMES = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
 _TERM_UNITS = (None, "x", "y", "x^2", "y^2", "x*y", "|x-y|")
 
 
@@ -278,10 +278,11 @@ def _cmd_value(g, divisor, args):
 def _cmd_value_matrix(g, divisor, args):
     # each entry's seven reduced Fractions are made once, for either output
     coefficients = [[z.coefficients() for z in row] for row in value_matrix(g, divisor).entries]
+    names = EdgePairFunction.terms
     doc = {
         "command": "value-matrix",
         "divisor": list(divisor.coefficients),
-        "entries": [[dict(zip(_TERM_NAMES, map(str, c))) for c in row] for row in coefficients],
+        "entries": [[dict(zip(names, map(str, c))) for c in row] for row in coefficients],
     }
     lines = (
         f"z[{i}][{j}] = {_format_terms(c)}"
@@ -464,12 +465,20 @@ def run(argv: Sequence[str] | None = None) -> int:
             divisor = Divisor(args.divisor)
         handler, _ = _COMMANDS[args.command]
         status, doc, lines = handler(g, divisor, args)
-        # printing stays inside the try: a closed stdout is an OSError too
-        if args.machine:
-            print(json.dumps(doc))
-        else:
-            for line in lines:
-                print(line)
+        try:
+            if args.machine:
+                print(json.dumps(doc))
+            else:
+                for line in lines:
+                    print(line)
+            sys.stdout.flush()
+        except OSError:
+            # a closed stdout is an OSError too; the rest of its buffer goes to
+            # devnull, or the flush at interpreter shutdown fails and exits 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
         return status
     except (MetgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,12 +126,12 @@ class _Form:
     its name.  The constructor takes ints, Fractions and ``p/q`` strings;
     equality and hash go by the edge indices and the values, and only
     between forms of one class.  A subclass names its edge indices in
-    ``_indices`` and its coefficients in ``_terms``.
+    ``_indices`` and its coefficients in ``terms``.
     """
 
     __slots__ = ("_denominator", "_numerators")
     _indices: tuple[str, ...]
-    _terms: tuple[str, ...]
+    terms: tuple[str, ...]
 
     denominator = property(attrgetter("_denominator"))
     numerators = property(attrgetter("_numerators"))
@@ -163,7 +163,7 @@ class _Form:
         return hash((self._at(), self._denominator // common, lowest))
 
     def __repr__(self) -> str:
-        fields = [*zip(self._indices, self._at()), *zip(self._terms, self.coefficients())]
+        fields = [*zip(self._indices, self._at()), *zip(self.terms, self.coefficients())]
         return f"{type(self).__name__}({', '.join(f'{name}={v!r}' for name, v in fields)})"
 
 
@@ -177,7 +177,7 @@ class EdgePairFunction(_Form):
 
     __slots__ = ("_i", "_j")
     _indices = ("i", "j")
-    _terms = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
+    terms = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
 
     i = property(attrgetter("_i"))
     j = property(attrgetter("_j"))
@@ -349,7 +349,7 @@ class EdgeFunction(_Form):
     # weakly referable, so a caller can see a cached form freed with its network
     __slots__ = ("_edge", "__weakref__")
     _indices = ("edge",)
-    _terms = ("a2", "a1", "a0")
+    terms = ("a2", "a1", "a0")
 
     edge = property(attrgetter("_edge"))
     a2, a1, a0 = map(_coefficient, range(3))

@@ -552,22 +552,36 @@ class TestModuleEntryPoints:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
-    def test_closed_stdout_exits_2_with_one_error_line(self):
-        # the tesseract's 1024 text entries are more than a pipe holds, so
-        # the command is still writing when the reader closes after one line
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args, lines_read, head",
+        [
+            # the tesseract's 1024 text entries are more than a pipe holds, so
+            # the command is still writing when the reader closes after one line
+            (["value-matrix", str(GRAPHS / "tesseract.json")], 1, b"z[0][0] = "),
+            # the reader is gone before the interpreter starts; a buffered
+            # stdout would hold this one line until interpreter shutdown
+            (["tau", CIRCLE], 0, b""),
+        ],
+        ids=["long", "short"],
+    )
+    def test_closed_stdout_exits_2_with_one_error_line(self, args, lines_read, head, unbuffered):
         env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "metgraph", "value-matrix", str(GRAPHS / "tesseract.json")],
+            [sys.executable, "-m", "metgraph", *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         )
-        first = proc.stdout.readline()
+        read = b"".join(proc.stdout.readline() for _ in range(lines_read))
         proc.stdout.close()
         err = proc.stderr.read().decode()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
-        assert first.startswith(b"z[0][0] = ")
+        assert read.startswith(head)
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_import_loads_only_what_results_need(self):
