@@ -276,17 +276,24 @@ def canonical_divisor(
     """Canonical divisor (v(p) - 2 + 2q(p))_p for a vertex genus assignment.
 
     Returns the divisor together with a flag telling whether the polarization
-    is admissible: all genera nonnegative and the divisor effective.
+    is admissible: all genera nonnegative and the divisor effective.  Each
+    genus must be an int (not a bool), and a mapping's keys vertex indices.
     """
     n = g.n_vertices
     if genus is None:
         q = [0] * n
     elif isinstance(genus, Mapping):
-        q = [int(genus.get(v, 0)) for v in range(n)]
+        for v in genus:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                raise MetgraphError(f"genus key {v!r} is not a vertex index in 0..{n - 1}")
+        q = [genus.get(v, 0) for v in range(n)]
     else:
-        q = [int(x) for x in genus]
+        q = list(genus)
         if len(q) != n:
             raise MetgraphError(f"genus list has {len(q)} entries for {n} vertices")
+    for x in q:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise MetgraphError(f"vertex genus must be an integer, got {x!r}")
     coeffs = tuple(g.valence(v) - 2 + 2 * q[v] for v in range(n))
     polarized = all(x >= 0 for x in q) and all(c >= 0 for c in coeffs)
     return Divisor(coeffs), polarized

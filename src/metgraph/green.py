@@ -14,10 +14,12 @@ and r's coefficients are the numerators of
 ``potential.resistance_numerators`` over the common denominator D of L+, of
 which T is a multiple.  An entry holds its seven coefficients as integers
 over T p_i^2 p_j^2 (over T p_i^2 on the diagonal), so the matrix is built
-and checked without a Fraction; one is made only when a coefficient or a
-value is read.  The build runs row by row and makes each product once: what
-one edge supplies once per edge, what edge i adds once per row, and only
-the terms that read both edges once per entry.
+without a Fraction; one is made only when a coefficient or a value is read.
+The build runs row by row and makes each product once: what one edge
+supplies once per edge, what edge i adds once per row, and the terms that
+read both edges once per unordered edge pair: z_ji is z_ij's integers with
+x and y swapped.  The build compares no pair; g(x, y) = g(y, x) is checked
+by the ordered-pair property test, the vertex-formula check and the oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING
 from .analysis import network
 from .errors import MetgraphError
 from .graph import Divisor, GraphPoint, MetrizedGraph, Record, validate_point
-from .potential import EdgePairFunction, same_values
+from .potential import EdgePairFunction
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -66,13 +68,19 @@ class ValueMatrix(Record):
         return self.entries[x.edge][y.edge](x.offset, y.offset)
 
 
-def _entries(net: Network, div: DivisorAnalysis) -> tuple[tuple[EdgePairFunction, ...], ...]:
-    """Every entry, row by row: on each ordered edge pair the tau function
-    minus half the point resistance.  Neither part depends on whether an
-    edge is a bridge; the connectivity matrix is only reported.
+def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
+    """All edge-pair entries of the Green function, built once per graph and
+    divisor."""
+    return network(g).divisor(divisor).value_matrix
+
+
+def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
+    """All edge-pair entries, one per unordered edge pair: on each pair the
+    tau function minus half the point resistance.  Neither part depends on
+    whether an edge is a bridge; the connectivity matrix is only reported.
 
     On two edges r's coefficients are those of ``resistance_numerators``,
-    multiplied out so that a product is made once per edge, row or entry.
+    multiplied out so that a product is made once per edge, row or pair.
     With h = r_half, N = D L+ and, per edge, z = a0 - h N[t, t] and
     X = (a1 - h (D p - 2 q a[t])) p, the numerators over T p_i^2 p_j^2 are
       c0   (shift + z_i + z_j + 2 h N[t_i, t_j]) p_i^2 p_j^2,
@@ -80,6 +88,8 @@ def _entries(net: Network, div: DivisorAnalysis) -> tuple[tuple[EdgePairFunction
       cy   (X_j - 2 h q_j p_j a_j[t_i]) p_i^2,
       cxx  W_i w_scale p_j^2,   cyy  W_j w_scale p_i^2,
       cxy  -2 h q_i p_i q_j p_j (a_i[h_j] - a_i[t_j]).
+    Swapping i with j and x with y leaves these unchanged, N being
+    symmetric, so z_ji (j > i) is made from z_ij's integers.
     On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
     so there g's x y and |x - y| coefficients are -w and -1/2.  With
     w = W / (D p^2) both quadratic terms are W w_scale over T p^2."""
@@ -92,51 +102,23 @@ def _entries(net: Network, div: DivisorAnalysis) -> tuple[tuple[EdgePairFunction
          (a1 - half * (den * e.p - 2 * e.q * e.a[e.tail])) * e.p, twice_half * e.q * e.p, e.a)
         for e, a0, a1 in zip(net.edges, t.a0, t.a1)
     ]
-    rows = []
+    m = len(columns)
+    rows = [[None] * m for _ in range(m)]
     for i, (ti, _, ppi, _, zi, wi, xi, ki, ai) in enumerate(columns):
-        lpt, base = lp[ti], t.shift + zi
-        row = []
-        for j, (tj, hj, ppj, pqj, zj, wj, xj, kj, aj) in enumerate(columns):
-            if j == i:
-                c0, cx = (t.shift + 2 * t.a0[i]) * ppi, t.a1[i] * net.edges[i].p
-                cxy, cabs = -twice_half * net.edges[i].w, -half * den * ppi
-                numerators = (c0, cx, cx, wi, wi, cxy, cabs)
-                row.append(EdgePairFunction._over(i, i, t.den * ppi, numerators))
-                continue
+        lpt, base, row = lp[ti], t.shift + zi, rows[i]
+        c0, cx = (t.shift + 2 * t.a0[i]) * ppi, t.a1[i] * net.edges[i].p
+        cxy, cabs = -twice_half * net.edges[i].w, -half * den * ppi
+        row[i] = EdgePairFunction._over(i, i, t.den * ppi, (c0, cx, cx, wi, wi, cxy, cabs))
+        for j, (tj, hj, ppj, pqj, zj, wj, xj, kj, aj) in enumerate(columns[i + 1 :], i + 1):
             pp = ppi * ppj
-            numerators = (
-                (base + zj + twice_half * lpt[tj]) * pp,
-                (xi - ki * ai[tj]) * ppj,
-                (xj - kj * aj[ti]) * ppi,
-                wi * ppj,
-                wj * ppi,
-                -ki * pqj * (ai[hj] - ai[tj]),
-                0,
-            )
-            row.append(EdgePairFunction._over(i, j, t.den * pp, numerators))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
-    """All edge-pair entries of the Green function, built once per graph and
-    divisor."""
-    return network(g).divisor(divisor).value_matrix
-
-
-def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
-    """All edge-pair entries, with the symmetry g(x, y) = g(y, x) checked
-    coefficientwise before the matrix is handed out."""
-    m = net.graph.n_edges
-    entries = _entries(net, div)
-    for i in range(m):
-        for j in range(i, m):
-            zij, zji = entries[i][j], entries[j][i]
-            c0, cx, cy, cxx, cyy, cxy, cabs = zji.numerators
-            mirrored = (c0, cy, cx, cyy, cxx, cxy, cabs)
-            if not same_values(zij.denominator, zij.numerators, zji.denominator, mirrored):
-                raise MetgraphError(f"asymmetric entry pair ({i}, {j})")
-    return ValueMatrix(div.divisor, entries)
+            c0 = (base + zj + twice_half * lpt[tj]) * pp
+            cx, cy = (xi - ki * ai[tj]) * ppj, (xj - kj * aj[ti]) * ppi
+            cxx, cyy = wi * ppj, wj * ppi
+            cxy = -ki * pqj * (ai[hj] - ai[tj])
+            pair_den = t.den * pp
+            row[j] = EdgePairFunction._over(i, j, pair_den, (c0, cx, cy, cxx, cyy, cxy, 0))
+            rows[j][i] = EdgePairFunction._over(j, i, pair_den, (c0, cy, cx, cyy, cxx, cxy, 0))
+    return ValueMatrix(div.divisor, tuple(map(tuple, rows)))
 
 
 def evaluate_green(

@@ -25,7 +25,7 @@ corner of a mirrored pair once against that shared value.  A pair that
 does not mirror, or meets a failing comparison, goes back through the
 per-entry comparison, and that alone builds every mismatch, so counts,
 mismatches and their order are those of the entry-by-entry walk.  The
-mirror test reads the integers themselves, not the build's symmetry check.
+mirror test reads the integers themselves, not how the build made them.
 """
 
 from __future__ import annotations

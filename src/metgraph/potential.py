@@ -152,9 +152,12 @@ class _Form:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._at() == other._at() and same_values(
-            self._denominator, self._numerators, other._denominator, other._numerators
-        )
+        if self._at() != other._at():
+            return False
+        den_a, den_b = self._denominator, other._denominator
+        if den_a == den_b:
+            return self._numerators == other._numerators
+        return all(x * den_b == y * den_a for x, y in zip(self._numerators, other._numerators))
 
     def __hash__(self) -> int:
         # over the least common denominator equal values hold equal integers
@@ -210,14 +213,6 @@ class EdgePairFunction(_Form):
         if cabs:
             value += cabs * abs(X * v - Y * u) * u * v
         return Fraction(value, self._denominator * uu * vv)
-
-
-def same_values(den_a: int, a: tuple[int, ...], den_b: int, b: tuple[int, ...]) -> bool:
-    """Whether the numerators a over den_a and b over den_b hold the same
-    rationals, term by term."""
-    if den_a == den_b:
-        return a == b
-    return all(x * den_b == y * den_a for x, y in zip(a, b))
 
 
 def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, int]:

@@ -353,6 +353,20 @@ class TestCanonicalDivisor:
         with pytest.raises(mg.MetgraphError):
             mg.canonical_divisor(build_circle(), [0, 0])
 
+    @pytest.mark.parametrize(
+        "genus,shown",
+        [([0.7, 0, 0], "0.7"), ([True, 0, 0], "True"), ({0: "2"}, "'2'")],
+        ids=["float", "bool", "string"],
+    )
+    def test_genus_that_is_not_an_int_rejected(self, genus, shown):
+        with pytest.raises(mg.MetgraphError, match=f"genus must be an integer, got {shown}$"):
+            mg.canonical_divisor(build_circle(), genus)
+
+    @pytest.mark.parametrize("key", [5, -1, True, "0"])
+    def test_genus_key_outside_the_vertices_rejected(self, key):
+        with pytest.raises(mg.MetgraphError, match="is not a vertex index in 0..2"):
+            mg.canonical_divisor(build_circle(), {key: 3})
+
 
 class TestDivisor:
     def test_degree_and_support(self):

@@ -210,21 +210,6 @@ class TestErrors:
         with pytest.raises(mg.MetgraphError, match=r"entry \(3, 0\) outside a 3-edge matrix"):
             matrix.entry(3, 0)
 
-    def test_asymmetric_entries_raise(self, circle, monkeypatch):
-        # the symmetry check must survive python -O, so it cannot be an assert
-        build = mg.green._entries
-
-        def skewed(net, div):
-            rows = [list(row) for row in build(net, div)]
-            z = rows[0][1]
-            rows[0][1] = mg.EdgePairFunction(0, 1, *z.coefficients()[:-1], cabs=F(1))
-            return rows
-
-        monkeypatch.setattr(mg.green, "_entries", skewed)
-        mg.clear_caches()
-        with pytest.raises(mg.MetgraphError, match=r"asymmetric entry pair \(0, 1\)"):
-            mg.value_matrix(circle, mg.Divisor.zero(3))
-
 
 def test_offsets_helper_spans_edge():
     offs = sample_offsets(F(2), 3)

@@ -169,7 +169,6 @@ CLOSED_FORMS = (
     "resistance_form",
     "r_D_slopes",
     "tau_parts",
-    "_entries",
     "build_value_matrix",
 )
 

@@ -30,10 +30,13 @@ F = Fraction
 LENGTHS = tuple(
     sorted({F(n, d) for n in (1, 2, 3) for d in (1, 2, 3)})
 )
+# ratios of three-digit primes: L+ and every entry then hold wide operands
+WIDE_PRIMES = (101, 103, 107, 109, 113)
+WIDE_LENGTHS = tuple(sorted({F(p, q) for p in WIDE_PRIMES for q in WIDE_PRIMES if p != q}))
 
 
 @st.composite
-def adequate_graphs(draw) -> mg.MetrizedGraph:
+def adequate_graphs(draw, lengths=LENGTHS) -> mg.MetrizedGraph:
     n = draw(st.integers(min_value=2, max_value=5))
     pairs = [
         (draw(st.integers(min_value=0, max_value=k - 1)), k) for k in range(1, n)
@@ -49,7 +52,7 @@ def adequate_graphs(draw) -> mg.MetrizedGraph:
     for tail, head in pairs:
         if draw(st.booleans()):
             tail, head = head, tail
-        edges.append(mg.Edge(tail, head, draw(st.sampled_from(LENGTHS))))
+        edges.append(mg.Edge(tail, head, draw(st.sampled_from(lengths))))
     g = mg.MetrizedGraph(tuple(f"p{k}" for k in range(n)), tuple(edges))
     assert mg.validate_adequate(g)
     return g
@@ -79,8 +82,8 @@ def multigraphs(draw) -> mg.MetrizedGraph:
 
 
 @st.composite
-def graph_and_divisor(draw) -> tuple[mg.MetrizedGraph, mg.Divisor]:
-    g = draw(adequate_graphs())
+def graph_and_divisor(draw, lengths=LENGTHS) -> tuple[mg.MetrizedGraph, mg.Divisor]:
+    g = draw(adequate_graphs(lengths))
     coeffs = draw(
         st.lists(
             st.integers(min_value=-2, max_value=3),
@@ -746,6 +749,47 @@ def test_mirrored_pairs_match_the_reference_check(gd, data):
         changed = rescaled(matrix, i, j)
     assert_representation_check_matches_reference(g, divisor, changed)
     assert_vertex_formula_check_matches_reference(g, divisor, changed)
+
+
+# -- every built matrix mirrors --------------------------------------------------
+# The build makes z_ji from z_ij's integers with x and y swapped and compares
+# no pair, so these pin that every matrix it hands out mirrors exactly.
+
+
+def assert_mirrors_exactly(matrix):
+    for i in range(matrix.size):
+        for j in range(i, matrix.size):
+            assert mirrors(matrix.entries[i][j], matrix.entries[j][i]), (i, j)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["file_divisor", "zero_divisor"])
+def test_standing_matrices_mirror_exactly(standing, zero):
+    _, g, divisor = standing
+    if zero:
+        divisor = mg.Divisor.zero(g.n_vertices)
+    assert_mirrors_exactly(mg.value_matrix(g, divisor))
+
+
+@common
+@given(graph_and_divisor())
+def test_built_matrices_mirror_exactly(gd):
+    g, divisor = gd
+    assert_mirrors_exactly(mg.value_matrix(g, divisor))
+
+
+@common
+@given(graph_and_divisor(WIDE_LENGTHS))
+def test_wide_operands_match_the_references(gd):
+    g, divisor = gd
+    lap = mg.linalg.laplacian_matrix(g)
+    assert mg.pseudo_inverse(lap) == gauss_jordan_pinv(lap)
+    net = mg.network(g)
+    div = net.divisor(divisor)
+    matrix = mg.value_matrix(g, divisor)
+    for i in range(g.n_edges):
+        for j in range(g.n_edges):
+            assert exact(matrix.entry(i, j).coefficients()) == exact(fraction_entry(net, div, i, j))
+    assert_mirrors_exactly(matrix)
 
 
 # -- bridges by their definition ------------------------------------------------
