@@ -8,8 +8,9 @@ command to a single JSON document on stdout.
 Each command is one handler in ``_COMMANDS``, beside its help text.  A
 handler takes the graph, its divisor and the parsed arguments, prints
 nothing, and returns ``(status, doc, lines)``: the exit status, the JSON
-document, and the text lines, which may be a lazy iterable rendered only
-when printed.  ``run`` alone prints, ``doc`` under ``--machine`` and
+document (None where it is costly and ``--machine`` is off), and the text
+lines, which may be a lazy iterable rendered only when printed.  ``run``
+alone prints, ``doc`` under ``--machine`` and
 ``lines`` otherwise, and flushes, inside the same error handling as the
 work, so a write that fails, as on a closed stdout, ends the command like
 any other input or output error.
@@ -61,6 +62,9 @@ from ..potential import resistance_point, tau_constant
 # the edge count.
 MAX_VERTICES = 100
 MAX_EDGES = 200
+# The most digits ``--decimal`` accepts; a count near 10**11 asks Decimal
+# for more memory than a host has.
+MAX_DECIMAL_DIGITS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +181,8 @@ def _decimal_option(text: str) -> int:
         digits = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if digits < 0:
-        raise argparse.ArgumentTypeError("decimal digit count must be nonnegative")
+    if not 0 <= digits <= MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"decimal digit count must be in 0..{MAX_DECIMAL_DIGITS}")
     return digits
 
 
@@ -283,7 +287,7 @@ def _cmd_value_matrix(g, divisor, args):
         "command": "value-matrix",
         "divisor": list(divisor.coefficients),
         "entries": [[dict(zip(names, map(str, c))) for c in row] for row in coefficients],
-    }
+    } if args.machine else None
     lines = (
         f"z[{i}][{j}] = {_format_terms(c)}"
         for i, row in enumerate(coefficients)

@@ -4,9 +4,10 @@ A metrized graph is a finite connected multigraph whose edges carry strictly
 positive rational lengths.  Edge ``i`` is identified with the segment
 ``[0, L_i]``: offset ``0`` sits at the tail vertex, offset ``L_i`` at the
 head, so the stored ``(tail, head)`` order fixes the parametrization.  A
-point of the graph is an ``(edge, offset)`` pair; endpoints of different
-edges may denote the same metric point.  A length, offset or scale factor
-given as a string must be an integer or ``p/q``.
+point of the graph is an ``(edge, offset)`` pair, checked in integers by
+``validate_point``; endpoints of different edges may denote the same metric
+point.  A length, offset or scale factor given as a string must be an
+integer or ``p/q``.
 
 Every refinement is one split of the edges, at the cuts that make the graph
 adequate plus any requested points (``adequate_refinement``).
@@ -306,20 +307,26 @@ def canonical_divisor(
 def validate_point(g: MetrizedGraph, pt: GraphPoint | tuple) -> GraphPoint:
     """Normalize a point and check 0 <= offset <= edge length.
 
-    With the offset X / u and the length p / q, both in lowest terms with
-    positive denominators, the bound is X >= 0 and X q <= p u, compared in
-    integers.
+    Anything but an (edge, offset) pair, or an edge that is not an int
+    index of ``g``, raises ``PointOutOfRange``.  With the offset X / u and
+    the length p / q in lowest terms, the bound is X >= 0 and X q <= p u,
+    compared in integers.  A ``GraphPoint`` whose offset is already a
+    Fraction is returned as it is.
     """
-    edge, offset = pt
-    if isinstance(edge, bool) or not isinstance(edge, int) or not 0 <= edge < g.n_edges:
-        raise PointOutOfRange(f"edge index {edge!r} outside 0..{g.n_edges - 1}")
+    try:
+        edge, offset = pt
+    except (TypeError, ValueError):
+        raise PointOutOfRange(f"a point is an (edge, offset) pair, got {pt!r}") from None
+    if isinstance(edge, bool) or not isinstance(edge, int) or not 0 <= edge < len(g.edges):
+        raise PointOutOfRange(f"edge index {edge!r} outside 0..{len(g.edges) - 1}")
     if type(offset) is not Fraction:
         offset = as_fraction(offset, f"offset on edge {edge}")
+    x, u = offset.as_integer_ratio()
     length = g.edges[edge].length
-    x = offset.numerator
-    if x < 0 or x * length.denominator > length.numerator * offset.denominator:
+    p, q = length.as_integer_ratio()
+    if x < 0 or x * q > p * u:
         raise PointOutOfRange(f"offset {offset} outside [0, {length}] on edge {edge}")
-    return GraphPoint(edge, offset)
+    return pt if type(pt) is GraphPoint and pt.offset is offset else GraphPoint(edge, offset)
 
 
 def vertex_at(g: MetrizedGraph, pt: GraphPoint) -> int | None:

@@ -12,13 +12,11 @@ The forms read L+ as it is held, N / D with D its least common denominator
 p / q, the vertex resistance r / D between its ends, the vector
 a[s] = N[s, tail] - N[s, head], and W = (p D - q r) q, which is
 w = (L - r) / L^2 over D p^2.  Each voltage the pair form needs is one
-difference of two entries of an ``a`` vector.  An ``EdgePairFunction``
-holds its coefficients as integers over one denominator, so the pair form
-is built, and evaluated, in integers: its coefficients are the numerators
-of ``resistance_numerators`` and the W of its two edges, over D p_i^2 p_j^2.
-The divisor's r_D = sum_k a_k r(p_k, .) is held the same way, one
-``EdgeFunction`` per edge with its three coefficients as integers over
-D p^2, so a point query builds one Fraction, its answer.
+difference of two entries of an ``a`` vector.  ``resistance_point`` reads
+the pair form off the numerators of ``resistance_numerators`` and the W of
+its two edges as one integer, and the divisor's r_D = sum_k a_k r(p_k, .)
+is held per edge as an ``EdgeFunction``, three integers over D p^2, so a
+point query builds one Fraction, its answer.
 The Green function at vertices has a direct formula in L+, tau and c_mu
 alone, which ``green_row_at_vertices`` gives one vertex row at a time.
 """
@@ -202,8 +200,8 @@ class EdgePairFunction(_Form):
         # D u^2 v^2; a vertex sits at offset 0 or at the length, so a zero
         # offset is common and its terms are skipped
         c0, cx, cy, cxx, cyy, cxy, cabs = self._numerators
-        X, u = x.numerator, x.denominator
-        Y, v = y.numerator, y.denominator
+        X, u = x.as_integer_ratio()
+        Y, v = y.as_integer_ratio()
         uu, vv = u * u, v * v
         value = c0 * uu * vv
         if Y:
@@ -241,45 +239,35 @@ def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, 
     )
 
 
-def resistance_form(net: Network, i: int, j: int) -> EdgePairFunction:
-    """Closed form of the point resistance r(x, y), x on edge i, y on edge j.
+def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
+    """Effective resistance between two arbitrary points of the graph.
 
-    On one edge r is |x - y| minus a parabola in x - y; on two edges it is
-    the quadratic of ``resistance_numerators``.  Neither form depends on
+    On one edge r is |x - y| - w (x - y)^2; on two edges it is the
+    quadratic of ``resistance_numerators``.  Neither form depends on
     whether an edge is a bridge: there r(tail, head) equals the length, so
     the quadratic terms vanish and the voltages supply the piecewise-linear
-    slopes.  With w = W / (D p^2) the coefficients are integers over D p^2
-    on one edge and over D p_i^2 p_j^2 on two.
+    slopes.  With x = X / u on edge i, y = Y / v on edge j and
+    w = W / (D p^2), r is one integer over D (p u v)^2 on one edge and over
+    D (p_i u p_j v)^2 on two.
     """
-    ei = net.edges[i]
-    den = net.pinv.denominator
+    i, x = validate_point(g, x)
+    j, y = validate_point(g, y)
+    net = network(g)
+    X, u = x.as_integer_ratio()
+    Y, v = y.as_integer_ratio()
+    ei, den = net.edges[i], net.pinv.denominator
     if i == j:
-        pp = ei.p * ei.p
-        return EdgePairFunction._over(i, j, den * pp, (0, 0, 0, -ei.w, -ei.w, 2 * ei.w, den * pp))
+        # x - y = d / (u v)
+        d, uv, pp = X * v - Y * u, u * v, ei.p * ei.p
+        return Fraction(den * pp * abs(d) * uv - ei.w * d * d, den * pp * uv * uv)
     ej = net.edges[j]
-    pi, pj = ei.p, ej.p
     c0, cx, cy, cxy = resistance_numerators(net, i, j)
-    return EdgePairFunction._over(
-        i,
-        j,
-        den * pi * pi * pj * pj,
-        (
-            c0 * pi * pi * pj * pj,
-            cx * pi * pj * pj,
-            cy * pi * pi * pj,
-            -ei.w * pj * pj,
-            -ej.w * pi * pi,
-            cxy * pi * pj,
-            0,
-        ),
-    )
-
-
-def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
-    """Effective resistance between two arbitrary points of the graph."""
-    x = validate_point(g, x)
-    y = validate_point(g, y)
-    return resistance_form(network(g), x.edge, y.edge)(x.offset, y.offset)
+    # c0 + cx x / p_i + cy y / p_j + cxy x y / (p_i p_j) - W_i (x / p_i)^2
+    # - W_j (y / p_j)^2 over D, with x / p_i = X / a and y / p_j = Y / b
+    a, b = ei.p * u, ej.p * v
+    xb, ya = X * b, Y * a
+    value = (c0 * a * b + cx * xb + cy * ya) * a * b + (cxy * ya - ei.w * xb) * xb - ej.w * ya * ya
+    return Fraction(value, den * a * a * b * b)
 
 
 class VertexFormula(NamedTuple):
@@ -363,7 +351,7 @@ class EdgeFunction(_Form):
     def __call__(self, x: Fraction) -> Fraction:
         # with x = X / u the value is an integer over den u^2
         a2, a1, a0 = self._numerators
-        X, u = x.numerator, x.denominator
+        X, u = x.as_integer_ratio()
         return Fraction((a2 * X + a1 * u) * X + a0 * u * u, self._denominator * u * u)
 
 

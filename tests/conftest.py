@@ -206,6 +206,40 @@ def defines_pseudo_inverse(lap: mg.RationalMatrix, lplus: mg.RationalMatrix) -> 
     return True
 
 
+def resistance_form(net: mg.Network, i: int, j: int) -> mg.EdgePairFunction:
+    """Closed form of the point resistance r(x, y), x on edge i, y on edge j:
+    the reference for ``resistance_point``, which evaluates the same form
+    straight from its integers.
+
+    On one edge r is |x - y| minus a parabola in x - y; on two edges it is
+    the quadratic of ``resistance_numerators``.  With w = W / (D p^2) the
+    coefficients are integers over D p^2 on one edge and over
+    D p_i^2 p_j^2 on two.
+    """
+    ei = net.edges[i]
+    den = net.pinv.denominator
+    if i == j:
+        pp = ei.p * ei.p
+        return mg.EdgePairFunction._over(i, j, den * pp, (0, 0, 0, -ei.w, -ei.w, 2 * ei.w, den * pp))
+    ej = net.edges[j]
+    pi, pj = ei.p, ej.p
+    c0, cx, cy, cxy = mg.potential.resistance_numerators(net, i, j)
+    return mg.EdgePairFunction._over(
+        i,
+        j,
+        den * pi * pi * pj * pj,
+        (
+            c0 * pi * pi * pj * pj,
+            cx * pi * pj * pj,
+            cy * pi * pi * pj,
+            -ei.w * pj * pj,
+            -ej.w * pi * pi,
+            cxy * pi * pj,
+            0,
+        ),
+    )
+
+
 # Matrix, voltage and distance references; the library computes none of them.
 
 

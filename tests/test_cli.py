@@ -453,6 +453,22 @@ class TestErrors:
         with pytest.raises(SystemExit):
             run(["tau", CIRCLE, "--decimal", "-1"])
 
+    def test_decimal_digits_past_the_bound_exit_2_before_any_decimal_work(
+        self, capsys, monkeypatch
+    ):
+        def no_decimal_work(*args):
+            raise AssertionError("a decimal approximation was computed")
+
+        monkeypatch.setattr(mg.cli, "decimal_approx", no_decimal_work)
+        bound = mg.cli.MAX_DECIMAL_DIGITS
+        parsed = mg.cli.build_parser().parse_args(["tau", CIRCLE, "--decimal", str(bound)])
+        assert parsed.decimal == bound
+        for digits in (bound + 1, 10**11):
+            with pytest.raises(SystemExit) as exit_info:
+                run(["tau", CIRCLE, "--decimal", str(digits)])
+            assert exit_info.value.code == 2
+            assert f"decimal digit count must be in 0..{bound}" in capsys.readouterr().err
+
 
 class TestParseSerialize:
     def test_round_trip(self, banana):

@@ -403,6 +403,25 @@ class TestPoints:
         for offset in (0, 1, "1", Fraction(1, big), Fraction(big - 1, big)):
             assert mg.validate_point(g, (1, offset)).offset == Fraction(offset)
 
+    def test_graph_point_with_a_fraction_offset_is_returned_as_it_is(self):
+        g = build_circle()
+        pt = mg.GraphPoint(1, Fraction(1, 3))
+        assert mg.validate_point(g, pt) is pt
+        rebuilt = mg.validate_point(g, mg.GraphPoint(1, "1/3"))
+        assert rebuilt == pt and type(rebuilt.offset) is Fraction
+
+    @pytest.mark.parametrize(
+        "pt",
+        [(0, 1, 2), (0,), "0:1/2", 5, None],
+        ids=["three-tuple", "one-tuple", "string", "int", "none"],
+    )
+    def test_point_that_is_not_an_edge_offset_pair(self, pt):
+        g = build_circle()
+        with pytest.raises(mg.PointOutOfRange, match=r"a point is an \(edge, offset\) pair"):
+            mg.validate_point(g, pt)
+        with pytest.raises(mg.PointOutOfRange):
+            mg.resistance_point(g, (0, 0), pt)
+
     def test_out_of_range(self):
         g = build_circle()
         with pytest.raises(mg.PointOutOfRange):

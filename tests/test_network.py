@@ -13,6 +13,7 @@ import hashlib
 import importlib
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -171,6 +172,57 @@ def test_oracle_refinement_pseudoinverses_are_frozen():
             digest.update(b"\n" + " ".join(map(str, row)).encode())
     assert len(refinements) == 31
     assert digest.hexdigest() == FROZEN_REFINEMENT_LPLUS_DIGEST
+
+
+def point_query_cases(monkeypatch):
+    """(graph, divisor, x, y) for every query of the benchmark's seed-0
+    query stream, under the divisor current there, then on each standing
+    graph every pair of points on one edge and every pair of edge ends."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    inputs = importlib.import_module("inputs")
+    graphs = {n: mg.cli.parse_graph((GRAPHS / f"{n}.json").read_text()) for n in inputs.QUERY_GRAPHS}
+    current = {n: d for n, (_, d) in graphs.items()}
+    stream = inputs.query_stream(
+        {n: [e.length for e in g.edges] for n, (g, _) in graphs.items()},
+        {n: g.n_vertices for n, (g, _) in graphs.items()},
+        random.Random(0),
+    )
+    for op in stream:
+        if op[0] == "switch":
+            current[op[1]] = mg.Divisor(op[2])
+        else:
+            yield graphs[op[1]][0], current[op[1]], mg.GraphPoint(*op[2]), mg.GraphPoint(*op[3])
+    for _, g, d in standing_graphs():
+        for i, e in enumerate(g.edges):
+            on_edge = [(i, x) for x in (F(0), e.length / 3, e.length * 3 / 4, e.length)]
+            for x in on_edge:
+                for y in on_edge:
+                    yield g, d, x, y
+        ends = [(i, x) for i, e in enumerate(g.edges) for x in (F(0), e.length)]
+        for x in ends:
+            for y in ends:
+                yield g, d, x, y
+
+
+# sha256 of every answer of the three point queries, frozen from the
+# implementation that built a new GraphPoint per validation and an
+# EdgePairFunction per point resistance.
+FROZEN_POINT_QUERY_DIGEST = "2546d44ca86a4a4bae819826eaeb5749a87c77553373aa9de8bc1112ac18df26"
+
+
+def test_point_query_answers_are_frozen(monkeypatch):
+    digest = hashlib.sha256()
+    count = 0
+    for g, d, x, y in point_query_cases(monkeypatch):
+        answers = (
+            mg.evaluate_green(g, d, x, y),
+            mg.resistance_point(g, x, y),
+            mg.resistance_to_divisor(g, d, x),
+        )
+        digest.update(" ".join(map(str, answers)).encode() + b"\n")
+        count += 1
+    assert count == 1200 + 5352
+    assert digest.hexdigest() == FROZEN_POINT_QUERY_DIGEST
 
 
 def test_pseudoinverse_is_held_in_lowest_terms():

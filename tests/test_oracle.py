@@ -166,7 +166,7 @@ class TestOracleAgreement:
 
 CLOSED_FORMS = (
     "resistance_numerators",
-    "resistance_form",
+    "resistance_point",
     "r_D_slopes",
     "tau_parts",
     "build_value_matrix",

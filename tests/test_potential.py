@@ -11,6 +11,7 @@ from conftest import (
     build_circle_with_tail,
     build_segment,
     build_two_bridges,
+    resistance_form,
     sample_points,
     standing_graphs,
 )
@@ -191,7 +192,7 @@ def tau_function_pair(g, divisor, i, j):
     """The tau function on edges i and j, g + r / 2: the value matrix entry
     plus half the point resistance's closed form."""
     entry = mg.value_matrix(g, divisor).entry(i, j)
-    r = mg.potential.resistance_form(mg.network(g), i, j)
+    r = resistance_form(mg.network(g), i, j)
     halves = (a + b / 2 for a, b in zip(entry.coefficients(), r.coefficients()))
     return mg.EdgePairFunction(i, j, *halves)
 

@@ -14,11 +14,13 @@ from hypothesis import assume, given, settings, strategies as st
 import metgraph as mg
 from conftest import (
     build_banana,
+    build_two_bridges,
     defines_pseudo_inverse,
     fraction_laplacian,
     gauss_jordan_pinv,
     is_symmetric,
     penrose_identities,
+    resistance_form,
     row_sums,
     sample_points,
     trace,
@@ -354,7 +356,7 @@ def test_integer_kernel_matches_fraction_reference(gd):
     shift, halves = reference_tau_halves(g, divisor)
     for i in range(g.n_edges):
         for j in range(g.n_edges):
-            form = mg.potential.resistance_form(net, i, j)
+            form = resistance_form(net, i, j)
             assert exact(form.coefficients()) == exact(reference_resistance_form(g, i, j))
             expected = reference_entry(g, divisor, shift, halves, i, j)
             assert exact(matrix.entry(i, j).coefficients()) == exact(expected)
@@ -383,7 +385,7 @@ def test_horner_evaluation_matches_expanded_polynomial(gd):
             li, lj = g.edges[i].length, g.edges[j].length
             xs = (F(0), li / 3, li * 4 / 5, li)
             ys = (F(0), lj / 2, lj * 2 / 7, lj)
-            for z in (matrix.entry(i, j), mg.potential.resistance_form(net, i, j)):
+            for z in (matrix.entry(i, j), resistance_form(net, i, j)):
                 for x in xs:
                     for y in ys:
                         assert z(x, y) == expanded(z, x, y)
@@ -454,18 +456,19 @@ def fraction_value(coefficients, x, y):
     return value
 
 
-@common
-@given(
-    repaired_graph_and_divisor(),
-    st.lists(
-        st.tuples(
-            st.fractions(min_value=0, max_value=1, max_denominator=12),
-            st.fractions(min_value=0, max_value=1, max_denominator=12),
-        ),
-        min_size=1,
-        max_size=3,
+# pairs of offsets, each a fraction of its edge's length, ends included
+FRACTIONS_OF_LENGTHS = st.lists(
+    st.tuples(
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
     ),
+    min_size=1,
+    max_size=3,
 )
+
+
+@common
+@given(repaired_graph_and_divisor(), FRACTIONS_OF_LENGTHS)
 def test_integer_entries_match_the_fraction_kernel(gd, fractions_of_lengths):
     g, divisor = gd
     net = mg.network(g)
@@ -474,15 +477,37 @@ def test_integer_entries_match_the_fraction_kernel(gd, fractions_of_lengths):
     for i in range(g.n_edges):
         for j in range(g.n_edges):
             li, lj = g.edges[i].length, g.edges[j].length
-            pairs = (
-                (matrix.entry(i, j), fraction_entry(net, div, i, j)),
-                (mg.potential.resistance_form(net, i, j), fraction_resistance_form(net, i, j)),
-            )
-            for z, want in pairs:
-                assert exact(z.coefficients()) == exact(want)
-                for fx, fy in fractions_of_lengths:
-                    x, y = li * fx, lj * fy
-                    assert exact([z(x, y)]) == exact([fraction_value(want, x, y)])
+            z, want = matrix.entry(i, j), fraction_entry(net, div, i, j)
+            assert exact(z.coefficients()) == exact(want)
+            for fx, fy in fractions_of_lengths:
+                x, y = li * fx, lj * fy
+                assert exact([z(x, y)]) == exact([fraction_value(want, x, y)])
+
+
+def assert_resistance_point_matches_the_fraction_kernel(g, fractions_of_lengths):
+    """r(x, y) at every ordered edge pair, the same edge included, against
+    the Fraction form evaluated by Fraction Horner."""
+    net = mg.network(g)
+    for i, ei in enumerate(g.edges):
+        for j, ej in enumerate(g.edges):
+            want = fraction_resistance_form(net, i, j)
+            for fx, fy in fractions_of_lengths:
+                x, y = ei.length * fx, ej.length * fy
+                got = mg.resistance_point(g, (i, x), (j, y))
+                assert exact([got]) == exact([fraction_value(want, x, y)]), (i, j, x, y)
+
+
+@common
+@given(repaired_graph_and_divisor(), FRACTIONS_OF_LENGTHS)
+def test_resistance_point_matches_the_fraction_kernel(gd, fractions_of_lengths):
+    assert_resistance_point_matches_the_fraction_kernel(gd[0], fractions_of_lengths)
+
+
+def test_resistance_point_on_bridges_matches_the_fraction_kernel():
+    g = build_two_bridges()
+    assert mg.bridges(g) == {0, 5}
+    offsets = [(F(0), F(1)), (F(1, 3), F(3, 4)), (F(2, 5), F(2, 5)), (F(1), F(0)), (F(5, 7), F(1, 9))]
+    assert_resistance_point_matches_the_fraction_kernel(g, offsets)
 
 
 # -- reference for the integer consistency checks ------------------------------
@@ -619,6 +644,59 @@ def test_integer_point_queries_match_fraction_reference(gd, fraction_of_length, 
                 except mg.PointOutOfRange:
                     accepted = False
                 assert accepted == (0 <= x <= e.length)
+
+
+def copied_validate_point(g, pt):
+    """``validate_point`` as it was when it built a new GraphPoint per call
+    and read each Fraction's integers through its properties: the reference
+    for the value, the accept/reject decision and the error."""
+    edge, offset = pt
+    if isinstance(edge, bool) or not isinstance(edge, int) or not 0 <= edge < g.n_edges:
+        raise mg.PointOutOfRange(f"edge index {edge!r} outside 0..{g.n_edges - 1}")
+    if type(offset) is not Fraction:
+        offset = mg.graph.as_fraction(offset, f"offset on edge {edge}")
+    length = g.edges[edge].length
+    x = offset.numerator
+    if x < 0 or x * length.denominator > length.numerator * offset.denominator:
+        raise mg.PointOutOfRange(f"offset {offset} outside [0, {length}] on edge {edge}")
+    return mg.GraphPoint(edge, offset)
+
+
+def outcome(validate, g, pt):
+    try:
+        value = validate(g, pt)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", type(value), value, type(value.offset)
+
+
+@st.composite
+def points_on(draw, g):
+    """An (edge, offset) tuple or GraphPoint, the edge an int, a bool or
+    out of range, the offset an int, a Fraction, a string, a float or a
+    bool; an edge's ends and the points just past them come often."""
+    edge = draw(st.one_of(st.integers(min_value=-2, max_value=g.n_edges + 1), st.booleans()))
+    length = g.edges[edge].length if type(edge) is int and 0 <= edge < g.n_edges else F(1)
+    near_ends = st.sampled_from((F(0), length, length + F(1, 12), F(-1, 12)))
+    offset = draw(
+        st.one_of(
+            near_ends,
+            near_ends.map(str),
+            st.integers(min_value=-2, max_value=5),
+            st.fractions(min_value=-1, max_value=5, max_denominator=12),
+            st.fractions(min_value=-1, max_value=5, max_denominator=12).map(str),
+            st.floats(),
+            st.booleans(),
+        )
+    )
+    return mg.GraphPoint(edge, offset) if draw(st.booleans()) else (edge, offset)
+
+
+@common
+@given(adequate_graphs(), st.data())
+def test_validate_point_matches_the_copied_reference(g, data):
+    for pt in data.draw(st.lists(points_on(g), min_size=1, max_size=20)):
+        assert outcome(mg.validate_point, g, pt) == outcome(copied_validate_point, g, pt)
 
 
 @pytest.mark.parametrize("name", COEFFICIENT_NAMES)
