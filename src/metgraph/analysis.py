@@ -7,9 +7,9 @@ on first use: the Laplacian and its pseudoinverse, the tau constant, the
 per-edge data the resistance form reads, and the bridge bookkeeping that is
 only reported.  L+ is kept once, as integers over its least common
 denominator (``linalg.RationalMatrix``), which every formula reads.
-Divisor-dependent data (``r_D`` on every edge, ``c_mu``, the tau parts, the
-value matrix, the row-independent parts of the vertex formula) hangs off one
-``DivisorAnalysis`` per divisor.
+Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
+the value matrix, the row-independent parts of the vertex formula) hangs off
+one ``DivisorAnalysis`` per divisor.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  Those modules reach ``network`` at import
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .graph import ConnectivityMatrix, Divisor, MetrizedGraph
     from .green import ValueMatrix
     from .linalg import RationalMatrix
-    from .potential import EdgeData, EdgeFunction, TauParts, VertexFormula
+    from .potential import EdgeData, EdgeFunction, VertexFormula
 
 
 @cache
@@ -129,12 +129,6 @@ class DivisorAnalysis:
         from .potential import c_mu_of
 
         return c_mu_of(self)
-
-    @cached_property
-    def tau_parts(self) -> TauParts:
-        from .potential import tau_parts
-
-        return tau_parts(self)
 
     @cached_property
     def vertex_formula(self) -> VertexFormula:

@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_divisor_option,
             default=None,
             metavar="A0,A1,...",
-            help="override the divisor from the file",
+            help="override the divisor from the file; a negative first coefficient "
+            "needs the = form, as in --divisor=-1,0,0",
         )
         p.add_argument(
             "--decimal",

@@ -209,12 +209,17 @@ class MetrizedGraph(Record):
         )
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < len(self.vertices):
-            raise MetgraphError(f"vertex index {v} outside 0..{len(self.vertices) - 1}")
+        if not is_index(v, len(self.vertices)):
+            raise MetgraphError(f"vertex index {v!r} outside 0..{len(self.vertices) - 1}")
 
     def _check_edge(self, i: int) -> None:
-        if not 0 <= i < len(self.edges):
-            raise MetgraphError(f"edge index {i} outside 0..{len(self.edges) - 1}")
+        if not is_index(i, len(self.edges)):
+            raise MetgraphError(f"edge index {i!r} outside 0..{len(self.edges) - 1}")
+
+
+def is_index(i: object, n: int) -> bool:
+    """True for an int in 0..n - 1; a bool, though an int, is no index."""
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n
 
 
 class Divisor(Record):
@@ -285,7 +290,7 @@ def canonical_divisor(
         q = [0] * n
     elif isinstance(genus, Mapping):
         for v in genus:
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+            if not is_index(v, n):
                 raise MetgraphError(f"genus key {v!r} is not a vertex index in 0..{n - 1}")
         q = [genus.get(v, 0) for v in range(n)]
     else:
@@ -591,8 +596,8 @@ class ConnectivityMatrix(Record):
         return len(self.entries)
 
     def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            raise MetgraphError(f"entry ({i}, {j}) outside a {self.size}-edge matrix")
+        if not (is_index(i, self.size) and is_index(j, self.size)):
+            raise MetgraphError(f"entry ({i!r}, {j!r}) outside a {self.size}-edge matrix")
         return self.entries[i][j]
 
     def codes(self) -> list[list[int]]:

@@ -383,31 +383,19 @@ def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     slope comes out as +1 or -1.
 
     Each form is held in integers over D p^2: the numerators are -deg W,
-    k p and r_D(tail) p^2, with k the slope numerator of ``r_D_slopes``.
-    """
-    deg = div.divisor.degree
-    den = div.network.pinv.denominator
-    at = div.r_D_at_vertices
-    forms = []
-    for i, (e, k) in enumerate(zip(div.network.edges, r_D_slopes(div))):
-        pp = e.p * e.p
-        forms.append(EdgeFunction._over(i, den * pp, (-deg * e.w, k * e.p, at[e.tail] * pp)))
-    return tuple(forms)
-
-
-def r_D_slopes(div: DivisorAnalysis) -> tuple[int, ...]:
-    """Per edge, the numerator of the slope of r_D over D p.
-
-    The slope is (deg D (L - r) + r_D(head) - r_D(tail)) / L, with
+    k p and r_D(tail) p^2.  The slope is k over D p, from
+    (deg D (L - r) + r_D(head) - r_D(tail)) / L with
     L - r = (p D - q r) / (q D) in the integers of ``EdgeData``.
     """
     deg = div.divisor.degree
     den = div.network.pinv.denominator
     at = div.r_D_at_vertices
-    return tuple(
-        deg * (e.p * den - e.q * e.r) + e.q * (at[e.head] - at[e.tail])
-        for e in div.network.edges
-    )
+    forms = []
+    for i, e in enumerate(div.network.edges):
+        k = deg * (e.p * den - e.q * e.r) + e.q * (at[e.head] - at[e.tail])
+        pp = e.p * e.p
+        forms.append(EdgeFunction._over(i, den * pp, (-deg * e.w, k * e.p, at[e.tail] * pp)))
+    return tuple(forms)
 
 
 def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
@@ -435,43 +423,3 @@ def c_mu_of(div: DivisorAnalysis) -> Fraction:
     weighted = sum(a * at[k] for k, a in enumerate(d.coefficients) if a)
     pairs = Fraction(weighted, div.network.pinv.denominator)
     return (8 * div.network.tau * (deg + 1) + pairs) / (2 * (deg + 2) ** 2)
-
-
-class TauParts(NamedTuple):
-    """The tau function's pieces as numerators over one denominator T, a
-    multiple of 2 (deg + 2) D.
-
-    ``shift`` is the constant 4 tau / (deg + 2) - c_mu over T; per edge,
-    ``a0`` and ``a1`` are the constant and linear terms of
-    r_D / (2 (deg + 2)) over T and T p.  ``r_half`` takes an integer over D
-    to its half over T, and ``w_scale`` takes an edge's W over D p^2 to
-    w / (deg + 2) over T p^2, the x^2 coefficient the Green function has
-    there: tau's -deg w / (2 (deg + 2)) less half of r's -w.
-    """
-
-    den: int
-    shift: int
-    r_half: int
-    w_scale: int
-    a0: tuple[int, ...]
-    a1: tuple[int, ...]
-
-
-def tau_parts(div: DivisorAnalysis) -> TauParts:
-    """The tau parts of ``div``, over the least T that holds them all."""
-    net = div.network
-    scale = admissible_degree(net.graph, div.divisor) + 2
-    shift = 4 * net.tau / scale - div.c_mu
-    den = net.pinv.denominator
-    # the halves of r_D are over 2 (deg + 2) D and 2 (deg + 2) D p
-    t = lcm(shift.denominator, 2 * scale * den)
-    k = t // (2 * scale * den)
-    at = div.r_D_at_vertices
-    return TauParts(
-        t,
-        shift.numerator * (t // shift.denominator),
-        t // (2 * den),
-        2 * k,
-        tuple(k * at[e.tail] for e in net.edges),
-        tuple(k * s for s in r_D_slopes(div)),
-    )

@@ -24,6 +24,7 @@ SRC = Path(mg.__file__).resolve().parent.parent
 CIRCLE = str(GRAPHS / "circle.json")
 BANANA = str(GRAPHS / "banana.json")
 TWO_BRIDGES = str(GRAPHS / "two_bridges.json")
+TESSERACT = str(GRAPHS / "tesseract.json")
 
 
 def lines_of(capsys):
@@ -59,6 +60,16 @@ class TestScalarCommands:
             ["epsilon", CIRCLE, "--divisor", "0,2,0", "--method", "resistance"]
         ) == 0
         assert lines_of(capsys) == ["1/3"]
+
+    def test_divisor_with_a_negative_first_coefficient(self, capsys):
+        # argparse takes "-1,0,..." after a space for an option, so the
+        # value is written with "="
+        minus_one = "-1," + ",".join(["0"] * 15)
+        assert run(["epsilon", TESSERACT, f"--divisor={minus_one}"]) == 0
+        assert lines_of(capsys) == ["green      -49/12", "resistance -49/12", "MATCH"]
+        with pytest.raises(SystemExit):
+            run(["epsilon", TESSERACT, "--divisor", minus_one])
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestMatrixCommands:

@@ -13,6 +13,7 @@ from conftest import (
     build_circle,
     build_circle_with_tail,
     build_segment,
+    build_tesseract,
     build_two_bridges,
     shortest_distance,
     standing_graphs,
@@ -483,6 +484,33 @@ class TestPoints:
                 assert mg.point_of_vertex(g, v) == mg.representations(g, v)[0]
         with pytest.raises(mg.MetgraphError, match="vertex index 3"):
             mg.point_of_vertex(build_circle(), 3)
+
+
+# Every public call that takes a vertex or edge index, with the index in
+# one place; a bool or a non-int must raise MetgraphError rather than
+# compare in range (True as 1) or fail inside the call with a bare TypeError.
+INDEX_CALLS = {
+    "valence": lambda g, d, k: g.valence(k),
+    "with_edge_reversed": lambda g, d, k: g.with_edge_reversed(k),
+    "vertex_resistance_p": lambda g, d, k: mg.vertex_resistance(g, k, 1),
+    "vertex_resistance_q": lambda g, d, k: mg.vertex_resistance(g, 1, k),
+    "r_D_on_edge": lambda g, d, k: mg.r_D_on_edge(g, d, k),
+    "point_of_vertex": lambda g, d, k: mg.point_of_vertex(g, k),
+    "representations": lambda g, d, k: mg.representations(g, k),
+    "epsilon_via_green": lambda g, d, k: mg.epsilon_via_green(g, d, base=k),
+    "ValueMatrix.entry": lambda g, d, k: mg.value_matrix(g, d).entry(0, k),
+    "ConnectivityMatrix.entry": lambda g, d, k: mg.connectivity_matrix(g).entry(k, 0),
+}
+
+
+@pytest.mark.parametrize("call", INDEX_CALLS.values(), ids=INDEX_CALLS)
+def test_index_must_be_an_int(call):
+    g = build_tesseract()
+    d = mg.Divisor((1,) + (0,) * (g.n_vertices - 1))
+    call(g, d, 1)
+    for index in (True, False, 1.0, "1"):
+        with pytest.raises(mg.MetgraphError, match=f"{index!r}"):
+            call(g, d, index)
 
 
 class TestTransforms:

@@ -276,7 +276,7 @@ def test_value_matrix_and_checks_build_no_fraction_per_entry():
     g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
     mg.clear_caches()
     net = mg.network(g)
-    net.edges, net.divisor(d).tau_parts
+    net.edges, net.divisor(d).c_mu, net.divisor(d).r_D
     made = []
     saved = Fraction.__dict__["__new__"]
 

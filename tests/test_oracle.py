@@ -167,8 +167,7 @@ class TestOracleAgreement:
 CLOSED_FORMS = (
     "resistance_numerators",
     "resistance_point",
-    "r_D_slopes",
-    "tau_parts",
+    "r_D_on_edges",
     "build_value_matrix",
 )
 

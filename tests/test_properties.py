@@ -422,26 +422,14 @@ def fraction_resistance_form(net, i, j):
 
 
 def fraction_entry(net, div, i, j):
-    t = div.tau_parts
+    """g = 4 tau / s - c_mu + (r_D(x) + r_D(y)) / (2 s) - r(x, y) / 2 with
+    s = deg D + 2, one Fraction per coefficient."""
     scale = div.divisor.degree + 2
-    ei = net.edges[i]
-    gxx_i = fraction_w(net, ei) / scale
-    if i == j:
-        cx = F(t.a1[i], t.den * ei.p)
-        c0 = F(t.shift + 2 * t.a0[i], t.den)
-        return (c0, cx, cx, gxx_i, gxx_i, -fraction_w(net, ei), F(-1, 2))
-    ej = net.edges[j]
-    c0, cx, cy, cxy = mg.potential.resistance_numerators(net, i, j)
-    half = t.r_half
-    return (
-        F(t.shift + t.a0[i] + t.a0[j] - half * c0, t.den),
-        F(t.a1[i] - half * cx, t.den * ei.p),
-        F(t.a1[j] - half * cy, t.den * ej.p),
-        gxx_i,
-        fraction_w(net, ej) / scale,
-        F(-cxy, 2 * net.pinv.denominator * ei.p * ej.p),
-        F(0),
-    )
+    shift = 4 * net.tau / scale - div.c_mu
+    c0, cx, cy, cxx, cyy, cxy, cabs = (-c / 2 for c in fraction_resistance_form(net, i, j))
+    xx, x, x0 = (c / (2 * scale) for c in div.r_D[i].coefficients())
+    yy, y, y0 = (c / (2 * scale) for c in div.r_D[j].coefficients())
+    return (shift + x0 + y0 + c0, cx + x, cy + y, cxx + xx, cyy + yy, cxy, cabs)
 
 
 def fraction_value(coefficients, x, y):
