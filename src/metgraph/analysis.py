@@ -9,7 +9,10 @@ only reported.  L+ is kept once, as integers over its least common
 denominator (``linalg.RationalMatrix``), which every formula reads.
 Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
 the value matrix, the row-independent parts of the vertex formula) hangs off
-one ``DivisorAnalysis`` per divisor.
+one ``DivisorAnalysis`` per divisor.  Once either consistency check has run
+on the value matrix, the ``DivisorAnalysis`` also keeps that matrix's
+canonical vertex-pair values, n^2 cells of two integers each for n
+vertices, which both checks read.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  Those modules reach ``network`` at import
@@ -141,3 +144,11 @@ class DivisorAnalysis:
         from .green import build_value_matrix
 
         return build_value_matrix(self.network, self)
+
+    @cached_property
+    def vertex_table(self) -> list[list[tuple[int, int]]]:
+        """``value_matrix`` at the canonical descriptions of every vertex
+        pair, the table both consistency checks compare against."""
+        from .invariants import _vertex_table
+
+        return _vertex_table(self.network.graph, self.value_matrix)

@@ -190,6 +190,20 @@ def _decimal_option(text: str) -> int:
 # rendering
 
 
+def _exact(value: Fraction) -> str:
+    """``value`` as 'p' or 'p/q'.  Every exact value the CLI prints goes
+    through here, so one whose numerator or denominator has more digits than
+    CPython converts to a string (4300 by default) raises ``MetgraphError``
+    naming that limit, and the command exits 2 instead of with a traceback."""
+    try:
+        return str(value)
+    except ValueError:
+        raise MetgraphError(
+            f"an exact result has more than {sys.get_int_max_str_digits()} digits, "
+            "past Python's limit for integer string conversion"
+        ) from None
+
+
 def decimal_approx(value: Fraction, digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec = digits + len(str(abs(value.numerator))) + len(str(value.denominator)) + 5
@@ -202,8 +216,8 @@ def decimal_approx(value: Fraction, digits: int) -> str:
 
 def _render_value(value: Fraction, args) -> str:
     if args.decimal is None:
-        return str(value)
-    return f"{value} {decimal_approx(value, args.decimal)}"
+        return _exact(value)
+    return f"{_exact(value)} {decimal_approx(value, args.decimal)}"
 
 
 _TERM_UNITS = (None, "x", "y", "x^2", "y^2", "x*y", "|x-y|")
@@ -216,7 +230,7 @@ def _format_terms(coefficients: Sequence[Fraction]) -> str:
     out = []
     for k, (coef, unit) in enumerate(pieces):
         magnitude = coef if k == 0 else abs(coef)
-        text = str(magnitude) if unit is None else f"{magnitude}*{unit}"
+        text = _exact(magnitude) if unit is None else f"{_exact(magnitude)}*{unit}"
         if k > 0:
             text = (" + " if coef > 0 else " - ") + text
         out.append(text)
@@ -237,8 +251,8 @@ def _cmd_info(g, divisor, args):
     doc = {
         "command": "info",
         "vertices": list(g.vertices),
-        "edges": [[e.tail, e.head, str(e.length)] for e in g.edges],
-        "total_length": str(g.total_length),
+        "edges": [[e.tail, e.head, _exact(e.length)] for e in g.edges],
+        "total_length": _exact(g.total_length),
         "adequate": adequate,
         "bridges": bridge_list,
         "divisor": list(divisor.coefficients),
@@ -247,7 +261,7 @@ def _cmd_info(g, divisor, args):
     lines = [
         f"vertices: {g.n_vertices} ({' '.join(g.vertices)})",
         f"edges: {g.n_edges}",
-        f"total length: {g.total_length}",
+        f"total length: {_exact(g.total_length)}",
         f"adequate: {'yes' if adequate else 'no'}",
         f"bridges: {' '.join(map(str, bridge_list)) or '-'}",
         f"divisor: {','.join(str(a) for a in divisor.coefficients)} (degree {divisor.degree})",
@@ -258,7 +272,7 @@ def _cmd_info(g, divisor, args):
 def _cmd_matrix(g, divisor, args):
     """``laplacian`` and ``pinv``: one row per line."""
     matrix = laplacian(g) if args.command == "laplacian" else pinv(g)
-    rows = [[str(x) for x in matrix.row(i)] for i in range(matrix.n_rows)]
+    rows = [[_exact(x) for x in matrix.row(i)] for i in range(matrix.n_rows)]
     return 0, {"command": args.command, "rows": rows}, (" ".join(row) for row in rows)
 
 
@@ -273,7 +287,7 @@ def _cmd_value(g, divisor, args):
             value = resistance_point(g, x, y)
         else:
             value = evaluate_green(g, divisor, x, y)
-    doc = {"command": args.command, "value": str(value)}
+    doc = {"command": args.command, "value": _exact(value)}
     if args.decimal is not None:
         doc["decimal"] = decimal_approx(value, args.decimal)
     return 0, doc, [_render_value(value, args)]
@@ -286,7 +300,7 @@ def _cmd_value_matrix(g, divisor, args):
     doc = {
         "command": "value-matrix",
         "divisor": list(divisor.coefficients),
-        "entries": [[dict(zip(names, map(str, c))) for c in row] for row in coefficients],
+        "entries": [[dict(zip(names, map(_exact, c))) for c in row] for row in coefficients],
     } if args.machine else None
     lines = (
         f"z[{i}][{j}] = {_format_terms(c)}"
@@ -303,7 +317,7 @@ def _cmd_epsilon(g, divisor, args):
     for route, epsilon in routes.items():
         if args.method in (route, "both"):
             value = epsilon(g, divisor)
-            doc[route] = str(value)
+            doc[route] = _exact(value)
             text = _render_value(value, args)
             lines.append(text if args.method == route else f"{route:<10} {text}")
             values.append(value)
@@ -325,7 +339,7 @@ def _cmd_check(g, divisor, args):
                 "comparisons": rep.comparisons,
                 "passed": rep.passed,
                 "mismatches": [
-                    {"location": m.location, "expected": str(m.expected), "got": str(m.got)}
+                    {"location": m.location, "expected": _exact(m.expected), "got": _exact(m.got)}
                     for m in rep.mismatches
                 ],
             }
@@ -337,7 +351,7 @@ def _cmd_check(g, divisor, args):
         verdict = "PASS" if rep.passed else "FAIL"
         lines.append(f"{rep.name}: {verdict} ({rep.comparisons} comparisons)")
         for m in rep.mismatches:
-            lines.append(f"  {m.location}: expected {m.expected}, got {m.got}")
+            lines.append(f"  {m.location}: expected {_exact(m.expected)}, got {_exact(m.got)}")
     return (0 if all(rep.passed for rep in reports) else 1), doc, lines
 
 
@@ -375,11 +389,11 @@ def _cmd_oracle(g, divisor, args):
             rows.append(
                 {
                     "quantity": name,
-                    "x": f"{x.edge}:{x.offset}",
-                    "y": f"{y.edge}:{y.offset}",
-                    "closed": str(closed),
-                    "oracle": str(via_oracle),
-                    "diff": str(closed - via_oracle),
+                    "x": f"{x.edge}:{_exact(x.offset)}",
+                    "y": f"{y.edge}:{_exact(y.offset)}",
+                    "closed": _exact(closed),
+                    "oracle": _exact(via_oracle),
+                    "diff": _exact(closed - via_oracle),
                 }
             )
     match = all(row["diff"] == "0" for row in rows)

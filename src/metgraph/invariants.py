@@ -11,21 +11,25 @@ was built: only the integers each entry holds, the edge lengths and
 data or closed form.  Both evaluate the entries themselves, in integers,
 and build a Fraction only for a mismatch.  A vertex sits at an edge's end,
 so every value either reads is a corner of an entry, given by one
-evaluator, ``_corners``.  Both compare against the value at the canonical
-descriptions of each vertex pair, so they share one table of those values.
-The representation check compares every corner of every entry with that
-table; the vertex-formula check compares it, row by row, with the direct
-formula.
+evaluator, ``_corners``, from the entry's integers.  Both compare against
+the value at the canonical descriptions of each vertex pair, one table
+built by ``_vertex_table``.  For the network's own value matrix, the
+matrix ``value_matrix(g, divisor)`` returns, that table is kept on its
+``DivisorAnalysis`` as ``vertex_table``, so the two checks build it once
+between them; any other matrix, even an equal copy, gets a table of its
+own, built for each check.  The representation check compares every
+corner of every entry with that table; the vertex-formula check compares
+it, row by row, with the direct formula.
 
 g(x, y) = g(y, x), so both read an edge pair {i, j} once when z_ji holds
-exactly z_ij's integers with x and y swapped (``_mirrors``): z_ji's corners
-are then z_ij's, transposed.  The table then holds one cell for (p, q) and
-(q, p), and the representation check walks the pairs, comparing each
-corner of a mirrored pair once against that shared value.  A pair that
-does not mirror, or meets a failing comparison, goes back through the
-per-entry comparison, and that alone builds every mismatch, so counts,
-mismatches and their order are those of the entry-by-entry walk.  The
-mirror test reads the integers themselves, not how the build made them.
+exactly z_ij's integers with x and y swapped: z_ji's corners are then
+z_ij's, transposed.  The table then holds one cell for (p, q) and (q, p),
+and the representation check walks the pairs, comparing each corner of a
+mirrored pair once against that shared value.  A pair that does not
+mirror, or meets a failing comparison, goes back through the per-entry
+comparison, and that alone builds every mismatch, so counts, mismatches
+and their order are those of the entry-by-entry walk.  The mirror test
+reads the integers themselves, not how the build made them.
 """
 
 from __future__ import annotations
@@ -41,16 +45,10 @@ from .graph import (
     MetrizedGraph,
     Record,
     admissible_degree,
-    check_divisor,
     point_of_vertex,
 )
 from .green import ValueMatrix, value_matrix
-from .potential import (
-    EdgePairFunction,
-    green_row_at_vertices,
-    tau_constant,
-    vertex_resistance,
-)
+from .potential import green_row_at_vertices, tau_constant, vertex_resistance
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis
@@ -115,19 +113,20 @@ class CheckReport(Record):
 
 
 def _corners(
-    entry: EdgePairFunction, pi: int, qi: int, pj: int, qj: int
+    den: int, numerators: tuple[int, ...], pi: int, qi: int, pj: int, qj: int
 ) -> tuple[int, tuple[int, int, int, int]]:
     """An entry's values at x in {0, p_i / q_i} and y in {0, p_j / q_j}, in
     the order (0, 0), (0, p_j / q_j), (p_i / q_i, 0), (p_i / q_i, p_j / q_j),
     as integer numerators over one denominator.
 
-    It reads the integers the entry holds, not how they were built: with
-    C its numerators over E, the value at x = X / q_i and y = Y / q_j is
+    It reads the integers the entry holds, ``numerators`` over ``den``, not
+    how they were built: with C the numerators over E, the value at
+    x = X / q_i and y = Y / q_j is
     C0 q_i^2 q_j^2 + Cx X q_i q_j^2 + Cy Y q_i^2 q_j + Cxx X^2 q_j^2
     + Cyy Y^2 q_i^2 + Cxy X Y q_i q_j + Cabs |X q_j - Y q_i| q_i q_j over
     E q_i^2 q_j^2, and the four corners share its partial sums.
     """
-    c0, cx, cy, cxx, cyy, cxy, cabs = entry.numerators
+    c0, cx, cy, cxx, cyy, cxy, cabs = numerators
     # the small factors are multiplied first, so each coefficient meets one
     qqi, qqj, qq = qi * qi, qj * qj, qi * qj
     base = c0 * (qqi * qqj)
@@ -139,18 +138,13 @@ def _corners(
         x += cabs * (pi * qj * qq)
         y += cabs * (pj * qi * qq)
         xy += cabs * ((abs(pi * qj - pj * qi) - pi * qj - pj * qi) * qq)
-    return entry.denominator * (qqi * qqj), (base, base + y, base + x, base + x + y + xy)
+    return den * (qqi * qqj), (base, base + y, base + x, base + x + y + xy)
 
 
-# (c0, cx, cy, cxx, cyy, cxy, cabs) with x and y swapped
+# (c0, cx, cy, cxx, cyy, cxy, cabs) with x and y swapped: z_ji mirrors z_ij
+# when it holds z_ij's denominator and these numerators, and its corners are
+# then z_ij's transposed, as the same integers
 _SWAP_XY = itemgetter(0, 2, 1, 4, 3, 5, 6)
-
-
-def _mirrors(zij: EdgePairFunction, zji: EdgePairFunction) -> bool:
-    """Whether z_ji holds exactly z_ij's integers with x and y swapped: an
-    equal denominator and the numerators (c0, cy, cx, cyy, cxx, cxy, cabs).
-    Then z_ji's corners are z_ij's transposed, as the same integers."""
-    return zij.denominator == zji.denominator and _SWAP_XY(zij.numerators) == zji.numerators
 
 
 def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int, int]]]:
@@ -168,31 +162,44 @@ def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int,
         row = entries[i]
         for q in range(p, len(ends)):
             j, b, pj, qj = ends[q]
-            den, corners = _corners(row[j], pi, qi, pj, qj)
-            table[p].append((corners[2 * a + b], den))
+            zij = row[j]
+            den, nums = zij._denominator, zij._numerators
+            over, corners = _corners(den, nums, pi, qi, pj, qj)
+            table[p].append((corners[2 * a + b], over))
             if q == p:
                 continue
-            if _mirrors(row[j], entries[j][i]):
+            zji = entries[j][i]
+            if den == zji._denominator and _SWAP_XY(nums) == zji._numerators:
                 table[q].append(table[p][-1])
             else:
-                den, corners = _corners(entries[j][i], pj, qj, pi, qi)
-                table[q].append((corners[2 * b + a], den))
+                over, corners = _corners(zji._denominator, zji._numerators, pj, qj, pi, qi)
+                table[q].append((corners[2 * b + a], over))
     return table
 
 
-def _check_matrix(g: MetrizedGraph, divisor: Divisor, matrix: ValueMatrix | None) -> ValueMatrix:
-    """The value matrix to check: ``matrix`` if it is the one of ``g`` and
-    ``divisor``, built when None; the divisor is checked either way."""
-    check_divisor(g, divisor)
+def _checked(
+    g: MetrizedGraph, divisor: Divisor, matrix: ValueMatrix | None
+) -> tuple[DivisorAnalysis, ValueMatrix, list[list[tuple[int, int]]]]:
+    """The analysis of ``divisor``, the value matrix to check and the
+    matrix's table of canonical vertex-pair values.
+
+    The matrix is the analysis's own when ``matrix`` is None; when it is
+    that very object, the table is the analysis's ``vertex_table``, built
+    once for both checks.  Any other matrix, equal or not, gets a table of
+    its own.  The divisor is checked either way.
+    """
+    div = network(g).divisor(divisor)
     if matrix is None:
-        return value_matrix(g, divisor)
-    if matrix.size != g.n_edges:
+        matrix = div.value_matrix
+    elif matrix.size != g.n_edges:
         raise MetgraphError(
             f"value matrix has {matrix.size} edges but the graph has {g.n_edges}"
         )
-    if matrix.divisor != divisor:
+    elif matrix.divisor != divisor:
         raise MetgraphError("value matrix belongs to another divisor")
-    return matrix
+    if matrix is div.value_matrix:
+        return div, matrix, div.vertex_table
+    return div, matrix, _vertex_table(g, matrix)
 
 
 def check_representation_independence(
@@ -207,8 +214,8 @@ def check_representation_independence(
     integers; a Fraction is built only for a mismatch, and mismatches are
     reported in vertex-pair order.
     """
-    matrix = _check_matrix(g, divisor, matrix)
-    return _representation_report(g, matrix, _vertex_table(g, matrix))
+    _, matrix, table = _checked(g, divisor, matrix)
+    return _representation_report(g, matrix, table)
 
 
 def check_vertex_formula(
@@ -221,19 +228,21 @@ def check_vertex_formula(
     by ``potential.green_row_at_vertices`` one vertex row at a time.
     Values are compared by cross-multiplication.
     """
-    matrix = _check_matrix(g, divisor, matrix)
-    return _vertex_formula_report(network(g).divisor(divisor), _vertex_table(g, matrix))
+    div, _, table = _checked(g, divisor, matrix)
+    mismatches = []
+    for p, row in enumerate(table):
+        wants, over = green_row_at_vertices(div, p)
+        for q, ((num, den), want) in enumerate(zip(row, wants)):
+            if num * over != want * den:
+                found = CheckMismatch(f"g(v{p}, v{q})", Fraction(want, over), Fraction(num, den))
+                mismatches.append(found)
+    return CheckReport("vertex formula", len(table) ** 2, tuple(mismatches))
 
 
 def _check_reports(g: MetrizedGraph, divisor: Divisor) -> tuple[CheckReport, CheckReport]:
-    """Both checks of the value matrix of ``g`` and ``divisor``, on one
-    table of canonical vertex-pair values."""
-    matrix = _check_matrix(g, divisor, None)
-    table = _vertex_table(g, matrix)
-    return (
-        _representation_report(g, matrix, table),
-        _vertex_formula_report(network(g).divisor(divisor), table),
-    )
+    """Both checks of the value matrix of ``g`` and ``divisor``, which read
+    one table of canonical vertex-pair values."""
+    return check_representation_independence(g, divisor), check_vertex_formula(g, divisor)
 
 
 def _representation_report(
@@ -242,7 +251,9 @@ def _representation_report(
     """Every corner of every entry against the table, one edge pair {i, j},
     i <= j, at a time.
 
-    A pair whose entries mirror (``_mirrors``) is read once: corner (a, b)
+    Each pair's integers are read once.  A pair whose entries mirror (z_ji
+    holds z_ij's denominator and its numerators with x and y swapped,
+    ``_SWAP_XY``) gets one ``_corners`` call for both entries: corner (a, b)
     of z_ij is g(p, q), and as corner (b, a) of z_ji it is g(q, p), the
     same integers over the same denominator.  When the table's g(p, q) and
     g(q, p) agree, one comparison against that value stands for both
@@ -271,7 +282,8 @@ def _representation_report(
     mismatches = []
 
     def compare(i: int, j: int) -> None:
-        den, values = _corners(entries[i][j], *lengths[i], *lengths[j])
+        z = entries[i][j]
+        den, values = _corners(z._denominator, z._numerators, *lengths[i], *lengths[j])
         tj, hj = ends[j]
         for a, p, wants in firsts[i]:
             (wt, ot), (wh, oh) = wants[tj], wants[hj]
@@ -293,11 +305,14 @@ def _representation_report(
     ]
     for i, row in enumerate(entries):
         compare(i, i)
+        pi, qi = lengths[i]
         ti, hi = ends[i]
         at, ah = shared[ti], shared[hi]
         for j in range(i + 1, m):
-            if _mirrors(row[j], entries[j][i]):
-                den, (v0, v1, v2, v3) = _corners(row[j], *lengths[i], *lengths[j])
+            zij, zji = row[j], entries[j][i]
+            den, nums = zij._denominator, zij._numerators
+            if den == zji._denominator and _SWAP_XY(nums) == zji._numerators:
+                den, (v0, v1, v2, v3) = _corners(den, nums, pi, qi, *lengths[j])
                 tj, hj = ends[j]
                 (w0, o0), (w1, o1), (w2, o2), (w3, o3) = at[tj], at[hj], ah[tj], ah[hj]
                 if (
@@ -312,16 +327,3 @@ def _representation_report(
     # the keys are unique: order by vertex pair, then by the two descriptions
     ordered = tuple(found for _, found in sorted(mismatches))
     return CheckReport("representation independence", comparisons, ordered)
-
-
-def _vertex_formula_report(
-    div: DivisorAnalysis, table: list[list[tuple[int, int]]]
-) -> CheckReport:
-    mismatches = []
-    for p, row in enumerate(table):
-        wants, over = green_row_at_vertices(div, p)
-        for q, ((num, den), want) in enumerate(zip(row, wants)):
-            if num * over != want * den:
-                found = CheckMismatch(f"g(v{p}, v{q})", Fraction(want, over), Fraction(num, den))
-                mismatches.append(found)
-    return CheckReport("vertex formula", len(table) ** 2, tuple(mismatches))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,6 +26,13 @@ CIRCLE = str(GRAPHS / "circle.json")
 BANANA = str(GRAPHS / "banana.json")
 TWO_BRIDGES = str(GRAPHS / "two_bridges.json")
 TESSERACT = str(GRAPHS / "tesseract.json")
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """A command runs in a fresh process, with nothing cached; run in
+    process, each test's commands start from empty caches too."""
+    mg.clear_caches()
 
 
 def lines_of(capsys):
@@ -357,6 +365,43 @@ class TestErrors:
             + "}]}"
         )
         self.check_error(["tau", str(path)], capsys, "invalid JSON")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tau"],
+            ["epsilon"],
+            ["pinv", "--machine"],
+            ["value-matrix", "--machine"],
+            ["info"],
+            ["laplacian"],
+            ["pinv"],
+            ["resistance", "--x", "0:0", "--y", "1:0"],
+            ["green", "--x", "0:0", "--y", "1:0"],
+        ],
+        ids=" ".join,
+    )
+    def test_result_past_the_digit_limit_exits_2(self, argv, tmp_path, capsys):
+        # each length reads in, but tau, L+ and the Green values have more
+        # digits than CPython converts to a string
+        rng = random.Random(0)
+
+        def ratio():
+            low, high = 10**2999, 10**3000
+            return f"{rng.randrange(low, high)}/{rng.randrange(low, high)}"
+
+        edges = [{"from": a, "to": (a + 1) % 3, "length": ratio()} for a in range(3)]
+        path = tmp_path / "triangle.json"
+        path.write_text(
+            json.dumps({"vertices": ["a", "b", "c"], "edges": edges, "divisor": [1, 0, 0]})
+        )
+        assert run([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: an exact result has more than {sys.get_int_max_str_digits()} digits, "
+            "past Python's limit for integer string conversion\n"
+        )
 
     def test_vertex_index_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "range.json"

@@ -1,5 +1,6 @@
 """Epsilon invariants and the two built-in consistency checks."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,21 @@ def moriwaki_value(a, b, c):
 def closed_form_value(a, b, c):
     a, b, c = F(a), F(b), F(c)
     return (a + b + c + a * b * c / (a * b + a * c + b * c)) / 6
+
+
+def corrupted_matrix(g, divisor):
+    """The value matrix of ``g`` and ``divisor`` with 1/7 added to z_00's
+    constant term, a new object beside the network's own."""
+    matrix = mg.value_matrix(g, divisor)
+    z = matrix.entry(0, 0)
+    c0, *rest = z.coefficients()
+    broken = mg.EdgePairFunction(z.i, z.j, c0 + F(1, 7), *rest)
+    rows = [list(row) for row in matrix.entries]
+    rows[0][0] = broken
+    return mg.ValueMatrix(divisor, tuple(tuple(row) for row in rows))
+
+
+CHECKS = (mg.check_representation_independence, mg.check_vertex_formula)
 
 
 class TestEpsilon:
@@ -98,13 +114,7 @@ class TestConsistencyChecks:
 
     def test_detect_corrupted_entry(self, circle):
         divisor = mg.Divisor((0, 2, 0))
-        matrix = mg.value_matrix(circle, divisor)
-        z = matrix.entry(0, 0)
-        c0, *rest = z.coefficients()
-        broken = mg.EdgePairFunction(z.i, z.j, c0 + F(1, 7), *rest)
-        rows = [list(row) for row in matrix.entries]
-        rows[0][0] = broken
-        corrupted = mg.ValueMatrix(divisor, tuple(tuple(row) for row in rows))
+        corrupted = corrupted_matrix(circle, divisor)
         rep = mg.check_representation_independence(circle, divisor, corrupted)
         assert not rep.passed
         assert all(m.got - m.expected in (F(1, 7), F(-1, 7)) for m in rep.mismatches)
@@ -166,3 +176,53 @@ def test_vertex_formula_row_parts_are_built_once_per_divisor(monkeypatch):
         for q in range(16)
     ]
     assert [F(x, den) for x in numerators] == row
+
+
+class TestSharedVertexTable:
+    """The network's own value matrix keeps its canonical vertex-pair values
+    on its ``DivisorAnalysis``; any other matrix gets a table of its own."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The matrices ``_vertex_table`` is called on, in call order."""
+        mg.clear_caches()
+        called = []
+        build = mg.invariants._vertex_table
+
+        def counted(g, matrix):
+            called.append(matrix)
+            return build(g, matrix)
+
+        monkeypatch.setattr(mg.invariants, "_vertex_table", counted)
+        return called
+
+    def test_both_checks_build_one_table(self, tables):
+        g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+        rep = mg.check_representation_independence(g, divisor)
+        matrix = mg.value_matrix(g, divisor)
+        vf = mg.check_vertex_formula(g, divisor, matrix)
+        assert rep.passed and vf.passed
+        assert len(tables) == 1 and tables[0] is matrix
+
+    def test_corrupted_matrix_fails_the_same_on_a_warm_table(self, circle, tables):
+        divisor = mg.Divisor((0, 2, 0))
+        cold = [check(circle, divisor, corrupted_matrix(circle, divisor)) for check in CHECKS]
+        mg.clear_caches()
+        assert all(check(circle, divisor).passed for check in CHECKS)
+        warm = [check(circle, divisor, corrupted_matrix(circle, divisor)) for check in CHECKS]
+        assert not any(report.passed for report in warm)
+        assert warm == cold
+        # the first two tables were the corrupted copies', the third the network's
+        assert [matrix is mg.value_matrix(circle, divisor) for matrix in tables] == [
+            False, False, True, False, False
+        ]
+
+    def test_pickled_copy_gives_identical_reports(self, tables):
+        g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+        matrix = mg.value_matrix(g, divisor)
+        copy = pickle.loads(pickle.dumps(matrix))
+        assert copy == matrix and copy is not matrix
+        original = [check(g, divisor, matrix) for check in CHECKS]
+        copied = [check(g, divisor, copy) for check in CHECKS]
+        assert copied == original and all(report.passed for report in original)
+        assert [table is matrix for table in tables] == [True, False, False]
