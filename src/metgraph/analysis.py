@@ -8,11 +8,13 @@ per-edge data the resistance form reads, and the bridge bookkeeping that is
 only reported.  L+ is kept once, as integers over its least common
 denominator (``linalg.RationalMatrix``), which every formula reads.
 Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
-the value matrix, the row-independent parts of the vertex formula) hangs off
-one ``DivisorAnalysis`` per divisor.  Once either consistency check has run
-on the value matrix, the ``DivisorAnalysis`` also keeps that matrix's
-canonical vertex-pair values, n^2 cells of two integers each for n
-vertices, which both checks read.
+the value matrix, held as one tuple of integers per unordered edge pair,
+the row-independent parts of the vertex formula) hangs off one
+``DivisorAnalysis`` per divisor.  Once either consistency check has run on
+the value matrix, the ``DivisorAnalysis`` also keeps that matrix's
+canonical vertex-pair values, which both checks read: n^2 cells for n
+vertices, (p, q) and (q, p) one object unless the canonical descriptions
+of both vertices lie on one edge.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  Those modules reach ``network`` at import

@@ -50,7 +50,7 @@ from ..green import EdgePairFunction, evaluate_green, value_matrix
 from ..invariants import _check_reports, epsilon_via_green, epsilon_via_resistance
 from ..linalg import laplacian, pinv
 from ..oracle import subdivide_at_points
-from ..potential import resistance_point, tau_constant
+from ..potential import resistance_point, swap_xy, tau_constant
 
 
 # The largest graph a command accepts.  At the bound, the seeded 10x10 grid
@@ -294,8 +294,12 @@ def _cmd_value(g, divisor, args):
 
 
 def _cmd_value_matrix(g, divisor, args):
-    # each entry's seven reduced Fractions are made once, for either output
-    coefficients = [[z.coefficients() for z in row] for row in value_matrix(g, divisor).entries]
+    # each edge pair's seven reduced Fractions are made once, for either
+    # output: z_ji's are z_ij's with x and y swapped
+    matrix = value_matrix(g, divisor)
+    edges = range(matrix.size)
+    upper = {(i, j): matrix.entry(i, j).coefficients() for i in edges for j in edges[i:]}
+    coefficients = [[upper[i, j] if i <= j else swap_xy(upper[j, i]) for j in edges] for i in edges]
     names = EdgePairFunction.terms
     doc = {
         "command": "value-matrix",

@@ -17,11 +17,14 @@ those of ``potential.resistance_numerators``.  An entry holds its seven
 coefficients as integers over T p_i^2 p_j^2 (over T p_i^2 on the
 diagonal), so the matrix is built without a Fraction; one is made only
 when a coefficient or a value is read.
-The build runs row by row and makes each product once: what one edge
-supplies once per edge, what edge i adds once per row, and the terms that
-read both edges once per unordered edge pair: z_ji is z_ij's integers with
-x and y swapped.  The build compares no pair; g(x, y) = g(y, x) is checked
-by the ordered-pair property test, the vertex-formula check and the oracle.
+g(x, y) = g(y, x), so z_ji is z_ij with x and y swapped, and the matrix
+keeps one triangle: eight integers per unordered edge pair (1830 tuples,
+about 0.73 MiB, on the benchmark's seeded 6x6 grid), and an
+``EdgePairFunction`` is made only when an entry is read.  The build runs
+row by row and makes each product once: what one edge supplies once per
+edge, what edge i adds once per row, and the terms that read both edges
+once per pair.  It compares no pair; g(x, y) = g(y, x) is checked by the
+ordered-pair property test, the vertex-formula check and the oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING
 from .analysis import network
 from .errors import MetgraphError
 from .graph import Divisor, GraphPoint, MetrizedGraph, Record, is_index, validate_point
-from .potential import EdgePairFunction
+from .potential import EdgePairFunction, pair_value, swap_xy
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis, Network
@@ -47,28 +50,82 @@ __all__ = [
 
 
 class ValueMatrix(Record):
-    """All edge-pair closed forms of one Green function."""
+    """All edge-pair closed forms of one Green function.
 
-    __slots__ = ("divisor", "entries")
+    g(x, y) = g(y, x), so z_ji is z_ij with x and y swapped, and the matrix
+    keeps one triangle: per edge pair i <= j, z_ij's seven numerators over
+    its denominator, as one tuple (den, c0, cx, cy, cxx, cyy, cxy, cabs).
+    An ``EdgePairFunction`` is made only when ``entry`` or ``entries`` is
+    read.  The constructor takes the full rows of entries, as ``entries``
+    gives them; it keeps each diagonal entry as given and rejects a pair
+    whose z_ji is not z_ij with x and y swapped.
+    """
+
+    __slots__ = ("divisor", "_rows")
     _fields = ("divisor", "entries")
 
     divisor: Divisor
-    entries: tuple[tuple[EdgePairFunction, ...], ...]
 
     def __init__(self, divisor: Divisor, entries: tuple[tuple[EdgePairFunction, ...], ...]):
-        self._assign(divisor, entries)
+        rows = tuple(map(tuple, entries))
+        m = len(rows)
+        for i, row in enumerate(rows):
+            at = [(z.i, z.j) if isinstance(z, EdgePairFunction) else None for z in row]
+            if at != [(i, j) for j in range(m)]:
+                raise MetgraphError(f"value matrix row {i} is not entries ({i}, 0) to ({i}, {m - 1})")
+        triangle = []
+        for i, row in enumerate(rows):
+            for j in range(i + 1, m):
+                z = row[j]
+                mirrored = EdgePairFunction._over(j, i, z._denominator, swap_xy(z._numerators))
+                if mirrored != rows[j][i]:
+                    raise MetgraphError(
+                        f"value matrix entries ({i}, {j}) and ({j}, {i}) are not one closed"
+                        " form with x and y swapped"
+                    )
+            triangle.append(tuple((z._denominator, *z._numerators) for z in row[i:]))
+        self._store(divisor, tuple(triangle))
+
+    @classmethod
+    def _of(cls, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]) -> ValueMatrix:
+        """The matrix whose row i holds z_ij's integers for j = i, ..., m - 1,
+        taken as they are."""
+        matrix = cls.__new__(cls)
+        matrix._store(divisor, rows)
+        return matrix
+
+    def _store(self, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._rows)
+
+    @property
+    def entries(self) -> tuple[tuple[EdgePairFunction, ...], ...]:
+        """Every entry, row by row, each made when read."""
+        edges = range(self.size)
+        return tuple(tuple(self._entry(i, j) for j in edges) for i in edges)
 
     def entry(self, i: int, j: int) -> EdgePairFunction:
         if not (is_index(i, self.size) and is_index(j, self.size)):
             raise MetgraphError(f"entry ({i!r}, {j!r}) outside a {self.size}-edge matrix")
-        return self.entries[i][j]
+        return self._entry(i, j)
+
+    def _entry(self, i: int, j: int) -> EdgePairFunction:
+        if i <= j:
+            held = self._rows[i][j - i]
+            return EdgePairFunction._over(i, j, held[0], held[1:])
+        held = self._rows[j][i - j]
+        return EdgePairFunction._over(i, j, held[0], swap_xy(held[1:]))
 
     def evaluate(self, x: GraphPoint, y: GraphPoint) -> Fraction:
-        return self.entries[x.edge][y.edge](x.offset, y.offset)
+        i, j = x.edge, y.edge
+        if i > j:
+            # z_ij(x, y) is z_ji(y, x)
+            return pair_value(self._rows[j][i - j], y.offset, x.offset)
+        return pair_value(self._rows[i][j - i], x.offset, y.offset)
 
 
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
@@ -99,7 +156,8 @@ def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
       cxx  W_i w_scale p_j^2,   cyy  W_j w_scale p_i^2,
       cxy  -2 h q_i p_i q_j p_j (a_i[h_j] - a_i[t_j]).
     Swapping i with j and x with y leaves these unchanged, N being
-    symmetric, so z_ji (j > i) is made from z_ij's integers.
+    symmetric, so only z_ij, i <= j, is kept, as (T p_i^2 p_j^2, c0, cx,
+    cy, cxx, cyy, cxy, cabs).
     On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
     so there g's x y and |x - y| coefficients are -w and -1/2."""
     tau, c = net.tau, div.c_mu  # c_mu rejects degree -2
@@ -124,23 +182,20 @@ def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
          e1 - half * (den * e.p - 2 * e.q * e.a[e.tail]) * e.p, twice_half * e.q * e.p, e.a)
         for e, e0, e1 in zip(net.edges, a0, a1)
     ]
-    m = len(columns)
-    rows = [[None] * m for _ in range(m)]
+    rows = []
     for i, (ti, _, ppi, _, zi, wi, xi, ki, ai) in enumerate(columns):
-        lpt, base, row = lp[ti], shift + zi, rows[i]
+        lpt, base = lp[ti], shift + zi
         c0, cx = (shift + 2 * a0[i]) * ppi, a1[i]
         cxy, cabs = -twice_half * net.edges[i].w, -half * den * ppi
-        row[i] = EdgePairFunction._over(i, i, t * ppi, (c0, cx, cx, wi, wi, cxy, cabs))
-        for j, (tj, hj, ppj, pqj, zj, wj, xj, kj, aj) in enumerate(columns[i + 1 :], i + 1):
+        row = [(t * ppi, c0, cx, cx, wi, wi, cxy, cabs)]
+        for tj, hj, ppj, pqj, zj, wj, xj, kj, aj in columns[i + 1 :]:
             pp = ppi * ppj
             c0 = (base + zj + twice_half * lpt[tj]) * pp
             cx, cy = (xi - ki * ai[tj]) * ppj, (xj - kj * aj[ti]) * ppi
-            cxx, cyy = wi * ppj, wj * ppi
             cxy = -ki * pqj * (ai[hj] - ai[tj])
-            pair_den = t * pp
-            row[j] = EdgePairFunction._over(i, j, pair_den, (c0, cx, cy, cxx, cyy, cxy, 0))
-            rows[j][i] = EdgePairFunction._over(j, i, pair_den, (c0, cy, cx, cyy, cxx, cxy, 0))
-    return ValueMatrix(div.divisor, tuple(map(tuple, rows)))
+            row.append((t * pp, c0, cx, cy, wi * ppj, wj * ppi, cxy, 0))
+        rows.append(tuple(row))
+    return ValueMatrix._of(div.divisor, tuple(rows))
 
 
 def evaluate_green(

@@ -6,36 +6,36 @@ constant and pairwise resistances.  Agreement of the two is itself a strong
 correctness check, so neither route is ever expressed through the other.
 
 The two consistency checks test a value matrix and read nothing of how it
-was built: only the integers each entry holds, the edge lengths and
+was built: only the integers it holds per edge pair, the edge lengths and
 ``green_row_at_vertices``, which reads L+, tau and c_mu and no per-edge
 data or closed form.  Both evaluate the entries themselves, in integers,
 and build a Fraction only for a mismatch.  A vertex sits at an edge's end,
-so every value either reads is a corner of an entry, given by one
-evaluator, ``_corners``, from the entry's integers.  Both compare against
-the value at the canonical descriptions of each vertex pair, one table
-built by ``_vertex_table``.  For the network's own value matrix, the
-matrix ``value_matrix(g, divisor)`` returns, that table is kept on its
+so every value either reads is a corner of a stored entry, given by one
+evaluator, ``_corners``, from its integers.  Both compare against the
+value at the canonical descriptions of each vertex pair, one table built
+by ``_vertex_table``.  For the network's own value matrix, the matrix
+``value_matrix(g, divisor)`` returns, that table is kept on its
 ``DivisorAnalysis`` as ``vertex_table``, so the two checks build it once
 between them; any other matrix, even an equal copy, gets a table of its
-own, built for each check.  The representation check compares every
-corner of every entry with that table; the vertex-formula check compares
-it, row by row, with the direct formula.
+own, built for each check, and checking it builds no matrix of the
+network's.  The representation check compares every corner of every entry
+with that table; the vertex-formula check compares it, row by row, with
+the direct formula.
 
-g(x, y) = g(y, x), so both read an edge pair {i, j} once when z_ji holds
-exactly z_ij's integers with x and y swapped: z_ji's corners are then
-z_ij's, transposed.  The table then holds one cell for (p, q) and (q, p),
-and the representation check walks the pairs, comparing each corner of a
-mirrored pair once against that shared value.  A pair that does not
-mirror, or meets a failing comparison, goes back through the per-entry
-comparison, and that alone builds every mismatch, so counts, mismatches
-and their order are those of the entry-by-entry walk.  The mirror test
-reads the integers themselves, not how the build made them.
+A value matrix holds z_ij for i <= j only, z_ji being z_ij with x and y
+swapped, so corner (a, b) of z_ij is also corner (b, a) of z_ji: each
+stored entry is read once, at its four corners, and off the diagonal the
+table's cells (p, q) and (q, p) are one.  A diagonal entry is stored as
+given, and one whose x and y parts differ makes g(p, q) and g(q, p)
+differ in the table; a pair whose corners meet such a cell, or fail a
+comparison, goes through the per-entry comparison, and that alone builds
+every mismatch, so counts, mismatches and their order are those of the
+entry-by-entry walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -113,20 +113,20 @@ class CheckReport(Record):
 
 
 def _corners(
-    den: int, numerators: tuple[int, ...], pi: int, qi: int, pj: int, qj: int
+    entry: tuple[int, ...], pi: int, qi: int, pj: int, qj: int
 ) -> tuple[int, tuple[int, int, int, int]]:
     """An entry's values at x in {0, p_i / q_i} and y in {0, p_j / q_j}, in
     the order (0, 0), (0, p_j / q_j), (p_i / q_i, 0), (p_i / q_i, p_j / q_j),
     as integer numerators over one denominator.
 
-    It reads the integers the entry holds, ``numerators`` over ``den``, not
-    how they were built: with C the numerators over E, the value at
-    x = X / q_i and y = Y / q_j is
+    It reads the integers the matrix holds for the entry,
+    ``(E, C0, Cx, Cy, Cxx, Cyy, Cxy, Cabs)``, not how they were built: the
+    value at x = X / q_i and y = Y / q_j is
     C0 q_i^2 q_j^2 + Cx X q_i q_j^2 + Cy Y q_i^2 q_j + Cxx X^2 q_j^2
     + Cyy Y^2 q_i^2 + Cxy X Y q_i q_j + Cabs |X q_j - Y q_i| q_i q_j over
     E q_i^2 q_j^2, and the four corners share its partial sums.
     """
-    c0, cx, cy, cxx, cyy, cxy, cabs = numerators
+    den, c0, cx, cy, cxx, cyy, cxy, cabs = entry
     # the small factors are multiplied first, so each coefficient meets one
     qqi, qqj, qq = qi * qi, qj * qj, qi * qj
     base = c0 * (qqi * qqj)
@@ -141,39 +141,30 @@ def _corners(
     return den * (qqi * qqj), (base, base + y, base + x, base + x + y + xy)
 
 
-# (c0, cx, cy, cxx, cyy, cxy, cabs) with x and y swapped: z_ji mirrors z_ij
-# when it holds z_ij's denominator and these numerators, and its corners are
-# then z_ij's transposed, as the same integers
-_SWAP_XY = itemgetter(0, 2, 1, 4, 3, 5, 6)
-
-
 def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int, int]]]:
     """The matrix's value at the canonical descriptions of every vertex
-    pair, as (numerator, denominator); each is one corner of one entry.
-    Cell (q, p) is cell (p, q), the same object, when the two entries
-    holding them mirror, and is read off its own entry otherwise."""
+    pair, as (numerator, denominator); each is one corner of one stored
+    entry.  Cells (p, q) and (q, p) are one object, except on a diagonal
+    entry, which is stored as given, so there g(q, p) is its own corner."""
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     # per vertex: its edge, the end it sits at (0 the tail, 1 the head), the length
     points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
     ends = [(x.edge, int(x.offset != 0), *lengths[x.edge]) for x in points]
-    entries = matrix.entries
-    table: list[list[tuple[int, int]]] = [[] for _ in ends]
+    rows = matrix._rows
+    table: list[list[tuple[int, int]]] = [[None] * len(ends) for _ in ends]
     for p, (i, a, pi, qi) in enumerate(ends):
-        row = entries[i]
         for q in range(p, len(ends)):
             j, b, pj, qj = ends[q]
-            zij = row[j]
-            den, nums = zij._denominator, zij._numerators
-            over, corners = _corners(den, nums, pi, qi, pj, qj)
-            table[p].append((corners[2 * a + b], over))
-            if q == p:
-                continue
-            zji = entries[j][i]
-            if den == zji._denominator and _SWAP_XY(nums) == zji._numerators:
-                table[q].append(table[p][-1])
+            if i <= j:
+                over, corners = _corners(rows[i][j - i], pi, qi, pj, qj)
+                cell = (corners[2 * a + b], over)
             else:
-                over, corners = _corners(zji._denominator, zji._numerators, pj, qj, pi, qi)
-                table[q].append((corners[2 * b + a], over))
+                # g(p, q) is z_ji at (q, p)
+                over, corners = _corners(rows[j][i - j], pj, qj, pi, qi)
+                cell = (corners[2 * b + a], over)
+            table[p][q] = table[q][p] = cell
+            if i == j:
+                table[q][p] = (corners[2 * b + a], over)
     return table
 
 
@@ -197,7 +188,9 @@ def _checked(
         )
     elif matrix.divisor != divisor:
         raise MetgraphError("value matrix belongs to another divisor")
-    if matrix is div.value_matrix:
+    # a matrix the network has not built yet is not its own: reading
+    # ``div.value_matrix`` would build one only to compare identities
+    if matrix is div.__dict__.get("value_matrix"):
         return div, matrix, div.vertex_table
     return div, matrix, _vertex_table(g, matrix)
 
@@ -209,10 +202,10 @@ def check_representation_independence(
 
     For every vertex pair whose first member has valence at least two, all
     combinations of edge descriptions are compared with the canonical one.
-    Each combination is one corner of one entry, so the entries are walked
-    once, a mirrored pair of them read once, at its four corners in
-    integers; a Fraction is built only for a mismatch, and mismatches are
-    reported in vertex-pair order.
+    Each combination is one corner of one entry, so the stored entries are
+    walked once, each read at its four corners in integers; a Fraction is
+    built only for a mismatch, and mismatches are reported in vertex-pair
+    order.
     """
     _, matrix, table = _checked(g, divisor, matrix)
     return _representation_report(g, matrix, table)
@@ -248,21 +241,18 @@ def _check_reports(g: MetrizedGraph, divisor: Divisor) -> tuple[CheckReport, Che
 def _representation_report(
     g: MetrizedGraph, matrix: ValueMatrix, table: list[list[tuple[int, int]]]
 ) -> CheckReport:
-    """Every corner of every entry against the table, one edge pair {i, j},
-    i <= j, at a time.
+    """Every corner of every entry against the table, one stored edge pair
+    {i, j}, i <= j, at a time.
 
-    Each pair's integers are read once.  A pair whose entries mirror (z_ji
-    holds z_ij's denominator and its numerators with x and y swapped,
-    ``_SWAP_XY``) gets one ``_corners`` call for both entries: corner (a, b)
-    of z_ij is g(p, q), and as corner (b, a) of z_ji it is g(q, p), the
-    same integers over the same denominator.  When the table's g(p, q) and
-    g(q, p) agree, one comparison against that value stands for both
-    entries, and a pair whose four corners all agree is settled.  Ends of
-    valence one are compared there too, which can only send a pair back.
-    The diagonal entries, a pair that does not mirror, and a mirrored pair with
-    any failing comparison go through ``compare``, entry by entry, and that
-    alone builds every mismatch.  The count is the entry-by-entry walk's:
-    per edge i, two comparisons per compared end of i and per edge j.
+    Each pair gets one ``_corners`` call: corner (a, b) of z_ij is g(p, q),
+    and as corner (b, a) of z_ji, z_ij with x and y swapped, it is g(q, p).
+    When the table's g(p, q) and g(q, p) agree, one comparison against that
+    value stands for both entries, and a pair whose four corners all agree
+    is settled.  Ends of valence one are compared there too, which can only
+    send a pair back.  The diagonal entries and a pair with any failing
+    comparison go through ``compare``, entry by entry, and that alone builds
+    every mismatch.  The count is the entry-by-entry walk's: per edge i, two
+    comparisons per compared end of i and per edge j.
     """
     # edge ends per vertex, one pass over the edges; a loop counts twice
     valence = [0] * g.n_vertices
@@ -276,14 +266,12 @@ def _representation_report(
     firsts = [
         [(2 * a, p, table[p]) for a, p in enumerate(pair) if valence[p] >= 2] for pair in ends
     ]
-    entries = matrix.entries
-    m = len(entries)
+    m = len(ends)
     comparisons = 2 * m * sum(map(len, firsts))
     mismatches = []
 
-    def compare(i: int, j: int) -> None:
-        z = entries[i][j]
-        den, values = _corners(z._denominator, z._numerators, *lengths[i], *lengths[j])
+    def compare(i: int, j: int, den: int, values: tuple[int, int, int, int]) -> None:
+        """z_ij's four corners ``values`` over ``den`` against the table."""
         tj, hj = ends[j]
         for a, p, wants in firsts[i]:
             (wt, ot), (wh, oh) = wants[tj], wants[hj]
@@ -296,34 +284,33 @@ def _representation_report(
                     found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
                     mismatches.append(((p, q, i, a // 2, j, b), found))
 
-    # per vertex pair (p, q), the one value a corner g(p, q) of a mirrored
-    # pair must equal, when g(p, q) and g(q, p) agree in the table; else a
-    # cell no value equals, since num * 0 != 1 * den
+    # per vertex pair (p, q), the one value corner g(p, q) of a stored pair
+    # must equal, when g(p, q) and g(q, p) agree in the table (they differ
+    # only through a diagonal entry given with x and y parts unequal); else
+    # a cell no value equals, since num * 0 != 1 * den
     shared = [
         [cell if cell == table[q][p] else (1, 0) for q, cell in enumerate(row)]
         for p, row in enumerate(table)
     ]
-    for i, row in enumerate(entries):
-        compare(i, i)
+    for i, row in enumerate(matrix._rows):
         pi, qi = lengths[i]
+        compare(i, i, *_corners(row[0], pi, qi, pi, qi))
         ti, hi = ends[i]
         at, ah = shared[ti], shared[hi]
-        for j in range(i + 1, m):
-            zij, zji = row[j], entries[j][i]
-            den, nums = zij._denominator, zij._numerators
-            if den == zji._denominator and _SWAP_XY(nums) == zji._numerators:
-                den, (v0, v1, v2, v3) = _corners(den, nums, pi, qi, *lengths[j])
-                tj, hj = ends[j]
-                (w0, o0), (w1, o1), (w2, o2), (w3, o3) = at[tj], at[hj], ah[tj], ah[hj]
-                if (
-                    v0 * o0 == w0 * den
-                    and v1 * o1 == w1 * den
-                    and v2 * o2 == w2 * den
-                    and v3 * o3 == w3 * den
-                ):
-                    continue
-            compare(i, j)
-            compare(j, i)
+        for j, entry in enumerate(row[1:], i + 1):
+            den, values = _corners(entry, pi, qi, *lengths[j])
+            v0, v1, v2, v3 = values
+            tj, hj = ends[j]
+            (w0, o0), (w1, o1), (w2, o2), (w3, o3) = at[tj], at[hj], ah[tj], ah[hj]
+            if (
+                v0 * o0 == w0 * den
+                and v1 * o1 == w1 * den
+                and v2 * o2 == w2 * den
+                and v3 * o3 == w3 * den
+            ):
+                continue
+            compare(i, j, den, values)
+            compare(j, i, den, (v0, v2, v1, v3))
     # the keys are unique: order by vertex pair, then by the two descriptions
     ordered = tuple(found for _, found in sorted(mismatches))
     return CheckReport("representation independence", comparisons, ordered)

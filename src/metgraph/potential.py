@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -196,21 +196,33 @@ class EdgePairFunction(_Form):
         return entry
 
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        # with x = X / u and y = Y / v the value is an integer over
-        # D u^2 v^2; a vertex sits at offset 0 or at the length, so a zero
-        # offset is common and its terms are skipped
-        c0, cx, cy, cxx, cyy, cxy, cabs = self._numerators
-        X, u = x.as_integer_ratio()
-        Y, v = y.as_integer_ratio()
-        uu, vv = u * u, v * v
-        value = c0 * uu * vv
-        if Y:
-            value += (cy * v + cyy * Y) * Y * uu
-        if X:
-            value += ((cx * u + cxx * X) * vv + cxy * Y * u * v) * X
-        if cabs:
-            value += cabs * abs(X * v - Y * u) * u * v
-        return Fraction(value, self._denominator * uu * vv)
+        return pair_value((self._denominator, *self._numerators), x, y)
+
+
+# the seven coefficients (c0, cx, cy, cxx, cyy, cxy, cabs) of z_ji from
+# those of z_ij: one closed form with x and y swapped
+swap_xy = itemgetter(0, 2, 1, 4, 3, 5, 6)
+
+
+def pair_value(held: tuple[int, ...], x: Fraction, y: Fraction) -> Fraction:
+    """An edge-pair closed form at offsets x and y, from its integers
+    ``held`` = (den, c0, cx, cy, cxx, cyy, cxy, cabs), the seven numerators
+    over den, as a value matrix holds them."""
+    # with x = X / u and y = Y / v the value is an integer over
+    # den u^2 v^2; a vertex sits at offset 0 or at the length, so a zero
+    # offset is common and its terms are skipped
+    den, c0, cx, cy, cxx, cyy, cxy, cabs = held
+    X, u = x.as_integer_ratio()
+    Y, v = y.as_integer_ratio()
+    uu, vv = u * u, v * v
+    value = c0 * uu * vv
+    if Y:
+        value += (cy * v + cyy * Y) * Y * uu
+    if X:
+        value += ((cx * u + cxx * X) * vv + cxy * Y * u * v) * X
+    if cabs:
+        value += cabs * abs(X * v - Y * u) * u * v
+    return Fraction(value, den * uu * vv)
 
 
 def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, int]:

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line front end."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -683,3 +685,69 @@ def test_check_command_evaluates_the_vertex_pairs_once(monkeypatch, capsys):
     assert run(["check", TWO_BRIDGES]) == 0
     assert len(tables) == 1
     assert len(lines_of(capsys)) == 2
+
+
+# -- the CI's value-matrix and check pins, replayed in process -----------------
+# Each digest is copied unedited from .github/workflows/tests.yml, where it
+# is the sha256 of the command's stdout; the grids are the seeded documents
+# of bench/inputs.py that the workflow writes.
+
+ZEROS = ",".join(["0"] * 15)
+VALUE_MATRIX_PINS = {
+    "tesseract --divisor=-1,0,...": (
+        "tesseract",
+        ["--machine", f"--divisor=-1,{ZEROS}"],
+        "df5da6b83bed079bdfeb4f0b1721dc7a80c7363c24a5042877ad1da16689c857",
+    ),
+    "tesseract --divisor=-3,0,...": (
+        "tesseract",
+        ["--machine", f"--divisor=-3,{ZEROS}"],
+        "c31a284ecc1849804151620622e216d9bf8cfbf354d6eb2fce529772c96394e0",
+    ),
+    "tesseract --divisor=0,0,...": (
+        "tesseract",
+        ["--machine", f"--divisor=0,{ZEROS}"],
+        "6dc12305204baa617b8c316150a1318d59ccca667508b06fb9298a3aa6ade4c0",
+    ),
+    "8x8 machine": (
+        8, ["--machine"], "17e4966205122e67bf697948af5ebf46a48d334dc0ce45d00667c8b46702532e"
+    ),
+    "8x8 text": (8, [], "86ef0b4a0f7b83f3838e970e158e3c08c5b1f25e59422e05421a8f683d235d96"),
+    "10x10 machine": (
+        10, ["--machine"], "fdbbf2e011e1f4b5fbc98ed6d7a83d05e9e88d7d39e09f13627279b5112c3149"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_graphs(tmp_path_factory):
+    """Paths of the tesseract and of the CI's seeded 8x8 and 10x10 grids."""
+    spec = importlib.util.spec_from_file_location("inputs", SRC.parent / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    paths, grids = {"tesseract": TESSERACT}, tmp_path_factory.mktemp("grids")
+    for k in (8, 10):
+        path = paths[k] = grids / f"grid{k}.json"
+        path.write_text(inputs.grid_document(k, random.Random(0)))
+    return paths
+
+
+def stdout_digest(argv, capsys):
+    status = run(argv)
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    return hashlib.sha256(captured.out.encode()).hexdigest(), captured.out
+
+
+@pytest.mark.parametrize("pin", VALUE_MATRIX_PINS)
+def test_value_matrix_ci_pins(pin, pinned_graphs, capsys):
+    graph, flags, digest = VALUE_MATRIX_PINS[pin]
+    assert stdout_digest(["value-matrix", str(pinned_graphs[graph]), *flags], capsys)[0] == digest
+
+
+@pytest.mark.parametrize("k,counts", [(8, (50176, 4096)), (10, (129600, 10000))])
+def test_check_ci_counts(k, counts, pinned_graphs, capsys):
+    _, out = stdout_digest(["check", str(pinned_graphs[k]), "--machine"], capsys)
+    found = [(r["name"], r["comparisons"], r["passed"]) for r in json.loads(out)["reports"]]
+    names = ("representation independence", "vertex formula")
+    assert found == [(name, count, True) for name, count in zip(names, counts)]

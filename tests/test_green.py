@@ -1,5 +1,6 @@
 """Closed forms of the Green function and their defining properties."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,14 @@ class TestValueMatrixStructure:
             for j in range(matrix.size):
                 z = matrix.entry(i, j)
                 assert (z.i, z.j) == (i, j)
+
+    def test_pickle_round_trip(self, standing):
+        # the copy is rebuilt from its entries and holds the same integers
+        _, g, divisor = standing
+        matrix = mg.value_matrix(g, divisor)
+        copy = pickle.loads(pickle.dumps(matrix))
+        assert copy is not matrix and copy == matrix and hash(copy) == hash(matrix)
+        assert copy._rows == matrix._rows
 
     def test_symmetry_under_argument_swap(self, standing):
         _, g, divisor = standing
@@ -209,6 +218,29 @@ class TestErrors:
         matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
         with pytest.raises(mg.MetgraphError, match=r"entry \(3, 0\) outside a 3-edge matrix"):
             matrix.entry(3, 0)
+
+    def test_constructor_rejects_a_pair_that_does_not_mirror(self, circle):
+        # z_20 holding z_02's coefficients unswapped is another closed form
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        rows = [list(row) for row in matrix.entries]
+        rows[2][0] = mg.EdgePairFunction(2, 0, *rows[0][2].coefficients())
+        with pytest.raises(
+            mg.MetgraphError, match=r"entries \(0, 2\) and \(2, 0\) are not one closed form"
+        ):
+            mg.ValueMatrix(matrix.divisor, rows)
+
+    def test_constructor_takes_square_rows_of_entries_in_place(self, circle):
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        rows = [list(row) for row in matrix.entries]
+        shapes = (
+            [rows[0], [], rows[2]],
+            [rows[0], rows[1][:2], rows[2]],
+            [[rows[1][0], *rows[0][1:]], *rows[1:]],
+            [["z00", *rows[0][1:]], *rows[1:]],
+        )
+        for bad, row in zip(shapes, (1, 1, 0, 0)):
+            with pytest.raises(mg.MetgraphError, match=rf"row {row} is not entries \({row}, 0\) to"):
+                mg.ValueMatrix(matrix.divisor, bad)
 
 
 def test_offsets_helper_spans_edge():

@@ -217,6 +217,23 @@ class TestSharedVertexTable:
             False, False, True, False, False
         ]
 
+    def test_a_matrix_the_network_never_built_builds_none(self, monkeypatch):
+        g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+        matrix = mg.value_matrix(g, divisor)
+        original = [check(g, divisor, matrix) for check in CHECKS]
+        copy = pickle.loads(pickle.dumps(matrix))
+        mg.clear_caches()
+        built = []
+        build = mg.green.build_value_matrix
+
+        def counted(net, div):
+            built.append(div)
+            return build(net, div)
+
+        monkeypatch.setattr(mg.green, "build_value_matrix", counted)
+        assert [check(g, divisor, copy) for check in CHECKS] == original
+        assert built == []
+
     def test_pickled_copy_gives_identical_reports(self, tables):
         g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
         matrix = mg.value_matrix(g, divisor)

@@ -321,3 +321,20 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_value_matrix_and_checks_leave_no_entry_object():
+    # the matrix holds integers per edge pair, and the checks read them:
+    # neither keeps an EdgePairFunction alive
+    def alive():
+        gc.collect()
+        return [o for o in gc.get_objects() if type(o) is mg.EdgePairFunction]
+
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    mg.clear_caches()
+    before = alive()
+    matrix = mg.value_matrix(g, d)
+    reports = [mg.check_representation_independence(g, d), mg.check_vertex_formula(g, d)]
+    assert all(report.passed for report in reports) and matrix.size == g.n_edges
+    held = {id(o) for o in before}
+    assert [o for o in alive() if id(o) not in held] == []

@@ -547,13 +547,29 @@ def reference_green_at_vertices(g, divisor, p, q):
 COEFFICIENT_NAMES = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
 
 
-def perturbed(matrix, i, j, name, delta):
+MIRROR = dict(zip(COEFFICIENT_NAMES, ("c0", "cy", "cx", "cyy", "cxx", "cxy", "cabs")))
+
+
+def replaced(matrix, changes):
     rows = [list(row) for row in matrix.entries]
-    entry = rows[i][j]
+    for (i, j), entry in changes.items():
+        rows[i][j] = entry
+    return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
+
+
+def moved(entry, name, delta):
     coefficients = dict(zip(COEFFICIENT_NAMES, entry.coefficients()))
     coefficients[name] += delta
-    rows[i][j] = mg.EdgePairFunction(i, j, **coefficients)
-    return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
+    return mg.EdgePairFunction(entry.i, entry.j, **coefficients)
+
+
+def perturbed(matrix, i, j, name, delta):
+    """z_ij's ``name`` moved by delta and, off the diagonal, z_ji's mirrored
+    coefficient with it: a matrix holds one closed form per edge pair."""
+    changes = {(i, j): moved(matrix.entry(i, j), name, delta)}
+    if i != j:
+        changes[j, i] = moved(matrix.entry(j, i), MIRROR[name], delta)
+    return replaced(matrix, changes)
 
 
 def assert_representation_check_matches_reference(g, divisor, matrix):
@@ -694,6 +710,11 @@ def test_perturbed_entry_gives_the_reference_mismatches(name, i, j):
     matrix = perturbed(mg.value_matrix(g, divisor), i, j, name, F(1, 7))
     report = assert_representation_check_matches_reference(g, divisor, matrix)
     assert not report.passed
+    # off the diagonal z_ij and z_ji move together, and both fail; cxy moves
+    # only the corner at both heads, the canonical descriptions of v2 and v3,
+    # so there every mismatch comes through the other descriptions
+    if name != "cxy":
+        assert_both_entries_fail(g, divisor, matrix, i, j)
     # the vertex formula sees a change only in an entry that holds the
     # canonical descriptions of a vertex pair: (1, 3) does, (2, 2) does not
     points = [mg.point_of_vertex(g, v) for v in range(g.n_vertices)]
@@ -704,12 +725,11 @@ def test_perturbed_entry_gives_the_reference_mismatches(name, i, j):
 
 
 # -- mirrored edge pairs in the representation check ----------------------------
-# The check reads a pair {i, j} once when z_ji holds z_ij's integers with x
-# and y swapped.  A pair perturbed by mirrored amounts still mirrors but
-# fails, so it must come out with every mismatch of both entries; a pair
-# whose numerators mirror over another denominator does not mirror at all.
-
-MIRROR = dict(zip(COEFFICIENT_NAMES, ("c0", "cy", "cx", "cyy", "cxx", "cxy", "cabs")))
+# The check reads a stored pair {i, j} once, z_ji being z_ij with x and y
+# swapped.  A pair perturbed by mirrored amounts still mirrors but fails, so
+# it must come out with every mismatch of both entries; numerators that
+# mirror over another denominator are another closed form, which a matrix
+# cannot hold.
 
 
 def mirrors(zij, zji):
@@ -717,31 +737,9 @@ def mirrors(zij, zji):
     return zij.denominator == zji.denominator and zji.numerators == swapped
 
 
-def replaced(matrix, changes):
-    rows = [list(row) for row in matrix.entries]
-    for (i, j), entry in changes.items():
-        rows[i][j] = entry
-    return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
-
-
-def moved(entry, name, delta):
-    coefficients = dict(zip(COEFFICIENT_NAMES, entry.coefficients()))
-    coefficients[name] += delta
-    return mg.EdgePairFunction(entry.i, entry.j, **coefficients)
-
-
-def mirrored_perturbed(matrix, i, j, name, delta):
-    """z_ij's ``name`` and z_ji's mirrored coefficient both moved by delta."""
-    return replaced(
-        matrix,
-        {(i, j): moved(matrix.entries[i][j], name, delta),
-         (j, i): moved(matrix.entries[j][i], MIRROR[name], delta)},
-    )
-
-
 def rescaled(matrix, i, j):
     """z_ji holding z_ij's numerators swapped, over twice z_ij's denominator."""
-    zij = matrix.entries[i][j]
+    zij = matrix.entry(i, j)
     swapped = tuple(zij.numerators[COEFFICIENT_NAMES.index(MIRROR[n])] for n in COEFFICIENT_NAMES)
     return replaced(matrix, {(j, i): mg.EdgePairFunction._over(j, i, 2 * zij.denominator, swapped)})
 
@@ -767,8 +765,8 @@ def test_mirrored_perturbation_gives_the_reference_mismatches(standing, name, de
     pairs = [(i, j) for i, j in standing_pairs(g) if i != j]
     assert pairs
     for i, j in pairs:
-        changed = mirrored_perturbed(matrix, i, j, name, delta)
-        assert mirrors(changed.entries[i][j], changed.entries[j][i])
+        changed = perturbed(matrix, i, j, name, delta)
+        assert mirrors(changed.entry(i, j), changed.entry(j, i))
         assert_both_entries_fail(g, divisor, changed, i, j)
 
 
@@ -778,10 +776,8 @@ def test_mirrored_numerators_over_another_denominator_fail(standing):
     for i, j in standing_pairs(g):
         if i == j:
             continue
-        changed = rescaled(matrix, i, j)
-        assert not mirrors(changed.entries[i][j], changed.entries[j][i])
-        report = assert_representation_check_matches_reference(g, divisor, changed)
-        assert not report.passed
+        with pytest.raises(mg.MetgraphError, match=rf"entries \({i}, {j}\) and \({j}, {i}\) "):
+            rescaled(matrix, i, j)
 
 
 def test_diagonal_entry_with_unequal_slopes(standing):
@@ -790,8 +786,8 @@ def test_diagonal_entry_with_unequal_slopes(standing):
     _, g, divisor = standing
     matrix = mg.value_matrix(g, divisor)
     i = next(k for k, e in enumerate(g.edges) if min(g.valence(e.tail), g.valence(e.head)) >= 2)
-    changed = replaced(matrix, {(i, i): moved(matrix.entries[i][i], "cx", F(1, 5))})
-    z = changed.entries[i][i]
+    changed = replaced(matrix, {(i, i): moved(matrix.entry(i, i), "cx", F(1, 5))})
+    z = changed.entry(i, i)
     assert z.cx != z.cy and not mirrors(z, z)
     report = assert_representation_check_matches_reference(g, divisor, changed)
     assert not report.passed
@@ -809,12 +805,15 @@ def test_mirrored_pairs_match_the_reference_check(gd, data):
     if data.draw(st.booleans()):
         name = data.draw(st.sampled_from(COEFFICIENT_NAMES))
         delta = data.draw(st.sampled_from([F(1, 7), F(-2), F(5, 3)]))
-        changed = mirrored_perturbed(matrix, i, j, name, delta)
-        assert mirrors(changed.entries[i][j], changed.entries[j][i])
+        changed = perturbed(matrix, i, j, name, delta)
+        assert mirrors(changed.entry(i, j), changed.entry(j, i))
+        assert_representation_check_matches_reference(g, divisor, changed)
+        assert_vertex_formula_check_matches_reference(g, divisor, changed)
     else:
-        changed = rescaled(matrix, i, j)
-    assert_representation_check_matches_reference(g, divisor, changed)
-    assert_vertex_formula_check_matches_reference(g, divisor, changed)
+        # zero over twice the denominator is still z_ij swapped
+        assume(any(matrix.entry(i, j).numerators))
+        with pytest.raises(mg.MetgraphError, match=r"are not one closed form"):
+            rescaled(matrix, i, j)
 
 
 # -- every built matrix mirrors --------------------------------------------------
@@ -823,9 +822,12 @@ def test_mirrored_pairs_match_the_reference_check(gd, data):
 
 
 def assert_mirrors_exactly(matrix):
+    entries = matrix.entries
     for i in range(matrix.size):
         for j in range(i, matrix.size):
-            assert mirrors(matrix.entries[i][j], matrix.entries[j][i]), (i, j)
+            zij, zji = matrix.entry(i, j), matrix.entry(j, i)
+            assert (zji.i, zji.j) == (j, i) and mirrors(zij, zji), (i, j)
+            assert (entries[i][j], entries[j][i]) == (zij, zji), (i, j)
 
 
 @pytest.mark.parametrize("zero", [False, True], ids=["file_divisor", "zero_divisor"])
