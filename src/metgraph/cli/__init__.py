@@ -49,7 +49,7 @@ from ..graph import (
 from ..green import EdgePairFunction, evaluate_green, value_matrix
 from ..invariants import _check_reports, epsilon_via_green, epsilon_via_resistance
 from ..linalg import laplacian, pinv
-from ..oracle import subdivide_at_points
+from ..oracle import _pair_values
 from ..potential import resistance_point, swap_xy, tau_constant
 
 
@@ -224,15 +224,18 @@ _TERM_UNITS = (None, "x", "y", "x^2", "y^2", "x*y", "|x-y|")
 
 
 def _format_terms(coefficients: Sequence[Fraction]) -> str:
-    pieces = [(coef, unit) for coef, unit in zip(coefficients, _TERM_UNITS) if coef != 0]
+    # zero and sign are read from the numerator, where a Fraction keeps its
+    # sign: int tests cost less than Fraction comparisons and abs
+    pieces = [(coef, unit) for coef, unit in zip(coefficients, _TERM_UNITS) if coef.numerator]
     if not pieces:
         return "0"
     out = []
     for k, (coef, unit) in enumerate(pieces):
-        magnitude = coef if k == 0 else abs(coef)
+        negative = coef.numerator < 0
+        magnitude = -coef if k > 0 and negative else coef
         text = _exact(magnitude) if unit is None else f"{_exact(magnitude)}*{unit}"
         if k > 0:
-            text = (" + " if coef > 0 else " - ") + text
+            text = (" - " if negative else " + ") + text
         out.append(text)
     return "".join(out)
 
@@ -382,14 +385,15 @@ def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
 
 
 def _cmd_oracle(g, divisor, args):
+    pairs = _read_point_pairs(args.points)
+    # the closed forms first, pair by pair, so the first invalid point, or a
+    # divisor of degree -2, is reported before any refinement is built
+    closed_values = [
+        (resistance_point(g, x, y), evaluate_green(g, divisor, x, y)) for x, y in pairs
+    ]
     rows = []
-    for x, y in _read_point_pairs(args.points):
-        closed_r = resistance_point(g, x, y)
-        sub = subdivide_at_points(g, [x, y])
-        oracle_r = sub.resistance(x, y)
-        closed_g = evaluate_green(g, divisor, x, y)
-        oracle_g = sub.green(divisor, x, y)
-        for name, closed, via_oracle in (("r", closed_r, oracle_r), ("g", closed_g, oracle_g)):
+    for (x, y), closed_rg, oracle_rg in zip(pairs, closed_values, _pair_values(g, divisor, pairs)):
+        for name, closed, via_oracle in zip("rg", closed_rg, oracle_rg):
             rows.append(
                 {
                     "quantity": name,

@@ -432,14 +432,19 @@ def _split_edges(
     """Split each edge at the given interior offsets.
 
     Original vertices keep their indices; one new vertex per cut is appended
-    (edges in index order, offsets increasing).
+    (edges in index order, offsets increasing).  An uncut edge is kept as
+    it is, as one segment.
     """
     labels = list(g.vertices)
     namer = _fresh_labels(set(labels))
     new_edges: list[Edge] = []
     segments: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
     for i, e in enumerate(g.edges):
-        offsets = sorted({Fraction(c) for c in cuts.get(i, ())})
+        if i not in cuts:
+            segments[i] = [(len(new_edges), 0, e.length)]
+            new_edges.append(e)
+            continue
+        offsets = sorted({Fraction(c) for c in cuts[i]})
         for off in offsets:
             if not 0 < off < e.length:
                 raise PointOutOfRange(f"cut {off} is not interior to edge {i}")

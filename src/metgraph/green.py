@@ -58,7 +58,8 @@ class ValueMatrix(Record):
     An ``EdgePairFunction`` is made only when ``entry`` or ``entries`` is
     read.  The constructor takes the full rows of entries, as ``entries``
     gives them; it keeps each diagonal entry as given and rejects a pair
-    whose z_ji is not z_ij with x and y swapped.
+    whose z_ji is not z_ij with x and y swapped.  Equality, hash and
+    pickling read the stored triangle, and make no entry.
     """
 
     __slots__ = ("divisor", "_rows")
@@ -94,9 +95,56 @@ class ValueMatrix(Record):
         matrix._store(divisor, rows)
         return matrix
 
+    @classmethod
+    def _unpickle(
+        cls, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]
+    ) -> ValueMatrix:
+        """``_of`` for a pickled triangle, once its shape is checked: m rows,
+        row i holding m - i tuples of eight ints whose first, den, is positive."""
+        m = len(rows) if type(rows) is tuple else -1
+        if not (
+            isinstance(divisor, Divisor)
+            and m >= 0
+            and all(type(row) is tuple and len(row) == m - i for i, row in enumerate(rows))
+            and all(
+                type(held) is tuple
+                and len(held) == 8
+                and all(type(c) is int for c in held)
+                and held[0] > 0
+                for row in rows
+                for held in row
+            )
+        ):
+            raise MetgraphError(
+                "a pickled value matrix is not a divisor and a triangle of integer tuples"
+            )
+        return cls._of(divisor, rows)
+
     def _store(self, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
         object.__setattr__(self, "divisor", divisor)
         object.__setattr__(self, "_rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.divisor != other.divisor or self.size != other.size:
+            return False
+        for row_a, row_b in zip(self._rows, other._rows):
+            for a, b in zip(row_a, row_b):
+                den_a, den_b = a[0], b[0]
+                if den_a == den_b:
+                    if a != b:
+                        return False
+                elif any(x * den_b != y * den_a for x, y in zip(a[1:], b[1:])):
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # equal matrices hold equal values, so their diagonal constants agree
+        return hash((self.divisor, tuple(Fraction(row[0][1], row[0][0]) for row in self._rows)))
+
+    def __reduce__(self):
+        return (type(self)._unpickle, (self.divisor, self._rows))
 
     @property
     def size(self) -> int:

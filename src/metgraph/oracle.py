@@ -6,6 +6,11 @@ closed forms are involved, so agreement with the closed-form path checks
 the latter against an independent derivation.  Each refinement carries its
 own ``Network``, never entered in the ``analysis.network`` cache, so its
 pseudoinverse, tau and c_mu are recomputed there and freed with it.
+
+``oracle_resistance`` and ``oracle_green`` build one refinement per call.
+The CLI's ``oracle`` command answers a whole points file through
+``_pair_values``, which answers all pairs that cut the graph at the same
+offsets from one refinement, and keeps only one refinement alive at a time.
 """
 
 from __future__ import annotations
@@ -81,12 +86,49 @@ def subdivide_at_points(
     of ``make_adequate`` are made in one split, so an adequate graph gains
     only the listed points and any other graph comes out adequate too.
     """
+    return SubdividedGraph(g, *adequate_refinement(g, _cuts(g, points)))
+
+
+def _cuts(g: MetrizedGraph, points: Iterable[GraphPoint | tuple]) -> dict[int, set[Fraction]]:
+    """The interior offsets, per edge, at which the points cut ``g``; each
+    point is validated in turn, and one at a vertex cuts nothing."""
     cuts: dict[int, set[Fraction]] = {}
     for pt in points:
         pt = validate_point(g, pt)
         if vertex_at(g, pt) is None:
             cuts.setdefault(pt.edge, set()).add(pt.offset)
-    return SubdividedGraph(g, *adequate_refinement(g, cuts))
+    return cuts
+
+
+def _pair_values(
+    g: MetrizedGraph,
+    divisor: Divisor,
+    pairs: Iterable[tuple[GraphPoint | tuple, GraphPoint | tuple]],
+) -> list[tuple[Fraction, Fraction]]:
+    """``(oracle_resistance, oracle_green)`` of every pair (x, y), in input
+    order.
+
+    Every point is validated first, in order, x before y.  Pairs whose
+    points make the same cuts are answered from one refinement, and each
+    refinement is dropped before the next is built, so at most one, with
+    its L+, is alive at a time.
+    """
+    pairs = list(pairs)
+    groups: dict[frozenset[tuple[int, Fraction]], list[int]] = {}
+    for k, pair in enumerate(pairs):
+        cuts = _cuts(g, pair)
+        key = frozenset((edge, offset) for edge, offsets in cuts.items() for offset in offsets)
+        groups.setdefault(key, []).append(k)
+    values: dict[int, tuple[Fraction, Fraction]] = {}
+    for members in groups.values():
+        # any member's points make the group's cuts; going through the public
+        # function keeps one call per refinement visible to a wrapper around it
+        sub = subdivide_at_points(g, pairs[members[0]])
+        for k in members:
+            x, y = pairs[k]
+            values[k] = (sub.resistance(x, y), sub.green(divisor, x, y))
+        del sub
+    return [values[k] for k in range(len(pairs))]
 
 
 def oracle_resistance(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:

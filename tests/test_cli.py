@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -751,3 +752,160 @@ def test_check_ci_counts(k, counts, pinned_graphs, capsys):
     found = [(r["name"], r["comparisons"], r["passed"]) for r in json.loads(out)["reports"]]
     names = ("representation independence", "vertex formula")
     assert found == [(name, count, True) for name, count in zip(names, counts)]
+
+
+@pytest.mark.parametrize("form", ["machine", "text"])
+def test_pinv_ci_pins(form, pinned_graphs, capsys):
+    flags, digest = {
+        "machine": (
+            ["--machine"], "47c8e5909f415ef3f5561b5bbe3113236ae2022015267542b8faca3c5f45d077"
+        ),
+        "text": ([], "05b19c7b7126e6a287928fab321c3a3ceab654eaef05450b4a41a9bdeacfdf5b"),
+    }[form]
+    assert stdout_digest(["pinv", str(pinned_graphs[10]), *flags], capsys)[0] == digest
+
+
+# (command, graph, --x, --y, printed value), as pinned in the workflow
+POINT_PINS = [
+    ("green", TESSERACT, "0:1", "3:0", "73483/714432"),
+    ("resistance", TESSERACT, "0:1", "3:0", "15/32"),
+    ("green", TESSERACT, "0:1/3", "7:2/3", "48943/803736"),
+    ("resistance", TESSERACT, "0:1/3", "7:2/3", "83/108"),
+    ("green", TESSERACT, "0:1/4", "0:2/3", "9684341/34292736"),
+    ("resistance", TESSERACT, "0:1/4", "0:2/3", "1495/4608"),
+    ("green", TWO_BRIDGES, "0:1/3", "5:3/4", "-127/300"),
+    ("resistance", TWO_BRIDGES, "0:1/3", "5:3/4", "29/12"),
+]
+
+
+@pytest.mark.parametrize("command,graph,x,y,value", POINT_PINS)
+def test_point_ci_pins(command, graph, x, y, value, capsys):
+    assert stdout_digest([command, graph, "--x", x, "--y", y], capsys)[1] == value + "\n"
+
+
+# -- the oracle command ----------------------------------------------------------
+# sha256 of stdout for each standing graph's frozen points file, text and
+# --machine form, recorded before the command shared refinements between pairs
+
+ORACLE_PINS = {
+    "banana": (
+        "25232720a57ef1625c3311696b6b4d0b59d60a43854dbcb5632b6167164a3728",
+        "c86c23d1a9b853f46320890dcecf6ccbe6f224857bf31608181a818ad7b124d6",
+    ),
+    "circle": (
+        "e93ea1430f4c88799d3b7f1624d14ea7759ec00b7a68bdec5831835014d31814",
+        "d447f02b51ece3f441479072bc7f291f1b4e111c0f11d703dcc5112117f517ef",
+    ),
+    "joint_circles": (
+        "261a8d1ad36489a4436c9f3b0050ee0c725cefc97051a28088b39aadb501d8da",
+        "dd140fcd4e30acc1b8c41bf8af084f89284c03838cc1e65e37e89bbaa13488a2",
+    ),
+    "tesseract": (
+        "da5b030e778a48ba26546ba9e0eab93076e7faecfea3c044a48d9bf9e340b47c",
+        "1786bc6ae3e463e59ccb02d64fe839e38f34f194c186eec319efea6fc5e6fa04",
+    ),
+    "two_bridges": (
+        "f9e87b6727f68283f08efaaa2b9df08201e69f96039846eb4d2bc6faf837262b",
+        "f1bea1d4af0315fc481924003a3b1d12667cdbcca646c87223e65f64b72c6aaa",
+    ),
+}
+# distinct cut sets among each points file's 52 pairs: pairs 33-52 of the
+# tesseract's repeat pairs 1-20, and its pairs 13 and 29 cut nothing
+CUT_SETS = {"banana": 50, "circle": 44, "joint_circles": 44, "tesseract": 31, "two_bridges": 44}
+
+
+def oracle_argv(name, points=None):
+    points = points or POINTS / f"{name}.txt"
+    return ["oracle", str(GRAPHS / f"{name}.json"), "--points", str(points)]
+
+
+@pytest.mark.parametrize("name", ORACLE_PINS)
+def test_oracle_pins(name, capsys):
+    text, machine = ORACLE_PINS[name]
+    assert stdout_digest(oracle_argv(name), capsys)[0] == text
+    mg.clear_caches()
+    assert stdout_digest([*oracle_argv(name), "--machine"], capsys)[0] == machine
+
+
+def count_refinements(monkeypatch) -> list:
+    """Record the arguments of every ``adequate_refinement`` call the oracle makes."""
+    calls, refine = [], mg.oracle.adequate_refinement
+    monkeypatch.setattr(
+        mg.oracle, "adequate_refinement", lambda g, cuts: calls.append(cuts) or refine(g, cuts)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name", CUT_SETS)
+def test_oracle_builds_one_refinement_per_cut_set(name, monkeypatch, capsys):
+    calls = count_refinements(monkeypatch)
+    assert run(oracle_argv(name)) == 0
+    assert len(lines_of(capsys)) == 104
+    assert len(calls) == CUT_SETS[name]
+
+
+def test_oracle_keeps_one_refinement_alive(monkeypatch, capsys):
+    # at each refinement's construction, every earlier one and its network
+    # are already freed, and none outlives the command
+    refs, alive_at_build, subdivided = [], [], mg.oracle.SubdividedGraph
+
+    def tracked(*args):
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        sub = subdivided(*args)
+        refs.extend((weakref.ref(sub), weakref.ref(sub.network)))
+        return sub
+
+    monkeypatch.setattr(mg.oracle, "SubdividedGraph", tracked)
+    assert run(oracle_argv("tesseract")) == 0
+    lines_of(capsys)
+    assert alive_at_build == [0] * CUT_SETS["tesseract"]
+    assert all(ref() is None for ref in refs)
+
+
+def test_oracle_leaves_only_the_input_graph_in_the_network_cache(capsys):
+    assert run(oracle_argv("tesseract")) == 0
+    lines_of(capsys)
+    assert mg.network.cache_info().currsize == 1
+    g, _ = parse_graph(Path(TESSERACT).read_text())
+    hits = mg.network.cache_info().hits
+    mg.network(g)
+    assert mg.network.cache_info().hits == hits + 1
+
+
+def test_oracle_prints_a_repeated_pair_twice(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "points.txt"
+    path.write_text("0:1/3 1:1/4\n0:1/3 1:1/4\n")
+    calls = count_refinements(monkeypatch)
+    assert run(["oracle", CIRCLE, "--points", str(path)]) == 0
+    out = lines_of(capsys)
+    assert len(out) == 4 and out[:2] == out[2:]
+    # arcs of 7/12 and 17/12 on the circle of length 2
+    assert out[0] == "r[0:1/3 1:1/4] closed=119/288 oracle=119/288 diff=0"
+    assert len(calls) == 1
+
+
+def tesseract_points_with_bad_third_pair(tmp_path):
+    path = tmp_path / "points.txt"
+    first_two = (POINTS / "tesseract.txt").read_text().splitlines()[1:3]
+    path.write_text("\n".join([*first_two, "2:9/2 0:0", "1:1/2 2:1/2"]) + "\n")
+    return path
+
+
+def test_oracle_reports_the_first_invalid_point(tmp_path, monkeypatch, capsys):
+    calls = count_refinements(monkeypatch)
+    argv = oracle_argv("tesseract", tesseract_points_with_bad_third_pair(tmp_path))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: offset 9/2 outside [0, 1] on edge 2\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad_third_pair", [False, True])
+def test_oracle_rejects_degree_minus_two_first(bad_third_pair, tmp_path, capsys):
+    # the first pair's g meets the divisor before the third pair is read
+    points = tesseract_points_with_bad_third_pair(tmp_path) if bad_third_pair else None
+    minus_two = "-2," + ",".join(["0"] * 15)
+    assert run([*oracle_argv("tesseract", points), f"--divisor={minus_two}"]) == 2
+    captured = capsys.readouterr()
+    error = "error: divisor degree -2 admits no admissible measure\n"
+    assert (captured.out, captured.err) == ("", error)

@@ -85,6 +85,68 @@ class TestValueMatrixStructure:
         assert copy is not matrix and copy == matrix and hash(copy) == hash(matrix)
         assert copy._rows == matrix._rows
 
+    def test_compare_hash_and_pickle_make_no_entry(self, standing, monkeypatch):
+        _, g, divisor = standing
+        matrix = mg.value_matrix(g, divisor)
+        made, over = [], mg.EdgePairFunction._over
+        counted = classmethod(lambda cls, *args: made.append(args) or over(*args))
+        monkeypatch.setattr(mg.EdgePairFunction, "_over", counted)
+        data = pickle.dumps(matrix)
+        copy = pickle.loads(data)
+        assert copy == matrix and not copy != matrix and hash(copy) == hash(matrix)
+        assert made == []
+
+    def test_pickle_holds_the_triangle_once(self, standing):
+        _, g, divisor = standing
+        matrix = mg.value_matrix(g, divisor)
+        assert len(pickle.dumps(matrix)) < len(pickle.dumps(matrix._rows)) + 200
+
+    def test_copy_in_lowest_terms_is_equal_and_hashes_equal(self, standing):
+        _, g, divisor = standing
+        matrix = mg.value_matrix(g, divisor)
+        rows = [
+            [mg.EdgePairFunction(z.i, z.j, *z.coefficients()) for z in row]
+            for row in matrix.entries
+        ]
+        lowest = mg.ValueMatrix(matrix.divisor, rows)
+        assert lowest == matrix and matrix == lowest and hash(lowest) == hash(matrix)
+
+    def test_unequal_matrices(self, circle):
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        rows = [list(row) for row in matrix._rows]
+        den, c0, *rest = rows[0][1]
+        for held in ((den, c0 + 1, *rest), (2 * den, 2 * c0 + 1, *(2 * c for c in rest))):
+            rows[0][1] = held
+            other = mg.ValueMatrix._of(matrix.divisor, tuple(map(tuple, rows)))
+            assert other != matrix and not other == matrix
+        assert mg.value_matrix(circle, mg.Divisor((0, 1, 0))) != matrix
+        assert mg.value_matrix(build_segment(), mg.Divisor.zero(2)) != matrix
+
+    def test_malformed_pickled_triangle_raises(self, circle):
+        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
+        rows, held = matrix._rows, matrix._rows[0][0]
+
+        class Forged:
+            def __init__(self, *args):
+                self.args = args
+
+            def __reduce__(self):
+                return (mg.ValueMatrix._unpickle, self.args)
+
+        malformed = (
+            (matrix.divisor, rows[:-1]),
+            (matrix.divisor, list(rows)),
+            (matrix.divisor, (rows[0], rows[1], rows[1])),
+            (matrix.divisor, ((held[:7], *rows[0][1:]), *rows[1:])),
+            (matrix.divisor, (((0, *held[1:]), *rows[0][1:]), *rows[1:])),
+            (matrix.divisor, (((F(held[0]), *held[1:]), *rows[0][1:]), *rows[1:])),
+            ((0, 0, 0), rows),
+        )
+        for args in malformed:
+            with pytest.raises(mg.MetgraphError, match="pickled value matrix is not"):
+                pickle.loads(pickle.dumps(Forged(*args)))
+        assert pickle.loads(pickle.dumps(Forged(matrix.divisor, rows))) == matrix
+
     def test_symmetry_under_argument_swap(self, standing):
         _, g, divisor = standing
         matrix = mg.value_matrix(g, divisor)

@@ -91,6 +91,18 @@ class TestSubdivide:
                 refined, lifted, rx, ry
             )
 
+    def test_uncut_edges_are_kept_as_they_are(self):
+        g = build_tesseract()
+        sub = mg.subdivide_at_points(g, [(3, F(1, 2)), (0, F(0))])
+        kept = sub.graph.edges[:3] + sub.graph.edges[5:]
+        assert len(kept) == g.n_edges - 1
+        assert kept == g.edges[:3] + g.edges[4:]
+        tail, head, _ = g.edges[3]
+        assert sub.graph.edges[3:5] == (mg.Edge(tail, 16, F(1, 2)), mg.Edge(16, head, F(1, 2)))
+        assert sub.relabeling.point(mg.GraphPoint(2, F(1, 3))) == (2, F(1, 3))
+        assert sub.relabeling.point(mg.GraphPoint(4, F(1))) == (5, F(1))
+        assert sub.relabeling.point(mg.GraphPoint(3, F(3, 4))) == (4, F(1, 4))
+
     def test_lift_divisor(self):
         g = build_circle()
         sub = mg.subdivide_at_points(g, [(1, F(1, 2))])
@@ -170,6 +182,49 @@ CLOSED_FORMS = (
     "r_D_on_edges",
     "build_value_matrix",
 )
+
+
+class TestPairValues:
+    """``oracle._pair_values``, the CLI's oracle: one refinement per cut set."""
+
+    def test_values_are_the_per_pair_oracle(self, standing):
+        name, g, d = standing
+        pairs = load_pairs(name)[:10]
+        pairs += [pairs[3], (pairs[0][1], pairs[0][0])]
+        assert mg.oracle._pair_values(g, d, pairs) == [
+            (mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)) for x, y in pairs
+        ]
+
+    def test_pairs_with_the_same_cuts_share_a_refinement(self, monkeypatch):
+        g, d = build_circle(), mg.Divisor((0, 2, 0))
+        refinements, refine = [], mg.oracle.adequate_refinement
+
+        def counted(g, cuts):
+            refinements.append(cuts)
+            return refine(g, cuts)
+
+        monkeypatch.setattr(mg.oracle, "adequate_refinement", counted)
+        # (1, 1/2) and (0, 1/4) in either order, and two pairs of vertices,
+        # which cut nothing: two cut sets
+        pairs = [
+            ((1, F(1, 2)), (0, F(1, 4))),
+            ((0, F(0)), (2, F(1, 2))),
+            ((0, F(1, 4)), (1, F(1, 2))),
+            ((1, F(1)), (2, F(0))),
+        ]
+        values = mg.oracle._pair_values(g, d, pairs)
+        assert refinements == [{1: {F(1, 2)}, 0: {F(1, 4)}}, {}]
+        assert values[0] == values[2]
+        assert values[1][0] == mg.vertex_resistance(g, 1, 2)
+
+    def test_every_point_is_validated_before_any_refinement(self, monkeypatch):
+        g = build_circle()
+        refinements = []
+        monkeypatch.setattr(mg.oracle, "adequate_refinement", lambda g, c: refinements.append(c))
+        pairs = [((0, F(1, 4)), (1, F(1, 2))), ((1, F(3)), (0, F(5))), ((2, F(7)), (0, F(0)))]
+        with pytest.raises(mg.PointOutOfRange, match=r"^offset 3 outside \[0, 1\] on edge 1$"):
+            mg.oracle._pair_values(g, mg.Divisor.zero(3), pairs)
+        assert refinements == []
 
 
 def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
