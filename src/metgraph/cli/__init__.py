@@ -391,8 +391,9 @@ def _cmd_oracle(g, divisor, args):
     closed_values = [
         (resistance_point(g, x, y), evaluate_green(g, divisor, x, y)) for x, y in pairs
     ]
+    oracle_values = _pair_values(g, divisor, pairs, MAX_VERTICES)
     rows = []
-    for (x, y), closed_rg, oracle_rg in zip(pairs, closed_values, _pair_values(g, divisor, pairs)):
+    for (x, y), closed_rg, oracle_rg in zip(pairs, closed_values, oracle_values):
         for name, closed, via_oracle in zip("rg", closed_rg, oracle_rg):
             rows.append(
                 {

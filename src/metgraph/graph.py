@@ -482,6 +482,17 @@ def adequate_refinement(
     One pass suffices: each piece of a split edge meets a fresh vertex, and
     a loop is cut at least twice.
     """
+    refined, relabeling = _split_edges(g, _adequate_cuts(g, cuts))
+    if not validate_adequate(refined):
+        raise NotAdequate("edge splitting left loops or parallels")
+    return refined, relabeling
+
+
+def _adequate_cuts(
+    g: MetrizedGraph, cuts: Mapping[int, Iterable[Fraction]]
+) -> dict[int, set[Fraction]]:
+    """The interior ``cuts`` merged with those of ``make_adequate``, per
+    edge; ``adequate_refinement`` makes one new vertex for each."""
     merged = {i: set(offsets) for i, offsets in cuts.items()}
     classes: dict[frozenset[int], list[int]] = {}
     for i, e in enumerate(g.edges):
@@ -492,10 +503,7 @@ def adequate_refinement(
     for members in classes.values():
         for i in members[1:]:
             merged.setdefault(i, set()).add(g.edges[i].length / 2)
-    refined, relabeling = _split_edges(g, merged)
-    if not validate_adequate(refined):
-        raise NotAdequate("edge splitting left loops or parallels")
-    return refined, relabeling
+    return merged
 
 
 # ---------------------------------------------------------------------------

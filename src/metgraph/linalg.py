@@ -2,10 +2,11 @@
 
 Matrices are held as integers over one denominator, and the pseudoinverse
 is computed in Python ints: the vertices are put in reverse Cuthill-McKee
-order, the grounded Laplacian is eliminated fraction-free inside its
-envelope, and one triangle of its symmetric adjugate is back-substituted
-fraction-free.  There is no floating point anywhere, so equalities between
-computed matrices are meaningful.
+order, the grounded Laplacian, each row scaled by its own least
+denominator, is eliminated fraction-free inside its envelope, and one
+triangle of its inverse times that elimination's determinant, a symmetric
+integer matrix, is back-substituted fraction-free.  There is no floating
+point anywhere, so equalities between computed matrices are meaningful.
 """
 
 from __future__ import annotations
@@ -159,41 +160,47 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     L is held as integers over its denominator s, and the Laplacian checks
     run on them.  The vertices are put in reverse Cuthill-McKee order and
     the last one is grounded, leaving A, positive definite exactly when the
-    graph is connected.  Row i of A starts at its first nonzero column f_i,
-    and by symmetry column k ends at row hi_k, the last row j with
-    f_j <= k.  Elimination without pivoting fills in nothing outside this
-    envelope, so row i only ever spans the columns f_i to hi_i.
+    graph is connected.  Row i of A is taken over its own least denominator
+    d_i = s / gcd(s, row i of s A): the integer matrix eliminated is
+    M = D A, with D = diag(d_i), so no row is wider than in s A, and a row
+    sheds every factor of s that its entries share.  (With every d_i = s
+    this is s A, whose pivots each carry a power of s.)  M has A's
+    sparsity pattern, which is symmetric.  Row i starts at its first
+    nonzero column f_i, and by symmetry column k ends at row hi_k, the last
+    row j with f_j <= k.  Elimination without pivoting fills in nothing
+    outside this envelope, so row i only ever spans the columns f_i to hi_i.
 
-    Forward pass: fraction-free elimination (Bareiss 1968) turns A into U,
-    whose row k holds minors of A, with pivot p_k = U[k][k] the leading
-    minor of order k + 1 (p_{-1} = 1).  Step k updates only the rows in
-    (k, hi_k] whose column-k entry is nonzero.  Bareiss's update of a row
-    with a zero factor only rescales it by p_k / p_{k-1}, and these
-    telescope, so the row keeps its values from the stage s it was last
-    updated to: its next update divides by p_{s-1} instead of p_{k-1}, and
-    as pivot row k it is first multiplied by p_{k-1} / p_{s-1}.  Every
-    result is a minor, so every division is exact.
+    Forward pass: fraction-free elimination (Bareiss 1968) turns M into U,
+    whose row k holds minors of M, with pivot p_k = U[k][k] the leading
+    minor of order k + 1 (p_{-1} = 1), d_0 ... d_k times that of A.  Step k
+    updates only the rows in (k, hi_k] whose column-k entry is nonzero.
+    Bareiss's update of a row with a zero factor only rescales it by
+    p_k / p_{k-1}, and these telescope, so the row keeps its values from
+    the stage s it was last updated to: its next update divides by p_{s-1}
+    instead of p_{k-1}, and as pivot row k it is first multiplied by
+    p_{k-1} / p_{s-1}.  Every result is a minor, so every division is
+    exact.
 
-    Back-substitution: the same steps on [A | I] would leave [U | R] with
-    R A = U, R lower triangular and R[i][i] = p_{i-1}, so the adjugate
-    X = det A * A^-1 solves U X = det A * R.  X is symmetric, so only its
-    upper triangle is solved for, and there det A * R is known without
-    building R: det A * p_{i-1} on the diagonal, 0 above it.  Column c
-    from the last, row i from c up, X[i][c] = (det A * p_{i-1} [i = c] -
-    sum over j in (i, hi_i] of U[i][j] X[j][c]) / p_i, reading X[j][c]
-    below the diagonal as X[c][j]; the division is exact because X is an
-    integer matrix (Nakos, Turner and Williams 1997).
+    Back-substitution: the same steps on [M | I] would leave [U | R] with
+    R M = U, R lower triangular and R[i][i] = p_{i-1}.  Y = det M * A^-1 is
+    the adjugate of M times D, an integer matrix, symmetric because A is,
+    and it solves U Y = det M * R D.  Only its upper triangle is solved for,
+    and there det M * R D is known without building R: det M * p_{i-1} * d_i
+    on the diagonal, 0 above it.  Column c from the last, row i from c up,
+    Y[i][c] = (det M * p_{i-1} * d_i [i = c] - sum over j in (i, hi_i] of
+    U[i][j] Y[j][c]) / p_i, reading Y[j][c] below the diagonal as Y[c][j];
+    the division is exact because Y is an integer matrix (Nakos, Turner
+    and Williams 1997).
 
-    Centring: s X / det A, padded with a zero row and column for the
-    grounded vertex and put back in the input's vertex order, is a
-    generalized inverse G of L, and L+[i][j] = G[i][j] - m_i - m_j + mu,
-    with m the row means of G and mu their mean.  Over the one denominator
-    n^2 det A each entry is s (n^2 B[i][j] - n b_i - n b_j + b) / (n^2 det A),
-    with B the padded X, b_i its row sums and b their sum; one gcd brings
-    that to lowest terms.  L+ is symmetric, so this runs on the upper
-    triangle, which is then mirrored.  The order changes nothing: det A is
-    the same whichever vertex is grounded (the matrix-tree theorem), L+ is
-    unique, and so are its integers in lowest terms.
+    Centring: Y / det M, padded with a zero row and column for the grounded
+    vertex and put back in the input's vertex order, is a generalized
+    inverse G of L, and L+[i][j] = G[i][j] - m_i - m_j + mu, with m the row
+    means of G and mu their mean.  Over the one denominator n^2 det M each
+    entry is (n^2 B[i][j] - n b_i - n b_j + b) / (n^2 det M), with B the
+    padded Y, b_i its row sums and b their sum; one gcd brings that to
+    lowest terms.  L+ is symmetric, so this runs on the upper triangle,
+    which is then mirrored.  Neither the order nor the row scales change
+    the result: L+ is unique, and so are its integers in lowest terms.
 
     Any other matrix raises ``MetgraphError``: a Laplacian is symmetric, its
     off-diagonal entries are at most zero and its rows sum to zero.
@@ -213,7 +220,12 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
         [[v for v, x in enumerate(row) if x and v != u] for u, row in enumerate(ints)]
     )
     m = n - 1
-    rows = [[ints[u][v] for v in order[:m]] for u in order[:m]]
+    rows, scales = [], []  # scales[i] = d_i, row i's least denominator
+    for u in order[:m]:
+        row = [ints[u][v] for v in order[:m]]
+        common = gcd(scale, *row)
+        rows.append([x // common for x in row])
+        scales.append(scale // common)
     first = [next(j for j, x in enumerate(row) if x or j == i) for i, row in enumerate(rows)]
     reach = list(range(m))
     for i, f in enumerate(first):
@@ -221,10 +233,10 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     hi = list(accumulate(reach, max))
     # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
     # A, in any vertex order, is positive semidefinite, and definite exactly
-    # when the graph is connected.  Pivot k is the leading principal minor of
-    # order k + 1.  A definite A has none zero; a zero one has a null vector
-    # x, and x padded with zeros has x^T A x = 0, so A is singular.  No pivot
-    # search is needed.
+    # when the graph is connected.  Pivot k is d_0 ... d_k times A's leading
+    # principal minor of order k + 1.  A definite A has none zero; a zero one
+    # has a null vector x, and x padded with zeros has x^T A x = 0, so A is
+    # singular.  No pivot search is needed.
     pivots = [1]  # pivots[s] = p_{s-1}, the divisor of a row last updated at stage s
     stage = [0] * m
     for k, row in enumerate(rows):
@@ -250,20 +262,20 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
         pivots.append(pivot)
     det = pivots[-1]
     # column c is replaced once solved; the grounded vertex's stays zero
-    adjugate = [[0] * n] * n
+    solved = [[0] * n] * n
     for c in reversed(range(m)):
-        column = [0] * (c + 1) + [adjugate[j][c] for j in range(c + 1, n)]
+        column = [0] * (c + 1) + [solved[j][c] for j in range(c + 1, n)]
         for i in reversed(range(c + 1)):
             row, end = rows[i], hi[i] + 1
             below = sum(map(mul, row[i + 1 : end], column[i + 1 : end]))
-            column[i] = ((det * pivots[i] if i == c else 0) - below) // row[i]
-        adjugate[c] = column
+            column[i] = ((det * pivots[i] * scales[c] if i == c else 0) - below) // row[i]
+        solved[c] = column
     place = sorted(range(n), key=order.__getitem__)  # place[u]: u's position in order
-    sums = [sum(adjugate[p]) for p in place]
+    sums = [sum(solved[p]) for p in place]
     total, nn = sum(sums), n * n
     upper = [
-        [scale * (nn * row[q] - n * (si + sj) + total) for q, sj in zip(place[u:], sums[u:])]
-        for u, (row, si) in enumerate(zip(map(adjugate.__getitem__, place), sums))
+        [nn * row[q] - n * (si + sj) + total for q, sj in zip(place[u:], sums[u:])]
+        for u, (row, si) in enumerate(zip(map(solved.__getitem__, place), sums))
     ]
     den = nn * det
     common = gcd(den, *(x for row in upper for x in row))

@@ -9,14 +9,16 @@ pseudoinverse, tau and c_mu are recomputed there and freed with it.
 
 ``oracle_resistance`` and ``oracle_green`` build one refinement per call.
 The CLI's ``oracle`` command answers a whole points file through
-``_pair_values``, which answers all pairs that cut the graph at the same
-offsets from one refinement, and keeps only one refinement alive at a time.
+``_pair_values``, which packs the pairs' distinct cut sets into batches
+whose refinement has at most ``cli.MAX_VERTICES`` vertices, answers every
+pair of a batch from that one refinement, and keeps only one refinement
+alive at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analysis import Network
 from .errors import PointOutOfRange
@@ -26,6 +28,7 @@ from .graph import (
     MetrizedGraph,
     PointRelabeling,
     Record,
+    _adequate_cuts,
     adequate_refinement,
     check_divisor,
     validate_point,
@@ -104,31 +107,69 @@ def _pair_values(
     g: MetrizedGraph,
     divisor: Divisor,
     pairs: Iterable[tuple[GraphPoint | tuple, GraphPoint | tuple]],
+    max_vertices: int,
 ) -> list[tuple[Fraction, Fraction]]:
     """``(oracle_resistance, oracle_green)`` of every pair (x, y), in input
     order.
 
-    Every point is validated first, in order, x before y.  Pairs whose
-    points make the same cuts are answered from one refinement, and each
-    refinement is dropped before the next is built, so at most one, with
-    its L+, is alive at a time.
+    Every point is validated first, in order, x before y.  The distinct sets
+    of cuts the pairs make are packed, in order of first appearance, into
+    batches whose refinement has at most ``max_vertices`` vertices; a cut
+    set past the bound on its own is a batch of its own.  All pairs of a
+    batch are answered from one refinement, and each refinement is dropped
+    before the next is built, so at most one, with its L+, is alive at a
+    time.
     """
-    pairs = list(pairs)
-    groups: dict[frozenset[tuple[int, Fraction]], list[int]] = {}
+    pairs = [(validate_point(g, x), validate_point(g, y)) for x, y in pairs]
+    cut_sets: dict[frozenset[GraphPoint], list[int]] = {}
     for k, pair in enumerate(pairs):
-        cuts = _cuts(g, pair)
-        key = frozenset((edge, offset) for edge, offsets in cuts.items() for offset in offsets)
-        groups.setdefault(key, []).append(k)
+        key = frozenset(pt for pt in pair if vertex_at(g, pt) is None)
+        cut_sets.setdefault(key, []).append(k)
     values: dict[int, tuple[Fraction, Fraction]] = {}
-    for members in groups.values():
-        # any member's points make the group's cuts; going through the public
-        # function keeps one call per refinement visible to a wrapper around it
-        sub = subdivide_at_points(g, pairs[members[0]])
-        for k in members:
-            x, y = pairs[k]
-            values[k] = (sub.resistance(x, y), sub.green(divisor, x, y))
-        del sub
+    for members in _batches(g, cut_sets, max_vertices):
+        values.update(zip(members, _batch_values(g, divisor, [pairs[k] for k in members])))
     return [values[k] for k in range(len(pairs))]
+
+
+def _batches(
+    g: MetrizedGraph, cut_sets: dict[frozenset[GraphPoint], list[int]], max_vertices: int
+) -> Iterator[list[int]]:
+    """The members of ``cut_sets`` in batches, in order: a new batch starts
+    where the next cut set would give a batch's refinement more than
+    ``max_vertices`` vertices, which are the graph's own plus one per
+    distinct cut, the cuts that make it adequate included."""
+    adequacy = {(i, x) for i, offsets in _adequate_cuts(g, {}).items() for x in offsets}
+    batch: list[int] = []
+    cuts = adequacy
+    for key, members in cut_sets.items():
+        grown = cuts | key
+        if batch and g.n_vertices + len(grown) > max_vertices:
+            yield batch
+            batch, grown = [], adequacy | key
+        batch += members
+        cuts = grown
+    if batch:
+        yield batch
+
+
+def _batch_values(
+    g: MetrizedGraph, divisor: Divisor, pairs: list[tuple[GraphPoint, GraphPoint]]
+) -> list[tuple[Fraction, Fraction]]:
+    """``(oracle_resistance, oracle_green)`` of validated pairs, all read
+    off one refinement at their points, which is freed on return.  The
+    divisor is lifted once, and each distinct point's vertex found once."""
+    points = dict.fromkeys(pt for pair in pairs for pt in pair)
+    # going through the public function keeps one call per refinement
+    # visible to a wrapper around it
+    sub = subdivide_at_points(g, points)
+    lplus, div = sub.network.pinv, sub.network.divisor(sub.lift_divisor(divisor))
+    vertex = {pt: sub.vertex_index(pt) for pt in points}
+    values = []
+    for x, y in pairs:
+        u, v = vertex[x], vertex[y]
+        numerators, den = green_row_at_vertices(div, u)
+        values.append((resistance_at_vertices(lplus, u, v), Fraction(numerators[v], den)))
+    return values
 
 
 def oracle_resistance(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:

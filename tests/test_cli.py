@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import metgraph as mg
-from conftest import serialize_graph
+from conftest import load_pairs, serialize_graph
 from metgraph.cli import decimal_approx, format_entry, parse_graph, run
 
 F = Fraction
@@ -765,6 +765,16 @@ def test_pinv_ci_pins(form, pinned_graphs, capsys):
     assert stdout_digest(["pinv", str(pinned_graphs[10]), *flags], capsys)[0] == digest
 
 
+def test_pinv_of_wide_operands_is_pinned(capsys):
+    # an 8x8 grid whose lengths are ratios p/q of two distinct four-digit
+    # primes from a seeded pool of 28, so the lcm of all length numerators
+    # is wide; recorded when L+ was eliminated scaled by that lcm, where the
+    # command took about 4 s, and pinned in CI under a 60 s timeout
+    path = Path(__file__).parent / "data" / "prime_ratio_8x8.json"
+    digest = "a2430c197751c0c231a4a55633adff86aaebc0f2f15c53f3fa778400d1276939"
+    assert stdout_digest(["pinv", str(path), "--machine"], capsys)[0] == digest
+
+
 # (command, graph, --x, --y, printed value), as pinned in the workflow
 POINT_PINS = [
     ("green", TESSERACT, "0:1", "3:0", "73483/714432"),
@@ -809,14 +819,33 @@ ORACLE_PINS = {
         "f1bea1d4af0315fc481924003a3b1d12667cdbcca646c87223e65f64b72c6aaa",
     ),
 }
-# distinct cut sets among each points file's 52 pairs: pairs 33-52 of the
-# tesseract's repeat pairs 1-20, and its pairs 13 and 29 cut nothing
-CUT_SETS = {"banana": 50, "circle": 44, "joint_circles": 44, "tesseract": 31, "two_bridges": 44}
+# vertex counts of the refinements the oracle builds for 200 seeded tesseract
+# pairs: their 257 distinct cuts are more than one refinement of at most
+# MAX_VERTICES = 100 vertices can hold, so the pairs' cut sets are packed
+# into four refinements in turn
+LONG_FILE_SIZES = [100, 100, 100, 91]
 
 
 def oracle_argv(name, points=None):
     points = points or POINTS / f"{name}.txt"
     return ["oracle", str(GRAPHS / f"{name}.json"), "--points", str(points)]
+
+
+@pytest.fixture(scope="module")
+def long_tesseract_points(tmp_path_factory):
+    """A points file of 200 seeded tesseract pairs, a tenth of their points
+    at an edge end."""
+    rng, lines = random.Random(24), []
+    for _ in range(200):
+        tokens = []
+        for _ in range(2):
+            q = rng.randrange(2, 10)
+            offset = F(rng.randrange(2)) if rng.random() < 0.1 else F(rng.randrange(1, q), q)
+            tokens.append(f"{rng.randrange(32)}:{offset}")
+        lines.append(" ".join(tokens))
+    path = tmp_path_factory.mktemp("points") / "tesseract_long.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.mark.parametrize("name", ORACLE_PINS)
@@ -836,15 +865,20 @@ def count_refinements(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("name", CUT_SETS)
+@pytest.mark.parametrize("name", ORACLE_PINS)
 def test_oracle_builds_one_refinement_per_cut_set(name, monkeypatch, capsys):
+    # a standing points file's cut sets (31 to 50 distinct ones among its 52
+    # pairs) fit under the vertex bound together, so one refinement, cut at
+    # every point of the file, answers every pair
     calls = count_refinements(monkeypatch)
     assert run(oracle_argv(name)) == 0
     assert len(lines_of(capsys)) == 104
-    assert len(calls) == CUT_SETS[name]
+    g, _ = parse_graph((GRAPHS / f"{name}.json").read_text())
+    points = [pt for pair in load_pairs(name) for pt in pair]
+    assert calls == [mg.oracle._cuts(g, points)]
 
 
-def test_oracle_keeps_one_refinement_alive(monkeypatch, capsys):
+def test_oracle_keeps_one_refinement_alive(long_tesseract_points, monkeypatch, capsys):
     # at each refinement's construction, every earlier one and its network
     # are already freed, and none outlives the command
     refs, alive_at_build, subdivided = [], [], mg.oracle.SubdividedGraph
@@ -856,10 +890,30 @@ def test_oracle_keeps_one_refinement_alive(monkeypatch, capsys):
         return sub
 
     monkeypatch.setattr(mg.oracle, "SubdividedGraph", tracked)
-    assert run(oracle_argv("tesseract")) == 0
-    lines_of(capsys)
-    assert alive_at_build == [0] * CUT_SETS["tesseract"]
+    assert run(oracle_argv("tesseract", long_tesseract_points)) == 0
+    assert len(lines_of(capsys)) == 400
+    assert alive_at_build == [0] * len(LONG_FILE_SIZES)
     assert all(ref() is None for ref in refs)
+
+
+def test_oracle_batches_stay_within_the_vertex_bound(long_tesseract_points, monkeypatch):
+    g, _ = parse_graph(Path(TESSERACT).read_text())
+    d = mg.Divisor(tuple(range(16)))
+    pairs = mg.cli._read_point_pairs(str(long_tesseract_points))
+    sizes, refine = [], mg.oracle.adequate_refinement
+
+    def measured(g, cuts):
+        refined, relabeling = refine(g, cuts)
+        sizes.append(refined.n_vertices)
+        return refined, relabeling
+
+    monkeypatch.setattr(mg.oracle, "adequate_refinement", measured)
+    values = mg.oracle._pair_values(g, d, pairs, mg.cli.MAX_VERTICES)
+    assert sizes == LONG_FILE_SIZES
+    assert max(sizes) <= mg.cli.MAX_VERTICES
+    assert values == [
+        (mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)) for x, y in pairs
+    ]
 
 
 def test_oracle_leaves_only_the_input_graph_in_the_network_cache(capsys):

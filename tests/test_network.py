@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import metgraph as mg
-from conftest import seeded_grid, standing_graphs
+from conftest import load_pairs, seeded_grid, standing_graphs
 
 F = Fraction
 
@@ -172,6 +172,31 @@ def test_oracle_refinement_pseudoinverses_are_frozen():
             digest.update(b"\n" + " ".join(map(str, row)).encode())
     assert len(refinements) == 31
     assert digest.hexdigest() == FROZEN_REFINEMENT_LPLUS_DIGEST
+
+
+# sha256 of every pseudoinverse entry of the one refinement the oracle builds
+# for each standing graph's frozen points file, cut at all of its points,
+# frozen from the implementation that eliminated the Laplacian scaled by the
+# lcm of all length numerators.
+FROZEN_SHARED_REFINEMENT_LPLUS_DIGESTS = {
+    "banana": (62, "54cea3751025f51570e82aedb017bd514167f9e0d0dea4448369a89a0adaba13"),
+    "circle": (45, "a5bd3618b8e6bc0bd8dfd158277724ef4306f2cea4098ff74d2e933502f1fcd2"),
+    "joint_circles": (51, "850a7657b08af21eae37ca88930004c261545e6ac3e5228c9e7944191c101795"),
+    "tesseract": (72, "247602633bb5693d33af239e6884d7326089287b3efd6bd21c501866631bdbaa"),
+    "two_bridges": (52, "8cf0418e1b10a69ab41d2b7eb54a40ddec2fc15ba6eeb501155c256ecba9c541"),
+}
+
+
+def test_oracle_shared_refinement_pseudoinverses_are_frozen():
+    found = {}
+    for name in FROZEN_SHARED_REFINEMENT_LPLUS_DIGESTS:
+        g = mg.cli.parse_graph((GRAPHS / f"{name}.json").read_text())[0]
+        sub = mg.subdivide_at_points(g, [pt for pair in load_pairs(name) for pt in pair]).graph
+        digest = hashlib.sha256(f"refinement {sub.n_vertices} {sub.n_edges}".encode())
+        for row in mg.pinv(sub).rows():
+            digest.update(b"\n" + " ".join(map(str, row)).encode())
+        found[name] = (sub.n_vertices, digest.hexdigest())
+    assert found == FROZEN_SHARED_REFINEMENT_LPLUS_DIGESTS
 
 
 def point_query_cases(monkeypatch):

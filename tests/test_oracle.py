@@ -185,13 +185,14 @@ CLOSED_FORMS = (
 
 
 class TestPairValues:
-    """``oracle._pair_values``, the CLI's oracle: one refinement per cut set."""
+    """``oracle._pair_values``, the CLI's oracle: pairs batched into shared
+    refinements of at most ``max_vertices`` vertices."""
 
     def test_values_are_the_per_pair_oracle(self, standing):
         name, g, d = standing
         pairs = load_pairs(name)[:10]
         pairs += [pairs[3], (pairs[0][1], pairs[0][0])]
-        assert mg.oracle._pair_values(g, d, pairs) == [
+        assert mg.oracle._pair_values(g, d, pairs, mg.cli.MAX_VERTICES) == [
             (mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)) for x, y in pairs
         ]
 
@@ -205,17 +206,22 @@ class TestPairValues:
 
         monkeypatch.setattr(mg.oracle, "adequate_refinement", counted)
         # (1, 1/2) and (0, 1/4) in either order, and two pairs of vertices,
-        # which cut nothing: two cut sets
+        # which cut nothing: two cut sets, which together make a refinement
+        # of 5 vertices; under a bound of 4 the first is past the bound on
+        # its own and is answered alone
         pairs = [
             ((1, F(1, 2)), (0, F(1, 4))),
             ((0, F(0)), (2, F(1, 2))),
             ((0, F(1, 4)), (1, F(1, 2))),
             ((1, F(1)), (2, F(0))),
         ]
-        values = mg.oracle._pair_values(g, d, pairs)
-        assert refinements == [{1: {F(1, 2)}, 0: {F(1, 4)}}, {}]
-        assert values[0] == values[2]
-        assert values[1][0] == mg.vertex_resistance(g, 1, 2)
+        cuts = {1: {F(1, 2)}, 0: {F(1, 4)}}
+        for bound, expected in [(100, [cuts]), (5, [cuts]), (4, [cuts, {}]), (1, [cuts, {}])]:
+            refinements.clear()
+            values = mg.oracle._pair_values(g, d, pairs, bound)
+            assert refinements == expected
+            assert values[0] == values[2]
+            assert values[1][0] == mg.vertex_resistance(g, 1, 2)
 
     def test_every_point_is_validated_before_any_refinement(self, monkeypatch):
         g = build_circle()
@@ -223,7 +229,7 @@ class TestPairValues:
         monkeypatch.setattr(mg.oracle, "adequate_refinement", lambda g, c: refinements.append(c))
         pairs = [((0, F(1, 4)), (1, F(1, 2))), ((1, F(3)), (0, F(5))), ((2, F(7)), (0, F(0)))]
         with pytest.raises(mg.PointOutOfRange, match=r"^offset 3 outside \[0, 1\] on edge 1$"):
-            mg.oracle._pair_values(g, mg.Divisor.zero(3), pairs)
+            mg.oracle._pair_values(g, mg.Divisor.zero(3), pairs, mg.cli.MAX_VERTICES)
         assert refinements == []
 
 
