@@ -9,6 +9,11 @@ point of the graph is an ``(edge, offset)`` pair, checked in integers by
 point.  A length, offset or scale factor given as a string must be an
 integer or ``p/q``.
 
+A graph lists the edge ends at each vertex once, at construction, and
+valences, vertex descriptions, connectivity and bridges read that table.
+A graph is adequate (no loops, no parallel edges) when ``make_adequate``
+would cut nothing.
+
 Every refinement is one split of the edges, at the cuts that make the graph
 adequate plus any requested points (``adequate_refinement``).
 
@@ -134,10 +139,13 @@ class MetrizedGraph(Record):
     used for display and serialization.  Construction normalizes lengths to
     ``Fraction`` and rejects empty graphs, dangling endpoints, nonpositive
     lengths and disconnected edge sets.  Every cache lookup hashes the
-    graph, so the hash is computed once, here.
+    graph, so the hash is computed once, here.  So is the incidence,
+    derived from the edges and rebuilt with them: ``_ends[v]`` lists the
+    edge ends at vertex ``v`` as ``(edge, end, other vertex)`` in edge
+    order, end 0 at the tail and 1 at the head, so a loop appears twice.
     """
 
-    __slots__ = ("vertices", "edges", "_hash")
+    __slots__ = ("vertices", "edges", "_hash", "_ends")
     _fields = ("vertices", "edges")
 
     vertices: tuple[str, ...]
@@ -151,6 +159,7 @@ class MetrizedGraph(Record):
             raise MetgraphError("vertex labels must be distinct")
         n = len(verts)
         norm = []
+        ends: list[list[tuple[int, int, int]]] = [[] for _ in verts]
         for k, raw in enumerate(edges):
             tail, head, length = raw
             if any(isinstance(end, bool) or not isinstance(end, int) for end in (tail, head)):
@@ -161,9 +170,12 @@ class MetrizedGraph(Record):
             if length <= 0:
                 raise NonpositiveLength(f"edge {k} has nonpositive length {length}")
             norm.append(Edge(int(tail), int(head), length))
+            ends[tail].append((k, 0, head))
+            ends[head].append((k, 1, tail))
         if not norm:
             raise MetgraphError("a metrized graph needs at least one edge")
         self._assign(verts, tuple(norm))
+        object.__setattr__(self, "_ends", tuple(map(tuple, ends)))
         if len(_reachable(self, 0)) != n:
             raise GraphDisconnected("the edge set does not connect all vertices")
         object.__setattr__(self, "_hash", hash(self._values()))
@@ -184,9 +196,10 @@ class MetrizedGraph(Record):
         return sum((e.length for e in self.edges), Fraction(0))
 
     def valence(self, v: int) -> int:
-        """Number of edge ends at vertex ``v``; a loop contributes two."""
+        """Number of edge ends at vertex ``v``, read off the incidence
+        table; a loop contributes two."""
         self._check_vertex(v)
-        return sum((e.tail == v) + (e.head == v) for e in self.edges)
+        return len(self._ends[v])
 
     def scaled(self, factor: Fraction | int | str) -> "MetrizedGraph":
         """The same graph with every edge length multiplied by ``factor``."""
@@ -353,25 +366,16 @@ def representations(g: MetrizedGraph, v: int) -> tuple[GraphPoint, ...]:
     single description must be picked.
     """
     g._check_vertex(v)
-    reps = []
-    for i, e in enumerate(g.edges):
-        if e.tail == v:
-            reps.append(GraphPoint(i, Fraction(0)))
-        if e.head == v:
-            reps.append(GraphPoint(i, e.length))
-    return tuple(reps)
+    return tuple(
+        GraphPoint(i, g.edges[i].length if end else Fraction(0)) for i, end, _ in g._ends[v]
+    )
 
 
 def point_of_vertex(g: MetrizedGraph, v: int) -> GraphPoint:
     """The canonical description of vertex ``v``, the first of
     ``representations(g, v)``: its first incident end in edge order.  A
     connected graph with an edge has one at every vertex."""
-    g._check_vertex(v)
-    return next(
-        GraphPoint(i, Fraction(0)) if e.tail == v else GraphPoint(i, e.length)
-        for i, e in enumerate(g.edges)
-        if v in (e.tail, e.head)
-    )
+    return representations(g, v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +383,9 @@ def point_of_vertex(g: MetrizedGraph, v: int) -> GraphPoint:
 
 
 def validate_adequate(g: MetrizedGraph) -> bool:
-    """True when the graph has no loops and no parallel edges."""
-    seen = set()
-    for e in g.edges:
-        if e.tail == e.head:
-            return False
-        key = frozenset((e.tail, e.head))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    """True when the graph has no loops and no parallel edges, that is,
+    when ``make_adequate`` would cut nothing."""
+    return not _adequate_cuts(g, {})
 
 
 def require_adequate(g: MetrizedGraph) -> None:
@@ -512,14 +509,10 @@ def _adequate_cuts(
 
 def _reachable(g: MetrizedGraph, start: int) -> frozenset[int]:
     """Vertices joined to ``start`` by edges."""
-    adj: dict[int, list[int]] = {}
-    for e in g.edges:
-        adj.setdefault(e.tail, []).append(e.head)
-        adj.setdefault(e.head, []).append(e.tail)
     seen = {start}
     stack = [start]
     while stack:
-        for w in adj.get(stack.pop(), ()):
+        for _, _, w in g._ends[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -538,25 +531,21 @@ def find_bridge_sides(g: MetrizedGraph) -> dict[int, frozenset[int]]:
     read when w is finished.  The tail's side is that subtree or the rest.
     """
     n = g.n_vertices
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, e in enumerate(g.edges):
-        adjacent[e.tail].append((e.head, i))
-        adjacent[e.head].append((e.tail, i))
     found = [0] * n  # discovery index, counted from 1; 0 for undiscovered
     low = [0] * n
     order = [0]
     found[0] = low[0] = 1
-    stack = [(0, -1, iter(adjacent[0]))]
+    stack = [(0, -1, iter(g._ends[0]))]
     sides = {}
     while stack:
         v, via, rest = stack[-1]
-        for w, i in rest:
+        for i, _, w in rest:
             if i == via:
                 continue
             if not found[w]:
                 order.append(w)
                 found[w] = low[w] = len(order)
-                stack.append((w, i, iter(adjacent[w])))
+                stack.append((w, i, iter(g._ends[w])))
                 break
             low[v] = min(low[v], found[w])
         else:

@@ -48,7 +48,7 @@ from .graph import (
     point_of_vertex,
 )
 from .green import ValueMatrix, value_matrix
-from .potential import green_row_at_vertices, tau_constant, vertex_resistance
+from .potential import green_row_at_vertices, tau_constant
 
 if TYPE_CHECKING:
     from .analysis import DivisorAnalysis
@@ -59,7 +59,9 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
     resistance of the base point against the divisor.
 
     The result does not depend on the base vertex; by default the tail of
-    edge 0 is used.
+    edge 0 is used.  The Green values come from the value matrix, the
+    resistance from L+ = N / D alone: sum_k a_k r(p, p_k) is
+    deg D N_pp + sum_k a_k (N_kk - 2 N_pk) over D, summed in integers.
     """
     deg = admissible_degree(g, divisor)
     if base is None:
@@ -67,24 +69,28 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
     g._check_vertex(base)
     matrix = value_matrix(g, divisor)
     base_pt = point_of_vertex(g, base)
+    support = [(k, a) for k, a in enumerate(divisor.coefficients) if a]
     green_sum = Fraction(0)
-    resist_sum = Fraction(0)
-    for k, ak in enumerate(divisor.coefficients):
-        if ak == 0:
-            continue
+    for k, ak in support:
         green_sum += ak * matrix.evaluate(base_pt, point_of_vertex(g, k))
-        resist_sum += ak * vertex_resistance(g, base, k)
-    return (deg + 2) * green_sum + resist_sum
+    lplus = network(g).pinv
+    num = lplus.numerators
+    row = num[base]
+    resist = deg * row[base] + sum(a * (num[k][k] - 2 * row[k]) for k, a in support)
+    return (deg + 2) * green_sum + Fraction(resist, lplus.denominator)
 
 
 def epsilon_via_resistance(g: MetrizedGraph, divisor: Divisor) -> Fraction:
-    """Epsilon from the closed form in tau and pairwise resistances."""
+    """Epsilon from the closed form in tau and pairwise resistances; with
+    L+ = N / D, sum_k sum_l a_k a_l r(k, l) is summed in integers, as
+    2 (deg D sum_k a_k N_kk - sum_k sum_l a_k a_l N_kl) / D."""
     deg = admissible_degree(g, divisor)
-    support = divisor.support()
-    quad = Fraction(0)
-    for k in support:
-        for l in support:
-            quad += divisor[k] * divisor[l] * vertex_resistance(g, k, l)
+    support = [(k, a) for k, a in enumerate(divisor.coefficients) if a]
+    lplus = network(g).pinv
+    num = lplus.numerators
+    diagonal = sum(a * num[k][k] for k, a in support)
+    cross = sum(a * sum(b * num[k][l] for l, b in support) for k, a in support)
+    quad = Fraction(2 * (deg * diagonal - cross), lplus.denominator)
     return (4 * tau_constant(g) * deg + quad) / (deg + 2)
 
 
@@ -147,9 +153,9 @@ def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int,
     entry.  Cells (p, q) and (q, p) are one object, except on a diagonal
     entry, which is stored as given, so there g(q, p) is its own corner."""
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
-    # per vertex: its edge, the end it sits at (0 the tail, 1 the head), the length
-    points = [point_of_vertex(g, v) for v in range(g.n_vertices)]
-    ends = [(x.edge, int(x.offset != 0), *lengths[x.edge]) for x in points]
+    # per vertex, its canonical description, its first edge end: the edge,
+    # the end (0 the tail, 1 the head) and the edge's length
+    ends = [(i, a, *lengths[i]) for (i, a, _), *_ in g._ends]
     rows = matrix._rows
     table: list[list[tuple[int, int]]] = [[None] * len(ends) for _ in ends]
     for p, (i, a, pi, qi) in enumerate(ends):
@@ -248,23 +254,20 @@ def _representation_report(
     and as corner (b, a) of z_ji, z_ij with x and y swapped, it is g(q, p).
     When the table's g(p, q) and g(q, p) agree, one comparison against that
     value stands for both entries, and a pair whose four corners all agree
-    is settled.  Ends of valence one are compared there too, which can only
-    send a pair back.  The diagonal entries and a pair with any failing
-    comparison go through ``compare``, entry by entry, and that alone builds
-    every mismatch.  The count is the entry-by-entry walk's: per edge i, two
-    comparisons per compared end of i and per edge j.
+    is settled.  Ends of valence one, read off the graph's incidence table,
+    are compared there too, which can only send a pair back.  The diagonal
+    entries and a pair with any failing comparison go through ``compare``,
+    entry by entry, and that alone builds every mismatch.  The count is the
+    entry-by-entry walk's: per edge i, two comparisons per compared end of
+    i and per edge j.
     """
-    # edge ends per vertex, one pass over the edges; a loop counts twice
-    valence = [0] * g.n_vertices
-    for e in g.edges:
-        valence[e.tail] += 1
-        valence[e.head] += 1
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     ends = [(e.tail, e.head) for e in g.edges]
     # per edge, its ends compared, as the offset 2 a of their corners (a is
     # 0 at the tail, 1 at the head) and their row of the table
     firsts = [
-        [(2 * a, p, table[p]) for a, p in enumerate(pair) if valence[p] >= 2] for pair in ends
+        [(2 * a, p, table[p]) for a, p in enumerate(pair) if len(g._ends[p]) >= 2]
+        for pair in ends
     ]
     m = len(ends)
     comparisons = 2 * m * sum(map(len, firsts))

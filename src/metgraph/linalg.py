@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .analysis import network
 from .errors import MetgraphError, SingularShift
-from .graph import MetrizedGraph, as_fraction, require_adequate
+from .graph import MetrizedGraph, as_fraction, is_index, require_adequate
 
 
 class RationalMatrix:
@@ -72,11 +72,13 @@ class RationalMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
+        if not (is_index(i, self.n_rows) and is_index(j, self.n_cols)):
             raise IndexError(f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} matrix")
         return Fraction(self.numerators[i][j], self.denominator)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        if not is_index(i, self.n_rows):
+            raise IndexError(f"row {i} outside a {self.n_rows}-row matrix")
         return tuple(Fraction(x, self.denominator) for x in self.numerators[i])
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -293,7 +295,7 @@ def pinv(g: MetrizedGraph) -> RationalMatrix:
 
 def resistance_at_vertices(lplus: RationalMatrix, p: int, q: int) -> Fraction:
     """Effective resistance between two vertices from the pseudoinverse."""
-    if not (0 <= p < lplus.n_rows and 0 <= q < lplus.n_rows):
+    if not (is_index(p, lplus.n_rows) and is_index(q, lplus.n_rows)):
         raise IndexError(f"vertices {(p, q)} outside a {lplus.n_rows}-vertex matrix")
     num = lplus.numerators
     return Fraction(num[p][p] - 2 * num[p][q] + num[q][q], lplus.denominator)

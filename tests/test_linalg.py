@@ -37,12 +37,25 @@ class TestRationalMatrix:
         with pytest.raises(ValueError):
             mg.RationalMatrix([])
 
-    def test_index_bounds(self):
+    def test_index_bounds(self, circle):
         m = mg.RationalMatrix([[1]])
         with pytest.raises(IndexError):
             m[0, 1]
         with pytest.raises(IndexError):
             m[-1, 0]
+        for i in (-1, 1):
+            with pytest.raises(IndexError):
+                m.row(i)
+        # a bool is an int only by inheritance, never an index
+        lp = mg.pinv(circle)
+        for key in ((True, 0), (0, False)):
+            with pytest.raises(IndexError):
+                lp[key]
+        with pytest.raises(IndexError):
+            lp.row(True)
+        for p, q in ((True, 2), (0, False)):
+            with pytest.raises(IndexError):
+                mg.resistance_at_vertices(lp, p, q)
 
     def test_arithmetic(self):
         # the test-local product the Penrose identities read

@@ -6,6 +6,8 @@ no parallel edges), so the whole pipeline applies without repair steps.
 must repair first.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -924,3 +926,62 @@ def reference_connectivity(g):
 @given(adequate_graphs())
 def test_connectivity_codes_match_their_definition(g):
     assert mg.connectivity_matrix(g).codes() == reference_connectivity(g)
+
+
+# -- the incidence table --------------------------------------------------------
+# A graph lists the edge ends at each vertex once, at construction; these
+# copies of the scans that table replaced are the reference.
+
+
+def copied_valence(g, v):
+    return sum((e.tail == v) + (e.head == v) for e in g.edges)
+
+
+def copied_representations(g, v):
+    reps = []
+    for i, e in enumerate(g.edges):
+        if e.tail == v:
+            reps.append(mg.GraphPoint(i, F(0)))
+        if e.head == v:
+            reps.append(mg.GraphPoint(i, e.length))
+    return tuple(reps)
+
+
+def copied_point_of_vertex(g, v):
+    return next(
+        mg.GraphPoint(i, F(0)) if e.tail == v else mg.GraphPoint(i, e.length)
+        for i, e in enumerate(g.edges)
+        if v in (e.tail, e.head)
+    )
+
+
+def copied_validate_adequate(g):
+    seen = set()
+    for e in g.edges:
+        if e.tail == e.head:
+            return False
+        key = frozenset((e.tail, e.head))
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+@common
+@given(st.one_of(adequate_graphs(), multigraphs()))
+def test_incidence_table_matches_the_copied_scans(g):
+    sides = cut_and_reach_sides(g)
+    # a copy or an unpickled graph is rebuilt through the constructor
+    for h in (g, copy.copy(g), pickle.loads(pickle.dumps(g))):
+        assert h == g and hash(h) == hash(g)
+        for v in range(g.n_vertices):
+            assert h.valence(v) == copied_valence(g, v)
+            reps = mg.representations(h, v)
+            assert reps == copied_representations(g, v)
+            assert list(map(type, reps)) == [mg.GraphPoint] * len(reps)
+            assert mg.point_of_vertex(h, v) == copied_point_of_vertex(g, v)
+        assert sum(map(h.valence, range(g.n_vertices))) == 2 * g.n_edges
+        assert mg.validate_adequate(h) == copied_validate_adequate(g)
+        found = mg.graph.find_bridge_sides(h)
+        assert found == sides and list(found) == list(sides)
+        assert mg.bridges(h) == frozenset(sides)
