@@ -42,6 +42,7 @@ from ..graph import (
     Edge,
     GraphPoint,
     MetrizedGraph,
+    _INTEGER,
     as_fraction,
     bridges,
     validate_adequate,
@@ -152,12 +153,22 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
     return graph, divisor
 
 
+def _parse_integer(text: str) -> int:
+    """``text`` as an int if it is ASCII digits with an optional sign, the
+    integer form of ``as_fraction``; ``ValueError`` otherwise.  ``int``
+    alone would also take "_" separators, other scripts' digits and
+    surrounding whitespace."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_point_token(token: str, field: str) -> GraphPoint:
     edge_part, sep, offset_part = token.partition(":")
     if not sep:
         raise GraphFormatError(f"{field}: expected EDGE:OFFSET, got {token!r}")
     try:
-        edge = int(edge_part)
+        edge = _parse_integer(edge_part)
     except ValueError:
         raise GraphFormatError(f"{field}: bad edge index {edge_part!r}") from None
     try:
@@ -169,7 +180,7 @@ def _parse_point_token(token: str, field: str) -> GraphPoint:
 
 def _divisor_option(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
+        return tuple(_parse_integer(tok.strip()) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"

@@ -31,7 +31,9 @@ The value classes here and in ``green``, ``invariants`` and ``oracle`` are
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import network
@@ -50,7 +52,10 @@ if TYPE_CHECKING:
 
 # Integers and p/q only: an exponent such as "1e200000" would let a short
 # string ask for a huge number, while Python's digit limit bounds these forms.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# ASCII digits only, without the "_" separators int() and Fraction() take;
+# the CLI reads edge indices and divisor coefficients with ``_INTEGER``.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(rf"{_INTEGER.pattern}(/[0-9]+)?")
 
 
 def as_fraction(value: Fraction | int | str, what: str) -> Fraction:
@@ -401,17 +406,23 @@ class PointRelabeling:
     Vertices keep their indices; a point of an old edge lands on the segment
     of the refinement that covers its offset.  Offsets exactly on a split
     land on the new vertex (described via the segment ending there).
+    ``point`` first checks its point with ``validate_point`` against the
+    graph that was cut, as every public entry does.
     """
 
-    def __init__(self, segments: Mapping[int, Sequence[tuple[int, Fraction, Fraction]]]):
+    def __init__(
+        self, g: MetrizedGraph, segments: Mapping[int, Sequence[tuple[int, Fraction, Fraction]]]
+    ):
+        self._original = g
         self._segments = {i: tuple(segs) for i, segs in segments.items()}
 
-    def point(self, pt: GraphPoint) -> GraphPoint:
-        edge, offset = pt
-        for new_edge, start, end in self._segments[edge]:
-            if start <= offset <= end:
-                return GraphPoint(new_edge, offset - start)
-        raise PointOutOfRange(f"offset {offset} outside edge {edge}")
+    def point(self, pt: GraphPoint | tuple) -> GraphPoint:
+        """Where a point of the cut graph lies in the refinement: on the
+        first segment whose end is at or past its offset."""
+        pt = validate_point(self._original, pt)
+        segments = self._segments[pt.edge]
+        new_edge, start, _ = segments[bisect_left(segments, pt.offset, key=itemgetter(2))]
+        return GraphPoint(new_edge, pt.offset - start)
 
 
 def _fresh_labels(used: set[str]) -> Iterable[str]:
@@ -456,7 +467,7 @@ def _split_edges(
         segs.append((len(new_edges), prev_off, e.length))
         new_edges.append(Edge(prev_vertex, e.head, e.length - prev_off))
         segments[i] = segs
-    return MetrizedGraph(tuple(labels), tuple(new_edges)), PointRelabeling(segments)
+    return MetrizedGraph(tuple(labels), tuple(new_edges)), PointRelabeling(g, segments)
 
 
 def make_adequate(g: MetrizedGraph) -> tuple[MetrizedGraph, PointRelabeling]:

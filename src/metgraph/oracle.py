@@ -7,12 +7,15 @@ the latter against an independent derivation.  Each refinement carries its
 own ``Network``, never entered in the ``analysis.network`` cache, so its
 pseudoinverse, tau and c_mu are recomputed there and freed with it.
 
+Values are read off a refinement only by ``SubdividedGraph.resistance``
+and ``SubdividedGraph.green``, which find each point's vertex through the
+relabeling, whose ``point`` validates the point against the original graph.
 ``oracle_resistance`` and ``oracle_green`` build one refinement per call.
 The CLI's ``oracle`` command answers a whole points file through
 ``_pair_values``, which packs the pairs' distinct cut sets into batches
 whose refinement has at most ``cli.MAX_VERTICES`` vertices, answers every
-pair of a batch from that one refinement, and keeps only one refinement
-alive at a time.
+pair of a batch from that one refinement through the same two readers, and
+keeps only one refinement alive at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ from .potential import green_row_at_vertices
 class SubdividedGraph(Record):
     """A refinement of a graph whose requested points became vertices,
     with the refinement's own analysis, ``network``, which is no field:
-    equality, hash and repr ignore it."""
+    equality, hash and repr ignore it.
+
+    ``resistance`` and ``green`` are the oracle's only readers of values;
+    ``vertex_index`` maps a point through ``relabeling.point``, which
+    validates it against ``original``."""
 
     __slots__ = ("original", "graph", "relabeling", "network")
     _fields = ("original", "graph", "relabeling")
@@ -57,7 +64,7 @@ class SubdividedGraph(Record):
 
     def vertex_index(self, pt: GraphPoint | tuple) -> int:
         """The refinement vertex an original point became."""
-        v = vertex_at(self.graph, self.relabeling.point(validate_point(self.original, pt)))
+        v = vertex_at(self.graph, self.relabeling.point(pt))
         if v is None:
             raise PointOutOfRange(f"point {pt} is not a vertex of the refinement")
         return v
@@ -156,20 +163,13 @@ def _batch_values(
     g: MetrizedGraph, divisor: Divisor, pairs: list[tuple[GraphPoint, GraphPoint]]
 ) -> list[tuple[Fraction, Fraction]]:
     """``(oracle_resistance, oracle_green)`` of validated pairs, all read
-    off one refinement at their points, which is freed on return.  The
-    divisor is lifted once, and each distinct point's vertex found once."""
-    points = dict.fromkeys(pt for pair in pairs for pt in pair)
+    off one refinement at their points through its ``resistance`` and
+    ``green``, the readers the per-pair oracle uses; the refinement is freed
+    on return."""
     # going through the public function keeps one call per refinement
     # visible to a wrapper around it
-    sub = subdivide_at_points(g, points)
-    lplus, div = sub.network.pinv, sub.network.divisor(sub.lift_divisor(divisor))
-    vertex = {pt: sub.vertex_index(pt) for pt in points}
-    values = []
-    for x, y in pairs:
-        u, v = vertex[x], vertex[y]
-        numerators, den = green_row_at_vertices(div, u)
-        values.append((resistance_at_vertices(lplus, u, v), Fraction(numerators[v], den)))
-    return values
+    sub = subdivide_at_points(g, (pt for pair in pairs for pt in pair))
+    return [(sub.resistance(x, y), sub.green(divisor, x, y)) for x, y in pairs]
 
 
 def oracle_resistance(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:

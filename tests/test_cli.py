@@ -443,6 +443,22 @@ class TestErrors:
             ["resistance", CIRCLE, "--x", "nonsense", "--y", "0:0"], capsys, "--x"
         )
 
+    @pytest.mark.parametrize("edge", ["0_1", "\u0661", "1\u0660", " 1"])
+    def test_edge_index_is_ascii_digits_only(self, edge, capsys):
+        # int() takes "_" separators, other scripts' digits and whitespace
+        self.check_error(
+            ["resistance", CIRCLE, "--x", f"{edge}:1/2", "--y", "0:0"],
+            capsys,
+            f"--x: bad edge index {edge!r}",
+        )
+
+    def test_points_file_edge_index_is_ascii_digits_only(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        path.write_text("1:1/2 0:1/3\n0_1:1/2 \u0661:1/3\n", encoding="utf-8")
+        self.check_error(
+            ["oracle", CIRCLE, "--points", str(path)], capsys, ":2: bad edge index '0_1'"
+        )
+
     def test_point_outside_edge(self, capsys):
         self.check_error(
             ["resistance", CIRCLE, "--x", "0:7", "--y", "0:0"], capsys, "offset"
@@ -507,6 +523,18 @@ class TestErrors:
     def test_bad_divisor_syntax_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             run(["tau", CIRCLE, "--divisor", "1,x,3"])
+
+    @pytest.mark.parametrize("divisor", ["\u0662,0,0", "2_0,0,0", "0,\uff12,0"])
+    def test_divisor_coefficients_are_ascii_digits_only(self, divisor, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["epsilon", CIRCLE, "--divisor", divisor])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"expected comma-separated integers, got {divisor!r}" in err
+
+    def test_divisor_coefficients_may_be_padded_and_signed(self, capsys):
+        assert run(["epsilon", CIRCLE, "--divisor= 0 , +2,0 ", "--method", "resistance"]) == 0
+        assert lines_of(capsys) == ["1/3"]
 
     def test_negative_decimal_digits_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):

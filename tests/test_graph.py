@@ -167,6 +167,37 @@ class TestAdequacy:
         assert all(e.length == 1 for e in refined.edges)
         assert mg.vertex_at(refined, relabel.point(mg.GraphPoint(0, Fraction(1)))) == 1
 
+    def test_relabeling_places_offsets_on_their_segments(self):
+        # edge 2 of length 3 is cut at 3/2 into refined edges 3 and 4; an
+        # offset on the cut lands on the segment ending there
+        _, relabel = mg.make_adequate(build_raw_banana(1, 2, 3))
+        F = Fraction
+        cases = [(F(0), (3, F(0))), (F(1), (3, F(1))), (F(3, 2), (3, F(3, 2))),
+                 (F(2), (4, F(1, 2))), (F(3), (4, F(3, 2)))]
+        for offset, expected in cases:
+            assert relabel.point(mg.GraphPoint(2, offset)) == expected
+        assert relabel.point((0, F(1))) == (0, F(1))
+
+    @pytest.mark.parametrize(
+        "pt, error",
+        [
+            ((2, 0.25), mg.MetgraphError),
+            ((True, Fraction(1, 2)), mg.PointOutOfRange),
+            ((3, Fraction(0)), mg.PointOutOfRange),
+            ((1, Fraction(3)), mg.PointOutOfRange),
+        ],
+        ids=["float-offset", "bool-edge", "edge-past-the-graph", "offset-past-the-edge"],
+    )
+    def test_relabeling_validates_its_point(self, pt, error):
+        _, relabel = mg.make_adequate(build_raw_banana(1, 2, 3))
+        with pytest.raises(error):
+            relabel.point(pt)
+
+    def test_relabeling_reads_a_string_offset(self):
+        _, relabel = mg.make_adequate(build_raw_banana(1, 2, 3))
+        assert relabel.point((0, "1/2")) == relabel.point((0, Fraction(1, 2)))
+        assert type(relabel.point((0, "1/2")).offset) is Fraction
+
     def test_make_adequate_preserves_vertex_distances(self):
         g = build_raw_banana(2, 3, 5)
         refined, _ = mg.make_adequate(g)

@@ -196,6 +196,22 @@ class TestPairValues:
             (mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)) for x, y in pairs
         ]
 
+    def test_pairs_are_read_through_the_refinement_readers(self, standing, monkeypatch):
+        name, g, d = standing
+        pairs = load_pairs(name)
+        expected = mg.oracle._pair_values(g, d, pairs, mg.cli.MAX_VERTICES)
+        calls = {"resistance": 0, "green": 0}
+        for reader in calls:
+            original = getattr(mg.SubdividedGraph, reader)
+
+            def counted(self, *args, _reader=reader, _original=original):
+                calls[_reader] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(mg.SubdividedGraph, reader, counted)
+        assert mg.oracle._pair_values(g, d, pairs, mg.cli.MAX_VERTICES) == expected
+        assert calls == {"resistance": len(pairs), "green": len(pairs)}
+
     def test_pairs_with_the_same_cuts_share_a_refinement(self, monkeypatch):
         g, d = build_circle(), mg.Divisor((0, 2, 0))
         refinements, refine = [], mg.oracle.adequate_refinement
