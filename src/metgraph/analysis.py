@@ -9,9 +9,13 @@ only reported.  L+ is kept once, as integers over its least common
 denominator (``linalg.RationalMatrix``), which every formula reads.
 Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
 the value matrix, held as one tuple of integers per unordered edge pair,
-the row-independent parts of the vertex formula) hangs off one
-``DivisorAnalysis`` per divisor.  Once either consistency check has run on
-the value matrix, the ``DivisorAnalysis`` also keeps that matrix's
+the row-independent parts of the vertex formula) hangs off a
+``DivisorAnalysis``, and a ``Network`` holds one: that of the divisor last
+asked for.  Every command and workload asks about one divisor per graph at
+a time, so memory stays bounded however many divisors a long-running
+process visits; a caller that alternates two divisors on one graph
+rebuilds each analysis on every switch.  Once either consistency check has
+run on the value matrix, the ``DivisorAnalysis`` also keeps that matrix's
 canonical vertex-pair values, which both checks read: n^2 cells for n
 vertices, (p, q) and (q, p) one object unless the canonical descriptions
 of both vertices lie on one edge.
@@ -46,7 +50,7 @@ class Network:
 
     def __init__(self, g: MetrizedGraph):
         self.graph = g
-        self._divisors: dict[Divisor, DivisorAnalysis] = {}
+        self._divisor: DivisorAnalysis | None = None
 
     @cached_property
     def laplacian(self) -> RationalMatrix:
@@ -73,13 +77,21 @@ class Network:
         return edge_data(self)
 
     def divisor(self, d: Divisor) -> DivisorAnalysis:
-        """The analysis of ``d`` on this graph, checked and built once."""
-        child = self._divisors.get(d)
-        if child is None:
+        """The analysis of ``d`` on this graph.
+
+        The network holds one analysis, that of the divisor last asked
+        for, and hands it out again while the divisor asked for is that
+        one or equal to it (the oracle lifts an equal divisor per pair).
+        Any other divisor is checked and replaces it, which frees the old
+        analysis at once; a caller that alternates two divisors rebuilds
+        each on every switch.
+        """
+        child = self._divisor
+        if child is None or (child.divisor is not d and child.divisor != d):
             from .graph import check_divisor
 
             check_divisor(self.graph, d)
-            child = self._divisors[d] = DivisorAnalysis(self, d)
+            child = self._divisor = DivisorAnalysis(self, d)
         return child
 
     # -- display-only bridge bookkeeping ------------------------------------
@@ -105,15 +117,16 @@ class Network:
 class DivisorAnalysis:
     """What one divisor adds to a network, each piece computed once.
 
-    It computes from its network, so reach it through ``network(g)`` rather
+    Its network holds it only until another divisor is asked for.  It
+    computes from its network, so reach it through ``network(g)`` rather
     than keep it beyond the network's life.
     """
 
     def __init__(self, net: Network, divisor: Divisor):
         self.divisor = divisor
-        # The network keeps its children in a dict; a strong reference back
-        # would form a cycle that outlives ``network.cache_clear`` until the
-        # garbage collector runs.
+        # The network holds its analysis; a strong reference back would
+        # form a cycle that outlives ``network.cache_clear`` or the switch
+        # to another divisor until the garbage collector runs.
         self.network = weakref.proxy(net)
 
     @cached_property

@@ -189,7 +189,7 @@ def _divisor_option(text: str) -> tuple[int, ...]:
 
 def _decimal_option(text: str) -> int:
     try:
-        digits = int(text)
+        digits = _parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if not 0 <= digits <= MAX_DECIMAL_DIGITS:

@@ -53,7 +53,8 @@ if TYPE_CHECKING:
 # Integers and p/q only: an exponent such as "1e200000" would let a short
 # string ask for a huge number, while Python's digit limit bounds these forms.
 # ASCII digits only, without the "_" separators int() and Fraction() take;
-# the CLI reads edge indices and divisor coefficients with ``_INTEGER``.
+# the CLI reads edge indices, divisor coefficients and ``--decimal`` with
+# ``_INTEGER``.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(rf"{_INTEGER.pattern}(/[0-9]+)?")
 
@@ -241,10 +242,9 @@ def is_index(i: object, n: int) -> bool:
 
 
 class Divisor(Record):
-    """An integer coefficient per vertex.  Every divisor cache lookup
-    hashes it, so the hash is computed once, at construction."""
+    """An integer coefficient per vertex."""
 
-    __slots__ = ("coefficients", "_hash")
+    __slots__ = ("coefficients",)
     _fields = ("coefficients",)
 
     coefficients: tuple[int, ...]
@@ -255,10 +255,6 @@ class Divisor(Record):
             if isinstance(a, bool) or not isinstance(a, int):
                 raise MetgraphError(f"divisor coefficients must be integers, got {a!r}")
         self._assign(tuple(int(a) for a in coeffs))
-        object.__setattr__(self, "_hash", hash(self._values()))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def zero(cls, n: int) -> "Divisor":
@@ -400,27 +396,32 @@ def require_adequate(g: MetrizedGraph) -> None:
         )
 
 
-class PointRelabeling:
+class PointRelabeling(Record):
     """Maps points of a graph into a refinement produced by splitting edges.
 
     Vertices keep their indices; a point of an old edge lands on the segment
     of the refinement that covers its offset.  Offsets exactly on a split
     land on the new vertex (described via the segment ending there).
-    ``point`` first checks its point with ``validate_point`` against the
-    graph that was cut, as every public entry does.
+    ``segments`` lists, in edge order, each edge's segments as
+    ``(new edge, start, end)`` by increasing offset.  ``point`` first checks
+    its point with ``validate_point`` against ``original``, the graph that
+    was cut, as every public entry does.
     """
 
-    def __init__(
-        self, g: MetrizedGraph, segments: Mapping[int, Sequence[tuple[int, Fraction, Fraction]]]
-    ):
-        self._original = g
-        self._segments = {i: tuple(segs) for i, segs in segments.items()}
+    __slots__ = ("original", "segments")
+    _fields = ("original", "segments")
+
+    original: MetrizedGraph
+    segments: tuple[tuple[tuple[int, Fraction, Fraction], ...], ...]
+
+    def __init__(self, original: MetrizedGraph, segments: Iterable[Iterable[tuple]]):
+        self._assign(original, tuple(map(tuple, segments)))
 
     def point(self, pt: GraphPoint | tuple) -> GraphPoint:
         """Where a point of the cut graph lies in the refinement: on the
         first segment whose end is at or past its offset."""
-        pt = validate_point(self._original, pt)
-        segments = self._segments[pt.edge]
+        pt = validate_point(self.original, pt)
+        segments = self.segments[pt.edge]
         new_edge, start, _ = segments[bisect_left(segments, pt.offset, key=itemgetter(2))]
         return GraphPoint(new_edge, pt.offset - start)
 
@@ -446,10 +447,10 @@ def _split_edges(
     labels = list(g.vertices)
     namer = _fresh_labels(set(labels))
     new_edges: list[Edge] = []
-    segments: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
+    segments: list[tuple[tuple[int, Fraction, Fraction], ...]] = []
     for i, e in enumerate(g.edges):
         if i not in cuts:
-            segments[i] = [(len(new_edges), 0, e.length)]
+            segments.append(((len(new_edges), 0, e.length),))
             new_edges.append(e)
             continue
         offsets = sorted({Fraction(c) for c in cuts[i]})
@@ -466,7 +467,7 @@ def _split_edges(
             prev_vertex, prev_off = v, off
         segs.append((len(new_edges), prev_off, e.length))
         new_edges.append(Edge(prev_vertex, e.head, e.length - prev_off))
-        segments[i] = segs
+        segments.append(tuple(segs))
     return MetrizedGraph(tuple(labels), tuple(new_edges)), PointRelabeling(g, segments)
 
 

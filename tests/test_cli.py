@@ -536,6 +536,13 @@ class TestErrors:
         assert run(["epsilon", CIRCLE, "--divisor= 0 , +2,0 ", "--method", "resistance"]) == 0
         assert lines_of(capsys) == ["1/3"]
 
+    @pytest.mark.parametrize("digits", ["\u0663", "1_0", " 3 "])
+    def test_decimal_digits_are_ascii_digits_only(self, digits, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["tau", CIRCLE, f"--decimal={digits}"])
+        assert exit_info.value.code == 2
+        assert f"expected an integer, got {digits!r}" in capsys.readouterr().err
+
     def test_negative_decimal_digits_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             run(["tau", CIRCLE, "--decimal", "-1"])

@@ -20,6 +20,8 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import metgraph as mg
 from conftest import load_pairs, seeded_grid, standing_graphs
 
@@ -107,6 +109,60 @@ class TestCacheContract:
             env=dict(env, PYTHONHASHSEED="2"),
         ).stdout
         assert out.split() == ["True", "True", "1"]
+
+
+class TestOneDivisorAnalysis:
+    """A network holds the analysis of the divisor last asked for."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list[int]:
+        built = [0]
+        init = mg.analysis.DivisorAnalysis.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(mg.analysis.DivisorAnalysis, "__init__", counted)
+        return built
+
+    def test_another_divisor_frees_the_held_analysis(self, monkeypatch):
+        g, d1 = seeded_grid(3, 1)
+        d2 = mg.Divisor(d1.coefficients[::-1])
+        assert d1 != d2
+        built = self.count_builds(monkeypatch)
+        mg.clear_caches()
+        net = mg.network(g)
+        # freed by reference counting alone, with no collector run
+        gc.disable()
+        try:
+            held = weakref.ref(net.divisor(d1))
+            mg.value_matrix(g, d1)
+            assert net.divisor(mg.Divisor(d1.coefficients)) is held()
+            net.divisor(d2)
+            assert held() is None
+        finally:
+            gc.enable()
+        assert built == [2]
+        net.divisor(d1)
+        assert built == [3]
+
+    def test_oracle_pairs_share_one_analysis(self, monkeypatch):
+        ((name, g, d),) = [item for item in standing_graphs() if item[0] == "tesseract"]
+        built = self.count_builds(monkeypatch)
+        mg.oracle._pair_values(g, d, load_pairs(name), mg.cli.MAX_VERTICES)
+        assert built == [1]
+
+    def test_sixty_divisors_keep_peak_rss_flat(self):
+        pytest.importorskip("resource")
+        child = subprocess.run(
+            [sys.executable, str(ROOT / "tests" / "divisor_memory.py")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        # the child exits 1 when peak RSS grew by 16 MiB or more
+        assert child.returncode == 0, child.stdout + child.stderr
 
 
 def exact_lines(g: mg.MetrizedGraph, d: mg.Divisor) -> list[str]:
