@@ -3,10 +3,10 @@
 ``network(g)`` is the package's only cache.  It is keyed by the graph's
 value, so equal graphs share one ``Network``, and ``clear_caches`` empties
 it together with every derived quantity.  A ``Network`` computes each piece
-on first use: the Laplacian and its pseudoinverse, the tau constant, the
-per-edge data the resistance form reads, and the bridge bookkeeping that is
-only reported.  L+ is kept once, as integers over its least common
-denominator (``linalg.RationalMatrix``), which every formula reads.
+on first use: the Laplacian and its pseudoinverse, the tau constant and
+the per-edge data the resistance form reads.  L+ is kept once, as integers
+over its least common denominator (``linalg.RationalMatrix``), which every
+formula reads.
 Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
 the value matrix, held as one tuple of integers per unordered edge pair,
 the row-independent parts of the vertex formula) hangs off a
@@ -22,7 +22,8 @@ of both vertices lie on one edge.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  Those modules reach ``network`` at import
-time, so the formulas are imported here on first use.
+time, so the formulas are imported here on first use; ``graph`` imports
+nothing from here.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
+from .graph import Divisor, MetrizedGraph, check_divisor
+
 if TYPE_CHECKING:
-    from .graph import ConnectivityMatrix, Divisor, MetrizedGraph
     from .green import ValueMatrix
     from .linalg import RationalMatrix
     from .potential import EdgeData, EdgeFunction, VertexFormula
@@ -88,30 +90,9 @@ class Network:
         """
         child = self._divisor
         if child is None or (child.divisor is not d and child.divisor != d):
-            from .graph import check_divisor
-
             check_divisor(self.graph, d)
             child = self._divisor = DivisorAnalysis(self, d)
         return child
-
-    # -- display-only bridge bookkeeping ------------------------------------
-
-    @cached_property
-    def bridge_sides(self) -> dict[int, frozenset[int]]:
-        """Per bridge, the vertices on the side of its tail."""
-        from .graph import find_bridge_sides
-
-        return find_bridge_sides(self.graph)
-
-    @cached_property
-    def bridges(self) -> frozenset[int]:
-        return frozenset(self.bridge_sides)
-
-    @cached_property
-    def connectivity(self) -> ConnectivityMatrix:
-        from .graph import connectivity_of
-
-        return connectivity_of(self)
 
 
 class DivisorAnalysis:

@@ -121,6 +121,10 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
         or not all(isinstance(v, str) for v in vertices)
     ):
         raise GraphFormatError("vertices: expected a nonempty list of strings")
+    for k, v in enumerate(vertices):
+        # JSON's \ud800 escape makes a lone surrogate, which UTF-8 cannot encode
+        if any("\ud800" <= c <= "\udfff" for c in v):
+            raise GraphFormatError(f"vertices[{k}]: {v!r} is not text: it holds a lone surrogate")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list) or not raw_edges:
         raise GraphFormatError("edges: expected a nonempty list")

@@ -19,10 +19,9 @@ adequate plus any requested points (``adequate_refinement``).
 
 Bridges and the connectivity matrix (its decimal codes) are reported here
 for display only: the closed forms in ``potential`` and ``green`` hold on
-bridges unchanged and never read them.  The bridge data is kept in the
-graph's ``analysis.network`` entry, cached per graph value, which is safe
-because the graph type is immutable and hashable; the graph computes its
-hash once, at construction.
+bridges unchanged and never read them, so both are computed from the graph
+on each call and nothing keeps them.  The graph type is immutable and
+hashable, and computes its hash once, at construction.
 
 The value classes here and in ``green``, ``invariants`` and ``oracle`` are
 ``Record``s: slotted, immutable, compared and hashed by value.
@@ -34,9 +33,8 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .analysis import network
 from .errors import (
     BadDegree,
     GraphDisconnected,
@@ -45,9 +43,6 @@ from .errors import (
     NotAdequate,
     PointOutOfRange,
 )
-
-if TYPE_CHECKING:
-    from .analysis import Network
 
 
 # Integers and p/q only: an exponent such as "1e200000" would let a short
@@ -271,6 +266,8 @@ class Divisor(Record):
         return len(self.coefficients)
 
     def __getitem__(self, k: int) -> int:
+        if not is_index(k, len(self.coefficients)):
+            raise IndexError(f"vertex index {k!r} outside 0..{len(self.coefficients) - 1}")
         return self.coefficients[k]
 
 
@@ -574,7 +571,7 @@ def find_bridge_sides(g: MetrizedGraph) -> dict[int, frozenset[int]]:
 
 def bridges(g: MetrizedGraph) -> frozenset[int]:
     """Indices of all edges whose interior disconnects the graph."""
-    return network(g).bridges
+    return frozenset(find_bridge_sides(g))
 
 
 # ---------------------------------------------------------------------------
@@ -620,19 +617,13 @@ class ConnectivityMatrix(Record):
 
 def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
     """The decimal-coded bridge bookkeeping of an adequate graph; the codes
-    are described on ``ConnectivityMatrix``."""
-    return network(g).connectivity
-
-
-def connectivity_of(net: Network) -> ConnectivityMatrix:
-    """The codes of ``ConnectivityMatrix``: every entry outside a bridge's
+    are described on ``ConnectivityMatrix``.  Every entry outside a bridge's
     row and column is 0, so only those are filled."""
-    g = net.graph
     require_adequate(g)
     m = g.n_edges
     # per bridge, the side digit of every edge's tail: 0 on its tail side
     digits = {
-        b: [int(e.tail not in side) for e in g.edges] for b, side in net.bridge_sides.items()
+        b: [int(e.tail not in side) for e in g.edges] for b, side in find_bridge_sides(g).items()
     }
     rows = [[0] * m for _ in range(m)]
     for i, s_i in digits.items():

@@ -261,28 +261,28 @@ class TestBridges:
 
 
 class TestBridgeSide:
-    # per bridge, the library keeps the vertices on the side of its tail
+    # per bridge, the library finds the vertices on the side of its tail
 
     def test_vertices_of_two_bridges_graph(self):
-        sides = mg.network(build_two_bridges()).bridge_sides
+        sides = mg.graph.find_bridge_sides(build_two_bridges())
         assert sides == {0: frozenset({0}), 5: frozenset({0, 1, 2, 3, 4})}
 
     def test_bridge_endpoints_classify_to_own_side(self):
         for g in [g for _, g, _ in standing_graphs()] + [build_circle_with_tail()]:
-            for b, side in mg.network(g).bridge_sides.items():
+            for b, side in mg.graph.find_bridge_sides(g).items():
                 assert g.edges[b].tail in side
                 assert g.edges[b].head not in side
 
     def test_edges(self):
         # an edge other than the bridge lies wholly on one side
-        sides = mg.network(build_two_bridges()).bridge_sides
+        sides = mg.graph.find_bridge_sides(build_two_bridges())
         assert sides[0].isdisjoint({4, 5})
         assert {0, 1} <= sides[5]
         assert sides[0].isdisjoint({1, 2})
 
     def test_partition_is_consistent_with_edges(self):
         g = build_circle_with_tail()
-        sides = mg.network(g).bridge_sides
+        sides = mg.graph.find_bridge_sides(g)
         assert set(sides) == mg.bridges(g) == {3}
         for e, side in sides.items():
             for j, edge in enumerate(g.edges):
@@ -291,8 +291,8 @@ class TestBridgeSide:
 
     def test_rejects_non_bridge(self):
         # only bridges have sides
-        assert mg.network(build_circle()).bridge_sides == {}
-        assert set(mg.network(build_two_bridges()).bridge_sides) == {0, 5}
+        assert mg.graph.find_bridge_sides(build_circle()) == {}
+        assert set(mg.graph.find_bridge_sides(build_two_bridges())) == {0, 5}
 
 
 class TestDistances:
@@ -342,7 +342,7 @@ class TestClosestNeighbours:
     def test_agrees_with_bridge_sides(self):
         # the closest endpoint of a bridge is the one facing the other bridge
         g = build_two_bridges()
-        sides = mg.network(g).bridge_sides
+        sides = mg.graph.find_bridge_sides(g)
         for i, j in ((0, 5), (5, 0)):
             xi, xj = closest_neighbours(g, i, j)
             facing_head = g.edges[j].tail not in sides[i]
@@ -407,6 +407,14 @@ class TestDivisor:
         assert d.support() == (0, 2, 3)
         assert len(d) == 4
         assert d[3] == 3
+
+    @pytest.mark.parametrize(
+        "k", [True, False, -1, 4, 1.0], ids=["true", "false", "negative", "past-end", "float"]
+    )
+    def test_index_is_a_vertex(self, k):
+        # a bool is no index, and a negative one does not count from the end
+        with pytest.raises(IndexError, match="vertex index"):
+            mg.Divisor((1, 0, -2, 3))[k]
 
     def test_zero(self):
         assert mg.Divisor.zero(3).coefficients == (0, 0, 0)

@@ -1,9 +1,10 @@
 """The per-graph analysis cache and the exact results it hands out.
 
-Every derived quantity of a graph lives in one ``network(g)`` entry, keyed by
-the graph's value.  These tests pin the contract of that cache (shared by
-equal graphs, emptied completely by ``clear_caches``, never holding the
-oracle's refinements, stable hashes across processes) and freeze the exact
+Every derived quantity of a graph that the formulas reuse lives in one
+``network(g)`` entry, keyed by the graph's value; bridge data is not kept.
+These tests pin the contract of that cache (shared by equal graphs, emptied
+completely by ``clear_caches``, never holding the oracle's refinements or
+bridge data, stable hashes across processes) and freeze the exact
 coefficients of the closed forms.
 """
 
@@ -45,11 +46,19 @@ class TestCacheContract:
         held = [
             weakref.ref(mg.value_matrix(g, d)),
             weakref.ref(mg.r_D_on_edge(g, d, 0)),
-            weakref.ref(mg.connectivity_matrix(g)),
         ]
         assert all(ref() is not None for ref in held)
         mg.clear_caches()
         assert all(ref() is None for ref in held)
+
+    def test_bridge_data_is_not_cached(self):
+        # bridges and connectivity codes are computed from the graph on each
+        # call; no closed form reads them, so no network is built for them
+        mg.clear_caches()
+        for _, g, _ in standing_graphs():
+            mg.bridges(g)
+            mg.connectivity_matrix(g)
+        assert mg.network.cache_info().currsize == 0
 
     def test_oracle_command_caches_only_the_input_graph(self, capsys):
         points = ROOT / "tests" / "data" / "oracle_points" / "tesseract.txt"
@@ -400,6 +409,19 @@ def test_package_has_no_assert_statements():
         for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_graph_imports_nothing_from_analysis():
+    # graph is the bottom module: the analysis cache reads graphs, never the reverse
+    tree = ast.parse((Path(mg.__file__).resolve().parent / "graph.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+        if name.split(".")[-1] == "analysis"
     ]
     assert found == []
 
