@@ -1,12 +1,16 @@
 """One analysis object per graph: everything derived from it, computed once.
 
 ``network(g)`` is the package's only cache.  It is keyed by the graph's
-value, so equal graphs share one ``Network``, and ``clear_caches`` empties
-it together with every derived quantity.  A ``Network`` computes each piece
-on first use: the Laplacian and its pseudoinverse, the tau constant and
-the per-edge data the resistance form reads.  L+ is kept once, as integers
-over its least common denominator (``linalg.RationalMatrix``), which every
-formula reads.
+value, so equal graphs share one ``Network``, and it holds the networks of
+the four graphs last used: a fifth graph evicts the one used longest ago,
+and with it everything derived from that graph, so memory stays bounded
+however many graphs a long-running process visits.  A command uses one
+graph, and the benchmark's workloads at most two at a time.
+``clear_caches`` empties the cache together with every derived quantity.
+A ``Network`` computes each piece on first use: the Laplacian and its
+pseudoinverse, the tau constant and the per-edge data the resistance form
+reads.  L+ is kept once, as integers over its least common denominator
+(``linalg.RationalMatrix``), which every formula reads.
 Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
 the value matrix, held as one tuple of integers per unordered edge pair,
 the row-independent parts of the vertex formula) hangs off a
@@ -17,8 +21,7 @@ process visits; a caller that alternates two divisors on one graph
 rebuilds each analysis on every switch.  Once either consistency check has
 run on the value matrix, the ``DivisorAnalysis`` also keeps that matrix's
 canonical vertex-pair values, which both checks read: n^2 cells for n
-vertices, (p, q) and (q, p) one object unless the canonical descriptions
-of both vertices lie on one edge.
+vertices, (p, q) and (q, p) one object.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  Those modules reach ``network`` at import
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .graph import Divisor, MetrizedGraph, check_divisor
@@ -41,9 +44,10 @@ if TYPE_CHECKING:
     from .potential import EdgeData, EdgeFunction, VertexFormula
 
 
-@cache
+@lru_cache(maxsize=4)
 def network(g: MetrizedGraph) -> Network:
-    """The analysis of ``g``, shared by every graph equal to it."""
+    """The analysis of ``g``, shared by every graph equal to it while it is
+    among the four graphs last used."""
     return Network(g)
 
 

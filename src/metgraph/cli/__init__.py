@@ -125,6 +125,11 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
         # JSON's \ud800 escape makes a lone surrogate, which UTF-8 cannot encode
         if any("\ud800" <= c <= "\udfff" for c in v):
             raise GraphFormatError(f"vertices[{k}]: {v!r} is not text: it holds a lone surrogate")
+        # a control character (Unicode category Cc: U+0000 to U+001F and
+        # U+007F to U+009F), printed by ``info``, would forge output lines
+        # or send the terminal an escape sequence
+        if any(c < " " or "\x7f" <= c <= "\x9f" for c in v):
+            raise GraphFormatError(f"vertices[{k}]: {v!r} holds a control character")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list) or not raw_edges:
         raise GraphFormatError("edges: expected a nonempty list")
@@ -253,10 +258,6 @@ def _format_terms(coefficients: Sequence[Fraction]) -> str:
             text = (" - " if negative else " + ") + text
         out.append(text)
     return "".join(out)
-
-
-def format_entry(entry: EdgePairFunction) -> str:
-    return _format_terms(entry.coefficients())
 
 
 # ---------------------------------------------------------------------------

@@ -53,54 +53,23 @@ class ValueMatrix(Record):
     """All edge-pair closed forms of one Green function.
 
     g(x, y) = g(y, x), so z_ji is z_ij with x and y swapped, and the matrix
-    keeps one triangle: per edge pair i <= j, z_ij's seven numerators over
-    its denominator, as one tuple (den, c0, cx, cy, cxx, cyy, cxy, cabs).
+    keeps one triangle, ``rows``: row i holds z_ij for j = i, ..., m - 1,
+    each as its seven numerators over its denominator, one tuple of ints
+    (den, c0, cx, cy, cxx, cyy, cxy, cabs) with den > 0.  The constructor
+    takes that triangle, and rejects any other shape and a diagonal entry
+    not symmetric in x and y (cx != cy or cxx != cyy), so every matrix
+    holds one closed form per unordered edge pair; pickling replays it.
     An ``EdgePairFunction`` is made only when ``entry`` or ``entries`` is
-    read.  The constructor takes the full rows of entries, as ``entries``
-    gives them; it keeps each diagonal entry as given and rejects a pair
-    whose z_ji is not z_ij with x and y swapped.  Equality, hash and
-    pickling read the stored triangle, and make no entry.
+    read.  Equality and hash read the stored triangle, and make no entry.
     """
 
-    __slots__ = ("divisor", "_rows")
-    _fields = ("divisor", "entries")
+    __slots__ = ("divisor", "rows")
+    _fields = ("divisor", "rows")
 
     divisor: Divisor
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def __init__(self, divisor: Divisor, entries: tuple[tuple[EdgePairFunction, ...], ...]):
-        rows = tuple(map(tuple, entries))
-        m = len(rows)
-        for i, row in enumerate(rows):
-            at = [(z.i, z.j) if isinstance(z, EdgePairFunction) else None for z in row]
-            if at != [(i, j) for j in range(m)]:
-                raise MetgraphError(f"value matrix row {i} is not entries ({i}, 0) to ({i}, {m - 1})")
-        triangle = []
-        for i, row in enumerate(rows):
-            for j in range(i + 1, m):
-                z = row[j]
-                mirrored = EdgePairFunction._over(j, i, z._denominator, swap_xy(z._numerators))
-                if mirrored != rows[j][i]:
-                    raise MetgraphError(
-                        f"value matrix entries ({i}, {j}) and ({j}, {i}) are not one closed"
-                        " form with x and y swapped"
-                    )
-            triangle.append(tuple((z._denominator, *z._numerators) for z in row[i:]))
-        self._store(divisor, tuple(triangle))
-
-    @classmethod
-    def _of(cls, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]) -> ValueMatrix:
-        """The matrix whose row i holds z_ij's integers for j = i, ..., m - 1,
-        taken as they are."""
-        matrix = cls.__new__(cls)
-        matrix._store(divisor, rows)
-        return matrix
-
-    @classmethod
-    def _unpickle(
-        cls, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]
-    ) -> ValueMatrix:
-        """``_of`` for a pickled triangle, once its shape is checked: m rows,
-        row i holding m - i tuples of eight ints whose first, den, is positive."""
+    def __init__(self, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]):
         m = len(rows) if type(rows) is tuple else -1
         if not (
             isinstance(divisor, Divisor)
@@ -115,21 +84,27 @@ class ValueMatrix(Record):
                 for held in row
             )
         ):
-            raise MetgraphError(
-                "a pickled value matrix is not a divisor and a triangle of integer tuples"
-            )
-        return cls._of(divisor, rows)
+            raise MetgraphError("a value matrix is not a divisor and a triangle of integer tuples")
+        for i, row in enumerate(rows):
+            _, _, cx, cy, cxx, cyy, _, _ = row[0]
+            if cx != cy or cxx != cyy:
+                raise MetgraphError(f"value matrix entry ({i}, {i}) is not symmetric in x and y")
+        self._assign(divisor, rows)
 
-    def _store(self, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "_rows", rows)
+    @classmethod
+    def _of(cls, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]) -> ValueMatrix:
+        """The matrix of the triangle ``rows``, taken unchecked: the build
+        makes it in the constructor's shape, diagonal entries symmetric."""
+        matrix = cls.__new__(cls)
+        matrix._assign(divisor, rows)
+        return matrix
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         if self.divisor != other.divisor or self.size != other.size:
             return False
-        for row_a, row_b in zip(self._rows, other._rows):
+        for row_a, row_b in zip(self.rows, other.rows):
             for a, b in zip(row_a, row_b):
                 den_a, den_b = a[0], b[0]
                 if den_a == den_b:
@@ -141,14 +116,11 @@ class ValueMatrix(Record):
 
     def __hash__(self) -> int:
         # equal matrices hold equal values, so their diagonal constants agree
-        return hash((self.divisor, tuple(Fraction(row[0][1], row[0][0]) for row in self._rows)))
-
-    def __reduce__(self):
-        return (type(self)._unpickle, (self.divisor, self._rows))
+        return hash((self.divisor, tuple(Fraction(row[0][1], row[0][0]) for row in self.rows)))
 
     @property
     def size(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     @property
     def entries(self) -> tuple[tuple[EdgePairFunction, ...], ...]:
@@ -163,17 +135,17 @@ class ValueMatrix(Record):
 
     def _entry(self, i: int, j: int) -> EdgePairFunction:
         if i <= j:
-            held = self._rows[i][j - i]
+            held = self.rows[i][j - i]
             return EdgePairFunction._over(i, j, held[0], held[1:])
-        held = self._rows[j][i - j]
+        held = self.rows[j][i - j]
         return EdgePairFunction._over(i, j, held[0], swap_xy(held[1:]))
 
     def evaluate(self, x: GraphPoint, y: GraphPoint) -> Fraction:
         i, j = x.edge, y.edge
         if i > j:
             # z_ij(x, y) is z_ji(y, x)
-            return pair_value(self._rows[j][i - j], y.offset, x.offset)
-        return pair_value(self._rows[i][j - i], x.offset, y.offset)
+            return pair_value(self.rows[j][i - j], y.offset, x.offset)
+        return pair_value(self.rows[i][j - i], x.offset, y.offset)
 
 
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:

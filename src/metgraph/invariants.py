@@ -23,14 +23,12 @@ with that table; the vertex-formula check compares it, row by row, with
 the direct formula.
 
 A value matrix holds z_ij for i <= j only, z_ji being z_ij with x and y
-swapped, so corner (a, b) of z_ij is also corner (b, a) of z_ji: each
-stored entry is read once, at its four corners, and off the diagonal the
-table's cells (p, q) and (q, p) are one.  A diagonal entry is stored as
-given, and one whose x and y parts differ makes g(p, q) and g(q, p)
-differ in the table; a pair whose corners meet such a cell, or fail a
-comparison, goes through the per-entry comparison, and that alone builds
-every mismatch, so counts, mismatches and their order are those of the
-entry-by-entry walk.
+swapped, and each diagonal entry is symmetric in x and y, so corner (a, b)
+of z_ij is also corner (b, a) of z_ji: each stored entry is read once, at
+its four corners, and the table's cells (p, q) and (q, p) are one.  A pair
+that fails a comparison goes through the per-entry comparison, and that
+alone builds every mismatch, so counts, mismatches and their order are
+those of the entry-by-entry walk.
 """
 
 from __future__ import annotations
@@ -150,13 +148,12 @@ def _corners(
 def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int, int]]]:
     """The matrix's value at the canonical descriptions of every vertex
     pair, as (numerator, denominator); each is one corner of one stored
-    entry.  Cells (p, q) and (q, p) are one object, except on a diagonal
-    entry, which is stored as given, so there g(q, p) is its own corner."""
+    entry.  Cells (p, q) and (q, p) are one object."""
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     # per vertex, its canonical description, its first edge end: the edge,
     # the end (0 the tail, 1 the head) and the edge's length
     ends = [(i, a, *lengths[i]) for (i, a, _), *_ in g._ends]
-    rows = matrix._rows
+    rows = matrix.rows
     table: list[list[tuple[int, int]]] = [[None] * len(ends) for _ in ends]
     for p, (i, a, pi, qi) in enumerate(ends):
         for q in range(p, len(ends)):
@@ -169,8 +166,6 @@ def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int,
                 over, corners = _corners(rows[j][i - j], pj, qj, pi, qi)
                 cell = (corners[2 * b + a], over)
             table[p][q] = table[q][p] = cell
-            if i == j:
-                table[q][p] = (corners[2 * b + a], over)
     return table
 
 
@@ -251,10 +246,10 @@ def _representation_report(
     {i, j}, i <= j, at a time.
 
     Each pair gets one ``_corners`` call: corner (a, b) of z_ij is g(p, q),
-    and as corner (b, a) of z_ji, z_ij with x and y swapped, it is g(q, p).
-    When the table's g(p, q) and g(q, p) agree, one comparison against that
-    value stands for both entries, and a pair whose four corners all agree
-    is settled.  Ends of valence one, read off the graph's incidence table,
+    and as corner (b, a) of z_ji, z_ij with x and y swapped, it is g(q, p),
+    the same cell of the table.  So one comparison against that value
+    stands for both entries, and a pair whose four corners all agree is
+    settled.  Ends of valence one, read off the graph's incidence table,
     are compared there too, which can only send a pair back.  The diagonal
     entries and a pair with any failing comparison go through ``compare``,
     entry by entry, and that alone builds every mismatch.  The count is the
@@ -287,19 +282,11 @@ def _representation_report(
                     found = CheckMismatch(location, Fraction(want, over), Fraction(num, den))
                     mismatches.append(((p, q, i, a // 2, j, b), found))
 
-    # per vertex pair (p, q), the one value corner g(p, q) of a stored pair
-    # must equal, when g(p, q) and g(q, p) agree in the table (they differ
-    # only through a diagonal entry given with x and y parts unequal); else
-    # a cell no value equals, since num * 0 != 1 * den
-    shared = [
-        [cell if cell == table[q][p] else (1, 0) for q, cell in enumerate(row)]
-        for p, row in enumerate(table)
-    ]
-    for i, row in enumerate(matrix._rows):
+    for i, row in enumerate(matrix.rows):
         pi, qi = lengths[i]
         compare(i, i, *_corners(row[0], pi, qi, pi, qi))
         ti, hi = ends[i]
-        at, ah = shared[ti], shared[hi]
+        at, ah = table[ti], table[hi]
         for j, entry in enumerate(row[1:], i + 1):
             den, values = _corners(entry, pi, qi, *lengths[j])
             v0, v1, v2, v3 = values

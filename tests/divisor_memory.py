@@ -3,12 +3,12 @@
     PYTHONPATH=src python tests/divisor_memory.py
 
 It evaluates the Green function once under each of sixty seeded divisors on
-a seeded 8x8 grid, prints how far peak RSS (``ru_maxrss``) grew between the
-first divisor and the last, and exits 1 if that is 16 MiB or more.  A
-network holds only the analysis of the divisor last asked for, so the
-growth stays near zero; one analysis per divisor kept costs about 3.5 MiB
-each here.  It imports neither pytest nor hypothesis, so what grows is the
-package alone.
+a seeded 8x8 grid, prints how far peak RSS (``VmHWM``, or ``ru_maxrss``
+where there is no ``/proc``) grew between the first divisor and the last,
+and exits 1 if that is 16 MiB or more.  A network holds only the analysis
+of the divisor last asked for, so the growth stays near zero; one analysis
+per divisor kept costs about 3.5 MiB each here.  It imports neither pytest
+nor hypothesis, so what grows is the package alone.
 """
 
 import random
@@ -35,6 +35,17 @@ def seeded_grid(k: int, rng: random.Random) -> mg.MetrizedGraph:
 
 
 def peak_mib() -> float:
+    """This process's peak RSS in MiB.  On Linux ``ru_maxrss`` starts from
+    the peak of the process that started this one, so under a test run
+    larger than this child it would show no growth; ``VmHWM`` counts this
+    program's own pages alone."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     scale = 1 << 20 if sys.platform == "darwin" else 1 << 10
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale

@@ -16,7 +16,7 @@ import pytest
 
 import metgraph as mg
 from conftest import load_pairs, serialize_graph
-from metgraph.cli import decimal_approx, format_entry, parse_graph, run
+from metgraph.cli import _format_terms, decimal_approx, parse_graph, run
 
 F = Fraction
 
@@ -601,11 +601,11 @@ class TestRendering:
         assert decimal_approx(value, 4) == "0.3333"
 
     def test_format_entry_zero(self):
-        assert format_entry(mg.EdgePairFunction(0, 0)) == "0"
+        assert _format_terms(mg.EdgePairFunction(0, 0).coefficients()) == "0"
 
     def test_format_entry_signs(self):
         entry = mg.EdgePairFunction(0, 0, c0=F(-1, 2), cx=F(1, 3), cabs=F(-2))
-        assert format_entry(entry) == "-1/2 + 1/3*x - 2*|x-y|"
+        assert _format_terms(entry.coefficients()) == "-1/2 + 1/3*x - 2*|x-y|"
 
 
 class TestModuleEntryPoints:

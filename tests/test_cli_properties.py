@@ -8,7 +8,7 @@ that are not JSON or not UTF-8 at all.  Each runs through ``info``,
 ``tau``, ``epsilon``, ``check`` and ``green`` in process, and every run must
 end in one of the CLI's three outcomes: exit 0; exit 1 with a ``MISMATCH``
 or ``FAIL`` line; or exit 2 with nothing on stdout and one ``error:`` line
-on stderr.  No run may raise.
+on stderr.  No run may raise, and ``info`` at exit 0 prints six lines.
 
 stdout is UTF-8 and strict, as a real terminal or pipe is, so text the
 command could not print shows here as the exception it would raise.
@@ -169,7 +169,11 @@ def test_every_command_ends_in_one_outcome(graph_file, data, x, y):
             # the = form, so that a token such as -1:0 is not read as an option
             argv += [f"--x={x}", f"--y={y}"]
         mg.clear_caches()
-        assert_one_outcome(*run_captured(argv))
+        status, out, err = run_captured(argv)
+        assert_one_outcome(status, out, err)
+        if command == "info" and status == 0:
+            # one line per field, whatever the labels hold
+            assert len(out.splitlines()) == out.count("\n") == 6, out
 
 
 def test_lone_surrogate_in_a_vertex_label_is_an_input_error(graph_file):
@@ -182,4 +186,19 @@ def test_lone_surrogate_in_a_vertex_label_is_an_input_error(graph_file):
         2,
         "",
         "error: vertices[1]: '\\ud800' is not text: it holds a lone surrogate\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "label", ["a\nbridges: 9", "\u001b[2J", "\u0085"], ids=["newline", "escape", "next-line"]
+)
+def test_control_character_in_a_vertex_label_is_an_input_error(graph_file, label):
+    # a newline forged a line of ``info``'s output, and an escape sequence
+    # reached the terminal, each with exit 0
+    doc = {"vertices": ["v0", label], "edges": [{"from": 0, "to": 1, "length": "2"}]}
+    graph_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_captured(["info", str(graph_file)]) == (
+        2,
+        "",
+        f"error: vertices[1]: {label!r} holds a control character\n",
     )

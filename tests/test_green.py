@@ -2,6 +2,7 @@
 
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -78,12 +79,12 @@ class TestValueMatrixStructure:
                 assert (z.i, z.j) == (i, j)
 
     def test_pickle_round_trip(self, standing):
-        # the copy is rebuilt from its entries and holds the same integers
+        # the copy is rebuilt from its triangle and holds the same integers
         _, g, divisor = standing
         matrix = mg.value_matrix(g, divisor)
         copy = pickle.loads(pickle.dumps(matrix))
         assert copy is not matrix and copy == matrix and hash(copy) == hash(matrix)
-        assert copy._rows == matrix._rows
+        assert copy.rows == matrix.rows
 
     def test_compare_hash_and_pickle_make_no_entry(self, standing, monkeypatch):
         _, g, divisor = standing
@@ -99,51 +100,49 @@ class TestValueMatrixStructure:
     def test_pickle_holds_the_triangle_once(self, standing):
         _, g, divisor = standing
         matrix = mg.value_matrix(g, divisor)
-        assert len(pickle.dumps(matrix)) < len(pickle.dumps(matrix._rows)) + 200
+        assert len(pickle.dumps(matrix)) < len(pickle.dumps(matrix.rows)) + 200
 
     def test_copy_in_lowest_terms_is_equal_and_hashes_equal(self, standing):
         _, g, divisor = standing
         matrix = mg.value_matrix(g, divisor)
-        rows = [
-            [mg.EdgePairFunction(z.i, z.j, *z.coefficients()) for z in row]
-            for row in matrix.entries
-        ]
+        rows = tuple(
+            tuple(tuple(c // gcd(*held) for c in held) for held in row) for row in matrix.rows
+        )
         lowest = mg.ValueMatrix(matrix.divisor, rows)
+        assert lowest.rows != matrix.rows
         assert lowest == matrix and matrix == lowest and hash(lowest) == hash(matrix)
 
     def test_unequal_matrices(self, circle):
         matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
-        rows = [list(row) for row in matrix._rows]
+        rows = [list(row) for row in matrix.rows]
         den, c0, *rest = rows[0][1]
         for held in ((den, c0 + 1, *rest), (2 * den, 2 * c0 + 1, *(2 * c for c in rest))):
             rows[0][1] = held
-            other = mg.ValueMatrix._of(matrix.divisor, tuple(map(tuple, rows)))
+            other = mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
             assert other != matrix and not other == matrix
         assert mg.value_matrix(circle, mg.Divisor((0, 1, 0))) != matrix
         assert mg.value_matrix(build_segment(), mg.Divisor.zero(2)) != matrix
 
     def test_malformed_pickled_triangle_raises(self, circle):
+        # unpickling replays the constructor, so a forged pickle is checked
         matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
-        rows, held = matrix._rows, matrix._rows[0][0]
+        rows = matrix.rows
+        den, c0, cx, *rest = rows[0][0]
+        asymmetric = (((den, c0, cx + 1, *rest), *rows[0][1:]), *rows[1:])
 
         class Forged:
             def __init__(self, *args):
                 self.args = args
 
             def __reduce__(self):
-                return (mg.ValueMatrix._unpickle, self.args)
+                return (mg.ValueMatrix, self.args)
 
-        malformed = (
-            (matrix.divisor, rows[:-1]),
-            (matrix.divisor, list(rows)),
-            (matrix.divisor, (rows[0], rows[1], rows[1])),
-            (matrix.divisor, ((held[:7], *rows[0][1:]), *rows[1:])),
-            (matrix.divisor, (((0, *held[1:]), *rows[0][1:]), *rows[1:])),
-            (matrix.divisor, (((F(held[0]), *held[1:]), *rows[0][1:]), *rows[1:])),
-            ((0, 0, 0), rows),
-        )
-        for args in malformed:
-            with pytest.raises(mg.MetgraphError, match="pickled value matrix is not"):
+        for args, message in (
+            ((matrix.divisor, rows[:-1]), "not a divisor and a triangle of integer tuples"),
+            (((0, 0, 0), rows), "not a divisor and a triangle of integer tuples"),
+            ((matrix.divisor, asymmetric), r"entry \(0, 0\) is not symmetric in x and y"),
+        ):
+            with pytest.raises(mg.MetgraphError, match=message):
                 pickle.loads(pickle.dumps(Forged(*args)))
         assert pickle.loads(pickle.dumps(Forged(matrix.divisor, rows))) == matrix
 
@@ -281,28 +280,33 @@ class TestErrors:
         with pytest.raises(mg.MetgraphError, match=r"entry \(3, 0\) outside a 3-edge matrix"):
             matrix.entry(3, 0)
 
-    def test_constructor_rejects_a_pair_that_does_not_mirror(self, circle):
-        # z_20 holding z_02's coefficients unswapped is another closed form
+    def test_constructor_takes_the_stored_triangle(self, circle):
+        # row i holds z_ij for j = i, ..., m - 1 as eight ints, den > 0 first
         matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
-        rows = [list(row) for row in matrix.entries]
-        rows[2][0] = mg.EdgePairFunction(2, 0, *rows[0][2].coefficients())
-        with pytest.raises(
-            mg.MetgraphError, match=r"entries \(0, 2\) and \(2, 0\) are not one closed form"
-        ):
-            mg.ValueMatrix(matrix.divisor, rows)
-
-    def test_constructor_takes_square_rows_of_entries_in_place(self, circle):
-        matrix = mg.value_matrix(circle, mg.Divisor.zero(3))
-        rows = [list(row) for row in matrix.entries]
+        rows = matrix.rows
+        assert [len(row) for row in rows] == [3, 2, 1]
+        for i, row in enumerate(rows):
+            for j, held in enumerate(row, i):
+                z = matrix.entry(i, j)
+                assert held == (z.denominator, *z.numerators)
+        assert mg.ValueMatrix(matrix.divisor, rows) == matrix
+        held = rows[0][0]
         shapes = (
-            [rows[0], [], rows[2]],
-            [rows[0], rows[1][:2], rows[2]],
-            [[rows[1][0], *rows[0][1:]], *rows[1:]],
-            [["z00", *rows[0][1:]], *rows[1:]],
+            rows[:-1],
+            list(rows),
+            (rows[0], (), rows[2]),
+            (rows[0], rows[1], rows[1]),
+            (("z00", *rows[0][1:]), *rows[1:]),
+            ((held[:7], *rows[0][1:]), *rows[1:]),
+            (((0, *held[1:]), *rows[0][1:]), *rows[1:]),
+            (((F(held[0]), *held[1:]), *rows[0][1:]), *rows[1:]),
+            (((held[0], True, *held[2:]), *rows[0][1:]), *rows[1:]),
         )
-        for bad, row in zip(shapes, (1, 1, 0, 0)):
-            with pytest.raises(mg.MetgraphError, match=rf"row {row} is not entries \({row}, 0\) to"):
+        for bad in shapes:
+            with pytest.raises(mg.MetgraphError, match="not a divisor and a triangle of integer"):
                 mg.ValueMatrix(matrix.divisor, bad)
+        with pytest.raises(mg.MetgraphError, match="not a divisor and a triangle of integer"):
+            mg.ValueMatrix(matrix.divisor.coefficients, rows)
 
 
 def test_offsets_helper_spans_edge():

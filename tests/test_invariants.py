@@ -25,12 +25,9 @@ def corrupted_matrix(g, divisor):
     """The value matrix of ``g`` and ``divisor`` with 1/7 added to z_00's
     constant term, a new object beside the network's own."""
     matrix = mg.value_matrix(g, divisor)
-    z = matrix.entry(0, 0)
-    c0, *rest = z.coefficients()
-    broken = mg.EdgePairFunction(z.i, z.j, c0 + F(1, 7), *rest)
-    rows = [list(row) for row in matrix.entries]
-    rows[0][0] = broken
-    return mg.ValueMatrix(divisor, tuple(tuple(row) for row in rows))
+    (den, c0, *rest), *first = matrix.rows[0]
+    broken = (7 * den, 7 * c0 + den, *(7 * c for c in rest))
+    return mg.ValueMatrix(divisor, ((broken, *first), *matrix.rows[1:]))
 
 
 CHECKS = (mg.check_representation_independence, mg.check_vertex_formula)

@@ -2,10 +2,10 @@
 
 Every derived quantity of a graph that the formulas reuse lives in one
 ``network(g)`` entry, keyed by the graph's value; bridge data is not kept.
-These tests pin the contract of that cache (shared by equal graphs, emptied
-completely by ``clear_caches``, never holding the oracle's refinements or
-bridge data, stable hashes across processes) and freeze the exact
-coefficients of the closed forms.
+These tests pin the contract of that cache (shared by equal graphs, at most
+four graphs held, emptied completely by ``clear_caches``, never holding the
+oracle's refinements or bridge data, stable hashes across processes) and
+freeze the exact coefficients of the closed forms.
 """
 
 import ast
@@ -59,6 +59,38 @@ class TestCacheContract:
             mg.bridges(g)
             mg.connectivity_matrix(g)
         assert mg.network.cache_info().currsize == 0
+
+    def test_a_fifth_graph_evicts_the_one_used_longest_ago(self):
+        graphs = [seeded_grid(3, seed) for seed in range(7)]
+        assert len({g for g, _ in graphs}) == 7
+        assert mg.network.cache_info().maxsize == 4
+        mg.clear_caches()
+        g0, d0 = graphs[0]
+        net = mg.network(g0)
+        held = [weakref.ref(net), weakref.ref(mg.value_matrix(g0, d0))]
+        # L+ takes no weak reference; the network alone holds it
+        assert "pinv" in net.__dict__
+        del net
+        # freed by reference counting alone, with no collector run
+        gc.disable()
+        try:
+            for k, (g, d) in enumerate(graphs[1:], 2):
+                mg.value_matrix(g, d)
+                assert mg.network.cache_info().currsize == min(k, 4)
+                assert all(ref() is not None for ref in held) == (k <= 4), k
+        finally:
+            gc.enable()
+
+    def test_sixty_graphs_keep_peak_rss_bounded(self):
+        pytest.importorskip("resource")
+        child = subprocess.run(
+            [sys.executable, str(ROOT / "tests" / "graph_memory.py")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        # the child exits 1 when peak RSS grew by 48 MiB or more
+        assert child.returncode == 0, child.stdout + child.stderr
 
     def test_oracle_command_caches_only_the_input_graph(self, capsys):
         points = ROOT / "tests" / "data" / "oracle_points" / "tesseract.txt"

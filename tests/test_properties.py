@@ -553,9 +553,10 @@ MIRROR = dict(zip(COEFFICIENT_NAMES, ("c0", "cy", "cx", "cyy", "cxx", "cxy", "ca
 
 
 def replaced(matrix, changes):
-    rows = [list(row) for row in matrix.entries]
+    """``matrix`` with z_ij replaced by ``changes[i, j]`` for each key, i <= j."""
+    rows = [list(row) for row in matrix.rows]
     for (i, j), entry in changes.items():
-        rows[i][j] = entry
+        rows[i][j - i] = (entry.denominator, *entry.numerators)
     return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
 
 
@@ -566,12 +567,15 @@ def moved(entry, name, delta):
 
 
 def perturbed(matrix, i, j, name, delta):
-    """z_ij's ``name`` moved by delta and, off the diagonal, z_ji's mirrored
-    coefficient with it: a matrix holds one closed form per edge pair."""
-    changes = {(i, j): moved(matrix.entry(i, j), name, delta)}
-    if i != j:
-        changes[j, i] = moved(matrix.entry(j, i), MIRROR[name], delta)
-    return replaced(matrix, changes)
+    """z_ij's ``name`` moved by delta and z_ji's mirrored coefficient with
+    it: a matrix holds one closed form per edge pair.  On the diagonal that
+    is one entry, so moving cx or cxx also moves cy or cyy."""
+    if i > j:
+        i, j, name = j, i, MIRROR[name]
+    entry = moved(matrix.entry(i, j), name, delta)
+    if i == j and MIRROR[name] != name:
+        entry = moved(entry, MIRROR[name], delta)
+    return replaced(matrix, {(i, j): entry})
 
 
 def assert_representation_check_matches_reference(g, divisor, matrix):
@@ -729,21 +733,14 @@ def test_perturbed_entry_gives_the_reference_mismatches(name, i, j):
 # -- mirrored edge pairs in the representation check ----------------------------
 # The check reads a stored pair {i, j} once, z_ji being z_ij with x and y
 # swapped.  A pair perturbed by mirrored amounts still mirrors but fails, so
-# it must come out with every mismatch of both entries; numerators that
-# mirror over another denominator are another closed form, which a matrix
-# cannot hold.
+# it must come out with every mismatch of both entries.  A matrix holds one
+# triangle, so it cannot express an unmirrored pair, and its constructor
+# rejects a diagonal entry that does not mirror itself.
 
 
 def mirrors(zij, zji):
     swapped = tuple(zij.numerators[COEFFICIENT_NAMES.index(MIRROR[n])] for n in COEFFICIENT_NAMES)
     return zij.denominator == zji.denominator and zji.numerators == swapped
-
-
-def rescaled(matrix, i, j):
-    """z_ji holding z_ij's numerators swapped, over twice z_ij's denominator."""
-    zij = matrix.entry(i, j)
-    swapped = tuple(zij.numerators[COEFFICIENT_NAMES.index(MIRROR[n])] for n in COEFFICIENT_NAMES)
-    return replaced(matrix, {(j, i): mg.EdgePairFunction._over(j, i, 2 * zij.denominator, swapped)})
 
 
 def assert_both_entries_fail(g, divisor, matrix, i, j):
@@ -772,27 +769,19 @@ def test_mirrored_perturbation_gives_the_reference_mismatches(standing, name, de
         assert_both_entries_fail(g, divisor, changed, i, j)
 
 
-def test_mirrored_numerators_over_another_denominator_fail(standing):
-    _, g, divisor = standing
-    matrix = mg.value_matrix(g, divisor)
-    for i, j in standing_pairs(g):
-        if i == j:
-            continue
-        with pytest.raises(mg.MetgraphError, match=rf"entries \({i}, {j}\) and \({j}, {i}\) "):
-            rescaled(matrix, i, j)
-
-
 def test_diagonal_entry_with_unequal_slopes(standing):
-    """A diagonal entry with cx != cy does not mirror itself; the edge moved
-    has both ends at valence two or more, so both ends are compared."""
+    """A diagonal entry with cx != cy, or cxx != cyy, does not mirror
+    itself, and the constructor rejects it."""
     _, g, divisor = standing
     matrix = mg.value_matrix(g, divisor)
-    i = next(k for k, e in enumerate(g.edges) if min(g.valence(e.tail), g.valence(e.head)) >= 2)
-    changed = replaced(matrix, {(i, i): moved(matrix.entry(i, i), "cx", F(1, 5))})
-    z = changed.entry(i, i)
-    assert z.cx != z.cy and not mirrors(z, z)
-    report = assert_representation_check_matches_reference(g, divisor, changed)
-    assert not report.passed
+    for i in range(g.n_edges):
+        z = matrix.entry(i, i)
+        assert mirrors(z, z)
+        for name in ("cx", "cyy"):
+            changed = moved(z, name, F(1, 5))
+            assert not mirrors(changed, changed)
+            with pytest.raises(mg.MetgraphError, match=rf"entry \({i}, {i}\) is not symmetric"):
+                replaced(matrix, {(i, i): changed})
 
 
 @common
@@ -804,18 +793,12 @@ def test_mirrored_pairs_match_the_reference_check(gd, data):
     edge = st.integers(min_value=0, max_value=g.n_edges - 1)
     i = data.draw(edge)
     j = data.draw(edge.filter(lambda j: j != i))
-    if data.draw(st.booleans()):
-        name = data.draw(st.sampled_from(COEFFICIENT_NAMES))
-        delta = data.draw(st.sampled_from([F(1, 7), F(-2), F(5, 3)]))
-        changed = perturbed(matrix, i, j, name, delta)
-        assert mirrors(changed.entry(i, j), changed.entry(j, i))
-        assert_representation_check_matches_reference(g, divisor, changed)
-        assert_vertex_formula_check_matches_reference(g, divisor, changed)
-    else:
-        # zero over twice the denominator is still z_ij swapped
-        assume(any(matrix.entry(i, j).numerators))
-        with pytest.raises(mg.MetgraphError, match=r"are not one closed form"):
-            rescaled(matrix, i, j)
+    name = data.draw(st.sampled_from(COEFFICIENT_NAMES))
+    delta = data.draw(st.sampled_from([F(1, 7), F(-2), F(5, 3)]))
+    changed = perturbed(matrix, i, j, name, delta)
+    assert mirrors(changed.entry(i, j), changed.entry(j, i))
+    assert_representation_check_matches_reference(g, divisor, changed)
+    assert_vertex_formula_check_matches_reference(g, divisor, changed)
 
 
 # -- every built matrix mirrors --------------------------------------------------

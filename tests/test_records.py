@@ -44,10 +44,9 @@ RECORDS = {
     ),
     "ValueMatrix": (
         value_matrix,
-        ("divisor", "entries"),
-        "ValueMatrix(divisor=Divisor(coefficients=(1, 0)), entries=((EdgePairFunction(i=0, j=0,"
-        " c0=Fraction(1, 18), cx=Fraction(1, 6), cy=Fraction(1, 6), cxx=Fraction(0, 1),"
-        " cyy=Fraction(0, 1), cxy=Fraction(0, 1), cabs=Fraction(-1, 2)),),))",
+        ("divisor", "rows"),
+        "ValueMatrix(divisor=Divisor(coefficients=(1, 0)),"
+        " rows=(((144, 8, 24, 24, 0, 0, 0, -72),),))",
     ),
     "CheckReport": (
         lambda: mg.CheckReport("x", 2, (CheckMismatch("g(v0, v1)", F(1, 2), F(1, 3)),)),
