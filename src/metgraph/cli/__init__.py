@@ -125,11 +125,23 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
         # JSON's \ud800 escape makes a lone surrogate, which UTF-8 cannot encode
         if any("\ud800" <= c <= "\udfff" for c in v):
             raise GraphFormatError(f"vertices[{k}]: {v!r} is not text: it holds a lone surrogate")
-        # a control character (Unicode category Cc: U+0000 to U+001F and
-        # U+007F to U+009F), printed by ``info``, would forge output lines
-        # or send the terminal an escape sequence
+        # ``info`` prints the labels joined by spaces: a control character
+        # (Unicode category Cc: U+0000 to U+001F and U+007F to U+009F) would
+        # forge output lines or send the terminal an escape sequence,
+        # whitespace would make two lists of labels print alike, and a
+        # format character (category Cf, such as U+202E, which reverses the
+        # rest of a line) would reorder the line on screen
         if any(c < " " or "\x7f" <= c <= "\x9f" for c in v):
             raise GraphFormatError(f"vertices[{k}]: {v!r} holds a control character")
+        if any(c.isspace() for c in v):
+            raise GraphFormatError(f"vertices[{k}]: {v!r} holds whitespace")
+        # ASCII has no format character, so only a label past it loads the
+        # Unicode table
+        if not v.isascii():
+            from unicodedata import category
+
+            if any(category(c) == "Cf" for c in v):
+                raise GraphFormatError(f"vertices[{k}]: {v!r} holds a format character")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list) or not raw_edges:
         raise GraphFormatError("edges: expected a nonempty list")
@@ -389,12 +401,7 @@ def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
             raise GraphFormatError(
                 f"{path}:{lineno}: expected two EDGE:OFFSET tokens, got {body!r}"
             )
-        pairs.append(
-            (
-                _parse_point_token(tokens[0], f"{path}:{lineno}"),
-                _parse_point_token(tokens[1], f"{path}:{lineno}"),
-            )
-        )
+        pairs.append(tuple(_parse_point_token(token, f"{path}:{lineno}") for token in tokens))
     if not pairs:
         raise GraphFormatError(f"{path}: no point pairs found")
     return pairs

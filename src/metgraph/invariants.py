@@ -10,17 +10,19 @@ was built: only the integers it holds per edge pair, the edge lengths and
 ``green_row_at_vertices``, which reads L+, tau and c_mu and no per-edge
 data or closed form.  Both evaluate the entries themselves, in integers,
 and build a Fraction only for a mismatch.  A vertex sits at an edge's end,
-so every value either reads is a corner of a stored entry, given by one
-evaluator, ``_corners``, from its integers.  Both compare against the
-value at the canonical descriptions of each vertex pair, one table built
+so every value either reads is a corner of a stored entry, given by
+``_corners`` from its integers; for an off-diagonal entry with no |x - y|
+term, the common case, the representation check writes the same sums out
+in its loop.  Both compare against the value at the canonical
+descriptions of each vertex pair, one table built
 by ``_vertex_table``.  For the network's own value matrix, the matrix
 ``value_matrix(g, divisor)`` returns, that table is kept on its
 ``DivisorAnalysis`` as ``vertex_table``, so the two checks build it once
 between them; any other matrix, even an equal copy, gets a table of its
 own, built for each check, and checking it builds no matrix of the
 network's.  The representation check compares every corner of every entry
-with that table; the vertex-formula check compares it, row by row, with
-the direct formula.
+with that table; the vertex-formula check compares one triangle of it
+with the direct formula.
 
 A value matrix holds z_ij for i <= j only, z_ji being z_ij with x and y
 swapped, and each diagonal entry is symmetric in x and y, so corner (a, b)
@@ -29,6 +31,13 @@ its four corners, and the table's cells (p, q) and (q, p) are one.  A pair
 that fails a comparison goes through the per-entry comparison, and that
 alone builds every mismatch, so counts, mismatches and their order are
 those of the entry-by-entry walk.
+
+One triangle of vertex pairs suffices for the vertex-formula check too:
+its direct value (deg D + 2) N_pq - (W_p + N_pp) - (W_q + N_qq) plus a
+constant, over one denominator, is symmetric in p and q because L+ = N / D
+is stored mirrored, and the table's cells (p, q) and (q, p) are one object.
+So the comparison for q >= p settles both cells; a mismatch is reported at
+both, and the count stays n^2, as for the walk over every ordered pair.
 """
 
 from __future__ import annotations
@@ -149,15 +158,13 @@ def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int,
     """The matrix's value at the canonical descriptions of every vertex
     pair, as (numerator, denominator); each is one corner of one stored
     entry.  Cells (p, q) and (q, p) are one object."""
-    lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     # per vertex, its canonical description, its first edge end: the edge,
     # the end (0 the tail, 1 the head) and the edge's length
-    ends = [(i, a, *lengths[i]) for (i, a, _), *_ in g._ends]
+    ends = [(i, a, *g.edges[i].length.as_integer_ratio()) for (i, a, _), *_ in g._ends]
     rows = matrix.rows
     table: list[list[tuple[int, int]]] = [[None] * len(ends) for _ in ends]
     for p, (i, a, pi, qi) in enumerate(ends):
-        for q in range(p, len(ends)):
-            j, b, pj, qj = ends[q]
+        for q, (j, b, pj, qj) in enumerate(ends[p:], p):
             if i <= j:
                 over, corners = _corners(rows[i][j - i], pi, qi, pj, qj)
                 cell = (corners[2 * a + b], over)
@@ -219,18 +226,21 @@ def check_vertex_formula(
 
     The direct value is (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg + 2)
     minus the normalization constant, computed without any edge functions
-    by ``potential.green_row_at_vertices`` one vertex row at a time.
-    Values are compared by cross-multiplication.
+    by ``potential.green_row_at_vertices``, for q >= p in vertex row p.
+    Both sides are symmetric in p and q, so one comparison settles cells
+    (p, q) and (q, p), and a mismatch is reported at both, in vertex-pair
+    order.  Values are compared by cross-multiplication.
     """
     div, _, table = _checked(g, divisor, matrix)
     mismatches = []
     for p, row in enumerate(table):
-        wants, over = green_row_at_vertices(div, p)
-        for q, ((num, den), want) in enumerate(zip(row, wants)):
+        wants, over = green_row_at_vertices(div, p, slice(p, None))
+        for q, ((num, den), want) in enumerate(zip(row[p:], wants), p):
             if num * over != want * den:
-                found = CheckMismatch(f"g(v{p}, v{q})", Fraction(want, over), Fraction(num, den))
-                mismatches.append(found)
-    return CheckReport("vertex formula", len(table) ** 2, tuple(mismatches))
+                found = Fraction(want, over), Fraction(num, den)
+                for a, b in {(p, q), (q, p)}:
+                    mismatches.append(((a, b), CheckMismatch(f"g(v{a}, v{b})", *found)))
+    return CheckReport("vertex formula", len(table) ** 2, tuple(m for _, m in sorted(mismatches)))
 
 
 def _check_reports(g: MetrizedGraph, divisor: Divisor) -> tuple[CheckReport, CheckReport]:
@@ -245,7 +255,8 @@ def _representation_report(
     """Every corner of every entry against the table, one stored edge pair
     {i, j}, i <= j, at a time.
 
-    Each pair gets one ``_corners`` call: corner (a, b) of z_ij is g(p, q),
+    Each pair is read once, at its four corners, by ``_corners`` or, with
+    no |x - y| term, by its sums written out: corner (a, b) of z_ij is g(p, q),
     and as corner (b, a) of z_ji, z_ij with x and y swapped, it is g(q, p),
     the same cell of the table.  So one comparison against that value
     stands for both entries, and a pair whose four corners all agree is
@@ -264,17 +275,12 @@ def _representation_report(
         [(2 * a, p, table[p]) for a, p in enumerate(pair) if len(g._ends[p]) >= 2]
         for pair in ends
     ]
-    m = len(ends)
-    comparisons = 2 * m * sum(map(len, firsts))
+    comparisons = 2 * len(ends) * sum(map(len, firsts))
     mismatches = []
 
     def compare(i: int, j: int, den: int, values: tuple[int, int, int, int]) -> None:
         """z_ij's four corners ``values`` over ``den`` against the table."""
-        tj, hj = ends[j]
         for a, p, wants in firsts[i]:
-            (wt, ot), (wh, oh) = wants[tj], wants[hj]
-            if values[a] * ot == wt * den and values[a + 1] * oh == wh * den:
-                continue
             for b, q in enumerate(ends[j]):
                 num, (want, over) = values[a + b], wants[q]
                 if num * over != want * den:
@@ -285,22 +291,30 @@ def _representation_report(
     for i, row in enumerate(matrix.rows):
         pi, qi = lengths[i]
         compare(i, i, *_corners(row[0], pi, qi, pi, qi))
-        ti, hi = ends[i]
-        at, ah = table[ti], table[hi]
-        for j, entry in enumerate(row[1:], i + 1):
-            den, values = _corners(entry, pi, qi, *lengths[j])
-            v0, v1, v2, v3 = values
+        at, ah = map(table.__getitem__, ends[i])
+        qqi = qi * qi
+        for j, ((pj, qj), entry) in enumerate(zip(lengths[i + 1 :], row[1:]), i + 1):
+            den, c0, cx, cy, cxx, cyy, cxy, cabs = entry
+            if cabs:
+                den, (v0, v1, v2, v3) = _corners(entry, pi, qi, pj, qj)
+            else:  # _corners' sums, which have no |x - y| terms here
+                qqj = qj * qj
+                v0 = c0 * (qqi * qqj)
+                x = (cx * qi + cxx * pi) * (pi * qqj)
+                v1 = v0 + (cy * qj + cyy * pj) * (pj * qqi)
+                v2 = v0 + x
+                v3 = v1 + x + cxy * (pi * pj * qi * qj)
+                den *= qqi * qqj
             tj, hj = ends[j]
             (w0, o0), (w1, o1), (w2, o2), (w3, o3) = at[tj], at[hj], ah[tj], ah[hj]
             if (
-                v0 * o0 == w0 * den
-                and v1 * o1 == w1 * den
-                and v2 * o2 == w2 * den
-                and v3 * o3 == w3 * den
+                v0 * o0 != w0 * den
+                or v1 * o1 != w1 * den
+                or v2 * o2 != w2 * den
+                or v3 * o3 != w3 * den
             ):
-                continue
-            compare(i, j, den, values)
-            compare(j, i, den, (v0, v2, v1, v3))
+                compare(i, j, den, (v0, v1, v2, v3))
+                compare(j, i, den, (v0, v2, v1, v3))
     # the keys are unique: order by vertex pair, then by the two descriptions
     ordered = tuple(found for _, found in sorted(mismatches))
     return CheckReport("representation independence", comparisons, ordered)

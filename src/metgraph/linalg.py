@@ -12,9 +12,9 @@ point anywhere, so equalities between computed matrices are meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .analysis import network
@@ -188,11 +188,15 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     the adjugate of M times D, an integer matrix, symmetric because A is,
     and it solves U Y = det M * R D.  Only its upper triangle is solved for,
     and there det M * R D is known without building R: det M * p_{i-1} * d_i
-    on the diagonal, 0 above it.  Column c from the last, row i from c up,
+    on the diagonal, 0 above it.  So for c >= i,
     Y[i][c] = (det M * p_{i-1} * d_i [i = c] - sum over j in (i, hi_i] of
-    U[i][j] Y[j][c]) / p_i, reading Y[j][c] below the diagonal as Y[c][j];
-    the division is exact because Y is an integer matrix (Nakos, Turner
-    and Williams 1997).
+    U[i][j] Y[j][c]) / p_i (Takahashi, Fagan and Chen 1973), and the
+    division is exact because Y is an integer matrix (Nakos, Turner and
+    Williams 1997).  Y is solved row by row from the last: each solved row
+    is mirrored into the column below its diagonal, so every row below row
+    i holds both halves of Y, and Y[j][c] = Y[c][j] puts the sum for
+    Y[i][c], c > i, on one slice of row c.  Row i's part right of its
+    diagonal comes first; its diagonal reads Y[j][i] = Y[i][j] off it.
 
     Centring: Y / det M, padded with a zero row and column for the grounded
     vertex and put back in the input's vertex order, is a generalized
@@ -211,7 +215,7 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     if (
         ints != tuple(zip(*ints))
         or any(map(sum, ints))
-        or any(x > 0 for i, row in enumerate(ints) for j, x in enumerate(row) if i != j)
+        or any(max(row[:i] + row[i + 1 :], default=0) > 0 for i, row in enumerate(ints))
     ):
         raise MetgraphError(
             "not a Laplacian: expected a symmetric matrix with nonpositive "
@@ -219,20 +223,19 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
         )
     n = len(ints)
     order = _reverse_cuthill_mckee(
-        [[v for v, x in enumerate(row) if x and v != u] for u, row in enumerate(ints)]
+        [[v for v in compress(range(n), row) if v != u] for u, row in enumerate(ints)]
     )
     m = n - 1
-    rows, scales = [], []  # scales[i] = d_i, row i's least denominator
-    for u in order[:m]:
-        row = [ints[u][v] for v in order[:m]]
-        common = gcd(scale, *row)
-        rows.append([x // common for x in row])
-        scales.append(scale // common)
+    # the grounded vertex is gathered too, so a graph of two vertices gets a
+    # tuple, then dropped
+    gather = itemgetter(*order)
+    gathered = [gather(ints[u])[:m] for u in order[:m]]
+    scales = [scale // gcd(scale, *row) for row in gathered]  # d_i, row i's least denominator
+    rows = [[x * d // scale for x in row] for row, d in zip(gathered, scales)]
     first = [next(j for j, x in enumerate(row) if x or j == i) for i, row in enumerate(rows)]
-    reach = list(range(m))
-    for i, f in enumerate(first):
-        reach[f] = max(reach[f], i)
-    hi = list(accumulate(reach, max))
+    # first[i] <= i, so column k ends at least at row k
+    last = dict(zip(first, range(m)))  # per column, the last row that starts there
+    hi = list(accumulate((last.get(k, k) for k in range(m)), max))
     # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
     # A, in any vertex order, is positive semidefinite, and definite exactly
     # when the graph is connected.  Pivot k is d_0 ... d_k times A's leading
@@ -263,15 +266,18 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
                 stage[i] = k + 1
         pivots.append(pivot)
     det = pivots[-1]
-    # column c is replaced once solved; the grounded vertex's stays zero
-    solved = [[0] * n] * n
-    for c in reversed(range(m)):
-        column = [0] * (c + 1) + [solved[j][c] for j in range(c + 1, n)]
-        for i in reversed(range(c + 1)):
-            row, end = rows[i], hi[i] + 1
-            below = sum(map(mul, row[i + 1 : end], column[i + 1 : end]))
-            column[i] = ((det * pivots[i] * scales[c] if i == c else 0) - below) // row[i]
-        solved[c] = column
+    # row i of Y is filled right of its diagonal when solved, left of it as
+    # the rows above are; the grounded vertex's row stays zero
+    solved = [[0] * n for _ in range(n)]
+    for i in reversed(range(m)):
+        row, end, target = rows[i], hi[i] + 1, solved[i]
+        pivot, factors = row[i], row[i + 1 : end]
+        # Y[j][c] = Y[c][j], so row c of Y, c > i, holds column c's slice
+        right = [-sum(map(mul, factors, y[i + 1 : end])) // pivot for y in solved[i + 1 : m]]
+        target[i] = (det * pivots[i] * scales[i] - sum(map(mul, factors, right))) // pivot
+        target[i + 1 : m] = right
+        for later, y in zip(solved[i + 1 : m], right):
+            later[i] = y
     place = sorted(range(n), key=order.__getitem__)  # place[u]: u's position in order
     sums = [sum(solved[p]) for p in place]
     total, nn = sum(sums), n * n

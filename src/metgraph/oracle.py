@@ -83,8 +83,9 @@ class SubdividedGraph(Record):
     def green(self, divisor: Divisor, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
         """Green function value between two original points, by the vertex formula."""
         div = self.network.divisor(self.lift_divisor(divisor))
-        numerators, den = green_row_at_vertices(div, self.vertex_index(x))
-        return Fraction(numerators[self.vertex_index(y)], den)
+        u, v = self.vertex_index(x), self.vertex_index(y)
+        (numerator,), den = green_row_at_vertices(div, u, slice(v, v + 1))
+        return Fraction(numerator, den)
 
 
 def subdivide_at_points(

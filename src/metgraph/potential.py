@@ -18,7 +18,7 @@ its two edges as one integer, and the divisor's r_D = sum_k a_k r(p_k, .)
 is held per edge as an ``EdgeFunction``, three integers over D p^2, so a
 point query builds one Fraction, its answer.
 The Green function at vertices has a direct formula in L+, tau and c_mu
-alone, which ``green_row_at_vertices`` gives one vertex row at a time.
+alone, which ``green_row_at_vertices`` gives for a slice of one vertex row.
 """
 
 from __future__ import annotations
@@ -314,9 +314,12 @@ def vertex_formula(div: DivisorAnalysis) -> VertexFormula:
     return VertexFormula(diagonal, b * td * cd + shift, scale, td * cd, den * scale * td * cd)
 
 
-def green_row_at_vertices(div: DivisorAnalysis, p: int) -> tuple[tuple[int, ...], int]:
-    """The Green function between vertex p and every vertex q, from its
-    defining formula, as numerators over one denominator.
+def green_row_at_vertices(
+    div: DivisorAnalysis, p: int, columns: slice = slice(None)
+) -> tuple[tuple[int, ...], int]:
+    """The Green function between vertex p and every vertex q in
+    ``columns``, all by default, from its defining formula, as numerators
+    over one denominator.
 
     (sum_s a_s j_s(p, q) + 4 tau - r(p, q)) / (deg D + 2) - c_mu, read off
     the pseudoinverse with no edge closed form, so it can check them.  With
@@ -330,8 +333,8 @@ def green_row_at_vertices(div: DivisorAnalysis, p: int) -> tuple[tuple[int, ...]
     """
     diagonal, base, scale, unit, den = div.vertex_formula
     base -= diagonal[p] * unit
-    row_p = div.network.pinv.numerators[p]
-    numerators = tuple((scale * x - d) * unit + base for x, d in zip(row_p, diagonal))
+    row_p = div.network.pinv.numerators[p][columns]
+    numerators = tuple((scale * x - d) * unit + base for x, d in zip(row_p, diagonal[columns]))
     return numerators, den
 
 

@@ -190,6 +190,52 @@ def test_lone_surrogate_in_a_vertex_label_is_an_input_error(graph_file):
 
 
 @pytest.mark.parametrize(
+    "label,rule",
+    [
+        ("a b", "whitespace"),
+        ("a\u3000b", "whitespace"),
+        ("\u2028", "whitespace"),
+        ("x\u202ey", "a format character"),
+        ("\u200b", "a format character"),
+        ("soft\u00adhyphen", "a format character"),
+    ],
+    ids=["space", "ideographic-space", "line-separator", "right-to-left-override",
+         "zero-width-space", "soft-hyphen"],
+)
+def test_whitespace_or_format_character_in_a_vertex_label_is_an_input_error(
+    graph_file, label, rule
+):
+    # info joins the labels with spaces: ["a b", "c"] and ["a", "b c"] both
+    # printed "vertices: 2 (a b c)", and U+202E reversed the rest of that
+    # line on screen, each with exit 0
+    doc = {"vertices": ["v0", label], "edges": [{"from": 0, "to": 1, "length": "2"}]}
+    graph_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_captured(["info", str(graph_file)]) == (
+        2,
+        "",
+        f"error: vertices[1]: {label!r} holds {rule}\n",
+    )
+
+
+@pytest.mark.parametrize("labels,k", [(["a b", "c"], 0), (["a", "b c"], 1)])
+def test_labels_that_would_print_alike_are_both_rejected(graph_file, labels, k):
+    doc = {"vertices": labels, "edges": [{"from": 0, "to": 1, "length": "2"}]}
+    graph_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_captured(["info", str(graph_file)]) == (
+        2,
+        "",
+        f"error: vertices[{k}]: {labels[k]!r} holds whitespace\n",
+    )
+
+
+def test_a_printable_label_past_ascii_is_accepted(graph_file):
+    doc = {"vertices": ["café", "ω"], "edges": [{"from": 0, "to": 1, "length": "2"}]}
+    graph_file.write_text(json.dumps(doc), encoding="utf-8")
+    status, out, _ = run_captured(["info", str(graph_file)])
+    assert status == 0 and out.splitlines()[0] == "vertices: 2 (café ω)"
+
+
+@pytest.mark.parametrize(
     "label", ["a\nbridges: 9", "\u001b[2J", "\u0085"], ids=["newline", "escape", "next-line"]
 )
 def test_control_character_in_a_vertex_label_is_an_input_error(graph_file, label):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import metgraph as mg
-from conftest import build_banana, build_tesseract
+from conftest import build_banana, build_tesseract, load_pairs, seeded_grid
 
 F = Fraction
 
@@ -240,3 +240,132 @@ class TestSharedVertexTable:
         copied = [check(g, divisor, copy) for check in CHECKS]
         assert copied == original and all(report.passed for report in original)
         assert [table is matrix for table in tables] == [True, False, False]
+
+
+# -- the checks on a mutated seeded 4x4 grid -----------------------------------
+# One off-diagonal coefficient and one diagonal (cx, cy) pair are moved.  The
+# mismatch lists were recorded from checks that compared every ordered vertex
+# pair and evaluated every corner through ``_corners``; the checks that walk
+# one triangle and evaluate corners in their loop must report the same.
+
+# the distinct (expected, got) pairs of the representation report; the
+# vertex-formula report has each with expected and got swapped
+V0 = ("1787568751381/275446675008", "134888701333/275446675008")
+V1 = ("142196725913/1377233375040", "1519430100953/1377233375040")
+V2 = ("225573019021/275446675008", "-49873655987/275446675008")
+V3 = ("17857322478353/1377233375040", "1330521977873/1377233375040")
+V4 = ("50686464781/275446675008", "326133139789/275446675008")
+V5 = ("1201441787753/1377233375040", "-175791587287/1377233375040")
+MUTATED_4X4_REPRESENTATION = [
+    ("g(v0, v1) via z[0][2]", *V0),
+    ("g(v0, v1) via z[0][3]", *V0),
+    ("g(v0, v1) via z[1][0]", *V0),
+    ("g(v0, v1) via z[1][2]", *V0),
+    ("g(v0, v1) via z[1][3]", *V0),
+    ("g(v0, v11) via z[0][20]", *V1),
+    ("g(v0, v15) via z[0][23]", *V2),
+    ("g(v0, v15) via z[1][20]", *V2),
+    ("g(v0, v15) via z[1][23]", *V2),
+    ("g(v1, v0) via z[0][1]", *V0),
+    ("g(v1, v0) via z[2][0]", *V0),
+    ("g(v1, v0) via z[2][1]", *V0),
+    ("g(v1, v0) via z[3][0]", *V0),
+    ("g(v1, v0) via z[3][1]", *V0),
+    ("g(v1, v1) via z[0][2]", *V3),
+    ("g(v1, v1) via z[0][3]", *V3),
+    ("g(v1, v1) via z[2][0]", *V3),
+    ("g(v1, v1) via z[2][2]", *V3),
+    ("g(v1, v1) via z[2][3]", *V3),
+    ("g(v1, v1) via z[3][0]", *V3),
+    ("g(v1, v1) via z[3][2]", *V3),
+    ("g(v1, v1) via z[3][3]", *V3),
+    ("g(v1, v11) via z[0][20]", *V4),
+    ("g(v1, v15) via z[0][23]", *V5),
+    ("g(v1, v15) via z[2][20]", *V5),
+    ("g(v1, v15) via z[2][23]", *V5),
+    ("g(v1, v15) via z[3][20]", *V5),
+    ("g(v1, v15) via z[3][23]", *V5),
+    ("g(v11, v0) via z[20][0]", *V1),
+    ("g(v11, v1) via z[20][0]", *V4),
+    ("g(v15, v0) via z[20][1]", *V2),
+    ("g(v15, v0) via z[23][0]", *V2),
+    ("g(v15, v0) via z[23][1]", *V2),
+    ("g(v15, v1) via z[20][2]", *V5),
+    ("g(v15, v1) via z[20][3]", *V5),
+    ("g(v15, v1) via z[23][0]", *V5),
+    ("g(v15, v1) via z[23][2]", *V5),
+    ("g(v15, v1) via z[23][3]", *V5),
+]
+MUTATED_4X4_VERTEX_FORMULA = [
+    ("g(v0, v1)", *V0[::-1]),
+    ("g(v0, v15)", *V2[::-1]),
+    ("g(v1, v0)", *V0[::-1]),
+    ("g(v1, v1)", *V3[::-1]),
+    ("g(v1, v15)", *V5[::-1]),
+    ("g(v15, v0)", *V2[::-1]),
+    ("g(v15, v1)", *V5[::-1]),
+]
+
+
+def mutated_4x4():
+    """The seeded 4x4 grid's value matrix with c0 of the entry holding the
+    canonical descriptions of v0 and v15 moved by 1, and cx and cy of z_00
+    each moved by 2."""
+    g, divisor = seeded_grid(4, 0)
+    matrix = mg.value_matrix(g, divisor)
+    rows = [list(row) for row in matrix.rows]
+    i, j = sorted(mg.point_of_vertex(g, v).edge for v in (0, 15))
+    assert (i, j) == (0, 20)
+    den, c0, *rest = rows[i][j - i]
+    rows[i][j - i] = (den, c0 + den, *rest)
+    den, c0, cx, cy, *rest = rows[0][0]
+    rows[0][0] = (den, c0, cx + 2 * den, cy + 2 * den, *rest)
+    return g, divisor, mg.ValueMatrix(divisor, tuple(map(tuple, rows)))
+
+
+def printed(report):
+    return [(m.location, str(m.expected), str(m.got)) for m in report.mismatches]
+
+
+def test_mutated_grid_gives_the_pinned_mismatch_lists():
+    g, divisor, matrix = mutated_4x4()
+    rep = mg.check_representation_independence(g, divisor, matrix)
+    assert (rep.comparisons, printed(rep)) == (2304, MUTATED_4X4_REPRESENTATION)
+    vf = mg.check_vertex_formula(g, divisor, matrix)
+    assert (vf.comparisons, printed(vf)) == (256, MUTATED_4X4_VERTEX_FORMULA)
+
+
+# -- how many direct-formula values each reader makes ---------------------------
+
+
+@pytest.fixture
+def formula_values(monkeypatch):
+    """The number of vertex-pair values ``green_row_at_vertices`` returns,
+    through the names the check and the oracle call it by."""
+    made = []
+    reader = mg.potential.green_row_at_vertices
+
+    def counted(*args):
+        numerators, den = reader(*args)
+        made.append(len(numerators))
+        return numerators, den
+
+    for module in (mg.invariants, mg.oracle):
+        monkeypatch.setattr(module, "green_row_at_vertices", counted)
+    return made
+
+
+def test_vertex_formula_check_makes_one_value_per_unordered_pair(formula_values):
+    g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+    report = mg.check_vertex_formula(g, divisor)
+    assert report.passed and report.comparisons == 16 * 16
+    # row p makes its columns q >= p: 16 * 17 / 2 values in all
+    assert formula_values == list(range(16, 0, -1))
+
+
+def test_oracle_makes_one_value_per_pair(formula_values):
+    g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+    pairs = load_pairs("tesseract")
+    values = mg.oracle._pair_values(g, divisor, pairs, mg.cli.MAX_VERTICES)
+    assert len(values) == len(pairs)
+    assert formula_values == [1] * len(pairs)

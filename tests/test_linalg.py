@@ -183,6 +183,22 @@ class TestPseudoInverse:
     def test_single_vertex_pseudoinverse_is_zero(self):
         assert mg.pseudo_inverse(mg.RationalMatrix([[0]])) == mg.RationalMatrix([[0]])
 
+    @pytest.mark.parametrize(
+        "entry,den,num",
+        [("3/2", 6, 1), ("7/3", 28, 3), ("2/3", 8, 3)],
+        ids=["two-edges-1-and-2", "seven-thirds", "segment-3/2"],
+    )
+    def test_two_vertices_give_the_pinned_integers(self, entry, den, num):
+        # one row is eliminated (m = 1), so a row gather returns one entry;
+        # for L = w [[1, -1], [-1, 1]], L+ = [[1, -1], [-1, 1]] / (4 w)
+        lap = mg.RationalMatrix([[entry, f"-{entry}"], [f"-{entry}", entry]])
+        lplus = mg.pseudo_inverse(lap)
+        assert (lplus.denominator, lplus.numerators) == (den, ((num, -num), (-num, num)))
+
+    def test_segment_pinv_is_pinned(self):
+        lplus = mg.pinv(build_segment(F(3, 2)))
+        assert (lplus.denominator, lplus.numerators) == (8, ((3, -3), (-3, 3)))
+
     def test_non_laplacian_rejected(self, monkeypatch):
         # rejected before the vertices are even ordered for the elimination
         monkeypatch.setattr(mg.linalg, "_reverse_cuthill_mckee", None)

@@ -25,6 +25,7 @@ from conftest import (
     resistance_form,
     row_sums,
     sample_points,
+    seeded_grid,
     trace,
     voltage,
 )
@@ -968,3 +969,63 @@ def test_incidence_table_matches_the_copied_scans(g):
         found = mg.graph.find_bridge_sides(h)
         assert found == sides and list(found) == list(sides)
         assert mg.bridges(h) == frozenset(sides)
+
+
+# -- corners evaluated in the representation check's loop ----------------------
+# The check reads an off-diagonal entry with no |x - y| term at its four
+# corners with sums written out in its loop, and every other entry through
+# ``_corners``.  Against a table that no corner equals, every comparison
+# fails, so the report lists every corner value the check computed, in its
+# order, and each must equal the value ``_corners`` gives.
+
+
+def corner_values(g, matrix):
+    """Every corner the representation check compares, from ``_corners``,
+    in the check's order: by vertex pair, then by the two descriptions."""
+    lengths = [e.length.as_integer_ratio() for e in g.edges]
+    keyed = []
+    for i, row in enumerate(matrix.rows):
+        for j, entry in enumerate(row, i):
+            den, (v0, v1, v2, v3) = mg.invariants._corners(entry, *lengths[i], *lengths[j])
+            views = [(i, j, (v0, v1, v2, v3))]
+            if i != j:
+                # z_ji is z_ij with x and y swapped
+                views.append((j, i, (v0, v2, v1, v3)))
+            for x, y, corners in views:
+                for a, p in enumerate(g.edges[x][:2]):
+                    if g.valence(p) < 2:
+                        continue
+                    for b, q in enumerate(g.edges[y][:2]):
+                        keyed.append(((p, q, x, a, y, b), F(corners[2 * a + b], den)))
+    return [value for _, value in sorted(keyed)]
+
+
+def with_abs_terms(matrix, data):
+    """``matrix`` with a drawn nonzero |x - y| coefficient on some entries
+    off the diagonal, as a caller may build one."""
+    rows = [list(row) for row in matrix.rows]
+    for row in rows:
+        for k in range(1, len(row)):
+            if data.draw(st.booleans()):
+                den, *coefficients, _ = row[k]
+                row[k] = (den, *coefficients, data.draw(st.integers(-5, 5).filter(bool)))
+    return mg.ValueMatrix(matrix.divisor, tuple(map(tuple, rows)))
+
+
+seeded_grids = st.builds(seeded_grid, st.integers(min_value=2, max_value=4), st.integers(0, 999))
+
+
+@common
+@given(st.one_of(seeded_grids, repaired_graph_and_divisor()), st.booleans(), st.data())
+def test_corners_in_the_check_loop_equal_the_corner_evaluator(gd, abs_terms, data):
+    g, divisor = gd
+    matrix = mg.value_matrix(g, divisor)
+    if abs_terms:
+        matrix = with_abs_terms(matrix, data)
+    expected = corner_values(g, matrix)
+    far = max(map(abs, expected), default=F(0)) + 1
+    table = [[(far.numerator, far.denominator)] * g.n_vertices for _ in range(g.n_vertices)]
+    report = mg.invariants._representation_report(g, matrix, table)
+    assert report.comparisons == len(expected)
+    assert [m.got for m in report.mismatches] == expected
+    assert {m.expected for m in report.mismatches} <= {far}
