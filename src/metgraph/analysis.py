@@ -19,9 +19,9 @@ asked for.  Every command and workload asks about one divisor per graph at
 a time, so memory stays bounded however many divisors a long-running
 process visits; a caller that alternates two divisors on one graph
 rebuilds each analysis on every switch.  Once either consistency check has
-run on the value matrix, the ``DivisorAnalysis`` also keeps that matrix's
-canonical vertex-pair values, which both checks read: n^2 cells for n
-vertices, (p, q) and (q, p) one object.
+run on the value matrix, the ``DivisorAnalysis`` also keeps the
+representation check's report and the table of canonical vertex-pair
+values its walk filled, n^2 cells, (p, q) and (q, p) one object.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  Those modules reach ``network`` at import
@@ -40,6 +40,7 @@ from .graph import Divisor, MetrizedGraph, check_divisor
 
 if TYPE_CHECKING:
     from .green import ValueMatrix
+    from .invariants import CheckReport
     from .linalg import RationalMatrix
     from .potential import EdgeData, EdgeFunction, VertexFormula
 
@@ -146,9 +147,9 @@ class DivisorAnalysis:
         return build_value_matrix(self.network, self)
 
     @cached_property
-    def vertex_table(self) -> list[list[tuple[int, int]]]:
-        """``value_matrix`` at the canonical descriptions of every vertex
-        pair, the table both consistency checks compare against."""
-        from .invariants import _vertex_table
+    def representation_walk(self) -> tuple[CheckReport, list[list[tuple[int, int]]]]:
+        """The representation report of ``value_matrix`` and the table of
+        canonical vertex-pair values its walk filled."""
+        from .invariants import _representation_report
 
-        return _vertex_table(self.network.graph, self.value_matrix)
+        return _representation_report(self.network.graph, self.value_matrix)

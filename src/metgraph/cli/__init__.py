@@ -153,7 +153,7 @@ def parse_graph(text: str) -> tuple[MetrizedGraph, Divisor]:
         tail = _parse_index(item.get("from"), f"edges[{k}].from", n)
         head = _parse_index(item.get("to"), f"edges[{k}].to", n)
         length = _parse_rational(item.get("length"), f"edges[{k}].length")
-        if length <= 0:
+        if length.numerator <= 0:
             raise GraphFormatError(f"edges[{k}].length: must be positive, got {length}")
         edges.append(Edge(tail, head, length))
     raw_divisor = doc.get("divisor")

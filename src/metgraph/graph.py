@@ -51,7 +51,7 @@ from .errors import (
 # the CLI reads edge indices, divisor coefficients and ``--decimal`` with
 # ``_INTEGER``.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(rf"{_INTEGER.pattern}(/[0-9]+)?")
+_RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
 
 
 def as_fraction(value: Fraction | int | str, what: str) -> Fraction:
@@ -66,10 +66,14 @@ def as_fraction(value: Fraction | int | str, what: str) -> Fraction:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
         raise MetgraphError(f"{what}: expected an integer, a Fraction or 'p/q', got {value!r}")
-    try:
-        if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-            raise ValueError(value)
+    if not isinstance(value, str):
         return Fraction(value)
+    # the two integers matched make the Fraction: Fraction(value) would parse again
+    match = _RATIONAL.fullmatch(value)
+    try:
+        if not match:
+            raise ValueError(value)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError):
         raise MetgraphError(f"{what}: malformed rational {value!r}") from None
 
@@ -168,7 +172,7 @@ class MetrizedGraph(Record):
             if not (0 <= tail < n and 0 <= head < n):
                 raise MetgraphError(f"edge {k} references a vertex outside 0..{n - 1}")
             length = as_fraction(length, f"edge {k} length")
-            if length <= 0:
+            if length.numerator <= 0:
                 raise NonpositiveLength(f"edge {k} has nonpositive length {length}")
             norm.append(Edge(int(tail), int(head), length))
             ends[tail].append((k, 0, head))

@@ -14,15 +14,14 @@ so every value either reads is a corner of a stored entry, given by
 ``_corners`` from its integers; for an off-diagonal entry with no |x - y|
 term, the common case, the representation check writes the same sums out
 in its loop.  Both compare against the value at the canonical
-descriptions of each vertex pair, one table built
-by ``_vertex_table``.  For the network's own value matrix, the matrix
-``value_matrix(g, divisor)`` returns, that table is kept on its
-``DivisorAnalysis`` as ``vertex_table``, so the two checks build it once
-between them; any other matrix, even an equal copy, gets a table of its
-own, built for each check, and checking it builds no matrix of the
-network's.  The representation check compares every corner of every entry
-with that table; the vertex-formula check compares one triangle of it
-with the direct formula.
+descriptions of each vertex pair, one table, which the representation
+check's walk fills with the first corner it meets for each pair, the
+canonical one.  For the network's own value matrix, the matrix
+``value_matrix(g, divisor)`` returns, the walk's report and table are kept
+on its ``DivisorAnalysis``, so the two checks cost one walk in either
+order; any other matrix, even an equal copy, is walked for each check, and
+checking it builds no matrix of the network's.  The vertex-formula check
+compares one triangle of the table with the direct formula.
 
 A value matrix holds z_ij for i <= j only, z_ji being z_ij with x and y
 swapped, and each diagonal entry is symmetric in x and y, so corner (a, b)
@@ -154,53 +153,29 @@ def _corners(
     return den * (qqi * qqj), (base, base + y, base + x, base + x + y + xy)
 
 
-def _vertex_table(g: MetrizedGraph, matrix: ValueMatrix) -> list[list[tuple[int, int]]]:
-    """The matrix's value at the canonical descriptions of every vertex
-    pair, as (numerator, denominator); each is one corner of one stored
-    entry.  Cells (p, q) and (q, p) are one object."""
-    # per vertex, its canonical description, its first edge end: the edge,
-    # the end (0 the tail, 1 the head) and the edge's length
-    ends = [(i, a, *g.edges[i].length.as_integer_ratio()) for (i, a, _), *_ in g._ends]
-    rows = matrix.rows
-    table: list[list[tuple[int, int]]] = [[None] * len(ends) for _ in ends]
-    for p, (i, a, pi, qi) in enumerate(ends):
-        for q, (j, b, pj, qj) in enumerate(ends[p:], p):
-            if i <= j:
-                over, corners = _corners(rows[i][j - i], pi, qi, pj, qj)
-                cell = (corners[2 * a + b], over)
-            else:
-                # g(p, q) is z_ji at (q, p)
-                over, corners = _corners(rows[j][i - j], pj, qj, pi, qi)
-                cell = (corners[2 * b + a], over)
-            table[p][q] = table[q][p] = cell
-    return table
-
-
-def _checked(
+def _walked(
     g: MetrizedGraph, divisor: Divisor, matrix: ValueMatrix | None
-) -> tuple[DivisorAnalysis, ValueMatrix, list[list[tuple[int, int]]]]:
-    """The analysis of ``divisor``, the value matrix to check and the
-    matrix's table of canonical vertex-pair values.
+) -> tuple[DivisorAnalysis, CheckReport, list[list[tuple[int, int]]]]:
+    """The analysis of ``divisor`` and the representation walk's report and
+    table for the value matrix to check.
 
     The matrix is the analysis's own when ``matrix`` is None; when it is
-    that very object, the table is the analysis's ``vertex_table``, built
-    once for both checks.  Any other matrix, equal or not, gets a table of
-    its own.  The divisor is checked either way.
+    that very object, the walk is the analysis's, one for both checks.  Any
+    other matrix, equal or not, is walked for each check.  The divisor is
+    checked either way.
     """
     div = network(g).divisor(divisor)
     if matrix is None:
         matrix = div.value_matrix
     elif matrix.size != g.n_edges:
-        raise MetgraphError(
-            f"value matrix has {matrix.size} edges but the graph has {g.n_edges}"
-        )
+        raise MetgraphError(f"value matrix has {matrix.size} edges but the graph has {g.n_edges}")
     elif matrix.divisor != divisor:
         raise MetgraphError("value matrix belongs to another divisor")
     # a matrix the network has not built yet is not its own: reading
     # ``div.value_matrix`` would build one only to compare identities
     if matrix is div.__dict__.get("value_matrix"):
-        return div, matrix, div.vertex_table
-    return div, matrix, _vertex_table(g, matrix)
+        return div, *div.representation_walk
+    return div, *_representation_report(g, matrix)
 
 
 def check_representation_independence(
@@ -215,8 +190,7 @@ def check_representation_independence(
     built only for a mismatch, and mismatches are reported in vertex-pair
     order.
     """
-    _, matrix, table = _checked(g, divisor, matrix)
-    return _representation_report(g, matrix, table)
+    return _walked(g, divisor, matrix)[1]
 
 
 def check_vertex_formula(
@@ -231,7 +205,7 @@ def check_vertex_formula(
     (p, q) and (q, p), and a mismatch is reported at both, in vertex-pair
     order.  Values are compared by cross-multiplication.
     """
-    div, _, table = _checked(g, divisor, matrix)
+    div, _, table = _walked(g, divisor, matrix)
     mismatches = []
     for p, row in enumerate(table):
         wants, over = green_row_at_vertices(div, p, slice(p, None))
@@ -250,10 +224,16 @@ def _check_reports(g: MetrizedGraph, divisor: Divisor) -> tuple[CheckReport, Che
 
 
 def _representation_report(
-    g: MetrizedGraph, matrix: ValueMatrix, table: list[list[tuple[int, int]]]
-) -> CheckReport:
+    g: MetrizedGraph, matrix: ValueMatrix, table: list[list[tuple[int, int] | None]] | None = None
+) -> tuple[CheckReport, list[list[tuple[int, int]]]]:
     """Every corner of every entry against the table, one stored edge pair
-    {i, j}, i <= j, at a time.
+    {i, j}, i <= j, at a time, and the table.
+
+    An empty (None) cell, all of them by default, takes the first corner
+    met for it.  The graph is adequate, so that is its canonical value, in
+    the pair {f_p, f_q} of its vertices' lowest edges: every other
+    description lies in a later pair, and the symmetric z_ii has equal
+    corners (0, L) and (L, 0).
 
     Each pair is read once, at its four corners, by ``_corners`` or, with
     no |x - y| term, by its sums written out: corner (a, b) of z_ij is g(p, q),
@@ -267,6 +247,8 @@ def _representation_report(
     entry-by-entry walk's: per edge i, two comparisons per compared end of
     i and per edge j.
     """
+    if table is None:
+        table = [[None] * g.n_vertices for _ in range(g.n_vertices)]
     lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
     ends = [(e.tail, e.head) for e in g.edges]
     # per edge, its ends compared, as the offset 2 a of their corners (a is
@@ -275,8 +257,20 @@ def _representation_report(
         [(2 * a, p, table[p]) for a, p in enumerate(pair) if len(g._ends[p]) >= 2]
         for pair in ends
     ]
+    # per edge, the ends it is the first edge of, as (a, p, row p of the table)
+    opens = [
+        [(a, p, table[p]) for a, p in enumerate(pair) if g._ends[p][0][0] == i]
+        for i, pair in enumerate(ends)
+    ]
     comparisons = 2 * len(ends) * sum(map(len, firsts))
     mismatches = []
+
+    def fill(i: int, j: int, den: int, values: tuple[int, int, int, int]) -> None:
+        """z_ij's corners into the empty cells of ends whose first edges are i and j."""
+        for a, p, row in opens[i]:
+            for b, q, column in opens[j]:
+                if row[q] is None:
+                    row[q] = column[p] = (values[2 * a + b], den)
 
     def compare(i: int, j: int, den: int, values: tuple[int, int, int, int]) -> None:
         """z_ij's four corners ``values`` over ``den`` against the table."""
@@ -290,7 +284,10 @@ def _representation_report(
 
     for i, row in enumerate(matrix.rows):
         pi, qi = lengths[i]
-        compare(i, i, *_corners(row[0], pi, qi, pi, qi))
+        den, values = _corners(row[0], pi, qi, pi, qi)
+        fill(i, i, den, values)
+        compare(i, i, den, values)
+        opened = opens[i]
         at, ah = map(table.__getitem__, ends[i])
         qqi = qi * qi
         for j, ((pj, qj), entry) in enumerate(zip(lengths[i + 1 :], row[1:]), i + 1):
@@ -305,6 +302,8 @@ def _representation_report(
                 v2 = v0 + x
                 v3 = v1 + x + cxy * (pi * pj * qi * qj)
                 den *= qqi * qqj
+            if opened and opens[j]:
+                fill(i, j, den, (v0, v1, v2, v3))
             tj, hj = ends[j]
             (w0, o0), (w1, o1), (w2, o2), (w3, o3) = at[tj], at[hj], ah[tj], ah[hj]
             if (
@@ -317,4 +316,4 @@ def _representation_report(
                 compare(j, i, den, (v0, v2, v1, v3))
     # the keys are unique: order by vertex pair, then by the two descriptions
     ordered = tuple(found for _, found in sorted(mismatches))
-    return CheckReport("representation independence", comparisons, ordered)
+    return CheckReport("representation independence", comparisons, ordered), table

@@ -48,13 +48,6 @@ class RationalMatrix:
         )
 
     @classmethod
-    def _over(cls, den: int, numerators: Iterable[Iterable[int]]) -> "RationalMatrix":
-        """numerators / den, for den > 0, brought to lowest terms by one gcd."""
-        rows = tuple(map(tuple, numerators))
-        common = gcd(den, *(x for row in rows for x in row))
-        return cls._reduced(den // common, ((x // common for x in row) for row in rows))
-
-    @classmethod
     def _reduced(cls, den: int, numerators: Iterable[Iterable[int]]) -> "RationalMatrix":
         """numerators / den, taken as they are: den > 0 and in lowest terms."""
         matrix = cls.__new__(cls)
@@ -104,18 +97,21 @@ def laplacian(g: MetrizedGraph) -> RationalMatrix:
 
 def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
     """The Laplacian in integers over s, the lcm of the length numerators:
-    an edge of length p / q adds q (s / p) over s."""
+    an edge of length p / q adds w = q (s / p) over s.  Each off-diagonal
+    entry is one -w (the graph is adequate), so one gcd of s and the
+    weights brings it to lowest terms."""
     require_adequate(g)
     n = g.n_vertices
     s = lcm(*(e.length.numerator for e in g.edges))
+    weights = [e.length.denominator * (s // e.length.numerator) for e in g.edges]
+    common = gcd(s, *weights)
     a = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        w = e.length.denominator * (s // e.length.numerator)
-        a[e.tail][e.head] -= w
-        a[e.head][e.tail] -= w
-        a[e.tail][e.tail] += w
-        a[e.head][e.head] += w
-    return RationalMatrix._over(s, a)
+    for (tail, head, _), w in zip(g.edges, weights):
+        w //= common
+        a[tail][head] = a[head][tail] = -w
+        a[tail][tail] += w
+        a[head][head] += w
+    return RationalMatrix._reduced(s // common, a)
 
 
 def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import network
@@ -105,7 +105,7 @@ def edge_data(net: Network) -> tuple[EdgeData, ...]:
     out = []
     for e in net.graph.edges:
         # L+ is symmetric, so the column difference is a row difference
-        a = tuple(x - y for x, y in zip(lp[e.tail], lp[e.head]))
+        a = tuple(map(sub, lp[e.tail], lp[e.head]))
         r = a[e.tail] - a[e.head]
         p, q = e.length.numerator, e.length.denominator
         out.append(EdgeData(e.tail, e.head, p, q, r, a, (p * den - q * r) * q))

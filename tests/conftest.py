@@ -11,6 +11,7 @@ import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,13 @@ def fraction_laplacian(g: mg.MetrizedGraph) -> mg.RationalMatrix:
     return mg.RationalMatrix(a)
 
 
+def rational_over(den: int, numerators) -> mg.RationalMatrix:
+    """numerators / den, for den > 0, brought to lowest terms by one gcd."""
+    rows = tuple(map(tuple, numerators))
+    common = gcd(den, *(x for row in rows for x in row))
+    return mg.RationalMatrix._reduced(den // common, ((x // common for x in row) for row in rows))
+
+
 def gauss_jordan_pinv(lap: mg.RationalMatrix) -> mg.RationalMatrix:
     """L+ by fraction-free Gauss-Jordan elimination (Bareiss 1968) on
     [A | I], A the Laplacian grounded at vertex 0, dense and in the input's
@@ -178,7 +186,7 @@ def gauss_jordan_pinv(lap: mg.RationalMatrix) -> mg.RationalMatrix:
     adjugate = [[0] * n] + [[0] + row[m:] for row in work]
     sums = [sum(row) for row in adjugate]
     total = sum(sums)
-    return mg.RationalMatrix._over(
+    return rational_over(
         n * n * det,
         ([scale * (n * n * x - n * (si + sj) + total) for x, sj in zip(row, sums)]
          for row, si in zip(adjugate, sums)),
@@ -248,14 +256,14 @@ def matmul(a: mg.RationalMatrix, b: mg.RationalMatrix) -> mg.RationalMatrix:
     if a.n_cols != b.n_rows:
         raise ValueError("matrix shapes do not compose")
     cols = tuple(zip(*b.numerators))
-    return mg.RationalMatrix._over(
+    return rational_over(
         a.denominator * b.denominator,
         ([sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.numerators),
     )
 
 
 def transpose(m: mg.RationalMatrix) -> mg.RationalMatrix:
-    return mg.RationalMatrix._over(m.denominator, zip(*m.numerators))
+    return rational_over(m.denominator, zip(*m.numerators))
 
 
 def trace(m: mg.RationalMatrix) -> Fraction:

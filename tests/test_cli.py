@@ -709,17 +709,17 @@ class TestModuleEntryPoints:
 
 
 def test_check_command_evaluates_the_vertex_pairs_once(monkeypatch, capsys):
-    # both reports compare against the same canonical vertex-pair values
-    tables = []
-    build = mg.invariants._vertex_table
+    # both reports read one walk, which fills the canonical vertex-pair values
+    walks = []
+    walk = mg.invariants._representation_report
 
-    def counted(g, matrix):
-        tables.append(g)
-        return build(g, matrix)
+    def counted(g, matrix, table=None):
+        walks.append(g)
+        return walk(g, matrix, table)
 
-    monkeypatch.setattr(mg.invariants, "_vertex_table", counted)
+    monkeypatch.setattr(mg.invariants, "_representation_report", counted)
     assert run(["check", TWO_BRIDGES]) == 0
-    assert len(tables) == 1
+    assert len(walks) == 1
     assert len(lines_of(capsys)) == 2
 
 
@@ -808,6 +808,15 @@ def test_pinv_of_wide_operands_is_pinned(capsys):
     path = Path(__file__).parent / "data" / "prime_ratio_8x8.json"
     digest = "a2430c197751c0c231a4a55633adff86aaebc0f2f15c53f3fa778400d1276939"
     assert stdout_digest(["pinv", str(path), "--machine"], capsys)[0] == digest
+
+
+def test_check_of_wide_operands_gives_the_ci_counts(capsys):
+    # the same grid through both checks, one walk over operands with many
+    # different denominators, as the workflow runs it under a 60 s timeout
+    path = Path(__file__).parent / "data" / "prime_ratio_8x8.json"
+    _, out = stdout_digest(["check", str(path), "--machine"], capsys)
+    found = [(r["name"], r["comparisons"], r["passed"]) for r in json.loads(out)["reports"]]
+    assert found == [("representation independence", 50176, True), ("vertex formula", 4096, True)]
 
 
 # (command, graph, --x, --y, printed value), as pinned in the workflow

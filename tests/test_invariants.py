@@ -176,32 +176,40 @@ def test_vertex_formula_row_parts_are_built_once_per_divisor(monkeypatch):
 
 
 class TestSharedVertexTable:
-    """The network's own value matrix keeps its canonical vertex-pair values
-    on its ``DivisorAnalysis``; any other matrix gets a table of its own."""
+    """The representation walk fills the table of canonical vertex-pair
+    values it compares against.  For the network's own value matrix, the
+    ``DivisorAnalysis`` keeps the walk's report and table, so both checks
+    cost one walk in either order; any other matrix is walked per check."""
 
     @pytest.fixture
-    def tables(self, monkeypatch):
-        """The matrices ``_vertex_table`` is called on, in call order."""
+    def walks(self, monkeypatch):
+        """The matrices ``_representation_report`` walks, in call order."""
         mg.clear_caches()
         called = []
-        build = mg.invariants._vertex_table
+        walk = mg.invariants._representation_report
 
-        def counted(g, matrix):
+        def counted(g, matrix, table=None):
             called.append(matrix)
-            return build(g, matrix)
+            return walk(g, matrix, table)
 
-        monkeypatch.setattr(mg.invariants, "_vertex_table", counted)
+        monkeypatch.setattr(mg.invariants, "_representation_report", counted)
         return called
 
-    def test_both_checks_build_one_table(self, tables):
+    def test_both_checks_build_one_table(self, walks):
         g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
-        rep = mg.check_representation_independence(g, divisor)
-        matrix = mg.value_matrix(g, divisor)
-        vf = mg.check_vertex_formula(g, divisor, matrix)
-        assert rep.passed and vf.passed
-        assert len(tables) == 1 and tables[0] is matrix
+        for checks in (CHECKS, CHECKS[::-1]):
+            mg.clear_caches()
+            walks.clear()
+            reports = [checks[0](g, divisor)]
+            matrix = mg.value_matrix(g, divisor)
+            reports.append(checks[1](g, divisor, matrix))
+            assert all(report.passed for report in reports)
+            assert len(walks) == 1 and walks[0] is matrix
+            # a check run again reads what the analysis kept
+            assert [check(g, divisor) for check in checks] == reports
+            assert len(walks) == 1
 
-    def test_corrupted_matrix_fails_the_same_on_a_warm_table(self, circle, tables):
+    def test_corrupted_matrix_fails_the_same_on_a_warm_table(self, circle, walks):
         divisor = mg.Divisor((0, 2, 0))
         cold = [check(circle, divisor, corrupted_matrix(circle, divisor)) for check in CHECKS]
         mg.clear_caches()
@@ -209,8 +217,8 @@ class TestSharedVertexTable:
         warm = [check(circle, divisor, corrupted_matrix(circle, divisor)) for check in CHECKS]
         assert not any(report.passed for report in warm)
         assert warm == cold
-        # the first two tables were the corrupted copies', the third the network's
-        assert [matrix is mg.value_matrix(circle, divisor) for matrix in tables] == [
+        # the first two walks were over the corrupted copies, the third over the network's
+        assert [matrix is mg.value_matrix(circle, divisor) for matrix in walks] == [
             False, False, True, False, False
         ]
 
@@ -231,7 +239,7 @@ class TestSharedVertexTable:
         assert [check(g, divisor, copy) for check in CHECKS] == original
         assert built == []
 
-    def test_pickled_copy_gives_identical_reports(self, tables):
+    def test_pickled_copy_gives_identical_reports(self, walks):
         g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
         matrix = mg.value_matrix(g, divisor)
         copy = pickle.loads(pickle.dumps(matrix))
@@ -239,7 +247,7 @@ class TestSharedVertexTable:
         original = [check(g, divisor, matrix) for check in CHECKS]
         copied = [check(g, divisor, copy) for check in CHECKS]
         assert copied == original and all(report.passed for report in original)
-        assert [table is matrix for table in tables] == [True, False, False]
+        assert [walked is matrix for walked in walks] == [True, False, False]
 
 
 # -- the checks on a mutated seeded 4x4 grid -----------------------------------

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import metgraph as mg
 from conftest import (
     build_banana,
+    build_circle,
     build_two_bridges,
     defines_pseudo_inverse,
     fraction_laplacian,
@@ -976,7 +977,9 @@ def test_incidence_table_matches_the_copied_scans(g):
 # corners with sums written out in its loop, and every other entry through
 # ``_corners``.  Against a table that no corner equals, every comparison
 # fails, so the report lists every corner value the check computed, in its
-# order, and each must equal the value ``_corners`` gives.
+# order, and each must equal the value ``_corners`` gives.  From an empty
+# table, the walk fills each cell with the first corner it meets for it,
+# which must be the canonical one, read here off ``g._ends``.
 
 
 def corner_values(g, matrix):
@@ -1015,6 +1018,26 @@ def with_abs_terms(matrix, data):
 seeded_grids = st.builds(seeded_grid, st.integers(min_value=2, max_value=4), st.integers(0, 999))
 
 
+def canonical_table(g, matrix):
+    """The matrix's value at every vertex pair, each vertex at the first
+    edge end ``g._ends`` lists for it, from ``_corners`` of the entry
+    holding both ends, as (numerator, denominator)."""
+    lengths = [e.length.as_integer_ratio() for e in g.edges]
+    firsts = [g._ends[v][0][:2] for v in range(g.n_vertices)]
+    table = []
+    for i, a in firsts:
+        row = []
+        for j, b in firsts:
+            if i <= j:
+                den, corners = mg.invariants._corners(matrix.rows[i][j - i], *lengths[i], *lengths[j])
+                row.append((corners[2 * a + b], den))
+            else:  # z_ij is z_ji with x and y swapped
+                den, corners = mg.invariants._corners(matrix.rows[j][i - j], *lengths[j], *lengths[i])
+                row.append((corners[2 * b + a], den))
+        table.append(row)
+    return table
+
+
 @common
 @given(st.one_of(seeded_grids, repaired_graph_and_divisor()), st.booleans(), st.data())
 def test_corners_in_the_check_loop_equal_the_corner_evaluator(gd, abs_terms, data):
@@ -1024,8 +1047,234 @@ def test_corners_in_the_check_loop_equal_the_corner_evaluator(gd, abs_terms, dat
         matrix = with_abs_terms(matrix, data)
     expected = corner_values(g, matrix)
     far = max(map(abs, expected), default=F(0)) + 1
-    table = [[(far.numerator, far.denominator)] * g.n_vertices for _ in range(g.n_vertices)]
-    report = mg.invariants._representation_report(g, matrix, table)
+    cell = (far.numerator, far.denominator)
+    table = [[cell] * g.n_vertices for _ in range(g.n_vertices)]
+    report, walked = mg.invariants._representation_report(g, matrix, table)
     assert report.comparisons == len(expected)
     assert [m.got for m in report.mismatches] == expected
     assert {m.expected for m in report.mismatches} <= {far}
+    # a full table takes no corner
+    assert walked is table and table == [[cell] * g.n_vertices for _ in range(g.n_vertices)]
+    # an empty one takes each canonical corner, inline sums and |x - y| terms alike
+    _, walked = mg.invariants._representation_report(g, matrix)
+    assert walked == canonical_table(g, matrix)
+
+
+@common
+@given(
+    st.one_of(
+        st.builds(seeded_grid, st.integers(min_value=4, max_value=8), st.integers(0, 999)),
+        repaired_graph_and_divisor(),
+    )
+)
+def test_the_walk_fills_the_canonical_table(gd):
+    g, divisor = gd
+    mg.clear_caches()
+    representation = mg.check_representation_independence(g, divisor)
+    report, table = mg.network(g).divisor(divisor).representation_walk
+    assert report is representation and report.passed
+    assert table == canonical_table(g, mg.value_matrix(g, divisor))
+    # cells (p, q) and (q, p) are one
+    assert all(row[q] is table[q][p] for p, row in enumerate(table) for q in range(p))
+
+
+def test_a_corrupted_canonical_corner_fails_both_checks():
+    # c_xy moves only corner (L_i, L_j) of z_ij: here the canonical value of
+    # two vertices that sit at the heads of their first edges i and j, so the
+    # walk takes the corrupted value into its table, and every other
+    # description of the pair must then disagree with it
+    g, divisor = seeded_grid(4, 0)
+    matrix = mg.value_matrix(g, divisor)
+    p, q = next(
+        (p, q)
+        for p in range(g.n_vertices)
+        for q in range(p + 1, g.n_vertices)
+        if g._ends[p][0][1] == g._ends[q][0][1] == 1
+    )
+    i, j = g._ends[p][0][0], g._ends[q][0][0]
+    assert i < j
+    rows = [list(row) for row in matrix.rows]
+    den, *coefficients = rows[i][j - i]
+    coefficients[5] += den
+    rows[i][j - i] = (den, *coefficients)
+    corrupted = mg.ValueMatrix(divisor, tuple(map(tuple, rows)))
+    at_p, at_q = mg.point_of_vertex(g, p), mg.point_of_vertex(g, q)
+    true = matrix.evaluate(at_p, at_q)
+    wrong = true + g.edges[i].length * g.edges[j].length
+    assert corrupted.evaluate(at_p, at_q) == wrong
+    _, table = mg.invariants._representation_report(g, corrupted)
+    assert F(*table[p][q]) == wrong
+
+    rep = mg.check_representation_independence(g, divisor, corrupted)
+    descriptions = [(x.edge, y.edge) for x in mg.representations(g, p) for y in mg.representations(g, q)]
+    expected = sorted(
+        [(f"g(v{p}, v{q}) via z[{x}][{y}]", wrong, true) for x, y in descriptions[1:]]
+        + [(f"g(v{q}, v{p}) via z[{y}][{x}]", wrong, true) for x, y in descriptions[1:]]
+    )
+    assert sorted(rep.mismatches) == expected
+    vf = mg.check_vertex_formula(g, divisor, corrupted)
+    assert list(vf.mismatches) == [
+        (f"g(v{p}, v{q})", true, wrong),
+        (f"g(v{q}, v{p})", true, wrong),
+    ]
+
+
+# -- identities across graphs, from the literature -------------------------------
+# Each relates results of different graphs, read through the public API:
+# - tau is additive over one-point unions (Cinkir, "The tau constant of
+#   metrized graphs and its behavior under graph operations", Electron. J.
+#   Combin. 2011);
+# - a bridge of length L adds L / 4, the tau of a segment (Baker and Rumely
+#   2007);
+# - Foster's theorem: sum_e r_e / L_e = n - 1, r_e the resistance between
+#   the ends of edge e (Foster 1949);
+# - the series law: with p a cut vertex between x and y,
+#   r(x, y) = r(x, p) + r(p, y).
+# A mutation test per identity shows that it fails on a perturbed L+ or tau.
+
+
+@st.composite
+def repaired_graphs(draw) -> mg.MetrizedGraph:
+    g, _ = mg.make_adequate(draw(st.one_of(adequate_graphs(), multigraphs())))
+    return g
+
+
+def joined(g, h, u, v, bridge=None):
+    """g and h with h's vertex v glued onto g's vertex u or, given a bridge
+    length, tied to it by a new last edge; h's edges follow g's."""
+    n = g.n_vertices
+    if bridge is None:
+        index = [u if w == v else n + w - (w > v) for w in range(h.n_vertices)]
+    else:
+        index = [n + w for w in range(h.n_vertices)]
+    edges = [*g.edges, *(mg.Edge(index[e.tail], index[e.head], e.length) for e in h.edges)]
+    if bridge is not None:
+        edges.append(mg.Edge(u, index[v], bridge))
+    labels = tuple(f"v{k}" for k in range(max(index) + 1))
+    return mg.MetrizedGraph(labels, edges)
+
+
+def tau_sides(g, h, u, v, bridge=None):
+    """tau of g and h joined, and what the identities give for it."""
+    added = F(0) if bridge is None else bridge / 4
+    return mg.tau_constant(joined(g, h, u, v, bridge)), mg.tau_constant(g) + mg.tau_constant(h) + added
+
+
+def foster_sides(g):
+    """sum_e r_e / L_e, and n - 1."""
+    total = sum(mg.vertex_resistance(g, e.tail, e.head) / e.length for e in g.edges)
+    return total, g.n_vertices - 1
+
+
+def series_sides(g, h, u, v, x, y):
+    """In g and h glued at u and v, with x a point of g and y one of h:
+    r(x, y), and r(x, p) + r(p, y) through the cut vertex p."""
+    union = joined(g, h, u, v)
+    y = mg.GraphPoint(g.n_edges + y.edge, y.offset)
+    p = mg.point_of_vertex(union, u)
+
+    def r(a, b):
+        return mg.resistance_point(union, a, b)
+
+    return r(x, y), r(x, p) + r(p, y)
+
+
+def drawn_vertex(data, g):
+    return data.draw(st.integers(min_value=0, max_value=g.n_vertices - 1))
+
+
+def drawn_point(data, g):
+    i = data.draw(st.integers(min_value=0, max_value=g.n_edges - 1))
+    share = data.draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(1))))
+    return mg.GraphPoint(i, share * g.edges[i].length)
+
+
+@common
+@given(repaired_graphs(), repaired_graphs(), st.data())
+def test_tau_is_additive_over_one_point_unions(g, h, data):
+    union, parts = tau_sides(g, h, drawn_vertex(data, g), drawn_vertex(data, h))
+    assert union == parts
+
+
+@common
+@given(repaired_graphs(), repaired_graphs(), st.sampled_from(LENGTHS), st.data())
+def test_a_bridge_adds_a_quarter_of_its_length(g, h, length, data):
+    union, parts = tau_sides(g, h, drawn_vertex(data, g), drawn_vertex(data, h), length)
+    assert union == parts
+
+
+@common
+@given(repaired_graphs())
+def test_foster_sum_is_one_less_than_the_vertex_count(g):
+    total, expected = foster_sides(g)
+    assert total == expected
+
+
+@common
+@given(repaired_graphs(), repaired_graphs(), st.data())
+def test_resistance_is_in_series_through_a_cut_vertex(g, h, data):
+    u, v = drawn_vertex(data, g), drawn_vertex(data, h)
+    direct, through = series_sides(g, h, u, v, drawn_point(data, g), drawn_point(data, h))
+    assert direct == through
+
+
+@pytest.fixture
+def analysis_patch(monkeypatch):
+    """``monkeypatch``, with the analysis cache emptied before and after, so
+    no perturbed L+ or tau outlives the test."""
+    mg.clear_caches()
+    yield monkeypatch
+    monkeypatch.undo()
+    mg.clear_caches()
+
+
+def perturb_tau(patch):
+    """tau with 1/7 added, on every graph from here on."""
+    tau_of = mg.potential.tau_of
+    patch.setattr(mg.potential, "tau_of", lambda net: tau_of(net) + F(1, 7))
+    mg.clear_caches()
+
+
+def perturb_lplus(patch, k):
+    """L+ with 1/7 added to its diagonal entry (k, k), on every graph from
+    here on."""
+    pseudo_inverse = mg.linalg.pseudo_inverse
+
+    def moved(lap):
+        rows = [list(row) for row in pseudo_inverse(lap).rows()]
+        rows[k][k] += F(1, 7)
+        return mg.RationalMatrix(rows)
+
+    patch.setattr(mg.linalg, "pseudo_inverse", moved)
+    mg.clear_caches()
+
+
+def test_tau_additivity_fails_on_a_perturbed_tau(analysis_patch):
+    g, h = build_circle(), build_banana()
+    assert len(set(tau_sides(g, h, 0, 1))) == 1
+    perturb_tau(analysis_patch)
+    assert len(set(tau_sides(g, h, 0, 1))) == 2
+
+
+def test_the_bridge_identity_fails_on_a_perturbed_tau(analysis_patch):
+    g, h = build_circle(), build_banana()
+    assert len(set(tau_sides(g, h, 2, 3, F(5, 2)))) == 1
+    perturb_tau(analysis_patch)
+    assert len(set(tau_sides(g, h, 2, 3, F(5, 2)))) == 2
+
+
+def test_foster_sum_fails_on_a_perturbed_lplus(analysis_patch):
+    g = build_banana()
+    assert foster_sides(g) == (3, 3)
+    perturb_lplus(analysis_patch, 0)
+    assert foster_sides(g)[0] != 3
+
+
+def test_the_series_law_fails_on_a_perturbed_lplus(analysis_patch):
+    # the union's cut vertex is g's vertex 0; x and y are vertices away from it
+    g, h = build_circle(), build_banana()
+    x, y = mg.point_of_vertex(g, 2), mg.point_of_vertex(h, 3)
+    direct, through = series_sides(g, h, 0, 1, x, y)
+    assert direct == through
+    perturb_lplus(analysis_patch, 0)
+    assert series_sides(g, h, 0, 1, x, y) == (direct, through + F(2, 7))
