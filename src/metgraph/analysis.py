@@ -13,7 +13,9 @@ reads.  L+ is kept once, as integers over its least common denominator
 (``linalg.RationalMatrix``), which every formula reads.
 Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
 the value matrix, held as one tuple of integers per unordered edge pair,
-the row-independent parts of the vertex formula) hangs off a
+and the vertex formula's b = sum_s a_s N_ss and W_q + N_qq per vertex,
+with W = sum_s a_s N[s] summed apart from r_D's, so that the check it
+serves shares no sum with the matrix it checks) hangs off a
 ``DivisorAnalysis``, and a ``Network`` holds one: that of the divisor last
 asked for.  Every command and workload asks about one divisor per graph at
 a time, so memory stays bounded however many divisors a long-running
@@ -42,7 +44,7 @@ if TYPE_CHECKING:
     from .green import ValueMatrix
     from .invariants import CheckReport
     from .linalg import RationalMatrix
-    from .potential import EdgeData, EdgeFunction, VertexFormula
+    from .potential import EdgeData, EdgeFunction
 
 
 @lru_cache(maxsize=4)
@@ -135,7 +137,7 @@ class DivisorAnalysis:
         return c_mu_of(self)
 
     @cached_property
-    def vertex_formula(self) -> VertexFormula:
+    def vertex_formula(self) -> tuple[int, tuple[int, ...]]:
         from .potential import vertex_formula
 
         return vertex_formula(self)

@@ -410,10 +410,12 @@ def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
 def _cmd_oracle(g, divisor, args):
     pairs = _read_point_pairs(args.points)
     # the closed forms first, pair by pair, so the first invalid point, or a
-    # divisor of degree -2, is reported before any refinement is built
-    closed_values = [
-        (resistance_point(g, x, y), evaluate_green(g, divisor, x, y)) for x, y in pairs
-    ]
+    # divisor of degree -2, is reported before any refinement is built; the
+    # Green value before the resistance, so that degree -2 builds no L+
+    closed_values = []
+    for x, y in pairs:
+        green = evaluate_green(g, divisor, x, y)
+        closed_values.append((resistance_point(g, x, y), green))
     oracle_values = _pair_values(g, divisor, pairs, MAX_VERTICES)
     rows = []
     for (x, y), closed_rg, oracle_rg in zip(pairs, closed_values, oracle_values):

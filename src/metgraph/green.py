@@ -180,7 +180,7 @@ def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
     cy, cxx, cyy, cxy, cabs).
     On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
     so there g's x y and |x - y| coefficients are -w and -1/2."""
-    tau, c = net.tau, div.c_mu  # c_mu rejects degree -2
+    c, tau = div.c_mu, net.tau  # c_mu rejects degree -2 before L+ is built
     scale = div.divisor.degree + 2
     den, lp = net.pinv.denominator, net.pinv.numerators
     # 4 tau / s - c_mu in lowest terms, with a positive denominator

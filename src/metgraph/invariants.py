@@ -4,6 +4,10 @@ Epsilon comes out of two unrelated computations: summing Green values at
 the divisor's support against a base point, and a closed form in the tau
 constant and pairwise resistances.  Agreement of the two is itself a strong
 correctness check, so neither route is ever expressed through the other.
+The Green route reads its values off the value matrix and its resistance
+term off the divisor's r_D at the base vertex, the sum the matrix is built
+from; the resistance route sums over L+ = N / D on its own and reads no
+r_D.
 
 The two consistency checks test a value matrix and read nothing of how it
 was built: only the integers it holds per edge pair, the edge lengths and
@@ -37,6 +41,10 @@ constant, over one denominator, is symmetric in p and q because L+ = N / D
 is stored mirrored, and the table's cells (p, q) and (q, p) are one object.
 So the comparison for q >= p settles both cells; a mismatch is reported at
 both, and the count stays n^2, as for the walk over every ordered pair.
+W = sum_s a_s N[s] is the check's own sum (``potential.vertex_formula``),
+not r_D's: both sides are the same linear function of b = sum_s a_s N_ss
+and W, so a W shared with the matrix would pass the check with a fault in
+it.
 """
 
 from __future__ import annotations
@@ -66,24 +74,22 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
 
     The result does not depend on the base vertex; by default the tail of
     edge 0 is used.  The Green values come from the value matrix, the
-    resistance from L+ = N / D alone: sum_k a_k r(p, p_k) is
-    deg D N_pp + sum_k a_k (N_kk - 2 N_pk) over D, summed in integers.
+    resistance sum_k a_k r(p, p_k) is r_D at the base, read off the
+    divisor's analysis.
     """
     deg = admissible_degree(g, divisor)
     if base is None:
         base = g.edges[0].tail
     g._check_vertex(base)
     matrix = value_matrix(g, divisor)
+    div = network(g).divisor(divisor)
     base_pt = point_of_vertex(g, base)
-    support = [(k, a) for k, a in enumerate(divisor.coefficients) if a]
     green_sum = Fraction(0)
-    for k, ak in support:
-        green_sum += ak * matrix.evaluate(base_pt, point_of_vertex(g, k))
-    lplus = network(g).pinv
-    num = lplus.numerators
-    row = num[base]
-    resist = deg * row[base] + sum(a * (num[k][k] - 2 * row[k]) for k, a in support)
-    return (deg + 2) * green_sum + Fraction(resist, lplus.denominator)
+    for k, ak in enumerate(divisor.coefficients):
+        if ak:
+            green_sum += ak * matrix.evaluate(base_pt, point_of_vertex(g, k))
+    resist = Fraction(div.r_D_at_vertices[base], div.network.pinv.denominator)
+    return (deg + 2) * green_sum + resist
 
 
 def epsilon_via_resistance(g: MetrizedGraph, divisor: Divisor) -> Fraction:

@@ -19,6 +19,8 @@ is held per edge as an ``EdgeFunction``, three integers over D p^2, so a
 point query builds one Fraction, its answer.
 The Green function at vertices has a direct formula in L+, tau and c_mu
 alone, which ``green_row_at_vertices`` gives for a slice of one vertex row.
+Its row-independent part, ``vertex_formula``, holds only the sums it makes
+itself, apart from r_D's, which the value matrix it checks is built from.
 """
 
 from __future__ import annotations
@@ -282,36 +284,22 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     return Fraction(value, den * a * a * b * b)
 
 
-class VertexFormula(NamedTuple):
-    """What every vertex row of ``green_row_at_vertices`` shares, made
-    once per divisor: with W = sum_s a_s N[s], ``diagonal`` holds
-    W_q + N_qq per vertex q, ``base`` is b = sum_s a_s N_ss brought over
-    the row's denominator ``den`` with the constant added, and ``scale``
-    and ``unit`` are deg D + 2 and the product of the denominators of tau
-    and c_mu."""
+def vertex_formula(div: DivisorAnalysis) -> tuple[int, tuple[int, ...]]:
+    """What every vertex row of ``green_row_at_vertices`` shares, made once
+    per divisor from L+ = N / D alone: b = sum_s a_s N_ss and, with the
+    weighted row W = sum_s a_s N[s], W_q + N_qq per vertex q.
 
-    diagonal: tuple[int, ...]
-    base: int
-    scale: int
-    unit: int
-    den: int
-
-
-def vertex_formula(div: DivisorAnalysis) -> VertexFormula:
-    """The parts of ``green_row_at_vertices`` that do not depend on the row."""
-    c = div.c_mu  # rejects degree -2 before L+ is built
-    tau, divisor = div.network.tau, div.divisor
-    den, num = div.network.pinv.denominator, div.network.pinv.numerators
-    support = [(s, a) for s, a in enumerate(divisor.coefficients) if a]
+    ``r_D_at_vertices`` sums the same W, but the vertex-formula check
+    compares against values built from r_D, so it keeps a sum of its own:
+    sharing r_D's W would let a fault in it cancel from both sides.
+    """
+    num = div.network.pinv.numerators
+    support = [(s, a) for s, a in enumerate(div.divisor.coefficients) if a]
     weighted = [0] * len(num)
     for s, a in support:
         weighted = [w + a * x for w, x in zip(weighted, num[s])]
-    scale, b = divisor.degree + 2, sum(a * num[s][s] for s, a in support)
-    # pair / (D scale) + (4 tau - scale c) / scale, over D scale tau_den c_den
-    td, cd = tau.denominator, c.denominator
-    shift = den * (4 * tau.numerator * cd - scale * c.numerator * td)
-    diagonal = tuple(w + num[q][q] for q, w in enumerate(weighted))
-    return VertexFormula(diagonal, b * td * cd + shift, scale, td * cd, den * scale * td * cd)
+    b = sum(a * num[s][s] for s, a in support)
+    return b, tuple(w + num[q][q] for q, w in enumerate(weighted))
 
 
 def green_row_at_vertices(
@@ -328,14 +316,20 @@ def green_row_at_vertices(
     the row W = sum_s a_s N[s], the pair's part is
     b - (W_p + N_pp) - (W_q + N_qq) + (deg D + 2) N_pq over D (deg D + 2).
     The constant 4 tau / (deg D + 2) - c_mu is brought over the same
-    denominator, which need not be the least.  All but row p of N is made
-    once per divisor (``vertex_formula``).
+    denominator times those of tau and c_mu, which need not be the least.
+    b and W + diag N are made once per divisor (``vertex_formula``).
     """
-    diagonal, base, scale, unit, den = div.vertex_formula
-    base -= diagonal[p] * unit
+    c = div.c_mu  # rejects degree -2 before L+ is built
+    tau, scale = div.network.tau, div.divisor.degree + 2
+    b, diagonal = div.vertex_formula
+    den = div.network.pinv.denominator
+    # pair / (D scale) + (4 tau - scale c) / scale, over D scale tau_den c_den
+    td, cd = tau.denominator, c.denominator
+    unit = td * cd
+    base = (b - diagonal[p]) * unit + den * (4 * tau.numerator * cd - scale * c.numerator * td)
     row_p = div.network.pinv.numerators[p][columns]
     numerators = tuple((scale * x - d) * unit + base for x, d in zip(row_p, diagonal[columns]))
-    return numerators, den
+    return numerators, den * scale * unit
 
 
 class EdgeFunction(_Form):

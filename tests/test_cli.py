@@ -789,6 +789,20 @@ def test_check_ci_counts(k, counts, pinned_graphs, capsys):
     assert found == [(name, count, True) for name, count in zip(names, counts)]
 
 
+@pytest.mark.parametrize(
+    "k,digest",
+    [
+        (8, "47db4755a78570e765dbca73d9e2a95a75fc0ec9dceb466f20ebd4583fe93802"),
+        (10, "95640b2936b07c5c7719e584ae7b8b639d85775beb7c82c8b0823101bb223622"),
+    ],
+)
+def test_epsilon_ci_pins(k, digest, pinned_graphs, capsys):
+    found, out = stdout_digest(["epsilon", str(pinned_graphs[k]), "--machine"], capsys)
+    doc = json.loads(out)
+    assert doc["green"] == doc["resistance"] and doc["match"] is True
+    assert found == digest
+
+
 @pytest.mark.parametrize("form", ["machine", "text"])
 def test_pinv_ci_pins(form, pinned_graphs, capsys):
     flags, digest = {
@@ -1007,3 +1021,47 @@ def test_oracle_rejects_degree_minus_two_first(bad_third_pair, tmp_path, capsys)
     captured = capsys.readouterr()
     error = "error: divisor degree -2 admits no admissible measure\n"
     assert (captured.out, captured.err) == ("", error)
+
+
+MINUS_TWO = mg.Divisor((-2,) + (0,) * 15)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda g: mg.value_matrix(g, MINUS_TWO),
+        lambda g: mg.evaluate_green(g, MINUS_TWO, (0, F(1, 3)), (7, F(2, 3))),
+        lambda g: mg.check_representation_independence(g, MINUS_TWO),
+        lambda g: mg.check_vertex_formula(g, MINUS_TWO),
+    ],
+    ids=["value_matrix", "evaluate_green", "check_representation_independence",
+         "check_vertex_formula"],
+)
+def test_library_refuses_degree_minus_two_before_pinv(refuse):
+    g, _ = parse_graph(Path(TESSERACT).read_text())
+    with pytest.raises(mg.BadDegree):
+        refuse(g)
+    assert "pinv" not in mg.network(g).__dict__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epsilon", TESSERACT, "--method", "both"],
+        ["check", TESSERACT],
+        ["value-matrix", TESSERACT],
+        ["green", TESSERACT, "--x", "0:1/3", "--y", "7:2/3"],
+        oracle_argv("tesseract"),
+    ],
+    ids=["epsilon", "check", "value-matrix", "green", "oracle"],
+)
+def test_commands_refuse_degree_minus_two_before_pinv(argv, capsys):
+    # epsilon reads the degree first; the other four reach it through c_mu,
+    # which each reads before tau, and so before L+
+    minus_two = ",".join(map(str, MINUS_TWO.coefficients))
+    assert run([*argv, f"--divisor={minus_two}"]) == 2
+    captured = capsys.readouterr()
+    error = "error: divisor degree -2 admits no admissible measure\n"
+    assert (captured.out, captured.err) == ("", error)
+    g, _ = parse_graph(Path(TESSERACT).read_text())
+    assert "pinv" not in mg.network(g).__dict__

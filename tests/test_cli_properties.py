@@ -4,11 +4,12 @@ Hypothesis draws small graph documents (at most 6 vertices and 8 edges),
 mostly well formed but with hostile parts: wrong JSON types, bools and
 floats where integers are due, zero, negative and malformed lengths,
 unknown vertices, loops, parallel edges, divisors of degree -2, and files
-that are not JSON or not UTF-8 at all.  Each runs through ``info``,
-``tau``, ``epsilon``, ``check`` and ``green`` in process, and every run must
-end in one of the CLI's three outcomes: exit 0; exit 1 with a ``MISMATCH``
-or ``FAIL`` line; or exit 2 with nothing on stdout and one ``error:`` line
-on stderr.  No run may raise, and ``info`` at exit 0 prints six lines.
+that are not JSON or not UTF-8 at all.  Each runs in process through
+every command but ``oracle``, which reads a points file as well, and every
+run must end in one of the CLI's three outcomes: exit 0; exit 1 with a
+``MISMATCH`` or ``FAIL`` line; or exit 2 with nothing on stdout and one
+``error:`` line on stderr.  No run may raise, and ``info`` at exit 0
+prints six lines.
 
 stdout is UTF-8 and strict, as a real terminal or pipe is, so text the
 command could not print shows here as the exception it would raise.
@@ -23,7 +24,9 @@ from hypothesis import given, strategies as st
 
 import metgraph as mg
 
-COMMANDS = ("info", "tau", "epsilon", "check", "green")
+COMMANDS = (
+    "info", "laplacian", "pinv", "tau", "resistance", "green", "value-matrix", "epsilon", "check"
+)
 
 # one draw in six: a file that is no graph document, or a hostile point
 rare = st.integers(0, 5).map(lambda k: k == 0)
@@ -165,7 +168,7 @@ def test_every_command_ends_in_one_outcome(graph_file, data, x, y):
     graph_file.write_bytes(data)
     for command in COMMANDS:
         argv = [command, str(graph_file)]
-        if command == "green":
+        if command in ("resistance", "green"):
             # the = form, so that a token such as -1:0 is not read as an option
             argv += [f"--x={x}", f"--y={y}"]
         mg.clear_caches()

@@ -343,6 +343,57 @@ def test_mutated_grid_gives_the_pinned_mismatch_lists():
     assert (vf.comparisons, printed(vf)) == (256, MUTATED_4X4_VERTEX_FORMULA)
 
 
+# -- the vertex-formula check owns its weighted row ----------------------------
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty caches before and after, so no analysis built under a patch
+    outlives the test."""
+    mg.clear_caches()
+    yield
+    mg.clear_caches()
+
+
+def test_vertex_formula_reads_no_r_D(monkeypatch, cold_caches):
+    # W = sum_s a_s N[s] is summed by the vertex formula itself: with r_D
+    # unreadable, b and W + diag N still come out, read off L+ alone
+    def unreadable(div):
+        raise AssertionError("the vertex formula read r_D")
+
+    monkeypatch.setattr(mg.potential, "r_D_at_vertices", unreadable)
+    g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+    net = mg.Network(g)
+    b, diagonal = net.divisor(divisor).vertex_formula
+    lp, den = mg.pinv(g), net.pinv.denominator
+    support = list(enumerate(divisor.coefficients))
+    assert F(b, den) == sum(a * lp[s, s] for s, a in support)
+    assert [F(x, den) for x in diagonal] == [
+        sum(a * lp[s, q] for s, a in support) + lp[q, q] for q in range(16)
+    ]
+
+
+def test_a_fault_in_r_D_fails_the_vertex_formula_check(monkeypatch, cold_caches):
+    # 2 more in r_D's numerator at vertex 5 is r_D's W one less there; the
+    # matrix is built from r_D and the check from its own W, so the check
+    # fails at every cell of vertex 5, and the two epsilon routes part
+    build = mg.potential.r_D_at_vertices
+
+    def mutated(div):
+        at = list(build(div))
+        at[5] += 2
+        return tuple(at)
+
+    monkeypatch.setattr(mg.potential, "r_D_at_vertices", mutated)
+    g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+    report = mg.check_vertex_formula(g, divisor)
+    assert report.comparisons == 16 * 16
+    assert [m.location for m in report.mismatches] == [
+        f"g(v{p}, v{q})" for p in range(16) for q in range(16) if 5 in (p, q)
+    ]
+    assert mg.epsilon_via_green(g, divisor) != mg.epsilon_via_resistance(g, divisor)
+
+
 # -- how many direct-formula values each reader makes ---------------------------
 
 
