@@ -26,9 +26,11 @@ representation check's report and the table of canonical vertex-pair
 values its walk filled, n^2 cells, (p, q) and (q, p) one object.
 
 The formulas stay in the modules that own them; this module only decides
-what is kept and for how long.  Those modules reach ``network`` at import
-time, so the formulas are imported here on first use; ``graph`` imports
-nothing from here.
+what is kept and for how long.  The cache calls each formula through its
+module (``linalg.pseudo_inverse``, ``potential.vertex_formula``, ...), so it
+runs whatever that module holds at call time, and the formula modules reach
+the cache only as ``analysis.network``.  ``metgraph`` imports this module
+first, and ``graph`` imports nothing from here.
 """
 
 from __future__ import annotations
@@ -36,15 +38,9 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
+from . import green, invariants, linalg, potential
 from .graph import Divisor, MetrizedGraph, check_divisor
-
-if TYPE_CHECKING:
-    from .green import ValueMatrix
-    from .invariants import CheckReport
-    from .linalg import RationalMatrix
-    from .potential import EdgeData, EdgeFunction
 
 
 @lru_cache(maxsize=4)
@@ -62,28 +58,20 @@ class Network:
         self._divisor: DivisorAnalysis | None = None
 
     @cached_property
-    def laplacian(self) -> RationalMatrix:
-        from .linalg import laplacian_matrix
-
-        return laplacian_matrix(self.graph)
+    def laplacian(self) -> linalg.RationalMatrix:
+        return linalg.laplacian_matrix(self.graph)
 
     @cached_property
-    def pinv(self) -> RationalMatrix:
-        from .linalg import pseudo_inverse
-
-        return pseudo_inverse(self.laplacian)
+    def pinv(self) -> linalg.RationalMatrix:
+        return linalg.pseudo_inverse(self.laplacian)
 
     @cached_property
     def tau(self) -> Fraction:
-        from .potential import tau_of
-
-        return tau_of(self)
+        return potential.tau_of(self)
 
     @cached_property
-    def edges(self) -> tuple[EdgeData, ...]:
-        from .potential import edge_data
-
-        return edge_data(self)
+    def edges(self) -> tuple[potential.EdgeData, ...]:
+        return potential.edge_data(self)
 
     def divisor(self, d: Divisor) -> DivisorAnalysis:
         """The analysis of ``d`` on this graph.
@@ -119,39 +107,27 @@ class DivisorAnalysis:
 
     @cached_property
     def r_D_at_vertices(self) -> tuple[int, ...]:
-        from .potential import r_D_at_vertices
-
-        return r_D_at_vertices(self)
+        return potential.r_D_at_vertices(self)
 
     @cached_property
-    def r_D(self) -> tuple[EdgeFunction, ...]:
+    def r_D(self) -> tuple[potential.EdgeFunction, ...]:
         """``r_D`` restricted to every edge, in edge order."""
-        from .potential import r_D_on_edges
-
-        return r_D_on_edges(self)
+        return potential.r_D_on_edges(self)
 
     @cached_property
     def c_mu(self) -> Fraction:
-        from .potential import c_mu_of
-
-        return c_mu_of(self)
+        return potential.c_mu_of(self)
 
     @cached_property
     def vertex_formula(self) -> tuple[int, tuple[int, ...]]:
-        from .potential import vertex_formula
-
-        return vertex_formula(self)
+        return potential.vertex_formula(self)
 
     @cached_property
-    def value_matrix(self) -> ValueMatrix:
-        from .green import build_value_matrix
-
-        return build_value_matrix(self.network, self)
+    def value_matrix(self) -> green.ValueMatrix:
+        return green.build_value_matrix(self.network, self)
 
     @cached_property
-    def representation_walk(self) -> tuple[CheckReport, list[list[tuple[int, int]]]]:
+    def representation_walk(self) -> tuple[invariants.CheckReport, list[list[tuple[int, int]]]]:
         """The representation report of ``value_matrix`` and the table of
         canonical vertex-pair values its walk filled."""
-        from .invariants import _representation_report
-
-        return _representation_report(self.network.graph, self.value_matrix)
+        return invariants._representation_report(self.network.graph, self.value_matrix)

@@ -222,7 +222,7 @@ def _decimal_option(text: str) -> int:
 # rendering
 
 
-def _exact(value: Fraction) -> str:
+def _exact(value: Fraction | int) -> str:
     """``value`` as 'p' or 'p/q'.  Every exact value the CLI prints goes
     through here, so one whose numerator or denominator has more digits than
     CPython converts to a string (4300 by default) raises ``MetgraphError``
@@ -295,7 +295,9 @@ def _cmd_info(g, divisor, args):
         f"total length: {_exact(g.total_length)}",
         f"adequate: {'yes' if adequate else 'no'}",
         f"bridges: {' '.join(map(str, bridge_list)) or '-'}",
-        f"divisor: {','.join(str(a) for a in divisor.coefficients)} (degree {divisor.degree})",
+        # each coefficient was read in under the digit limit; their sum
+        # may pass it
+        f"divisor: {','.join(map(str, divisor.coefficients))} (degree {_exact(divisor.degree)})",
     ]
     return 0, doc, lines
 

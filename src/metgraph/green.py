@@ -31,15 +31,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
-from .analysis import network
+from . import analysis
 from .errors import MetgraphError
 from .graph import Divisor, GraphPoint, MetrizedGraph, Record, is_index, validate_point
 from .potential import EdgePairFunction, pair_value, swap_xy
-
-if TYPE_CHECKING:
-    from .analysis import DivisorAnalysis, Network
 
 __all__ = [
     "EdgePairFunction",
@@ -151,10 +147,10 @@ class ValueMatrix(Record):
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
     """All edge-pair entries of the Green function, built once per graph and
     divisor."""
-    return network(g).divisor(divisor).value_matrix
+    return analysis.network(g).divisor(divisor).value_matrix
 
 
-def build_value_matrix(net: Network, div: DivisorAnalysis) -> ValueMatrix:
+def build_value_matrix(net: analysis.Network, div: analysis.DivisorAnalysis) -> ValueMatrix:
     """All edge-pair entries, one per unordered edge pair, of
     g(x, y) = 4 tau / s - c_mu + (r_D(x) + r_D(y)) / (2 s) - r(x, y) / 2
     with s = deg D + 2.  No part depends on whether an edge is a bridge;

@@ -50,9 +50,9 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .analysis import network
+from . import analysis
 from .errors import MetgraphError
 from .graph import (
     Divisor,
@@ -63,9 +63,6 @@ from .graph import (
 )
 from .green import ValueMatrix, value_matrix
 from .potential import green_row_at_vertices, tau_constant
-
-if TYPE_CHECKING:
-    from .analysis import DivisorAnalysis
 
 
 def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = None) -> Fraction:
@@ -82,7 +79,7 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
         base = g.edges[0].tail
     g._check_vertex(base)
     matrix = value_matrix(g, divisor)
-    div = network(g).divisor(divisor)
+    div = analysis.network(g).divisor(divisor)
     base_pt = point_of_vertex(g, base)
     green_sum = Fraction(0)
     for k, ak in enumerate(divisor.coefficients):
@@ -98,7 +95,7 @@ def epsilon_via_resistance(g: MetrizedGraph, divisor: Divisor) -> Fraction:
     2 (deg D sum_k a_k N_kk - sum_k sum_l a_k a_l N_kl) / D."""
     deg = admissible_degree(g, divisor)
     support = [(k, a) for k, a in enumerate(divisor.coefficients) if a]
-    lplus = network(g).pinv
+    lplus = analysis.network(g).pinv
     num = lplus.numerators
     diagonal = sum(a * num[k][k] for k, a in support)
     cross = sum(a * sum(b * num[k][l] for l, b in support) for k, a in support)
@@ -161,16 +158,18 @@ def _corners(
 
 def _walked(
     g: MetrizedGraph, divisor: Divisor, matrix: ValueMatrix | None
-) -> tuple[DivisorAnalysis, CheckReport, list[list[tuple[int, int]]]]:
+) -> tuple[analysis.DivisorAnalysis, CheckReport, list[list[tuple[int, int]]]]:
     """The analysis of ``divisor`` and the representation walk's report and
     table for the value matrix to check.
 
     The matrix is the analysis's own when ``matrix`` is None; when it is
     that very object, the walk is the analysis's, one for both checks.  Any
     other matrix, equal or not, is walked for each check.  The divisor is
-    checked either way.
+    checked either way, and degree -2, which has no Green function, is
+    refused before any matrix is read or L+ is built.
     """
-    div = network(g).divisor(divisor)
+    admissible_degree(g, divisor)
+    div = analysis.network(g).divisor(divisor)
     if matrix is None:
         matrix = div.value_matrix
     elif matrix.size != g.n_edges:

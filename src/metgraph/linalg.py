@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .analysis import network
+from . import analysis
 from .errors import MetgraphError, SingularShift
 from .graph import MetrizedGraph, as_fraction, is_index, require_adequate
 
@@ -92,7 +92,7 @@ class RationalMatrix:
 
 def laplacian(g: MetrizedGraph) -> RationalMatrix:
     """Discrete Laplacian: off-diagonal -1/length per edge, rows sum to zero."""
-    return network(g).laplacian
+    return analysis.network(g).laplacian
 
 
 def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
@@ -292,7 +292,7 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
 
 def pinv(g: MetrizedGraph) -> RationalMatrix:
     """Pseudoinverse of the graph's Laplacian, computed once per graph."""
-    return network(g).pinv
+    return analysis.network(g).pinv
 
 
 def resistance_at_vertices(lplus: RationalMatrix, p: int, q: int) -> Fraction:

@@ -28,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .analysis import network
+from . import analysis
 from .graph import (
     Divisor,
     GraphPoint,
@@ -41,22 +41,19 @@ from .graph import (
 )
 from .linalg import resistance_at_vertices
 
-if TYPE_CHECKING:
-    from .analysis import DivisorAnalysis, Network
-
 
 def vertex_resistance(g: MetrizedGraph, p: int, q: int) -> Fraction:
     g._check_vertex(p)
     g._check_vertex(q)
-    return resistance_at_vertices(network(g).pinv, p, q)
+    return resistance_at_vertices(analysis.network(g).pinv, p, q)
 
 
 def tau_constant(g: MetrizedGraph) -> Fraction:
     """The tau constant of the graph, computed once per graph."""
-    return network(g).tau
+    return analysis.network(g).tau
 
 
-def tau_of(net: Network) -> Fraction:
+def tau_of(net: analysis.Network) -> Fraction:
     """The tau constant, as one sum over the edges plus the normalized trace.
 
     With d the diagonal of L+ and, per edge e, its length L_e and the vertex
@@ -102,7 +99,7 @@ class EdgeData(NamedTuple):
     w: int
 
 
-def edge_data(net: Network) -> tuple[EdgeData, ...]:
+def edge_data(net: analysis.Network) -> tuple[EdgeData, ...]:
     den, lp = net.pinv.denominator, net.pinv.numerators
     out = []
     for e in net.graph.edges:
@@ -227,7 +224,7 @@ def pair_value(held: tuple[int, ...], x: Fraction, y: Fraction) -> Fraction:
     return Fraction(value, den * uu * vv)
 
 
-def resistance_numerators(net: Network, i: int, j: int) -> tuple[int, int, int, int]:
+def resistance_numerators(net: analysis.Network, i: int, j: int) -> tuple[int, int, int, int]:
     """The point resistance r(x, y), x on edge i and y on another edge j, as
     integers: the numerators of its coefficients c0, cx, cy and cxy over
     D, D p_i, D p_j and D p_i p_j.  Its x^2 and y^2 coefficients are -w_i
@@ -266,7 +263,7 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     """
     i, x = validate_point(g, x)
     j, y = validate_point(g, y)
-    net = network(g)
+    net = analysis.network(g)
     X, u = x.as_integer_ratio()
     Y, v = y.as_integer_ratio()
     ei, den = net.edges[i], net.pinv.denominator
@@ -284,7 +281,7 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     return Fraction(value, den * a * a * b * b)
 
 
-def vertex_formula(div: DivisorAnalysis) -> tuple[int, tuple[int, ...]]:
+def vertex_formula(div: analysis.DivisorAnalysis) -> tuple[int, tuple[int, ...]]:
     """What every vertex row of ``green_row_at_vertices`` shares, made once
     per divisor from L+ = N / D alone: b = sum_s a_s N_ss and, with the
     weighted row W = sum_s a_s N[s], W_q + N_qq per vertex q.
@@ -303,7 +300,7 @@ def vertex_formula(div: DivisorAnalysis) -> tuple[int, tuple[int, ...]]:
 
 
 def green_row_at_vertices(
-    div: DivisorAnalysis, p: int, columns: slice = slice(None)
+    div: analysis.DivisorAnalysis, p: int, columns: slice = slice(None)
 ) -> tuple[tuple[int, ...], int]:
     """The Green function between vertex p and every vertex q in
     ``columns``, all by default, from its defining formula, as numerators
@@ -364,7 +361,7 @@ class EdgeFunction(_Form):
         return Fraction((a2 * X + a1 * u) * X + a0 * u * u, self._denominator * u * u)
 
 
-def r_D_at_vertices(div: DivisorAnalysis) -> tuple[int, ...]:
+def r_D_at_vertices(div: analysis.DivisorAnalysis) -> tuple[int, ...]:
     """sum_k a_k r(p_k, v) at every vertex v, as numerators over the common
     denominator D of L+.
 
@@ -383,7 +380,7 @@ def r_D_at_vertices(div: DivisorAnalysis) -> tuple[int, ...]:
     return tuple(base + deg * num[v][v] - 2 * w for v, w in enumerate(weighted))
 
 
-def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
+def r_D_on_edges(div: analysis.DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     """The divisor-weighted resistance sum_k a_k r(p_k, .) on every edge.
 
     Each vertex contributes one parabola: r(p_k, .) on edge i has quadratic
@@ -409,7 +406,7 @@ def r_D_on_edges(div: DivisorAnalysis) -> tuple[EdgeFunction, ...]:
 
 def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
     """The divisor-weighted resistance sum_k a_k r(p_k, .) restricted to edge i."""
-    div = network(g).divisor(divisor)
+    div = analysis.network(g).divisor(divisor)
     g._check_edge(i)
     return div.r_D[i]
 
@@ -417,15 +414,15 @@ def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
 def resistance_to_divisor(g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple) -> Fraction:
     """sum_k a_k r(p_k, x) evaluated at one point."""
     x = validate_point(g, x)
-    return network(g).divisor(divisor).r_D[x.edge](x.offset)
+    return analysis.network(g).divisor(divisor).r_D[x.edge](x.offset)
 
 
 def c_mu(g: MetrizedGraph, divisor: Divisor) -> Fraction:
     """Normalization constant of the admissible measure attached to a divisor."""
-    return network(g).divisor(divisor).c_mu
+    return analysis.network(g).divisor(divisor).c_mu
 
 
-def c_mu_of(div: DivisorAnalysis) -> Fraction:
+def c_mu_of(div: analysis.DivisorAnalysis) -> Fraction:
     d = div.divisor
     deg = admissible_degree(div.network.graph, d)
     at = div.r_D_at_vertices

@@ -147,6 +147,21 @@ class TestConsistencyChecks:
         with pytest.raises(mg.MetgraphError, match="3 edges but the graph has 32"):
             check(tesseract, divisor, matrix)
 
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_a_matrix_of_degree_minus_two_is_refused_unwalked(self, circle, monkeypatch, check):
+        # the rows of a degree-1 matrix under a degree -2 divisor, which has
+        # no Green function: the representation check passed them
+        rows = mg.value_matrix(circle, mg.Divisor((1, 0, 0))).rows
+        bad = mg.Divisor((-2, 0, 0))
+        matrix = mg.ValueMatrix(bad, rows)
+        mg.clear_caches()
+        walked = []
+        monkeypatch.setattr(mg.invariants, "_representation_report", lambda *a: walked.append(a))
+        with pytest.raises(mg.BadDegree):
+            check(circle, bad, matrix)
+        assert walked == []
+        assert "pinv" not in mg.network(circle).__dict__
+
 
 def test_vertex_formula_row_parts_are_built_once_per_divisor(monkeypatch):
     # W = sum_s a_s N[s], tau and c_mu enter every vertex row the same way

@@ -458,6 +458,61 @@ def test_graph_imports_nothing_from_analysis():
     assert found == []
 
 
+def test_package_imports_its_modules_at_module_top():
+    # the analysis cache and the formula modules import each other once, at
+    # the top, so every dependency is visible; a late stdlib import, such as
+    # cli's unicodedata, needed for rare labels only, is allowed
+    package = Path(mg.__file__).resolve().parent
+
+    def names_metgraph(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] == "metgraph"
+        return any(alias.name.split(".")[0] == "metgraph" for alias in node.names)
+
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package)
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{where}:{n.lineno}: import in {node.name}"
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Import, ast.ImportFrom)) and names_metgraph(n)
+                ]
+            elif isinstance(node, ast.Name) and node.id == "TYPE_CHECKING":
+                found.append(f"{where}:{node.lineno}: TYPE_CHECKING")
+            elif isinstance(node, ast.alias) and node.name == "TYPE_CHECKING":
+                found.append(f"{where}: imports TYPE_CHECKING")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "module,formula,cached",
+    [
+        ("linalg", "laplacian_matrix", "laplacian"),
+        ("linalg", "pseudo_inverse", "pinv"),
+        ("potential", "tau_of", "tau"),
+        ("potential", "edge_data", "edges"),
+        ("potential", "r_D_at_vertices", "r_D_at_vertices"),
+        ("potential", "r_D_on_edges", "r_D"),
+        ("potential", "c_mu_of", "c_mu"),
+        ("potential", "vertex_formula", "vertex_formula"),
+        ("green", "build_value_matrix", "value_matrix"),
+        ("invariants", "_representation_report", "representation_walk"),
+    ],
+)
+def test_analysis_calls_each_formula_through_its_module(monkeypatch, module, formula, cached):
+    # the cache looks the formula up when it computes, so patching the
+    # formula's own module reaches it; a name bound at import would not
+    sentinel = object()
+    monkeypatch.setattr(getattr(mg, module), formula, lambda *args: sentinel)
+    g, divisor = mg.cli.parse_graph((GRAPHS / "circle.json").read_text())
+    net = mg.Network(g)
+    holder = net.divisor(divisor) if cached in vars(mg.analysis.DivisorAnalysis) else net
+    assert getattr(holder, cached) is sentinel
+
+
 def test_value_matrix_and_checks_leave_no_entry_object():
     # the matrix holds integers per edge pair, and the checks read them:
     # neither keeps an EdgePairFunction alive
