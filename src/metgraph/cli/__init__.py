@@ -30,10 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from ..errors import GraphFormatError, MetgraphError
@@ -91,11 +91,13 @@ def _parse_index(value, field: str, n: int) -> int:
     return value
 
 
-def _read_text(path: str) -> str:
-    """The file at ``path`` as UTF-8 text; bytes that are not UTF-8 raise
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The file at ``path`` as UTF-8 text, line ends translated as ``open``
+    does for ``newline``; bytes that are not UTF-8 raise
     ``GraphFormatError``, and an unreadable file ``OSError``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -392,13 +394,22 @@ def _cmd_check(g, divisor, args):
     return (0 if all(rep.passed for rep in reports) else 1), doc, lines
 
 
+# what separates the two tokens of a points-file line
+_POINT_SEPARATOR = re.compile(r"[ \t]+")
+
+
 def _read_point_pairs(path: str) -> list[tuple[GraphPoint, GraphPoint]]:
+    """The pairs of a points file.  Lines end at a line feed only, with a
+    carriage return before it dropped, and tokens are separated by ASCII
+    spaces and tabs only: any other character, such as a form feed or a
+    no-break space, is part of a token, so the line is rejected, under
+    its own line number."""
     pairs = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        body = line.strip()
+    for lineno, line in enumerate(_read_text(path, newline="").split("\n"), start=1):
+        body = line.removesuffix("\r").strip(" \t")
         if not body or body.startswith("#"):
             continue
-        tokens = body.split()
+        tokens = _POINT_SEPARATOR.split(body)
         if len(tokens) != 2:
             raise GraphFormatError(
                 f"{path}:{lineno}: expected two EDGE:OFFSET tokens, got {body!r}"

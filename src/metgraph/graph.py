@@ -148,9 +148,11 @@ class MetrizedGraph(Record):
     derived from the edges and rebuilt with them: ``_ends[v]`` lists the
     edge ends at vertex ``v`` as ``(edge, end, other vertex)`` in edge
     order, end 0 at the tail and 1 at the head, so a loop appears twice.
+    ``_lengths[i]`` is edge i's length p / q as the pair ``(p, q)``, which
+    every point check reads.
     """
 
-    __slots__ = ("vertices", "edges", "_hash", "_ends")
+    __slots__ = ("vertices", "edges", "_hash", "_ends", "_lengths")
     _fields = ("vertices", "edges")
 
     vertices: tuple[str, ...]
@@ -181,6 +183,7 @@ class MetrizedGraph(Record):
             raise MetgraphError("a metrized graph needs at least one edge")
         self._assign(verts, tuple(norm))
         object.__setattr__(self, "_ends", tuple(map(tuple, ends)))
+        object.__setattr__(self, "_lengths", tuple(e.length.as_integer_ratio() for e in norm))
         if len(_reachable(self, 0)) != n:
             raise GraphDisconnected("the edge set does not connect all vertices")
         object.__setattr__(self, "_hash", hash(self._values()))
@@ -333,6 +336,14 @@ def validate_point(g: MetrizedGraph, pt: GraphPoint | tuple) -> GraphPoint:
     compared in integers.  A ``GraphPoint`` whose offset is already a
     Fraction is returned as it is.
     """
+    edge, offset, _, _ = _point_integers(g, pt)
+    return pt if type(pt) is GraphPoint and pt.offset is offset else GraphPoint(edge, offset)
+
+
+def _point_integers(g: MetrizedGraph, pt: GraphPoint | tuple) -> tuple[int, Fraction, int, int]:
+    """``validate_point``'s checks, returning the point's edge, its offset
+    as a Fraction X / u, and X and u, so that a caller reads the offset's
+    integers once."""
     try:
         edge, offset = pt
     except (TypeError, ValueError):
@@ -342,21 +353,21 @@ def validate_point(g: MetrizedGraph, pt: GraphPoint | tuple) -> GraphPoint:
     if type(offset) is not Fraction:
         offset = as_fraction(offset, f"offset on edge {edge}")
     x, u = offset.as_integer_ratio()
-    length = g.edges[edge].length
-    p, q = length.as_integer_ratio()
+    p, q = g._lengths[edge]
     if x < 0 or x * q > p * u:
+        length = g.edges[edge].length
         raise PointOutOfRange(f"offset {offset} outside [0, {length}] on edge {edge}")
-    return pt if type(pt) is GraphPoint and pt.offset is offset else GraphPoint(edge, offset)
+    return edge, offset, x, u
 
 
 def vertex_at(g: MetrizedGraph, pt: GraphPoint) -> int | None:
     """The vertex a point sits on, or None for an interior point."""
-    pt = validate_point(g, pt)
-    e = g.edges[pt.edge]
-    if pt.offset == 0:
-        return e.tail
-    if pt.offset == e.length:
-        return e.head
+    edge, _, x, u = _point_integers(g, pt)
+    if x == 0:
+        return g.edges[edge].tail
+    # both ratios are in lowest terms, so they are equal as integer pairs
+    if (x, u) == g._lengths[edge]:
+        return g.edges[edge].head
     return None
 
 

@@ -34,7 +34,7 @@ from math import gcd, lcm
 
 from . import analysis
 from .errors import MetgraphError
-from .graph import Divisor, GraphPoint, MetrizedGraph, Record, is_index, validate_point
+from .graph import Divisor, GraphPoint, MetrizedGraph, Record, _point_integers, is_index
 from .potential import EdgePairFunction, pair_value, swap_xy
 
 __all__ = [
@@ -137,11 +137,16 @@ class ValueMatrix(Record):
         return EdgePairFunction._over(i, j, held[0], swap_xy(held[1:]))
 
     def evaluate(self, x: GraphPoint, y: GraphPoint) -> Fraction:
-        i, j = x.edge, y.edge
+        X, u = x.offset.as_integer_ratio()
+        Y, v = y.offset.as_integer_ratio()
+        return self._value(x.edge, X, u, y.edge, Y, v)
+
+    def _value(self, i: int, X: int, u: int, j: int, Y: int, v: int) -> Fraction:
+        """g at x = X / u on edge i and y = Y / v on edge j."""
         if i > j:
             # z_ij(x, y) is z_ji(y, x)
-            return pair_value(self.rows[j][i - j], y.offset, x.offset)
-        return pair_value(self.rows[i][j - i], x.offset, y.offset)
+            return pair_value(self.rows[j][i - j], Y, v, X, u)
+        return pair_value(self.rows[i][j - i], X, u, Y, v)
 
 
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
@@ -218,6 +223,6 @@ def evaluate_green(
     g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple, y: GraphPoint | tuple
 ) -> Fraction:
     """Green function value at two points, via the cached value matrix."""
-    x = validate_point(g, x)
-    y = validate_point(g, y)
-    return value_matrix(g, divisor).evaluate(x, y)
+    i, _, X, u = _point_integers(g, x)
+    j, _, Y, v = _point_integers(g, y)
+    return value_matrix(g, divisor)._value(i, X, u, j, Y, v)

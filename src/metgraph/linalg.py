@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable
 
 from . import analysis
@@ -32,8 +32,8 @@ class RationalMatrix:
 
     __slots__ = ("_denominator", "_numerators")
 
-    denominator = property(lambda self: self._denominator)
-    numerators = property(lambda self: self._numerators)
+    denominator = property(attrgetter("_denominator"))
+    numerators = property(attrgetter("_numerators"))
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]):
         data = tuple(tuple(as_fraction(x, "matrix entry") for x in row) for row in rows)

@@ -35,9 +35,9 @@ from .graph import (
     Divisor,
     GraphPoint,
     MetrizedGraph,
+    _point_integers,
     admissible_degree,
     as_fraction,
-    validate_point,
 )
 from .linalg import resistance_at_vertices
 
@@ -195,7 +195,8 @@ class EdgePairFunction(_Form):
         return entry
 
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        return pair_value((self._denominator, *self._numerators), x, y)
+        held = (self._denominator, *self._numerators)
+        return pair_value(held, *x.as_integer_ratio(), *y.as_integer_ratio())
 
 
 # the seven coefficients (c0, cx, cy, cxx, cyy, cxy, cabs) of z_ji from
@@ -203,16 +204,13 @@ class EdgePairFunction(_Form):
 swap_xy = itemgetter(0, 2, 1, 4, 3, 5, 6)
 
 
-def pair_value(held: tuple[int, ...], x: Fraction, y: Fraction) -> Fraction:
-    """An edge-pair closed form at offsets x and y, from its integers
-    ``held`` = (den, c0, cx, cy, cxx, cyy, cxy, cabs), the seven numerators
-    over den, as a value matrix holds them."""
-    # with x = X / u and y = Y / v the value is an integer over
-    # den u^2 v^2; a vertex sits at offset 0 or at the length, so a zero
-    # offset is common and its terms are skipped
+def pair_value(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> Fraction:
+    """An edge-pair closed form at offsets x = X / u and y = Y / v, from
+    the integers ``held`` = (den, c0, cx, cy, cxx, cyy, cxy, cabs), the
+    seven numerators over den, as a value matrix holds them."""
+    # the value is an integer over den u^2 v^2; a vertex sits at offset 0
+    # or at the length, so a zero offset is common and its terms are skipped
     den, c0, cx, cy, cxx, cyy, cxy, cabs = held
-    X, u = x.as_integer_ratio()
-    Y, v = y.as_integer_ratio()
     uu, vv = u * u, v * v
     value = c0 * uu * vv
     if Y:
@@ -261,11 +259,9 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     w = W / (D p^2), r is one integer over D (p u v)^2 on one edge and over
     D (p_i u p_j v)^2 on two.
     """
-    i, x = validate_point(g, x)
-    j, y = validate_point(g, y)
+    i, _, X, u = _point_integers(g, x)
+    j, _, Y, v = _point_integers(g, y)
     net = analysis.network(g)
-    X, u = x.as_integer_ratio()
-    Y, v = y.as_integer_ratio()
     ei, den = net.edges[i], net.pinv.denominator
     if i == j:
         # x - y = d / (u v)
@@ -355,9 +351,11 @@ class EdgeFunction(_Form):
         return form
 
     def __call__(self, x: Fraction) -> Fraction:
-        # with x = X / u the value is an integer over den u^2
+        return self._value(*x.as_integer_ratio())
+
+    def _value(self, X: int, u: int) -> Fraction:
+        """The value at x = X / u, an integer over den u^2."""
         a2, a1, a0 = self._numerators
-        X, u = x.as_integer_ratio()
         return Fraction((a2 * X + a1 * u) * X + a0 * u * u, self._denominator * u * u)
 
 
@@ -413,8 +411,8 @@ def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
 
 def resistance_to_divisor(g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple) -> Fraction:
     """sum_k a_k r(p_k, x) evaluated at one point."""
-    x = validate_point(g, x)
-    return analysis.network(g).divisor(divisor).r_D[x.edge](x.offset)
+    i, _, X, u = _point_integers(g, x)
+    return analysis.network(g).divisor(divisor).r_D[i]._value(X, u)
 
 
 def c_mu(g: MetrizedGraph, divisor: Divisor) -> Fraction:

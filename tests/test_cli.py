@@ -491,6 +491,49 @@ class TestErrors:
         path.write_bytes(b"0:1/3 1:1/4\n\xff\xfe\n")
         self.check_error(["oracle", CIRCLE, "--points", str(path)], capsys, "not UTF-8")
 
+    # A points-file line ends at a line feed only, and its tokens are
+    # separated by ASCII spaces and tabs only; str.splitlines() and
+    # str.split() also took form feeds, U+001C and the like as line ends
+    # and any Unicode space as a separator.
+    def test_points_file_form_feed_ends_no_line(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        path.write_text("0:0 0:1/4\f0:0 0:1/3\n", encoding="utf-8")
+        self.check_error(
+            ["oracle", CIRCLE, "--points", str(path)], capsys, ":1: expected two EDGE:OFFSET"
+        )
+
+    def test_points_file_no_break_space_separates_no_tokens(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        path.write_text("0:0\u00a00:1/2\n", encoding="utf-8")
+        self.check_error(
+            ["oracle", CIRCLE, "--points", str(path)], capsys, ":1: expected two EDGE:OFFSET"
+        )
+
+    def test_points_file_error_names_its_true_line(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        # U+001C inside the comment on line 1 must not start a line 2
+        path.write_text("# pairs\x1c 0:0 0:1/3\n0:0 zz\n", encoding="utf-8")
+        self.check_error(
+            ["oracle", CIRCLE, "--points", str(path)], capsys, ":2: expected EDGE:OFFSET, got 'zz'"
+        )
+
+    def test_points_file_carriage_return_ends_no_line_alone(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        path.write_bytes(b"0:0 0:1/4\r0:0 0:1/3\n")
+        self.check_error(
+            ["oracle", CIRCLE, "--points", str(path)], capsys, ":1: expected two EDGE:OFFSET"
+        )
+
+    def test_points_file_takes_crlf_line_ends_and_tabs(self, tmp_path, capsys):
+        crlf, lf = tmp_path / "crlf.txt", tmp_path / "lf.txt"
+        crlf.write_bytes(b"# pairs\r\n0:0\t0:1/4\r\n\t 1:1/3 0:1/3 \r\n\r\n")
+        lf.write_bytes(b"0:0 0:1/4\n1:1/3 0:1/3\n")
+        assert mg.cli._read_point_pairs(str(crlf)) == mg.cli._read_point_pairs(str(lf))
+        assert run(["oracle", CIRCLE, "--points", str(crlf)]) == 0
+        out = capsys.readouterr().out
+        assert run(["oracle", CIRCLE, "--points", str(lf)]) == 0
+        assert capsys.readouterr().out == out
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200000 + "]" * 200000)

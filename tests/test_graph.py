@@ -1,6 +1,8 @@
 """Graph construction, adequacy, bridges and connectivity codes."""
 
+import copy
 import hashlib
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -500,6 +502,77 @@ class TestPoints:
             mg.validate_point(g, (True, Fraction(1, 2)))
         with pytest.raises(mg.PointOutOfRange):
             mg.resistance_point(g, (True, Fraction(1, 2)), (False, 0))
+
+    # every hostile point gets, from validate_point, vertex_at and the three
+    # point queries in either argument, the error and message frozen from
+    # the implementation that validated each point apart from reading its
+    # integers; a float offset is refused as a MetgraphError by as_fraction
+    @pytest.mark.parametrize(
+        "pt, error, message",
+        [
+            ((True, Fraction(0)), mg.PointOutOfRange, "edge index True outside 0..2"),
+            ((-1, Fraction(0)), mg.PointOutOfRange, "edge index -1 outside 0..2"),
+            ((3, Fraction(0)), mg.PointOutOfRange, "edge index 3 outside 0..2"),
+            (
+                (0, 0.5),
+                mg.MetgraphError,
+                "offset on edge 0: expected an integer, a Fraction or 'p/q', got 0.5",
+            ),
+            ((0, Fraction(-1, 3)), mg.PointOutOfRange, "offset -1/3 outside [0, 1/2] on edge 0"),
+            (
+                (0, Fraction(1, 2) + Fraction(1, 10**6)),
+                mg.PointOutOfRange,
+                "offset 500001/1000000 outside [0, 1/2] on edge 0",
+            ),
+            ((0, 1, 2), mg.PointOutOfRange, "a point is an (edge, offset) pair, got (0, 1, 2)"),
+            ((0,), mg.PointOutOfRange, "a point is an (edge, offset) pair, got (0,)"),
+            ("0:1/2", mg.PointOutOfRange, "a point is an (edge, offset) pair, got '0:1/2'"),
+            (5, mg.PointOutOfRange, "a point is an (edge, offset) pair, got 5"),
+            (None, mg.PointOutOfRange, "a point is an (edge, offset) pair, got None"),
+        ],
+        ids=[
+            "bool-edge", "negative-edge", "past-the-end-edge", "float-offset",
+            "negative-offset", "offset-past-the-length", "three-tuple", "one-tuple",
+            "string", "int", "none",
+        ],
+    )
+    def test_hostile_point_gets_one_error_from_every_entry(self, pt, error, message):
+        g, d = build_circle(), mg.Divisor((1, 0, 0))
+        good = mg.GraphPoint(1, Fraction(1, 3))
+        calls = [
+            lambda: mg.validate_point(g, pt),
+            lambda: mg.vertex_at(g, pt),
+            lambda: mg.evaluate_green(g, d, pt, good),
+            lambda: mg.evaluate_green(g, d, good, pt),
+            lambda: mg.resistance_point(g, pt, good),
+            lambda: mg.resistance_point(g, good, pt),
+            lambda: mg.resistance_to_divisor(g, d, pt),
+        ]
+        for call in calls:
+            with pytest.raises(mg.MetgraphError) as raised:
+                call()
+            assert type(raised.value) is error and str(raised.value) == message
+
+    def test_length_pairs_are_rebuilt_with_the_graph(self):
+        # the (p, q) of each edge length, which the point check reads, is
+        # made by the constructor, which every copy and derived graph runs
+        g = build_circle()
+        copies = [
+            (g, ((1, 2), (1, 1), (1, 2))),
+            (copy.copy(g), ((1, 2), (1, 1), (1, 2))),
+            (copy.deepcopy(g), ((1, 2), (1, 1), (1, 2))),
+            (pickle.loads(pickle.dumps(g)), ((1, 2), (1, 1), (1, 2))),
+            (g.scaled("2/3"), ((1, 3), (2, 3), (1, 3))),
+            (g.with_edge_reversed(1), ((1, 2), (1, 1), (1, 2))),
+        ]
+        for h, lengths in copies:
+            assert h._lengths == lengths
+            for i, (p, q) in enumerate(lengths):
+                end = Fraction(p, q)
+                assert mg.vertex_at(h, (i, end)) == h.edges[i].head
+                assert mg.validate_point(h, (i, end)).offset == end
+                with pytest.raises(mg.PointOutOfRange, match="outside"):
+                    mg.validate_point(h, (i, end + Fraction(1, 10**6)))
 
     def test_vertex_at(self):
         g = build_circle()

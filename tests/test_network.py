@@ -347,6 +347,44 @@ def test_point_query_answers_are_frozen(monkeypatch):
     assert digest.hexdigest() == FROZEN_POINT_QUERY_DIGEST
 
 
+def test_a_point_query_reads_each_offset_once(monkeypatch):
+    # a query of the three calls on GraphPoints checks each point once per
+    # call, reads its integers there and passes them on: it makes three
+    # Fractions, its answers, and no GraphPoint
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    queries = [
+        (mg.GraphPoint(0, F(1, 3)), mg.GraphPoint(7, F(2, 3))),
+        (mg.GraphPoint(4, F(1, 4)), mg.GraphPoint(4, F(2, 3))),
+        (mg.GraphPoint(9, F(0)), mg.GraphPoint(2, F(1))),
+    ]
+
+    def query(x, y):
+        return (
+            mg.evaluate_green(g, d, x, y),
+            mg.resistance_point(g, x, y),
+            mg.resistance_to_divisor(g, d, x),
+        )
+
+    expected = [query(x, y) for x, y in queries]
+    counts = dict.fromkeys(("Fraction", "GraphPoint", "as_integer_ratio"), 0)
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
+    monkeypatch.setattr(F, "as_integer_ratio", counted("as_integer_ratio", F.as_integer_ratio))
+    monkeypatch.setattr(
+        mg.GraphPoint, "__new__", staticmethod(counted("GraphPoint", mg.GraphPoint.__new__))
+    )
+    for (x, y), answers in zip(queries, expected):
+        assert query(x, y) == answers
+    assert counts == {"Fraction": 3 * 3, "GraphPoint": 0, "as_integer_ratio": 5 * 3}
+
+
 def test_pseudoinverse_is_held_in_lowest_terms():
     # L+ is one integer matrix over the least common denominator of its
     # entries, the one form every formula reads
