@@ -371,6 +371,9 @@ def vertex_at(g: MetrizedGraph, pt: GraphPoint) -> int | None:
     return None
 
 
+_ZERO = Fraction(0)
+
+
 def representations(g: MetrizedGraph, v: int) -> tuple[GraphPoint, ...]:
     """All (edge, offset) descriptions of vertex ``v``, in edge order.
 
@@ -380,15 +383,20 @@ def representations(g: MetrizedGraph, v: int) -> tuple[GraphPoint, ...]:
     """
     g._check_vertex(v)
     return tuple(
-        GraphPoint(i, g.edges[i].length if end else Fraction(0)) for i, end, _ in g._ends[v]
+        GraphPoint(i, g.edges[i].length if end else _ZERO) for i, end, _ in g._ends[v]
     )
 
 
 def point_of_vertex(g: MetrizedGraph, v: int) -> GraphPoint:
     """The canonical description of vertex ``v``, the first of
-    ``representations(g, v)``: its first incident end in edge order.  A
-    connected graph with an edge has one at every vertex."""
-    return representations(g, v)[0]
+    ``representations(g, v)``: its first incident end in edge order, read
+    straight off the incidence table, so it makes one ``GraphPoint`` and
+    no other description.  A connected graph with an edge has one at every
+    vertex.  A tail's offset is the shared zero ``_ZERO``; Fractions are
+    immutable, so the point equals the one ``representations`` makes."""
+    g._check_vertex(v)
+    i, end, _ = g._ends[v][0]
+    return GraphPoint(i, g.edges[i].length if end else _ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -208,13 +208,15 @@ def build_value_matrix(net: analysis.Network, div: analysis.DivisorAnalysis) -> 
         lpt, base = lp[ti], shift + zi
         c0, cx = (shift + 2 * a0[i]) * ppi, a1[i]
         cxy, cabs = -twice_half * net.edges[i].w, -half * den * ppi
-        row = [(t * ppi, c0, cx, cx, wi, wi, cxy, cabs)]
+        # T p_i^2 and -2 h q_i p_i, made once per row
+        tpi, nki = t * ppi, -ki
+        row = [(tpi, c0, cx, cx, wi, wi, cxy, cabs)]
+        append = row.append
         for tj, hj, ppj, pqj, zj, wj, xj, kj, aj in columns[i + 1 :]:
-            pp = ppi * ppj
-            c0 = (base + zj + twice_half * lpt[tj]) * pp
+            c0 = (base + zj + twice_half * lpt[tj]) * (ppi * ppj)
             cx, cy = (xi - ki * ai[tj]) * ppj, (xj - kj * aj[ti]) * ppi
-            cxy = -ki * pqj * (ai[hj] - ai[tj])
-            row.append((t * pp, c0, cx, cy, wi * ppj, wj * ppi, cxy, 0))
+            cxy = nki * pqj * (ai[hj] - ai[tj])
+            append((tpi * ppj, c0, cx, cy, wi * ppj, wj * ppi, cxy, 0))
         rows.append(tuple(row))
     return ValueMatrix._of(div.divisor, tuple(rows))
 

@@ -7,7 +7,10 @@ correctness check, so neither route is ever expressed through the other.
 The Green route reads its values off the value matrix and its resistance
 term off the divisor's r_D at the base vertex, the sum the matrix is built
 from; the resistance route sums over L+ = N / D on its own and reads no
-r_D.
+r_D.  Both finish in integers, each making one Fraction of its own, the
+result: the Green route sums the matrix's |supp D| values over the lcm of
+their denominators, and the resistance route brings tau's integers and its
+double sum over tau's denominator times D (deg D + 2).
 
 The two consistency checks test a value matrix and read nothing of how it
 was built: only the integers it holds per edge pair, the edge lengths and
@@ -50,6 +53,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import analysis
@@ -72,7 +76,11 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
     The result does not depend on the base vertex; by default the tail of
     edge 0 is used.  The Green values come from the value matrix, the
     resistance sum_k a_k r(p, p_k) is r_D at the base, read off the
-    divisor's analysis.
+    divisor's analysis.  Each value is the matrix's, one reduced Fraction;
+    they are summed as integers over the lcm of their denominators, which
+    grows only where a value brings a factor new to it, so a large support
+    sums over no product of denominators.  The result, over that lcm times
+    L+'s denominator D, is the only other Fraction made here.
     """
     deg = admissible_degree(g, divisor)
     if base is None:
@@ -81,26 +89,34 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
     matrix = value_matrix(g, divisor)
     div = analysis.network(g).divisor(divisor)
     base_pt = point_of_vertex(g, base)
-    green_sum = Fraction(0)
+    total, common = 0, 1
     for k, ak in enumerate(divisor.coefficients):
         if ak:
-            green_sum += ak * matrix.evaluate(base_pt, point_of_vertex(g, k))
-    resist = Fraction(div.r_D_at_vertices[base], div.network.pinv.denominator)
-    return (deg + 2) * green_sum + resist
+            value = matrix.evaluate(base_pt, point_of_vertex(g, k))
+            over = value.denominator
+            if common % over:
+                grow = over // gcd(common, over)
+                total, common = total * grow, common * grow
+            total += ak * value.numerator * (common // over)
+    den = div.network.pinv.denominator
+    return Fraction((deg + 2) * total * den + div.r_D_at_vertices[base] * common, common * den)
 
 
 def epsilon_via_resistance(g: MetrizedGraph, divisor: Divisor) -> Fraction:
     """Epsilon from the closed form in tau and pairwise resistances; with
     L+ = N / D, sum_k sum_l a_k a_l r(k, l) is summed in integers, as
-    2 (deg D sum_k a_k N_kk - sum_k sum_l a_k a_l N_kl) / D."""
+    2 (deg D sum_k a_k N_kk - sum_k sum_l a_k a_l N_kl) / D.  So with
+    tau = t / d, (4 tau deg D + that sum) / (deg D + 2) is one Fraction
+    over d D (deg D + 2)."""
     deg = admissible_degree(g, divisor)
     support = [(k, a) for k, a in enumerate(divisor.coefficients) if a]
     lplus = analysis.network(g).pinv
     num = lplus.numerators
     diagonal = sum(a * num[k][k] for k, a in support)
     cross = sum(a * sum(b * num[k][l] for l, b in support) for k, a in support)
-    quad = Fraction(2 * (deg * diagonal - cross), lplus.denominator)
-    return (4 * tau_constant(g) * deg + quad) / (deg + 2)
+    tau, den = tau_constant(g), lplus.denominator
+    top = 4 * tau.numerator * deg * den + 2 * (deg * diagonal - cross) * tau.denominator
+    return Fraction(top, tau.denominator * den * (deg + 2))
 
 
 class CheckMismatch(NamedTuple):

@@ -395,10 +395,10 @@ def r_D_on_edges(div: analysis.DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     den = div.network.pinv.denominator
     at = div.r_D_at_vertices
     forms = []
-    for i, e in enumerate(div.network.edges):
-        k = deg * (e.p * den - e.q * e.r) + e.q * (at[e.head] - at[e.tail])
-        pp = e.p * e.p
-        forms.append(EdgeFunction._over(i, den * pp, (-deg * e.w, k * e.p, at[e.tail] * pp)))
+    for i, (tail, head, p, q, r, _, w) in enumerate(div.network.edges):
+        k = deg * (p * den - q * r) + q * (at[head] - at[tail])
+        pp = p * p
+        forms.append(EdgeFunction._over(i, den * pp, (-deg * w, k * p, at[tail] * pp)))
     return tuple(forms)
 
 
@@ -421,9 +421,15 @@ def c_mu(g: MetrizedGraph, divisor: Divisor) -> Fraction:
 
 
 def c_mu_of(div: analysis.DivisorAnalysis) -> Fraction:
+    """c_mu = (8 tau (deg D + 1) + sum_k a_k r_D(p_k)) / (2 (deg D + 2)^2)
+    (Zhang 1993), from the integers of tau = t / d and of r_D = R / D at the
+    divisor's support: one Fraction, (8 t (deg D + 1) D + d sum_k a_k R_k)
+    over 2 d D (deg D + 2)^2.  The degree is checked first, so degree -2
+    raises ``BadDegree`` before L+ is built."""
     d = div.divisor
     deg = admissible_degree(div.network.graph, d)
     at = div.r_D_at_vertices
     weighted = sum(a * at[k] for k, a in enumerate(d.coefficients) if a)
-    pairs = Fraction(weighted, div.network.pinv.denominator)
-    return (8 * div.network.tau * (deg + 1) + pairs) / (2 * (deg + 2) ** 2)
+    tau, den = div.network.tau, div.network.pinv.denominator
+    top = 8 * tau.numerator * (deg + 1) * den + tau.denominator * weighted
+    return Fraction(top, 2 * tau.denominator * den * (deg + 2) ** 2)

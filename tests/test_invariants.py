@@ -1,14 +1,17 @@
 """Epsilon invariants and the two built-in consistency checks."""
 
 import pickle
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import metgraph as mg
-from conftest import build_banana, build_tesseract, load_pairs, seeded_grid
+from conftest import build_banana, build_tesseract, load_pairs, seeded_grid, standing_graphs
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def moriwaki_value(a, b, c):
@@ -90,10 +93,12 @@ class TestEpsilon:
 
     def test_degree_minus_two_rejected(self, circle):
         bad = mg.Divisor((-2, 0, 0))
-        with pytest.raises(mg.BadDegree):
-            mg.epsilon_via_green(circle, bad)
-        with pytest.raises(mg.BadDegree):
-            mg.epsilon_via_resistance(circle, bad)
+        mg.clear_caches()
+        for call in (mg.c_mu, mg.epsilon_via_green, mg.epsilon_via_resistance):
+            with pytest.raises(mg.BadDegree):
+                call(circle, bad)
+        # each refuses the degree before L+ is built
+        assert "pinv" not in mg.network(circle).__dict__
 
 
 class TestConsistencyChecks:
@@ -443,3 +448,57 @@ def test_oracle_makes_one_value_per_pair(formula_values):
     values = mg.oracle._pair_values(g, divisor, pairs, mg.cli.MAX_VERTICES)
     assert len(values) == len(pairs)
     assert formula_values == [1] * len(pairs)
+
+
+# -- c_mu and both epsilon routes against their formulas in Fractions -----------
+
+
+def seeded_divisor(n, degree, seed):
+    """A divisor of ``degree`` on n vertices whose coefficients, many of them
+    zero, a seed draws; the last one makes up the degree."""
+    rng = random.Random(seed)
+    coeffs = [rng.choice((0, 0, 0, 1, -1, 2, 3, -3)) for _ in range(n - 1)]
+    return mg.Divisor((*coeffs, degree - sum(coeffs)))
+
+
+def reference_values(g, divisor):
+    """c_mu, epsilon via resistance and epsilon via Green at every base
+    vertex, each written out in Fractions over the entries of L+."""
+    lp = mg.pinv(g).rows()
+    n, a = g.n_vertices, divisor.coefficients
+    deg, s = divisor.degree, divisor.degree + 2
+    tau = mg.tau_constant(g)
+    support = [k for k in range(n) if a[k]]
+    r = [[lp[p][p] - 2 * lp[p][q] + lp[q][q] for q in range(n)] for p in range(n)]
+    r_D = [sum((a[k] * r[k][v] for k in support), F(0)) for v in range(n)]
+    c_mu = (8 * tau * (deg + 1) + sum((a[k] * r_D[k] for k in support), F(0))) / (2 * s**2)
+    pairs = sum((a[k] * a[l] * r[k][l] for k in support for l in support), F(0))
+    via_resistance = (4 * tau * deg + pairs) / s
+
+    def green(p, q):
+        return 4 * tau / s - c_mu + (r_D[p] + r_D[q]) / (2 * s) - r[p][q] / 2
+
+    via_green = [s * sum((a[k] * green(p, k) for k in support), F(0)) + r_D[p] for p in range(n)]
+    return c_mu, via_resistance, via_green
+
+
+def exact_cases():
+    for name, g, _ in standing_graphs():
+        for seed, degree in enumerate((-1, 0, 1, 7)):
+            yield pytest.param(g, seeded_divisor(g.n_vertices, degree, seed), id=f"{name}-degree{degree}")
+    prime = mg.cli.parse_graph((DATA / "prime_ratio_8x8.json").read_text())[0]
+    for name, g in (("seeded-10x10", seeded_grid(10, 0)[0]), ("prime-ratio-8x8", prime)):
+        yield pytest.param(g, mg.Divisor((1,) * g.n_vertices), id=f"{name}-all-ones")
+
+
+@pytest.mark.parametrize("g, divisor", exact_cases())
+def test_c_mu_and_epsilon_equal_their_fraction_formulas(g, divisor):
+    assert divisor.degree != -2
+    c_mu, via_resistance, via_green = reference_values(g, divisor)
+    assert mg.c_mu(g, divisor) == c_mu
+    assert mg.epsilon_via_resistance(g, divisor) == via_resistance
+    assert mg.epsilon_via_green(g, divisor) == via_green[g.edges[0].tail]
+    assert [mg.epsilon_via_green(g, divisor, p) for p in range(g.n_vertices)] == via_green
+    # the formulas agree with each other, as the routes must
+    assert set(via_green) == {via_resistance}
+

@@ -347,6 +347,26 @@ def test_point_query_answers_are_frozen(monkeypatch):
     assert digest.hexdigest() == FROZEN_POINT_QUERY_DIGEST
 
 
+def counting(monkeypatch, counts, key, owner, name, wrap=lambda call: call):
+    """Replace ``owner.name`` by a call that counts itself in ``counts[key]``."""
+    call = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+
+
+def count_points(monkeypatch):
+    """Fractions, GraphPoints and ``representations`` calls made from here on."""
+    counts = dict.fromkeys(("Fraction", "GraphPoint", "representations"), 0)
+    counting(monkeypatch, counts, "Fraction", F, "__new__", staticmethod)
+    counting(monkeypatch, counts, "GraphPoint", mg.GraphPoint, "__new__", staticmethod)
+    counting(monkeypatch, counts, "representations", mg.graph, "representations")
+    return counts
+
+
 def test_a_point_query_reads_each_offset_once(monkeypatch):
     # a query of the three calls on GraphPoints checks each point once per
     # call, reads its integers there and passes them on: it makes three
@@ -366,23 +386,70 @@ def test_a_point_query_reads_each_offset_once(monkeypatch):
         )
 
     expected = [query(x, y) for x, y in queries]
-    counts = dict.fromkeys(("Fraction", "GraphPoint", "as_integer_ratio"), 0)
-
-    def counted(name, call):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return call(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
-    monkeypatch.setattr(F, "as_integer_ratio", counted("as_integer_ratio", F.as_integer_ratio))
-    monkeypatch.setattr(
-        mg.GraphPoint, "__new__", staticmethod(counted("GraphPoint", mg.GraphPoint.__new__))
-    )
+    counts = count_points(monkeypatch)
+    counts["as_integer_ratio"] = 0
+    counting(monkeypatch, counts, "as_integer_ratio", F, "as_integer_ratio")
     for (x, y), answers in zip(queries, expected):
         assert query(x, y) == answers
-    assert counts == {"Fraction": 3 * 3, "GraphPoint": 0, "as_integer_ratio": 5 * 3}
+    assert counts == {
+        "Fraction": 3 * 3,
+        "GraphPoint": 0,
+        "representations": 0,
+        "as_integer_ratio": 5 * 3,
+    }
+
+
+# a divisor of the tesseract other than the file's, on 4 vertices
+SWITCHED = mg.Divisor((0, 1, 0, 0, 2, 0, 0, 0, 0, 3, 0, 0, 1, 0, 0, 0))
+
+
+def test_a_divisor_switch_makes_one_fraction_per_result(monkeypatch):
+    # with L+, tau and the edge data built, a new divisor's value matrix
+    # and both epsilon routes finish in integers: they make c_mu, the green
+    # route's |supp D| = 4 matrix values and one result per route, and the
+    # green route's 1 + 4 vertex points come straight off the incidence table
+    g, _ = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    mg.clear_caches()
+    net = mg.network(g)
+    net.pinv, net.tau, net.edges
+    counts = count_points(monkeypatch)
+    mg.value_matrix(g, SWITCHED)
+    assert mg.epsilon_via_green(g, SWITCHED) == mg.epsilon_via_resistance(g, SWITCHED)
+    assert counts == {"Fraction": 4 + 3, "GraphPoint": 1 + 4, "representations": 0}
+
+
+def test_a_vertex_point_is_read_off_the_incidence_table(monkeypatch):
+    # one GraphPoint per call, no Fraction (a tail's offset is one shared
+    # zero) and no list of every description
+    for _, g, _ in standing_graphs():
+        expected = [mg.representations(g, v)[0] for v in range(g.n_vertices)]
+        with monkeypatch.context() as patch:
+            counts = count_points(patch)
+            points = [mg.point_of_vertex(g, v) for v in range(g.n_vertices)]
+        assert points == expected
+        assert all(type(pt.offset) is F for pt in points)
+        assert counts == {"Fraction": 0, "GraphPoint": g.n_vertices, "representations": 0}
+
+
+def test_a_switch_and_a_query_on_the_cached_graph_compare_no_graphs(monkeypatch):
+    # the cache finds a graph it holds by identity; only an equal copy is
+    # compared, once per lookup
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    mg.clear_caches()
+    mg.value_matrix(g, d)
+    counts = {"__eq__": 0}
+    counting(monkeypatch, counts, "__eq__", mg.MetrizedGraph, "__eq__")
+    x, y = mg.GraphPoint(0, F(1, 3)), mg.GraphPoint(7, F(2, 3))
+    mg.value_matrix(g, SWITCHED)
+    assert mg.epsilon_via_green(g, SWITCHED) == mg.epsilon_via_resistance(g, SWITCHED)
+    mg.evaluate_green(g, SWITCHED, x, y)
+    mg.resistance_point(g, x, y)
+    mg.resistance_to_divisor(g, SWITCHED, x)
+    assert counts == {"__eq__": 0}
+    copy = mg.MetrizedGraph(g.vertices, g.edges)
+    assert copy is not g
+    mg.evaluate_green(copy, SWITCHED, x, y)
+    assert counts == {"__eq__": 1}
 
 
 def test_pseudoinverse_is_held_in_lowest_terms():
