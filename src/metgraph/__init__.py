@@ -27,7 +27,6 @@ from .graph import (
     connectivity_matrix,
     make_adequate,
     point_of_vertex,
-    representations,
     validate_adequate,
     validate_point,
     vertex_at,
@@ -60,7 +59,6 @@ from .potential import (
     resistance_point,
     resistance_to_divisor,
     tau_constant,
-    vertex_resistance,
 )
 
 __version__ = "0.1.0"

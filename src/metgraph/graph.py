@@ -6,11 +6,12 @@ positive rational lengths.  Edge ``i`` is identified with the segment
 head, so the stored ``(tail, head)`` order fixes the parametrization.  A
 point of the graph is an ``(edge, offset)`` pair, checked in integers by
 ``validate_point``; endpoints of different edges may denote the same metric
-point.  A length, offset or scale factor given as a string must be an
-integer or ``p/q``.
+point.  A length or an offset given as a string must be an integer or
+``p/q``.
 
 A graph lists the edge ends at each vertex once, at construction, and
-valences, vertex descriptions, connectivity and bridges read that table.
+valences, a vertex's canonical description (``point_of_vertex``),
+connectivity and bridges read that table.
 A graph is adequate (no loops, no parallel edges) when ``make_adequate``
 would cut nothing.
 
@@ -209,26 +210,6 @@ class MetrizedGraph(Record):
         self._check_vertex(v)
         return len(self._ends[v])
 
-    def scaled(self, factor: Fraction | int | str) -> "MetrizedGraph":
-        """The same graph with every edge length multiplied by ``factor``."""
-        factor = as_fraction(factor, "scale factor")
-        if factor <= 0:
-            raise NonpositiveLength(f"scale factor must be positive, got {factor}")
-        return MetrizedGraph(
-            self.vertices,
-            tuple(Edge(e.tail, e.head, e.length * factor) for e in self.edges),
-        )
-
-    def with_edge_reversed(self, i: int) -> "MetrizedGraph":
-        """The same graph with edge ``i`` parametrized from the other end."""
-        self._check_edge(i)
-        e = self.edges[i]
-        flipped = Edge(e.head, e.tail, e.length)
-        return MetrizedGraph(
-            self.vertices,
-            self.edges[:i] + (flipped,) + self.edges[i + 1 :],
-        )
-
     def _check_vertex(self, v: int) -> None:
         if not is_index(v, len(self.vertices)):
             raise MetgraphError(f"vertex index {v!r} outside 0..{len(self.vertices) - 1}")
@@ -265,9 +246,6 @@ class Divisor(Record):
     @property
     def degree(self) -> int:
         return sum(self.coefficients)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, a in enumerate(self.coefficients) if a != 0)
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -374,26 +352,13 @@ def vertex_at(g: MetrizedGraph, pt: GraphPoint) -> int | None:
 _ZERO = Fraction(0)
 
 
-def representations(g: MetrizedGraph, v: int) -> tuple[GraphPoint, ...]:
-    """All (edge, offset) descriptions of vertex ``v``, in edge order.
-
-    For each incident edge the tail description comes before the head one,
-    so the first entry is the canonical representation used wherever a
-    single description must be picked.
-    """
-    g._check_vertex(v)
-    return tuple(
-        GraphPoint(i, g.edges[i].length if end else _ZERO) for i, end, _ in g._ends[v]
-    )
-
-
 def point_of_vertex(g: MetrizedGraph, v: int) -> GraphPoint:
-    """The canonical description of vertex ``v``, the first of
-    ``representations(g, v)``: its first incident end in edge order, read
-    straight off the incidence table, so it makes one ``GraphPoint`` and
-    no other description.  A connected graph with an edge has one at every
+    """The canonical description of vertex ``v``: its first incident end
+    in edge order, ``(edge, 0)`` at a tail and ``(edge, length)`` at a
+    head, read straight off the incidence table, so it makes one
+    ``GraphPoint``.  A connected graph with an edge has one at every
     vertex.  A tail's offset is the shared zero ``_ZERO``; Fractions are
-    immutable, so the point equals the one ``representations`` makes."""
+    immutable, so sharing it changes no value."""
     g._check_vertex(v)
     i, end, _ = g._ends[v][0]
     return GraphPoint(i, g.edges[i].length if end else _ZERO)

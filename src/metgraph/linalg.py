@@ -19,33 +19,22 @@ from typing import Iterable
 
 from . import analysis
 from .errors import MetgraphError, SingularShift
-from .graph import MetrizedGraph, as_fraction, is_index, require_adequate
+from .graph import MetrizedGraph, is_index, require_adequate
 
 
 class RationalMatrix:
     """Immutable dense matrix of rationals: entry (i, j) is
-    ``numerators[i][j] / denominator``, a ``Fraction`` built only when read,
-    and ``denominator`` is the entries' least common denominator, so equal
-    matrices hold equal integers.  Entries are read by ``graph.as_fraction``:
-    ints, Fractions, or strings holding an integer or ``p/q``.
+    ``numerators[i][j] / denominator``, a ``Fraction`` built only when a
+    row is read, and ``denominator`` is the entries' least common
+    denominator, so equal matrices hold equal integers.  The package makes
+    its matrices in integers, and ``_reduced`` takes those integers as they
+    are; it is the only constructor.
     """
 
     __slots__ = ("_denominator", "_numerators")
 
     denominator = property(attrgetter("_denominator"))
     numerators = property(attrgetter("_numerators"))
-
-    def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]):
-        data = tuple(tuple(as_fraction(x, "matrix entry") for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("matrix rows have unequal lengths")
-        den = self._denominator = lcm(*(x.denominator for row in data for x in row))
-        self._numerators = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row) for row in data
-        )
 
     @classmethod
     def _reduced(cls, den: int, numerators: Iterable[Iterable[int]]) -> "RationalMatrix":
@@ -58,16 +47,6 @@ class RationalMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.numerators)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.numerators[0])
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        if not (is_index(i, self.n_rows) and is_index(j, self.n_cols)):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} matrix")
-        return Fraction(self.numerators[i][j], self.denominator)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not is_index(i, self.n_rows):
@@ -97,21 +76,23 @@ def laplacian(g: MetrizedGraph) -> RationalMatrix:
 
 def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
     """The Laplacian in integers over s, the lcm of the length numerators:
-    an edge of length p / q adds w = q (s / p) over s.  Each off-diagonal
-    entry is one -w (the graph is adequate), so one gcd of s and the
-    weights brings it to lowest terms."""
+    an edge of length p / q adds w = q (s / p) over s.
+
+    This is already in lowest terms.  Take a prime r dividing s.  Some edge
+    has v_r(p) = v_r(s), since s is the lcm of the p, so r divides neither
+    s / p nor q, which is coprime to p; so r does not divide that edge's w.
+    Each off-diagonal entry is one -w (the graph is adequate), so no prime
+    factor of s divides every entry."""
     require_adequate(g)
     n = g.n_vertices
     s = lcm(*(e.length.numerator for e in g.edges))
-    weights = [e.length.denominator * (s // e.length.numerator) for e in g.edges]
-    common = gcd(s, *weights)
     a = [[0] * n for _ in range(n)]
-    for (tail, head, _), w in zip(g.edges, weights):
-        w //= common
+    for tail, head, length in g.edges:
+        w = length.denominator * (s // length.numerator)
         a[tail][head] = a[head][tail] = -w
         a[tail][tail] += w
         a[head][head] += w
-    return RationalMatrix._reduced(s // common, a)
+    return RationalMatrix._reduced(s, a)
 
 
 def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:

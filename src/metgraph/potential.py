@@ -31,21 +31,7 @@ from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
 from . import analysis
-from .graph import (
-    Divisor,
-    GraphPoint,
-    MetrizedGraph,
-    _point_integers,
-    admissible_degree,
-    as_fraction,
-)
-from .linalg import resistance_at_vertices
-
-
-def vertex_resistance(g: MetrizedGraph, p: int, q: int) -> Fraction:
-    g._check_vertex(p)
-    g._check_vertex(q)
-    return resistance_at_vertices(analysis.network(g).pinv, p, q)
+from .graph import Divisor, GraphPoint, MetrizedGraph, _point_integers, admissible_degree
 
 
 def tau_constant(g: MetrizedGraph) -> Fraction:
@@ -120,10 +106,11 @@ class _Form:
     """Coefficients held, read-only, as the integers ``numerators`` over one
     positive ``denominator``, which need not be the least.  A coefficient is
     a reduced Fraction built only when read, through ``coefficients()`` or
-    its name.  The constructor takes ints, Fractions and ``p/q`` strings;
-    equality and hash go by the edge indices and the values, and only
-    between forms of one class.  A subclass names its edge indices in
-    ``_indices`` and its coefficients in ``terms``.
+    its name.  A form is made only by its subclass's ``_over``, from the
+    integers the package computes, taken as they are; equality and hash go
+    by the edge indices and the values, and only between forms of one
+    class.  A subclass names its edge indices in ``_indices`` and its
+    coefficients in ``terms``.
     """
 
     __slots__ = ("_denominator", "_numerators")
@@ -132,12 +119,6 @@ class _Form:
 
     denominator = property(attrgetter("_denominator"))
     numerators = property(attrgetter("_numerators"))
-
-    def __init__(self, values) -> None:
-        coeffs = [as_fraction(c, "coefficient") for c in values]
-        den = lcm(*(c.denominator for c in coeffs))
-        self._denominator = den
-        self._numerators = tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
     def _at(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in self._indices)
@@ -182,10 +163,6 @@ class EdgePairFunction(_Form):
     i = property(attrgetter("_i"))
     j = property(attrgetter("_j"))
     c0, cx, cy, cxx, cyy, cxy, cabs = map(_coefficient, range(7))
-
-    def __init__(self, i: int, j: int, c0=0, cx=0, cy=0, cxx=0, cyy=0, cxy=0, cabs=0):
-        self._i, self._j = i, j
-        super().__init__((c0, cx, cy, cxx, cyy, cxy, cabs))
 
     @classmethod
     def _over(cls, i: int, j: int, den: int, numerators: tuple[int, ...]) -> EdgePairFunction:
@@ -338,10 +315,6 @@ class EdgeFunction(_Form):
 
     edge = property(attrgetter("_edge"))
     a2, a1, a0 = map(_coefficient, range(3))
-
-    def __init__(self, edge: int, a2, a1, a0):
-        self._edge = edge
-        super().__init__((a2, a1, a0))
 
     @classmethod
     def _over(cls, edge: int, den: int, numerators: tuple[int, int, int]) -> EdgeFunction:

@@ -15,10 +15,13 @@ from conftest import (
     build_circle,
     build_joint_circles,
     build_two_bridges,
+    edge_reversed,
     matmul,
     penrose_identities,
+    rational_matrix,
     sample_offsets,
     sample_points,
+    scaled_graph,
     standing_graphs,
 )
 from metgraph.cli import parse_graph
@@ -63,8 +66,8 @@ def test_circle_closed_forms(criterion):
         "circle 1/2,1,1/2: Laplacian, pseudoinverse, tau = 1/6, all nine entries"
     ):
         g = build_circle()
-        assert mg.laplacian(g) == mg.RationalMatrix(CIRCLE_LAPLACIAN)
-        assert mg.pinv(g) == mg.RationalMatrix(CIRCLE_PINV)
+        assert mg.laplacian(g) == rational_matrix(CIRCLE_LAPLACIAN)
+        assert mg.pinv(g) == rational_matrix(CIRCLE_PINV)
         assert mg.tau_constant(g) == F(1, 6)
         matrix = mg.value_matrix(g, mg.Divisor.zero(3))
         for (i, j), coeffs in CIRCLE_ENTRIES.items():
@@ -298,7 +301,7 @@ def test_transformation_suite(criterion):
             base_g = {(x, y): mg.evaluate_green(g, divisor, x, y) for x in pts for y in pts}
 
             for factor in (F(2), F(1, 3)):
-                scaled = g.scaled(factor)
+                scaled = scaled_graph(g, factor)
                 assert mg.tau_constant(scaled) == factor * base_tau, name
                 assert mg.epsilon_via_resistance(scaled, divisor) == factor * base_eps
                 for (x, y), value in base_r.items():
@@ -310,7 +313,7 @@ def test_transformation_suite(criterion):
                     )
 
             for k in range(g.n_edges):
-                flipped = g.with_edge_reversed(k)
+                flipped = edge_reversed(g, k)
                 length = g.edges[k].length
 
                 def on_flipped(p, k=k, length=length):

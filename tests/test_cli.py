@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import metgraph as mg
-from conftest import load_pairs, serialize_graph
+from conftest import load_pairs, pair_form, serialize_graph
 from metgraph.cli import _format_terms, decimal_approx, parse_graph, run
 
 F = Fraction
@@ -644,10 +644,10 @@ class TestRendering:
         assert decimal_approx(value, 4) == "0.3333"
 
     def test_format_entry_zero(self):
-        assert _format_terms(mg.EdgePairFunction(0, 0).coefficients()) == "0"
+        assert _format_terms(pair_form(0, 0).coefficients()) == "0"
 
     def test_format_entry_signs(self):
-        entry = mg.EdgePairFunction(0, 0, c0=F(-1, 2), cx=F(1, 3), cabs=F(-2))
+        entry = pair_form(0, 0, c0=F(-1, 2), cx=F(1, 3), cabs=F(-2))
         assert _format_terms(entry.coefficients()) == "-1/2 + 1/3*x - 2*|x-y|"
 
 

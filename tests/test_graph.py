@@ -17,6 +17,9 @@ from conftest import (
     build_segment,
     build_tesseract,
     build_two_bridges,
+    edge_reversed,
+    representations,
+    scaled_graph,
     shortest_distance,
     standing_graphs,
 )
@@ -80,14 +83,22 @@ class TestConstruction:
             mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, "-1/2"),))
 
     def test_signed_ratio_strings_build(self):
-        assert mg.RationalMatrix([["-1/2"]])[0, 0] == Fraction(-1, 2)
-        assert mg.RationalMatrix([["+3/4"]])[0, 0] == Fraction(3, 4)
-        assert mg.EdgePairFunction(0, 0, "-1/4").c0 == Fraction(-1, 4)
+        # a sign may lead a length or an offset; the number read is then
+        # checked against its bounds
+        g = mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, "+3/4"),))
+        assert g.edges[0].length == Fraction(3, 4)
+        assert mg.validate_point(g, (0, "+1/4")).offset == Fraction(1, 4)
+        with pytest.raises(mg.PointOutOfRange, match=r"offset -1/4 outside \[0, 3/4\]"):
+            mg.validate_point(g, (0, "-1/4"))
+        with pytest.raises(mg.NonpositiveLength, match="length -1/2$"):
+            mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, "-1/2"),))
 
     @pytest.mark.parametrize("entry", ["1/-2", "--1", "-/2", "1/+2"])
     def test_sign_only_leads_a_ratio(self, entry):
-        with pytest.raises(mg.MetgraphError, match="malformed rational"):
-            mg.RationalMatrix([[entry]])
+        with pytest.raises(mg.MetgraphError, match="edge 0 length: malformed rational"):
+            mg.MetrizedGraph(("a", "b"), (mg.Edge(0, 1, entry),))
+        with pytest.raises(mg.MetgraphError, match="offset on edge 0: malformed rational"):
+            mg.validate_point(build_segment(), (0, entry))
 
     def test_disconnected_rejected(self):
         with pytest.raises(mg.GraphDisconnected):
@@ -406,7 +417,6 @@ class TestDivisor:
     def test_degree_and_support(self):
         d = mg.Divisor((1, 0, -2, 3))
         assert d.degree == 2
-        assert d.support() == (0, 2, 3)
         assert len(d) == 4
         assert d[3] == 3
 
@@ -562,8 +572,8 @@ class TestPoints:
             (copy.copy(g), ((1, 2), (1, 1), (1, 2))),
             (copy.deepcopy(g), ((1, 2), (1, 1), (1, 2))),
             (pickle.loads(pickle.dumps(g)), ((1, 2), (1, 1), (1, 2))),
-            (g.scaled("2/3"), ((1, 3), (2, 3), (1, 3))),
-            (g.with_edge_reversed(1), ((1, 2), (1, 1), (1, 2))),
+            (scaled_graph(g, "2/3"), ((1, 3), (2, 3), (1, 3))),
+            (edge_reversed(g, 1), ((1, 2), (1, 1), (1, 2))),
         ]
         for h, lengths in copies:
             assert h._lengths == lengths
@@ -582,7 +592,7 @@ class TestPoints:
 
     def test_representations(self):
         g = build_circle()
-        reps = mg.representations(g, 0)
+        reps = representations(g, 0)
         assert reps == (
             mg.GraphPoint(0, Fraction(1, 2)),
             mg.GraphPoint(2, Fraction(0)),
@@ -593,7 +603,7 @@ class TestPoints:
         graphs = [g for _, g, _ in standing_graphs()] + [build_raw_banana(), build_loop()]
         for g in graphs:
             for v in range(g.n_vertices):
-                assert mg.point_of_vertex(g, v) == mg.representations(g, v)[0]
+                assert mg.point_of_vertex(g, v) == representations(g, v)[0]
         with pytest.raises(mg.MetgraphError, match="vertex index 3"):
             mg.point_of_vertex(build_circle(), 3)
 
@@ -603,12 +613,8 @@ class TestPoints:
 # compare in range (True as 1) or fail inside the call with a bare TypeError.
 INDEX_CALLS = {
     "valence": lambda g, d, k: g.valence(k),
-    "with_edge_reversed": lambda g, d, k: g.with_edge_reversed(k),
-    "vertex_resistance_p": lambda g, d, k: mg.vertex_resistance(g, k, 1),
-    "vertex_resistance_q": lambda g, d, k: mg.vertex_resistance(g, 1, k),
     "r_D_on_edge": lambda g, d, k: mg.r_D_on_edge(g, d, k),
     "point_of_vertex": lambda g, d, k: mg.point_of_vertex(g, k),
-    "representations": lambda g, d, k: mg.representations(g, k),
     "epsilon_via_green": lambda g, d, k: mg.epsilon_via_green(g, d, base=k),
     "ValueMatrix.entry": lambda g, d, k: mg.value_matrix(g, d).entry(0, k),
     "ConnectivityMatrix.entry": lambda g, d, k: mg.connectivity_matrix(g).entry(k, 0),
@@ -623,35 +629,6 @@ def test_index_must_be_an_int(call):
     for index in (True, False, 1.0, "1"):
         with pytest.raises(mg.MetgraphError, match=f"{index!r}"):
             call(g, d, index)
-
-
-class TestTransforms:
-    def test_scaled(self):
-        g = build_circle().scaled(3)
-        assert g.total_length == 6
-        with pytest.raises(mg.NonpositiveLength):
-            build_circle().scaled(0)
-
-    @pytest.mark.parametrize("factor", ["1e3", "2.5", "1/0"])
-    def test_factor_string_must_be_an_integer_or_a_ratio(self, factor):
-        with pytest.raises(mg.MetgraphError, match="scale factor"):
-            build_circle().scaled(factor)
-
-    def test_float_factor_rejected(self):
-        with pytest.raises(mg.MetgraphError, match="scale factor"):
-            build_circle().scaled(0.5)
-
-    def test_bool_factor_rejected(self):
-        for flag in (True, False):
-            with pytest.raises(mg.MetgraphError, match="scale factor: expected"):
-                build_circle().scaled(flag)
-
-    def test_with_edge_reversed(self):
-        g = build_circle()
-        flipped = g.with_edge_reversed(1)
-        assert flipped.edges[1] == mg.Edge(2, 1, Fraction(1))
-        assert flipped.edges[0] == g.edges[0]
-        assert flipped.with_edge_reversed(1) == g
 
 
 class TestConnectivityMatrix:

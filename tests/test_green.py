@@ -11,8 +11,10 @@ from conftest import (
     FormContract,
     build_circle_with_tail,
     build_segment,
+    edge_reversed,
     sample_offsets,
     sample_points,
+    scaled_graph,
 )
 
 F = Fraction
@@ -204,7 +206,7 @@ class TestGreenProperties:
         _, g, divisor = standing
         pts = sample_points(g, 5)
         for factor in (F(2), F(1, 3)):
-            scaled = g.scaled(factor)
+            scaled = scaled_graph(g, factor)
             for x in pts:
                 for y in pts:
                     xs = mg.GraphPoint(x.edge, x.offset * factor)
@@ -217,7 +219,7 @@ class TestGreenProperties:
         _, g, divisor = standing
         pts = sample_points(g, 6)
         for flip in {0, g.n_edges // 2}:
-            flipped = g.with_edge_reversed(flip)
+            flipped = edge_reversed(g, flip)
 
             def mirror(pt):
                 if pt.edge != flip:

@@ -14,6 +14,7 @@ from conftest import (
     load_pairs,
     matmul,
     penrose_identities,
+    rational_matrix,
     row_sums,
     seeded_grid,
     shortest_distance,
@@ -28,29 +29,16 @@ F = Fraction
 
 class TestRationalMatrix:
     def test_entries_become_fractions(self):
-        m = mg.RationalMatrix([[1, "1/2"], [0, 3]])
-        assert m[0, 1] == F(1, 2)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            mg.RationalMatrix([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            mg.RationalMatrix([])
+        m = rational_matrix([[1, "1/2"], [0, 3]])
+        assert m.row(0)[1] == F(1, 2)
 
     def test_index_bounds(self, circle):
-        m = mg.RationalMatrix([[1]])
-        with pytest.raises(IndexError):
-            m[0, 1]
-        with pytest.raises(IndexError):
-            m[-1, 0]
+        m = rational_matrix([[1]])
         for i in (-1, 1):
             with pytest.raises(IndexError):
                 m.row(i)
         # a bool is an int only by inheritance, never an index
         lp = mg.pinv(circle)
-        for key in ((True, 0), (0, False)):
-            with pytest.raises(IndexError):
-                lp[key]
         with pytest.raises(IndexError):
             lp.row(True)
         for p, q in ((True, 2), (0, False)):
@@ -59,49 +47,38 @@ class TestRationalMatrix:
 
     def test_arithmetic(self):
         # the test-local product the Penrose identities read
-        a = mg.RationalMatrix([[1, 2], [3, 4]])
-        b = mg.RationalMatrix([[0, 1], [1, 0]])
+        a = rational_matrix([[1, 2], [3, 4]])
+        b = rational_matrix([[0, 1], [1, 0]])
         assert matmul(a, b).rows() == ((F(2), F(1)), (F(4), F(3)))
-        assert matmul(mg.RationalMatrix([["1/2", 0]]), a) == mg.RationalMatrix([["1/2", 1]])
+        assert matmul(rational_matrix([["1/2", 0]]), a) == rational_matrix([["1/2", 1]])
         with pytest.raises(ValueError):
-            matmul(a, mg.RationalMatrix([[1, 2]]))
+            matmul(a, rational_matrix([[1, 2]]))
 
     def test_transpose_trace_symmetry(self):
         # the test-local helpers the identities and the tau reference read
-        a = mg.RationalMatrix([[1, 2], [3, 4]])
+        a = rational_matrix([[1, 2], [3, 4]])
         assert transpose(a).rows() == ((F(1), F(3)), (F(2), F(4)))
         assert trace(a) == 5
         assert row_sums(a) == (F(3), F(7))
         assert not is_symmetric(a)
-        assert is_symmetric(mg.RationalMatrix([[1, 2], [2, 1]]))
-
-    @pytest.mark.parametrize("entry", ["1e100000", "2.5", 0.5])
-    def test_entries_must_be_integers_or_ratios(self, entry):
-        # "1e100000" would otherwise build a 332,193-bit entry
-        with pytest.raises(mg.MetgraphError, match="matrix entry"):
-            mg.RationalMatrix([[entry]])
-
-    @pytest.mark.parametrize("entry", [True, False])
-    def test_bool_entries_rejected(self, entry):
-        with pytest.raises(mg.MetgraphError, match="matrix entry: expected"):
-            mg.RationalMatrix([[1, entry]])
+        assert is_symmetric(rational_matrix([[1, 2], [2, 1]]))
 
     def test_equality_and_hash(self):
-        a = mg.RationalMatrix([[1, 2]])
-        b = mg.RationalMatrix([["1", "2"]])
+        a = rational_matrix([[1, 2]])
+        b = rational_matrix([["1", "2"]])
         assert a == b
         assert hash(a) == hash(b)
 
 
 class TestLaplacian:
     def test_circle_golden(self, circle):
-        assert mg.laplacian(circle) == mg.RationalMatrix(
+        assert mg.laplacian(circle) == rational_matrix(
             [[4, -2, -2], [-2, 3, -1], [-2, -1, 3]]
         )
 
     def test_segment(self):
         g = build_segment(F(1, 2))
-        assert mg.laplacian(g) == mg.RationalMatrix([[2, -2], [-2, 2]])
+        assert mg.laplacian(g) == rational_matrix([[2, -2], [-2, 2]])
 
     def test_joint_circles_golden(self, joint_circles):
         base = [
@@ -111,7 +88,7 @@ class TestLaplacian:
             [-3, 0, 0, 6, -3],
             [-3, 0, 0, -3, 6],
         ]
-        expected = mg.RationalMatrix(
+        expected = rational_matrix(
             [[F(v, 6) for v in row] for row in base]
         )
         assert mg.laplacian(joint_circles) == expected
@@ -132,7 +109,7 @@ class TestLaplacian:
 
 class TestPseudoInverse:
     def test_circle_golden(self, circle):
-        expected = mg.RationalMatrix(
+        expected = rational_matrix(
             [
                 [F(8, 72), F(-4, 72), F(-4, 72)],
                 [F(-4, 72), F(11, 72), F(-7, 72)],
@@ -145,7 +122,7 @@ class TestPseudoInverse:
         for length in (F(1), F(5), F(3, 7)):
             g = build_segment(length)
             q = length / 4
-            assert mg.pinv(g) == mg.RationalMatrix([[q, -q], [-q, q]])
+            assert mg.pinv(g) == rational_matrix([[q, -q], [-q, q]])
 
     def test_joint_circles_golden(self, joint_circles):
         a = [
@@ -162,7 +139,7 @@ class TestPseudoInverse:
             [-9, -9, -9, 26, 1],
             [-9, -9, -9, 1, 26],
         ]
-        expected = mg.RationalMatrix(
+        expected = rational_matrix(
             [
                 [F(3 * a[i][j] + 6 * b[i][j], 225) for j in range(5)]
                 for i in range(5)
@@ -181,7 +158,7 @@ class TestPseudoInverse:
         assert set(row_sums(lp)) == {F(0)}
 
     def test_single_vertex_pseudoinverse_is_zero(self):
-        assert mg.pseudo_inverse(mg.RationalMatrix([[0]])) == mg.RationalMatrix([[0]])
+        assert mg.pseudo_inverse(rational_matrix([[0]])) == rational_matrix([[0]])
 
     @pytest.mark.parametrize(
         "entry,den,num",
@@ -191,7 +168,7 @@ class TestPseudoInverse:
     def test_two_vertices_give_the_pinned_integers(self, entry, den, num):
         # one row is eliminated (m = 1), so a row gather returns one entry;
         # for L = w [[1, -1], [-1, 1]], L+ = [[1, -1], [-1, 1]] / (4 w)
-        lap = mg.RationalMatrix([[entry, f"-{entry}"], [f"-{entry}", entry]])
+        lap = rational_matrix([[entry, f"-{entry}"], [f"-{entry}", entry]])
         lplus = mg.pseudo_inverse(lap)
         assert (lplus.denominator, lplus.numerators) == (den, ((num, -num), (-num, num)))
 
@@ -205,14 +182,14 @@ class TestPseudoInverse:
         cases = ([[2, 0], [0, 3]], [[1, -1], [0, 0]], [[1, -1, 0], [-1, 1, 0]], [[5]])
         for rows in cases:
             with pytest.raises(mg.MetgraphError, match="not a Laplacian"):
-                mg.pseudo_inverse(mg.RationalMatrix(rows))
+                mg.pseudo_inverse(rational_matrix(rows))
 
     def test_positive_off_diagonal_rejected(self, monkeypatch):
         # symmetric with zero row sums, but no graph Laplacian: a reduced
         # matrix such as [[0, 1], [1, 0]] is invertible with a zero leading
         # minor
         monkeypatch.setattr(mg.linalg, "_reverse_cuthill_mckee", None)
-        signed = mg.RationalMatrix([[2, -1, -1], [-1, 0, 1], [-1, 1, 0]])
+        signed = rational_matrix([[2, -1, -1], [-1, 0, 1], [-1, 1, 0]])
         with pytest.raises(mg.MetgraphError, match="not a Laplacian"):
             mg.pseudo_inverse(signed)
 
@@ -227,7 +204,7 @@ class TestPseudoInverse:
                 for j in range(2):
                     rows[base + i][base + j] = pair[i][j]
         with pytest.raises(mg.SingularShift):
-            mg.pseudo_inverse(mg.RationalMatrix(rows))
+            mg.pseudo_inverse(rational_matrix(rows))
 
     def test_large_coprime_denominators(self):
         # lengths over distinct large primes make the lcm scaling and the
@@ -245,7 +222,7 @@ class TestPseudoInverse:
         assert set(row_sums(lp)) == {F(0)}
 
     def test_disconnected_shift_is_singular(self):
-        block = mg.RationalMatrix(
+        block = rational_matrix(
             [
                 [1, -1, 0, 0],
                 [-1, 1, 0, 0],
@@ -274,7 +251,7 @@ class TestPseudoInverse:
             rows[a][a] += 1
             rows[b][b] += 1
         with pytest.raises(mg.SingularShift):
-            mg.pseudo_inverse(mg.RationalMatrix(rows))
+            mg.pseudo_inverse(rational_matrix(rows))
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_seeded_grid_matches_reference_and_definition(self, k):
@@ -305,7 +282,7 @@ class TestPseudoInverse:
             rows = [list(row) for row in lplus.numerators]
             for i, j, step in changes:
                 rows[i][j] += step
-            return mg.RationalMatrix([[F(x, lplus.denominator) for x in row] for row in rows])
+            return rational_matrix([[F(x, lplus.denominator) for x in row] for row in rows])
 
         assert defines_pseudo_inverse(lap, moved())
         # symmetric with zero row sums, but L times it is no projection

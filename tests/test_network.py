@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import metgraph as mg
-from conftest import load_pairs, seeded_grid, standing_graphs
+from conftest import load_pairs, rational_matrix, representations, seeded_grid, standing_graphs
 
 F = Fraction
 
@@ -359,11 +359,10 @@ def counting(monkeypatch, counts, key, owner, name, wrap=lambda call: call):
 
 
 def count_points(monkeypatch):
-    """Fractions, GraphPoints and ``representations`` calls made from here on."""
-    counts = dict.fromkeys(("Fraction", "GraphPoint", "representations"), 0)
+    """Fractions and GraphPoints made from here on."""
+    counts = dict.fromkeys(("Fraction", "GraphPoint"), 0)
     counting(monkeypatch, counts, "Fraction", F, "__new__", staticmethod)
     counting(monkeypatch, counts, "GraphPoint", mg.GraphPoint, "__new__", staticmethod)
-    counting(monkeypatch, counts, "representations", mg.graph, "representations")
     return counts
 
 
@@ -391,12 +390,7 @@ def test_a_point_query_reads_each_offset_once(monkeypatch):
     counting(monkeypatch, counts, "as_integer_ratio", F, "as_integer_ratio")
     for (x, y), answers in zip(queries, expected):
         assert query(x, y) == answers
-    assert counts == {
-        "Fraction": 3 * 3,
-        "GraphPoint": 0,
-        "representations": 0,
-        "as_integer_ratio": 5 * 3,
-    }
+    assert counts == {"Fraction": 3 * 3, "GraphPoint": 0, "as_integer_ratio": 5 * 3}
 
 
 # a divisor of the tesseract other than the file's, on 4 vertices
@@ -415,20 +409,20 @@ def test_a_divisor_switch_makes_one_fraction_per_result(monkeypatch):
     counts = count_points(monkeypatch)
     mg.value_matrix(g, SWITCHED)
     assert mg.epsilon_via_green(g, SWITCHED) == mg.epsilon_via_resistance(g, SWITCHED)
-    assert counts == {"Fraction": 4 + 3, "GraphPoint": 1 + 4, "representations": 0}
+    assert counts == {"Fraction": 4 + 3, "GraphPoint": 1 + 4}
 
 
 def test_a_vertex_point_is_read_off_the_incidence_table(monkeypatch):
-    # one GraphPoint per call, no Fraction (a tail's offset is one shared
-    # zero) and no list of every description
+    # one GraphPoint per call and no Fraction (a tail's offset is one
+    # shared zero): the first of the vertex's descriptions in edge order
     for _, g, _ in standing_graphs():
-        expected = [mg.representations(g, v)[0] for v in range(g.n_vertices)]
+        expected = [representations(g, v)[0] for v in range(g.n_vertices)]
         with monkeypatch.context() as patch:
             counts = count_points(patch)
             points = [mg.point_of_vertex(g, v) for v in range(g.n_vertices)]
         assert points == expected
         assert all(type(pt.offset) is F for pt in points)
-        assert counts == {"Fraction": 0, "GraphPoint": g.n_vertices, "representations": 0}
+        assert counts == {"Fraction": 0, "GraphPoint": g.n_vertices}
 
 
 def test_a_switch_and_a_query_on_the_cached_graph_compare_no_graphs(monkeypatch):
@@ -460,7 +454,7 @@ def test_pseudoinverse_is_held_in_lowest_terms():
         lp = mg.pinv(g)
         assert math.gcd(lp.denominator, *(x for row in lp.numerators for x in row)) == 1, name
         assert lp.denominator == math.lcm(*(x.denominator for row in lp.rows() for x in row)), name
-        rebuilt = mg.RationalMatrix(lp.rows())
+        rebuilt = rational_matrix(lp.rows())
         assert rebuilt == lp and hash(rebuilt) == hash(lp), name
 
 
@@ -490,7 +484,7 @@ def test_no_formula_reads_a_fraction_entry_of_lplus(monkeypatch):
     def fraction_entry(*args, **kwargs):
         raise AssertionError("a Fraction entry of a matrix was read")
 
-    for name in ("__getitem__", "row", "rows"):
+    for name in ("row", "rows"):
         monkeypatch.setattr(mg.RationalMatrix, name, fraction_entry)
     assert results() == expected
     assert expected[3].passed and expected[4].passed

@@ -10,8 +10,10 @@ from conftest import (
     build_segment,
     build_tesseract,
     build_two_bridges,
+    edge_reversed,
     load_pairs,
     sample_points,
+    vertex_resistance,
 )
 
 F = Fraction
@@ -35,7 +37,7 @@ class TestSubdivide:
         assert sub.graph.total_length == 2
         for p in range(3):
             for q in range(3):
-                assert mg.vertex_resistance(g, p, q) == mg.vertex_resistance(
+                assert vertex_resistance(g, p, q) == vertex_resistance(
                     sub.graph, p, q
                 )
 
@@ -127,7 +129,7 @@ class TestOracleAgreement:
         g = build_two_bridges()
         divisor = mg.Divisor((1, 0, 0, 0, 0, 2))
         for i in reversed_edges:
-            g = g.with_edge_reversed(i)
+            g = edge_reversed(g, i)
 
         def mirror(pt):
             if pt.edge in reversed_edges:
@@ -237,7 +239,7 @@ class TestPairValues:
             values = mg.oracle._pair_values(g, d, pairs, bound)
             assert refinements == expected
             assert values[0] == values[2]
-            assert values[1][0] == mg.vertex_resistance(g, 1, 2)
+            assert values[1][0] == vertex_resistance(g, 1, 2)
 
     def test_every_point_is_validated_before_any_refinement(self, monkeypatch):
         g = build_circle()

@@ -9,6 +9,7 @@ must repair first.
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,12 +23,17 @@ from conftest import (
     fraction_laplacian,
     gauss_jordan_pinv,
     is_symmetric,
+    pair_form,
     penrose_identities,
+    rational_matrix,
+    representations,
     resistance_form,
     row_sums,
     sample_points,
+    scaled_graph,
     seeded_grid,
     trace,
+    vertex_resistance,
     voltage,
 )
 
@@ -119,7 +125,7 @@ def test_pseudo_inverse_identities(g):
 @given(adequate_graphs())
 def test_vertex_resistance_is_a_metric(g):
     n = g.n_vertices
-    r = [[mg.vertex_resistance(g, p, q) for q in range(n)] for p in range(n)]
+    r = [[vertex_resistance(g, p, q) for q in range(n)] for p in range(n)]
     for p in range(n):
         assert r[p][p] == 0
         for q in range(n):
@@ -135,7 +141,7 @@ def test_vertex_resistance_is_a_metric(g):
 def test_tau_is_positive_and_scales_linearly(g, factor):
     tau = mg.tau_constant(g)
     assert tau > 0
-    assert mg.tau_constant(g.scaled(factor)) == factor * tau
+    assert mg.tau_constant(scaled_graph(g, factor)) == factor * tau
 
 
 @common
@@ -223,16 +229,30 @@ def test_repaired_closed_forms_match_oracle(g, data):
     assert mg.evaluate_green(refined, lifted, rx, ry) == mg.oracle_green(g, divisor, x, y)
 
 
+@st.composite
+def rational_length_graphs(draw) -> mg.MetrizedGraph:
+    """An adequate graph or a multigraph whose lengths are drawn afresh,
+    as ratios whose numerators and denominators often share primes."""
+    g = draw(st.one_of(adequate_graphs(), multigraphs()))
+    lengths = st.fractions(min_value=F(1, 360), max_value=360, max_denominator=360)
+    edges = tuple(mg.Edge(e.tail, e.head, draw(lengths)) for e in g.edges)
+    return mg.MetrizedGraph(g.vertices, edges)
+
+
 @common
-@given(multigraphs())
+@given(rational_length_graphs())
 def test_integer_laplacian_matches_fraction_build(g):
+    # over the lcm s of the length numerators the Laplacian needs no
+    # reduction: no prime of s divides every entry
     refined, _ = mg.make_adequate(g)
-    assert mg.linalg.laplacian_matrix(refined) == fraction_laplacian(refined)
+    lap = mg.linalg.laplacian_matrix(refined)
+    assert gcd(lap.denominator, *(x for row in lap.numerators for x in row)) == 1
+    assert lap == fraction_laplacian(refined)
 
 
 def relabelled(lap: mg.RationalMatrix, perm: list[int]) -> mg.RationalMatrix:
     """P M P^T for the permutation matrix P taking vertex perm[v] to v."""
-    return mg.RationalMatrix([[lap[p, q] for q in perm] for p in perm])
+    return rational_matrix([[lap.row(p)[q] for q in perm] for p in perm])
 
 
 @common
@@ -264,7 +284,7 @@ def test_disjoint_union_is_singular(g, h, data):
     h, _ = mg.make_adequate(h)
     a, b = mg.linalg.laplacian_matrix(g), mg.linalg.laplacian_matrix(h)
     n = g.n_vertices + h.n_vertices
-    union = mg.RationalMatrix(
+    union = rational_matrix(
         [[*a.row(i), *[F(0)] * h.n_vertices] for i in range(g.n_vertices)]
         + [[*[F(0)] * g.n_vertices, *b.row(i)] for i in range(h.n_vertices)]
     )
@@ -509,7 +529,7 @@ def test_resistance_point_on_bridges_matches_the_fraction_kernel():
 
 
 def reference_representation_check(g, matrix):
-    reps = [mg.representations(g, v) for v in range(g.n_vertices)]
+    reps = [representations(g, v) for v in range(g.n_vertices)]
     comparisons = 0
     mismatches = []
     for p, reps_p in enumerate(reps):
@@ -565,7 +585,7 @@ def replaced(matrix, changes):
 def moved(entry, name, delta):
     coefficients = dict(zip(COEFFICIENT_NAMES, entry.coefficients()))
     coefficients[name] += delta
-    return mg.EdgePairFunction(entry.i, entry.j, **coefficients)
+    return pair_form(entry.i, entry.j, **coefficients)
 
 
 def perturbed(matrix, i, j, name, delta):
@@ -961,7 +981,7 @@ def test_incidence_table_matches_the_copied_scans(g):
         assert h == g and hash(h) == hash(g)
         for v in range(g.n_vertices):
             assert h.valence(v) == copied_valence(g, v)
-            reps = mg.representations(h, v)
+            reps = representations(h, v)
             assert reps == copied_representations(g, v)
             assert list(map(type, reps)) == [mg.GraphPoint] * len(reps)
             assert mg.point_of_vertex(h, v) == copied_point_of_vertex(g, v)
@@ -1106,7 +1126,7 @@ def test_a_corrupted_canonical_corner_fails_both_checks():
     assert F(*table[p][q]) == wrong
 
     rep = mg.check_representation_independence(g, divisor, corrupted)
-    descriptions = [(x.edge, y.edge) for x in mg.representations(g, p) for y in mg.representations(g, q)]
+    descriptions = [(x.edge, y.edge) for x in representations(g, p) for y in representations(g, q)]
     expected = sorted(
         [(f"g(v{p}, v{q}) via z[{x}][{y}]", wrong, true) for x, y in descriptions[1:]]
         + [(f"g(v{q}, v{p}) via z[{y}][{x}]", wrong, true) for x, y in descriptions[1:]]
@@ -1162,7 +1182,7 @@ def tau_sides(g, h, u, v, bridge=None):
 
 def foster_sides(g):
     """sum_e r_e / L_e, and n - 1."""
-    total = sum(mg.vertex_resistance(g, e.tail, e.head) / e.length for e in g.edges)
+    total = sum(vertex_resistance(g, e.tail, e.head) / e.length for e in g.edges)
     return total, g.n_vertices - 1
 
 
@@ -1243,7 +1263,7 @@ def perturb_lplus(patch, k):
     def moved(lap):
         rows = [list(row) for row in pseudo_inverse(lap).rows()]
         rows[k][k] += F(1, 7)
-        return mg.RationalMatrix(rows)
+        return rational_matrix(rows)
 
     patch.setattr(mg.linalg, "pseudo_inverse", moved)
     mg.clear_caches()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import metgraph as mg
+from conftest import scaled_graph
 from metgraph.invariants import CheckMismatch
 
 F = Fraction
@@ -100,7 +101,7 @@ def test_pickle_round_trip(name):
 def test_unequal_fields_are_unequal():
     g = graph()
     assert g != mg.MetrizedGraph(("a", "c"), g.edges)
-    assert g != g.scaled(2)
+    assert g != scaled_graph(g, 2)
     assert mg.Divisor((1, -1)) != mg.Divisor((-1, 1))
     assert mg.CheckReport("x", 2, ()) != mg.CheckReport("x", 3, ())
     assert mg.ConnectivityMatrix(((1,),)) != mg.ConnectivityMatrix(((0,),))
