@@ -8,22 +8,29 @@ however many graphs a long-running process visits.  A command uses one
 graph, and the benchmark's workloads at most two at a time.
 ``clear_caches`` empties the cache together with every derived quantity.
 A ``Network`` computes each piece on first use: the Laplacian and its
-pseudoinverse, the tau constant and the per-edge data the resistance form
-reads.  L+ is kept once, as integers over its least common denominator
-(``linalg.RationalMatrix``), which every formula reads.
-Divisor-dependent data (``r_D`` at every vertex and on every edge, ``c_mu``,
-the value matrix, held as one tuple of integers per unordered edge pair,
-and the vertex formula's b = sum_s a_s N_ss and W_q + N_qq per vertex,
-with W = sum_s a_s N[s] summed apart from r_D's, so that the check it
-serves shares no sum with the matrix it checks) hangs off a
-``DivisorAnalysis``, and a ``Network`` holds one: that of the divisor last
-asked for.  Every command and workload asks about one divisor per graph at
-a time, so memory stays bounded however many divisors a long-running
-process visits; a caller that alternates two divisors on one graph
-rebuilds each analysis on every switch.  Once either consistency check has
-run on the value matrix, the ``DivisorAnalysis`` also keeps the
-representation check's report and the table of canonical vertex-pair
-values its walk filled, n^2 cells, (p, q) and (q, p) one object.
+pseudoinverse, the tau constant, the per-edge data the resistance form
+reads and, on the first point read, the resistance triangle, r's closed
+form on every unordered edge pair, the one quadratic piece of the Green
+function and free of the divisor.  L+ is kept once, as integers over its
+least common denominator (``linalg.RationalMatrix``), which every formula
+reads.
+Divisor-dependent data hangs off a ``DivisorAnalysis``, and a ``Network``
+holds one: that of the divisor last asked for.  Its pieces are O(m):
+``r_D`` at every vertex and on every edge, ``c_mu`` and the Green
+function's constant C, as integers, which with the triangle give every
+point value.  The value matrix it hands out makes its m^2 rows, one tuple
+of integers per unordered edge pair, only when they are first read, so a
+divisor switch builds nothing quadratic.  For the checks it also keeps the
+vertex formula's b = sum_s a_s N_ss and W_q + N_qq per vertex, with
+W = sum_s a_s N[s] summed apart from r_D's, so that the check it serves
+shares no sum with the matrix it checks.  Every command and workload asks
+about one divisor per graph at a time, so memory stays bounded however many
+divisors a long-running process visits; a caller that alternates two
+divisors on one graph rebuilds each analysis on every switch.  Once either
+consistency check has run on the value matrix, the ``DivisorAnalysis`` also
+keeps the representation check's report and the table of canonical
+vertex-pair values its walk filled, n^2 cells, (p, q) and (q, p) one
+object.
 
 The formulas stay in the modules that own them; this module only decides
 what is kept and for how long.  The cache calls each formula through its
@@ -73,6 +80,11 @@ class Network:
     def edges(self) -> tuple[potential.EdgeData, ...]:
         return potential.edge_data(self)
 
+    @cached_property
+    def resistance_triangle(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """r(x, y) on every unordered edge pair, made on the first point read."""
+        return potential.resistance_triangle(self)
+
     def divisor(self, d: Divisor) -> DivisorAnalysis:
         """The analysis of ``d`` on this graph.
 
@@ -119,12 +131,18 @@ class DivisorAnalysis:
         return potential.c_mu_of(self)
 
     @cached_property
+    def constant(self) -> tuple[int, int, int]:
+        """C = 4 tau / s - c_mu as (c, d, s): C = c / d, s = deg D + 2."""
+        return green.constant_of(self)
+
+    @cached_property
     def vertex_formula(self) -> tuple[int, tuple[int, ...]]:
         return potential.vertex_formula(self)
 
     @cached_property
     def value_matrix(self) -> green.ValueMatrix:
-        return green.build_value_matrix(self.network, self)
+        """The value matrix, its rows made when first read."""
+        return green.value_matrix_of(self)
 
     @cached_property
     def representation_walk(self) -> tuple[invariants.CheckReport, list[list[tuple[int, int]]]]:

@@ -56,10 +56,11 @@ from ..potential import resistance_point, swap_xy, tau_constant
 
 # The largest graph a command accepts.  At the bound, the seeded 10x10 grid
 # plus 20 seeded chords (100 vertices, 200 edges) takes about 0.5 s of CPU
-# time for ``check`` and 0.35 s for ``epsilon``, and the 10x10 grid alone
-# about 0.45 to 0.55 s for ``check``, each a whole process with start-up
-# (medians of 5 runs, which spread by about 10%; 2-core Intel Xeon,
-# Python 3.11).  The value matrix and the checks grow with the square of
+# time for ``check`` and 0.35 s for ``epsilon`` while it built the value
+# matrix, and the 10x10 grid alone about 0.45 to 0.55 s for ``check``, each
+# a whole process with start-up (medians of 5 runs, which spread by about
+# 10%; 2-core Intel Xeon, Python 3.11).  The value matrix, the checks and
+# the resistance triangle of the point commands grow with the square of
 # the edge count.
 MAX_VERTICES = 100
 MAX_EDGES = 200

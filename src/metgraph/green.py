@@ -1,22 +1,40 @@
-"""The admissible Green function as a matrix of closed-form edge-pair entries.
+"""The admissible Green function: point values from its pieces, and the
+value matrix of closed-form edge-pair entries.
 
-For a divisor D of degree other than -2 the Green function g(x, y) is, on
-each ordered pair of edges, a polynomial in the two offsets plus possibly
-one |x - y| term (diagonal entries only).  The value matrix collects these
-closed forms; evaluating g anywhere afterwards costs a handful of rational
-operations and no linear algebra.  The matrix is built once per graph and
-divisor, from the per-edge data of ``analysis.Network``, so the loop over
-edge pairs does no cache lookups.
+For a divisor D of degree other than -2, with s = deg D + 2 (Zhang 1993),
+g(x, y) = C + (r_D(x) + r_D(y)) / (2 s) - r(x, y) / 2 with the constant
+C = 4 tau / s - c_mu.  The divisor enters only through O(m) data, and the
+one quadratic piece, r(x, y), does not depend on it.  So the package keeps
+g in two parts:
 
-Each entry is g(x, y) = 4 tau / (deg D + 2) - c_mu
-+ (r_D(x) + r_D(y)) / (2 (deg D + 2)) - r(x, y) / 2, combined in integers
-over one denominator T, a multiple of 2 (deg D + 2) D with D the common
-denominator of L+: the constant comes from the integers of tau and c_mu,
-r_D's terms are the numerators of its ``EdgeFunction`` forms, and r's are
-those of ``potential.resistance_numerators``.  An entry holds its seven
-coefficients as integers over T p_i^2 p_j^2 (over T p_i^2 on the
-diagonal), so the matrix is built without a Fraction; one is made only
-when a coefficient or a value is read.
+- per graph, ``analysis.Network.resistance_triangle``: r's closed form on
+  every unordered edge pair, made on the first point read
+  (``potential.resistance_triangle``);
+- per divisor, on its ``analysis.DivisorAnalysis``: r_D at the vertices,
+  r_D's ``EdgeFunction`` on every edge, c_mu and C, held as integers
+  (``constant_of``).
+
+``evaluate_green`` combines one triangle entry, the two r_D forms and C
+into one Fraction, so a divisor switch builds nothing quadratic and a point
+read builds no table of its own.
+
+The value matrix collects g's closed forms per edge pair, for the
+``value-matrix`` command and the consistency checks.  ``value_matrix(g, D)``
+checks the divisor and refuses degree -2 at the call, and reads the O(m)
+pieces its rows are made from; the rows are made on first read, by
+``build_value_matrix``, a loop of its own over edge pairs that does not read
+the resistance triangle, so a caller who reads only the matrix pays for one
+quadratic table, not two.  A matrix made before a switch or
+``clear_caches`` holds those pieces, so it still reads the same rows
+afterwards.
+
+Each entry combines C, r_D and r in integers over one denominator T, a
+multiple of 2 s D with D the common denominator of L+: the constant comes
+from C's integers, r_D's terms are the numerators of its ``EdgeFunction``
+forms, and r's are those of the resistance triangle, multiplied out in the
+loop.  An entry holds its seven coefficients as integers over
+T p_i^2 p_j^2 (over T p_i^2 on the diagonal), so the matrix is built
+without a Fraction; one is made only when a coefficient or a value is read.
 g(x, y) = g(y, x), so z_ji is z_ij with x and y swapped, and the matrix
 keeps one triangle: eight integers per unordered edge pair (1830 tuples,
 about 0.73 MiB, on the benchmark's seeded 6x6 grid), and an
@@ -30,12 +48,22 @@ ordered-pair property test, the vertex-formula check and the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
+from typing import Callable
 
 from . import analysis
 from .errors import MetgraphError
 from .graph import Divisor, GraphPoint, MetrizedGraph, Record, _point_integers, is_index
-from .potential import EdgePairFunction, pair_value, swap_xy
+from .linalg import RationalMatrix
+from .potential import (
+    EdgeData,
+    EdgeFunction,
+    EdgePairFunction,
+    pair_numerator,
+    swap_xy,
+    triangle_value,
+)
 
 __all__ = [
     "EdgePairFunction",
@@ -43,6 +71,8 @@ __all__ = [
     "evaluate_green",
     "value_matrix",
 ]
+
+Rows = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class ValueMatrix(Record):
@@ -55,17 +85,18 @@ class ValueMatrix(Record):
     takes that triangle, and rejects any other shape and a diagonal entry
     not symmetric in x and y (cx != cy or cxx != cyy), so every matrix
     holds one closed form per unordered edge pair; pickling replays it.
+    The network's own matrix, ``value_matrix(g, divisor)``, makes its rows
+    when they are first read, and holds what it makes them from until then.
     An ``EdgePairFunction`` is made only when ``entry`` or ``entries`` is
     read.  Equality and hash read the stored triangle, and make no entry.
     """
 
-    __slots__ = ("divisor", "rows")
+    __slots__ = ("divisor", "_rows", "_build")
     _fields = ("divisor", "rows")
 
     divisor: Divisor
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def __init__(self, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]):
+    def __init__(self, divisor: Divisor, rows: Rows):
         m = len(rows) if type(rows) is tuple else -1
         if not (
             isinstance(divisor, Divisor)
@@ -85,15 +116,29 @@ class ValueMatrix(Record):
             _, _, cx, cy, cxx, cyy, _, _ = row[0]
             if cx != cy or cxx != cyy:
                 raise MetgraphError(f"value matrix entry ({i}, {i}) is not symmetric in x and y")
-        self._assign(divisor, rows)
+        self._set(divisor, rows, None)
+
+    def _set(self, divisor: Divisor, rows: Rows | None, build: Callable[[], Rows] | None) -> None:
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_build", build)
 
     @classmethod
-    def _of(cls, divisor: Divisor, rows: tuple[tuple[tuple[int, ...], ...], ...]) -> ValueMatrix:
-        """The matrix of the triangle ``rows``, taken unchecked: the build
-        makes it in the constructor's shape, diagonal entries symmetric."""
+    def _later(cls, divisor: Divisor, build: Callable[[], Rows]) -> ValueMatrix:
+        """The matrix whose rows ``build()`` makes, unchecked, when first
+        read: the build makes them in the constructor's shape, diagonal
+        entries symmetric."""
         matrix = cls.__new__(cls)
-        matrix._assign(divisor, rows)
+        matrix._set(divisor, None, build)
         return matrix
+
+    @property
+    def rows(self) -> Rows:
+        rows = self._rows
+        if rows is None:
+            rows = self._build()
+            self._set(self.divisor, rows, None)
+        return rows
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -143,33 +188,61 @@ class ValueMatrix(Record):
 
     def _value(self, i: int, X: int, u: int, j: int, Y: int, v: int) -> Fraction:
         """g at x = X / u on edge i and y = Y / v on edge j."""
-        if i > j:
-            # z_ij(x, y) is z_ji(y, x)
-            return pair_value(self.rows[j][i - j], Y, v, X, u)
-        return pair_value(self.rows[i][j - i], X, u, Y, v)
+        return triangle_value(self.rows, i, X, u, j, Y, v)
 
 
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:
-    """All edge-pair entries of the Green function, built once per graph and
-    divisor."""
+    """All edge-pair entries of the Green function, one matrix per graph and
+    divisor, its rows made when first read."""
     return analysis.network(g).divisor(divisor).value_matrix
 
 
-def build_value_matrix(net: analysis.Network, div: analysis.DivisorAnalysis) -> ValueMatrix:
-    """All edge-pair entries, one per unordered edge pair, of
-    g(x, y) = 4 tau / s - c_mu + (r_D(x) + r_D(y)) / (2 s) - r(x, y) / 2
-    with s = deg D + 2.  No part depends on whether an edge is a bridge;
-    the connectivity matrix is only reported.
+def constant_of(div: analysis.DivisorAnalysis) -> tuple[int, int, int]:
+    """C = 4 tau / s - c_mu with s = deg D + 2, as (c, d, s): C = c / d in
+    lowest terms, d > 0.  c_mu is read first, so degree -2 raises
+    ``BadDegree`` before L+ is built."""
+    c, tau = div.c_mu, div.network.tau
+    scale = div.divisor.degree + 2
+    td, cd = tau.denominator, c.denominator
+    top, bottom = 4 * tau.numerator * cd - scale * c.numerator * td, scale * td * cd
+    common = gcd(top, bottom) if bottom > 0 else -gcd(top, bottom)
+    return top // common, bottom // common, scale
 
-    Everything is brought over T, the least multiple of 2 s D over which the
-    constant 4 tau / s - c_mu is an integer ``shift``.  With k = T / (2 s D),
-    h = T / (2 D) and N = D L+, r_D / (2 s) on an edge has constant and
-    linear terms a0 = k r_D(tail) over T and a1 = k n1 over T p^2, with n1
-    the linear numerator of r_D's form over D p^2; both x^2 terms of an entry
-    are W w_scale over T p^2 with w_scale = 2 k: tau's -deg w / (2 s) less
-    half of r's -w.  On two edges r's coefficients are those of
-    ``resistance_numerators``, multiplied out so that a product is made
-    once per edge, row or pair.  Per edge, with z = a0 - h N[t, t] and
+
+def value_matrix_of(div: analysis.DivisorAnalysis) -> ValueMatrix:
+    """The value matrix of ``div``, its rows made by ``build_value_matrix``
+    when first read.  The O(m) pieces they are made from are read now, C
+    first, so degree -2 is refused here; the matrix holds those pieces and
+    not the analysis, so it reads the same rows after the network has moved
+    to another divisor or been dropped."""
+    constant, net = div.constant, div.network
+    build = partial(build_value_matrix, net.pinv, net.edges, constant, div.r_D_at_vertices, div.r_D)
+    return ValueMatrix._later(div.divisor, build)
+
+
+def build_value_matrix(
+    lplus: RationalMatrix,
+    edges: tuple[EdgeData, ...],
+    constant: tuple[int, int, int],
+    at: tuple[int, ...],
+    forms: tuple[EdgeFunction, ...],
+) -> Rows:
+    """All edge-pair entries, one per unordered edge pair, of
+    g(x, y) = C + (r_D(x) + r_D(y)) / (2 s) - r(x, y) / 2 with
+    s = deg D + 2 and C = 4 tau / s - c_mu, as ``constant_of`` gives them,
+    and r_D at the vertices ``at`` and on the edges ``forms``.  No part
+    depends on whether an edge is a bridge; the connectivity matrix is only
+    reported.
+
+    Everything is brought over T, the least multiple of 2 s D over which C
+    is an integer ``shift``.  With k = T / (2 s D), h = T / (2 D) and
+    N = D L+, r_D / (2 s) on an edge has constant and linear terms
+    a0 = k r_D(tail) over T and a1 = k n1 over T p^2, with n1 the linear
+    numerator of r_D's form over D p^2; both x^2 terms of an entry are
+    W w_scale over T p^2 with w_scale = 2 k: tau's -deg w / (2 s) less half
+    of r's -w.  On two edges r's coefficients are those of
+    ``potential.resistance_triangle``, multiplied out so that a product is
+    made once per edge, row or pair.  Per edge, with z = a0 - h N[t, t] and
     X = a1 - h (D p - 2 q a[t]) p, the numerators over T p_i^2 p_j^2 are
       c0   (shift + z_i + z_j + 2 h N[t_i, t_j]) p_i^2 p_j^2,
       cx   (X_i - 2 h q_i p_i a_i[t_j]) p_j^2,
@@ -181,33 +254,26 @@ def build_value_matrix(net: analysis.Network, div: analysis.DivisorAnalysis) -> 
     cy, cxx, cyy, cxy, cabs).
     On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
     so there g's x y and |x - y| coefficients are -w and -1/2."""
-    c, tau = div.c_mu, net.tau  # c_mu rejects degree -2 before L+ is built
-    scale = div.divisor.degree + 2
-    den, lp = net.pinv.denominator, net.pinv.numerators
-    # 4 tau / s - c_mu in lowest terms, with a positive denominator
-    td, cd = tau.denominator, c.denominator
-    shift, shift_den = 4 * tau.numerator * cd - scale * c.numerator * td, scale * td * cd
-    common = gcd(shift, shift_den) if shift_den > 0 else -gcd(shift, shift_den)
-    shift, shift_den = shift // common, shift_den // common
+    den, lp = lplus.denominator, lplus.numerators
+    shift, shift_den, scale = constant
     t = lcm(shift_den, 2 * scale * den)
     shift *= t // shift_den
     k = t // (2 * scale * den)
     half, twice_half, w_scale = t // (2 * den), t // den, 2 * k
-    at = div.r_D_at_vertices
     # r_D / (2 s) per edge: a0 over T and a1 over T p^2
-    a0 = [k * at[e.tail] for e in net.edges]
-    a1 = [k * form.numerators[1] for form in div.r_D]
+    a0 = [k * at[e.tail] for e in edges]
+    a1 = [k * form._numerators[1] for form in forms]
     # per edge: tail, head, p^2, p q, z, W w_scale, X, 2 h q p and the a vector
     columns = [
         (e.tail, e.head, e.p * e.p, e.p * e.q, e0 - half * lp[e.tail][e.tail], e.w * w_scale,
          e1 - half * (den * e.p - 2 * e.q * e.a[e.tail]) * e.p, twice_half * e.q * e.p, e.a)
-        for e, e0, e1 in zip(net.edges, a0, a1)
+        for e, e0, e1 in zip(edges, a0, a1)
     ]
     rows = []
     for i, (ti, _, ppi, _, zi, wi, xi, ki, ai) in enumerate(columns):
         lpt, base = lp[ti], shift + zi
         c0, cx = (shift + 2 * a0[i]) * ppi, a1[i]
-        cxy, cabs = -twice_half * net.edges[i].w, -half * den * ppi
+        cxy, cabs = -twice_half * edges[i].w, -half * den * ppi
         # T p_i^2 and -2 h q_i p_i, made once per row
         tpi, nki = t * ppi, -ki
         row = [(tpi, c0, cx, cx, wi, wi, cxy, cabs)]
@@ -218,13 +284,45 @@ def build_value_matrix(net: analysis.Network, div: analysis.DivisorAnalysis) -> 
             cxy = nki * pqj * (ai[hj] - ai[tj])
             append((tpi * ppj, c0, cx, cy, wi * ppj, wj * ppi, cxy, 0))
         rows.append(tuple(row))
-    return ValueMatrix._of(div.divisor, tuple(rows))
+    return tuple(rows)
 
 
 def evaluate_green(
     g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple, y: GraphPoint | tuple
 ) -> Fraction:
-    """Green function value at two points, via the cached value matrix."""
+    """Green function value at two points, from g's pieces: the network's
+    resistance triangle and the divisor's r_D forms and C, read as integers
+    and combined into one Fraction.
+
+    With x = X / u on edge i and y = Y / v on edge j, r(x, y) is an integer
+    R over E u^2 v^2, E = D p_i^2 p_j^2 (D p_i^2 when i == j), r_D(x) an
+    integer R_x over D p_i^2 u^2 and r_D(y) one R_y over D p_j^2 v^2, so
+    with C = c / d and s = deg D + 2,
+    g = (2 s c E u^2 v^2 + d (R_x p_j^2 v^2 + R_y p_i^2 u^2 - s R))
+    over 2 s d E u^2 v^2, the factors p^2 dropped when i == j.
+    """
     i, _, X, u = _point_integers(g, x)
     j, _, Y, v = _point_integers(g, y)
-    return value_matrix(g, divisor)._value(i, X, u, j, Y, v)
+    net = analysis.network(g)
+    div = net.divisor(divisor)
+    c, d, s = div.constant  # refuses degree -2 before L+ is built
+    forms = div.r_D
+    if i > j:
+        held = net.resistance_triangle[j][i - j]
+        r = pair_numerator(held, Y, v, X, u)
+    else:
+        held = net.resistance_triangle[i][j - i]
+        r = pair_numerator(held, X, u, Y, v)
+    uu, vv = u * u, v * v
+    a2, a1, a0 = forms[i]._numerators
+    b2, b1, b0 = forms[j]._numerators
+    rx = (a2 * X + a1 * u) * X + a0 * uu
+    ry = (b2 * Y + b1 * v) * Y + b0 * vv
+    if i == j:
+        sides = rx * vv + ry * uu
+    else:
+        edges = net.edges
+        pi, pj = edges[i].p, edges[j].p
+        sides = rx * (pj * pj * vv) + ry * (pi * pi * uu)
+    over = held[0] * uu * vv
+    return Fraction(2 * s * c * over + d * (sides - s * r), 2 * s * d * over)

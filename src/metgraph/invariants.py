@@ -4,13 +4,15 @@ Epsilon comes out of two unrelated computations: summing Green values at
 the divisor's support against a base point, and a closed form in the tau
 constant and pairwise resistances.  Agreement of the two is itself a strong
 correctness check, so neither route is ever expressed through the other.
-The Green route reads its values off the value matrix and its resistance
-term off the divisor's r_D at the base vertex, the sum the matrix is built
-from; the resistance route sums over L+ = N / D on its own and reads no
-r_D.  Both finish in integers, each making one Fraction of its own, the
-result: the Green route sums the matrix's |supp D| values over the lcm of
-their denominators, and the resistance route brings tau's integers and its
-double sum over tau's denominator times D (deg D + 2).
+The Green route takes each value g(base, p_k) from g's O(m) pieces, the
+divisor's constant C = 4 tau / s - c_mu and r_D at the vertices, and
+L+ = N / D, in O(|supp D|) work with no value matrix and no resistance
+triangle, and its resistance term is r_D at the base vertex; the
+resistance route sums over N on its own and reads neither C nor r_D.  Both
+finish in integers, each making one Fraction of its own, the result: the
+Green route sums its |supp D| values over one denominator 2 s D d, with
+C = c / d, and the resistance route brings tau's integers and its double
+sum over tau's denominator times D (deg D + 2).
 
 The two consistency checks test a value matrix and read nothing of how it
 was built: only the integers it holds per edge pair, the edge lengths and
@@ -53,7 +55,6 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from . import analysis
@@ -63,9 +64,8 @@ from .graph import (
     MetrizedGraph,
     Record,
     admissible_degree,
-    point_of_vertex,
 )
-from .green import ValueMatrix, value_matrix
+from .green import ValueMatrix
 from .potential import green_row_at_vertices, tau_constant
 
 
@@ -74,32 +74,33 @@ def epsilon_via_green(g: MetrizedGraph, divisor: Divisor, base: int | None = Non
     resistance of the base point against the divisor.
 
     The result does not depend on the base vertex; by default the tail of
-    edge 0 is used.  The Green values come from the value matrix, the
-    resistance sum_k a_k r(p, p_k) is r_D at the base, read off the
-    divisor's analysis.  Each value is the matrix's, one reduced Fraction;
-    they are summed as integers over the lcm of their denominators, which
-    grows only where a value brings a factor new to it, so a large support
-    sums over no product of denominators.  The result, over that lcm times
-    L+'s denominator D, is the only other Fraction made here.
+    edge 0 is used.  Each Green value is taken at two vertices from g's
+    O(m) pieces alone, with no value matrix and no resistance triangle:
+    g(b, k) = C + (r_D(b) + r_D(k)) / (2 s) - r(b, k) / 2 with s = deg D + 2,
+    C = c / d the divisor's constant, r_D = R / D at the vertices and
+    r(b, k) = (N_bb - 2 N_bk + N_kk) / D, N = D L+.  So g(b, k) is the
+    integer 2 s D c + d (R_b + R_k - s (N_bb - 2 N_bk + N_kk)) over
+    2 s D d, the values are summed as integers over that one denominator,
+    and s sum_k a_k g(b, k) + R_b / D is the one Fraction made here, over
+    2 D d.  The resistance sum_k a_k r(b, p_k) is r_D at the base.
     """
-    deg = admissible_degree(g, divisor)
+    admissible_degree(g, divisor)
     if base is None:
         base = g.edges[0].tail
     g._check_vertex(base)
-    matrix = value_matrix(g, divisor)
     div = analysis.network(g).divisor(divisor)
-    base_pt = point_of_vertex(g, base)
-    total, common = 0, 1
-    for k, ak in enumerate(divisor.coefficients):
-        if ak:
-            value = matrix.evaluate(base_pt, point_of_vertex(g, k))
-            over = value.denominator
-            if common % over:
-                grow = over // gcd(common, over)
-                total, common = total * grow, common * grow
-            total += ak * value.numerator * (common // over)
-    den = div.network.pinv.denominator
-    return Fraction((deg + 2) * total * den + div.r_D_at_vertices[base] * common, common * den)
+    c, d, s = div.constant
+    at = div.r_D_at_vertices
+    lplus = div.network.pinv
+    den, num = lplus.denominator, lplus.numerators
+    row, r_base = num[base], at[base]
+    n_base, c_term = row[base], 2 * s * den * c
+    total = sum(
+        a * (c_term + d * (r_base + at[k] - s * (n_base - 2 * row[k] + num[k][k])))
+        for k, a in enumerate(divisor.coefficients)
+        if a
+    )
+    return Fraction(total + 2 * d * r_base, 2 * den * d)
 
 
 def epsilon_via_resistance(g: MetrizedGraph, divisor: Divisor) -> Fraction:
@@ -192,8 +193,8 @@ def _walked(
         raise MetgraphError(f"value matrix has {matrix.size} edges but the graph has {g.n_edges}")
     elif matrix.divisor != divisor:
         raise MetgraphError("value matrix belongs to another divisor")
-    # a matrix the network has not built yet is not its own: reading
-    # ``div.value_matrix`` would build one only to compare identities
+    # a matrix the analysis has not handed out yet is not its own: reading
+    # ``div.value_matrix`` would make one only to compare identities
     if matrix is div.__dict__.get("value_matrix"):
         return div, *div.representation_walk
     return div, *_representation_report(g, matrix)

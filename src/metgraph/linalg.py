@@ -36,6 +36,9 @@ class RationalMatrix:
     denominator = property(attrgetter("_denominator"))
     numerators = property(attrgetter("_numerators"))
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("RationalMatrix instances are made by RationalMatrix._reduced")
+
     @classmethod
     def _reduced(cls, den: int, numerators: Iterable[Iterable[int]]) -> "RationalMatrix":
         """numerators / den, taken as they are: den > 0 and in lowest terms."""

@@ -12,11 +12,14 @@ The forms read L+ as it is held, N / D with D its least common denominator
 p / q, the vertex resistance r / D between its ends, the vector
 a[s] = N[s, tail] - N[s, head], and W = (p D - q r) q, which is
 w = (L - r) / L^2 over D p^2.  Each voltage the pair form needs is one
-difference of two entries of an ``a`` vector.  ``resistance_point`` reads
-the pair form off the numerators of ``resistance_numerators`` and the W of
-its two edges as one integer, and the divisor's r_D = sum_k a_k r(p_k, .)
-is held per edge as an ``EdgeFunction``, three integers over D p^2, so a
-point query builds one Fraction, its answer.
+difference of two entries of an ``a`` vector.
+r(x, y) does not depend on the divisor, so its closed form on every
+unordered edge pair i <= j is kept once per graph, made by
+``resistance_triangle`` on the first point read: eight integers per pair,
+laid out as a value-matrix entry, which ``resistance_point`` evaluates
+with ``pair_value``.  The divisor's r_D = sum_k a_k r(p_k, .) is held per
+edge as an ``EdgeFunction``, three integers over D p^2, so a point query
+builds one Fraction, its answer.
 The Green function at vertices has a direct formula in L+, tau and c_mu
 alone, which ``green_row_at_vertices`` gives for a slice of one vertex row.
 Its row-independent part, ``vertex_formula``, holds only the sums it makes
@@ -120,6 +123,10 @@ class _Form:
     denominator = property(attrgetter("_denominator"))
     numerators = property(attrgetter("_numerators"))
 
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        raise TypeError(f"{name} instances are made by {name}._over")
+
     def _at(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in self._indices)
 
@@ -181,13 +188,14 @@ class EdgePairFunction(_Form):
 swap_xy = itemgetter(0, 2, 1, 4, 3, 5, 6)
 
 
-def pair_value(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> Fraction:
-    """An edge-pair closed form at offsets x = X / u and y = Y / v, from
-    the integers ``held`` = (den, c0, cx, cy, cxx, cyy, cxy, cabs), the
-    seven numerators over den, as a value matrix holds them."""
-    # the value is an integer over den u^2 v^2; a vertex sits at offset 0
-    # or at the length, so a zero offset is common and its terms are skipped
-    den, c0, cx, cy, cxx, cyy, cxy, cabs = held
+def pair_numerator(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> int:
+    """An edge-pair closed form at offsets x = X / u and y = Y / v, as the
+    integer it is over den u^2 v^2, from the integers ``held`` =
+    (den, c0, cx, cy, cxx, cyy, cxy, cabs), the seven numerators over den,
+    as a value matrix and the resistance triangle hold them."""
+    # a vertex sits at offset 0 or at the length, so a zero offset is
+    # common and its terms are skipped
+    _, c0, cx, cy, cxx, cyy, cxy, cabs = held
     uu, vv = u * u, v * v
     value = c0 * uu * vv
     if Y:
@@ -196,62 +204,88 @@ def pair_value(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> Fractio
         value += ((cx * u + cxx * X) * vv + cxy * Y * u * v) * X
     if cabs:
         value += cabs * abs(X * v - Y * u) * u * v
-    return Fraction(value, den * uu * vv)
+    return value
 
 
-def resistance_numerators(net: analysis.Network, i: int, j: int) -> tuple[int, int, int, int]:
-    """The point resistance r(x, y), x on edge i and y on another edge j, as
-    integers: the numerators of its coefficients c0, cx, cy and cxy over
-    D, D p_i, D p_j and D p_i p_j.  Its x^2 and y^2 coefficients are -w_i
-    and -w_j.
+def pair_value(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> Fraction:
+    """``pair_numerator`` over den u^2 v^2, one Fraction."""
+    return Fraction(pair_numerator(held, X, u, Y, v), held[0] * u * u * v * v)
 
-    r is quadratic in both offsets, with coefficients read off the vertex
-    resistances and voltages: with the voltage j_s(p, q) written v(s, p, q),
+
+def triangle_value(
+    rows: tuple[tuple[tuple[int, ...], ...], ...], i: int, X: int, u: int, j: int, Y: int, v: int
+) -> Fraction:
+    """The form of edge pair (i, j) at x = X / u on edge i and y = Y / v on
+    edge j, read off a triangle ``rows`` that holds z_ij for i <= j only:
+    z_ij(x, y) is z_ji(y, x)."""
+    if i > j:
+        return pair_value(rows[j][i - j], Y, v, X, u)
+    return pair_value(rows[i][j - i], X, u, Y, v)
+
+
+def resistance_triangle(net: analysis.Network) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The point resistance r(x, y), x on edge i and y on edge j, on every
+    unordered edge pair i <= j: row i holds the pairs (i, i), ..., (i, m - 1),
+    each as (den, c0, cx, cy, cxx, cyy, cxy, cabs), its coefficients over
+    the basis {1, x, y, x^2, y^2, x*y, |x - y|} as integers over den.
+
+    On one edge r is |x - y| - w (x - y)^2, held over D p^2 as
+    (D p^2, 0, 0, 0, -W, -W, 2 W, D p^2).  On two edges it is quadratic in
+    both offsets, with coefficients read off the vertex resistances and
+    voltages: with the voltage j_s(p, q) written v(s, p, q),
     c0 = r(t_i, t_j), cx = 1 - 2 v(t_i, h_i, t_j) / L_i,
-    cy = 1 - 2 v(t_j, t_i, h_j) / L_j and
-    cxy = 2 (v(t_j, t_i, h_j) - v(t_j, h_i, h_j)) / (L_i L_j), where
-    v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j], v(t_j, t_i, h_j) =
-    a_j[t_j] - a_j[t_i], and the cross term is a_i[h_j] - a_i[t_j], each
-    over D.
+    cy = 1 - 2 v(t_j, t_i, h_j) / L_j,
+    cxy = 2 (v(t_j, t_i, h_j) - v(t_j, h_i, h_j)) / (L_i L_j), and -w_i and
+    -w_j for x^2 and y^2, where v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j],
+    v(t_j, t_i, h_j) = a_j[t_j] - a_j[t_i], and the cross term is
+    a_i[h_j] - a_i[t_j], each over D.  Held over D p_i^2 p_j^2, with
+    X = (D p - 2 q a[t]) p and K = 2 q p per edge, the numerators are
+      c0   (N[t_i, t_i] - 2 N[t_i, t_j] + N[t_j, t_j]) p_i^2 p_j^2,
+      cx   (X_i + K_i a_i[t_j]) p_j^2,   cy   (X_j + K_j a_j[t_i]) p_i^2,
+      cxx  -W_i p_j^2,   cyy  -W_j p_i^2,
+      cxy  K_i q_j p_j (a_i[h_j] - a_i[t_j]),   cabs  0.
+    Neither form depends on whether an edge is a bridge: there r(tail, head)
+    equals the length, so the quadratic terms vanish and the voltages supply
+    the piecewise-linear slopes.  The loop runs row by row, and makes what
+    one edge supplies once per edge.
     """
     den, lp = net.pinv.denominator, net.pinv.numerators
-    ti, _, pi, qi, _, ai, _ = net.edges[i]
-    tj, hj, pj, qj, _, aj, _ = net.edges[j]
-    return (
-        lp[ti][ti] - 2 * lp[ti][tj] + lp[tj][tj],
-        den * pi - 2 * qi * (ai[ti] - ai[tj]),
-        den * pj - 2 * qj * (aj[tj] - aj[ti]),
-        2 * qi * qj * (ai[hj] - ai[tj]),
-    )
+    # per edge: tail, head, p^2, p q, N[t, t], X, K, -W and the a vector
+    columns = [
+        (e.tail, e.head, e.p * e.p, e.p * e.q, lp[e.tail][e.tail],
+         (den * e.p - 2 * e.q * e.a[e.tail]) * e.p, 2 * e.q * e.p, -e.w, e.a)
+        for e in net.edges
+    ]
+    rows = []
+    for i, (ti, _, ppi, _, nti, xi, ki, wi, ai) in enumerate(columns):
+        lpt, dpp = lp[ti], den * ppi
+        row = [(dpp, 0, 0, 0, wi, wi, -2 * wi, dpp)]
+        append = row.append
+        for tj, hj, ppj, pqj, ntj, xj, kj, wj, aj in columns[i + 1 :]:
+            append((
+                dpp * ppj,
+                (nti - 2 * lpt[tj] + ntj) * (ppi * ppj),
+                (xi + ki * ai[tj]) * ppj,
+                (xj + kj * aj[ti]) * ppi,
+                wi * ppj,
+                wj * ppi,
+                ki * pqj * (ai[hj] - ai[tj]),
+                0,
+            ))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:
-    """Effective resistance between two arbitrary points of the graph.
-
-    On one edge r is |x - y| - w (x - y)^2; on two edges it is the
-    quadratic of ``resistance_numerators``.  Neither form depends on
-    whether an edge is a bridge: there r(tail, head) equals the length, so
-    the quadratic terms vanish and the voltages supply the piecewise-linear
-    slopes.  With x = X / u on edge i, y = Y / v on edge j and
-    w = W / (D p^2), r is one integer over D (p u v)^2 on one edge and over
-    D (p_i u p_j v)^2 on two.
+    """Effective resistance between two arbitrary points of the graph: the
+    closed form of their edge pair in the network's resistance triangle at
+    their offsets.  With x = X / u on edge i and y = Y / v on edge j it is
+    one integer over D (p u v)^2 on one edge and over D (p_i u p_j v)^2 on
+    two.
     """
     i, _, X, u = _point_integers(g, x)
     j, _, Y, v = _point_integers(g, y)
-    net = analysis.network(g)
-    ei, den = net.edges[i], net.pinv.denominator
-    if i == j:
-        # x - y = d / (u v)
-        d, uv, pp = X * v - Y * u, u * v, ei.p * ei.p
-        return Fraction(den * pp * abs(d) * uv - ei.w * d * d, den * pp * uv * uv)
-    ej = net.edges[j]
-    c0, cx, cy, cxy = resistance_numerators(net, i, j)
-    # c0 + cx x / p_i + cy y / p_j + cxy x y / (p_i p_j) - W_i (x / p_i)^2
-    # - W_j (y / p_j)^2 over D, with x / p_i = X / a and y / p_j = Y / b
-    a, b = ei.p * u, ej.p * v
-    xb, ya = X * b, Y * a
-    value = (c0 * a * b + cx * xb + cy * ya) * a * b + (cxy * ya - ei.w * xb) * xb - ej.w * ya * ya
-    return Fraction(value, den * a * a * b * b)
+    return triangle_value(analysis.network(g).resistance_triangle, i, X, u, j, Y, v)
 
 
 def vertex_formula(div: analysis.DivisorAnalysis) -> tuple[int, tuple[int, ...]]:

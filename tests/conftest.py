@@ -6,7 +6,9 @@ point, a hypercube over four bits, a three-edge banana refined to an
 adequate vertex set, and a path-with-diamond carrying two bridges.
 """
 
+import __future__
 import heapq
+import inspect
 import json
 import random
 from contextlib import contextmanager
@@ -271,10 +273,37 @@ def defines_pseudo_inverse(lap: mg.RationalMatrix, lplus: mg.RationalMatrix) -> 
     return True
 
 
+def resistance_numerators(net: mg.Network, i: int, j: int) -> tuple[int, int, int, int]:
+    """The point resistance r(x, y), x on edge i and y on another edge j, as
+    integers: the numerators of its coefficients c0, cx, cy and cxy over
+    D, D p_i, D p_j and D p_i p_j.  Its x^2 and y^2 coefficients are -w_i
+    and -w_j.
+
+    r is quadratic in both offsets, with coefficients read off the vertex
+    resistances and voltages: with the voltage j_s(p, q) written v(s, p, q),
+    c0 = r(t_i, t_j), cx = 1 - 2 v(t_i, h_i, t_j) / L_i,
+    cy = 1 - 2 v(t_j, t_i, h_j) / L_j and
+    cxy = 2 (v(t_j, t_i, h_j) - v(t_j, h_i, h_j)) / (L_i L_j), where
+    v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j], v(t_j, t_i, h_j) =
+    a_j[t_j] - a_j[t_i], and the cross term is a_i[h_j] - a_i[t_j], each
+    over D.  Computed per pair, apart from the package's row-by-row
+    ``potential.resistance_triangle``, which it is the reference for.
+    """
+    den, lp = net.pinv.denominator, net.pinv.numerators
+    ti, _, pi, qi, _, ai, _ = net.edges[i]
+    tj, hj, pj, qj, _, aj, _ = net.edges[j]
+    return (
+        lp[ti][ti] - 2 * lp[ti][tj] + lp[tj][tj],
+        den * pi - 2 * qi * (ai[ti] - ai[tj]),
+        den * pj - 2 * qj * (aj[tj] - aj[ti]),
+        2 * qi * qj * (ai[hj] - ai[tj]),
+    )
+
+
 def resistance_form(net: mg.Network, i: int, j: int) -> mg.EdgePairFunction:
     """Closed form of the point resistance r(x, y), x on edge i, y on edge j:
-    the reference for ``resistance_point``, which evaluates the same form
-    straight from its integers.
+    the reference for the network's resistance triangle, which
+    ``resistance_point`` evaluates.
 
     On one edge r is |x - y| minus a parabola in x - y; on two edges it is
     the quadratic of ``resistance_numerators``.  With w = W / (D p^2) the
@@ -288,7 +317,7 @@ def resistance_form(net: mg.Network, i: int, j: int) -> mg.EdgePairFunction:
         return mg.EdgePairFunction._over(i, j, den * pp, (0, 0, 0, -ei.w, -ei.w, 2 * ei.w, den * pp))
     ej = net.edges[j]
     pi, pj = ei.p, ej.p
-    c0, cx, cy, cxy = mg.potential.resistance_numerators(net, i, j)
+    c0, cx, cy, cxy = resistance_numerators(net, i, j)
     return mg.EdgePairFunction._over(
         i,
         j,
@@ -551,3 +580,22 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for label, ok in _ACCEPTANCE_RESULTS:
         terminalreporter.write_line(f"{'PASS' if ok else 'FAIL'}  {label}")
+
+
+def mutant(monkeypatch, module, name: str, old: str, new: str, *holders) -> None:
+    """Replace the function ``module.name`` by a copy whose source has the
+    one occurrence of ``old`` replaced by ``new``, in ``module`` and in each
+    of ``holders``, the other modules that import it by name."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, f"{old!r} is not once in {module.__name__}.{name}"
+    code = compile(
+        source.replace(old, new),
+        f"<mutant of {module.__name__}.{name}>",
+        "exec",
+        __future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    for holder in (module, *holders):
+        monkeypatch.setattr(holder, name, namespace[name])

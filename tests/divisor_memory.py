@@ -2,12 +2,14 @@
 
     PYTHONPATH=src python tests/divisor_memory.py
 
-It evaluates the Green function once under each of sixty seeded divisors on
-a seeded 8x8 grid, prints how far peak RSS (``VmHWM``, or ``ru_maxrss``
+Under each of sixty seeded divisors on a seeded 8x8 grid it evaluates the
+Green function once and reads one entry of the divisor's value matrix, so
+that each divisor's matrix makes its rows, which a point value alone no
+longer does.  It prints how far peak RSS (``VmHWM``, or ``ru_maxrss``
 where there is no ``/proc``) grew between the first divisor and the last,
 and exits 1 if that is 16 MiB or more.  A network holds only the analysis
 of the divisor last asked for, so the growth stays near zero; one analysis
-per divisor kept costs about 3.5 MiB each here.  It imports neither pytest
+per divisor kept, its value matrix made, costs about 3.5 MiB each here.  It imports neither pytest
 nor hypothesis, so what grows is the package alone.
 """
 
@@ -60,7 +62,9 @@ def main() -> int:
         coeffs = [0] * g.n_vertices
         for v, a in zip(rng.sample(range(g.n_vertices), 3), (1, 2, 3)):
             coeffs[v] = a
-        mg.evaluate_green(g, mg.Divisor(coeffs), x, y)
+        divisor = mg.Divisor(coeffs)
+        mg.evaluate_green(g, divisor, x, y)
+        mg.value_matrix(g, divisor).entry(0, g.n_edges - 1)
         if first is None:
             first = peak_mib()
     growth = peak_mib() - first

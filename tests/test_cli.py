@@ -1066,6 +1066,48 @@ def test_oracle_rejects_degree_minus_two_first(bad_third_pair, tmp_path, capsys)
     assert (captured.out, captured.err) == ("", error)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of the value matrix's row build and of the resistance triangle's."""
+    counts = {"value matrix": 0, "triangle": 0}
+    for key, module, name in (
+        ("value matrix", mg.green, "build_value_matrix"),
+        ("triangle", mg.potential, "resistance_triangle"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _key=key, _original=original):
+            counts[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["epsilon", TESSERACT], (0, 0)),
+        (["epsilon", TESSERACT, "--method", "green"], (0, 0)),
+        (["epsilon", TESSERACT, "--method", "resistance"], (0, 0)),
+        (["green", TESSERACT, "--x", "0:1/3", "--y", "7:2/3"], (0, 1)),
+        (["resistance", TESSERACT, "--x", "0:1/3", "--y", "7:2/3"], (0, 1)),
+        (oracle_argv("tesseract"), (0, 1)),
+        (["value-matrix", TESSERACT], (1, 0)),
+        (["check", TESSERACT], (1, 0)),
+    ],
+    ids=["epsilon", "epsilon-green", "epsilon-resistance", "green", "resistance", "oracle",
+         "value-matrix", "check"],
+)
+def test_commands_build_only_the_quadratic_table_they_read(argv, expected, builds, capsys):
+    # epsilon takes its values from O(m) pieces; green, resistance and the
+    # oracle's closed forms read the resistance triangle; only value-matrix
+    # and check read the value matrix's rows
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert (builds["value matrix"], builds["triangle"]) == expected
+
+
 MINUS_TWO = mg.Divisor((-2,) + (0,) * 15)
 
 

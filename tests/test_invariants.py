@@ -12,6 +12,7 @@ from conftest import (
     build_banana,
     build_tesseract,
     load_pairs,
+    mutant,
     scaled_graph,
     seeded_grid,
     standing_graphs,
@@ -420,6 +421,15 @@ def test_a_fault_in_r_D_fails_the_vertex_formula_check(monkeypatch, cold_caches)
         f"g(v{p}, v{q})" for p in range(16) for q in range(16) if 5 in (p, q)
     ]
     assert mg.epsilon_via_green(g, divisor) != mg.epsilon_via_resistance(g, divisor)
+
+
+def test_a_fault_in_C_parts_the_two_epsilon_routes(monkeypatch, cold_caches):
+    # the green route takes each g(base, p_k) from C = 4 tau / s - c_mu, and
+    # the resistance route reads no C: 3 tau in place of 4 tau parts them
+    mutant(monkeypatch, mg.green, "constant_of", "4 * tau.numerator * cd", "3 * tau.numerator * cd")
+    g, divisor = build_tesseract(), mg.Divisor(tuple(range(16)))
+    assert mg.epsilon_via_resistance(g, divisor) == F(7875, 122)
+    assert mg.epsilon_via_green(g, divisor) != F(7875, 122)
 
 
 # -- how many direct-formula values each reader makes ---------------------------

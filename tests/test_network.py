@@ -399,9 +399,9 @@ SWITCHED = mg.Divisor((0, 1, 0, 0, 2, 0, 0, 0, 0, 3, 0, 0, 1, 0, 0, 0))
 
 def test_a_divisor_switch_makes_one_fraction_per_result(monkeypatch):
     # with L+, tau and the edge data built, a new divisor's value matrix
-    # and both epsilon routes finish in integers: they make c_mu, the green
-    # route's |supp D| = 4 matrix values and one result per route, and the
-    # green route's 1 + 4 vertex points come straight off the incidence table
+    # and both epsilon routes finish in integers: they make c_mu and one
+    # result per route; the matrix makes no row, and the green route takes
+    # its |supp D| = 4 values at vertices from integers, with no point
     g, _ = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
     mg.clear_caches()
     net = mg.network(g)
@@ -409,7 +409,53 @@ def test_a_divisor_switch_makes_one_fraction_per_result(monkeypatch):
     counts = count_points(monkeypatch)
     mg.value_matrix(g, SWITCHED)
     assert mg.epsilon_via_green(g, SWITCHED) == mg.epsilon_via_resistance(g, SWITCHED)
-    assert counts == {"Fraction": 4 + 3, "GraphPoint": 1 + 4}
+    assert counts == {"Fraction": 3, "GraphPoint": 0}
+
+
+def count_quadratic_builds(monkeypatch):
+    """Calls of the value matrix's row build and of the resistance triangle's."""
+    counts = {"build_value_matrix": 0, "resistance_triangle": 0}
+    counting(monkeypatch, counts, "build_value_matrix", mg.green, "build_value_matrix")
+    counting(monkeypatch, counts, "resistance_triangle", mg.potential, "resistance_triangle")
+    return counts
+
+
+def test_a_divisor_switch_builds_nothing_quadratic(monkeypatch):
+    # a switch, the value matrix and both epsilons, reads O(m) pieces only;
+    # point queries build the resistance triangle once for the graph,
+    # however many divisors follow, and no value matrix rows
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    x, y = mg.GraphPoint(0, F(1, 3)), mg.GraphPoint(7, F(2, 3))
+    mg.clear_caches()
+    counts = count_quadratic_builds(monkeypatch)
+    mg.value_matrix(g, SWITCHED)
+    assert mg.epsilon_via_green(g, SWITCHED) == mg.epsilon_via_resistance(g, SWITCHED)
+    assert counts == {"build_value_matrix": 0, "resistance_triangle": 0}
+    for divisor in (SWITCHED, d, SWITCHED, d):
+        mg.value_matrix(g, divisor)
+        assert mg.epsilon_via_green(g, divisor) == mg.epsilon_via_resistance(g, divisor)
+        mg.evaluate_green(g, divisor, x, y)
+        mg.resistance_point(g, x, y)
+        mg.resistance_to_divisor(g, divisor, x)
+    assert counts == {"build_value_matrix": 0, "resistance_triangle": 1}
+
+
+def test_a_matrix_makes_its_rows_when_read_even_after_a_switch_and_a_clear(monkeypatch):
+    # the matrix holds the O(m) pieces its rows are made from, not the
+    # analysis, so it makes the same integers once the network has moved to
+    # another divisor and been dropped
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    mg.clear_caches()
+    expected = mg.value_matrix(g, d).rows
+    mg.clear_caches()
+    counts = count_quadratic_builds(monkeypatch)
+    matrix = mg.value_matrix(g, d)
+    mg.value_matrix(g, SWITCHED)
+    mg.clear_caches()
+    assert counts["build_value_matrix"] == 0
+    assert matrix.rows == expected
+    assert matrix.rows is matrix.rows
+    assert counts == {"build_value_matrix": 1, "resistance_triangle": 0}
 
 
 def test_a_vertex_point_is_read_off_the_incidence_table(monkeypatch):
@@ -597,7 +643,9 @@ def test_package_imports_its_modules_at_module_top():
         ("potential", "r_D_on_edges", "r_D"),
         ("potential", "c_mu_of", "c_mu"),
         ("potential", "vertex_formula", "vertex_formula"),
-        ("green", "build_value_matrix", "value_matrix"),
+        ("potential", "resistance_triangle", "resistance_triangle"),
+        ("green", "constant_of", "constant"),
+        ("green", "value_matrix_of", "value_matrix"),
         ("invariants", "_representation_report", "representation_walk"),
     ],
 )

@@ -1,6 +1,8 @@
 """Subdivision machinery and oracle agreement with the closed forms."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,14 @@ from conftest import (
     build_two_bridges,
     edge_reversed,
     load_pairs,
+    mutant,
     sample_points,
     vertex_resistance,
 )
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSubdivide:
@@ -179,9 +184,11 @@ class TestOracleAgreement:
 
 
 CLOSED_FORMS = (
-    "resistance_numerators",
+    "resistance_triangle",
     "resistance_point",
     "r_D_on_edges",
+    "constant_of",
+    "evaluate_green",
     "build_value_matrix",
 )
 
@@ -254,7 +261,9 @@ class TestPairValues:
 def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
     # the oracle and both consistency checks check the closed forms, so they
     # must give the same answers with every closed form replaced by a stub
-    # that raises; the value matrix the checks compare against comes first
+    # that raises; the value matrix the checks compare against comes first,
+    # and makes its rows, when the checks first read them, with the build
+    # it was made with
     g, d = build_tesseract(), mg.Divisor(tuple(range(16)))
     x, y = load_pairs("tesseract")[0]
     expected_r, expected_g = mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)
@@ -280,3 +289,50 @@ def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
     fresh = mg.Network(g)
     assert fresh.tau == expected_tau
     assert "edges" not in fresh.__dict__
+
+
+def oracle_rows(capsys, graph, points):
+    """The exit status of the oracle command and its rows that differ, as
+    (quantity, x, y)."""
+    status = mg.cli.run(["oracle", str(graph), "--points", str(points), "--machine"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    return status, {(row["quantity"], row["x"], row["y"]) for row in rows if row["diff"] != "0"}
+
+
+TESSERACT_FILES = (
+    ROOT / "graphs" / "tesseract.json",
+    ROOT / "tests" / "data" / "oracle_points" / "tesseract.txt",
+)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty caches before and after, so no analysis built under a patch
+    outlives the test."""
+    mg.clear_caches()
+    yield
+    mg.clear_caches()
+
+
+def test_a_fault_in_the_triangle_cross_term_fails_the_oracle(monkeypatch, capsys, cold_caches):
+    # the x y term of r on two edges, read by resistance_point and by
+    # evaluate_green: the oracle parts from both on a pair whose points are
+    # inside two edges
+    mutant(
+        monkeypatch, mg.potential, "resistance_triangle", "(ai[hj] - ai[tj])", "(ai[hj] + ai[tj])"
+    )
+    status, differ = oracle_rows(capsys, *TESSERACT_FILES)
+    assert status == 1
+    assert {q for q, _, _ in differ} == {"r", "g"}
+    assert {(x, y) for q, x, y in differ if q == "r"} == {(x, y) for q, x, y in differ if q == "g"}
+
+
+def test_a_fault_in_the_r_D_scaling_of_evaluate_green_fails_the_oracle(
+    monkeypatch, capsys, cold_caches
+):
+    # r_D / s in place of r_D / (2 s): only Green values part from the oracle
+    old, new = "d * (sides - s * r)", "d * (2 * sides - s * r)"
+    mutant(monkeypatch, mg.green, "evaluate_green", old, new, mg.cli)
+    status, differ = oracle_rows(capsys, *TESSERACT_FILES)
+    assert status == 1
+    assert differ and {q for q, _, _ in differ} == {"g"}

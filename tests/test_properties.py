@@ -28,6 +28,7 @@ from conftest import (
     rational_matrix,
     representations,
     resistance_form,
+    resistance_numerators,
     row_sums,
     sample_points,
     scaled_graph,
@@ -433,7 +434,7 @@ def fraction_resistance_form(net, i, j):
         return (F(0), F(0), F(0), -w, -w, 2 * w, F(1))
     ej = net.edges[j]
     den = net.pinv.denominator
-    c0, cx, cy, cxy = mg.potential.resistance_numerators(net, i, j)
+    c0, cx, cy, cxy = resistance_numerators(net, i, j)
     return (
         F(c0, den),
         F(cx, den * ei.p),
@@ -494,6 +495,40 @@ def test_integer_entries_match_the_fraction_kernel(gd, fractions_of_lengths):
             for fx, fy in fractions_of_lengths:
                 x, y = li * fx, lj * fy
                 assert exact([z(x, y)]) == exact([fraction_value(want, x, y)])
+
+
+@st.composite
+def graph_and_admissible_divisor(draw) -> tuple[mg.MetrizedGraph, mg.Divisor]:
+    """A repaired simple graph or multigraph and a divisor of degree -1 to 7."""
+    g, _ = mg.make_adequate(draw(st.one_of(adequate_graphs(), multigraphs())))
+    degree = draw(st.integers(min_value=-1, max_value=7))
+    rest = draw(
+        st.lists(
+            st.integers(min_value=-3, max_value=3),
+            min_size=g.n_vertices - 1,
+            max_size=g.n_vertices - 1,
+        )
+    )
+    return g, mg.Divisor((degree - sum(rest), *rest))
+
+
+@common
+@given(graph_and_admissible_divisor(), st.fractions(min_value=0, max_value=1, max_denominator=12))
+def test_green_from_its_pieces_is_the_value_matrix(gd, share):
+    # evaluate_green reads the resistance triangle, r_D's forms and C, and
+    # the matrix's rows come from a build loop of their own: the two agree
+    # on every ordered edge pair, the same edge and i > j included, at both
+    # ends of each edge and inside it
+    g, divisor = gd
+    matrix = mg.value_matrix(g, divisor)
+    for i, ei in enumerate(g.edges):
+        for j, ej in enumerate(g.edges):
+            for x in (F(0), ei.length, ei.length * share):
+                for y in (F(0), ej.length, ej.length / 3):
+                    X, u = x.as_integer_ratio()
+                    Y, v = y.as_integer_ratio()
+                    got = mg.evaluate_green(g, divisor, (i, x), (j, y))
+                    assert exact([got]) == exact([matrix._value(i, X, u, j, Y, v)]), (i, j, x, y)
 
 
 def assert_resistance_point_matches_the_fraction_kernel(g, fractions_of_lengths):

@@ -20,8 +20,9 @@ def graph():
 
 
 def value_matrix():
+    # a network of its own, dropped on return: the matrix still makes its rows
     net = mg.Network(SEGMENT)
-    return mg.green.build_value_matrix(net, net.divisor(mg.Divisor((1, 0))))
+    return mg.green.value_matrix_of(net.divisor(mg.Divisor((1, 0))))
 
 
 def subdivided():
@@ -124,6 +125,21 @@ def test_constructors_validate_as_before():
         mg.MetrizedGraph(("a", "b", "c"), ((0, 1, 1),))
     with pytest.raises(TypeError):
         mg.Divisor()
+
+
+@pytest.mark.parametrize(
+    "cls,constructor",
+    [(mg.RationalMatrix, "_reduced"), (mg.EdgePairFunction, "_over"), (mg.EdgeFunction, "_over")],
+    ids=["RationalMatrix", "EdgePairFunction", "EdgeFunction"],
+)
+def test_integer_classes_refuse_the_bare_constructor(cls, constructor):
+    # each is made only by its trusted constructor; called, with arguments
+    # or none, it names that constructor instead of making an instance whose
+    # slots are unset
+    name = cls.__name__
+    for args in ((), (1, 2)):
+        with pytest.raises(TypeError, match=rf"^{name} instances are made by {name}\.{constructor}$"):
+            cls(*args)
 
 
 class TestSubdividedGraph:
