@@ -22,27 +22,23 @@ The value matrix collects g's closed forms per edge pair, for the
 ``value-matrix`` command and the consistency checks.  ``value_matrix(g, D)``
 checks the divisor and refuses degree -2 at the call, and reads the O(m)
 pieces its rows are made from; the rows are made on first read, by
-``build_value_matrix``, a loop of its own over edge pairs that does not read
-the resistance triangle, so a caller who reads only the matrix pays for one
-quadratic table, not two.  A matrix made before a switch or
-``clear_caches`` holds those pieces, so it still reads the same rows
-afterwards.
+``build_value_matrix``.  A matrix made before a switch or ``clear_caches``
+holds those pieces, so it still reads the same rows afterwards.
 
-Each entry combines C, r_D and r in integers over one denominator T, a
-multiple of 2 s D with D the common denominator of L+: the constant comes
-from C's integers, r_D's terms are the numerators of its ``EdgeFunction``
-forms, and r's are those of the resistance triangle, multiplied out in the
-loop.  An entry holds its seven coefficients as integers over
-T p_i^2 p_j^2 (over T p_i^2 on the diagonal), so the matrix is built
-without a Fraction; one is made only when a coefficient or a value is read.
+``build_value_matrix`` brings C and r_D over one denominator T, a multiple
+of 2 s D with D the common denominator of L+, and hands them to
+``potential.pair_rows``, the loop that also makes the resistance triangle
+and holds r's pair coefficients; it does not read the triangle, so a
+caller who reads only the matrix pays for one quadratic table, not two.
+An entry holds its seven coefficients as integers over T p_i^2 p_j^2
+(over T p_i^2 on the diagonal), so the matrix is built without a
+Fraction; one is made only when a coefficient or a value is read.
 g(x, y) = g(y, x), so z_ji is z_ij with x and y swapped, and the matrix
 keeps one triangle: eight integers per unordered edge pair (1830 tuples,
 about 0.73 MiB, on the benchmark's seeded 6x6 grid), and an
-``EdgePairFunction`` is made only when an entry is read.  The build runs
-row by row and makes each product once: what one edge supplies once per
-edge, what edge i adds once per row, and the terms that read both edges
-once per pair.  It compares no pair; g(x, y) = g(y, x) is checked by the
-ordered-pair property test, the vertex-formula check and the oracle.
+``EdgePairFunction`` is made only when an entry is read.  The build
+compares no pair; g(x, y) = g(y, x) is checked by the ordered-pair
+property test, the vertex-formula check and the oracle.
 """
 
 from __future__ import annotations
@@ -60,7 +56,9 @@ from .potential import (
     EdgeData,
     EdgeFunction,
     EdgePairFunction,
+    Rows,
     pair_numerator,
+    pair_rows,
     swap_xy,
     triangle_value,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "evaluate_green",
     "value_matrix",
 ]
-
-Rows = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class ValueMatrix(Record):
@@ -230,61 +226,23 @@ def build_value_matrix(
     """All edge-pair entries, one per unordered edge pair, of
     g(x, y) = C + (r_D(x) + r_D(y)) / (2 s) - r(x, y) / 2 with
     s = deg D + 2 and C = 4 tau / s - c_mu, as ``constant_of`` gives them,
-    and r_D at the vertices ``at`` and on the edges ``forms``.  No part
-    depends on whether an edge is a bridge; the connectivity matrix is only
-    reported.
+    and r_D at the vertices ``at`` and on the edges ``forms``, laid out by
+    ``potential.pair_rows``.
 
     Everything is brought over T, the least multiple of 2 s D over which C
-    is an integer ``shift``.  With k = T / (2 s D), h = T / (2 D) and
-    N = D L+, r_D / (2 s) on an edge has constant and linear terms
-    a0 = k r_D(tail) over T and a1 = k n1 over T p^2, with n1 the linear
-    numerator of r_D's form over D p^2; both x^2 terms of an entry are
-    W w_scale over T p^2 with w_scale = 2 k: tau's -deg w / (2 s) less half
-    of r's -w.  On two edges r's coefficients are those of
-    ``potential.resistance_triangle``, multiplied out so that a product is
-    made once per edge, row or pair.  Per edge, with z = a0 - h N[t, t] and
-    X = a1 - h (D p - 2 q a[t]) p, the numerators over T p_i^2 p_j^2 are
-      c0   (shift + z_i + z_j + 2 h N[t_i, t_j]) p_i^2 p_j^2,
-      cx   (X_i - 2 h q_i p_i a_i[t_j]) p_j^2,
-      cy   (X_j - 2 h q_j p_j a_j[t_i]) p_i^2,
-      cxx  W_i w_scale p_j^2,   cyy  W_j w_scale p_i^2,
-      cxy  -2 h q_i p_i q_j p_j (a_i[h_j] - a_i[t_j]).
-    Swapping i with j and x with y leaves these unchanged, N being
-    symmetric, so only z_ij, i <= j, is kept, as (T p_i^2 p_j^2, c0, cx,
-    cy, cxx, cyy, cxy, cabs).
-    On one edge r has only the terms -w x^2 - w y^2 + 2 w x y + |x - y|,
-    so there g's x y and |x - y| coefficients are -w and -1/2."""
-    den, lp = lplus.denominator, lplus.numerators
+    is an integer shift, with D the common denominator of L+.  With
+    k = T / (2 s D), r_D / (2 s) on an edge is k times r_D's numerators:
+    a0 = k r_D(tail) over T, and k times the x^2 and x numerators of its
+    form over T p^2; -r / 2 is -(h / T) D r with h = T / (2 D).  The x^2
+    coefficient comes out as 2 k W over T p^2, the x y one on one edge as
+    -w and the |x - y| one as -1/2."""
+    den = lplus.denominator
     shift, shift_den, scale = constant
     t = lcm(shift_den, 2 * scale * den)
-    shift *= t // shift_den
     k = t // (2 * scale * den)
-    half, twice_half, w_scale = t // (2 * den), t // den, 2 * k
-    # r_D / (2 s) per edge: a0 over T and a1 over T p^2
     a0 = [k * at[e.tail] for e in edges]
-    a1 = [k * form._numerators[1] for form in forms]
-    # per edge: tail, head, p^2, p q, z, W w_scale, X, 2 h q p and the a vector
-    columns = [
-        (e.tail, e.head, e.p * e.p, e.p * e.q, e0 - half * lp[e.tail][e.tail], e.w * w_scale,
-         e1 - half * (den * e.p - 2 * e.q * e.a[e.tail]) * e.p, twice_half * e.q * e.p, e.a)
-        for e, e0, e1 in zip(edges, a0, a1)
-    ]
-    rows = []
-    for i, (ti, _, ppi, _, zi, wi, xi, ki, ai) in enumerate(columns):
-        lpt, base = lp[ti], shift + zi
-        c0, cx = (shift + 2 * a0[i]) * ppi, a1[i]
-        cxy, cabs = -twice_half * edges[i].w, -half * den * ppi
-        # T p_i^2 and -2 h q_i p_i, made once per row
-        tpi, nki = t * ppi, -ki
-        row = [(tpi, c0, cx, cx, wi, wi, cxy, cabs)]
-        append = row.append
-        for tj, hj, ppj, pqj, zj, wj, xj, kj, aj in columns[i + 1 :]:
-            c0 = (base + zj + twice_half * lpt[tj]) * (ppi * ppj)
-            cx, cy = (xi - ki * ai[tj]) * ppj, (xj - kj * aj[ti]) * ppi
-            cxy = nki * pqj * (ai[hj] - ai[tj])
-            append((tpi * ppj, c0, cx, cy, wi * ppj, wj * ppi, cxy, 0))
-        rows.append(tuple(row))
-    return tuple(rows)
+    a2, a1 = ([k * form._numerators[n] for form in forms] for n in (0, 1))
+    return pair_rows(lplus, edges, t, shift * (t // shift_den), t // (2 * den), a0, a1, a2)
 
 
 def evaluate_green(

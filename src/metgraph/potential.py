@@ -17,9 +17,12 @@ r(x, y) does not depend on the divisor, so its closed form on every
 unordered edge pair i <= j is kept once per graph, made by
 ``resistance_triangle`` on the first point read: eight integers per pair,
 laid out as a value-matrix entry, which ``resistance_point`` evaluates
-with ``pair_value``.  The divisor's r_D = sum_k a_k r(p_k, .) is held per
-edge as an ``EdgeFunction``, three integers over D p^2, so a point query
-builds one Fraction, its answer.
+with ``pair_value``.  ``pair_rows`` is the one loop over edge pairs that
+multiplies r's pair coefficients out; it makes both that triangle and the
+Green function's value matrix, which adds per-edge terms and a constant.
+The divisor's r_D = sum_k a_k r(p_k, .) is held per edge as an
+``EdgeFunction``, three integers over D p^2, so a point query builds one
+Fraction, its answer.
 The Green function at vertices has a direct formula in L+, tau and c_mu
 alone, which ``green_row_at_vertices`` gives for a slice of one vertex row.
 Its row-independent part, ``vertex_formula``, holds only the sums it makes
@@ -31,10 +34,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter, sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import analysis
 from .graph import Divisor, GraphPoint, MetrizedGraph, _point_integers, admissible_degree
+from .linalg import RationalMatrix
+
+# a triangle of edge-pair closed forms: row i holds the pairs (i, i), ...,
+# (i, m - 1), each as the eight integers (den, c0, cx, cy, cxx, cyy, cxy, cabs)
+Rows = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def tau_constant(g: MetrizedGraph) -> Fraction:
@@ -213,7 +221,7 @@ def pair_value(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> Fractio
 
 
 def triangle_value(
-    rows: tuple[tuple[tuple[int, ...], ...], ...], i: int, X: int, u: int, j: int, Y: int, v: int
+    rows: Rows, i: int, X: int, u: int, j: int, Y: int, v: int
 ) -> Fraction:
     """The form of edge pair (i, j) at x = X / u on edge i and y = Y / v on
     edge j, read off a triangle ``rows`` that holds z_ij for i <= j only:
@@ -223,57 +231,90 @@ def triangle_value(
     return pair_value(rows[i][j - i], X, u, Y, v)
 
 
-def resistance_triangle(net: analysis.Network) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The point resistance r(x, y), x on edge i and y on edge j, on every
-    unordered edge pair i <= j: row i holds the pairs (i, i), ..., (i, m - 1),
-    each as (den, c0, cx, cy, cxx, cyy, cxy, cabs), its coefficients over
-    the basis {1, x, y, x^2, y^2, x*y, |x - y|} as integers over den.
+def pair_rows(
+    lplus: RationalMatrix, edges: tuple[EdgeData, ...], t: int, shift: int, half: int,
+    a0: Sequence[int], a1: Sequence[int], a2: Sequence[int],
+) -> Rows:
+    """shift / t + phi_i(x) + phi_j(y) - (half / t) D r(x, y), x on edge i
+    and y on edge j, on every unordered edge pair i <= j, with L+ = N / D
+    (``lplus``) and phi_e(x) = (a2_e x^2 + a1_e x) / (t p_e^2) + a0_e / t
+    per edge.  Row i holds the pairs (i, i), ..., (i, m - 1), each as
+    (den, c0, cx, cy, cxx, cyy, cxy, cabs), its coefficients over the basis
+    {1, x, y, x^2, y^2, x*y, |x - y|} as integers over den = t p_i^2 p_j^2
+    (t p_i^2 when i == j).  This is the one loop over edge pairs for r.
 
-    On one edge r is |x - y| - w (x - y)^2, held over D p^2 as
-    (D p^2, 0, 0, 0, -W, -W, 2 W, D p^2).  On two edges it is quadratic in
-    both offsets, with coefficients read off the vertex resistances and
+    On one edge r is |x - y| - w (x - y)^2, which is
+    (0, 0, 0, -W, -W, 2 W, D p^2) over D p^2.  On two edges it is quadratic
+    in both offsets, with coefficients read off the vertex resistances and
     voltages: with the voltage j_s(p, q) written v(s, p, q),
     c0 = r(t_i, t_j), cx = 1 - 2 v(t_i, h_i, t_j) / L_i,
     cy = 1 - 2 v(t_j, t_i, h_j) / L_j,
     cxy = 2 (v(t_j, t_i, h_j) - v(t_j, h_i, h_j)) / (L_i L_j), and -w_i and
     -w_j for x^2 and y^2, where v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j],
     v(t_j, t_i, h_j) = a_j[t_j] - a_j[t_i], and the cross term is
-    a_i[h_j] - a_i[t_j], each over D.  Held over D p_i^2 p_j^2, with
-    X = (D p - 2 q a[t]) p and K = 2 q p per edge, the numerators are
+    a_i[h_j] - a_i[t_j], each over D.  With X = (D p - 2 q a[t]) p and
+    K = 2 q p per edge, r's numerators over D p_i^2 p_j^2 are
       c0   (N[t_i, t_i] - 2 N[t_i, t_j] + N[t_j, t_j]) p_i^2 p_j^2,
       cx   (X_i + K_i a_i[t_j]) p_j^2,   cy   (X_j + K_j a_j[t_i]) p_i^2,
       cxx  -W_i p_j^2,   cyy  -W_j p_i^2,
       cxy  K_i q_j p_j (a_i[h_j] - a_i[t_j]),   cabs  0.
     Neither form depends on whether an edge is a bridge: there r(tail, head)
     equals the length, so the quadratic terms vanish and the voltages supply
-    the piecewise-linear slopes.  The loop runs row by row, and makes what
-    one edge supplies once per edge.
+    the piecewise-linear slopes.
+
+    Times -half and with phi added, per edge Z = a0 - half N[t, t],
+    S = a1 - half X, k = -half K and V = a2 + half W, the numerators over
+    t p_i^2 p_j^2 are
+      c0   (shift + Z_i + Z_j + 2 half N[t_i, t_j]) p_i^2 p_j^2,
+      cx   (S_i + k_i a_i[t_j]) p_j^2,   cy   (S_j + k_j a_j[t_i]) p_i^2,
+      cxx  V_i p_j^2,   cyy  V_j p_i^2,
+      cxy  k_i q_j p_j (a_i[h_j] - a_i[t_j]),   cabs  0,
+    and over t p^2 on one edge (shift + 2 a0) p^2, a1, a1, V, V, -2 half W
+    and -half D p^2.  Swapping i with j and x with y leaves them unchanged,
+    N being symmetric, so z_ji is z_ij with x and y swapped.  The loop runs
+    row by row and makes what one edge supplies once per edge, what edge i
+    adds once per row, and the terms that read both edges once per pair.
     """
-    den, lp = net.pinv.denominator, net.pinv.numerators
-    # per edge: tail, head, p^2, p q, N[t, t], X, K, -W and the a vector
-    columns = [
-        (e.tail, e.head, e.p * e.p, e.p * e.q, lp[e.tail][e.tail],
-         (den * e.p - 2 * e.q * e.a[e.tail]) * e.p, 2 * e.q * e.p, -e.w, e.a)
-        for e in net.edges
-    ]
+    den, lp = lplus.denominator, lplus.numerators
+    twice_half = 2 * half
+    # per edge: tail, head, p^2, p q, Z, V, S, k and the a vector
+    columns, diagonals = [], []
+    for (tail, head, p, q, _, a, w), e0, e1, e2 in zip(edges, a0, a1, a2):
+        pp, v = p * p, e2 + half * w
+        columns.append((
+            tail, head, pp, p * q, e0 - half * lp[tail][tail], v,
+            e1 - half * (den * p - 2 * q * a[tail]) * p, -twice_half * q * p, a,
+        ))
+        diagonals.append(
+            (t * pp, (shift + 2 * e0) * pp, e1, e1, v, v, -twice_half * w, -half * den * pp)
+        )
     rows = []
-    for i, (ti, _, ppi, _, nti, xi, ki, wi, ai) in enumerate(columns):
-        lpt, dpp = lp[ti], den * ppi
-        row = [(dpp, 0, 0, 0, wi, wi, -2 * wi, dpp)]
+    for i, (ti, _, ppi, _, zi, vi, si, ki, ai) in enumerate(columns):
+        lpt, base, tpi = lp[ti], shift + zi, t * ppi
+        row = [diagonals[i]]
         append = row.append
-        for tj, hj, ppj, pqj, ntj, xj, kj, wj, aj in columns[i + 1 :]:
+        for tj, hj, ppj, pqj, zj, vj, sj, kj, aj in columns[i + 1 :]:
             append((
-                dpp * ppj,
-                (nti - 2 * lpt[tj] + ntj) * (ppi * ppj),
-                (xi + ki * ai[tj]) * ppj,
-                (xj + kj * aj[ti]) * ppi,
-                wi * ppj,
-                wj * ppi,
+                tpi * ppj,
+                (base + zj + twice_half * lpt[tj]) * (ppi * ppj),
+                (si + ki * ai[tj]) * ppj,
+                (sj + kj * aj[ti]) * ppi,
+                vi * ppj,
+                vj * ppi,
                 ki * pqj * (ai[hj] - ai[tj]),
                 0,
             ))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def resistance_triangle(net: analysis.Network) -> Rows:
+    """The point resistance r(x, y) on every unordered edge pair i <= j, as
+    ``pair_rows`` lays it out: t = D, no shift, phi = 0 and half = -1, so
+    an entry is r's own numerators over D p_i^2 p_j^2 (D p^2 on one edge).
+    """
+    zeros = (0,) * len(net.edges)
+    return pair_rows(net.pinv, net.edges, net.pinv.denominator, 0, -1, zeros, zeros, zeros)
 
 
 def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tuple) -> Fraction:

@@ -287,7 +287,8 @@ def resistance_numerators(net: mg.Network, i: int, j: int) -> tuple[int, int, in
     v(t_i, h_i, t_j) = a_i[t_i] - a_i[t_j], v(t_j, t_i, h_j) =
     a_j[t_j] - a_j[t_i], and the cross term is a_i[h_j] - a_i[t_j], each
     over D.  Computed per pair, apart from the package's row-by-row
-    ``potential.resistance_triangle``, which it is the reference for.
+    ``potential.pair_rows``, which makes the resistance triangle and the
+    value matrix, and which it is the reference for.
     """
     den, lp = net.pinv.denominator, net.pinv.numerators
     ti, _, pi, qi, _, ai, _ = net.edges[i]

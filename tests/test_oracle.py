@@ -190,6 +190,7 @@ CLOSED_FORMS = (
     "constant_of",
     "evaluate_green",
     "build_value_matrix",
+    "pair_rows",
 )
 
 
@@ -262,8 +263,8 @@ def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
     # the oracle and both consistency checks check the closed forms, so they
     # must give the same answers with every closed form replaced by a stub
     # that raises; the value matrix the checks compare against comes first,
-    # and makes its rows, when the checks first read them, with the build
-    # it was made with
+    # and makes its rows before the stubs go in, since ``pair_rows``, which
+    # makes them, is one of the closed forms
     g, d = build_tesseract(), mg.Divisor(tuple(range(16)))
     x, y = load_pairs("tesseract")[0]
     expected_r, expected_g = mg.oracle_resistance(g, x, y), mg.oracle_green(g, d, x, y)
@@ -271,6 +272,7 @@ def test_oracle_and_vertex_checks_call_no_closed_form(monkeypatch):
     expected_tau = mg.tau_constant(g)
     mg.clear_caches()
     matrix = mg.value_matrix(g, d)
+    matrix.rows
 
     def closed_form(*args, **kwargs):
         raise AssertionError("a closed form was called")
@@ -315,16 +317,21 @@ def cold_caches():
 
 
 def test_a_fault_in_the_triangle_cross_term_fails_the_oracle(monkeypatch, capsys, cold_caches):
-    # the x y term of r on two edges, read by resistance_point and by
-    # evaluate_green: the oracle parts from both on a pair whose points are
-    # inside two edges
-    mutant(
-        monkeypatch, mg.potential, "resistance_triangle", "(ai[hj] - ai[tj])", "(ai[hj] + ai[tj])"
-    )
+    # the x y term of r on two edges, in the one kernel that lays out both
+    # the resistance triangle and the value matrix: the oracle parts from
+    # resistance_point and evaluate_green on a pair whose points are inside
+    # two edges, the representation check fails on the value matrix, and
+    # the epsilon routes, which read neither table, still agree
+    old, new = "(ai[hj] - ai[tj])", "(ai[hj] + ai[tj])"
+    mutant(monkeypatch, mg.potential, "pair_rows", old, new, mg.green)
     status, differ = oracle_rows(capsys, *TESSERACT_FILES)
     assert status == 1
     assert {q for q, _, _ in differ} == {"r", "g"}
     assert {(x, y) for q, x, y in differ if q == "r"} == {(x, y) for q, x, y in differ if q == "g"}
+    assert mg.cli.run(["check", str(TESSERACT_FILES[0])]) == 1
+    assert "representation independence: FAIL" in capsys.readouterr().out
+    assert mg.cli.run(["epsilon", str(TESSERACT_FILES[0])]) == 0
+    assert "MATCH" in capsys.readouterr().out
 
 
 def test_a_fault_in_the_r_D_scaling_of_evaluate_green_fails_the_oracle(

@@ -379,6 +379,11 @@ def test_integer_kernel_matches_fraction_reference(gd):
     net = mg.network(g)
     matrix = mg.value_matrix(g, divisor)
     shift, halves = reference_tau_halves(g, divisor)
+    # the network's stored triangle, coefficient by coefficient, i <= j
+    for i, row in enumerate(net.resistance_triangle):
+        for j, (den, *numerators) in enumerate(row, start=i):
+            stored = [F(c, den) for c in numerators]
+            assert exact(stored) == exact(reference_resistance_form(g, i, j))
     for i in range(g.n_edges):
         for j in range(g.n_edges):
             form = resistance_form(net, i, j)
