@@ -17,10 +17,11 @@ reads.
 Divisor-dependent data hangs off a ``DivisorAnalysis``, and a ``Network``
 holds one: that of the divisor last asked for.  Its pieces are O(m):
 ``r_D`` at every vertex and on every edge, ``c_mu`` and the Green
-function's constant C, as integers, which with the triangle give every
-point value.  The value matrix it hands out makes its m^2 rows, one tuple
-of integers per unordered edge pair, only when they are first read, so a
-divisor switch builds nothing quadratic.  For the checks it also keeps the
+function's constant C, all held as integers (r_D on an edge as the tuple
+(den, a2, a1, a0), the one-edge form of a triangle entry), which with the
+triangle give every point value.  The value matrix it hands out makes its
+m^2 rows, one tuple of integers per unordered edge pair, only when they are
+first read, so a divisor switch builds nothing quadratic.  For the checks it also keeps the
 vertex formula's b = sum_s a_s N_ss and W_q + N_qq per vertex, with
 W = sum_s a_s N[s] summed apart from r_D's, so that the check it serves
 shares no sum with the matrix it checks.  Every command and workload asks
@@ -122,8 +123,8 @@ class DivisorAnalysis:
         return potential.r_D_at_vertices(self)
 
     @cached_property
-    def r_D(self) -> tuple[potential.EdgeFunction, ...]:
-        """``r_D`` restricted to every edge, in edge order."""
+    def r_D(self) -> tuple[tuple[int, int, int, int], ...]:
+        """``r_D`` restricted to every edge, in edge order, as (den, a2, a1, a0)."""
         return potential.r_D_on_edges(self)
 
     @cached_property

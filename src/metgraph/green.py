@@ -10,12 +10,12 @@ g in two parts:
 - per graph, ``analysis.Network.resistance_triangle``: r's closed form on
   every unordered edge pair, made on the first point read
   (``potential.resistance_triangle``);
-- per divisor, on its ``analysis.DivisorAnalysis``: r_D at the vertices,
-  r_D's ``EdgeFunction`` on every edge, c_mu and C, held as integers
-  (``constant_of``).
+- per divisor, on its ``analysis.DivisorAnalysis``: r_D at the vertices
+  and on every edge, one tuple (den, a2, a1, a0) per edge, c_mu and C,
+  all held as integers (``constant_of``).
 
-``evaluate_green`` combines one triangle entry, the two r_D forms and C
-into one Fraction, so a divisor switch builds nothing quadratic and a point
+``evaluate_green`` combines one triangle entry, r_D's integers on the two
+edges and C into one Fraction, so a divisor switch builds nothing quadratic and a point
 read builds no table of its own.
 
 The value matrix collects g's closed forms per edge pair, for the
@@ -54,7 +54,6 @@ from .graph import Divisor, GraphPoint, MetrizedGraph, Record, _point_integers, 
 from .linalg import RationalMatrix
 from .potential import (
     EdgeData,
-    EdgeFunction,
     EdgePairFunction,
     Rows,
     pair_numerator,
@@ -178,12 +177,12 @@ class ValueMatrix(Record):
         return EdgePairFunction._over(i, j, held[0], swap_xy(held[1:]))
 
     def evaluate(self, x: GraphPoint, y: GraphPoint) -> Fraction:
+        """g at the points x and y, read off the triangle."""
+        i, j = x.edge, y.edge
+        if not (is_index(i, self.size) and is_index(j, self.size)):
+            raise MetgraphError(f"points on edges ({i!r}, {j!r}) outside a {self.size}-edge matrix")
         X, u = x.offset.as_integer_ratio()
         Y, v = y.offset.as_integer_ratio()
-        return self._value(x.edge, X, u, y.edge, Y, v)
-
-    def _value(self, i: int, X: int, u: int, j: int, Y: int, v: int) -> Fraction:
-        """g at x = X / u on edge i and y = Y / v on edge j."""
         return triangle_value(self.rows, i, X, u, j, Y, v)
 
 
@@ -221,13 +220,13 @@ def build_value_matrix(
     edges: tuple[EdgeData, ...],
     constant: tuple[int, int, int],
     at: tuple[int, ...],
-    forms: tuple[EdgeFunction, ...],
+    forms: tuple[tuple[int, int, int, int], ...],
 ) -> Rows:
     """All edge-pair entries, one per unordered edge pair, of
     g(x, y) = C + (r_D(x) + r_D(y)) / (2 s) - r(x, y) / 2 with
     s = deg D + 2 and C = 4 tau / s - c_mu, as ``constant_of`` gives them,
-    and r_D at the vertices ``at`` and on the edges ``forms``, laid out by
-    ``potential.pair_rows``.
+    and r_D at the vertices ``at`` and on the edges ``forms``, each
+    (den, a2, a1, a0) with den = D p^2, laid out by ``potential.pair_rows``.
 
     Everything is brought over T, the least multiple of 2 s D over which C
     is an integer shift, with D the common denominator of L+.  With
@@ -241,7 +240,7 @@ def build_value_matrix(
     t = lcm(shift_den, 2 * scale * den)
     k = t // (2 * scale * den)
     a0 = [k * at[e.tail] for e in edges]
-    a2, a1 = ([k * form._numerators[n] for form in forms] for n in (0, 1))
+    a2, a1 = ([k * held[n] for held in forms] for n in (1, 2))
     return pair_rows(lplus, edges, t, shift * (t // shift_den), t // (2 * den), a0, a1, a2)
 
 
@@ -249,31 +248,29 @@ def evaluate_green(
     g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple, y: GraphPoint | tuple
 ) -> Fraction:
     """Green function value at two points, from g's pieces: the network's
-    resistance triangle and the divisor's r_D forms and C, read as integers
-    and combined into one Fraction.
+    resistance triangle and the divisor's r_D and C, read as integers and
+    combined into one Fraction.
 
     With x = X / u on edge i and y = Y / v on edge j, r(x, y) is an integer
     R over E u^2 v^2, E = D p_i^2 p_j^2 (D p_i^2 when i == j), r_D(x) an
     integer R_x over D p_i^2 u^2 and r_D(y) one R_y over D p_j^2 v^2, so
     with C = c / d and s = deg D + 2,
     g = (2 s c E u^2 v^2 + d (R_x p_j^2 v^2 + R_y p_i^2 u^2 - s R))
-    over 2 s d E u^2 v^2, the factors p^2 dropped when i == j.
+    over 2 s d E u^2 v^2, the factors p^2 dropped when i == j.  g is
+    symmetric, so the two points are swapped when i > j.
     """
     i, _, X, u = _point_integers(g, x)
     j, _, Y, v = _point_integers(g, y)
     net = analysis.network(g)
     div = net.divisor(divisor)
     c, d, s = div.constant  # refuses degree -2 before L+ is built
-    forms = div.r_D
     if i > j:
-        held = net.resistance_triangle[j][i - j]
-        r = pair_numerator(held, Y, v, X, u)
-    else:
-        held = net.resistance_triangle[i][j - i]
-        r = pair_numerator(held, X, u, Y, v)
+        i, X, u, j, Y, v = j, Y, v, i, X, u
+    held = net.resistance_triangle[i][j - i]
+    r = pair_numerator(held, X, u, Y, v)
+    _, a2, a1, a0 = div.r_D[i]
+    _, b2, b1, b0 = div.r_D[j]
     uu, vv = u * u, v * v
-    a2, a1, a0 = forms[i]._numerators
-    b2, b1, b0 = forms[j]._numerators
     rx = (a2 * X + a1 * u) * X + a0 * uu
     ry = (b2 * Y + b1 * v) * Y + b0 * vv
     if i == j:

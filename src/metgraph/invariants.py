@@ -271,7 +271,7 @@ def _representation_report(
     """
     if table is None:
         table = [[None] * g.n_vertices for _ in range(g.n_vertices)]
-    lengths = [(e.length.numerator, e.length.denominator) for e in g.edges]
+    lengths = g._lengths
     ends = [(e.tail, e.head) for e in g.edges]
     # per edge, its ends compared, as the offset 2 a of their corners (a is
     # 0 at the tail, 1 at the head) and their row of the table

@@ -20,9 +20,12 @@ laid out as a value-matrix entry, which ``resistance_point`` evaluates
 with ``pair_value``.  ``pair_rows`` is the one loop over edge pairs that
 multiplies r's pair coefficients out; it makes both that triangle and the
 Green function's value matrix, which adds per-edge terms and a constant.
-The divisor's r_D = sum_k a_k r(p_k, .) is held per edge as an
-``EdgeFunction``, three integers over D p^2, so a point query builds one
-Fraction, its answer.
+The divisor's r_D = sum_k a_k r(p_k, .) is held per edge as four integers
+(den, a2, a1, a0), its coefficients over den = D p^2: the one-edge form of
+a ``Rows`` entry, den first, which ``edge_value`` evaluates, so a point
+query builds one Fraction, its answer.  ``r_D_on_edge`` is the only code
+that makes an ``EdgeFunction``, a view of one edge's integers, as
+``ValueMatrix.entry`` is the only code that makes an ``EdgePairFunction``.
 The Green function at vertices has a direct formula in L+, tau and c_mu
 alone, which ``green_row_at_vertices`` gives for a slice of one vertex row.
 Its row-independent part, ``vertex_formula``, holds only the sums it makes
@@ -379,12 +382,11 @@ def green_row_at_vertices(
 
 class EdgeFunction(_Form):
     """A quadratic a2*x^2 + a1*x + a0 on a single edge, held like an
-    ``EdgePairFunction``: ``r_D_on_edges`` builds r_D's over D p^2, and a
-    value is one Fraction.
+    ``EdgePairFunction``: ``r_D_on_edge`` makes one as a view of r_D's
+    integers on that edge, and a value is one Fraction.
     """
 
-    # weakly referable, so a caller can see a cached form freed with its network
-    __slots__ = ("_edge", "__weakref__")
+    __slots__ = ("_edge",)
     _indices = ("edge",)
     terms = ("a2", "a1", "a0")
 
@@ -399,12 +401,15 @@ class EdgeFunction(_Form):
         return form
 
     def __call__(self, x: Fraction) -> Fraction:
-        return self._value(*x.as_integer_ratio())
+        return edge_value((self._denominator, *self._numerators), *x.as_integer_ratio())
 
-    def _value(self, X: int, u: int) -> Fraction:
-        """The value at x = X / u, an integer over den u^2."""
-        a2, a1, a0 = self._numerators
-        return Fraction((a2 * X + a1 * u) * X + a0 * u * u, self._denominator * u * u)
+
+def edge_value(held: tuple[int, ...], X: int, u: int) -> Fraction:
+    """A one-edge form at x = X / u, an integer over den u^2, from the
+    integers ``held`` = (den, a2, a1, a0), the three numerators over den,
+    as a divisor analysis holds r_D on each edge."""
+    den, a2, a1, a0 = held
+    return Fraction((a2 * X + a1 * u) * X + a0 * u * u, den * u * u)
 
 
 def r_D_at_vertices(div: analysis.DivisorAnalysis) -> tuple[int, ...]:
@@ -426,7 +431,7 @@ def r_D_at_vertices(div: analysis.DivisorAnalysis) -> tuple[int, ...]:
     return tuple(base + deg * num[v][v] - 2 * w for v, w in enumerate(weighted))
 
 
-def r_D_on_edges(div: analysis.DivisorAnalysis) -> tuple[EdgeFunction, ...]:
+def r_D_on_edges(div: analysis.DivisorAnalysis) -> tuple[tuple[int, int, int, int], ...]:
     """The divisor-weighted resistance sum_k a_k r(p_k, .) on every edge.
 
     Each vertex contributes one parabola: r(p_k, .) on edge i has quadratic
@@ -434,19 +439,19 @@ def r_D_on_edges(div: analysis.DivisorAnalysis) -> tuple[EdgeFunction, ...]:
     fixed by its values at the two ends.  On a bridge w_i is zero and each
     slope comes out as +1 or -1.
 
-    Each form is held in integers over D p^2: the numerators are -deg W,
-    k p and r_D(tail) p^2.  The slope is k over D p, from
-    (deg D (L - r) + r_D(head) - r_D(tail)) / L with
+    Each form is held as (den, a2, a1, a0) with den = D p^2: the
+    numerators are -deg W, k p and r_D(tail) p^2.  The slope is k over
+    D p, from (deg D (L - r) + r_D(head) - r_D(tail)) / L with
     L - r = (p D - q r) / (q D) in the integers of ``EdgeData``.
     """
     deg = div.divisor.degree
     den = div.network.pinv.denominator
     at = div.r_D_at_vertices
     forms = []
-    for i, (tail, head, p, q, r, _, w) in enumerate(div.network.edges):
+    for tail, head, p, q, r, _, w in div.network.edges:
         k = deg * (p * den - q * r) + q * (at[head] - at[tail])
         pp = p * p
-        forms.append(EdgeFunction._over(i, den * pp, (-deg * w, k * p, at[tail] * pp)))
+        forms.append((den * pp, -deg * w, k * p, at[tail] * pp))
     return tuple(forms)
 
 
@@ -454,13 +459,14 @@ def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
     """The divisor-weighted resistance sum_k a_k r(p_k, .) restricted to edge i."""
     div = analysis.network(g).divisor(divisor)
     g._check_edge(i)
-    return div.r_D[i]
+    held = div.r_D[i]
+    return EdgeFunction._over(i, held[0], held[1:])
 
 
 def resistance_to_divisor(g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple) -> Fraction:
     """sum_k a_k r(p_k, x) evaluated at one point."""
     i, _, X, u = _point_integers(g, x)
-    return analysis.network(g).divisor(divisor).r_D[i]._value(X, u)
+    return edge_value(analysis.network(g).divisor(divisor).r_D[i], X, u)
 
 
 def c_mu(g: MetrizedGraph, divisor: Divisor) -> Fraction:

@@ -617,6 +617,9 @@ INDEX_CALLS = {
     "point_of_vertex": lambda g, d, k: mg.point_of_vertex(g, k),
     "epsilon_via_green": lambda g, d, k: mg.epsilon_via_green(g, d, base=k),
     "ValueMatrix.entry": lambda g, d, k: mg.value_matrix(g, d).entry(0, k),
+    "ValueMatrix.evaluate": lambda g, d, k: mg.value_matrix(g, d).evaluate(
+        mg.GraphPoint(0, 0), mg.GraphPoint(k, 0)
+    ),
     "ConnectivityMatrix.entry": lambda g, d, k: mg.connectivity_matrix(g).entry(k, 0),
 }
 

@@ -43,9 +43,10 @@ class TestCacheContract:
 
     def test_clear_caches_frees_every_derived_value(self):
         g, d = seeded_grid(3, 1)
+        mg.r_D_on_edge(g, d, 0)
         held = [
             weakref.ref(mg.value_matrix(g, d)),
-            weakref.ref(mg.r_D_on_edge(g, d, 0)),
+            weakref.ref(mg.network(g).divisor(d)),
         ]
         assert all(ref() is not None for ref in held)
         mg.clear_caches()
@@ -456,6 +457,33 @@ def test_a_matrix_makes_its_rows_when_read_even_after_a_switch_and_a_clear(monke
     assert matrix.rows == expected
     assert matrix.rows is matrix.rows
     assert counts == {"build_value_matrix": 1, "resistance_triangle": 0}
+
+
+def test_only_r_D_on_edge_makes_an_edge_function(monkeypatch):
+    # r_D is held per edge as integers: a switch, the matrix's rows and the
+    # point reads make no EdgeFunction, and each r_D_on_edge call makes one,
+    # a view of the held integers
+    g, d = mg.cli.parse_graph((GRAPHS / "tesseract.json").read_text())
+    x, y = mg.GraphPoint(0, F(1, 3)), mg.GraphPoint(7, F(2, 3))
+    mg.clear_caches()
+    made, over = [], mg.EdgeFunction._over
+    counted = classmethod(lambda cls, *args: made.append(args) or over(*args))
+    monkeypatch.setattr(mg.EdgeFunction, "_over", counted)
+    for divisor in (SWITCHED, d):
+        matrix = mg.value_matrix(g, divisor)
+        assert mg.epsilon_via_green(g, divisor) == mg.epsilon_via_resistance(g, divisor)
+        matrix.rows
+        mg.evaluate_green(g, divisor, x, y)
+        mg.evaluate_green(g, divisor, y, x)
+        mg.resistance_to_divisor(g, divisor, x)
+    assert made == []
+    forms = [mg.r_D_on_edge(g, d, i) for i in range(g.n_edges)]
+    assert len(made) == g.n_edges
+    held = mg.network(g).divisor(d).r_D
+    assert all(type(c) is int for form in held for c in form)
+    assert [(f.edge, f.denominator, *f.numerators) for f in forms] == [
+        (i, *form) for i, form in enumerate(held)
+    ]
 
 
 def test_a_vertex_point_is_read_off_the_incidence_table(monkeypatch):

@@ -187,6 +187,7 @@ CLOSED_FORMS = (
     "resistance_triangle",
     "resistance_point",
     "r_D_on_edges",
+    "edge_value",
     "constant_of",
     "evaluate_green",
     "build_value_matrix",

@@ -150,6 +150,39 @@ class TestDivisorResistance:
         with pytest.raises(mg.MetgraphError):
             mg.r_D_on_edge(circle, mg.Divisor((1, 0)), 0)
 
+    def test_matches_the_oracle(self, standing):
+        # no runtime route reads r_D's denominator, so the refinement's L+,
+        # which makes no closed form, checks it
+        _, g, divisor = standing
+        assert r_D_matches_the_oracle(g, divisor)
+
+    def test_oracle_catches_a_doubled_denominator(self, standing, monkeypatch):
+        _, g, divisor = standing
+        build = mg.potential.r_D_on_edges
+
+        def doubled(div):
+            return tuple((2 * held[0], *held[1:]) for held in build(div))
+
+        mg.clear_caches()
+        monkeypatch.setattr(mg.potential, "r_D_on_edges", doubled)
+        try:
+            assert not r_D_matches_the_oracle(g, divisor)
+        finally:
+            mg.clear_caches()
+
+
+def r_D_matches_the_oracle(g: mg.MetrizedGraph, divisor: mg.Divisor) -> bool:
+    """``resistance_to_divisor`` at eight sample points equals
+    sum_k a_k r(p_k, x) read off one refinement holding every point."""
+    points = sample_points(g, 8)
+    sub = mg.subdivide_at_points(g, points)
+    support = [(mg.point_of_vertex(g, k), a) for k, a in enumerate(divisor.coefficients) if a]
+    return all(
+        mg.resistance_to_divisor(g, divisor, x)
+        == sum(a * sub.resistance(pk, x) for pk, a in support)
+        for x in points
+    )
+
 
 class TestEdgeFunctionValues(FormContract):
     """r_D forms hold integers over one denominator and compare by value."""

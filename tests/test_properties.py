@@ -457,8 +457,9 @@ def fraction_entry(net, div, i, j):
     scale = div.divisor.degree + 2
     shift = 4 * net.tau / scale - div.c_mu
     c0, cx, cy, cxx, cyy, cxy, cabs = (-c / 2 for c in fraction_resistance_form(net, i, j))
-    xx, x, x0 = (c / (2 * scale) for c in div.r_D[i].coefficients())
-    yy, y, y0 = (c / (2 * scale) for c in div.r_D[j].coefficients())
+    (den_i, *r_i), (den_j, *r_j) = div.r_D[i], div.r_D[j]
+    xx, x, x0 = (F(c, den_i) / (2 * scale) for c in r_i)
+    yy, y, y0 = (F(c, den_j) / (2 * scale) for c in r_j)
     return (shift + x0 + y0 + c0, cx + x, cy + y, cxx + xx, cyy + yy, cxy, cabs)
 
 
@@ -520,20 +521,19 @@ def graph_and_admissible_divisor(draw) -> tuple[mg.MetrizedGraph, mg.Divisor]:
 @common
 @given(graph_and_admissible_divisor(), st.fractions(min_value=0, max_value=1, max_denominator=12))
 def test_green_from_its_pieces_is_the_value_matrix(gd, share):
-    # evaluate_green reads the resistance triangle, r_D's forms and C, and
-    # the matrix's rows come from a build loop of their own: the two agree
-    # on every ordered edge pair, the same edge and i > j included, at both
-    # ends of each edge and inside it
+    # evaluate_green reads the resistance triangle, r_D's held integers and
+    # C, and the matrix's rows come from a build loop of their own: the two
+    # agree on every ordered edge pair, the same edge and i > j included, at
+    # both ends of each edge and inside it
     g, divisor = gd
     matrix = mg.value_matrix(g, divisor)
     for i, ei in enumerate(g.edges):
         for j, ej in enumerate(g.edges):
             for x in (F(0), ei.length, ei.length * share):
                 for y in (F(0), ej.length, ej.length / 3):
-                    X, u = x.as_integer_ratio()
-                    Y, v = y.as_integer_ratio()
                     got = mg.evaluate_green(g, divisor, (i, x), (j, y))
-                    assert exact([got]) == exact([matrix._value(i, X, u, j, Y, v)]), (i, j, x, y)
+                    want = matrix.evaluate(mg.GraphPoint(i, x), mg.GraphPoint(j, y))
+                    assert exact([got]) == exact([want]), (i, j, x, y)
 
 
 def assert_resistance_point_matches_the_fraction_kernel(g, fractions_of_lengths):
