@@ -599,9 +599,6 @@ class ConnectivityMatrix(Record):
             raise MetgraphError(f"entry ({i!r}, {j!r}) outside a {self.size}-edge matrix")
         return self.entries[i][j]
 
-    def codes(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
 
 def connectivity_matrix(g: MetrizedGraph) -> ConnectivityMatrix:
     """The decimal-coded bridge bookkeeping of an adequate graph; the codes

@@ -14,9 +14,10 @@ g in two parts:
   and on every edge, one tuple (den, a2, a1, a0) per edge, c_mu and C,
   all held as integers (``constant_of``).
 
-``evaluate_green`` combines one triangle entry, r_D's integers on the two
-edges and C into one Fraction, so a divisor switch builds nothing quadratic and a point
-read builds no table of its own.
+``evaluate_green``, g's one point reader, combines one triangle entry,
+r_D's integers on the two edges and C into one Fraction, so a divisor
+switch builds nothing quadratic and a point read builds no table of its
+own.
 
 The value matrix collects g's closed forms per edge pair, for the
 ``value-matrix`` command and the consistency checks.  ``value_matrix(g, D)``
@@ -36,7 +37,8 @@ Fraction; one is made only when a coefficient or a value is read.
 g(x, y) = g(y, x), so z_ji is z_ij with x and y swapped, and the matrix
 keeps one triangle: eight integers per unordered edge pair (1830 tuples,
 about 0.73 MiB, on the benchmark's seeded 6x6 grid), and an
-``EdgePairFunction`` is made only when an entry is read.  The build
+``EdgePairFunction``, a view of one stored tuple, is made only when an
+entry is read; ``entry(i, j)(x, y)`` is g's value there.  The build
 compares no pair; g(x, y) = g(y, x) is checked by the ordered-pair
 property test, the vertex-formula check and the oracle.
 """
@@ -59,7 +61,6 @@ from .potential import (
     pair_numerator,
     pair_rows,
     swap_xy,
-    triangle_value,
 )
 
 __all__ = [
@@ -86,7 +87,7 @@ class ValueMatrix(Record):
     read.  Equality and hash read the stored triangle, and make no entry.
     """
 
-    __slots__ = ("divisor", "_rows", "_build")
+    __slots__ = ("divisor", "_rows")
     _fields = ("divisor", "rows")
 
     divisor: Divisor
@@ -111,28 +112,27 @@ class ValueMatrix(Record):
             _, _, cx, cy, cxx, cyy, _, _ = row[0]
             if cx != cy or cxx != cyy:
                 raise MetgraphError(f"value matrix entry ({i}, {i}) is not symmetric in x and y")
-        self._set(divisor, rows, None)
+        self._set(divisor, rows)
 
-    def _set(self, divisor: Divisor, rows: Rows | None, build: Callable[[], Rows] | None) -> None:
+    def _set(self, divisor: Divisor, rows: Rows | Callable[[], Rows]) -> None:
         object.__setattr__(self, "divisor", divisor)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_build", build)
 
     @classmethod
     def _later(cls, divisor: Divisor, build: Callable[[], Rows]) -> ValueMatrix:
         """The matrix whose rows ``build()`` makes, unchecked, when first
         read: the build makes them in the constructor's shape, diagonal
-        entries symmetric."""
+        entries symmetric.  Until then ``_rows`` holds ``build``."""
         matrix = cls.__new__(cls)
-        matrix._set(divisor, None, build)
+        matrix._set(divisor, build)
         return matrix
 
     @property
     def rows(self) -> Rows:
         rows = self._rows
-        if rows is None:
-            rows = self._build()
-            self._set(self.divisor, rows, None)
+        if callable(rows):
+            rows = rows()
+            self._set(self.divisor, rows)
         return rows
 
     def __eq__(self, other: object) -> bool:
@@ -171,19 +171,9 @@ class ValueMatrix(Record):
 
     def _entry(self, i: int, j: int) -> EdgePairFunction:
         if i <= j:
-            held = self.rows[i][j - i]
-            return EdgePairFunction._over(i, j, held[0], held[1:])
+            return EdgePairFunction._over((i, j), self.rows[i][j - i])
         held = self.rows[j][i - j]
-        return EdgePairFunction._over(i, j, held[0], swap_xy(held[1:]))
-
-    def evaluate(self, x: GraphPoint, y: GraphPoint) -> Fraction:
-        """g at the points x and y, read off the triangle."""
-        i, j = x.edge, y.edge
-        if not (is_index(i, self.size) and is_index(j, self.size)):
-            raise MetgraphError(f"points on edges ({i!r}, {j!r}) outside a {self.size}-edge matrix")
-        X, u = x.offset.as_integer_ratio()
-        Y, v = y.offset.as_integer_ratio()
-        return triangle_value(self.rows, i, X, u, j, Y, v)
+        return EdgePairFunction._over((i, j), (held[0], *swap_xy(held[1:])))
 
 
 def value_matrix(g: MetrizedGraph, divisor: Divisor) -> ValueMatrix:

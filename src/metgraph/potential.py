@@ -16,15 +16,19 @@ difference of two entries of an ``a`` vector.
 r(x, y) does not depend on the divisor, so its closed form on every
 unordered edge pair i <= j is kept once per graph, made by
 ``resistance_triangle`` on the first point read: eight integers per pair,
-laid out as a value-matrix entry, which ``resistance_point`` evaluates
-with ``pair_value``.  ``pair_rows`` is the one loop over edge pairs that
-multiplies r's pair coefficients out; it makes both that triangle and the
-Green function's value matrix, which adds per-edge terms and a constant.
+laid out as a value-matrix entry.  ``resistance_point`` is its one point
+reader: it swaps its two points when the first lies on the later edge,
+as r(x, y) = r(y, x), and evaluates the entry with ``pair_value``.
+``pair_rows`` is the one loop over edge pairs that multiplies r's pair
+coefficients out; it makes both that triangle and the Green function's
+value matrix, which adds per-edge terms and a constant.
 The divisor's r_D = sum_k a_k r(p_k, .) is held per edge as four integers
 (den, a2, a1, a0), its coefficients over den = D p^2: the one-edge form of
 a ``Rows`` entry, den first, which ``edge_value`` evaluates, so a point
-query builds one Fraction, its answer.  ``r_D_on_edge`` is the only code
-that makes an ``EdgeFunction``, a view of one edge's integers, as
+query builds one Fraction, its answer.  A closed-form view holds the
+stored tuple whole, with its edge indices, and reads every coefficient,
+value, equality and hash from it: ``r_D_on_edge`` is the only code that
+makes an ``EdgeFunction``, a view of one edge's tuple, as
 ``ValueMatrix.entry`` is the only code that makes an ``EdgePairFunction``.
 The Green function at vertices has a direct formula in L+, tau and c_mu
 alone, which ``green_row_at_vertices`` gives for a slice of one vertex row.
@@ -35,8 +39,8 @@ itself, apart from r_D's, which the value matrix it checks is built from.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import attrgetter, itemgetter, sub
+from math import lcm
+from operator import itemgetter, sub
 from typing import NamedTuple, Sequence
 
 from . import analysis
@@ -113,56 +117,54 @@ def edge_data(net: analysis.Network) -> tuple[EdgeData, ...]:
 
 def _coefficient(k: int) -> property:
     """A read-only property: coefficient k as a reduced Fraction, made when read."""
-    return property(lambda self: Fraction(self._numerators[k], self._denominator))
+    return property(lambda self: Fraction(self._held[k + 1], self._held[0]))
 
 
 class _Form:
-    """Coefficients held, read-only, as the integers ``numerators`` over one
-    positive ``denominator``, which need not be the least.  A coefficient is
-    a reduced Fraction built only when read, through ``coefficients()`` or
-    its name.  A form is made only by its subclass's ``_over``, from the
-    integers the package computes, taken as they are; equality and hash go
-    by the edge indices and the values, and only between forms of one
-    class.  A subclass names its edge indices in ``_indices`` and its
-    coefficients in ``terms``.
+    """A view of one closed form as the package stores it: ``_at``, its
+    edge indices, and ``_held``, the integers (den, *numerators), the
+    coefficients over one positive denominator, which need not be the
+    least, both taken as they are.  A coefficient is a reduced Fraction
+    built only when read, through ``coefficients()`` or its name.  A form is
+    made only by ``_over``; equality and hash go by the edge indices and
+    the coefficients, and only between forms of one class.  A subclass
+    names its edge indices in ``_indices`` and its coefficients in
+    ``terms``.
     """
 
-    __slots__ = ("_denominator", "_numerators")
+    __slots__ = ("_at", "_held")
     _indices: tuple[str, ...]
     terms: tuple[str, ...]
 
-    denominator = property(attrgetter("_denominator"))
-    numerators = property(attrgetter("_numerators"))
+    denominator = property(lambda self: self._held[0])
+    numerators = property(lambda self: self._held[1:])
 
     def __init__(self, *args, **kwargs):
         name = type(self).__name__
         raise TypeError(f"{name} instances are made by {name}._over")
 
-    def _at(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in self._indices)
+    @classmethod
+    def _over(cls, at: tuple[int, ...], held: tuple[int, ...]) -> _Form:
+        """The form at the edge indices ``at`` whose integers ``held`` are
+        (den, *numerators), den > 0, taken as they are."""
+        form = cls.__new__(cls)
+        form._at, form._held = at, held
+        return form
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        den = self._denominator
-        return tuple(Fraction(c, den) for c in self._numerators)
+        den = self._held[0]
+        return tuple(Fraction(c, den) for c in self._held[1:])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._at() != other._at():
-            return False
-        den_a, den_b = self._denominator, other._denominator
-        if den_a == den_b:
-            return self._numerators == other._numerators
-        return all(x * den_b == y * den_a for x, y in zip(self._numerators, other._numerators))
+        return (self._at, self.coefficients()) == (other._at, other.coefficients())
 
     def __hash__(self) -> int:
-        # over the least common denominator equal values hold equal integers
-        common = gcd(self._denominator, *self._numerators)
-        lowest = tuple(c // common for c in self._numerators)
-        return hash((self._at(), self._denominator // common, lowest))
+        return hash((self._at, self.coefficients()))
 
     def __repr__(self) -> str:
-        fields = [*zip(self._indices, self._at()), *zip(self.terms, self.coefficients())]
+        fields = [*zip(self._indices, self._at), *zip(self.terms, self.coefficients())]
         return f"{type(self).__name__}({', '.join(f'{name}={v!r}' for name, v in fields)})"
 
 
@@ -171,27 +173,20 @@ class EdgePairFunction(_Form):
 
     Coefficients over the basis {1, x, y, x^2, y^2, x*y, |x - y|}, read as
     ``c0`` ... ``cabs``; the absolute-value coefficient can be nonzero only
-    when i == j.
+    when i == j.  ``ValueMatrix.entry`` makes one as a view of one stored
+    entry.
     """
 
-    __slots__ = ("_i", "_j")
+    __slots__ = ()
     _indices = ("i", "j")
     terms = ("c0", "cx", "cy", "cxx", "cyy", "cxy", "cabs")
 
-    i = property(attrgetter("_i"))
-    j = property(attrgetter("_j"))
+    i = property(lambda self: self._at[0])
+    j = property(lambda self: self._at[1])
     c0, cx, cy, cxx, cyy, cxy, cabs = map(_coefficient, range(7))
 
-    @classmethod
-    def _over(cls, i: int, j: int, den: int, numerators: tuple[int, ...]) -> EdgePairFunction:
-        """The seven ``numerators`` over den > 0, taken as they are."""
-        entry = cls.__new__(cls)
-        entry._i, entry._j, entry._denominator, entry._numerators = i, j, den, numerators
-        return entry
-
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        held = (self._denominator, *self._numerators)
-        return pair_value(held, *x.as_integer_ratio(), *y.as_integer_ratio())
+        return pair_value(self._held, *x.as_integer_ratio(), *y.as_integer_ratio())
 
 
 # the seven coefficients (c0, cx, cy, cxx, cyy, cxy, cabs) of z_ji from
@@ -221,17 +216,6 @@ def pair_numerator(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> int
 def pair_value(held: tuple[int, ...], X: int, u: int, Y: int, v: int) -> Fraction:
     """``pair_numerator`` over den u^2 v^2, one Fraction."""
     return Fraction(pair_numerator(held, X, u, Y, v), held[0] * u * u * v * v)
-
-
-def triangle_value(
-    rows: Rows, i: int, X: int, u: int, j: int, Y: int, v: int
-) -> Fraction:
-    """The form of edge pair (i, j) at x = X / u on edge i and y = Y / v on
-    edge j, read off a triangle ``rows`` that holds z_ij for i <= j only:
-    z_ij(x, y) is z_ji(y, x)."""
-    if i > j:
-        return pair_value(rows[j][i - j], Y, v, X, u)
-    return pair_value(rows[i][j - i], X, u, Y, v)
 
 
 def pair_rows(
@@ -329,7 +313,9 @@ def resistance_point(g: MetrizedGraph, x: GraphPoint | tuple, y: GraphPoint | tu
     """
     i, _, X, u = _point_integers(g, x)
     j, _, Y, v = _point_integers(g, y)
-    return triangle_value(analysis.network(g).resistance_triangle, i, X, u, j, Y, v)
+    if i > j:
+        i, X, u, j, Y, v = j, Y, v, i, X, u
+    return pair_value(analysis.network(g).resistance_triangle[i][j - i], X, u, Y, v)
 
 
 def vertex_formula(div: analysis.DivisorAnalysis) -> tuple[int, tuple[int, ...]]:
@@ -386,22 +372,15 @@ class EdgeFunction(_Form):
     integers on that edge, and a value is one Fraction.
     """
 
-    __slots__ = ("_edge",)
+    __slots__ = ()
     _indices = ("edge",)
     terms = ("a2", "a1", "a0")
 
-    edge = property(attrgetter("_edge"))
+    edge = property(lambda self: self._at[0])
     a2, a1, a0 = map(_coefficient, range(3))
 
-    @classmethod
-    def _over(cls, edge: int, den: int, numerators: tuple[int, int, int]) -> EdgeFunction:
-        """The numerators of a2, a1 and a0 over den > 0, taken as they are."""
-        form = cls.__new__(cls)
-        form._edge, form._denominator, form._numerators = edge, den, numerators
-        return form
-
     def __call__(self, x: Fraction) -> Fraction:
-        return edge_value((self._denominator, *self._numerators), *x.as_integer_ratio())
+        return edge_value(self._held, *x.as_integer_ratio())
 
 
 def edge_value(held: tuple[int, ...], X: int, u: int) -> Fraction:
@@ -459,8 +438,7 @@ def r_D_on_edge(g: MetrizedGraph, divisor: Divisor, i: int) -> EdgeFunction:
     """The divisor-weighted resistance sum_k a_k r(p_k, .) restricted to edge i."""
     div = analysis.network(g).divisor(divisor)
     g._check_edge(i)
-    held = div.r_D[i]
-    return EdgeFunction._over(i, held[0], held[1:])
+    return EdgeFunction._over((i,), div.r_D[i])
 
 
 def resistance_to_divisor(g: MetrizedGraph, divisor: Divisor, x: GraphPoint | tuple) -> Fraction:

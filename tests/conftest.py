@@ -168,7 +168,7 @@ def form_over(cls, at: tuple[int, ...], values):
     ``at``, with these coefficients over their least common denominator."""
     values = [Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in values))
-    return cls._over(*at, den, tuple(int(x * den) for x in values))
+    return cls._over(at, (den, *(int(x * den) for x in values)))
 
 
 def pair_form(i, j, c0=0, cx=0, cy=0, cxx=0, cyy=0, cxy=0, cabs=0) -> mg.EdgePairFunction:
@@ -315,15 +315,14 @@ def resistance_form(net: mg.Network, i: int, j: int) -> mg.EdgePairFunction:
     den = net.pinv.denominator
     if i == j:
         pp = ei.p * ei.p
-        return mg.EdgePairFunction._over(i, j, den * pp, (0, 0, 0, -ei.w, -ei.w, 2 * ei.w, den * pp))
+        return mg.EdgePairFunction._over((i, j), (den * pp, 0, 0, 0, -ei.w, -ei.w, 2 * ei.w, den * pp))
     ej = net.edges[j]
     pi, pj = ei.p, ej.p
     c0, cx, cy, cxy = resistance_numerators(net, i, j)
     return mg.EdgePairFunction._over(
-        i,
-        j,
-        den * pi * pi * pj * pj,
+        (i, j),
         (
+            den * pi * pi * pj * pj,
             c0 * pi * pi * pj * pj,
             cx * pi * pj * pj,
             cy * pi * pi * pj,
@@ -485,14 +484,14 @@ class FormContract:
     A test class for one of them inherits these tests and sets ``cls``,
     ``indices`` (its edge index properties), ``at`` and ``other_at`` (two
     index tuples), ``terms`` (its coefficient names), ``sample_repr`` (the
-    repr of ``_over(*at, 12, (6, -4, 3, 0, ...))``) and ``call`` (arguments
+    repr of ``_over(at, (12, 6, -4, 3, 0, ...))``) and ``call`` (arguments
     and value of that form at one point), and gives a ``form`` fixture with
     one form the library builds.
     """
 
     def sample(self):
         numerators = (6, -4, 3) + (0,) * (len(self.terms) - 3)
-        return self.cls._over(*self.at, 12, numerators)
+        return self.cls._over(self.at, (12, *numerators))
 
     def build(self, at, *values):
         """A form at ``at`` with these leading coefficients, the rest zero."""
@@ -501,7 +500,7 @@ class FormContract:
     def test_equal_values_over_different_denominators(self, form):
         at = tuple(getattr(form, name) for name in self.indices)
         rebuilt = self.build(at, *form.coefficients())
-        scaled = self.cls._over(*at, 3 * form.denominator, tuple(3 * c for c in form.numerators))
+        scaled = self.cls._over(at, tuple(3 * c for c in (form.denominator, *form.numerators)))
         assert len({form.denominator, rebuilt.denominator, scaled.denominator}) == 3
         assert form == rebuilt == scaled
         assert hash(form) == hash(rebuilt) == hash(scaled)

@@ -32,3 +32,24 @@ def test_the_package_is_counted_module_by_module():
     sizes = code_size.module_sizes(TOOL.parent.parent)
     assert "metgraph/__init__.py" in sizes and "metgraph/cli/__init__.py" in sizes
     assert all(count > 0 for count in sizes.values())
+
+
+def test_members_removed_and_added_are_listed(tmp_path, capsys):
+    # a second checkout whose package exports one name the package lacks
+    # and a ValueMatrix with one member the package's lacks
+    package = tmp_path / "src" / "metgraph"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "class ValueMatrix:\n"
+        "    def entry(self): ...\n"
+        "    def gone(self): ...\n"
+        "    def _private(self): ...\n"
+        "def old_name(): ...\n"
+    )
+    names, members = code_size.public_names(tmp_path)
+    assert (names, members) == (["ValueMatrix", "old_name"], ["ValueMatrix.entry", "ValueMatrix.gone"])
+    assert code_size.main([str(tmp_path)]) == 0
+    listed = [line for line in capsys.readouterr().out.splitlines() if line[:2] in ("- ", "+ ")]
+    assert "- old_name" in listed and "- ValueMatrix.gone" in listed
+    assert "+ ValueMatrix.size" in listed and "+ tau_constant" in listed
+    assert "- ValueMatrix.entry" not in listed and "+ ValueMatrix.entry" not in listed

@@ -157,7 +157,9 @@ class TestValueMatrixStructure:
                     for fy in (F(1, 4), F(2, 3)):
                         x = mg.GraphPoint(i, g.edges[i].length * fx)
                         y = mg.GraphPoint(j, g.edges[j].length * fy)
-                        assert matrix.evaluate(x, y) == matrix.evaluate(y, x)
+                        assert matrix.entry(i, j)(x.offset, y.offset) == matrix.entry(j, i)(
+                            y.offset, x.offset
+                        )
 
 
 class TestEntryRepresentation(FormContract):
@@ -282,16 +284,14 @@ class TestErrors:
         with pytest.raises(mg.MetgraphError, match=r"entry \(3, 0\) outside a 3-edge matrix"):
             matrix.entry(3, 0)
 
-    def test_evaluate_checks_both_edges(self, tesseract):
+    def test_entry_checks_both_edges(self, tesseract):
         # a negative edge would otherwise wrap round to the last row, and
         # one past the end would fail with a bare IndexError
         matrix = mg.value_matrix(tesseract, mg.Divisor.zero(16))
         for edge in (-1, matrix.size):
-            outside, inside = mg.GraphPoint(edge, Fraction(1, 3)), mg.GraphPoint(0, 0)
-            for x, y in ((outside, inside), (inside, outside)):
-                where = rf"\({x.edge}, {y.edge}\) outside a 32-edge matrix"
-                with pytest.raises(mg.MetgraphError, match=where):
-                    matrix.evaluate(x, y)
+            for i, j in ((edge, 0), (0, edge)):
+                with pytest.raises(mg.MetgraphError, match=rf"\({i}, {j}\) outside a 32-edge matrix"):
+                    matrix.entry(i, j)
 
     def test_constructor_takes_the_stored_triangle(self, circle):
         # row i holds z_ij for j = i, ..., m - 1 as eight ints, den > 0 first

@@ -532,7 +532,7 @@ def test_green_from_its_pieces_is_the_value_matrix(gd, share):
             for x in (F(0), ei.length, ei.length * share):
                 for y in (F(0), ej.length, ej.length / 3):
                     got = mg.evaluate_green(g, divisor, (i, x), (j, y))
-                    want = matrix.evaluate(mg.GraphPoint(i, x), mg.GraphPoint(j, y))
+                    want = matrix.entry(i, j)(x, y)
                     assert exact([got]) == exact([want]), (i, j, x, y)
 
 
@@ -576,11 +576,12 @@ def reference_representation_check(g, matrix):
         if len(reps_p) < 2:
             continue
         for q, reps_q in enumerate(reps):
-            expected = matrix.evaluate(reps_p[0], reps_q[0])
+            (i, x), (j, y) = reps_p[0], reps_q[0]
+            expected = matrix.entry(i, j)(x, y)
             for rp in reps_p:
                 for rq in reps_q:
                     comparisons += 1
-                    got = matrix.evaluate(rp, rq)
+                    got = matrix.entry(rp.edge, rq.edge)(rp.offset, rq.offset)
                     if got != expected:
                         location = f"g(v{p}, v{q}) via z[{rp.edge}][{rq.edge}]"
                         mismatches.append((location, expected, got))
@@ -655,7 +656,7 @@ def reference_vertex_formula_check(g, divisor, matrix):
     for p, x in enumerate(points):
         for q, y in enumerate(points):
             expected = reference_green_at_vertices(g, divisor, p, q)
-            got = matrix.evaluate(x, y)
+            got = matrix.entry(x.edge, y.edge)(x.offset, y.offset)
             if got != expected:
                 mismatches.append((f"g(v{p}, v{q})", expected, got))
     return len(points) ** 2, mismatches
@@ -964,13 +965,13 @@ def reference_connectivity(g):
             return digit(i, j) if i in sides else digit(j, i)
         return 0
 
-    return [[code(i, j) for j in range(m)] for i in range(m)]
+    return tuple(tuple(code(i, j) for j in range(m)) for i in range(m))
 
 
 @common
 @given(adequate_graphs())
 def test_connectivity_codes_match_their_definition(g):
-    assert mg.connectivity_matrix(g).codes() == reference_connectivity(g)
+    assert mg.connectivity_matrix(g).entries == reference_connectivity(g)
 
 
 # -- the incidence table --------------------------------------------------------
@@ -1159,9 +1160,9 @@ def test_a_corrupted_canonical_corner_fails_both_checks():
     rows[i][j - i] = (den, *coefficients)
     corrupted = mg.ValueMatrix(divisor, tuple(map(tuple, rows)))
     at_p, at_q = mg.point_of_vertex(g, p), mg.point_of_vertex(g, q)
-    true = matrix.evaluate(at_p, at_q)
+    true = matrix.entry(at_p.edge, at_q.edge)(at_p.offset, at_q.offset)
     wrong = true + g.edges[i].length * g.edges[j].length
-    assert corrupted.evaluate(at_p, at_q) == wrong
+    assert corrupted.entry(at_p.edge, at_q.edge)(at_p.offset, at_q.offset) == wrong
     _, table = mg.invariants._representation_report(g, corrupted)
     assert F(*table[p][q]) == wrong
 

@@ -1,15 +1,19 @@
-"""Every top-level public name of metgraph has a reader outside the tests.
+"""Every top-level public name of metgraph, and every public member of a
+class it exports, has a reader outside the tests.
 
 A reader is the package's own code (``__init__``, which only exports, left
 out), the benchmark's code, or README's code: its inline code spans and
-code blocks.  In code, a name is read as a name, an attribute, an imported
-name or module, or, in the benchmark, a string that names a module or a
-function, as its tracer's layer table does.  Docstrings and comments read
-nothing, so a name that only they mention has no reader.
+code blocks.  In code, a name is read as a name or an attribute that is
+loaded, an imported name or module, or, in the benchmark, a string that
+names a module or a function, as its tracer's layer table does.  A name
+that is only assigned or defined, as a class body defines its members, is
+not read.  Docstrings and comments read nothing, so a name that only they
+mention has no reader.
 """
 
 import ast
 import re
+from functools import cache
 from pathlib import Path
 
 import metgraph as mg
@@ -36,9 +40,9 @@ def names_read(path: Path, strings: bool) -> set[str]:
     skipped = docstrings(tree)
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.update(node.name.split("."))
@@ -62,15 +66,33 @@ def readme_names() -> set[str]:
     return {name for span in code for name in re.findall(r"\w+", span)}
 
 
-def test_every_public_name_has_a_reader():
-    readers = readme_names()
+@cache
+def readers() -> frozenset[str]:
+    found = readme_names()
     for path in PACKAGE.rglob("*.py"):
         if path != PACKAGE / "__init__.py":
-            readers |= names_read(path, strings=False)
+            found |= names_read(path, strings=False)
     for path in (ROOT / "bench").glob("*.py"):
-        readers |= names_read(path, strings=True)
-    public = {name for name in dir(mg) if not name.startswith("_")}
-    assert sorted(public - readers) == []
+        found |= names_read(path, strings=True)
+    return frozenset(found)
+
+
+PUBLIC = {name: getattr(mg, name) for name in dir(mg) if not name.startswith("_")}
+
+
+def test_every_public_name_has_a_reader():
+    assert sorted(PUBLIC.keys() - readers()) == []
+
+
+def test_every_public_member_has_a_reader():
+    unread = [
+        f"{name}.{member}"
+        for name, cls in PUBLIC.items()
+        if isinstance(cls, type)
+        for member in vars(cls)
+        if not member.startswith("_") and member not in readers()
+    ]
+    assert unread == []
 
 
 def test_a_docstring_is_no_reader(tmp_path):
@@ -83,7 +105,11 @@ def test_a_docstring_is_no_reader(tmp_path):
         "def f():\n"
         '    """only_in_function_docstring"""\n'
         '    return g.h(i, "j.k", "not a name")\n'
+        "class C:\n"
+        "    defined = 1\n"
+        "    def member(self):\n"
+        "        self.stored = self.loaded\n"
     )
-    read = {"a", "b", "c", "d", "g", "h", "i"}
+    read = {"a", "b", "c", "d", "g", "h", "i", "self", "loaded"}
     assert names_read(module, strings=False) == read
     assert names_read(module, strings=True) == read | {"j", "k"}

@@ -1,16 +1,21 @@
-"""Code lines per module of the metgraph package and its public names.
+"""Code lines per module of the metgraph package, its public names and
+the public members of the classes it exports.
 
 A code line is a line of ``src/metgraph`` that holds a token other than a
 comment and is not part of a docstring: blank lines, comment lines and
 docstrings do not count, while a line holding code and a trailing comment
 does.  The public names are the top-level names of the imported package
-that do not start with an underscore, submodules included.
+that do not start with an underscore, submodules included.  The public
+members are, for each public name that is a class, the names its own
+namespace (``vars(cls)``) defines that do not start with an underscore,
+written ``Class.member``.
 
     python tools/code_size.py             # this checkout
     python tools/code_size.py OTHER       # OTHER, this checkout and the change
 
 OTHER is the root of a second checkout, for example a clone of the parent
-commit.  The names are read by importing each package in a child process,
+commit; against it the names and members removed (``-``) and added (``+``)
+are listed.  Both are read by importing each package in a child process,
 so neither checkout needs to be installed.
 """
 
@@ -40,7 +45,15 @@ _NAMES = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import metgraph
-print(json.dumps(sorted(n for n in dir(metgraph) if not n.startswith("_"))))
+names = sorted(n for n in dir(metgraph) if not n.startswith("_"))
+members = sorted(
+    f"{n}.{m}"
+    for n in names
+    if isinstance(getattr(metgraph, n), type)
+    for m in vars(getattr(metgraph, n))
+    if not m.startswith("_")
+)
+print(json.dumps([names, members]))
 """
 
 
@@ -76,7 +89,8 @@ def module_sizes(root: Path) -> dict[str, int]:
     }
 
 
-def public_names(root: Path) -> list[str]:
+def public_names(root: Path) -> tuple[list[str], list[str]]:
+    """The public names and the public members of the package at ``root``."""
     out = subprocess.run(
         [sys.executable, "-c", _NAMES, str(root / "src")],
         check=True,
@@ -90,28 +104,31 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(f"usage: {Path(__file__).name} [OTHER_CHECKOUT]", file=sys.stderr)
         return 2
-    sizes, names = module_sizes(ROOT), public_names(ROOT)
+    sizes, (names, members) = module_sizes(ROOT), public_names(ROOT)
     if not argv:
         width = max(map(len, sizes))
         for module, count in sizes.items():
             print(f"{module:<{width}}  {count:5}")
         print(f"{'code lines':<{width}}  {sum(sizes.values()):5}")
         print(f"{'public names':<{width}}  {len(names):5}")
+        print(f"{'public members':<{width}}  {len(members):5}")
         return 0
     other = Path(argv[0]).resolve()
-    before, names_before = module_sizes(other), public_names(other)
+    before, (names_before, members_before) = module_sizes(other), public_names(other)
     modules = sorted(before.keys() | sizes.keys())
     width = max(map(len, modules))
     print(f"{'':<{width}}  {'other':>5}  {'this':>5}  {'change':>6}")
     rows = [(module, before.get(module, 0), sizes.get(module, 0)) for module in modules]
     rows.append(("code lines", sum(before.values()), sum(sizes.values())))
     rows.append(("public names", len(names_before), len(names)))
+    rows.append(("public members", len(members_before), len(members)))
     for label, a, b in rows:
         print(f"{label:<{width}}  {a:5}  {b:5}  {b - a:+6}")
-    for name in sorted(set(names_before) - set(names)):
-        print(f"- {name}")
-    for name in sorted(set(names) - set(names_before)):
-        print(f"+ {name}")
+    for old, new in ((names_before, names), (members_before, members)):
+        for name in sorted(set(old) - set(new)):
+            print(f"- {name}")
+        for name in sorted(set(new) - set(old)):
+            print(f"+ {name}")
     return 0
 
 
