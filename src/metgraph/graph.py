@@ -257,6 +257,8 @@ class Divisor(Record):
 
 
 def check_divisor(g: MetrizedGraph, d: Divisor) -> Divisor:
+    if not isinstance(d, Divisor):
+        raise MetgraphError(f"a divisor must be a Divisor, got {type(d).__name__}")
     if len(d) != g.n_vertices:
         raise MetgraphError(
             f"divisor has {len(d)} coefficients but the graph has {g.n_vertices} vertices"

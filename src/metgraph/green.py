@@ -140,15 +140,13 @@ class ValueMatrix(Record):
             return NotImplemented
         if self.divisor != other.divisor or self.size != other.size:
             return False
-        for row_a, row_b in zip(self.rows, other.rows):
-            for a, b in zip(row_a, row_b):
-                den_a, den_b = a[0], b[0]
-                if den_a == den_b:
-                    if a != b:
-                        return False
-                elif any(x * den_b != y * den_a for x, y in zip(a[1:], b[1:])):
-                    return False
-        return True
+        # each coefficient by cross-multiplication, as entries need not share a denominator
+        return all(
+            x * den_b == y * den_a
+            for row_a, row_b in zip(self.rows, other.rows)
+            for (den_a, *a), (den_b, *b) in zip(row_a, row_b)
+            for x, y in zip(a, b)
+        )
 
     def __hash__(self) -> int:
         # equal matrices hold equal values, so their diagonal constants agree

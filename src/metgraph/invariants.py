@@ -19,10 +19,10 @@ was built: only the integers it holds per edge pair, the edge lengths and
 ``green_row_at_vertices``, which reads L+, tau and c_mu and no per-edge
 data or closed form.  Both evaluate the entries themselves, in integers,
 and build a Fraction only for a mismatch.  A vertex sits at an edge's end,
-so every value either reads is a corner of a stored entry, given by
-``_corners`` from its integers; for an off-diagonal entry with no |x - y|
-term, the common case, the representation check writes the same sums out
-in its loop.  Both compare against the value at the canonical
+so every value either reads is a corner of a stored entry, which the
+representation check's one loop over the stored pairs computes from its
+integers by one formula, its |x - y| terms added only when the entry has
+them.  Both compare against the value at the canonical
 descriptions of each vertex pair, one table, which the representation
 check's walk fills with the first corner it meets for each pair, the
 canonical one.  For the network's own value matrix, the matrix
@@ -144,35 +144,6 @@ class CheckReport(Record):
         return not self.mismatches
 
 
-def _corners(
-    entry: tuple[int, ...], pi: int, qi: int, pj: int, qj: int
-) -> tuple[int, tuple[int, int, int, int]]:
-    """An entry's values at x in {0, p_i / q_i} and y in {0, p_j / q_j}, in
-    the order (0, 0), (0, p_j / q_j), (p_i / q_i, 0), (p_i / q_i, p_j / q_j),
-    as integer numerators over one denominator.
-
-    It reads the integers the matrix holds for the entry,
-    ``(E, C0, Cx, Cy, Cxx, Cyy, Cxy, Cabs)``, not how they were built: the
-    value at x = X / q_i and y = Y / q_j is
-    C0 q_i^2 q_j^2 + Cx X q_i q_j^2 + Cy Y q_i^2 q_j + Cxx X^2 q_j^2
-    + Cyy Y^2 q_i^2 + Cxy X Y q_i q_j + Cabs |X q_j - Y q_i| q_i q_j over
-    E q_i^2 q_j^2, and the four corners share its partial sums.
-    """
-    den, c0, cx, cy, cxx, cyy, cxy, cabs = entry
-    # the small factors are multiplied first, so each coefficient meets one
-    qqi, qqj, qq = qi * qi, qj * qj, qi * qj
-    base = c0 * (qqi * qqj)
-    x = (cx * qi + cxx * pi) * (pi * qqj)
-    y = (cy * qj + cyy * pj) * (pj * qqi)
-    xy = cxy * (pi * pj * qq)
-    if cabs:
-        # |x - y| at the three corners off the origin
-        x += cabs * (pi * qj * qq)
-        y += cabs * (pj * qi * qq)
-        xy += cabs * ((abs(pi * qj - pj * qi) - pi * qj - pj * qi) * qq)
-    return den * (qqi * qqj), (base, base + y, base + x, base + x + y + xy)
-
-
 def _walked(
     g: MetrizedGraph, divisor: Divisor, matrix: ValueMatrix | None
 ) -> tuple[analysis.DivisorAnalysis, CheckReport, list[list[tuple[int, int]]]]:
@@ -257,17 +228,22 @@ def _representation_report(
     description lies in a later pair, and the symmetric z_ii has equal
     corners (0, L) and (L, 0).
 
-    Each pair is read once, at its four corners, by ``_corners`` or, with
-    no |x - y| term, by its sums written out: corner (a, b) of z_ij is g(p, q),
-    and as corner (b, a) of z_ji, z_ij with x and y swapped, it is g(q, p),
-    the same cell of the table.  So one comparison against that value
-    stands for both entries, and a pair whose four corners all agree is
-    settled.  Ends of valence one, read off the graph's incidence table,
-    are compared there too, which can only send a pair back.  The diagonal
-    entries and a pair with any failing comparison go through ``compare``,
-    entry by entry, and that alone builds every mismatch.  The count is the
-    entry-by-entry walk's: per edge i, two comparisons per compared end of
-    i and per edge j.
+    Each pair, the diagonal ones included, is read once, at its four
+    corners, in one loop: with x = X / q_i and y = Y / q_j the entry
+    (E, C0, Cx, Cy, Cxx, Cyy, Cxy, Cabs) is C0 q_i^2 q_j^2
+    + Cx X q_i q_j^2 + Cy Y q_i^2 q_j + Cxx X^2 q_j^2 + Cyy Y^2 q_i^2
+    + Cxy X Y q_i q_j + Cabs |X q_j - Y q_i| q_i q_j over E q_i^2 q_j^2, the
+    four corners share its partial sums, and the |x - y| terms are added
+    only when Cabs is nonzero.  Corner (a, b) of z_ij is g(p, q), and as
+    corner (b, a) of z_ji, z_ij with x and y swapped, it is g(q, p), the
+    same cell of the table.  So one comparison against that value stands
+    for both entries, and a pair whose four corners all agree is settled.
+    Ends of valence one, read off the graph's incidence table, are compared
+    there too, which can only send a pair back.  A pair with any failing
+    comparison goes through ``compare``, entry by entry, z_ij and, off the
+    diagonal, z_ji, and that alone builds every mismatch.  The count is
+    the entry-by-entry walk's: per edge i, two comparisons per compared
+    end of i and per edge j.
     """
     if table is None:
         table = [[None] * g.n_vertices for _ in range(g.n_vertices)]
@@ -306,24 +282,25 @@ def _representation_report(
 
     for i, row in enumerate(matrix.rows):
         pi, qi = lengths[i]
-        den, values = _corners(row[0], pi, qi, pi, qi)
-        fill(i, i, den, values)
-        compare(i, i, den, values)
         opened = opens[i]
         at, ah = map(table.__getitem__, ends[i])
         qqi = qi * qi
-        for j, ((pj, qj), entry) in enumerate(zip(lengths[i + 1 :], row[1:]), i + 1):
+        for j, ((pj, qj), entry) in enumerate(zip(lengths[i:], row), i):
             den, c0, cx, cy, cxx, cyy, cxy, cabs = entry
+            # the small factors are multiplied first, so each coefficient meets one
+            qqj, qq = qj * qj, qi * qj
+            v0 = c0 * (qqi * qqj)
+            x = (cx * qi + cxx * pi) * (pi * qqj)
+            y = (cy * qj + cyy * pj) * (pj * qqi)
+            xy = cxy * (pi * pj * qq)
             if cabs:
-                den, (v0, v1, v2, v3) = _corners(entry, pi, qi, pj, qj)
-            else:  # _corners' sums, which have no |x - y| terms here
-                qqj = qj * qj
-                v0 = c0 * (qqi * qqj)
-                x = (cx * qi + cxx * pi) * (pi * qqj)
-                v1 = v0 + (cy * qj + cyy * pj) * (pj * qqi)
-                v2 = v0 + x
-                v3 = v1 + x + cxy * (pi * pj * qi * qj)
-                den *= qqi * qqj
+                # |x - y| at the three corners off the origin
+                x += cabs * (pi * qj * qq)
+                y += cabs * (pj * qi * qq)
+                xy += cabs * ((abs(pi * qj - pj * qi) - pi * qj - pj * qi) * qq)
+            v1, v2 = v0 + y, v0 + x
+            v3 = v1 + x + xy
+            den *= qqi * qqj
             if opened and opens[j]:
                 fill(i, j, den, (v0, v1, v2, v3))
             tj, hj = ends[j]
@@ -335,7 +312,8 @@ def _representation_report(
                 or v3 * o3 != w3 * den
             ):
                 compare(i, j, den, (v0, v1, v2, v3))
-                compare(j, i, den, (v0, v2, v1, v3))
+                if j != i:
+                    compare(j, i, den, (v0, v2, v1, v3))
     # the keys are unique: order by vertex pair, then by the two descriptions
     ordered = tuple(found for _, found in sorted(mismatches))
     return CheckReport("representation independence", comparisons, ordered), table

@@ -282,8 +282,9 @@ class TestSharedVertexTable:
 # -- the checks on a mutated seeded 4x4 grid -----------------------------------
 # One off-diagonal coefficient and one diagonal (cx, cy) pair are moved.  The
 # mismatch lists were recorded from checks that compared every ordered vertex
-# pair and evaluated every corner through ``_corners``; the checks that walk
-# one triangle and evaluate corners in their loop must report the same.
+# pair and evaluated every corner through a corner function of their own; the
+# checks that walk one triangle and evaluate corners in one loop must report
+# the same.
 
 # the distinct (expected, got) pairs of the representation report; the
 # vertex-formula report has each with expected and got swapped

@@ -23,6 +23,32 @@ from conftest import (
 F = Fraction
 
 
+# every public function that takes a divisor, called with the divisor in
+# place and its other arguments valid on the circle
+DIVISOR_TAKERS = {
+    "evaluate_green": lambda g, d: mg.evaluate_green(g, d, (0, F(1, 3)), (1, F(1, 2))),
+    "epsilon_via_green": mg.epsilon_via_green,
+    "epsilon_via_resistance": mg.epsilon_via_resistance,
+    "value_matrix": mg.value_matrix,
+    "c_mu": mg.c_mu,
+    "resistance_to_divisor": lambda g, d: mg.resistance_to_divisor(g, d, (0, F(1, 3))),
+    "r_D_on_edge": lambda g, d: mg.r_D_on_edge(g, d, 0),
+    "check_representation_independence": mg.check_representation_independence,
+    "check_vertex_formula": mg.check_vertex_formula,
+    "oracle_green": lambda g, d: mg.oracle_green(g, d, (0, F(1, 3)), (1, F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", DIVISOR_TAKERS)
+@pytest.mark.parametrize("given", [(1, 0, 0), [1, 0, 0]], ids=["tuple", "list"])
+def test_a_divisor_that_is_no_Divisor_is_refused_by_name(circle, name, given):
+    # the network already holds the analysis of an equal Divisor, so no
+    # cached path may take the plain sequence for it
+    mg.value_matrix(circle, mg.Divisor(given)).rows
+    with pytest.raises(mg.MetgraphError, match=f"got {type(given).__name__}$"):
+        DIVISOR_TAKERS[name](circle, given)
+
+
 class TestTauConstant:
     def test_goldens(self, circle, joint_circles):
         assert mg.tau_constant(circle) == F(1, 6)

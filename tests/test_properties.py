@@ -1034,33 +1034,36 @@ def test_incidence_table_matches_the_copied_scans(g):
 
 
 # -- corners evaluated in the representation check's loop ----------------------
-# The check reads an off-diagonal entry with no |x - y| term at its four
-# corners with sums written out in its loop, and every other entry through
-# ``_corners``.  Against a table that no corner equals, every comparison
-# fails, so the report lists every corner value the check computed, in its
-# order, and each must equal the value ``_corners`` gives.  From an empty
-# table, the walk fills each cell with the first corner it meets for it,
-# which must be the canonical one, read here off ``g._ends``.
+# The check reads every stored entry at its four corners with sums written
+# out in its one loop.  Against a table that no corner equals, every
+# comparison fails, so the report lists every corner value the check
+# computed, in its order, and each must equal the entry's value at its edge
+# ends, read through ``matrix.entry(i, j)(x, y)``, which evaluates by
+# ``potential.pair_numerator``.  From an empty table, the walk fills each
+# cell with the first corner it meets for it, which must be the canonical
+# one, read here off ``g._ends``.
+
+
+def corner(g, matrix, x, a, y, b):
+    """Entry (x, y) at end a of edge x and end b of edge y (0 the tail, 1
+    the head), through the entry's own evaluator."""
+    ends = (F(0), g.edges[x].length), (F(0), g.edges[y].length)
+    return matrix.entry(x, y)(ends[0][a], ends[1][b])
 
 
 def corner_values(g, matrix):
-    """Every corner the representation check compares, from ``_corners``,
-    in the check's order: by vertex pair, then by the two descriptions."""
-    lengths = [e.length.as_integer_ratio() for e in g.edges]
+    """Every corner the representation check compares, in the check's
+    order: by vertex pair, then by the two descriptions."""
     keyed = []
-    for i, row in enumerate(matrix.rows):
-        for j, entry in enumerate(row, i):
-            den, (v0, v1, v2, v3) = mg.invariants._corners(entry, *lengths[i], *lengths[j])
-            views = [(i, j, (v0, v1, v2, v3))]
-            if i != j:
-                # z_ji is z_ij with x and y swapped
-                views.append((j, i, (v0, v2, v1, v3)))
-            for x, y, corners in views:
+    for i in range(matrix.size):
+        for j in range(i, matrix.size):
+            # z_ji is read off the same stored entry as z_ij
+            for x, y in {(i, j), (j, i)}:
                 for a, p in enumerate(g.edges[x][:2]):
                     if g.valence(p) < 2:
                         continue
                     for b, q in enumerate(g.edges[y][:2]):
-                        keyed.append(((p, q, x, a, y, b), F(corners[2 * a + b], den)))
+                        keyed.append(((p, q, x, a, y, b), corner(g, matrix, x, a, y, b)))
     return [value for _, value in sorted(keyed)]
 
 
@@ -1081,22 +1084,14 @@ seeded_grids = st.builds(seeded_grid, st.integers(min_value=2, max_value=4), st.
 
 def canonical_table(g, matrix):
     """The matrix's value at every vertex pair, each vertex at the first
-    edge end ``g._ends`` lists for it, from ``_corners`` of the entry
-    holding both ends, as (numerator, denominator)."""
-    lengths = [e.length.as_integer_ratio() for e in g.edges]
+    edge end ``g._ends`` lists for it, through the entry holding both ends."""
     firsts = [g._ends[v][0][:2] for v in range(g.n_vertices)]
-    table = []
-    for i, a in firsts:
-        row = []
-        for j, b in firsts:
-            if i <= j:
-                den, corners = mg.invariants._corners(matrix.rows[i][j - i], *lengths[i], *lengths[j])
-                row.append((corners[2 * a + b], den))
-            else:  # z_ij is z_ji with x and y swapped
-                den, corners = mg.invariants._corners(matrix.rows[j][i - j], *lengths[j], *lengths[i])
-                row.append((corners[2 * b + a], den))
-        table.append(row)
-    return table
+    return [[corner(g, matrix, i, a, j, b) for j, b in firsts] for i, a in firsts]
+
+
+def as_fractions(table):
+    """A walked table of (numerator, denominator) cells, as Fractions."""
+    return [[F(*cell) for cell in row] for row in table]
 
 
 @common
@@ -1118,7 +1113,7 @@ def test_corners_in_the_check_loop_equal_the_corner_evaluator(gd, abs_terms, dat
     assert walked is table and table == [[cell] * g.n_vertices for _ in range(g.n_vertices)]
     # an empty one takes each canonical corner, inline sums and |x - y| terms alike
     _, walked = mg.invariants._representation_report(g, matrix)
-    assert walked == canonical_table(g, matrix)
+    assert as_fractions(walked) == canonical_table(g, matrix)
 
 
 @common
@@ -1134,7 +1129,7 @@ def test_the_walk_fills_the_canonical_table(gd):
     representation = mg.check_representation_independence(g, divisor)
     report, table = mg.network(g).divisor(divisor).representation_walk
     assert report is representation and report.passed
-    assert table == canonical_table(g, mg.value_matrix(g, divisor))
+    assert as_fractions(table) == canonical_table(g, mg.value_matrix(g, divisor))
     # cells (p, q) and (q, p) are one
     assert all(row[q] is table[q][p] for p, row in enumerate(table) for q in range(p))
 
