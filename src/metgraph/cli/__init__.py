@@ -5,15 +5,17 @@ results.  All output stays in integers and p/q tokens unless a decimal
 approximation is explicitly requested, and ``--machine`` switches every
 command to a single JSON document on stdout.
 
-Each command is one handler in ``_COMMANDS``, beside its help text.  A
-handler takes the graph, its divisor and the parsed arguments, prints
-nothing, and returns ``(status, doc, lines)``: the exit status, the JSON
-document (None where it is costly and ``--machine`` is off), and the text
-lines, which may be a lazy iterable rendered only when printed.  ``run``
-alone prints, ``doc`` under ``--machine`` and
-``lines`` otherwise, and flushes, inside the same error handling as the
-work, so a write that fails, as on a closed stdout, ends the command like
-any other input or output error.
+Each command is one handler in ``_COMMANDS``, beside its help text and
+the options it reads; ``build_parser`` gives each command those options
+and ``--machine``, from the argparse keywords in ``_OPTIONS``, so argparse
+refuses an option a command does not read.  A handler takes the graph,
+its divisor and the parsed arguments, prints nothing, and returns
+``(status, doc, lines)``: the exit status, the JSON document (None where
+it is costly and ``--machine`` is off), and the text lines, which may be
+a lazy iterable rendered only when printed.  ``run`` alone prints, ``doc``
+under ``--machine`` and ``lines`` otherwise, and flushes, inside the same
+error handling as the work, so a write that fails, as on a closed stdout,
+ends the command like any other input or output error.
 Handlers look library functions up by their global names when called, so
 a tracer that patches those names in this module sees every call.
 
@@ -453,18 +455,46 @@ def _cmd_oracle(g, divisor, args):
     return (0 if match else 1), {"command": "oracle", "rows": rows, "match": match}, lines
 
 
-# name -> (handler, help text)
+# name -> (handler, help text, the options it reads besides --machine, each
+# named by the attribute that holds its value).  A resistance does not depend
+# on the divisor, but ``resistance`` keeps --divisor, whose length alone is
+# checked, since the workflow's tesseract pins pass it one (ROADMAP item 16)
 _COMMANDS = {
-    "info": (_cmd_info, "summarize the graph and its divisor"),
-    "laplacian": (_cmd_matrix, "print the discrete Laplacian, one row per line"),
-    "pinv": (_cmd_matrix, "print the Laplacian pseudoinverse, one row per line"),
-    "tau": (_cmd_value, "print the tau constant"),
-    "resistance": (_cmd_value, "resistance between two points"),
-    "green": (_cmd_value, "Green function value at two points"),
-    "value-matrix": (_cmd_value_matrix, "closed form of the Green function per edge pair"),
-    "epsilon": (_cmd_epsilon, "epsilon invariant of the divisor"),
-    "check": (_cmd_check, "run the built-in consistency checks"),
-    "oracle": (_cmd_oracle, "compare closed forms against the subdivision oracle"),
+    "info": (_cmd_info, "summarize the graph and its divisor", ("divisor",)),
+    "laplacian": (_cmd_matrix, "print the discrete Laplacian, one row per line", ()),
+    "pinv": (_cmd_matrix, "print the Laplacian pseudoinverse, one row per line", ()),
+    "tau": (_cmd_value, "print the tau constant", ("decimal",)),
+    "resistance": (_cmd_value, "resistance between two points", ("divisor", "decimal", "x", "y")),
+    "green": (_cmd_value, "Green function value at two points", ("divisor", "decimal", "x", "y")),
+    "value-matrix": (
+        _cmd_value_matrix, "closed form of the Green function per edge pair", ("divisor",)
+    ),
+    "epsilon": (_cmd_epsilon, "epsilon invariant of the divisor", ("divisor", "decimal", "method")),
+    "check": (_cmd_check, "run the built-in consistency checks", ("divisor",)),
+    "oracle": (
+        _cmd_oracle, "compare closed forms against the subdivision oracle", ("divisor", "points")
+    ),
+}
+
+# option, named by its flag without the dashes -> its argparse keywords, in
+# the order a command's parser adds them; every command takes --machine
+_OPTIONS = {
+    "divisor": dict(
+        type=_divisor_option,
+        metavar="A0,A1,...",
+        help="override the divisor from the file; a negative first coefficient "
+        "needs the = form, as in --divisor=-1,0,0",
+    ),
+    "decimal": dict(
+        type=_decimal_option,
+        metavar="K",
+        help="append K-digit decimal approximations to exact values",
+    ),
+    "machine": dict(action="store_true", help="emit one JSON document instead of text"),
+    "x": dict(required=True, metavar="EDGE:OFFSET"),
+    "y": dict(required=True, metavar="EDGE:OFFSET"),
+    "method": dict(choices=("green", "resistance", "both"), default="both"),
+    "points": dict(required=True, metavar="FILE", help="file with one 'i:p/q j:p/q' pair per line"),
 }
 
 
@@ -474,44 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact potential theory on metrized graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name, (_, help_text) in _COMMANDS.items():
-        p = parsers[name] = sub.add_parser(name, help=help_text)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="path to a JSON graph file")
-        p.add_argument(
-            "--divisor",
-            type=_divisor_option,
-            default=None,
-            metavar="A0,A1,...",
-            help="override the divisor from the file; a negative first coefficient "
-            "needs the = form, as in --divisor=-1,0,0",
-        )
-        p.add_argument(
-            "--decimal",
-            type=_decimal_option,
-            default=None,
-            metavar="K",
-            help="append K-digit decimal approximations to exact values",
-        )
-        p.add_argument(
-            "--machine",
-            action="store_true",
-            help="emit one JSON document instead of text",
-        )
-    for name in ("resistance", "green"):
-        parsers[name].add_argument("--x", required=True, metavar="EDGE:OFFSET")
-        parsers[name].add_argument("--y", required=True, metavar="EDGE:OFFSET")
-    parsers["epsilon"].add_argument(
-        "--method",
-        choices=("green", "resistance", "both"),
-        default="both",
-    )
-    parsers["oracle"].add_argument(
-        "--points",
-        required=True,
-        metavar="FILE",
-        help="file with one 'i:p/q j:p/q' pair per line",
-    )
+        for option, keywords in _OPTIONS.items():
+            if option in options or option == "machine":
+                p.add_argument(f"--{option}", **keywords)
     return parser
 
 
@@ -524,13 +522,13 @@ def run(argv: Sequence[str] | None = None) -> int:
                 f"graph has {g.n_vertices} vertices and {g.n_edges} edges; at most "
                 f"{MAX_VERTICES} vertices and {MAX_EDGES} edges are accepted"
             )
-        if args.divisor is not None:
+        handler, _, options = _COMMANDS[args.command]
+        if "divisor" in options and args.divisor is not None:
             if len(args.divisor) != g.n_vertices:
                 raise GraphFormatError(
                     f"--divisor: expected {g.n_vertices} coefficients, got {len(args.divisor)}"
                 )
             divisor = Divisor(args.divisor)
-        handler, _ = _COMMANDS[args.command]
         status, doc, lines = handler(g, divisor, args)
         try:
             if args.machine:

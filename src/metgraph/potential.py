@@ -44,7 +44,9 @@ from operator import itemgetter, sub
 from typing import NamedTuple, Sequence
 
 from . import analysis
-from .graph import Divisor, GraphPoint, MetrizedGraph, _point_integers, admissible_degree
+from .graph import (
+    Divisor, GraphPoint, MetrizedGraph, _point_integers, admissible_degree, as_fraction
+)
 from .linalg import RationalMatrix
 
 # a triangle of edge-pair closed forms: row i holds the pairs (i, i), ...,
@@ -185,8 +187,11 @@ class EdgePairFunction(_Form):
     j = property(lambda self: self._at[1])
     c0, cx, cy, cxx, cyy, cxy, cabs = map(_coefficient, range(7))
 
-    def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        return pair_value(self._held, *x.as_integer_ratio(), *y.as_integer_ratio())
+    def __call__(self, x: Fraction | int | str, y: Fraction | int | str) -> Fraction:
+        # an offset is read as the point readers read one: a float or a bool
+        # raises, a 'p/q' string is exact
+        X, u = as_fraction(x, "offset x").as_integer_ratio()
+        return pair_value(self._held, X, u, *as_fraction(y, "offset y").as_integer_ratio())
 
 
 # the seven coefficients (c0, cx, cy, cxx, cyy, cxy, cabs) of z_ji from
@@ -379,8 +384,8 @@ class EdgeFunction(_Form):
     edge = property(lambda self: self._at[0])
     a2, a1, a0 = map(_coefficient, range(3))
 
-    def __call__(self, x: Fraction) -> Fraction:
-        return edge_value(self._held, *x.as_integer_ratio())
+    def __call__(self, x: Fraction | int | str) -> Fraction:
+        return edge_value(self._held, *as_fraction(x, "offset x").as_integer_ratio())
 
 
 def edge_value(held: tuple[int, ...], X: int, u: int) -> Fraction:

@@ -420,6 +420,23 @@ def seeded_grid(k: int, seed: int) -> tuple[mg.MetrizedGraph, mg.Divisor]:
     return g, mg.Divisor(tuple(coeffs))
 
 
+# the CLI's commands and, for each, the options it reads besides --machine,
+# which every command takes; ``resistance`` checks only the length of a
+# --divisor, on which a resistance does not depend
+READS = {
+    "info": ("--divisor",),
+    "laplacian": (),
+    "pinv": (),
+    "tau": ("--decimal",),
+    "resistance": ("--divisor", "--decimal", "--x", "--y"),
+    "green": ("--divisor", "--decimal", "--x", "--y"),
+    "value-matrix": ("--divisor",),
+    "epsilon": ("--divisor", "--decimal", "--method"),
+    "check": ("--divisor",),
+    "oracle": ("--divisor", "--points"),
+}
+
+
 def standing_graphs() -> list[tuple[str, mg.MetrizedGraph, mg.Divisor]]:
     return [(name, builder(), mg.Divisor(coeffs)) for name, builder, coeffs in STANDING]
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import metgraph as mg
-from conftest import load_pairs, pair_form, serialize_graph
+from conftest import READS, load_pairs, pair_form, serialize_graph
 from metgraph.cli import _format_terms, decimal_approx, parse_graph, run
 
 F = Fraction
@@ -29,6 +29,17 @@ CIRCLE = str(GRAPHS / "circle.json")
 BANANA = str(GRAPHS / "banana.json")
 TWO_BRIDGES = str(GRAPHS / "two_bridges.json")
 TESSERACT = str(GRAPHS / "tesseract.json")
+
+# one well-formed argv token for each option of the CLI
+OPTION_VALUES = {
+    "--divisor": "--divisor=1,0,0",
+    "--decimal": "--decimal=5",
+    "--machine": "--machine",
+    "--x": "--x=0:0",
+    "--y": "--y=0:0",
+    "--method": "--method=green",
+    "--points": f"--points={POINTS / 'circle.txt'}",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -564,8 +575,28 @@ class TestErrors:
             run(["frobnicate", CIRCLE])
 
     def test_bad_divisor_syntax_exits_via_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            run(["tau", CIRCLE, "--divisor", "1,x,3"])
+        with pytest.raises(SystemExit) as exit_info:
+            run(["epsilon", CIRCLE, "--divisor", "1,x,3"])
+        assert exit_info.value.code == 2
+        assert "expected comma-separated integers, got '1,x,3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", OPTION_VALUES)
+    @pytest.mark.parametrize("command", READS)
+    def test_a_command_accepts_only_the_options_it_reads(self, command, option, capsys):
+        # the options the command requires follow the one under test
+        argv = [command, CIRCLE, OPTION_VALUES[option]]
+        argv += [OPTION_VALUES[flag] for flag in ("--x", "--y", "--points")
+                 if flag in READS[command] and flag != option]
+        if option == "--machine" or option in READS[command]:
+            assert run(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last == f"metgraph: error: unrecognized arguments: {OPTION_VALUES[option]}"
 
     @pytest.mark.parametrize("divisor", ["\u0662,0,0", "2_0,0,0", "0,\uff12,0"])
     def test_divisor_coefficients_are_ascii_digits_only(self, divisor, capsys):

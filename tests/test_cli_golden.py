@@ -81,6 +81,9 @@ def command_lines() -> list[list[str]]:
         ["oracle", "graphs/circle.json", "--points", "graphs/circle.json"],
         ["oracle", "graphs/circle.json", "--points", "tests/data/oracle_points/tesseract.txt"],
         ["tau"],
+        # an option the command does not read is refused
+        ["pinv", "graphs/circle.json", "--decimal", "5"],
+        ["tau", "graphs/circle.json", "--divisor", "1,0,0"],
     ]
     return argvs
 

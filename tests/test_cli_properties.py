@@ -11,15 +11,19 @@ end in one of the CLI's three outcomes: exit 0; exit 1 with a
 ``error:`` line on stderr.  No run may raise, and ``info`` at exit 0
 prints six lines.
 
-Two more properties draw the rest of the input.  The argv options
-(``--divisor``, ``--decimal``, ``--method``, ``--x`` and ``--y``) get
-signs, spaces, separators, other scripts' digits, wrong counts and
-integers past CPython's 4300-digit string limit; argparse rejecting one of
-them itself is a fourth outcome: ``SystemExit(2)``, nothing on stdout, and
-stderr ending in one ``metgraph <command>: error:`` line.  ``oracle`` reads
-drawn points files: pair lines mixed with wrong token counts, bad offsets,
-edges past the graph, comments, blank lines, bytes that are not UTF-8, and
-no pair at all.
+Three more properties draw the rest of the input.  The argv options
+(``--divisor``, ``--decimal``, ``--method``, ``--x`` and ``--y``), each
+drawn for the commands that read it, get signs, spaces, separators, other
+scripts' digits, wrong counts and integers past CPython's 4300-digit
+string limit; argparse rejecting one of them itself is a fourth outcome:
+``SystemExit(2)``, nothing on stdout, and stderr ending in one
+``metgraph <command>: error:`` line.  An option a command does not read,
+with any such value, must end in the top-level parser's error:
+``SystemExit(2)``, nothing on stdout, and stderr ending in
+``metgraph: error: unrecognized arguments:`` and the option.  ``oracle``
+reads drawn points files: pair lines mixed with wrong token counts, bad
+offsets, edges past the graph, comments, blank lines, bytes that are not
+UTF-8, and no pair at all.
 
 stdout is UTF-8 and strict, as a real terminal or pipe is, so text the
 command could not print shows here as the exception it would raise.
@@ -34,6 +38,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import metgraph as mg
+from conftest import READS
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -167,13 +172,14 @@ HOSTILE_POINTS = st.sampled_from(
 
 @st.composite
 def options(draw, command: str, n: int) -> list[str]:
-    """Options for ``command`` on a graph of ``n`` vertices, each present
-    or not, in the = form, so that no value is read as an option."""
+    """Options for ``command`` on a graph of ``n`` vertices, each one it
+    reads present or not, in the = form, so that no value is read as an
+    option."""
     def either(good, hostile):
         return draw(hostile) if draw(rare) else draw(good)
 
     argv = []
-    if draw(st.booleans()):
+    if "--divisor" in READS[command] and draw(st.booleans()):
         coefficients = draw(st.lists(st.integers(-3, 3).map(str), min_size=n, max_size=n))
         if draw(rare):
             coefficients = draw(st.sampled_from([coefficients[1:], coefficients + ["0"]]))
@@ -184,7 +190,7 @@ def options(draw, command: str, n: int) -> list[str]:
             for k in every if draw(rare) else [draw(st.sampled_from(every))]:
                 coefficients[k] = hostile
         argv.append("--divisor=" + draw(st.sampled_from([",", ", ", " , "])).join(coefficients))
-    if draw(st.booleans()):
+    if "--decimal" in READS[command] and draw(st.booleans()):
         argv.append(f"--decimal={either(st.integers(0, 12).map(str), HOSTILE_DECIMALS)}")
     if draw(st.booleans()):
         argv.append("--machine")
@@ -195,6 +201,27 @@ def options(draw, command: str, n: int) -> list[str]:
         for name in ("x", "y"):
             argv.append(f"--{name}={either(point_tokens(), HOSTILE_POINTS)}")
     return argv
+
+
+# each option a command may not read, with the values it is drawn with
+FOREIGN_VALUES = {
+    "--divisor": st.one_of(
+        st.lists(st.integers(-3, 3).map(str), min_size=1, max_size=4).map(",".join),
+        HOSTILE_COEFFICIENTS,
+    ),
+    "--decimal": st.one_of(st.integers(0, 12).map(str), HOSTILE_DECIMALS),
+    "--x": st.one_of(point_tokens(), HOSTILE_POINTS),
+    "--y": st.one_of(point_tokens(), HOSTILE_POINTS),
+    "--method": st.one_of(st.sampled_from(["green", "resistance", "both"]), HOSTILE_METHODS),
+    "--points": st.sampled_from(["points.txt", "", "-"]),
+}
+
+
+@st.composite
+def foreign_options(draw, command: str) -> str:
+    """One option that ``command`` does not read, with a value, in the = form."""
+    option = draw(st.sampled_from([o for o in FOREIGN_VALUES if o not in READS[command]]))
+    return f"{option}={draw(FOREIGN_VALUES[option])}"
 
 
 # points that lie on every edge of a drawn well-formed graph: edge 0 is
@@ -380,6 +407,20 @@ def test_every_option_ends_in_one_outcome(graph_file, graph, data):
         mg.clear_caches()
         status, out, err = run_captured(argv)
         assert_one_outcome(status, out, err, command)
+
+
+@given(data=st.data())
+def test_an_option_a_command_does_not_read_is_refused_by_the_top_parser(graph_file, data):
+    # argparse refuses it before the graph file is read
+    graph_file.write_text((GRAPHS / "circle.json").read_text(), encoding="utf-8")
+    for command in COMMANDS:
+        foreign = data.draw(foreign_options(command), label=command)
+        required = ["--x=0:0", "--y=0:0"] if command in ("resistance", "green") else []
+        status, out, err = run_captured([command, str(graph_file), *required, foreign])
+        assert isinstance(status, SystemExit) and status.code == 2 and out == "", (status, out)
+        # stderr escapes a lone surrogate, as the value may hold one
+        shown = foreign.encode("utf-8", "backslashreplace").decode()
+        assert err.splitlines()[-1] == f"metgraph: error: unrecognized arguments: {shown}", err
 
 
 # one graph file in six may be hostile, as the property above draws them

@@ -46,10 +46,47 @@ def test_members_removed_and_added_are_listed(tmp_path, capsys):
         "    def _private(self): ...\n"
         "def old_name(): ...\n"
     )
-    names, members = code_size.public_names(tmp_path)
+    names, members, options = code_size.public_api(tmp_path)
     assert (names, members) == (["ValueMatrix", "old_name"], ["ValueMatrix.entry", "ValueMatrix.gone"])
+    # a checkout with no cli module has no CLI options
+    assert options == []
     assert code_size.main([str(tmp_path)]) == 0
     listed = [line for line in capsys.readouterr().out.splitlines() if line[:2] in ("- ", "+ ")]
     assert "- old_name" in listed and "- ValueMatrix.gone" in listed
     assert "+ ValueMatrix.size" in listed and "+ tau_constant" in listed
     assert "- ValueMatrix.entry" not in listed and "+ ValueMatrix.entry" not in listed
+    assert "+ tau --decimal" in listed and "+ oracle --points" in listed
+
+
+def test_the_cli_options_are_the_pairs_its_parser_accepts():
+    _, _, options = code_size.public_api(TOOL.parent.parent)
+    assert len(options) == 27
+    assert "epsilon --method" in options and "tau --machine" in options
+    assert "tau --divisor" not in options and "pinv --decimal" not in options
+    assert not any(option.endswith(("--help", "-h")) for option in options)
+
+
+def test_cli_options_removed_and_added_are_listed(tmp_path, capsys):
+    # a second checkout whose one command takes --divisor and --decimal
+    package = tmp_path / "src" / "metgraph"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import argparse\n"
+        "def build_parser():\n"
+        "    parser = argparse.ArgumentParser()\n"
+        "    tau = parser.add_subparsers().add_parser('tau')\n"
+        "    tau.add_argument('graph')\n"
+        "    tau.add_argument('--divisor')\n"
+        "    tau.add_argument('--decimal')\n"
+        "    return parser\n"
+    )
+    assert code_size.public_api(tmp_path)[2] == ["tau --decimal", "tau --divisor"]
+    assert code_size.main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in out if line.startswith("cli options")] == [
+        ["cli", "options", "2", "27", "+25"]
+    ]
+    listed = [line for line in out if " --" in line and line[:2] in ("- ", "+ ")]
+    assert "- tau --divisor" in listed and "+ tau --machine" in listed
+    assert "+ tau --decimal" not in listed and len(listed) == 1 + 26

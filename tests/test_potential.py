@@ -49,6 +49,36 @@ def test_a_divisor_that_is_no_Divisor_is_refused_by_name(circle, name, given):
         DIVISOR_TAKERS[name](circle, given)
 
 
+# each closed-form point reader on the tesseract under D = p0, called with
+# one offset ``t`` in place and the others Fractions
+FORM_READERS = {
+    "EdgePairFunction-x": lambda g, d, t: mg.value_matrix(g, d).entry(0, 1)(t, F(1, 3)),
+    "EdgePairFunction-y": lambda g, d, t: mg.value_matrix(g, d).entry(0, 1)(F(1, 3), t),
+    "EdgeFunction": lambda g, d, t: mg.r_D_on_edge(g, d, 0)(t),
+}
+
+
+@pytest.mark.parametrize("reader", FORM_READERS)
+@pytest.mark.parametrize("offset", [0.1, True], ids=["float", "bool"])
+def test_a_closed_form_refuses_a_float_or_bool_offset(tesseract, reader, offset):
+    # a float was read through its binary expansion, as a 39-digit
+    # numerator for 0.1, and True as 1
+    divisor = mg.Divisor((1,) + (0,) * 15)
+    with pytest.raises(mg.MetgraphError, match=f"'p/q', got {offset!r}$"):
+        FORM_READERS[reader](tesseract, divisor, offset)
+
+
+@pytest.mark.parametrize("reader", FORM_READERS)
+def test_a_closed_form_reads_a_p_q_offset_as_the_point_readers_do(tesseract, reader):
+    # a string raised a bare AttributeError
+    divisor = mg.Divisor((1,) + (0,) * 15)
+    read = FORM_READERS[reader]
+    assert read(tesseract, divisor, "1/2") == read(tesseract, divisor, F(1, 2))
+    assert read(tesseract, divisor, 1) == read(tesseract, divisor, F(1))
+    with pytest.raises(mg.MetgraphError, match="malformed rational '1.5'$"):
+        read(tesseract, divisor, "1.5")
+
+
 class TestTauConstant:
     def test_goldens(self, circle, joint_circles):
         assert mg.tau_constant(circle) == F(1, 6)

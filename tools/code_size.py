@@ -8,15 +8,18 @@ does.  The public names are the top-level names of the imported package
 that do not start with an underscore, submodules included.  The public
 members are, for each public name that is a class, the names its own
 namespace (``vars(cls)``) defines that do not start with an underscore,
-written ``Class.member``.
+written ``Class.member``.  The CLI's options are the (command, option)
+pairs that ``metgraph.cli.build_parser()`` accepts, written
+``command --option``, ``--help`` left out; a checkout with no ``cli``
+module has none.
 
     python tools/code_size.py             # this checkout
     python tools/code_size.py OTHER       # OTHER, this checkout and the change
 
 OTHER is the root of a second checkout, for example a clone of the parent
-commit; against it the names and members removed (``-``) and added (``+``)
-are listed.  Both are read by importing each package in a child process,
-so neither checkout needs to be installed.
+commit; against it the names, members and CLI options removed (``-``) and
+added (``+``) are listed.  Both are read by importing each package in a
+child process, so neither checkout needs to be installed.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ _LAYOUT = {
 }
 
 _NAMES = """
-import json, sys
+import argparse, importlib.util, json, sys
 sys.path.insert(0, sys.argv[1])
 import metgraph
 names = sorted(n for n in dir(metgraph) if not n.startswith("_"))
@@ -53,7 +56,20 @@ members = sorted(
     for m in vars(getattr(metgraph, n))
     if not m.startswith("_")
 )
-print(json.dumps([names, members]))
+options = []
+if importlib.util.find_spec("metgraph.cli"):
+    from metgraph.cli import build_parser
+    commands = next(
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = sorted(
+        f"{command} {option}"
+        for command, parser in commands.items()
+        for action in parser._actions
+        if action.dest != "help"
+        for option in action.option_strings
+    )
+print(json.dumps([names, members, options]))
 """
 
 
@@ -89,8 +105,9 @@ def module_sizes(root: Path) -> dict[str, int]:
     }
 
 
-def public_names(root: Path) -> tuple[list[str], list[str]]:
-    """The public names and the public members of the package at ``root``."""
+def public_api(root: Path) -> tuple[list[str], list[str], list[str]]:
+    """The public names, the public members and the CLI options of the
+    package at ``root``."""
     out = subprocess.run(
         [sys.executable, "-c", _NAMES, str(root / "src")],
         check=True,
@@ -104,7 +121,7 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(f"usage: {Path(__file__).name} [OTHER_CHECKOUT]", file=sys.stderr)
         return 2
-    sizes, (names, members) = module_sizes(ROOT), public_names(ROOT)
+    sizes, (names, members, options) = module_sizes(ROOT), public_api(ROOT)
     if not argv:
         width = max(map(len, sizes))
         for module, count in sizes.items():
@@ -112,9 +129,10 @@ def main(argv: list[str]) -> int:
         print(f"{'code lines':<{width}}  {sum(sizes.values()):5}")
         print(f"{'public names':<{width}}  {len(names):5}")
         print(f"{'public members':<{width}}  {len(members):5}")
+        print(f"{'cli options':<{width}}  {len(options):5}")
         return 0
     other = Path(argv[0]).resolve()
-    before, (names_before, members_before) = module_sizes(other), public_names(other)
+    before, (names_before, members_before, options_before) = module_sizes(other), public_api(other)
     modules = sorted(before.keys() | sizes.keys())
     width = max(map(len, modules))
     print(f"{'':<{width}}  {'other':>5}  {'this':>5}  {'change':>6}")
@@ -122,9 +140,10 @@ def main(argv: list[str]) -> int:
     rows.append(("code lines", sum(before.values()), sum(sizes.values())))
     rows.append(("public names", len(names_before), len(names)))
     rows.append(("public members", len(members_before), len(members)))
+    rows.append(("cli options", len(options_before), len(options)))
     for label, a, b in rows:
         print(f"{label:<{width}}  {a:5}  {b:5}  {b - a:+6}")
-    for old, new in ((names_before, names), (members_before, members)):
+    for old, new in ((names_before, names), (members_before, members), (options_before, options)):
         for name in sorted(set(old) - set(new)):
             print(f"- {name}")
         for name in sorted(set(new) - set(old)):
