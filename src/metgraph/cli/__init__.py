@@ -354,18 +354,19 @@ def _cmd_value_matrix(g, divisor, args):
 
 def _cmd_epsilon(g, divisor, args):
     doc: dict = {"command": "epsilon", "method": args.method}
-    lines, values = [], []
+    lines, values = [], {}
     routes = {"green": epsilon_via_green, "resistance": epsilon_via_resistance}
     for route, epsilon in routes.items():
         if args.method in (route, "both"):
-            value = epsilon(g, divisor)
+            value = values[route] = epsilon(g, divisor)
             doc[route] = _exact(value)
             text = _render_value(value, args)
             lines.append(text if args.method == route else f"{route:<10} {text}")
-            values.append(value)
+    if args.decimal is not None:
+        doc["decimal"] = {route: decimal_approx(v, args.decimal) for route, v in values.items()}
     if args.method != "both":
         return 0, doc, lines
-    match = values[0] == values[1]
+    match = values["green"] == values["resistance"]
     doc["match"] = match
     lines.append("MATCH" if match else "MISMATCH")
     return (0 if match else 1), doc, lines
@@ -456,15 +457,13 @@ def _cmd_oracle(g, divisor, args):
 
 
 # name -> (handler, help text, the options it reads besides --machine, each
-# named by the attribute that holds its value).  A resistance does not depend
-# on the divisor, but ``resistance`` keeps --divisor, whose length alone is
-# checked, since the workflow's tesseract pins pass it one (ROADMAP item 16)
+# named by the attribute that holds its value)
 _COMMANDS = {
     "info": (_cmd_info, "summarize the graph and its divisor", ("divisor",)),
     "laplacian": (_cmd_matrix, "print the discrete Laplacian, one row per line", ()),
     "pinv": (_cmd_matrix, "print the Laplacian pseudoinverse, one row per line", ()),
     "tau": (_cmd_value, "print the tau constant", ("decimal",)),
-    "resistance": (_cmd_value, "resistance between two points", ("divisor", "decimal", "x", "y")),
+    "resistance": (_cmd_value, "resistance between two points", ("decimal", "x", "y")),
     "green": (_cmd_value, "Green function value at two points", ("divisor", "decimal", "x", "y")),
     "value-matrix": (
         _cmd_value_matrix, "closed form of the Green function per edge pair", ("divisor",)

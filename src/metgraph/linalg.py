@@ -1,12 +1,13 @@
 """Dense exact-rational matrices, the discrete Laplacian and its pseudoinverse.
 
 Matrices are held as integers over one denominator, and the pseudoinverse
-is computed in Python ints: the vertices are put in reverse Cuthill-McKee
-order, the grounded Laplacian, each row scaled by its own least
-denominator, is eliminated fraction-free inside its envelope, and one
-triangle of its inverse times that elimination's determinant, a symmetric
-integer matrix, is back-substituted fraction-free.  There is no floating
-point anywhere, so equalities between computed matrices are meaningful.
+is computed in Python ints.  One breadth-first search puts the vertices in
+reverse Cuthill-McKee order and finds a disconnected graph.  The grounded
+Laplacian, each row scaled by its own least denominator, is eliminated
+fraction-free inside its envelope, and one triangle of its inverse times
+that elimination's determinant, a symmetric integer matrix, is
+back-substituted fraction-free.  There is no floating point anywhere, so
+equalities between computed matrices are meaningful.
 """
 
 from __future__ import annotations
@@ -100,38 +101,22 @@ def laplacian_matrix(g: MetrizedGraph) -> RationalMatrix:
 
 def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
     """Every vertex in reverse Cuthill-McKee order (Cuthill and McKee 1969,
-    reversed by George 1971): each component breadth-first, a vertex's
-    unvisited neighbours by ascending degree, then the whole order reversed.
-    A component starts from a pseudo-peripheral vertex (George and Liu
-    1979): the search moves to a least-degree vertex of the last level
-    while that lies deeper.
+    reversed by George 1971): one breadth-first search from a least-degree
+    vertex, the lowest-numbered among ties, that visits a vertex's
+    unvisited neighbours by ascending degree, then the order reversed.  A
+    search that misses a vertex has found a disconnected graph, which
+    raises ``SingularShift``.
     """
     degree = [len(near) for near in neighbours]
-
-    def breadth_first(root: int) -> tuple[list[int], dict[int, int]]:
-        seen, depth = [root], {root: 0}
-        for v in seen:  # runs on over the vertices appended meanwhile
-            for w in sorted(neighbours[v], key=degree.__getitem__):
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    seen.append(w)
-        return seen, depth
-
-    order: list[int] = []
-    placed: set[int] = set()
-    for root in range(len(neighbours)):
-        if root in placed:
-            continue
-        component, depth = breadth_first(root)
-        while True:
-            last = depth[component[-1]]
-            start = min((v for v in component if depth[v] == last), key=degree.__getitem__)
-            tried, deeper = breadth_first(start)
-            if deeper[tried[-1]] <= last:
-                break
-            component, depth = tried, deeper
-        placed.update(component)
-        order += component
+    order = [min(range(len(neighbours)), key=degree.__getitem__)]
+    seen = set(order)
+    for v in order:  # runs on over the vertices appended meanwhile
+        for w in sorted(neighbours[v], key=degree.__getitem__):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    if len(order) < len(neighbours):
+        raise SingularShift("reduced Laplacian is singular; the graph behind it is disconnected")
     order.reverse()
     return order
 
@@ -140,9 +125,11 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a Laplacian of a connected graph.
 
     L is held as integers over its denominator s, and the Laplacian checks
-    run on them.  The vertices are put in reverse Cuthill-McKee order and
-    the last one is grounded, leaving A, positive definite exactly when the
-    graph is connected.  Row i of A is taken over its own least denominator
+    run on them.  The vertices are put in reverse Cuthill-McKee order by one
+    breadth-first search, which raises ``SingularShift`` if it does not
+    reach every vertex, before any row is eliminated.  The last vertex is
+    grounded, leaving A, positive definite since the graph is connected.
+    Row i of A is taken over its own least denominator
     d_i = s / gcd(s, row i of s A): the integer matrix eliminated is
     M = D A, with D = diag(d_i), so no row is wider than in s A, and a row
     sheds every factor of s that its entries share.  (With every d_i = s
@@ -218,10 +205,9 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
     hi = list(accumulate((last.get(k, k) for k in range(m)), max))
     # Such a Laplacian is diagonally dominant with a nonnegative diagonal, so
     # A, in any vertex order, is positive semidefinite, and definite exactly
-    # when the graph is connected.  Pivot k is d_0 ... d_k times A's leading
-    # principal minor of order k + 1.  A definite A has none zero; a zero one
-    # has a null vector x, and x padded with zeros has x^T A x = 0, so A is
-    # singular.  No pivot search is needed.
+    # when the graph is connected, as the search found it.  Pivot k is
+    # d_0 ... d_k times A's leading principal minor of order k + 1, and a
+    # definite A has none zero, so no pivot search is needed.
     pivots = [1]  # pivots[s] = p_{s-1}, the divisor of a row last updated at stage s
     stage = [0] * m
     for k, row in enumerate(rows):
@@ -230,10 +216,6 @@ def pseudo_inverse(matrix: RationalMatrix) -> RationalMatrix:
             up, down = pivots[k], pivots[stage[k]]
             row[k:end] = [x * up // down for x in row[k:end]]
         pivot = row[k]
-        if not pivot:
-            raise SingularShift(
-                "reduced Laplacian is singular; the graph behind it is disconnected"
-            )
         for i in range(k + 1, end):
             target = rows[i]
             factor = target[k]

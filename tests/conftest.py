@@ -421,14 +421,13 @@ def seeded_grid(k: int, seed: int) -> tuple[mg.MetrizedGraph, mg.Divisor]:
 
 
 # the CLI's commands and, for each, the options it reads besides --machine,
-# which every command takes; ``resistance`` checks only the length of a
-# --divisor, on which a resistance does not depend
+# which every command takes
 READS = {
     "info": ("--divisor",),
     "laplacian": (),
     "pinv": (),
     "tau": ("--decimal",),
-    "resistance": ("--divisor", "--decimal", "--x", "--y"),
+    "resistance": ("--decimal", "--x", "--y"),
     "green": ("--divisor", "--decimal", "--x", "--y"),
     "value-matrix": ("--divisor",),
     "epsilon": ("--divisor", "--decimal", "--method"),

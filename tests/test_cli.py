@@ -171,6 +171,21 @@ class TestEpsilon:
             "match": True,
         }
 
+    def test_machine_carries_each_route_s_decimal(self, capsys):
+        assert run(["epsilon", TESSERACT, "--decimal", "5", "--machine"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "epsilon",
+            "method": "both",
+            "green": "7875/122",
+            "resistance": "7875/122",
+            "decimal": {"green": "64.54918", "resistance": "64.54918"},
+            "match": True,
+        }
+        assert run(["epsilon", TESSERACT, "--method", "resistance", "--machine"]) == 0
+        assert "decimal" not in json.loads(capsys.readouterr().out)
+        assert run(["epsilon", TESSERACT, "--method", "resistance", "--decimal=2", "--machine"]) == 0
+        assert json.loads(capsys.readouterr().out)["decimal"] == {"resistance": "64.55"}
+
 
 class TestCheckAndOracle:
     def test_check_passes(self, capsys):

@@ -84,6 +84,7 @@ def command_lines() -> list[list[str]]:
         # an option the command does not read is refused
         ["pinv", "graphs/circle.json", "--decimal", "5"],
         ["tau", "graphs/circle.json", "--divisor", "1,0,0"],
+        ["resistance", "graphs/circle.json", "--divisor", "1,0,0"],
     ]
     return argvs
 

@@ -60,9 +60,10 @@ def test_members_removed_and_added_are_listed(tmp_path, capsys):
 
 def test_the_cli_options_are_the_pairs_its_parser_accepts():
     _, _, options = code_size.public_api(TOOL.parent.parent)
-    assert len(options) == 27
+    assert len(options) == 26
     assert "epsilon --method" in options and "tau --machine" in options
     assert "tau --divisor" not in options and "pinv --decimal" not in options
+    assert "resistance --divisor" not in options
     assert not any(option.endswith(("--help", "-h")) for option in options)
 
 
@@ -85,8 +86,8 @@ def test_cli_options_removed_and_added_are_listed(tmp_path, capsys):
     assert code_size.main([str(tmp_path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split() for line in out if line.startswith("cli options")] == [
-        ["cli", "options", "2", "27", "+25"]
+        ["cli", "options", "2", "26", "+24"]
     ]
     listed = [line for line in out if " --" in line and line[:2] in ("- ", "+ ")]
     assert "- tau --divisor" in listed and "+ tau --machine" in listed
-    assert "+ tau --decimal" not in listed and len(listed) == 1 + 26
+    assert "+ tau --decimal" not in listed and len(listed) == 1 + 25

@@ -193,10 +193,9 @@ class TestPseudoInverse:
         with pytest.raises(mg.MetgraphError, match="not a Laplacian"):
             mg.pseudo_inverse(signed)
 
-    def test_zero_pivot_mid_elimination_is_singular(self):
-        # components {0, 1}, {2, 3}, {4, 5}: whichever vertex is grounded,
-        # two whole components remain, and the leading minor that ends the
-        # first of them in the elimination order is zero
+    def test_three_components_are_singular(self):
+        # components {0, 1}, {2, 3}, {4, 5}: the search from a least-degree
+        # vertex reaches only its own pair
         pair = [[1, -1], [-1, 1]]
         rows = [[0] * 6 for _ in range(6)]
         for base in (0, 2, 4):
@@ -243,8 +242,8 @@ class TestPseudoInverse:
         ids=["first-isolated", "last-isolated", "two-triangles"],
     )
     def test_disconnected_laplacian_is_singular(self, edges, n):
-        # a whole component ends in the elimination order before the grounded
-        # vertex's, however late: its last leading minor is the zero pivot
+        # the search starts at a least-degree vertex, the isolated one where
+        # there is one, and misses every other component
         rows = [[0] * n for _ in range(n)]
         for a, b in edges:
             rows[a][b] = rows[b][a] = -1

@@ -289,9 +289,34 @@ def test_disjoint_union_is_singular(g, h, data):
         [[*a.row(i), *[F(0)] * h.n_vertices] for i in range(g.n_vertices)]
         + [[*[F(0)] * g.n_vertices, *b.row(i)] for i in range(h.n_vertices)]
     )
-    perm = data.draw(st.permutations(range(n)))
-    with pytest.raises(mg.SingularShift):
-        mg.pseudo_inverse(relabelled(union, perm))
+    union = relabelled(union, data.draw(st.permutations(range(n))))
+
+    def eliminated(*args):
+        raise AssertionError("a row was scaled for the elimination")
+
+    # the ordering search finds it, before the row scales, the elimination's
+    # first step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mg.linalg, "gcd", eliminated)
+        with pytest.raises(mg.SingularShift, match="the graph behind it is disconnected"):
+            mg.pseudo_inverse(union)
+
+
+@common
+@given(multigraphs())
+def test_reverse_cuthill_mckee_is_one_search_from_a_least_degree_vertex(g):
+    refined, _ = mg.make_adequate(g)
+    ints = mg.linalg.laplacian_matrix(refined).numerators
+    neighbours = [[v for v, x in enumerate(row) if x and v != u] for u, row in enumerate(ints)]
+    degree = [len(near) for near in neighbours]
+    order = mg.linalg._reverse_cuthill_mckee(neighbours)[::-1]
+    assert sorted(order) == list(range(refined.n_vertices))
+    assert degree[order[0]] == min(degree)
+    # breadth-first: every later vertex has a neighbour placed before it
+    placed = set()
+    for v in order:
+        assert not placed or placed.intersection(neighbours[v])
+        placed.add(v)
 
 
 # -- reference for the integer kernel ------------------------------------------
